@@ -27,10 +27,11 @@ from .fock import (
     HermitianOperator,
     ModeBasis,
     StateVector,
+    anchor_phase,
     embedding_indices,
     hermitian_eig,
 )
-from .measurement import DELTA_MAX, lossy_binned_homodyne, photodetection_povm
+from .measurement import DELTA_MAX, binned_homodyne_povms, photodetection_povm
 from .parallel import map_ordered
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -117,26 +118,53 @@ def _cap_indices(cutoff_a: int, cutoff_b: int, total_cap: int) -> np.ndarray:
     return embedding_indices(sub, _product_basis(cutoff_a, cutoff_b))
 
 
-def party_observables(party: PartyConditions, delta: float, cutoff: int):
-    """Single-mode observables (X, N) at the party's effective efficiencies."""
-    X = lossy_binned_homodyne(party.eta_h * party.eta_t, delta, cutoff)[2]
+def party_observables(party: PartyConditions, deltas, cutoff: int):
+    """Binned-homodyne observables X (one per delta) and photodetection N."""
+    X = binned_homodyne_povms(party.eta_h * party.eta_t, deltas, cutoff)[2]
     N = photodetection_povm(party.eta_d * party.eta_t, cutoff)[2]
     return X, N
 
 
-def bell_matrix(basis: ModeBasis, scenario: BellScenario) -> np.ndarray:
-    """Bell operator matrix on a two-mode basis (projected if capped)."""
+def _mode_observables(basis: ModeBasis, alice, bob, deltas, deltas_bob=None):
+    """Alice's (X, N) and Bob's (X + N, X - N), trimmed to the basis.
+
+    Trimming each mode to ``min(cutoff, total_cap)`` photons is exact: no
+    element of a capped basis holds more photons in one mode.
+    """
     if basis.mode_count != 2:
         raise ValueError("the Bell operator lives on a two-mode basis")
-    ca, cb = basis.cutoffs
-    delta_b = scenario.delta if scenario.delta_bob is None else scenario.delta_bob
-    Xa, Na = party_observables(scenario.alice, scenario.delta, ca)
-    Xb, Nb = party_observables(scenario.bob, delta_b, cb)
-    B = np.kron(Xa, Xb + Nb) + np.kron(Na, Xb - Nb)
+    cap = basis.total_cap
+    da, db = (c + 1 if cap is None else min(c, cap) + 1 for c in basis.cutoffs)
+    Xa, Na = party_observables(alice, deltas, basis.cutoffs[0])
+    Xb, Nb = party_observables(
+        bob, deltas if deltas_bob is None else deltas_bob, basis.cutoffs[1]
+    )
+    return Xa[:, :da, :da], Na[:da, :da], (Xb + Nb)[:, :db, :db], (Xb - Nb)[:, :db, :db]
+
+
+def bell_matrices(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions,
+                  deltas, deltas_bob=None) -> np.ndarray:
+    """Bell operators for a stack of bin half-widths, shape ``(G, d, d)``.
+
+    One batched Kronecker product of the per-mode stacks, projected onto the
+    basis if it is capped.  ``deltas_bob`` gives Bob his own half-widths.
+    """
+    Xa, Na, plus, minus = _mode_observables(basis, alice, bob, deltas, deltas_bob)
+    (G, da, _), db = Xa.shape, plus.shape[-1]
+    B = np.einsum("gij,gkl->gikjl", Xa, plus) + np.einsum("ij,gkl->gikjl", Na, minus)
+    B = B.reshape(G, da * db, da * db)
     if basis.total_cap is not None:
-        idx = _cap_indices(ca, cb, basis.total_cap)
-        B = B[np.ix_(idx, idx)]
+        idx = _cap_indices(da - 1, db - 1, basis.total_cap)
+        B = B[:, idx[:, None], idx]
     return B
+
+
+def bell_matrix(basis: ModeBasis, scenario: BellScenario) -> np.ndarray:
+    """Bell operator matrix on a two-mode basis (projected if capped)."""
+    delta_b = scenario.delta if scenario.delta_bob is None else scenario.delta_bob
+    return bell_matrices(
+        basis, scenario.alice, scenario.bob, [scenario.delta], [delta_b]
+    )[0]
 
 
 def build_bell_operator(scenario: BellScenario, cutoff: int = 2) -> HermitianOperator:
@@ -146,11 +174,31 @@ def build_bell_operator(scenario: BellScenario, cutoff: int = 2) -> HermitianOpe
 
 def chsh_value(state, scenario: BellScenario) -> float:
     """CHSH expectation of a pure or mixed two-mode state."""
-    B = bell_matrix(state.basis, scenario)
-    if isinstance(state, StateVector):
-        v = state.amplitudes
-        return float(np.vdot(v, B @ v).real)
-    return float(np.trace(state.matrix @ B).real)
+    delta_b = scenario.delta if scenario.delta_bob is None else scenario.delta_bob
+    chsh = _state_chsh(state, scenario.alice, scenario.bob)
+    return float(chsh([scenario.delta], [delta_b])[0])
+
+
+def _state_chsh(state, alice: PartyConditions, bob: PartyConditions):
+    """CHSH expectation of a fixed state as a function of the bin half-widths.
+
+    B is real, so ``Re(rho)``, embedded in the product basis as
+    ``(da, db, da, db)``, is contracted against the per-mode stacks.
+    """
+    rho = state.to_density() if isinstance(state, StateVector) else state
+    ca, cb = rho.basis.cutoffs
+    full = _product_basis(ca, cb)
+    idx = embedding_indices(rho.basis, full)
+    matrix = np.zeros((full.dimension, full.dimension))
+    matrix[np.ix_(idx, idx)] = rho.matrix.real
+    matrix = matrix.reshape(ca + 1, cb + 1, ca + 1, cb + 1)
+
+    def chsh(deltas, deltas_bob=None):
+        Xa, Na, plus, minus = _mode_observables(full, alice, bob, deltas, deltas_bob)
+        return (np.einsum("ikjl,gji,glk->g", matrix, Xa, plus)
+                + np.einsum("ikjl,ji,glk->g", matrix, Na, minus))
+
+    return chsh
 
 
 def optimal_state(
@@ -164,11 +212,7 @@ def optimal_state(
     basis = ModeBasis((cutoff, cutoff), total_cap=total_cap)
     B = bell_matrix(basis, scenario)
     w, v = hermitian_eig(B)
-    vec = v[:, -1]
-    anchor = vec[np.argmax(np.abs(vec))]
-    if abs(anchor) > 0:
-        vec = vec * (anchor.conjugate() / abs(anchor))
-    return StateVector(basis, vec), float(w[-1])
+    return StateVector(basis, anchor_phase(v[:, -1])), float(w[-1])
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -205,29 +249,29 @@ def optimize_delta(
 
     With ``state=None`` the objective at each delta is the top eigenvalue of
     the Bell operator on the photon-capped subspace; otherwise it is the
-    CHSH expectation of the fixed (pure or mixed) state.  Coarse grid scan
-    followed by golden-section refinement around the best grid point.
+    CHSH expectation of the fixed (pure or mixed) state.  The whole grid is
+    evaluated in one batched call, then a golden section refines between the
+    best grid point's neighbours.
     """
     if state is None:
         basis = ModeBasis((cutoff, cutoff), total_cap=total_cap)
 
-        def objective(delta):
-            scen = BellScenario(alice=alice, bob=bob, delta=delta)
-            return float(hermitian_eig(bell_matrix(basis, scen))[0][-1])
+        def objective(deltas):
+            return hermitian_eig(bell_matrices(basis, alice, bob, deltas))[0][:, -1]
 
     else:
-
-        def objective(delta):
-            return chsh_value(state, BellScenario(alice=alice, bob=bob, delta=delta))
+        objective = _state_chsh(state, alice, bob)
 
     grid = np.linspace(0.0, delta_max, grid_points)
-    values = [objective(d) for d in grid]
+    values = objective(grid)
     k = int(np.argmax(values))
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid_points - 1)]
     if hi <= lo:
         return float(grid[k]), float(values[k])
-    delta_star, best = golden_section_max(objective, lo, hi, tol)
+    delta_star, best = golden_section_max(
+        lambda delta: float(objective(delta)[0]), lo, hi, tol
+    )
     if best < values[k]:  # flat objective: keep the grid maximizer
         return float(grid[k]), float(values[k])
     return float(delta_star), float(best)

@@ -49,15 +49,18 @@ def parse_grid(text: str) -> list[float]:
     text = text.strip()
     if not text:
         return []
-    if ":" in text:
+    try:
+        if ":" not in text:
+            return [float(x) for x in text.split(",")]
         parts = text.split(":")
         if len(parts) != 3:
             raise ValidationError(f"grid {text!r} must be start:stop:count")
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-        if count < 1:
-            raise ValidationError("grid count must be positive")
-        return [float(x) for x in np.linspace(start, stop, count)]
-    return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ValidationError(f"malformed grid {text!r}") from None
+    if count < 1:
+        raise ValidationError("grid count must be positive")
+    return [float(x) for x in np.linspace(start, stop, count)]
 
 
 def _config_line_number(path: str, key: str) -> int | None:
@@ -108,8 +111,6 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="INI file with one section per command")
         p.add_argument("--output", "-o", help="CSV output path")
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--seed", type=int, default=0,
-                       help="reserved; all solvers are deterministic")
         p.add_argument("--cutoff", type=int, default=2)
         p.add_argument("--tol", type=float, default=1e-4)
 
@@ -184,7 +185,6 @@ def _apply_config(args: argparse.Namespace, explicit: set) -> None:
     coercions = {
         "eta_d": float, "eta_t": float, "eta_c": float, "tol": float,
         "g": float, "m": int, "m_max": int, "cutoff": int, "workers": int,
-        "seed": int,
     }
     for key, value in file_values.items():
         if not hasattr(args, key):
@@ -391,7 +391,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         _apply_config(args, _explicit_keys(argv))
         return _RUNNERS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, ValueError) as exc:
+        # Solvers (also in worker processes) reject bad parameters with ValueError.
         print(f"cvbell: error: {exc}", file=sys.stderr)
         return 1
 

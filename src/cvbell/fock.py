@@ -24,9 +24,9 @@ from itertools import product
 
 import numpy as np
 
-HERMITICITY_ATOL = 1e-12
-KRAUS_COMPLETENESS_ATOL = 1e-10
-EIG_RESIDUAL_RTOL = 1e-10
+#: Largest entry of ``H - H^dag`` accepted as rounding noise, relative to
+#: ``max(1, max |H|)`` over the whole matrix or stack.
+HERMITICITY_RTOL = 1e-10
 
 # Joint dimensions beyond this are almost certainly a caller error
 # (dense storage would exceed memory long before physics becomes interesting).
@@ -150,9 +150,7 @@ class DensityOperator:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (basis.dimension, basis.dimension):
             raise ValueError("matrix shape does not match basis dimension")
-        scale = max(1.0, float(np.abs(matrix).max()))
-        if np.abs(matrix - matrix.conj().T).max() > 1e-10 * scale:
-            raise ValueError("density matrix is not Hermitian")
+        _check_hermitian(matrix, "density matrix")
         self.basis = basis
         self.matrix = matrix
 
@@ -176,9 +174,7 @@ class HermitianOperator:
         matrix = np.asarray(matrix, dtype=complex)
         if matrix.shape != (basis.dimension, basis.dimension):
             raise ValueError("matrix shape does not match basis dimension")
-        scale = max(1.0, float(np.abs(matrix).max()))
-        if np.abs(matrix - matrix.conj().T).max() > 1e-10 * scale:
-            raise ValueError("operator is not Hermitian")
+        _check_hermitian(matrix, "operator")
         self.basis = basis
         self.matrix = matrix
 
@@ -228,12 +224,6 @@ def embedding_indices(sub: ModeBasis, full: ModeBasis) -> np.ndarray:
     if sub.mode_count != full.mode_count:
         raise ValueError("bases have different mode counts")
     return np.array([full.index_of(occ) for occ in sub.occupations], dtype=np.int64)
-
-
-def project_operator(matrix: np.ndarray, full: ModeBasis, sub: ModeBasis) -> np.ndarray:
-    """Restrict a full-basis matrix to the rows/columns of a sub-basis."""
-    idx = embedding_indices(sub, full)
-    return matrix[np.ix_(idx, idx)]
 
 
 def tensor(a, b):
@@ -407,21 +397,35 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
     return DensityOperator(kept_basis, out)
 
 
+def _check_hermitian(matrix: np.ndarray, what: str = "matrix") -> None:
+    """Reject a matrix, or a stack of matrices, that is not Hermitian."""
+    scale = max(1.0, float(np.abs(matrix).max()))
+    if np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max() > HERMITICITY_RTOL * scale:
+        raise ValueError(f"{what} is not Hermitian")
+
+
 def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
-    Accepts a :class:`HermitianOperator` or a bare ndarray.  Rejects
+    Accepts a :class:`HermitianOperator`, a bare square ndarray, or a stack
+    ``(..., d, d)`` of them (one eigensystem per matrix).  Rejects
     non-Hermitian input; the returned pairs satisfy
     ``||H v - w v|| <= 1e-10 ||H||``.
     """
     matrix = H.matrix if isinstance(H, HermitianOperator) else np.asarray(H, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.abs(matrix).max()))
-    if np.abs(matrix - matrix.conj().T).max() > 1e-10 * scale:
-        raise ValueError("matrix is not Hermitian")
-    w, v = np.linalg.eigh((matrix + matrix.conj().T) / 2.0)
+    _check_hermitian(matrix)
+    w, v = np.linalg.eigh((matrix + matrix.conj().swapaxes(-1, -2)) / 2.0)
     return w, v
+
+
+def anchor_phase(vec: np.ndarray) -> np.ndarray:
+    """Fix a vector's global phase: its largest-magnitude entry becomes real positive."""
+    anchor = vec[np.argmax(np.abs(vec))]
+    if abs(anchor) > 0:
+        vec = vec * (anchor.conjugate() / abs(anchor))
+    return vec
 
 
 def expectation(state, H) -> float:

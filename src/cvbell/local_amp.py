@@ -55,12 +55,20 @@ class FilterConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
 
 
+def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.ndarray:
+    """Diagonal of the filter on every mode of ``basis``, applied m times.
+
+    Each mode contributes ``((g - 1) n + 1)^m`` for its photon number n.
+    """
+    return np.prod(((gain - 1.0) * basis.occupations + 1.0) ** applications, axis=1)
+
+
 def filter_operator(gain: float, cutoff: int) -> HermitianOperator:
     """Single-mode filter G(g) = diag((g - 1) n + 1)."""
     if gain < 0.0:
         raise ValueError("gain must be non-negative")
-    entries = (gain - 1.0) * np.arange(cutoff + 1, dtype=float) + 1.0
-    return HermitianOperator(ModeBasis((cutoff,)), np.diag(entries))
+    basis = ModeBasis((cutoff,))
+    return HermitianOperator(basis, np.diag(filter_diagonal(basis, gain)))
 
 
 def psi2_state(cutoff: int = 2) -> StateVector:
@@ -106,13 +114,7 @@ def apply_filters(rho: DensityOperator, gain: float, applications: int = 1) -> D
     basis = rho.basis
     if basis.mode_count != 2:
         raise ValueError("expected a two-mode state")
-    diag_single = [
-        ((gain - 1.0) * np.arange(c + 1, dtype=float) + 1.0) ** applications
-        for c in basis.cutoffs
-    ]
-    diag = np.array(
-        [diag_single[0][occ[0]] * diag_single[1][occ[1]] for occ in basis.occupations]
-    )
+    diag = filter_diagonal(basis, gain, applications)
     filtered = diag[:, None] * rho.matrix * diag[None, :]
     trace = float(np.trace(filtered).real)
     if trace <= 0.0:

@@ -189,21 +189,28 @@ def ideal_binned_homodyne(delta: float, cutoff: int) -> np.ndarray:
     return _ideal_binned_cached(float(delta), int(cutoff))
 
 
-def lossy_binned_homodyne(eta_h: float, delta: float, cutoff: int):
-    """POVM (inner, outer) and observable of a lossy binned homodyne.
+def binned_homodyne_povms(eta_h: float, deltas, cutoff: int):
+    """Stacked POVMs of a lossy binned homodyne, one per bin half-width.
 
+    Returns ``(inner, outer, X)``, each of shape ``(G, cutoff + 1, cutoff + 1)``.
     The inner element is the ideal one conjugated by the adjoint loss
-    channel, ``X_inner = sum_k A_k^dag X_inner_ideal A_k``; the outer element
-    is its complement and the observable is ``X = X_inner - X_outer``.
+    channel, ``X_inner = sum_k A_k^dag X_inner_ideal A_k``, for the whole
+    stack at once; the outer element is its complement and the observable is
+    ``X = X_inner - X_outer``.
     """
     if not 0.0 <= eta_h <= 1.0:
         raise ValueError("efficiency must lie in [0, 1]")
-    ideal = ideal_binned_homodyne(delta, cutoff)
+    ideal = np.stack([ideal_binned_homodyne(d, cutoff) for d in np.atleast_1d(deltas)])
     if eta_h == 1.0:
-        inner = ideal.copy()
+        inner = ideal
     else:
-        inner = np.zeros_like(ideal)
-        for A in loss_kraus(eta_h, cutoff):
-            inner += A.T @ ideal @ A
+        kraus = np.stack(loss_kraus(eta_h, cutoff))[:, None]
+        inner = (kraus.swapaxes(-1, -2) @ ideal @ kraus).sum(axis=0)
     outer = np.eye(cutoff + 1) - inner
     return inner, outer, inner - outer
+
+
+def lossy_binned_homodyne(eta_h: float, delta: float, cutoff: int):
+    """POVM (inner, outer) and observable: :func:`binned_homodyne_povms` at one delta."""
+    inner, outer, X = binned_homodyne_povms(eta_h, [delta], cutoff)
+    return inner[0], outer[0], X[0]

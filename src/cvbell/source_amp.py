@@ -38,13 +38,23 @@ from .fock import (
     DensityOperator,
     ModeBasis,
     StateVector,
+    anchor_phase,
     beam_splitter,
     embed_single_mode,
     embedding_indices,
     loss_kraus,
 )
-from .measurement import photodetection_povm
-from .bell import PartyConditions, bisect_threshold, golden_section_max, optimize_delta
+from .measurement import DELTA_MAX, photodetection_povm
+from .bell import (
+    BellScenario,
+    PartyConditions,
+    bell_matrices,
+    bisect_threshold,
+    chsh_value,
+    golden_section_max,
+    optimize_delta,
+)
+from .local_amp import filter_diagonal
 from .parallel import map_ordered
 
 #: Branches with squared norm below this are dropped.
@@ -167,14 +177,26 @@ def _output_plate(cutoffs: tuple) -> np.ndarray:
     return arr
 
 
-@lru_cache(maxsize=256)
-def _cached_loss_embed(cutoffs: tuple, eta: float, mode: int) -> tuple:
-    basis = ModeBasis(cutoffs)
-    ops = tuple(
-        embed_single_mode(basis, A, mode) for A in loss_kraus(eta, cutoffs[mode])
-    )
-    for op in ops:
-        op.setflags(write=False)
+#: Embedded loss Kraus operators by (cutoffs, total_cap, eta, mode), least
+#: recently used first; bounded, as each filtered-threshold bisection step
+#: brings a new eta.  perfbench reads this name.
+_CAPPED_LOSS_CACHE: dict = {}
+_LOSS_CACHE_SIZE = 16
+
+
+def _loss_embed(basis: ModeBasis, eta: float, mode: int) -> tuple:
+    """Loss Kraus operators embedded in a (possibly photon-capped) basis."""
+    key = (basis.cutoffs, basis.total_cap, float(eta), int(mode))
+    ops = _CAPPED_LOSS_CACHE.pop(key, None)
+    if ops is None:
+        ops = tuple(
+            embed_single_mode(basis, A, mode) for A in loss_kraus(eta, basis.cutoffs[mode])
+        )
+        for op in ops:
+            op.setflags(write=False)
+    _CAPPED_LOSS_CACHE[key] = ops  # re-inserted as the most recently used
+    if len(_CAPPED_LOSS_CACHE) > _LOSS_CACHE_SIZE:
+        del _CAPPED_LOSS_CACHE[next(iter(_CAPPED_LOSS_CACHE))]
     return ops
 
 
@@ -182,7 +204,7 @@ def _loss_branches(cutoffs, branches, mode, eta):
     if eta == 1.0:
         return branches
     out = []
-    for E in _cached_loss_embed(tuple(cutoffs), float(eta), int(mode)):
+    for E in _loss_embed(_basis(tuple(cutoffs)), eta, mode):
         for v in branches:
             w = E @ v
             if np.vdot(w, w).real > BRANCH_TOL:
@@ -548,11 +570,7 @@ def dominant_component(rho: DensityOperator) -> tuple[StateVector, float]:
     positive.
     """
     w, v = np.linalg.eigh(rho.matrix)
-    vec = v[:, -1]
-    anchor = vec[np.argmax(np.abs(vec))]
-    if abs(anchor) > 0:
-        vec = vec * (anchor.conjugate() / abs(anchor))
-    return StateVector(rho.basis, vec), float(w[-1].real)
+    return StateVector(rho.basis, anchor_phase(v[:, -1])), float(w[-1].real)
 
 
 # ---------------------------------------------------------------------------
@@ -591,10 +609,16 @@ def _source_stack(eta_c: float, cutoff: int, lam_grid: tuple, t_grid: tuple):
     return _STACK_CACHE[key]
 
 
-def _bell_matrix_for(basis, alice, bob, delta):
-    from .bell import BellScenario, bell_matrix
+def _best_on_grid(bells: np.ndarray, states: np.ndarray):
+    """First CHSH maximum over (Bell operator, state) pairs, in row-major order.
 
-    return bell_matrix(basis, BellScenario(alice=alice, bob=bob, delta=delta))
+    Returns ``(g, k, value)``.  The Bell operators are real, so
+    ``Tr(rho B) = sum_ij Re(rho_ij) B_ji``: one real matrix product.
+    """
+    G, S = len(bells), len(states)
+    values = bells.swapaxes(1, 2).reshape(G, -1) @ states.real.reshape(S, -1).T
+    g, k = np.unravel_index(int(np.argmax(values)), values.shape)
+    return g, k, float(values[g, k])
 
 
 @dataclass
@@ -625,16 +649,10 @@ def max_source_chsh(
     t_grid = t_grid or default_transmission_grid()
     params, stack, basis = _source_stack(eta_c, cutoff, lam_grid, t_grid)
 
-    deltas = np.linspace(0.0, 6.0, delta_points)
-    best = (-np.inf, 0, 0.0)
-    for d in deltas:
-        B = _bell_matrix_for(basis, alice, bob, d)
-        vals = np.einsum("sij,ji->s", stack, B).real
-        k = int(np.argmax(vals))
-        if vals[k] > best[0]:
-            best = (float(vals[k]), k, float(d))
-    value, k, delta = best
+    deltas = np.linspace(0.0, DELTA_MAX, delta_points)
+    g, k, value = _best_on_grid(bell_matrices(basis, alice, bob, deltas), stack)
     lam, t = params[k]
+    delta = float(deltas[g])
 
     if not refine:
         return SourceOptimum(value, lam, t, delta)
@@ -646,8 +664,7 @@ def max_source_chsh(
             )
         ).state
         if delta_v is not None:
-            B = _bell_matrix_for(rho.basis, alice, bob, delta_v)
-            return float(np.trace(rho.matrix @ B).real)
+            return chsh_value(rho, BellScenario(alice=alice, bob=bob, delta=delta_v))
         return optimize_delta(alice, bob, state=rho, grid_points=61)
 
     lam_step = lam_grid[1] - lam_grid[0]
@@ -764,23 +781,15 @@ def amplified_source_threshold_with_filters(
     t_grid = t_grid or default_transmission_grid(30)
     params, stack, basis = _source_stack(eta_c, cutoff, lam_grid, t_grid)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
-
-    filter_single = [
-        ((gain - 1.0) * np.arange(c + 1, dtype=float) + 1.0) ** applications
-        for c in basis.cutoffs
-    ]
-    filter_diag = np.array(
-        [
-            filter_single[0][occ[0]] * filter_single[1][occ[1]]
-            for occ in basis.occupations
-        ]
-    )
+    filter_diag = filter_diagonal(basis, gain, applications)
+    # The parties do not change between bisection steps.
+    bells = bell_matrices(basis, party, party, np.linspace(0.0, DELTA_MAX, 61))
 
     def lossy_filtered_stack(eta_t):
         out = stack
         for mode in (0, 1):
             acc = np.zeros_like(out)
-            for E in _capped_loss_embed(basis, eta_t, mode):
+            for E in _loss_embed(basis, eta_t, mode):
                 acc += np.matmul(np.matmul(E[None], out), E.conj().T[None])
             out = acc
         out = filter_diag[None, :, None] * out * filter_diag[None, None, :]
@@ -790,37 +799,8 @@ def amplified_source_threshold_with_filters(
 
     def max_chsh(eta_t):
         filtered = lossy_filtered_stack(eta_t)
-        deltas = np.linspace(0.0, 6.0, 61)
-        best = (-np.inf, 0, 0.0)
-        for d in deltas:
-            B = _bell_matrix_for(basis, party, party, d)
-            vals = np.einsum("sij,ji->s", filtered, B).real
-            k = int(np.argmax(vals))
-            if vals[k] > best[0]:
-                best = (float(vals[k]), k, float(d))
-        value, k, delta = best
-        _, refined = golden_section_max(
-            lambda d: float(
-                np.trace(filtered[k] @ _bell_matrix_for(basis, party, party, d)).real
-            ),
-            max(0.0, delta - 0.1),
-            delta + 0.1,
-            1e-5,
-        )
-        return max(value, refined)
+        _, k, _ = _best_on_grid(bells, filtered)
+        best = DensityOperator(basis, filtered[k])
+        return optimize_delta(party, party, state=best, grid_points=61, tol=1e-5)[1]
 
     return bisect_threshold(max_chsh, tol=tol)
-
-
-def _capped_loss_embed(basis: ModeBasis, eta: float, mode: int):
-    """Loss Kraus operators embedded in a (possibly photon-capped) basis."""
-    key = (basis.cutoffs, basis.total_cap, float(eta), mode)
-    if key not in _CAPPED_LOSS_CACHE:
-        _CAPPED_LOSS_CACHE[key] = [
-            embed_single_mode(basis, A, mode)
-            for A in loss_kraus(eta, basis.cutoffs[mode])
-        ]
-    return _CAPPED_LOSS_CACHE[key]
-
-
-_CAPPED_LOSS_CACHE: dict = {}

@@ -30,6 +30,27 @@ class TestParsing:
         assert main(["no-such-command"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_seed_flag_removed(self, capsys):
+        assert main(["threshold", "--seed", "1"]) == 1
+        assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    ["region", "--eta-d-grid", "1.5"],
+    ["threshold", "--eta-d", "nan"],
+    ["region", "--eta-d-grid", "0.9:1:0x"],
+    ["local-amp", "--m", "0"],
+    ["threshold", "--cutoff", "-1"],
+    ["region", "--eta-d-grid", "0.9,1.5", "--workers", "2"],
+])
+def test_bad_input_exits_cleanly(args, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(args + ["--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cvbell: error: ")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()
+
 
 class TestThresholdCommand:
     def test_symmetric_transmission_threshold(self, tmp_path):
