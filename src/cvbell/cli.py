@@ -277,7 +277,7 @@ def _run_source_amp(args) -> int:
         eta_c=args.eta_c,
         symmetry=args.symmetry,
         cutoff=args.cutoff,
-        tol=max(args.tol, 1e-3),
+        tol=args.tol,
         workers=args.workers,
     )
     rows = []

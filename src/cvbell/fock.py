@@ -408,11 +408,12 @@ def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
     Accepts a :class:`HermitianOperator`, a bare square ndarray, or a stack
-    ``(..., d, d)`` of them (one eigensystem per matrix).  Rejects
-    non-Hermitian input; the returned pairs satisfy
-    ``||H v - w v|| <= 1e-10 ||H||``.
+    ``(..., d, d)`` of them (one eigensystem per matrix).  Real input stays
+    real (real symmetric solver, real eigenvectors).  Rejects non-Hermitian
+    input; the returned pairs satisfy ``||H v - w v|| <= 1e-10 ||H||``.
     """
-    matrix = H.matrix if isinstance(H, HermitianOperator) else np.asarray(H, dtype=complex)
+    matrix = H.matrix if isinstance(H, HermitianOperator) else np.asarray(H)
+    matrix = matrix.astype(complex if np.iscomplexobj(matrix) else float, copy=False)
     if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
         raise ValueError("expected a square matrix")
     _check_hermitian(matrix)

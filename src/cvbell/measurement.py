@@ -189,6 +189,14 @@ def ideal_binned_homodyne(delta: float, cutoff: int) -> np.ndarray:
     return _ideal_binned_cached(float(delta), int(cutoff))
 
 
+@lru_cache(maxsize=64)
+def _loss_kraus_stack(eta: float, cutoff: int) -> np.ndarray:
+    """The loss Kraus operators of :func:`cvbell.fock.loss_kraus`, stacked, read-only."""
+    kraus = np.stack(loss_kraus(eta, cutoff))
+    kraus.setflags(write=False)
+    return kraus
+
+
 def binned_homodyne_povms(eta_h: float, deltas, cutoff: int):
     """Stacked POVMs of a lossy binned homodyne, one per bin half-width.
 
@@ -204,7 +212,7 @@ def binned_homodyne_povms(eta_h: float, deltas, cutoff: int):
     if eta_h == 1.0:
         inner = ideal
     else:
-        kraus = np.stack(loss_kraus(eta_h, cutoff))[:, None]
+        kraus = _loss_kraus_stack(float(eta_h), int(cutoff))[:, None]
         inner = (kraus.swapaxes(-1, -2) @ ideal @ kraus).sum(axis=0)
     outer = np.eye(cutoff + 1) - inner
     return inner, outer, inner - outer

@@ -23,7 +23,10 @@ plate then casts the leading component into the all-real sign pattern
 ``c00 |00> - c2 (|20> + |02>)`` that the measurement convention of
 :mod:`cvbell.measurement` favours.  With bucket detectors every conditional
 branch stays pure, so the simulation propagates weighted pure branches and
-assembles the conditional density operator only at the end.
+assembles the conditional density operator only at the end.  A branch is a
+``(dim, P)`` block: one column for one input state, or the images of P basis
+inputs, from which the source sweeps evaluate every (squeezing,
+transmission) point without running the circuit again (:func:`_source_stack`).
 """
 
 from __future__ import annotations
@@ -46,11 +49,9 @@ from .fock import (
 )
 from .measurement import DELTA_MAX, photodetection_povm
 from .bell import (
-    BellScenario,
     PartyConditions,
     bell_matrices,
     bisect_threshold,
-    chsh_value,
     golden_section_max,
     optimize_delta,
 )
@@ -177,27 +178,40 @@ def _output_plate(cutoffs: tuple) -> np.ndarray:
     return arr
 
 
-#: Embedded loss Kraus operators by (cutoffs, total_cap, eta, mode), least
-#: recently used first; bounded, as each filtered-threshold bisection step
-#: brings a new eta.  perfbench reads this name.
+def _cached(cache: dict, size: int, key, build):
+    """``cache[key]``, built on a miss; keeps the ``size`` most recently used.
+
+    The dict is ordered least recently used first.
+    """
+    value = cache.pop(key, None)
+    if value is None:
+        value = build()
+    cache[key] = value  # re-inserted as the most recently used
+    if len(cache) > size:
+        del cache[next(iter(cache))]
+    return value
+
+
+#: Embedded loss Kraus operators by (cutoffs, total_cap, eta, mode); bounded,
+#: as each filtered-threshold bisection step brings a new eta.  perfbench
+#: reads this name.
 _CAPPED_LOSS_CACHE: dict = {}
 _LOSS_CACHE_SIZE = 16
 
 
 def _loss_embed(basis: ModeBasis, eta: float, mode: int) -> tuple:
     """Loss Kraus operators embedded in a (possibly photon-capped) basis."""
-    key = (basis.cutoffs, basis.total_cap, float(eta), int(mode))
-    ops = _CAPPED_LOSS_CACHE.pop(key, None)
-    if ops is None:
+
+    def build():
         ops = tuple(
             embed_single_mode(basis, A, mode) for A in loss_kraus(eta, basis.cutoffs[mode])
         )
         for op in ops:
             op.setflags(write=False)
-    _CAPPED_LOSS_CACHE[key] = ops  # re-inserted as the most recently used
-    if len(_CAPPED_LOSS_CACHE) > _LOSS_CACHE_SIZE:
-        del _CAPPED_LOSS_CACHE[next(iter(_CAPPED_LOSS_CACHE))]
-    return ops
+        return ops
+
+    key = (basis.cutoffs, basis.total_cap, float(eta), int(mode))
+    return _cached(_CAPPED_LOSS_CACHE, _LOSS_CACHE_SIZE, key, build)
 
 
 def _loss_branches(cutoffs, branches, mode, eta):
@@ -217,20 +231,24 @@ def _detector_diags(eta: float, cutoff: int):
     return np.diag(click).copy(), np.diag(no_click).copy()
 
 
-def _ancilla_branches(config: SourceConfig, c_cutoff: int):
+def _ancilla_branches(config: SourceConfig, c_cutoff: int, photon=None):
     """Weighted pure branches of the split ancilla on modes (b, c).
 
     Mode b goes to the interference splitter, mode c is the amplifier
-    output.  Branches are labelled by the D0 outcome ("click" always, for
-    the ideal model).
+    output.  Branches are ``(dim, P)`` blocks labelled by the D0 outcome
+    ("click" always, for the ideal model).  The single photon is
+    ``[|10>, |01>] @ photon``; ``photon`` defaults to the column
+    ``(sqrt(t), sqrt(1 - t))``, and the identity keeps both inputs apart.
     """
     t = config.amp_transmission
     basis = ModeBasis((c_cutoff, c_cutoff))
     if config.ancilla_model == "single-photon":
-        v = np.zeros(basis.dimension, dtype=complex)
-        v[basis.index_of((1, 0))] = math.sqrt(t)
-        v[basis.index_of((0, 1))] = math.sqrt(1.0 - t)
-        return basis, [(v, "click")]
+        if photon is None:
+            photon = np.array([[math.sqrt(t)], [math.sqrt(1.0 - t)]])
+        block = np.zeros((basis.dimension, 2), dtype=complex)
+        block[basis.index_of((1, 0)), 0] = 1.0
+        block[basis.index_of((0, 1)), 1] = 1.0
+        return basis, [(block @ photon, "click")]
 
     # Weak down-converter: signal feeds the splitter, idler feeds D0.
     chi = config.ancilla_squeezing
@@ -255,23 +273,26 @@ def _ancilla_branches(config: SourceConfig, c_cutoff: int):
             sub = math.sqrt(w) * T[:, n_idler]
             if np.vdot(sub, sub).real <= BRANCH_TOL:
                 continue
-            big = np.zeros(basis.dimension, dtype=complex)
+            big = np.zeros((basis.dimension, 1), dtype=complex)
             for n in range(c_cutoff + 1):
-                big[basis.index_of((n, 0))] = sub[n]
+                big[basis.index_of((n, 0)), 0] = sub[n]
             out.append((U @ big, label))
     return basis, out
 
 
 def _joint_interfered(config: SourceConfig, input_branches, input_cutoffs,
-                      scissor_mode: int, d0_filter: str | None = "click"):
+                      scissor_mode: int, d0_filter: str | None = "click",
+                      photon=None):
     """Attach the ancilla, interfere on the 50/50 splitter.
 
     The scissor mode and the ancilla's b mode are enlarged so the splitter
-    conserves photon number exactly.  Returns (cutoffs, branch list of
-    (vec, d0_label), a_mode, b_mode, c_cutoff).
+    conserves photon number exactly.  An input block ``(d, P)`` and an
+    ancilla block ``(d', Q)`` join as ``(D, P Q)``, column ``p Q + q``.
+    Returns (cutoffs, branch list of (block, d0_label), a_mode, b_mode,
+    c_cutoff).
     """
     c_cutoff = 1 if config.ancilla_model == "single-photon" else min(3, config.cutoff)
-    anc_basis, anc_branches = _ancilla_branches(config, c_cutoff)
+    anc_basis, anc_branches = _ancilla_branches(config, c_cutoff, photon)
     if d0_filter is not None:
         anc_branches = [(v, lbl) for v, lbl in anc_branches if lbl == d0_filter]
 
@@ -291,7 +312,7 @@ def _joint_interfered(config: SourceConfig, input_branches, input_cutoffs,
     joint = []
     for inp in input_branches:
         for anc, label in anc_branches:
-            v = np.zeros(big.dimension, dtype=complex)
+            v = np.zeros((big.dimension, inp.shape[1] * anc.shape[1]), dtype=complex)
             v[embed] = np.kron(inp, anc)
             joint.append((U @ v, label))
     return big_cutoffs, joint, scissor_mode, b_mode, c_cutoff
@@ -308,7 +329,9 @@ def _condition_on_heralds(config: SourceConfig, cutoffs, joint, a_mode, b_mode):
 
     Returns (kept_cutoffs, {pattern: branches}, {pattern: probability}).
     The D1 branches get the feed-forward parity plate on the amplified mode
-    (the last kept mode) so both patterns prepare the same state.
+    (the last kept mode) so both patterns prepare the same state.  Branches
+    are ``(dim, P)`` blocks; a probability is the squared Frobenius norm
+    summed over the kept blocks, the herald probability when P is 1.
     """
     n_modes = len(cutoffs)
     dims = tuple(c + 1 for c in cutoffs)
@@ -327,17 +350,17 @@ def _condition_on_heralds(config: SourceConfig, cutoffs, joint, a_mode, b_mode):
         branches = []
         prob = 0.0
         for v in joint:
-            T = np.moveaxis(v.reshape(dims), (a_mode, b_mode), (n_modes - 2, n_modes - 1))
-            T = T.reshape(-1, dims[a_mode], dims[b_mode])
+            T = np.moveaxis(v.reshape(dims + v.shape[1:]), (a_mode, b_mode), (0, 1))
+            T = T.reshape(dims[a_mode], dims[b_mode], -1, v.shape[1])
             for na in range(dims[a_mode]):
                 for nb in range(dims[b_mode]):
                     w = w_a[na] * w_b[nb]
                     if w <= BRANCH_TOL:
                         continue
-                    sub = math.sqrt(w) * T[:, na, nb]
+                    sub = math.sqrt(w) * T[na, nb]
                     norm2 = np.vdot(sub, sub).real
                     if norm2 > BRANCH_TOL:
-                        branches.append(parity * sub if pattern == "d1" else sub)
+                        branches.append(parity[:, None] * sub if pattern == "d1" else sub)
                         prob += norm2
         out[pattern] = branches
         probs[pattern] = prob
@@ -380,7 +403,7 @@ def qscissor_amplify(state, t: float, herald_efficiency: float = 1.0,
         herald_pattern=herald_pattern,
     )
     big_cutoffs, joint, a_mode, b_mode, _ = _joint_interfered(
-        config, branches, cutoffs, 0
+        config, [b[:, None] for b in branches], cutoffs, 0
     )
     joint_vecs = [v for v, _ in joint]
     kept_cutoffs, by_pattern, probs = _condition_on_heralds(
@@ -388,21 +411,76 @@ def qscissor_amplify(state, t: float, herald_efficiency: float = 1.0,
     )
     basis = ModeBasis(kept_cutoffs)
     total = sum(probs.values())
-    rho = np.zeros((basis.dimension, basis.dimension), dtype=complex)
-    for pattern in by_pattern:
-        for v in by_pattern[pattern]:
-            rho += np.outer(v, v.conj())
     if total <= BRANCH_TOL:
         return HeraldedOutcome(
-            state=DensityOperator(basis, np.zeros_like(rho)),
+            state=DensityOperator(basis, np.zeros((basis.dimension,) * 2)),
             success_probability=0.0,
             herald_pattern=herald_pattern,
         )
+    rho = _gram([v for pattern in by_pattern for v in by_pattern[pattern]])[:, 0, :, 0]
     return HeraldedOutcome(
         state=DensityOperator(basis, rho / total),
         success_probability=total,
         herald_pattern=herald_pattern,
     )
+
+
+def _gram(blocks) -> np.ndarray:
+    """``M[:, p, :, q] = sum_b w_b[:, p] w_b[:, q]^dag`` over ``(d, P)`` blocks.
+
+    Returned as a ``(d, P, d, P)`` array; for P = 1, ``M[:, 0, :, 0]`` is the
+    unnormalized density matrix of the branches.
+    """
+    W = np.stack(blocks)
+    flat = W.reshape(len(W), -1)
+    return (flat.T @ flat.conj()).reshape(W.shape[1:] * 2)
+
+
+def _tmsv_column(config: SourceConfig) -> np.ndarray:
+    return two_mode_squeezed(config.squeezing, config.cutoff).amplitudes[:, None]
+
+
+def _lossy_arms(config: SourceConfig, inputs: np.ndarray) -> list:
+    """Coupling loss on both arms of a ``(d, P)`` input block, as branch blocks."""
+    branches = [inputs]
+    for mode in (0, 1):
+        branches = _loss_branches((config.cutoff,) * 2, branches, mode, config.coupling)
+    return branches
+
+
+def _output_branches(config: SourceConfig, inputs: np.ndarray, photon=None):
+    """The source circuit on a ``(d, P)`` block of inputs on the two arms.
+
+    Returns the photon-capped output basis, the pure output branches as
+    ``(d_out, P Q)`` blocks (Q columns of the ancilla ``photon``, see
+    :func:`_ancilla_branches`) and the accepted herald probability, which is
+    the success probability for a single normalized input column.
+    """
+    big_cutoffs, joint, a_mode, b_mode, c_cutoff = _joint_interfered(
+        config, _lossy_arms(config, inputs), (config.cutoff,) * 2, 1, photon=photon
+    )
+    joint_vecs = [v for v, _ in joint]
+    kept_cutoffs, by_pattern, probs = _condition_on_heralds(
+        config, big_cutoffs, joint_vecs, a_mode, b_mode
+    )
+
+    out_cut = config.cutoff + c_cutoff
+    full = _basis((out_cut, out_cut))
+    capped = _basis((out_cut, out_cut), out_cut)
+    embed = _embed_idx(kept_cutoffs, None, full.cutoffs, None)
+    cap_idx = _embed_idx(capped.cutoffs, out_cut, full.cutoffs, None)
+    U = _cached_bs(full.cutoffs, 0.5, (0, 1))
+    # Output phase plate (i^n on the second mode) fixes the documented
+    # c00 >= 0, c2 <= 0 sign pattern of the leading component.
+    plate = _output_plate(full.cutoffs)[:, None]
+
+    outputs = []
+    for pattern in by_pattern:
+        for v in by_pattern[pattern]:
+            big = np.zeros((full.dimension, v.shape[1]), dtype=complex)
+            big[embed] = v
+            outputs.append((plate * (U @ big))[cap_idx])
+    return capped, outputs, sum(probs.values())
 
 
 def amplified_source(config: SourceConfig) -> HeraldedOutcome:
@@ -413,48 +491,15 @@ def amplified_source(config: SourceConfig) -> HeraldedOutcome:
     The success probability covers the configured herald pattern(s); for
     the heralded-pdc ancilla it includes the D0 click.
     """
-    C = config.cutoff
-    tmsv = two_mode_squeezed(config.squeezing, C)
-    branches = [tmsv.amplitudes]
-    cutoffs = (C, C)
-    for mode in (0, 1):
-        branches = _loss_branches(cutoffs, branches, mode, config.coupling)
-
-    big_cutoffs, joint, a_mode, b_mode, c_cutoff = _joint_interfered(
-        config, branches, cutoffs, 1
-    )
-    joint_vecs = [v for v, _ in joint]
-    kept_cutoffs, by_pattern, probs = _condition_on_heralds(
-        config, big_cutoffs, joint_vecs, a_mode, b_mode
-    )
-
-    out_cut = C + c_cutoff
-    full = _basis((out_cut, out_cut))
-    capped = _basis((out_cut, out_cut), out_cut)
-    embed = _embed_idx(kept_cutoffs, None, full.cutoffs, None)
-    cap_idx = _embed_idx(capped.cutoffs, out_cut, full.cutoffs, None)
-    U = _cached_bs(full.cutoffs, 0.5, (0, 1))
-    # Output phase plate (i^n on the second mode) fixes the documented
-    # c00 >= 0, c2 <= 0 sign pattern of the leading component.
-    plate = _output_plate(full.cutoffs)
-
-    total = sum(probs.values())
-    rho = np.zeros((capped.dimension, capped.dimension), dtype=complex)
-    for pattern in by_pattern:
-        for v in by_pattern[pattern]:
-            big = np.zeros(full.dimension, dtype=complex)
-            big[embed] = v
-            big = plate * (U @ big)
-            w = big[cap_idx]
-            rho += np.outer(w, w.conj())
+    capped, outputs, total = _output_branches(config, _tmsv_column(config))
     if total <= BRANCH_TOL:
         return HeraldedOutcome(
-            state=DensityOperator(capped, np.zeros_like(rho)),
+            state=DensityOperator(capped, np.zeros((capped.dimension,) * 2)),
             success_probability=0.0,
             herald_pattern=config.herald_pattern,
         )
     return HeraldedOutcome(
-        state=DensityOperator(capped, rho / total),
+        state=DensityOperator(capped, _gram(outputs)[:, 0, :, 0] / total),
         success_probability=total,
         herald_pattern=config.herald_pattern,
     )
@@ -467,15 +512,9 @@ def herald_probabilities(config: SourceConfig) -> dict:
     ideal ancilla; the heralded-pdc model prefixes the D0 outcome as
     ``(d0_label, pattern)``.  Values sum to one.
     """
-    C = config.cutoff
-    tmsv = two_mode_squeezed(config.squeezing, C)
-    branches = [tmsv.amplitudes]
-    cutoffs = (C, C)
-    for mode in (0, 1):
-        branches = _loss_branches(cutoffs, branches, mode, config.coupling)
-
     big_cutoffs, joint, a_mode, b_mode, _ = _joint_interfered(
-        config, branches, cutoffs, 1, d0_filter=None
+        config, _lossy_arms(config, _tmsv_column(config)), (config.cutoff,) * 2, 1,
+        d0_filter=None,
     )
     with_d0 = config.ancilla_model == "heralded-pdc"
     dims = tuple(c + 1 for c in big_cutoffs)
@@ -587,36 +626,84 @@ def default_transmission_grid(points: int = 60, lower: float = 3e-5,
     return tuple(np.geomspace(lower, upper, points))
 
 
+#: Output images of the single-photon circuit by (eta_c, cutoff), least
+#: recently used first (see :func:`_source_stack`).  perfbench reads this name.
 _STACK_CACHE: dict = {}
+_STACK_CACHE_SIZE = 4
 
 
-def _source_stack(eta_c: float, cutoff: int, lam_grid: tuple, t_grid: tuple):
-    """Conditional outputs over a (squeezing, transmission) grid, cached."""
-    key = (eta_c, cutoff, lam_grid, t_grid)
-    if key not in _STACK_CACHE:
-        params = [(lam, t) for lam in lam_grid for t in t_grid]
-        states = []
-        basis = None
-        for lam, t in params:
-            outcome = amplified_source(
-                SourceConfig(
-                    squeezing=lam, amp_transmission=t, coupling=eta_c, cutoff=cutoff
-                )
-            )
-            states.append(outcome.state.matrix)
-            basis = outcome.state.basis
-        _STACK_CACHE[key] = (params, np.array(states), basis)
-    return _STACK_CACHE[key]
+def _source_stack(eta_c: float, cutoff: int):
+    """Images of the single-photon circuit, one run per (eta_c, cutoff), cached.
 
-
-def _best_on_grid(bells: np.ndarray, states: np.ndarray):
-    """First CHSH maximum over (Bell operator, state) pairs, in row-major order.
-
-    Returns ``(g, k, value)``.  The Bell operators are real, so
-    ``Tr(rho B) = sum_ij Re(rho_ij) B_ji``: one real matrix product.
+    With the single-photon ancilla the circuit is linear in its input
+    ``sum_n lam^n |nn> (x) (sqrt(t) |10> + sqrt(1 - t) |01>)``, so it runs
+    once on the P = 2 (cutoff + 1) basis inputs ``|nn> (x) |10>`` (column
+    2n) and ``|nn> (x) |01>`` (column 2n + 1).  Returns the capped output
+    basis and the read-only Gram array ``M`` of :func:`_gram`: the
+    unnormalized output for weights ``x`` (:func:`_input_weights`) is
+    ``sum_pq x_p x_q M[:, p, :, q]``.
     """
-    G, S = len(bells), len(states)
-    values = bells.swapaxes(1, 2).reshape(G, -1) @ states.real.reshape(S, -1).T
+
+    def build():
+        # The basis inputs stand in for the squeezing and the transmission.
+        config = SourceConfig(squeezing=0.0, amp_transmission=1.0, coupling=eta_c,
+                              cutoff=cutoff)
+        arms = _basis((cutoff, cutoff))
+        inputs = np.zeros((arms.dimension, cutoff + 1), dtype=complex)
+        for n in range(cutoff + 1):
+            inputs[arms.index_of((n, n)), n] = 1.0
+        basis, outputs, _ = _output_branches(config, inputs, photon=np.eye(2))
+        gram = _gram(outputs)
+        gram.setflags(write=False)
+        return basis, gram
+
+    return _cached(_STACK_CACHE, _STACK_CACHE_SIZE, (float(eta_c), int(cutoff)), build)
+
+
+def _input_weights(lams, ts, cutoff: int) -> np.ndarray:
+    """Image weights ``x``, one row per (lam, t) in row-major order.
+
+    ``x[2n + j] = lam^n (sqrt(t), sqrt(1 - t))[j]``; the squeezed-vacuum
+    normalization is left out, as it cancels in every normalized output.
+    """
+    lams, ts = np.asarray(lams, dtype=float), np.asarray(ts, dtype=float)
+    if not (np.all((lams >= 0.0) & (lams < 1.0)) and np.all((ts > 0.0) & (ts <= 1.0))):
+        raise ValueError("squeezing must lie in [0, 1) and transmission in (0, 1]")
+    powers = lams[:, None] ** np.arange(cutoff + 1)
+    photon = np.stack([np.sqrt(ts), np.sqrt(1.0 - ts)], axis=-1)
+    rows = powers[:, None, :, None] * photon[None, :, None, :]
+    return rows.reshape(len(lams) * len(ts), 2 * (cutoff + 1))
+
+
+def _image_state(basis: ModeBasis, gram: np.ndarray, x: np.ndarray) -> DensityOperator:
+    """Normalized output state for the image weights ``x``."""
+    rho = np.einsum("ipjq,p,q->ij", gram, x, x)
+    return DensityOperator(basis, rho / np.trace(rho).real)
+
+
+def _pair_forms(gram: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """``R[g, p, q] = Re Tr(M_pq O_g)`` for a real stack of operators ``O``.
+
+    Then ``Tr(rho O_g) = x R_g x / x T x`` for the state of weights ``x``,
+    with ``T`` the forms of the identity.
+    """
+    d, P = gram.shape[:2]
+    pairs = gram.real.transpose(1, 3, 0, 2).reshape(P * P, d * d)
+    return (ops.swapaxes(1, 2).reshape(len(ops), d * d) @ pairs.T).reshape(-1, P, P)
+
+
+def _grid_values(forms: np.ndarray, trace: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """CHSH values ``x R_g x / x T x`` of every (operator g, input row x) pair.
+
+    ``forms`` and ``trace`` come from :func:`_pair_forms`; shape ``(G, S)``.
+    """
+    values = ((inputs @ forms) * inputs).sum(axis=-1)
+    return values / ((inputs @ trace) * inputs).sum(axis=-1)
+
+
+def _best_on_grid(forms: np.ndarray, trace: np.ndarray, inputs: np.ndarray):
+    """First CHSH maximum of :func:`_grid_values`, in row-major order: ``(g, k, value)``."""
+    values = _grid_values(forms, trace, inputs)
     g, k = np.unravel_index(int(np.argmax(values)), values.shape)
     return g, k, float(values[g, k])
 
@@ -641,48 +728,51 @@ def max_source_chsh(
 ) -> SourceOptimum:
     """Maximize the CHSH value of the source output over (lam, t, delta).
 
-    Coarse grid scan over the cached output stack, then coordinate
-    refinement (golden sections in lam, log t and delta) around the best
-    grid point.
+    Coarse grid scan over the circuit images, then coordinate refinement
+    (golden sections in lam, log t and delta) around the best grid point.
+    At fixed delta every (lam, t) is a quadratic form in the image weights,
+    so no step runs the circuit again.
     """
     lam_grid = lam_grid or default_squeezing_grid()
     t_grid = t_grid or default_transmission_grid()
-    params, stack, basis = _source_stack(eta_c, cutoff, lam_grid, t_grid)
+    basis, gram = _source_stack(eta_c, cutoff)
+    trace = _pair_forms(gram, np.eye(basis.dimension)[None])[0]
 
     deltas = np.linspace(0.0, DELTA_MAX, delta_points)
-    g, k, value = _best_on_grid(bell_matrices(basis, alice, bob, deltas), stack)
-    lam, t = params[k]
+    g, k, value = _best_on_grid(
+        _pair_forms(gram, bell_matrices(basis, alice, bob, deltas)),
+        trace,
+        _input_weights(lam_grid, t_grid, cutoff),
+    )
+    lam, t = lam_grid[k // len(t_grid)], t_grid[k % len(t_grid)]
     delta = float(deltas[g])
 
     if not refine:
         return SourceOptimum(value, lam, t, delta)
 
-    def circuit_chsh(lam_v, t_v, delta_v=None):
-        rho = amplified_source(
-            SourceConfig(
-                squeezing=lam_v, amp_transmission=t_v, coupling=eta_c, cutoff=cutoff
-            )
-        ).state
-        if delta_v is not None:
-            return chsh_value(rho, BellScenario(alice=alice, bob=bob, delta=delta_v))
-        return optimize_delta(alice, bob, state=rho, grid_points=61)
+    form = _pair_forms(gram, bell_matrices(basis, alice, bob, [delta]))[0]
+
+    def chsh_at_delta(lam_v, t_v):
+        x = _input_weights([lam_v], [t_v], cutoff)[0]
+        return float(x @ form @ x / (x @ trace @ x))
 
     lam_step = lam_grid[1] - lam_grid[0]
     lam, _ = golden_section_max(
-        lambda x: circuit_chsh(x, t, delta),
+        lambda x: chsh_at_delta(x, t),
         max(0.0, lam - lam_step),
         min(lam_grid[-1], lam + lam_step),
         1e-4,
     )
     log_step = math.log(t_grid[1] / t_grid[0])
     logt, _ = golden_section_max(
-        lambda x: circuit_chsh(lam, math.exp(x), delta),
+        lambda x: chsh_at_delta(lam, math.exp(x)),
         math.log(t) - log_step,
         min(math.log(t_grid[-1]), math.log(t) + log_step),
         1e-4,
     )
     t = math.exp(logt)
-    delta, value = circuit_chsh(lam, t)
+    state = _image_state(basis, gram, _input_weights([lam], [t], cutoff)[0])
+    delta, value = optimize_delta(alice, bob, state=state, grid_points=61)
     return SourceOptimum(value, lam, t, delta)
 
 
@@ -779,28 +869,31 @@ def amplified_source_threshold_with_filters(
     """
     lam_grid = lam_grid or default_squeezing_grid(20)
     t_grid = t_grid or default_transmission_grid(30)
-    params, stack, basis = _source_stack(eta_c, cutoff, lam_grid, t_grid)
+    basis, gram = _source_stack(eta_c, cutoff)
+    inputs = _input_weights(lam_grid, t_grid, cutoff)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
-    filter_diag = filter_diagonal(basis, gain, applications)
-    # The parties do not change between bisection steps.
+    F = filter_diagonal(basis, gain, applications)
+    # Tr(F L(rho) F B) = Tr(rho L^dag(F B F)): the filtered Bell operators and
+    # F^2 (the trace), pulled back through the transmission loss L.  The
+    # parties do not change between bisection steps.
     bells = bell_matrices(basis, party, party, np.linspace(0.0, DELTA_MAX, 61))
+    observables = np.concatenate([F[:, None] * bells * F, np.diag(F * F)[None]])
 
-    def lossy_filtered_stack(eta_t):
-        out = stack
+    def through_loss(ops, eta_t, adjoint):
         for mode in (0, 1):
-            acc = np.zeros_like(out)
-            for E in _loss_embed(basis, eta_t, mode):
-                acc += np.matmul(np.matmul(E[None], out), E.conj().T[None])
-            out = acc
-        out = filter_diag[None, :, None] * out * filter_diag[None, None, :]
-        traces = np.einsum("sii->s", out).real
-        traces = np.where(traces > 0.0, traces, np.inf)
-        return out / traces[:, None, None]
+            # The embedded loss Kraus operators are real.
+            kraus = np.stack(_loss_embed(basis, eta_t, mode)).real[:, None]
+            if adjoint:
+                kraus = kraus.swapaxes(-1, -2)
+            ops = (kraus @ ops @ kraus.swapaxes(-1, -2)).sum(axis=0)
+        return ops
 
     def max_chsh(eta_t):
-        filtered = lossy_filtered_stack(eta_t)
-        _, k, _ = _best_on_grid(bells, filtered)
-        best = DensityOperator(basis, filtered[k])
+        forms = _pair_forms(gram, through_loss(observables, eta_t, adjoint=True))
+        _, k, _ = _best_on_grid(forms[:-1], forms[-1], inputs)
+        rho = through_loss(_image_state(basis, gram, inputs[k]).matrix[None], eta_t, False)[0]
+        rho = F[:, None] * rho * F
+        best = DensityOperator(basis, rho / np.trace(rho).real)
         return optimize_delta(party, party, state=best, grid_points=61, tol=1e-5)[1]
 
     return bisect_threshold(max_chsh, tol=tol)

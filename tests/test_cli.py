@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import cvbell.cli
 from cvbell.cli import ValidationError, main, parse_grid
 
 
@@ -98,6 +99,22 @@ class TestRegionCommand:
         _, out = run_cli(["region", "--eta-d-grid", "1.0:1.0:1"], tmp_path)
         raw = out.read_bytes()
         assert b"\r" not in raw
+
+
+class TestSourceAmpCommand:
+    @pytest.mark.parametrize("flags", [[], ["--tol", "2e-4"], ["--tol", "5e-3"]])
+    def test_solver_gets_the_recorded_tolerance(self, flags, tmp_path, monkeypatch):
+        received = {}
+
+        def boundary(grid, **kwargs):
+            received.update(kwargs)
+            return []
+
+        monkeypatch.setattr(cvbell.cli, "source_region_boundary", boundary)
+        code, _ = run_cli(["source-amp", "--eta-d-grid", "1.0"] + flags, tmp_path)
+        assert code == 0
+        sidecar = json.loads((tmp_path / "out.json").read_text())
+        assert received["tol"] == sidecar["effective_config"]["tol"]
 
 
 class TestLocalAmpCommand:

@@ -1,0 +1,95 @@
+"""The image path of the source sweeps against the direct circuit.
+
+With the single-photon ancilla the sweeps never run the circuit per
+(lam, t): they evaluate quadratic forms in the circuit's images of its basis
+inputs (``source_amp._source_stack``).
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cvbell.source_amp as sa
+from cvbell.bell import BellScenario, PartyConditions, bell_matrices, chsh_value
+from cvbell.measurement import DELTA_MAX
+from cvbell.source_amp import (
+    SourceConfig,
+    amplified_source,
+    default_squeezing_grid,
+    default_transmission_grid,
+    max_source_chsh,
+)
+
+
+def image_state(lam, t, eta_c, cutoff):
+    basis, gram = sa._source_stack(eta_c, cutoff)
+    return sa._image_state(basis, gram, sa._input_weights([lam], [t], cutoff)[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lam=st.floats(min_value=0.0, max_value=0.4),
+    t=st.floats(min_value=3e-5, max_value=0.99),
+    eta_c=st.floats(min_value=0.8, max_value=1.0),
+    cutoff=st.integers(min_value=1, max_value=4),
+)
+def test_image_state_matches_circuit(lam, t, eta_c, cutoff):
+    # The circuit drops pure branches below an absolute squared norm of
+    # BRANCH_TOL; at success probabilities near 1e-4 that alone moves the
+    # normalized state by a few 1e-12.  Without the cut both paths compute
+    # the same linear map.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sa, "BRANCH_TOL", 0.0)
+        direct = amplified_source(
+            SourceConfig(squeezing=lam, amp_transmission=t, coupling=eta_c, cutoff=cutoff)
+        ).state
+    fast = image_state(lam, t, eta_c, cutoff)
+    assert fast.basis == direct.basis
+    assert np.abs(fast.matrix - direct.matrix).max() <= 1e-12
+
+
+def test_grid_values_equal_chsh_of_materialized_states():
+    party = PartyConditions(eta_t=0.9, eta_d=0.95)
+    lam_grid, t_grid = default_squeezing_grid(4), default_transmission_grid(5)
+    deltas = np.linspace(0.0, DELTA_MAX, 7)  # the grid of max_source_chsh
+    basis, gram = sa._source_stack(0.9, 3)
+    trace = sa._pair_forms(gram, np.eye(basis.dimension)[None])[0]
+    forms = sa._pair_forms(gram, bell_matrices(basis, party, party, deltas))
+    values = sa._grid_values(forms, trace, sa._input_weights(lam_grid, t_grid, 3))
+
+    expected = np.array([
+        [chsh_value(image_state(lam, t, 0.9, 3), BellScenario(party, party, delta=d))
+         for lam in lam_grid for t in t_grid]
+        for d in deltas
+    ])
+    assert np.abs(values - expected).max() <= 1e-12
+
+    found = max_source_chsh(party, party, eta_c=0.9, cutoff=3, lam_grid=lam_grid,
+                            t_grid=t_grid, delta_points=7, refine=False)
+    g, k = np.unravel_index(int(np.argmax(values)), values.shape)
+    assert (found.delta, found.squeezing, found.amp_transmission) == (
+        deltas[g], lam_grid[k // len(t_grid)], t_grid[k % len(t_grid)]
+    )
+    assert found.chsh_value == pytest.approx(expected.max(), abs=1e-12)
+
+
+def test_stack_cache_stays_bounded():
+    party = PartyConditions()
+    grids = dict(cutoff=2, lam_grid=default_squeezing_grid(3),
+                 t_grid=default_transmission_grid(3), refine=False)
+    etas = [0.8 + 0.02 * i for i in range(sa._STACK_CACHE_SIZE + 3)]
+    for eta_c in etas:
+        max_source_chsh(party, party, eta_c=eta_c, **grids)
+        assert len(sa._STACK_CACHE) <= sa._STACK_CACHE_SIZE
+    assert (etas[-1], 2) in sa._STACK_CACHE
+
+
+@pytest.mark.parametrize("lam_grid, t_grid", [
+    ((0.0, 1.0), (0.5, 0.9)),
+    ((0.0, 0.2), (0.0, 0.5)),
+])
+def test_grid_outside_the_source_parameters_is_rejected(lam_grid, t_grid):
+    with pytest.raises(ValueError):
+        max_source_chsh(PartyConditions(), PartyConditions(), cutoff=2,
+                        lam_grid=lam_grid, t_grid=t_grid)
