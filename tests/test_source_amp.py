@@ -204,6 +204,12 @@ class TestAmplifiedSource:
         _, v8 = optimize_delta(UNIT, UNIT, state=out8.state, grid_points=61)
         assert abs(v6 - v8) < 1e-6
 
+    @pytest.mark.parametrize("ancilla_model", ["single-photon", "heralded-pdc"])
+    def test_dead_detectors_never_herald(self, ancilla_model):
+        config = SourceConfig(squeezing=0.1, amp_transmission=0.3, herald_efficiency=0.0,
+                              ancilla_model=ancilla_model, cutoff=3)
+        assert amplified_source(config).success_probability == 0.0
+
     def test_coupling_loss_mixes_output(self):
         pure = amplified_source(
             SourceConfig(squeezing=0.2, amp_transmission=0.3, coupling=1.0)

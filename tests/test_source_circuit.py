@@ -1,0 +1,112 @@
+"""The heralded circuit's stacked two-mode splitters against the dense reference.
+
+The circuit applies each beam splitter as the two-mode unitary contracted
+with the split modes of a whole stack of branch blocks
+(``source_amp._split``).  ``fock.beam_splitter`` over the full joint basis is
+the slow reference it must reproduce.  The pinned outputs guard the wiring
+of the circuit: which modes each splitter acts on and which are heralded.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import cvbell.source_amp as sa
+from cvbell.fock import DensityOperator, ModeBasis, beam_splitter, embedding_indices
+
+PINS = json.loads((Path(__file__).parent / "data" / "direct_circuit_pins.json").read_text())
+
+
+def random_stack(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def dense_reference(stack, cutoffs, modes, t, out_cutoffs):
+    """Embed every block in the enlarged basis, then apply the full-basis splitter."""
+    small, big = ModeBasis(cutoffs), ModeBasis(out_cutoffs)
+    embedded = np.zeros((len(stack), big.dimension, stack.shape[2]), dtype=complex)
+    embedded[:, embedding_indices(small, big)] = stack
+    return beam_splitter(big, t, modes) @ embedded
+
+
+@st.composite
+def split_cases(draw):
+    cutoffs = draw(st.lists(st.integers(0, 3), min_size=3, max_size=4))
+    modes = tuple(draw(st.permutations(range(len(cutoffs))))[:2])
+    out_cutoffs = list(cutoffs)
+    for mode in modes:
+        out_cutoffs[mode] += draw(st.integers(0, 2))
+    return tuple(cutoffs), modes, tuple(out_cutoffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=split_cases(),
+    t=st.floats(min_value=0.0, max_value=1.0),
+    branches=st.integers(0, 3),
+    width=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Adjacent, distant and reversed mode pairs, as in the circuit's stages.
+@example(case=((2, 1, 3), (0, 1), (3, 3, 3)), t=0.5, branches=2, width=2, seed=1)
+@example(case=((2, 1, 3, 1), (1, 3), (2, 2, 3, 3)), t=0.3, branches=3, width=1, seed=2)
+@example(case=((1, 2, 0, 3), (3, 0), (3, 2, 0, 3)), t=0.8, branches=1, width=3, seed=3)
+def test_split_matches_dense_beam_splitter(case, t, branches, width, seed):
+    cutoffs, modes, out_cutoffs = case
+    stack = random_stack(seed, (branches, ModeBasis(cutoffs).dimension, width))
+    fast = sa._split(stack, cutoffs, modes, t, out_cutoffs)
+    reference = dense_reference(stack, cutoffs, modes, t, out_cutoffs)
+    # An empty stack (every branch dropped) keeps its shape.
+    assert fast.shape == reference.shape
+    assert np.all(np.abs(fast - reference) < 1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=split_cases(), t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_split_of_a_block_without_enlargement(case, t, seed):
+    cutoffs, modes, _ = case
+    block = random_stack(seed, (ModeBasis(cutoffs).dimension, 4))
+    fast = sa._split(block[None], cutoffs, modes, t)[0]
+    assert np.abs(fast - beam_splitter(ModeBasis(cutoffs), t, modes) @ block).max() < 1e-12
+
+
+def complex_matrix(entry):
+    return np.array(entry["real"]) + 1j * np.array(entry["imag"])
+
+
+class TestPinnedDirectCircuit:
+    """Heralded-PDC source and mixed-input scissor against the dense-splitter values."""
+
+    @pytest.fixture(scope="class")
+    def pdc(self):
+        pins = PINS["heralded_pdc"]
+        return pins, sa.SourceConfig(**pins["config"])
+
+    def test_herald_probabilities(self, pdc):
+        pins, config = pdc
+        probs = sa.herald_probabilities(config)
+        assert {"/".join(key) for key in probs} == set(pins["herald_probabilities"])
+        for key, value in probs.items():
+            assert value == pytest.approx(pins["herald_probabilities"]["/".join(key)], abs=1e-12)
+
+    def test_amplified_source(self, pdc):
+        pins, config = pdc
+        out = sa.amplified_source(config)
+        basis = pins["state_basis"]
+        assert out.state.basis == ModeBasis(basis["cutoffs"], basis["total_cap"])
+        assert out.success_probability == pytest.approx(pins["success_probability"], abs=1e-12)
+        assert np.abs(out.state.matrix - complex_matrix(pins["state"])).max() < 1e-12
+
+    @pytest.mark.parametrize("ancilla", ["single-photon", "heralded-pdc"])
+    def test_scissor_on_mixed_input(self, ancilla):
+        pins = PINS["qscissor_mixed_input"]
+        rho = DensityOperator(ModeBasis((2,)), complex_matrix(pins["input"]))
+        expected = pins["outputs"][ancilla]
+        out = sa.qscissor_amplify(rho, **expected["kwargs"])
+        assert out.success_probability == pytest.approx(expected["success_probability"], abs=1e-12)
+        assert np.abs(out.state.matrix - complex_matrix(expected["state"])).max() < 1e-12
