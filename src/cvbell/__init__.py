@@ -35,6 +35,7 @@ from .measurement import (
 from .bell import (
     BellResult,
     BellScenario,
+    DeltaSearch,
     PartyConditions,
     RegionPoint,
     best_violation,
@@ -44,6 +45,7 @@ from .bell import (
     optimal_state,
     optimize_delta,
     region_boundary,
+    search_delta,
 )
 
 __version__ = "0.1.0"

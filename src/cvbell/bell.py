@@ -17,7 +17,7 @@ optimal entangled state for the given losses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -31,7 +31,12 @@ from .fock import (
     embedding_indices,
     hermitian_eig,
 )
-from .measurement import DELTA_MAX, binned_homodyne_povms, photodetection_povm
+from .measurement import (
+    DELTA_MAX,
+    binned_homodyne_povms,
+    binned_homodyne_slopes,
+    photodetection_povm,
+)
 from .parallel import map_ordered
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
@@ -125,21 +130,60 @@ def party_observables(party: PartyConditions, deltas, cutoff: int):
     return X, N
 
 
-def _mode_observables(basis: ModeBasis, alice, bob, deltas, deltas_bob=None):
-    """Alice's (X, N) and Bob's (X + N, X - N), trimmed to the basis.
+def _trimmed_cutoffs(basis: ModeBasis) -> tuple[int, int]:
+    """Per-mode cutoffs ``min(cutoff, total_cap)``.
 
-    Trimming each mode to ``min(cutoff, total_cap)`` photons is exact: no
-    element of a capped basis holds more photons in one mode.
+    Building the observables there directly is exact: no element of a capped
+    basis holds more photons in one mode, and neither loss nor photodetection
+    raises the photon number, so entries up to the cap depend only on entries
+    up to the cap.
     """
     if basis.mode_count != 2:
         raise ValueError("the Bell operator lives on a two-mode basis")
     cap = basis.total_cap
-    da, db = (c + 1 if cap is None else min(c, cap) + 1 for c in basis.cutoffs)
-    Xa, Na = party_observables(alice, deltas, basis.cutoffs[0])
-    Xb, Nb = party_observables(
-        bob, deltas if deltas_bob is None else deltas_bob, basis.cutoffs[1]
-    )
-    return Xa[:, :da, :da], Na[:da, :da], (Xb + Nb)[:, :db, :db], (Xb - Nb)[:, :db, :db]
+    ca, cb = (c if cap is None else min(c, cap) for c in basis.cutoffs)
+    return ca, cb
+
+
+def _mode_observables(basis, alice, bob, deltas, deltas_bob=None):
+    """Alice's (X, N) and Bob's (X + N, X - N) at the trimmed cutoffs."""
+    ca, cb = _trimmed_cutoffs(basis)
+    Xa, Na = party_observables(alice, deltas, ca)
+    Xb, Nb = party_observables(bob, deltas if deltas_bob is None else deltas_bob, cb)
+    return Xa, Na, Xb + Nb, Xb - Nb
+
+
+def _mode_slopes(basis, alice, bob, deltas):
+    """The terms of B and of dB/d(delta) at shared, uncached bin half-widths.
+
+    ``B = Xa (x) plus + Na (x) minus`` and, as N does not depend on delta,
+    ``dB = dXa (x) plus + (Xa + Na) (x) dXb``.  Returns the pairs
+    ``((Xa, plus), (Na, minus))`` and ``((dXa, plus), (Xa + Na, dXb))``.
+    """
+    ca, cb = _trimmed_cutoffs(basis)
+    eta_a, eta_b = alice.eta_h * alice.eta_t, bob.eta_h * bob.eta_t
+    Xa, dXa = binned_homodyne_slopes(eta_a, deltas, ca)
+    if (eta_b, cb) == (eta_a, ca):  # a symmetric setup: Bob's are Alice's
+        Xb, dXb = Xa, dXa
+    else:
+        Xb, dXb = binned_homodyne_slopes(eta_b, deltas, cb)
+    Na = photodetection_povm(alice.eta_d * alice.eta_t, ca)[2]
+    Nb = photodetection_povm(bob.eta_d * bob.eta_t, cb)[2]
+    plus = Xb + Nb
+    return ((Xa, plus), (Na, Xb - Nb)), ((dXa, plus), (Xa + Na, dXb))
+
+
+def _capped_kron(basis: ModeBasis, terms) -> np.ndarray:
+    """``sum a (x) b`` over the (a, b) pairs, stacked over delta, on the basis."""
+    (a, b), (c, d) = terms
+    B = (a[..., :, None, :, None] * b[..., None, :, None, :]
+         + c[..., :, None, :, None] * d[..., None, :, None, :])
+    G, da, db = B.shape[:3]
+    B = B.reshape(G, da * db, da * db)
+    if basis.total_cap is not None:
+        idx = _cap_indices(da - 1, db - 1, basis.total_cap)
+        B = B[:, idx[:, None], idx]
+    return B
 
 
 def bell_matrices(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions,
@@ -150,13 +194,7 @@ def bell_matrices(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions
     basis if it is capped.  ``deltas_bob`` gives Bob his own half-widths.
     """
     Xa, Na, plus, minus = _mode_observables(basis, alice, bob, deltas, deltas_bob)
-    (G, da, _), db = Xa.shape, plus.shape[-1]
-    B = np.einsum("gij,gkl->gikjl", Xa, plus) + np.einsum("ij,gkl->gikjl", Na, minus)
-    B = B.reshape(G, da * db, da * db)
-    if basis.total_cap is not None:
-        idx = _cap_indices(da - 1, db - 1, basis.total_cap)
-        B = B[:, idx[:, None], idx]
-    return B
+    return _capped_kron(basis, ((Xa, plus), (Na, minus)))
 
 
 def bell_matrix(basis: ModeBasis, scenario: BellScenario) -> np.ndarray:
@@ -175,7 +213,7 @@ def build_bell_operator(scenario: BellScenario, cutoff: int = 2) -> HermitianOpe
 def chsh_value(state, scenario: BellScenario) -> float:
     """CHSH expectation of a pure or mixed two-mode state."""
     delta_b = scenario.delta if scenario.delta_bob is None else scenario.delta_bob
-    chsh = _state_chsh(state, scenario.alice, scenario.bob)
+    chsh = _state_chsh(state, scenario.alice, scenario.bob)[0]
     return float(chsh([scenario.delta], [delta_b])[0])
 
 
@@ -183,7 +221,9 @@ def _state_chsh(state, alice: PartyConditions, bob: PartyConditions):
     """CHSH expectation of a fixed state as a function of the bin half-widths.
 
     B is real, so ``Re(rho)``, embedded in the product basis as
-    ``(da, db, da, db)``, is contracted against the per-mode stacks.
+    ``(da, db, da, db)``, is contracted against the per-mode stacks.  Returns
+    ``chsh(deltas, deltas_bob=None)`` and ``chsh_and_slope(deltas)``, the
+    values and their delta-derivatives ``Tr rho dB`` at shared half-widths.
     """
     rho = state.to_density() if isinstance(state, StateVector) else state
     ca, cb = rho.basis.cutoffs
@@ -193,12 +233,44 @@ def _state_chsh(state, alice: PartyConditions, bob: PartyConditions):
     matrix[np.ix_(idx, idx)] = rho.matrix.real
     matrix = matrix.reshape(ca + 1, cb + 1, ca + 1, cb + 1)
 
+    # Q[(i, j), (k, l)] = rho[i, k, j, l], so Tr rho (a (x) b) = vec(a^T) Q vec(b^T).
+    Q = matrix.transpose(0, 2, 1, 3).reshape((ca + 1) ** 2, (cb + 1) ** 2)
+
+    def contract(terms):
+        return sum(
+            ((a.swapaxes(-1, -2).reshape(-1, Q.shape[0]) @ Q)
+             * b.swapaxes(-1, -2).reshape(-1, Q.shape[1])).sum(axis=-1)
+            for a, b in terms
+        )
+
     def chsh(deltas, deltas_bob=None):
         Xa, Na, plus, minus = _mode_observables(full, alice, bob, deltas, deltas_bob)
-        return (np.einsum("ikjl,gji,glk->g", matrix, Xa, plus)
-                + np.einsum("ikjl,ji,glk->g", matrix, Na, minus))
+        return contract(((Xa, plus), (Na, minus)))
 
-    return chsh
+    def chsh_and_slope(deltas):
+        values, slopes = _mode_slopes(full, alice, bob, deltas)
+        return contract(values), contract(slopes)
+
+    return chsh, chsh_and_slope
+
+
+def _top_eigenvalue(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions):
+    """Top eigenvalue of the Bell operator as a function of the bin half-widths.
+
+    Returns ``top(deltas)`` and ``top_and_slope(deltas)``; the slope is
+    ``v^T dB v`` with v the top eigenvector (Hellmann-Feynman).
+    """
+
+    def top(deltas):
+        return hermitian_eig(bell_matrices(basis, alice, bob, deltas))[0][:, -1]
+
+    def top_and_slope(deltas):
+        values, slopes = _mode_slopes(basis, alice, bob, deltas)
+        w, v = hermitian_eig(_capped_kron(basis, values))
+        v = v[:, :, -1:]
+        return w[:, -1], (v.swapaxes(-1, -2) @ _capped_kron(basis, slopes) @ v)[:, 0, 0]
+
+    return top, top_and_slope
 
 
 def optimal_state(
@@ -235,6 +307,109 @@ def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, floa
     return x, f(x)
 
 
+@dataclass(frozen=True)
+class DeltaSearch:
+    """Outcome of one delta search (:func:`search_delta`).
+
+    ``delta`` and ``value`` are the optimum; ``grid_index`` is the best grid
+    point and ``bracket`` the interval refined in, its neighbours.
+    ``evaluations`` counts the objective evaluations of the refine, one per
+    delta, the two bracket ends included.  ``unimodal`` is False when the grid
+    maximum is interior, off a plateau, but the slope does not fall from
+    positive to negative across its bracket: the objective then has more
+    than one critical point there, and the grid maximum is returned.
+    """
+
+    delta: float
+    value: float
+    grid_index: int
+    bracket: tuple[float, float]
+    evaluations: int
+    unimodal: bool = True
+
+
+def refine_slope_root(value_and_slope, lo: float, hi: float, tol: float):
+    """Root of the slope of an objective on ``[lo, hi]``: its maximum there.
+
+    ``value_and_slope(deltas)`` returns the objective and its derivative at an
+    array of points.  Regula falsi with the Illinois modification, falling
+    back to bisection whenever a step would leave the bracket, until the
+    bracket is narrower than ``tol``.  Returns ``(x, value, evaluations)``,
+    with x the evaluated point of smallest slope magnitude, or
+    ``(None, None, 2)`` when the slope is not positive at ``lo`` and negative
+    at ``hi``.
+    """
+    (f_a, f_b), (g_a, g_b) = value_and_slope(np.array([lo, hi]))
+    if not g_a > 0.0 > g_b:
+        return None, None, 2
+    a, b, evaluations, side = lo, hi, 2, 0
+    best = min((abs(g_a), lo, f_a), (abs(g_b), hi, f_b))
+    while b - a > tol:
+        x = (a * g_b - b * g_a) / (g_b - g_a)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        (f,), (g,) = value_and_slope(np.array([x]))
+        evaluations += 1
+        best = min(best, (abs(g), x, f))
+        if g == 0.0:
+            break
+        if g > 0.0:
+            a, g_a = x, g
+            if side > 0:  # same end kept twice: Illinois halves its slope
+                g_b *= 0.5
+            side = 1
+        else:
+            b, g_b = x, g
+            if side < 0:
+                g_a *= 0.5
+            side = -1
+    return float(best[1]), float(best[2]), evaluations
+
+
+#: Grid values that agree to this are a plateau of the delta objective: its
+#: argmax there is decided by rounding, not by a second maximum.
+PLATEAU_TOL = 1e-12
+
+
+def search_delta(
+    alice: PartyConditions,
+    bob: PartyConditions,
+    state=None,
+    cutoff: int = 2,
+    total_cap: int = 2,
+    grid_points: int = 241,
+    tol: float = 1e-6,
+    delta_max: float = DELTA_MAX,
+) -> DeltaSearch:
+    """The delta search of :func:`optimize_delta`, with its record."""
+    if state is None:
+        basis = ModeBasis((cutoff, cutoff), total_cap=total_cap)
+        objective, value_and_slope = _top_eigenvalue(basis, alice, bob)
+    else:
+        objective, value_and_slope = _state_chsh(state, alice, bob)
+
+    grid = np.linspace(0.0, delta_max, grid_points)
+    values = objective(grid)
+    k = int(np.argmax(values))
+    lo = grid[max(k - 1, 0)]
+    hi = grid[min(k + 1, grid_points - 1)]
+    keep_grid = DeltaSearch(float(grid[k]), float(values[k]), k, (float(lo), float(hi)), 0)
+    if hi <= lo:
+        return keep_grid
+    delta_star, best, evaluations = refine_slope_root(value_and_slope, lo, hi, tol)
+    keep_grid = replace(keep_grid, evaluations=evaluations)
+    if delta_star is None:
+        # At an end of the grid the maximum may sit on the edge, and on a
+        # plateau the argmax is decided by rounding.  Otherwise a bracket
+        # without a root breaks the unimodality the grid relies on.
+        edge = k in (0, grid_points - 1)
+        unimodal = edge or values[k] - min(values[k - 1], values[k + 1]) <= PLATEAU_TOL
+        return replace(keep_grid, unimodal=unimodal)
+    if best < values[k]:  # flat objective: keep the grid maximizer
+        return keep_grid
+    return replace(keep_grid, delta=delta_star, value=best)
+
+
 def optimize_delta(
     alice: PartyConditions,
     bob: PartyConditions,
@@ -250,31 +425,14 @@ def optimize_delta(
     With ``state=None`` the objective at each delta is the top eigenvalue of
     the Bell operator on the photon-capped subspace; otherwise it is the
     CHSH expectation of the fixed (pure or mixed) state.  The whole grid is
-    evaluated in one batched call, then a golden section refines between the
-    best grid point's neighbours.
+    evaluated in one batched call.  Between the best grid point's neighbours
+    a safeguarded root search on the objective's delta-derivative
+    (:func:`refine_slope_root`) refines to ``tol``; where the slope has no
+    root there, the grid maximizer is kept.  :func:`search_delta` returns
+    the same search with its record.
     """
-    if state is None:
-        basis = ModeBasis((cutoff, cutoff), total_cap=total_cap)
-
-        def objective(deltas):
-            return hermitian_eig(bell_matrices(basis, alice, bob, deltas))[0][:, -1]
-
-    else:
-        objective = _state_chsh(state, alice, bob)
-
-    grid = np.linspace(0.0, delta_max, grid_points)
-    values = objective(grid)
-    k = int(np.argmax(values))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid_points - 1)]
-    if hi <= lo:
-        return float(grid[k]), float(values[k])
-    delta_star, best = golden_section_max(
-        lambda delta: float(objective(delta)[0]), lo, hi, tol
-    )
-    if best < values[k]:  # flat objective: keep the grid maximizer
-        return float(grid[k]), float(values[k])
-    return float(delta_star), float(best)
+    search = search_delta(alice, bob, state, cutoff, total_cap, grid_points, tol, delta_max)
+    return search.delta, search.value
 
 
 def best_violation(

@@ -165,16 +165,24 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _explicit_keys(argv) -> set:
-    """Option names the user actually passed on the command line."""
-    parser = build_parser()
+def _explicit_keys(parser: _Parser, argv) -> set:
+    """Option names the user actually passed on the command line.
+
+    Parses ``argv`` again with every default suppressed, then restores the
+    parser's defaults.
+    """
     actions = list(parser._actions)
     for sub_action in parser._subparsers._group_actions:
         for sub in sub_action.choices.values():
             actions.extend(sub._actions)
+    defaults = [action.default for action in actions]
     for action in actions:
         action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
+    try:
+        return set(vars(parser.parse_args(argv)))
+    finally:
+        for action, default in zip(actions, defaults):
+            action.default = default
 
 
 def _apply_config(args: argparse.Namespace, explicit: set) -> None:
@@ -310,16 +318,17 @@ def _run_source_amp(args) -> int:
 def _run_local_amp(args) -> int:
     if args.g < 1.0:
         raise ValidationError("--g must be >= 1")
+    args.cutoff = max(args.cutoff, 2)  # the filtered state needs two photons per mode
     value = filtered_critical_transmission(
         args.g, args.m, eta_d=args.eta_d, eta_c=args.eta_c,
-        cutoff=max(args.cutoff, 2), tol=args.tol,
+        cutoff=args.cutoff, tol=args.tol,
     )
     row = {
         "g": args.g,
         "m": args.m,
         "eta_d": args.eta_d,
         "eta_c": args.eta_c,
-        "cutoff": max(args.cutoff, 2),
+        "cutoff": args.cutoff,
         "eta_t_star": value,
         "no_violation": value is None,
         "bisection_tol": args.tol,
@@ -332,9 +341,10 @@ def _run_local_amp(args) -> int:
 
 
 def _run_multi_filter(args) -> int:
+    args.cutoff = max(args.cutoff, 2)
     curve = multi_filter_curve(
         args.g, args.m_max, eta_d=args.eta_d,
-        cutoff=max(args.cutoff, 2), tol=args.tol, workers=args.workers,
+        cutoff=args.cutoff, tol=args.tol, workers=args.workers,
     )
     rows = [
         {
@@ -389,7 +399,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, _explicit_keys(argv))
+        _apply_config(args, _explicit_keys(parser, argv))
         return _RUNNERS[args.command](args)
     except (ValidationError, ValueError) as exc:
         # Solvers (also in worker processes) reject bad parameters with ValueError.

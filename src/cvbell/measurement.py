@@ -27,6 +27,15 @@ optimal Bell states of this scheme come out with all-real coefficients;
 spectra, thresholds and every CHSH value reported by this package are
 invariant under the choice.
 
+The overlap integrals need no quadrature.  With the Hermite functions and
+their derivatives at the bin edge, the off-diagonal elements are Wronskian
+ratios ``W_mn(delta) / (n - m)`` and the diagonal follows from
+``erf(delta)`` by a two-term recurrence (:func:`_ideal_binned_stack`), so a
+whole delta grid is built from one ``hermite_functions`` call.  The same
+values give the derivative in delta, ``2 psi(delta) psi(delta)^T`` on the
+even entries, which the delta refine of :mod:`cvbell.bell` follows to the
+optimum.  A small cache keeps the ideal stacks of repeated delta grids.
+
 Detector inefficiency ``eta_h`` is modelled as a photon-loss channel in
 front of an ideal measurement: every POVM element is pushed through the
 adjoint loss channel.
@@ -34,6 +43,7 @@ adjoint loss channel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -49,10 +59,6 @@ QUADRATURE_CONVENTION = (
 #: Half-widths beyond this are indistinguishable from an unbinned measurement
 #: for the photon numbers in scope (the inner element is identity to < 1e-9).
 DELTA_MAX = 6.0
-
-
-class QuadratureError(RuntimeError):
-    """Raised when the overlap quadrature fails to converge to 1e-12."""
 
 
 @dataclass(frozen=True)
@@ -135,36 +141,58 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=100_000)
-def _ideal_binned_cached(delta: float, cutoff: int) -> np.ndarray:
-    n = np.arange(cutoff + 1)
-    if delta == 0.0:
-        M = np.zeros((cutoff + 1, cutoff + 1))
-        M.setflags(write=False)
+def _ideal_binned_stack(deltas: np.ndarray, cutoff: int, slopes: bool = False):
+    """Closed-form ideal inner elements for an array of bin half-widths.
+
+    With ``W_mn = psi_m' psi_n - psi_m psi_n'`` and
+    ``psi_n'' = (x^2 - 2n - 1) psi_n``, the off-diagonal integral over
+    ``[-delta, delta]`` is ``2 W_mn(delta) / (2(n - m))`` (``W_mn(0) = 0`` for
+    even n + m).  On the diagonal ``I_0 = erf(delta)/2`` and
+    ``I_n = I_{n-1} - psi_{n-1}(delta) psi_n(delta) / sqrt(2n)``, and the
+    element is ``2 I_n``.  Returns the ``(G, cutoff + 1, cutoff + 1)`` stack,
+    and with ``slopes=True`` also its delta-derivative ``2 psi(delta) psi(delta)^T``;
+    both masked by parity and carrying the Fock phase signs.
+    """
+    up, down, off_diagonal, diagonal_step, mask = _closed_form_constants(cutoff)
+    psi = hermite_functions(cutoff + 1, deltas)
+    # psi_n' = sqrt(n/2) psi_{n-1} - sqrt((n+1)/2) psi_{n+1}
+    dpsi = -up * psi[1:]
+    dpsi[1:] += down * psi[:-2]
+    psi, dpsi = psi[:-1].T, dpsi.T  # (G, cutoff + 1)
+    wronskian = dpsi[:, :, None] * psi[:, None, :] - psi[:, :, None] * dpsi[:, None, :]
+    M = wronskian * off_diagonal
+    # The diagonal is 2 I_n, with I_n the integral over [0, delta]; the
+    # recurrence is a running sum.
+    erf_half = [[0.5 * math.erf(d)] for d in deltas]
+    steps = -diagonal_step * psi[:, :-1] * psi[:, 1:]
+    half = np.cumsum(np.concatenate([erf_half, steps], axis=1), axis=1)
+    M.reshape(len(deltas), -1)[:, :: cutoff + 2] = 2.0 * half
+    M += 0.0  # parity zeros print as 0, not -0
+    if not slopes:
         return M
-    # Gauss-Legendre with order doubling; the integrand is a polynomial of
-    # degree <= 2*cutoff times a Gaussian, so convergence is fast.
-    previous = None
-    for order in (64, 128, 256, 512, 1024):
-        nodes, weights = _leggauss(order)
-        x = 0.5 * delta * (nodes + 1.0)  # [0, delta]; even integrand doubled below
-        psi = hermite_functions(cutoff, x)
-        M = (psi * weights) @ psi.T * delta
-        M[(n[:, None] + n[None, :]) % 2 == 1] = 0.0  # odd n+m vanish by parity
-        M = 0.5 * (M + M.T)
-        if previous is not None and np.abs(M - previous).max() < 1e-13:
-            M *= _fock_phase_signs(cutoff)
-            M.setflags(write=False)
-            return M
-        previous = M
-    raise QuadratureError(
-        f"binned-homodyne overlap integral did not converge for delta={delta}"
-    )
+    return M, (psi[:, :, None] * psi[:, None, :]) * (2.0 * mask)
 
 
-@lru_cache(maxsize=8)
-def _leggauss(order: int):
-    return np.polynomial.legendre.leggauss(order)
+@lru_cache(maxsize=32)
+def _closed_form_constants(cutoff: int):
+    """Per-cutoff factors of :func:`_ideal_binned_stack`."""
+    n = np.arange(cutoff + 1)
+    mask = _fock_phase_signs(cutoff) * ((n[:, None] + n[None, :]) % 2 == 0)
+    gap = n[None, :] - n[:, None]
+    off_diagonal = mask / np.where(gap == 0, np.inf, gap)
+    up, down = np.sqrt((n[:, None] + 1) / 2.0), np.sqrt(n[1:, None] / 2.0)
+    constants = up, down, off_diagonal, 1.0 / np.sqrt(2.0 * n[1:]), mask
+    for array in constants:
+        array.setflags(write=False)
+    return constants
+
+
+@lru_cache(maxsize=16)
+def _ideal_binned_cached(deltas: tuple, cutoff: int) -> np.ndarray:
+    """Read-only closed-form stack of a delta grid, kept for repeated grids."""
+    M = _ideal_binned_stack(np.array(deltas), cutoff)
+    M.setflags(write=False)
+    return M
 
 
 @lru_cache(maxsize=32)
@@ -176,17 +204,23 @@ def _fock_phase_signs(cutoff: int) -> np.ndarray:
     return signs
 
 
+def _deltas(deltas) -> np.ndarray:
+    deltas = np.atleast_1d(np.asarray(deltas, dtype=float))
+    if deltas.ndim != 1 or not np.all(deltas >= 0.0):
+        raise ValueError("bin half-width must be non-negative")
+    return deltas
+
+
 def ideal_binned_homodyne(delta: float, cutoff: int) -> np.ndarray:
     """Inner POVM element of an ideal binned homodyne measurement.
 
     Overlap integrals of the oscillator eigenfunctions over
-    ``[-delta, delta]`` in the module's Fock phase convention.  Real
-    symmetric, zero whenever n + m is odd, reaching 1e-12 absolute accuracy
-    by adaptive Gauss-Legendre quadrature.
+    ``[-delta, delta]`` in the module's Fock phase convention, in closed form
+    (error function and one Hermite-function recurrence; see
+    :func:`_ideal_binned_stack`).  Real symmetric and zero whenever n + m is
+    odd.
     """
-    if delta < 0.0:
-        raise ValueError("bin half-width must be non-negative")
-    return _ideal_binned_cached(float(delta), int(cutoff))
+    return _ideal_binned_stack(_deltas([delta]), int(cutoff))[0]
 
 
 @lru_cache(maxsize=64)
@@ -197,6 +231,16 @@ def _loss_kraus_stack(eta: float, cutoff: int) -> np.ndarray:
     return kraus
 
 
+def _through_loss(eta_h: float, elements: np.ndarray, cutoff: int) -> np.ndarray:
+    """Adjoint loss channel on a stack: ``sum_k A_k^dag M A_k``."""
+    if not 0.0 <= eta_h <= 1.0:
+        raise ValueError("efficiency must lie in [0, 1]")
+    if eta_h == 1.0:
+        return elements
+    kraus = _loss_kraus_stack(float(eta_h), int(cutoff))[:, None]
+    return (kraus.swapaxes(-1, -2) @ elements @ kraus).sum(axis=0)
+
+
 def binned_homodyne_povms(eta_h: float, deltas, cutoff: int):
     """Stacked POVMs of a lossy binned homodyne, one per bin half-width.
 
@@ -204,18 +248,30 @@ def binned_homodyne_povms(eta_h: float, deltas, cutoff: int):
     The inner element is the ideal one conjugated by the adjoint loss
     channel, ``X_inner = sum_k A_k^dag X_inner_ideal A_k``, for the whole
     stack at once; the outer element is its complement and the observable is
-    ``X = X_inner - X_outer``.
+    ``X = X_inner - X_outer``.  The ideal stack of each grid is kept in a
+    small cache.
     """
-    if not 0.0 <= eta_h <= 1.0:
-        raise ValueError("efficiency must lie in [0, 1]")
-    ideal = np.stack([ideal_binned_homodyne(d, cutoff) for d in np.atleast_1d(deltas)])
-    if eta_h == 1.0:
-        inner = ideal
-    else:
-        kraus = _loss_kraus_stack(float(eta_h), int(cutoff))[:, None]
-        inner = (kraus.swapaxes(-1, -2) @ ideal @ kraus).sum(axis=0)
+    deltas = _deltas(deltas)
+    ideal = _ideal_binned_cached(tuple(deltas.tolist()), int(cutoff))
+    inner = _through_loss(eta_h, ideal, cutoff)
     outer = np.eye(cutoff + 1) - inner
     return inner, outer, inner - outer
+
+
+def binned_homodyne_slopes(eta_h: float, deltas, cutoff: int):
+    """Observables ``X`` of a lossy binned homodyne and their delta-derivatives.
+
+    Returns ``(X, dX)``, each of shape ``(G, cutoff + 1, cutoff + 1)``, from
+    one Hermite-function evaluation.  The ideal inner element changes with
+    delta by ``psi(delta) psi(delta)^T + psi(-delta) psi(-delta)^T``; that
+    passes through the same loss channel, and ``dX = 2 d(X_inner)``.  Not
+    cached: every call of the delta refine is at a new point.
+    """
+    deltas = _deltas(deltas)
+    ideal, slope = _ideal_binned_stack(deltas, int(cutoff), slopes=True)
+    both = _through_loss(eta_h, np.concatenate([ideal, slope]), cutoff)
+    inner = both[: len(deltas)]
+    return inner - (np.eye(cutoff + 1) - inner), 2.0 * both[len(deltas):]
 
 
 def lossy_binned_homodyne(eta_h: float, delta: float, cutoff: int):

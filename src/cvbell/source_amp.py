@@ -754,7 +754,8 @@ def max_source_chsh(
     """Maximize the CHSH value of the source output over (lam, t, delta).
 
     Coarse grid scan over the circuit images, then coordinate refinement
-    (golden sections in lam, log t and delta) around the best grid point.
+    (golden sections in lam and log t, then the delta search of
+    :func:`optimize_delta`) around the best grid point.
     At fixed delta every (lam, t) is a quadratic form in the image weights,
     so no step runs the circuit again.
     """

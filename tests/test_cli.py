@@ -31,6 +31,26 @@ class TestParsing:
         assert main(["no-such-command"]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_one_parser_per_call(self, tmp_path, monkeypatch):
+        original, built = cvbell.cli.build_parser, []
+
+        def build():
+            built.append(original())
+            return built[-1]
+
+        monkeypatch.setattr(cvbell.cli, "build_parser", build)
+        monkeypatch.setattr(cvbell.cli, "critical_efficiency", lambda *a, **k: None)
+        code, _ = run_cli(["threshold", "--eta-d", "0.9"], tmp_path)
+        assert code == 0
+        assert len(built) == 1
+
+    def test_explicit_keys_restore_the_defaults(self):
+        parser = cvbell.cli.build_parser()
+        argv = ["source-amp", "--eta-c", "0.9"]
+        before = parser.parse_args(argv)
+        assert cvbell.cli._explicit_keys(parser, argv) >= {"command", "eta_c"}
+        assert parser.parse_args(argv) == before
+
     def test_seed_flag_removed(self, capsys):
         assert main(["threshold", "--seed", "1"]) == 1
         assert "--seed" in capsys.readouterr().err
@@ -126,6 +146,24 @@ class TestLocalAmpCommand:
         lines = out.read_text().strip().split("\n")
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert abs(float(row["eta_t_star"]) - 0.20) <= 0.02
+
+    @pytest.mark.parametrize("command, solver, flags", [
+        ("local-amp", "filtered_critical_transmission", []),
+        ("multi-filter", "multi_filter_curve", ["--m-max", "1"]),
+    ])
+    def test_sidecar_records_the_cutoff_used(self, command, solver, flags, tmp_path,
+                                             monkeypatch):
+        received = {}
+
+        def solve(*args, **kwargs):
+            received.update(kwargs)
+            return None if solver == "filtered_critical_transmission" else []
+
+        monkeypatch.setattr(cvbell.cli, solver, solve)
+        code, _ = run_cli([command, "--cutoff", "1"] + flags, tmp_path)
+        assert code == 0
+        sidecar = json.loads((tmp_path / "out.json").read_text())
+        assert received["cutoff"] == sidecar["effective_config"]["cutoff"] == 2
 
     def test_invalid_gain(self, tmp_path, capsys):
         code = main(["local-amp", "--g", "0.5", "--output", str(tmp_path / "x.csv")])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cvbell.fock import loss_kraus
@@ -9,6 +11,7 @@ from cvbell.measurement import (
     DELTA_MAX,
     HomodyneSetting,
     PhotodetectionSetting,
+    binned_homodyne_povms,
     effective_setting,
     hermite_functions,
     ideal_binned_homodyne,
@@ -36,6 +39,27 @@ def overlap_oracle(n, m, delta):
 
 def phase_sign(n, m):
     return -1.0 if (m - n) % 4 == 2 else 1.0
+
+
+def quadrature_stack(delta, cutoff):
+    """Independent oracle: the inner element by Gauss-Legendre quadrature.
+
+    The integrand is a polynomial of degree <= 2 cutoff times a Gaussian; the
+    node count doubles until two orders agree to 1e-13.
+    """
+    n = np.arange(cutoff + 1)
+    even = (n[:, None] + n[None, :]) % 2 == 0
+    signs = np.array([[phase_sign(i, j) for j in n] for i in n])
+    previous = None
+    for order in (64, 128, 256, 512, 1024):
+        nodes, weights = np.polynomial.legendre.leggauss(order)
+        x = 0.5 * delta * (nodes + 1.0)  # [0, delta]; the even integrand is doubled
+        psi = np.array([oscillator_psi(k, x) for k in n])
+        M = np.where(even, (psi * weights) @ psi.T * delta * signs, 0.0)
+        if previous is not None and np.abs(M - previous).max() < 1e-13:
+            return M
+        previous = M
+    raise AssertionError(f"quadrature oracle did not converge at delta={delta}")
 
 
 class TestPhotodetection:
@@ -106,6 +130,15 @@ class TestIdealBinnedHomodyne:
         M = ideal_binned_homodyne(delta, 4)
         expected = phase_sign(n, m) * overlap_oracle(n, m, delta)
         assert M[n, m] == pytest.approx(expected, abs=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ds=st.lists(st.floats(min_value=0.0, max_value=8.0), min_size=1, max_size=4),
+           cutoff=st.integers(min_value=0, max_value=14))
+    def test_closed_form_stack_against_quadrature(self, ds, cutoff):
+        stack = binned_homodyne_povms(1.0, ds, cutoff)[0]
+        for delta, element in zip(ds, stack):
+            assert np.abs(element - quadrature_stack(delta, cutoff)).max() <= 1e-12
+            assert np.array_equal(ideal_binned_homodyne(delta, cutoff), element)
 
     def test_closed_forms(self):
         # (0,0): erf(d); (1,1): erf(d) - 2d e^{-d^2}/sqrt(pi);
