@@ -107,11 +107,13 @@ def build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, cutoff=2):
         p.add_argument("--config", help="INI file with one section per command")
         p.add_argument("--output", "-o", help="CSV output path")
         p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--cutoff", type=int, default=2)
+        # A per-command default on the argument itself: a set_defaults value
+        # would count as given on the command line (see _explicit_keys).
+        p.add_argument("--cutoff", type=int, default=cutoff)
         p.add_argument("--tol", type=float, default=1e-4)
 
     p = sub.add_parser("threshold", help="single critical-efficiency solve")
@@ -135,8 +137,7 @@ def build_parser() -> _Parser:
     p.add_argument("--state", choices=["optimal", "psi2"], default="optimal")
 
     p = sub.add_parser("source-amp", help="amplified-source region boundary")
-    common(p)
-    p.set_defaults(cutoff=6)
+    common(p, cutoff=6)
     p.add_argument("--symmetric", dest="symmetry", action="store_const",
                    const=SYMMETRIC, default=SYMMETRIC)
     p.add_argument("--asymmetric", dest="symmetry", action="store_const",
@@ -158,8 +159,7 @@ def build_parser() -> _Parser:
     p.add_argument("--eta-d", type=float, default=1.0)
 
     p = sub.add_parser("reproduce-all", help="run every reference check")
-    common(p)
-    p.set_defaults(cutoff=6)
+    common(p, cutoff=6)
     p.add_argument("--skip-source", action="store_true",
                    help="skip the slow amplified-source checks")
     return parser

@@ -30,7 +30,11 @@ transmission) point without running the circuit again (:func:`_source_stack`).
 Each stage holds its branches as one ``(B, dim, P)`` stack and applies its
 beam splitter to all of them in one product on the two split modes
 (:func:`_split`); ``fock.beam_splitter`` over the full joint basis is the
-reference that the tests hold it to.
+reference that the tests hold it to.  The circuit runs once per branch of
+the ancilla, on all input branches together, and sums the Gram arrays of
+the outputs (:func:`_heralded_gram`); the herald distribution needs only
+the reduced states of the two modes that meet on the interference splitter
+(:func:`herald_probabilities`).
 """
 
 from __future__ import annotations
@@ -66,13 +70,13 @@ from .parallel import map_ordered
 #: (the circuit's input is normalized), although outputs are renormalized by
 #: success probabilities that can be small.  Measured on the heralded-PDC
 #: ancilla (squeezing 0.2, t = 0.3, chi = 0.2, coupling 0.95) at cutoffs 3 to
-#: 5, a cut of 0 moves the normalized states by at most 1.1e-12 and the
-#: success and herald probabilities by at most 2e-14.  On the same ancilla at
-#: cutoffs 4 and 5 (perfbench's pdc-ancilla workload) it raises peak memory
-#: from 113 to 123 MiB and run time by about a quarter, 0.213 to 0.268 s
-#: (medians of 3 runs each, 2-core VM, BLAS on one thread).  A cut relative
-#: to the success probability would need that probability before the
-#: circuit has run.
+#: 5, a cut of 0 moves the normalized states by at most 1.1e-12, the success
+#: probabilities by at most 1.9e-14 and the herald probabilities by 1.1e-16.
+#: On the same ancilla at cutoffs 4 and 5 (perfbench's pdc-ancilla workload)
+#: it raises peak memory from 35.2 to 36.2 MiB and leaves the run time within
+#: noise, 0.108 to 0.116 s against 0.110 to 0.114 s (3 runs each, 2-core VM,
+#: BLAS on one thread).  A cut relative to the success probability would need
+#: that probability before the circuit has run.
 BRANCH_TOL = 1e-16
 
 
@@ -315,37 +319,64 @@ def _ancilla_branches(config: SourceConfig, c_cutoff: int, photon=None):
     return basis, out, labels
 
 
-def _joint_interfered(config: SourceConfig, inputs, input_cutoffs,
-                      scissor_mode: int, d0_filter: str | None = "click",
-                      photon=None):
-    """Attach the ancilla, interfere on the 50/50 splitter.
+def _ancilla_cutoff(config: SourceConfig) -> int:
+    """Per-mode cutoff of the split ancilla's modes (b, c)."""
+    return 1 if config.ancilla_model == "single-photon" else min(3, config.cutoff)
 
-    The scissor mode and the ancilla's b mode are enlarged so the splitter
-    conserves photon number exactly.  Every input block ``(d, P)`` of the
-    ``(B, d, P)`` stack ``inputs`` and every ancilla block ``(d', Q)`` join
-    as a ``(D, P Q)`` block, column ``p Q + q``, input branch first.
-    Returns (cutoffs, joint stack, D0 labels, a_mode, b_mode, c_cutoff).
+
+def _interference_cutoffs(input_cutoffs, scissor_mode: int, c_cutoff: int):
+    """Cutoffs before and after the 50/50 interference splitter, and its b mode.
+
+    The ancilla's modes (b, c) follow the input modes.  The scissor mode and
+    b are enlarged so the splitter conserves photon number exactly.
     """
-    c_cutoff = 1 if config.ancilla_model == "single-photon" else min(3, config.cutoff)
-    anc_basis, anc, labels = _ancilla_branches(config, c_cutoff, photon)
-    if d0_filter is not None:
-        mine = labels == d0_filter
-        anc, labels = anc[mine], labels[mine]
-
-    small_cutoffs = tuple(input_cutoffs) + anc_basis.cutoffs
-    n_modes = len(small_cutoffs)
-    b_mode = n_modes - 2
-    headroom = c_cutoff  # photons the ancilla can add to the interference
+    small_cutoffs = tuple(input_cutoffs) + (c_cutoff, c_cutoff)
+    b_mode = len(small_cutoffs) - 2
     big_cutoffs = list(small_cutoffs)
-    big_cutoffs[scissor_mode] += headroom
+    big_cutoffs[scissor_mode] += c_cutoff  # photons the ancilla can add
     big_cutoffs[b_mode] += input_cutoffs[scissor_mode]
-    big_cutoffs = tuple(big_cutoffs)
+    return small_cutoffs, tuple(big_cutoffs), b_mode
 
-    (n_in, d, P), (n_anc, d_anc, Q) = inputs.shape, anc.shape
-    joint = inputs[:, None, :, None, :, None] * anc[None, :, None, :, None, :]
-    joint = joint.reshape(n_in * n_anc, d * d_anc, P * Q)
-    joint = _split(joint, small_cutoffs, (scissor_mode, b_mode), 0.5, big_cutoffs)
-    return big_cutoffs, joint, np.tile(labels, n_in), scissor_mode, b_mode, c_cutoff
+
+def _heralded_gram(config: SourceConfig, inputs, input_cutoffs, scissor_mode: int,
+                   output=None, photon=None):
+    """The heralded circuit, streamed over the ancilla's D0-click branches.
+
+    Each pass joins one ancilla block ``(d', Q)`` to every input block
+    ``(d, P)`` of the ``(B, d, P)`` stack ``inputs`` (column ``p Q + q``),
+    interferes on the 50/50 splitter and conditions on the heralds.
+    ``output`` (default: none) maps the pass's heralded branches over the
+    kept modes to the output basis.  Returns the :func:`_gram` array of the
+    output branches summed over all passes, and the accepted herald
+    probability.
+    """
+    c_cutoff = _ancilla_cutoff(config)
+    small_cutoffs, big_cutoffs, b_mode = _interference_cutoffs(
+        input_cutoffs, scissor_mode, c_cutoff
+    )
+    _, anc, labels = _ancilla_branches(config, c_cutoff, photon)
+    output = output or (lambda branches: branches)
+
+    n_in, d, P = inputs.shape
+    W = P * anc.shape[2]
+    gram, total = None, 0.0
+    for block in anc[labels == "click"]:
+        joint = inputs[:, :, None, :, None] * block[None, None, :, None, :]
+        joint = _split(joint.reshape(n_in, d * len(block), W), small_cutoffs,
+                       (scissor_mode, b_mode), 0.5, big_cutoffs)
+        branches, probability = _condition_on_heralds(
+            config, big_cutoffs, joint, scissor_mode, b_mode
+        )
+        del joint  # the pass's largest array; free it before the output stage
+        part = _gram(output(branches))
+        # The first pass's array is the sum: no second Gram-sized array for
+        # the single photon's one pass.
+        gram = part if gram is None else np.add(gram, part, out=gram)
+        total += probability
+    if gram is None:  # no ancilla branch heralded: zeros of the output's shape
+        kept = [c + 1 for m, c in enumerate(big_cutoffs) if m not in (scissor_mode, b_mode)]
+        gram = _gram(output(np.zeros((0, math.prod(kept), W), dtype=complex)))
+    return gram, total
 
 
 def _herald_patterns(config: SourceConfig):
@@ -387,28 +418,26 @@ def _detected(blocks: np.ndarray, weights: np.ndarray):
 def _condition_on_heralds(config: SourceConfig, cutoffs, joint, a_mode, b_mode):
     """Split branches over the D1/D2 outcomes, keeping the other modes.
 
-    Returns (kept_cutoffs, {pattern: branch stack}, {pattern: probability}).
-    Every (branch, na, nb) whose detector weight and weighted squared norm
-    exceed ``BRANCH_TOL`` is a new branch, in that order.  The D1 branches
-    get the feed-forward parity plate on the amplified mode (the last kept
-    mode) so both patterns prepare the same state.  A pattern's branches are
-    a ``(K, dim, P)`` stack; its probability is the squared Frobenius norm
+    Returns the heralded branches as one ``(K, dim, P)`` stack over the kept
+    modes and their probability.  Every (pattern, branch, na, nb) whose
+    detector weight and weighted squared norm exceed ``BRANCH_TOL`` is a new
+    branch, in that order.  The D1 branches get the feed-forward parity
+    plate on the amplified mode (the last kept mode) so both patterns
+    prepare the same state.  The probability is the squared Frobenius norm
     summed over the kept blocks, the herald probability when P is 1.
     """
     click_a, no_click_a = _detector_diags(config.herald_efficiency, cutoffs[a_mode])
     click_b, no_click_b = _detector_diags(config.herald_efficiency, cutoffs[b_mode])
     pattern_weights = {"d1": (click_a, no_click_b), "d2": (no_click_a, click_b)}
+    patterns = _herald_patterns(config)
+    weights = np.stack([np.outer(*pattern_weights[p]) for p in patterns])[:, None]
 
     kept_cutoffs = tuple(c for m, c in enumerate(cutoffs) if m not in (a_mode, b_mode))
-    parity = _parity_last_mode(kept_cutoffs)[:, None]
     T = _herald_blocks(joint, cutoffs, a_mode, b_mode)
-
-    out: dict = {}
-    probs: dict = {}
-    for pattern in _herald_patterns(config):
-        branches, _, probs[pattern] = _detected(T, np.outer(*pattern_weights[pattern]))
-        out[pattern] = parity * branches if pattern == "d1" else branches
-    return kept_cutoffs, out, probs
+    branches, keep, probability = _detected(T[None], weights)
+    if patterns[0] == "d1":
+        branches[:int(keep[0].sum())] *= _parity_last_mode(kept_cutoffs)[:, None]
+    return branches, probability
 
 
 def qscissor_amplify(state, t: float, herald_efficiency: float = 1.0,
@@ -444,21 +473,16 @@ def qscissor_amplify(state, t: float, herald_efficiency: float = 1.0,
         cutoff=max(cutoffs[0], 1),
         herald_pattern=herald_pattern,
     )
-    big_cutoffs, joint, _, a_mode, b_mode, _ = _joint_interfered(config, branches, cutoffs, 0)
-    kept_cutoffs, by_pattern, probs = _condition_on_heralds(
-        config, big_cutoffs, joint, a_mode, b_mode
-    )
-    basis = ModeBasis(kept_cutoffs)
-    total = sum(probs.values())
+    gram, total = _heralded_gram(config, branches, cutoffs, 0)
+    basis = ModeBasis((_ancilla_cutoff(config),))  # the ancilla's c mode
     if total <= BRANCH_TOL:
         return HeraldedOutcome(
             state=DensityOperator(basis, np.zeros((basis.dimension,) * 2)),
             success_probability=0.0,
             herald_pattern=herald_pattern,
         )
-    rho = _gram(np.concatenate(list(by_pattern.values())))[:, 0, :, 0]
     return HeraldedOutcome(
-        state=DensityOperator(basis, rho / total),
+        state=DensityOperator(basis, gram[:, 0, :, 0] / total),
         success_probability=total,
         herald_pattern=herald_pattern,
     )
@@ -486,30 +510,32 @@ def _lossy_arms(config: SourceConfig, inputs: np.ndarray) -> np.ndarray:
     return branches
 
 
-def _output_branches(config: SourceConfig, inputs: np.ndarray, photon=None):
+def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
     """The source circuit on a ``(d, P)`` block of inputs on the two arms.
 
-    Returns the photon-capped output basis, the pure output branches as a
-    ``(B, d_out, P Q)`` stack (Q columns of the ancilla ``photon``, see
-    :func:`_ancilla_branches`) and the accepted herald probability, which is
-    the success probability for a single normalized input column.
+    Returns the photon-capped output basis, the :func:`_gram` array of the
+    output branches, ``(d_out, P Q, d_out, P Q)`` with Q columns of the
+    ancilla ``photon`` (see :func:`_ancilla_branches`), summed over the
+    ancilla's branches one pass at a time (:func:`_heralded_gram`), and the
+    accepted herald probability, which is the success probability for a
+    single normalized input column.
     """
-    big_cutoffs, joint, _, a_mode, b_mode, c_cutoff = _joint_interfered(
-        config, _lossy_arms(config, inputs), (config.cutoff,) * 2, 1, photon=photon
-    )
-    kept_cutoffs, by_pattern, probs = _condition_on_heralds(
-        config, big_cutoffs, joint, a_mode, b_mode
-    )
-
+    c_cutoff = _ancilla_cutoff(config)
     out_cut = config.cutoff + c_cutoff
     full = (out_cut, out_cut)
     capped = _basis(full, out_cut)
     cap_idx = _embed_idx(capped.cutoffs, out_cut, full, None)
-    outputs = _split(np.concatenate(list(by_pattern.values())), kept_cutoffs, (0, 1), 0.5, full)
     # Output phase plate (i^n on the second mode) fixes the documented
     # c00 >= 0, c2 <= 0 sign pattern of the leading component.
-    outputs = (_output_plate(full)[:, None] * outputs)[:, cap_idx]
-    return capped, outputs, sum(probs.values())
+    plate = _output_plate(full)[:, None]
+
+    def output(branches):
+        return (plate * _split(branches, (config.cutoff, c_cutoff), (0, 1), 0.5, full))[:, cap_idx]
+
+    gram, total = _heralded_gram(
+        config, _lossy_arms(config, inputs), (config.cutoff,) * 2, 1, output, photon
+    )
+    return capped, gram, total
 
 
 def amplified_source(config: SourceConfig) -> HeraldedOutcome:
@@ -520,7 +546,7 @@ def amplified_source(config: SourceConfig) -> HeraldedOutcome:
     The success probability covers the configured herald pattern(s); for
     the heralded-pdc ancilla it includes the D0 click.
     """
-    capped, outputs, total = _output_branches(config, _tmsv_column(config))
+    capped, gram, total = _output_gram(config, _tmsv_column(config))
     if total <= BRANCH_TOL:
         return HeraldedOutcome(
             state=DensityOperator(capped, np.zeros((capped.dimension,) * 2)),
@@ -528,10 +554,21 @@ def amplified_source(config: SourceConfig) -> HeraldedOutcome:
             herald_pattern=config.herald_pattern,
         )
     return HeraldedOutcome(
-        state=DensityOperator(capped, _gram(outputs)[:, 0, :, 0] / total),
+        state=DensityOperator(capped, gram[:, 0, :, 0] / total),
         success_probability=total,
         herald_pattern=config.herald_pattern,
     )
+
+
+def _reduced(stack: np.ndarray, cutoffs, mode: int) -> np.ndarray:
+    """Reduced density matrix of ``mode``, summed over a stack's blocks and columns.
+
+    ``stack`` is ``(B, D, W)`` over the uncapped basis of ``cutoffs``.
+    """
+    dims = tuple(c + 1 for c in cutoffs)
+    amps = np.moveaxis(stack.reshape(len(stack), *dims, stack.shape[-1]), mode + 1, 0)
+    amps = amps.reshape(dims[mode], -1)
+    return amps @ amps.conj().T
 
 
 def herald_probabilities(config: SourceConfig) -> dict:
@@ -540,14 +577,25 @@ def herald_probabilities(config: SourceConfig) -> dict:
     Keys are D1/D2 pattern labels ("d1", "d2", "both", "none") for the
     ideal ancilla; the heralded-pdc model prefixes the D0 outcome as
     ``(d0_label, pattern)``.  Values sum to one.
+
+    D1 and D2 count the photons of the two modes that meet on the 50/50
+    splitter U: the scissor arm, of reduced state rho_1 summed over the
+    lossy input branches, and the ancilla's b mode, of reduced state
+    rho_b summed over the ancilla branches of one D0 outcome.  Their count
+    distribution is the diagonal of ``U (rho_1 (x) rho_b) U^dag``, so no
+    joint state of the whole circuit is built.
     """
-    big_cutoffs, joint, labels, a_mode, b_mode, _ = _joint_interfered(
-        config, _lossy_arms(config, _tmsv_column(config)), (config.cutoff,) * 2, 1,
-        d0_filter=None,
-    )
+    c_cutoff = _ancilla_cutoff(config)
+    arms = (config.cutoff,) * 2
+    a_mode = 1  # the scissor arm
+    small, big, b_mode = _interference_cutoffs(arms, a_mode, c_cutoff)
+    U = _cached_bs((big[a_mode], big[b_mode]), 0.5, (small[a_mode], small[b_mode]))
+    rho_1 = _reduced(_lossy_arms(config, _tmsv_column(config)), arms, a_mode)
+    anc_basis, anc, labels = _ancilla_branches(config, c_cutoff)
+
     with_d0 = config.ancilla_model == "heralded-pdc"
-    click_a, no_click_a = _detector_diags(config.herald_efficiency, big_cutoffs[a_mode])
-    click_b, no_click_b = _detector_diags(config.herald_efficiency, big_cutoffs[b_mode])
+    click_a, no_click_a = _detector_diags(config.herald_efficiency, big[a_mode])
+    click_b, no_click_b = _detector_diags(config.herald_efficiency, big[b_mode])
     detectors = {"click": (click_a, click_b), "none": (no_click_a, no_click_b)}
     names = {
         ("click", "none"): "d1",
@@ -555,11 +603,12 @@ def herald_probabilities(config: SourceConfig) -> dict:
         ("click", "click"): "both",
         ("none", "none"): "none",
     }
-    # Photon-count distribution on the herald modes, per D0 outcome.
-    norms2 = _norms2(_herald_blocks(joint, big_cutoffs, a_mode, b_mode))
     probs: dict = {}
     for d0_label in dict.fromkeys(labels):
-        counts = norms2[labels == d0_label].sum(axis=0)
+        rho = np.kron(rho_1, _reduced(anc[labels == d0_label], anc_basis.cutoffs, 0))
+        # Photon-count distribution on the herald modes for this D0 outcome.
+        counts = ((U @ rho) * U.conj()).sum(axis=1).real
+        counts = counts.reshape(big[a_mode] + 1, big[b_mode] + 1)
         for (la, lb), name in names.items():
             key = (str(d0_label), name) if with_d0 else name
             probs[key] = float(detectors[la][0] @ counts @ detectors[lb][1])
@@ -677,8 +726,7 @@ def _source_stack(eta_c: float, cutoff: int):
         inputs = np.zeros((arms.dimension, cutoff + 1), dtype=complex)
         for n in range(cutoff + 1):
             inputs[arms.index_of((n, n)), n] = 1.0
-        basis, outputs, _ = _output_branches(config, inputs, photon=np.eye(2))
-        gram = _gram(outputs)
+        basis, gram, _ = _output_gram(config, inputs, photon=np.eye(2))
         gram.setflags(write=False)
         return basis, gram
 

@@ -34,7 +34,6 @@ TOLERANCES = {
     "efficiency_bisection": 1e-4,
     "delta_refinement": 1e-6,
     "violation_margin": 1e-7,
-    "quadrature_accuracy": 1e-12,
 }
 
 

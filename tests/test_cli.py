@@ -92,6 +92,9 @@ class TestThresholdCommand:
         sidecar = json.loads((tmp_path / "out.json").read_text())
         assert sidecar["schema_version"] == 1
         assert "quadrature" in sidecar["conventions"]
+        assert set(sidecar["tolerances"]) == {
+            "efficiency_bisection", "delta_refinement", "violation_margin",
+        }
         assert sidecar["effective_config"]["state"] == "psi2"
 
     def test_deterministic_output(self, tmp_path):
@@ -135,6 +138,27 @@ class TestSourceAmpCommand:
         assert code == 0
         sidecar = json.loads((tmp_path / "out.json").read_text())
         assert received["tol"] == sidecar["effective_config"]["tol"]
+
+    def test_config_file_sets_the_cutoff(self, tmp_path, monkeypatch):
+        received = {}
+
+        def boundary(grid, **kwargs):
+            received.update(kwargs)
+            return []
+
+        monkeypatch.setattr(cvbell.cli, "source_region_boundary", boundary)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[source-amp]\ncutoff = 3\n")
+        code, _ = run_cli(["source-amp", "--eta-d-grid", "1.0", "--config", str(cfg)], tmp_path)
+        assert code == 0
+        sidecar = json.loads((tmp_path / "out.json").read_text())
+        assert received["cutoff"] == sidecar["effective_config"]["cutoff"] == 3
+
+    def test_flag_default_is_not_explicit(self):
+        parser = cvbell.cli.build_parser()
+        for command in ("source-amp", "reproduce-all"):
+            assert cvbell.cli._explicit_keys(parser, [command]) == {"command"}
+            assert parser.parse_args([command]).cutoff == 6
 
 
 class TestLocalAmpCommand:

@@ -5,9 +5,13 @@ with the split modes of a whole stack of branch blocks
 (``source_amp._split``).  ``fock.beam_splitter`` over the full joint basis is
 the slow reference it must reproduce.  The pinned outputs guard the wiring
 of the circuit: which modes each splitter acts on and which are heralded.
+The herald distribution, which the circuit takes from the reduced states of
+the two herald modes, is held to the joint stack of every input branch times
+every ancilla branch (:func:`joint_stack_herald_probabilities`).
 """
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -110,3 +114,89 @@ class TestPinnedDirectCircuit:
         out = sa.qscissor_amplify(rho, **expected["kwargs"])
         assert out.success_probability == pytest.approx(expected["success_probability"], abs=1e-12)
         assert np.abs(out.state.matrix - complex_matrix(expected["state"])).max() < 1e-12
+
+
+def joint_stack_herald_probabilities(config):
+    """Herald distribution from the full joint stack, the oracle of the reduced-state path.
+
+    Every lossy input branch joins every ancilla branch (both D0 outcomes),
+    the whole stack passes the 50/50 interference splitter, and the photon
+    counts on the herald modes are summed per D0 outcome.
+    """
+    c = config.cutoff
+    c_anc = 1 if config.ancilla_model == "single-photon" else min(3, c)
+    anc_basis, anc, labels = sa._ancilla_branches(config, c_anc)
+    inputs = sa._lossy_arms(config, sa._tmsv_column(config))
+    small, big = (c, c) + anc_basis.cutoffs, (c, c + c_anc, c_anc + c, c_anc)
+    (n_in, d, P), (n_anc, d_anc, Q) = inputs.shape, anc.shape
+    joint = inputs[:, None, :, None, :, None] * anc[None, :, None, :, None, :]
+    joint = sa._split(joint.reshape(n_in * n_anc, d * d_anc, P * Q), small, (1, 2), 0.5, big)
+    labels = np.tile(labels, n_in)
+
+    detectors = {}
+    for mode in (1, 2):
+        click, no_click = sa._detector_diags(config.herald_efficiency, big[mode])
+        detectors[mode] = {"click": click, "none": no_click}
+    names = {("click", "none"): "d1", ("none", "click"): "d2",
+             ("click", "click"): "both", ("none", "none"): "none"}
+    norms2 = sa._norms2(sa._herald_blocks(joint, big, 1, 2))
+    probs = {}
+    for d0_label in dict.fromkeys(labels):
+        counts = norms2[labels == d0_label].sum(axis=0)
+        for (la, lb), name in names.items():
+            key = (str(d0_label), name) if config.ancilla_model == "heralded-pdc" else name
+            probs[key] = float(detectors[1][la] @ counts @ detectors[2][lb])
+    return probs
+
+
+@st.composite
+def source_configs(draw):
+    return sa.SourceConfig(
+        squeezing=draw(st.floats(0.0, 0.5)),
+        amp_transmission=draw(st.floats(0.01, 1.0)),
+        coupling=draw(st.floats(0.8, 1.0)),
+        ancilla_model=draw(st.sampled_from(["single-photon", "heralded-pdc"])),
+        ancilla_squeezing=draw(st.floats(0.0, 0.4)),
+        herald_efficiency=draw(st.floats(0.0, 1.0)),
+        cutoff=draw(st.integers(1, 4)),
+        herald_pattern=draw(st.sampled_from(["either", "d1", "d2"])),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(config=source_configs())
+@example(config=sa.SourceConfig(**PINS["heralded_pdc"]["config"]))
+@example(config=sa.SourceConfig(squeezing=0.1, amp_transmission=0.3, herald_efficiency=0.0,
+                                ancilla_model="heralded-pdc", cutoff=3))
+def test_herald_probabilities_match_the_joint_stack(config):
+    probs = sa.herald_probabilities(config)
+    oracle = joint_stack_herald_probabilities(config)
+    assert list(probs) == list(oracle)
+    for key, value in probs.items():
+        assert abs(value - oracle[key]) < 1e-12
+        assert -1e-12 <= value <= 1.0 + 1e-12  # rounding: 1 + 2e-16 occurs
+    assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
+    accepted = [("click", p) if config.ancilla_model == "heralded-pdc" else p
+                for p in sa._herald_patterns(config)]
+    heralded = sum(probs.get(key, 0.0) for key in accepted)
+    assert abs(heralded - sa.amplified_source(config).success_probability) < 1e-12
+
+
+@pytest.mark.parametrize("run", [sa.herald_probabilities, sa.amplified_source],
+                         ids=["herald_probabilities", "amplified_source"])
+def test_heralded_pdc_circuit_stays_small(run):
+    """No joint stack of every input branch times every ancilla branch is built.
+
+    That stack held 63 MiB (herald probabilities) and 42 MiB (source) at
+    cutoff 5; the streamed circuit peaks near 0.3 and 2.4 MiB.
+    """
+    config = sa.SourceConfig(squeezing=0.2, amp_transmission=0.3, coupling=0.95,
+                             ancilla_model="heralded-pdc", ancilla_squeezing=0.2, cutoff=5)
+    run(config)  # fill the splitter and loss caches outside the measurement
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
