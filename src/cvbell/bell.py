@@ -379,7 +379,6 @@ def search_delta(
     total_cap: int = 2,
     grid_points: int = 241,
     tol: float = 1e-6,
-    delta_max: float = DELTA_MAX,
 ) -> DeltaSearch:
     """The delta search of :func:`optimize_delta`, with its record."""
     if state is None:
@@ -388,7 +387,7 @@ def search_delta(
     else:
         objective, value_and_slope = _state_chsh(state, alice, bob)
 
-    grid = np.linspace(0.0, delta_max, grid_points)
+    grid = np.linspace(0.0, DELTA_MAX, grid_points)
     values = objective(grid)
     k = int(np.argmax(values))
     lo = grid[max(k - 1, 0)]
@@ -418,7 +417,6 @@ def optimize_delta(
     total_cap: int = 2,
     grid_points: int = 241,
     tol: float = 1e-6,
-    delta_max: float = DELTA_MAX,
 ) -> tuple[float, float]:
     """Best bin half-width and the CHSH value it achieves.
 
@@ -431,7 +429,7 @@ def optimize_delta(
     root there, the grid maximizer is kept.  :func:`search_delta` returns
     the same search with its record.
     """
-    search = search_delta(alice, bob, state, cutoff, total_cap, grid_points, tol, delta_max)
+    search = search_delta(alice, bob, state, cutoff, total_cap, grid_points, tol)
     return search.delta, search.value
 
 

@@ -10,16 +10,21 @@ multi-filter   threshold versus number of filter applications
 reproduce-all  run every reference check and fail on any miss
 
 Configuration may be given as ``--config file.ini`` with one section per
-command (``key = value``); command-line flags override file values.  Every
-run writes a CSV result table and a JSON sidecar describing the effective
-configuration, conventions and tolerances.  Exit codes: 0 success,
-1 invalid configuration, 2 reproduction-gate failure.
+command (``key = value``).  The section is turned into flags and parsed by
+the same parser: ``eta_d = 0.9`` is ``--eta-d=0.9``, ``symmetry = asymmetric``
+is ``--asymmetric`` and ``skip_source = yes|no`` sets or omits
+``--skip-source``.  Flags on the command line win over the file, and a bad
+key or value is reported with its ``file:line``.  Every run writes a CSV
+result table and a JSON sidecar describing the effective configuration,
+conventions and tolerances.  Exit codes: 0 success, 1 invalid
+configuration, 2 reproduction-gate failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import re
 import sys
 
 import numpy as np
@@ -63,18 +68,6 @@ def parse_grid(text: str) -> list[float]:
     return [float(x) for x in np.linspace(start, stop, count)]
 
 
-def _config_line_number(path: str, key: str) -> int | None:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                stripped = line.split("=")[0].split(":")[0].strip()
-                if stripped == key:
-                    return lineno
-    except OSError:
-        return None
-    return None
-
-
 def load_config(path: str, command: str) -> dict:
     parser = configparser.ConfigParser()
     try:
@@ -91,37 +84,43 @@ def load_config(path: str, command: str) -> dict:
     return out
 
 
-def _coerce(path, key, value, kind):
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        line = _config_line_number(path, key) if path else None
-        location = f"{path}:{line}: " if line else ""
-        raise ValidationError(
-            f"{location}invalid value {value!r} for {key}"
-        ) from None
+def _config_line_number(path: str, command: str, key: str) -> int | None:
+    """Line of ``key`` in section ``[command]``, else in ``[DEFAULT]``."""
+    found, section = {}, None
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            text = line.strip()
+            if text.startswith("["):
+                section = text[1:text.find("]")]
+            elif section in (command, "DEFAULT"):
+                name = re.split("[=:]", text)[0].strip().lower().replace("-", "_")
+                if name == key:
+                    found.setdefault(section, lineno)
+    return found.get(command, found.get("DEFAULT"))
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="cvbell", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(p, cutoff=2):
         p.add_argument("--config", help="INI file with one section per command")
         p.add_argument("--output", "-o", help="CSV output path")
         p.add_argument("--workers", type=int, default=1)
-        # A per-command default on the argument itself: a set_defaults value
-        # would count as given on the command line (see _explicit_keys).
         p.add_argument("--cutoff", type=int, default=cutoff)
         p.add_argument("--tol", type=float, default=1e-4)
 
+    def symmetry(p):
+        p.add_argument("--symmetric", dest="symmetry", action="store_const",
+                       const=SYMMETRIC, default=SYMMETRIC)
+        p.add_argument("--asymmetric", dest="symmetry", action="store_const",
+                       const=ASYMMETRIC)
+
     p = sub.add_parser("threshold", help="single critical-efficiency solve")
     common(p)
-    p.add_argument("--symmetric", dest="symmetry", action="store_const",
-                   const=SYMMETRIC, default=SYMMETRIC)
-    p.add_argument("--asymmetric", dest="symmetry", action="store_const",
-                   const=ASYMMETRIC)
+    symmetry(p)
     p.add_argument("--target", choices=["eta-t", "eta-d"], default="eta-t")
     p.add_argument("--eta-d", type=float, default=1.0)
     p.add_argument("--eta-t", type=float, default=1.0)
@@ -129,19 +128,13 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("region", help="violation-region boundary")
     common(p)
-    p.add_argument("--symmetric", dest="symmetry", action="store_const",
-                   const=SYMMETRIC, default=SYMMETRIC)
-    p.add_argument("--asymmetric", dest="symmetry", action="store_const",
-                   const=ASYMMETRIC)
+    symmetry(p)
     p.add_argument("--eta-d-grid", default="0.6:1.0:9")
     p.add_argument("--state", choices=["optimal", "psi2"], default="optimal")
 
     p = sub.add_parser("source-amp", help="amplified-source region boundary")
     common(p, cutoff=6)
-    p.add_argument("--symmetric", dest="symmetry", action="store_const",
-                   const=SYMMETRIC, default=SYMMETRIC)
-    p.add_argument("--asymmetric", dest="symmetry", action="store_const",
-                   const=ASYMMETRIC)
+    symmetry(p)
     p.add_argument("--eta-d-grid", default="0.8:1.0:3")
     p.add_argument("--eta-c", type=float, default=1.0)
 
@@ -165,44 +158,44 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _explicit_keys(parser: _Parser, argv) -> set:
-    """Option names the user actually passed on the command line.
+def _config_tokens(parser: _Parser, path: str, command: str) -> list[str]:
+    """The ``[command]`` section of ``path`` as command-line tokens.
 
-    Parses ``argv`` again with every default suppressed, then restores the
-    parser's defaults.
+    A valued option becomes ``--opt=value``; a shared-destination flag is the
+    one whose constant the value names (``symmetry = asymmetric`` gives
+    ``--asymmetric``); an on/off flag takes a configparser boolean
+    (``skip_source = yes`` gives ``--skip-source``, ``no`` gives nothing).
+    Each key's tokens are parsed on their own, so every error names its line.
     """
-    actions = list(parser._actions)
-    for sub_action in parser._subparsers._group_actions:
-        for sub in sub_action.choices.values():
-            actions.extend(sub._actions)
-    defaults = [action.default for action in actions]
-    for action in actions:
-        action.default = argparse.SUPPRESS
-    try:
-        return set(vars(parser.parse_args(argv)))
-    finally:
-        for action, default in zip(actions, defaults):
-            action.default = default
-
-
-def _apply_config(args: argparse.Namespace, explicit: set) -> None:
-    """Overlay config-file values for options not given on the command line."""
-    if not args.config:
-        return
-    file_values = load_config(args.config, args.command)
-    coercions = {
-        "eta_d": float, "eta_t": float, "eta_c": float, "tol": float,
-        "g": float, "m": int, "m_max": int, "cutoff": int, "workers": int,
-    }
-    for key, value in file_values.items():
-        if not hasattr(args, key):
-            line = _config_line_number(args.config, key)
-            location = f"{args.config}:{line}: " if line else ""
+    command_parser = parser.commands[command]
+    tokens = []
+    for key, value in load_config(path, command).items():
+        line = _config_line_number(path, command, key)
+        location = f"{path}:{line}: " if line else f"{path}: "
+        actions = [a for a in command_parser._actions
+                   if a.dest == key and a.dest != "help"]
+        if not actions:
             raise ValidationError(f"{location}unknown option {key!r}")
-        if key in explicit:
-            continue  # explicit flag wins
-        kind = coercions.get(key, str)
-        setattr(args, key, _coerce(args.config, key, value, kind))
+        if actions[0].nargs != 0:
+            given = [f"{actions[0].option_strings[0]}={value}"]
+        elif actions[0].const is True:
+            on = configparser.ConfigParser.BOOLEAN_STATES.get(value.lower())
+            if on is None:
+                raise ValidationError(f"{location}{key} must be yes or no, not {value!r}")
+            given = [actions[0].option_strings[0]] if on else []
+        else:
+            given = [a.option_strings[0] for a in actions if a.const == value]
+            if not given:
+                choices = ", ".join(repr(a.const) for a in actions)
+                raise ValidationError(
+                    f"{location}invalid value {value!r} for {key} (choose from {choices})"
+                )
+        try:
+            parser.parse_args([command, *given])
+        except ValidationError as exc:
+            raise ValidationError(f"{location}{exc}") from None
+        tokens += given
+    return tokens
 
 
 def _echo(args: argparse.Namespace) -> dict:
@@ -396,10 +389,13 @@ _RUNNERS = {
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, _explicit_keys(parser, argv))
+        if args.config:  # file values first, so command-line flags win
+            tokens = _config_tokens(parser, args.config, args.command)
+            args = parser.parse_args([args.command, *tokens, *argv[1:]])
         return _RUNNERS[args.command](args)
     except (ValidationError, ValueError) as exc:
         # Solvers (also in worker processes) reject bad parameters with ValueError.

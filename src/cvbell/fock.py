@@ -212,10 +212,6 @@ def annihilation(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, cutoff + 1, dtype=float)), k=1)
 
 
-def number_operator(cutoff: int) -> np.ndarray:
-    return np.diag(np.arange(cutoff + 1, dtype=float))
-
-
 def embedding_indices(sub: ModeBasis, full: ModeBasis) -> np.ndarray:
     """Indices of ``sub``'s occupation tuples inside ``full``.
 

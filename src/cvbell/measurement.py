@@ -177,7 +177,9 @@ def _ideal_binned_stack(deltas: np.ndarray, cutoff: int, slopes: bool = False):
 def _closed_form_constants(cutoff: int):
     """Per-cutoff factors of :func:`_ideal_binned_stack`."""
     n = np.arange(cutoff + 1)
-    mask = _fock_phase_signs(cutoff) * ((n[:, None] + n[None, :]) % 2 == 0)
+    # Real conjugation by diag(i^n): sign -1 where |n - m| = 2 mod 4.
+    signs = np.where((n[:, None] - n[None, :]) % 4 == 2, -1.0, 1.0)
+    mask = signs * ((n[:, None] + n[None, :]) % 2 == 0)
     gap = n[None, :] - n[:, None]
     off_diagonal = mask / np.where(gap == 0, np.inf, gap)
     up, down = np.sqrt((n[:, None] + 1) / 2.0), np.sqrt(n[1:, None] / 2.0)
@@ -193,15 +195,6 @@ def _ideal_binned_cached(deltas: tuple, cutoff: int) -> np.ndarray:
     M = _ideal_binned_stack(np.array(deltas), cutoff)
     M.setflags(write=False)
     return M
-
-
-@lru_cache(maxsize=32)
-def _fock_phase_signs(cutoff: int) -> np.ndarray:
-    """Real conjugation by diag(i^n): sign -1 where |n - m| = 2 mod 4."""
-    n = np.arange(cutoff + 1)
-    signs = np.where((n[:, None] - n[None, :]) % 4 == 2, -1.0, 1.0)
-    signs.setflags(write=False)
-    return signs
 
 
 def _deltas(deltas) -> np.ndarray:

@@ -24,16 +24,14 @@ from .bell import (
     optimize_delta,
 )
 from .local_amp import (
+    combined_source_and_local,
     filtered_chsh,
     filtered_critical_transmission,
     log_linear_fit,
     multi_filter_curve,
     psi2_state,
 )
-from .source_amp import (
-    amplified_source_threshold_with_filters,
-    source_critical_transmission,
-)
+from .source_amp import source_critical_transmission
 
 
 @dataclass
@@ -315,15 +313,11 @@ def reproduce_all(include_source: bool = True, source_cutoff: int = 6) -> Reprod
 
     if include_source:
         # --- combined scheme ---------------------------------------------------
-        def combined():
-            base = filtered_critical_transmission(2.0, tol=1e-3)
-            src = amplified_source_threshold_with_filters(
-                2.0, 1, cutoff=source_cutoff, tol=1e-3
-            )
-            return base, src
-
-        (base, src), dt = _timed(combined)
-        improvement = float("nan") if src is None else base - src
+        combined, dt = _timed(
+            lambda: combined_source_and_local(2.0, 1, cutoff=source_cutoff, tol=1e-3)
+        )
+        base, src = combined.threshold_psi2, combined.threshold_amplified_source
+        improvement = combined.improvement
         rows.append(
             ReportRow(
                 "9. source amplifier does not improve the filtered scheme",

@@ -355,6 +355,7 @@ def _heralded_gram(config: SourceConfig, inputs, input_cutoffs, scissor_mode: in
         input_cutoffs, scissor_mode, c_cutoff
     )
     _, anc, labels = _ancilla_branches(config, c_cutoff, photon)
+    weights = _herald_weights(config, big_cutoffs[scissor_mode], big_cutoffs[b_mode])
     output = output or (lambda branches: branches)
 
     n_in, d, P = inputs.shape
@@ -365,7 +366,7 @@ def _heralded_gram(config: SourceConfig, inputs, input_cutoffs, scissor_mode: in
         joint = _split(joint.reshape(n_in, d * len(block), W), small_cutoffs,
                        (scissor_mode, b_mode), 0.5, big_cutoffs)
         branches, probability = _condition_on_heralds(
-            config, big_cutoffs, joint, scissor_mode, b_mode
+            config, big_cutoffs, joint, scissor_mode, b_mode, weights
         )
         del joint  # the pass's largest array; free it before the output stage
         part = _gram(output(branches))
@@ -383,6 +384,15 @@ def _herald_patterns(config: SourceConfig):
     if config.herald_pattern == "either":
         return ("d1", "d2")
     return (config.herald_pattern,)
+
+
+def _herald_weights(config: SourceConfig, a_cutoff: int, b_cutoff: int) -> np.ndarray:
+    """D1/D2 weights of each herald pattern, ``(patterns, 1, d_a, d_b)``."""
+    click_a, no_click_a = _detector_diags(config.herald_efficiency, a_cutoff)
+    click_b, no_click_b = _detector_diags(config.herald_efficiency, b_cutoff)
+    pattern_weights = {"d1": (click_a, no_click_b), "d2": (no_click_a, click_b)}
+    patterns = _herald_patterns(config)
+    return np.stack([np.outer(*pattern_weights[p]) for p in patterns])[:, None]
 
 
 def _herald_blocks(joint: np.ndarray, cutoffs, a_mode: int, b_mode: int):
@@ -415,8 +425,10 @@ def _detected(blocks: np.ndarray, weights: np.ndarray):
     return scale[:, None, None] * blocks, keep, float(weighted[keep].sum())
 
 
-def _condition_on_heralds(config: SourceConfig, cutoffs, joint, a_mode, b_mode):
+def _condition_on_heralds(config: SourceConfig, cutoffs, joint, a_mode, b_mode, weights):
     """Split branches over the D1/D2 outcomes, keeping the other modes.
+
+    ``weights`` is the :func:`_herald_weights` stack of the herald modes.
 
     Returns the heralded branches as one ``(K, dim, P)`` stack over the kept
     modes and their probability.  Every (pattern, branch, na, nb) whose
@@ -426,16 +438,10 @@ def _condition_on_heralds(config: SourceConfig, cutoffs, joint, a_mode, b_mode):
     prepare the same state.  The probability is the squared Frobenius norm
     summed over the kept blocks, the herald probability when P is 1.
     """
-    click_a, no_click_a = _detector_diags(config.herald_efficiency, cutoffs[a_mode])
-    click_b, no_click_b = _detector_diags(config.herald_efficiency, cutoffs[b_mode])
-    pattern_weights = {"d1": (click_a, no_click_b), "d2": (no_click_a, click_b)}
-    patterns = _herald_patterns(config)
-    weights = np.stack([np.outer(*pattern_weights[p]) for p in patterns])[:, None]
-
     kept_cutoffs = tuple(c for m, c in enumerate(cutoffs) if m not in (a_mode, b_mode))
     T = _herald_blocks(joint, cutoffs, a_mode, b_mode)
     branches, keep, probability = _detected(T[None], weights)
-    if patterns[0] == "d1":
+    if _herald_patterns(config)[0] == "d1":
         branches[:int(keep[0].sum())] *= _parity_last_mode(kept_cutoffs)[:, None]
     return branches, probability
 

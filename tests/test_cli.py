@@ -3,6 +3,7 @@ import json
 import pytest
 
 import cvbell.cli
+import cvbell.reproduce
 from cvbell.cli import ValidationError, main, parse_grid
 
 
@@ -10,6 +11,24 @@ def run_cli(args, tmp_path, name="out.csv"):
     out = tmp_path / name
     code = main(args + ["--output", str(out)])
     return code, out
+
+
+def fake_reproduce_all(monkeypatch) -> dict:
+    """Replace the report with an empty one; returns the arguments it gets."""
+    received = {}
+
+    def reproduce_all(**kwargs):
+        received.update(kwargs)
+        return cvbell.reproduce.ReproductionReport()
+
+    monkeypatch.setattr(cvbell.cli, "reproduce_all", reproduce_all)
+    return received
+
+
+def assert_one_error_line(err: str, location: str):
+    assert err.startswith("cvbell: error: ")
+    assert err.count("\n") == 1  # one line, no traceback
+    assert location in err
 
 
 class TestParsing:
@@ -44,12 +63,18 @@ class TestParsing:
         assert code == 0
         assert len(built) == 1
 
-    def test_explicit_keys_restore_the_defaults(self):
-        parser = cvbell.cli.build_parser()
-        argv = ["source-amp", "--eta-c", "0.9"]
-        before = parser.parse_args(argv)
-        assert cvbell.cli._explicit_keys(parser, argv) >= {"command", "eta_c"}
-        assert parser.parse_args(argv) == before
+    def test_one_parse_without_config(self, tmp_path, monkeypatch):
+        original, calls = cvbell.cli._Parser.parse_args, []
+
+        def parse_args(self, *args, **kwargs):
+            calls.append(args)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(cvbell.cli._Parser, "parse_args", parse_args)
+        monkeypatch.setattr(cvbell.cli, "critical_efficiency", lambda *a, **k: None)
+        code, _ = run_cli(["threshold", "--eta-d", "0.9"], tmp_path)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_seed_flag_removed(self, capsys):
         assert main(["threshold", "--seed", "1"]) == 1
@@ -154,11 +179,16 @@ class TestSourceAmpCommand:
         sidecar = json.loads((tmp_path / "out.json").read_text())
         assert received["cutoff"] == sidecar["effective_config"]["cutoff"] == 3
 
-    def test_flag_default_is_not_explicit(self):
+    def test_flag_default_is_not_explicit(self, tmp_path, monkeypatch):
         parser = cvbell.cli.build_parser()
         for command in ("source-amp", "reproduce-all"):
-            assert cvbell.cli._explicit_keys(parser, [command]) == {"command"}
             assert parser.parse_args([command]).cutoff == 6
+        received = fake_reproduce_all(monkeypatch)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[reproduce-all]\ncutoff = 3\n")
+        code, _ = run_cli(["reproduce-all", "--config", str(cfg)], tmp_path)
+        assert code == 0
+        assert received["source_cutoff"] == 3  # the default does not beat the file
 
 
 class TestLocalAmpCommand:
@@ -246,3 +276,64 @@ class TestConfigFile:
 
     def test_missing_config_file(self, capsys):
         assert main(["threshold", "--config", "/nonexistent.ini"]) == 1
+
+    @pytest.mark.parametrize("value, include_source", [
+        ("no", True), ("false", True), ("yes", False), ("on", False),
+    ])
+    def test_skip_source_is_a_boolean(self, value, include_source, tmp_path,
+                                      monkeypatch):
+        received = fake_reproduce_all(monkeypatch)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[reproduce-all]\nskip_source = {value}\n")
+        code, _ = run_cli(["reproduce-all", "--config", str(cfg)], tmp_path)
+        assert code == 0
+        assert received["include_source"] is include_source
+
+    @pytest.mark.parametrize("section", [
+        "[threshold]\neta_d = 0.9\nstate = bogus\n",
+        "[threshold]\neta_d = 0.9\nsymmetry = bogus\n",
+        "[reproduce-all]\ncutoff = 4\nskip_source = maybe\n",
+    ])
+    def test_bad_choice_names_its_line(self, section, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(section)
+        command = section[1:section.index("]")]
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
+        assert_one_error_line(capsys.readouterr().err, f"{cfg}:3:")
+        assert not out.exists()
+
+    def test_line_number_is_read_in_the_command_section(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[region]\neta-d = 0.5\n\n[threshold]\neta-d = oops\n")
+        assert main(["threshold", "--config", str(cfg)]) == 1
+        assert_one_error_line(capsys.readouterr().err, f"{cfg}:5:")
+
+    def test_symmetric_flag_overrides_config(self, tmp_path, monkeypatch):
+        received = {}
+
+        def solve(target, **kwargs):
+            received.update(kwargs)
+            return None
+
+        monkeypatch.setattr(cvbell.cli, "critical_efficiency", solve)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[threshold]\nsymmetry = asymmetric\n")
+        code, _ = run_cli(["threshold", "--config", str(cfg)], tmp_path)
+        assert code == 0 and received["symmetry"] == "asymmetric"
+        code, _ = run_cli(["threshold", "--symmetric", "--config", str(cfg)], tmp_path)
+        assert code == 0 and received["symmetry"] == "symmetric"
+
+    def test_value_may_start_with_a_dash(self, tmp_path, monkeypatch):
+        received = {}
+
+        def boundary(grid, **kwargs):
+            received.update(kwargs)
+            return []
+
+        monkeypatch.setattr(cvbell.cli, "source_region_boundary", boundary)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[source-amp]\neta-d-grid =\ntol = -1e-3\n")
+        code, out = run_cli(["source-amp", "--config", str(cfg)], tmp_path)
+        assert code == 0
+        assert received["tol"] == -1e-3
