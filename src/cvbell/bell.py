@@ -117,12 +117,6 @@ def _product_basis(cutoff_a: int, cutoff_b: int) -> ModeBasis:
     return ModeBasis((cutoff_a, cutoff_b))
 
 
-@lru_cache(maxsize=64)
-def _cap_indices(cutoff_a: int, cutoff_b: int, total_cap: int) -> np.ndarray:
-    sub = ModeBasis((cutoff_a, cutoff_b), total_cap=total_cap)
-    return embedding_indices(sub, _product_basis(cutoff_a, cutoff_b))
-
-
 def party_observables(party: PartyConditions, deltas, cutoff: int):
     """Binned-homodyne observables X (one per delta) and photodetection N."""
     X = binned_homodyne_povms(party.eta_h * party.eta_t, deltas, cutoff)[2]
@@ -173,25 +167,45 @@ def _mode_slopes(basis, alice, bob, deltas):
     return ((Xa, plus), (Na, Xb - Nb)), ((dXa, plus), (Xa + Na, dXb))
 
 
+@lru_cache(maxsize=64)
+def _kron_gather(cutoff_a: int, cutoff_b: int, total_cap) -> tuple[np.ndarray, np.ndarray]:
+    """Where each entry of a two-mode operator sits in its per-mode factors.
+
+    With ``(alpha_i, beta_i)`` the occupations of element i of the (capped)
+    basis, entry ``(i, j)`` of ``a (x) b`` is ``a[alpha_i, alpha_j]
+    b[beta_i, beta_j]``.  Returns the read-only ``(d, d)`` flat indices of
+    those entries into the raveled single-mode matrices.
+    """
+    alpha, beta = ModeBasis((cutoff_a, cutoff_b), total_cap=total_cap).occupations.T
+    gathers = (alpha[:, None] * (cutoff_a + 1) + alpha,
+               beta[:, None] * (cutoff_b + 1) + beta)
+    for index in gathers:
+        index.setflags(write=False)
+    return gathers
+
+
 def _capped_kron(basis: ModeBasis, terms) -> np.ndarray:
-    """``sum a (x) b`` over the (a, b) pairs, stacked over delta, on the basis."""
-    (a, b), (c, d) = terms
-    B = (a[..., :, None, :, None] * b[..., None, :, None, :]
-         + c[..., :, None, :, None] * d[..., None, :, None, :])
-    G, da, db = B.shape[:3]
-    B = B.reshape(G, da * db, da * db)
-    if basis.total_cap is not None:
-        idx = _cap_indices(da - 1, db - 1, basis.total_cap)
-        B = B[:, idx[:, None], idx]
-    return B
+    """``sum a (x) b`` over the (a, b) pairs, stacked over delta, on the basis.
+
+    Each entry is gathered from the per-mode factors (:func:`_kron_gather`),
+    so only the basis's entries are formed, never the full Kronecker product.
+    A factor may be one matrix or a stack; the stacks broadcast.
+    """
+    out = None
+    for a, b in terms:
+        ia, ib = _kron_gather(a.shape[-1] - 1, b.shape[-1] - 1, basis.total_cap)
+        term = (np.take(a.reshape(*a.shape[:-2], -1), ia, axis=-1)
+                * np.take(b.reshape(*b.shape[:-2], -1), ib, axis=-1))
+        out = term if out is None else out + term
+    return out
 
 
 def bell_matrices(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions,
                   deltas, deltas_bob=None) -> np.ndarray:
     """Bell operators for a stack of bin half-widths, shape ``(G, d, d)``.
 
-    One batched Kronecker product of the per-mode stacks, projected onto the
-    basis if it is capped.  ``deltas_bob`` gives Bob his own half-widths.
+    Each entry is gathered from the per-mode stacks (:func:`_capped_kron`);
+    ``deltas_bob`` gives Bob his own half-widths.
     """
     Xa, Na, plus, minus = _mode_observables(basis, alice, bob, deltas, deltas_bob)
     return _capped_kron(basis, ((Xa, plus), (Na, minus)))

@@ -68,6 +68,29 @@ def parse_grid(text: str) -> list[float]:
     return [float(x) for x in np.linspace(start, stop, count)]
 
 
+def _efficiency(text: str) -> float:
+    """An efficiency flag's value, in [0, 1]; errors name the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return value
+
+
+def _efficiency_grid(text: str) -> str:
+    """A grid of efficiencies (:func:`parse_grid`), checked and kept as text."""
+    try:
+        grid = parse_grid(text)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    for value in grid:
+        if not 0.0 <= value <= 1.0:
+            raise argparse.ArgumentTypeError(f"values must lie in [0, 1], got {value}")
+    return text
+
+
 def load_config(path: str, command: str) -> dict:
     parser = configparser.ConfigParser()
     try:
@@ -122,34 +145,34 @@ def build_parser() -> _Parser:
     common(p)
     symmetry(p)
     p.add_argument("--target", choices=["eta-t", "eta-d"], default="eta-t")
-    p.add_argument("--eta-d", type=float, default=1.0)
-    p.add_argument("--eta-t", type=float, default=1.0)
+    p.add_argument("--eta-d", type=_efficiency, default=1.0)
+    p.add_argument("--eta-t", type=_efficiency, default=1.0)
     p.add_argument("--state", choices=["optimal", "psi2"], default="optimal")
 
     p = sub.add_parser("region", help="violation-region boundary")
     common(p)
     symmetry(p)
-    p.add_argument("--eta-d-grid", default="0.6:1.0:9")
+    p.add_argument("--eta-d-grid", type=_efficiency_grid, default="0.6:1.0:9")
     p.add_argument("--state", choices=["optimal", "psi2"], default="optimal")
 
     p = sub.add_parser("source-amp", help="amplified-source region boundary")
     common(p, cutoff=6)
     symmetry(p)
-    p.add_argument("--eta-d-grid", default="0.8:1.0:3")
-    p.add_argument("--eta-c", type=float, default=1.0)
+    p.add_argument("--eta-d-grid", type=_efficiency_grid, default="0.8:1.0:3")
+    p.add_argument("--eta-c", type=_efficiency, default=1.0)
 
     p = sub.add_parser("local-amp", help="filtered critical transmission")
     common(p)
     p.add_argument("--g", type=float, default=2.0)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--eta-d", type=float, default=1.0)
-    p.add_argument("--eta-c", type=float, default=1.0)
+    p.add_argument("--eta-d", type=_efficiency, default=1.0)
+    p.add_argument("--eta-c", type=_efficiency, default=1.0)
 
     p = sub.add_parser("multi-filter", help="threshold vs filter applications")
     common(p)
     p.add_argument("--g", type=float, default=2.0)
     p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--eta-d", type=float, default=1.0)
+    p.add_argument("--eta-d", type=_efficiency, default=1.0)
 
     p = sub.add_parser("reproduce-all", help="run every reference check")
     common(p, cutoff=6)

@@ -55,9 +55,11 @@ from .fock import (
     embedding_indices,
     loss_kraus,
 )
-from .measurement import DELTA_MAX, photodetection_povm
+from .measurement import DELTA_MAX, _loss_kraus_stack, _through_loss, photodetection_povm
 from .bell import (
     PartyConditions,
+    _capped_kron,
+    _mode_observables,
     bell_matrices,
     bisect_threshold,
     golden_section_max,
@@ -245,9 +247,9 @@ def _cached(cache: dict, size: int, key, build):
     return value
 
 
-#: Embedded loss Kraus operators by (cutoffs, total_cap, eta, mode); bounded,
-#: as each filtered-threshold bisection step brings a new eta.  perfbench
-#: reads this name.
+#: Embedded loss Kraus operators by (cutoffs, total_cap, eta, mode), for the
+#: coupling loss of the circuit's arms (:func:`_loss_branches`); bounded, as
+#: each coupling efficiency adds entries.  perfbench reads this name.
 _CAPPED_LOSS_CACHE: dict = {}
 _LOSS_CACHE_SIZE = 16
 
@@ -930,6 +932,65 @@ def source_region_boundary(
     return map_ordered(solve, eta_d_values, workers=workers)
 
 
+def _lossy_state(basis: ModeBasis, rho: np.ndarray, eta: float) -> np.ndarray:
+    """Transmission ``eta`` on both modes of a matrix on a two-mode capped basis.
+
+    The matrix is padded into the product basis as the ``(a, b, a', b')``
+    tensor.  Each mode's loss ``M -> sum_k A_k M A_k^T``, over its real Kraus
+    operators (:func:`cvbell.measurement._loss_kraus_stack`), is the matrix
+    ``sum_k A_k (x) A_k`` on that mode's raveled ``(n, n')`` pair, applied
+    in one product with the pair's axes last.  Loss never raises the photon
+    number, so cutting back to the cap afterwards is exact.
+    """
+    ca, cb = basis.cutoffs
+    idx = _embed_idx(basis.cutoffs, basis.total_cap, basis.cutoffs, None)
+    full = np.zeros(((ca + 1) * (cb + 1),) * 2, dtype=rho.dtype)
+    full[np.ix_(idx, idx)] = rho
+    T = full.reshape(ca + 1, cb + 1, ca + 1, cb + 1).transpose(1, 3, 0, 2)
+    for cutoff in (ca, cb):  # mode a on (b, b', a, a'), then mode b on (a, a', b, b')
+        n = cutoff + 1
+        kraus = _loss_kraus_stack(float(eta), cutoff).reshape(-1, n * n)
+        # channel[(n, n'), (m, m')] = sum_k A_k[n, m] A_k[n', m']
+        channel = (kraus.T @ kraus).reshape((n,) * 4).transpose(0, 2, 1, 3).reshape(n * n, -1)
+        T = (T.reshape(-1, n * n) @ channel.T).reshape(T.shape).transpose(2, 3, 0, 1)
+    full = T.transpose(2, 0, 3, 1).reshape(full.shape)
+    return full[np.ix_(idx, idx)]
+
+
+def _filtered_pullback(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions,
+                       deltas, gain: float, applications: int):
+    """The filtered Bell stack and ``F^2``, pulled back through a two-mode loss.
+
+    Returns ``pullback(eta)``, which gives ``L^dag(F B F)`` for the Bell
+    operators of the two parties at ``deltas``, and ``L^dag(F^2)``, on the
+    capped two-mode ``basis``, with ``F`` the filter of ``gain`` applied
+    ``applications`` times on each mode and ``L`` the transmission ``eta``
+    on each mode.  Both are assembled from single-mode factors (see
+    :func:`amplified_source_threshold_with_filters`).
+    """
+    Xa, Na, plus, minus = _mode_observables(basis, alice, bob, deltas)
+
+    def filtered(*ops):
+        """``f O f`` for each stack, with ``f^2`` last: one mode's factors."""
+        cutoff = ops[0].shape[-1] - 1
+        f = filter_diagonal(_basis((cutoff,)), gain, applications)
+        stack = np.concatenate([*(op.reshape(-1, cutoff + 1, cutoff + 1) for op in ops),
+                                np.eye(cutoff + 1)[None]])
+        return f[:, None] * stack * f, cutoff
+
+    # The filtered factors do not depend on eta.
+    (alice_ops, ca), (bob_ops, cb) = filtered(Xa, Na), filtered(plus, minus)
+    G = len(Xa)
+
+    def pullback(eta: float):
+        xa, na, square_a = np.split(_through_loss(eta, alice_ops, ca), [G, G + 1])
+        xb_plus, xb_minus, square_b = np.split(_through_loss(eta, bob_ops, cb), [G, 2 * G])
+        bells = _capped_kron(basis, ((xa, xb_plus), (na, xb_minus)))
+        return bells, _capped_kron(basis, ((square_a, square_b),))[0]
+
+    return pullback
+
+
 def amplified_source_threshold_with_filters(
     gain: float,
     applications: int = 1,
@@ -946,6 +1007,22 @@ def amplified_source_threshold_with_filters(
     sit between the channel and the measurements), is filtered on both
     modes, and is measured with detector efficiency ``eta_d``.  The source
     parameters and bin half-width are re-optimized at every bisection step.
+
+    Every factor of the measured expectation is a product over the two
+    modes: the filter is ``F = f (x) f``, the transmission loss is
+    ``L = L_a (x) L_b`` and the Bell operator is ``Xa (x) (Xb + Nb) +
+    Na (x) (Xb - Nb)``.  So ``Tr(F L(rho) F B) = Tr(rho L^dag(F B F))`` with
+
+        L^dag(F (A (x) B) F) = L_a^dag(f A f) (x) L_b^dag(f B f),
+
+    and likewise for ``F^2``, the trace of the filtered state.  Each step
+    pulls the single-mode stacks back through the loss
+    (:func:`cvbell.measurement._through_loss`) and gathers the capped
+    two-mode entries from them (:func:`_filtered_pullback`).  Capping after
+    the pullback is exact, because loss never raises the photon number and
+    the source's output basis holds every occupation up to its cap.  The
+    chosen state goes forward through the loss one mode at a time
+    (:func:`_lossy_state`).
     """
     lam_grid = lam_grid or default_squeezing_grid(20)
     t_grid = t_grid or default_transmission_grid(30)
@@ -953,25 +1030,15 @@ def amplified_source_threshold_with_filters(
     inputs = _input_weights(lam_grid, t_grid, cutoff)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
     F = filter_diagonal(basis, gain, applications)
-    # Tr(F L(rho) F B) = Tr(rho L^dag(F B F)): the filtered Bell operators and
-    # F^2 (the trace), pulled back through the transmission loss L.  The
-    # parties do not change between bisection steps.
-    bells = bell_matrices(basis, party, party, np.linspace(0.0, DELTA_MAX, 61))
-    observables = np.concatenate([F[:, None] * bells * F, np.diag(F * F)[None]])
-
-    def through_loss(ops, eta_t, adjoint):
-        for mode in (0, 1):
-            # The embedded loss Kraus operators are real.
-            kraus = _loss_embed(basis, eta_t, mode).real[:, None]
-            if adjoint:
-                kraus = kraus.swapaxes(-1, -2)
-            ops = (kraus @ ops @ kraus.swapaxes(-1, -2)).sum(axis=0)
-        return ops
+    pullback = _filtered_pullback(
+        basis, party, party, np.linspace(0.0, DELTA_MAX, 61), gain, applications
+    )
 
     def max_chsh(eta_t):
-        forms = _pair_forms(gram, through_loss(observables, eta_t, adjoint=True))
+        bells, trace = pullback(eta_t)
+        forms = _pair_forms(gram, np.concatenate([bells, trace[None]]))
         _, k, _ = _best_on_grid(forms[:-1], forms[-1], inputs)
-        rho = through_loss(_image_state(basis, gram, inputs[k]).matrix[None], eta_t, False)[0]
+        rho = _lossy_state(basis, _image_state(basis, gram, inputs[k]).matrix, eta_t)
         rho = F[:, None] * rho * F
         best = DensityOperator(basis, rho / np.trace(rho).real)
         return optimize_delta(party, party, state=best, grid_points=61, tol=1e-5)[1]

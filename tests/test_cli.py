@@ -98,6 +98,19 @@ def test_bad_input_exits_cleanly(args, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["threshold", "--eta-d", "-0.5"], "--eta-d"),
+    (["threshold", "--eta-t", "1.5"], "--eta-t"),
+    (["local-amp", "--eta-c", "2"], "--eta-c"),
+    (["region", "--eta-d-grid", "0.5:1.2:3"], "--eta-d-grid"),
+])
+def test_out_of_range_flag_is_named(args, flag, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    assert main(args + ["--output", str(out)]) == 1
+    assert_one_error_line(capsys.readouterr().err, f"argument {flag}: ")
+    assert not out.exists()
+
+
 class TestThresholdCommand:
     def test_symmetric_transmission_threshold(self, tmp_path):
         code, out = run_cli(["threshold", "--symmetric", "--eta-d", "1"], tmp_path)
@@ -295,6 +308,23 @@ class TestConfigFile:
         "[reproduce-all]\ncutoff = 4\nskip_source = maybe\n",
     ])
     def test_bad_choice_names_its_line(self, section, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(section)
+        command = section[1:section.index("]")]
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
+        assert_one_error_line(capsys.readouterr().err, f"{cfg}:3:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section", [
+        "[threshold]\n# comment\neta_d = -0.5\n",
+        "[threshold]\nstate = psi2\neta_t = 1.5\n",
+        "[local-amp]\ng = 2\neta_c = 2\n",
+        "[source-amp]\ncutoff = 3\neta_c = nan\n",
+        "[region]\nstate = psi2\neta_d_grid = 0.5:1.2:3\n",
+        "[source-amp]\ncutoff = 3\neta_d_grid = 0.9:1:0x\n",
+    ])
+    def test_out_of_range_value_names_its_line(self, section, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
         cfg.write_text(section)
         command = section[1:section.index("]")]

@@ -1,0 +1,106 @@
+"""Capped two-mode operators built from their per-mode factors.
+
+``bell._capped_kron`` gathers the entries of ``sum a (x) b`` that a capped
+basis keeps; ``np.kron`` followed by the capped-index projection is the
+reference, entry for entry.  The filtered-source threshold pulls its
+filtered Bell operators and ``F^2`` back through the transmission loss one
+mode at a time (``source_amp._filtered_pullback``) and sends the chosen
+state forward the same way (``source_amp._lossy_state``); the two-mode Kraus
+operators of ``fock.embed_single_mode`` and ``fock.loss_kraus`` are the
+reference for both.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import cvbell.source_amp as sa
+from cvbell.bell import PartyConditions, _capped_kron, bell_matrices
+from cvbell.fock import ModeBasis, embed_single_mode, embedding_indices, loss_kraus
+from cvbell.local_amp import filter_diagonal
+from cvbell.measurement import DELTA_MAX
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def kron_cases(draw):
+    cutoffs = (draw(st.integers(0, 7)), draw(st.integers(0, 7)))
+    cap = draw(st.none() | st.integers(0, sum(cutoffs)))
+    return ModeBasis(cutoffs, total_cap=cap), draw(st.integers(1, 5)), draw(st.booleans())
+
+
+def kron_reference(basis, terms):
+    """``np.kron`` of every pair at every stack index, summed, then projected."""
+    (a, b), (c, d) = terms
+    c = np.broadcast_to(c, (len(a),) + c.shape[-2:])
+    full = np.stack([np.kron(a[g], b[g]) + np.kron(c[g], d[g]) for g in range(len(a))])
+    idx = embedding_indices(basis, ModeBasis(basis.cutoffs))
+    return full[:, idx[:, None], idx]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=kron_cases(), seed=seeds)
+def test_capped_kron_equals_projected_kron(case, seed):
+    basis, G, single = case
+    rng = np.random.default_rng(seed)
+    da, db = (c + 1 for c in basis.cutoffs)
+    a, c = rng.normal(size=(G, da, da)), rng.normal(size=(G, da, da))
+    b, d = rng.normal(size=(G, db, db)), rng.normal(size=(G, db, db))
+    if single:  # one matrix against a stack, as Alice's N in the Bell operator
+        c = c[0]
+    terms = ((a, b), (c, d))
+    got = _capped_kron(basis, terms)
+    assert got.shape == (G, basis.dimension, basis.dimension)
+    assert np.array_equal(got, kron_reference(basis, terms))
+
+
+def embedded_loss(basis, eta):
+    """Each mode's loss Kraus operators, embedded in the two-mode basis."""
+    return [
+        [embed_single_mode(basis, A, mode).real for A in loss_kraus(eta, basis.cutoffs[mode])]
+        for mode in (0, 1)
+    ]
+
+
+def through_embedded(ops, kraus, adjoint):
+    """``sum_k E_k^T O E_k`` (adjoint) or ``sum_k E_k O E_k^T``, mode 0 then mode 1."""
+    for mode_kraus in kraus:
+        ops = sum(E.T @ ops @ E if adjoint else E @ ops @ E.T for E in mode_kraus)
+    return ops
+
+
+def assert_relatively_close(got, expected, rtol=1e-12):
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) <= rtol * np.max(np.abs(expected))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    eta=st.floats(min_value=0.0, max_value=1.0),
+    gain=st.floats(min_value=1.0, max_value=4.0),
+    applications=st.integers(1, 3),
+    cutoff=st.integers(1, 6),
+    eta_d=st.tuples(*[st.floats(min_value=0.0, max_value=1.0)] * 2),
+    seed=seeds,
+)
+def test_per_mode_loss_matches_embedded_kraus(eta, gain, applications, cutoff, eta_d, seed):
+    # The source output basis: every occupation up to the cap.  Unequal
+    # parties make the Bell operator tell the two modes apart.
+    basis = ModeBasis((cutoff, cutoff), total_cap=cutoff)
+    alice, bob = (PartyConditions(eta_d=e) for e in eta_d)
+    rng = np.random.default_rng(seed)
+    deltas = rng.uniform(0.0, DELTA_MAX, size=3)
+    kraus = embedded_loss(basis, eta)
+    F = filter_diagonal(basis, gain, applications)
+
+    bells, trace = sa._filtered_pullback(basis, alice, bob, deltas, gain, applications)(eta)
+    filtered = F[:, None] * bell_matrices(basis, alice, bob, deltas) * F
+    assert_relatively_close(bells, through_embedded(filtered, kraus, adjoint=True))
+    assert_relatively_close(trace, through_embedded(np.diag(F * F), kraus, adjoint=True))
+
+    M = rng.normal(size=(basis.dimension,) * 2) + 1j * rng.normal(size=(basis.dimension,) * 2)
+    rho = M @ M.conj().T
+    assert_relatively_close(
+        sa._lossy_state(basis, rho, eta), through_embedded(rho, kraus, adjoint=False)
+    )
