@@ -19,6 +19,7 @@ from .fock import (
     fidelity,
     fock_state,
     hermitian_eig,
+    hermitian_eigvals,
     loss_kraus,
     partial_trace,
     tensor,

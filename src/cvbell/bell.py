@@ -30,6 +30,7 @@ from .fock import (
     anchor_phase,
     embedding_indices,
     hermitian_eig,
+    hermitian_eigvals,
 )
 from .measurement import (
     DELTA_MAX,
@@ -117,13 +118,6 @@ def _product_basis(cutoff_a: int, cutoff_b: int) -> ModeBasis:
     return ModeBasis((cutoff_a, cutoff_b))
 
 
-def party_observables(party: PartyConditions, deltas, cutoff: int):
-    """Binned-homodyne observables X (one per delta) and photodetection N."""
-    X = binned_homodyne_povms(party.eta_h * party.eta_t, deltas, cutoff)[2]
-    N = photodetection_povm(party.eta_d * party.eta_t, cutoff)[2]
-    return X, N
-
-
 def _trimmed_cutoffs(basis: ModeBasis) -> tuple[int, int]:
     """Per-mode cutoffs ``min(cutoff, total_cap)``.
 
@@ -140,10 +134,22 @@ def _trimmed_cutoffs(basis: ModeBasis) -> tuple[int, int]:
 
 
 def _mode_observables(basis, alice, bob, deltas, deltas_bob=None):
-    """Alice's (X, N) and Bob's (X + N, X - N) at the trimmed cutoffs."""
+    """Binned-homodyne X (one per delta) and photodetection N of each party.
+
+    Returns Alice's (X, N) and Bob's (X + N, X - N) at the trimmed cutoffs;
+    ``deltas_bob`` gives Bob his own half-widths.
+    """
     ca, cb = _trimmed_cutoffs(basis)
-    Xa, Na = party_observables(alice, deltas, ca)
-    Xb, Nb = party_observables(bob, deltas if deltas_bob is None else deltas_bob, cb)
+    eta_a, eta_b = alice.eta_h * alice.eta_t, bob.eta_h * bob.eta_t
+    if deltas_bob is None:
+        deltas_bob = deltas
+    Xa = binned_homodyne_povms(eta_a, deltas, ca)[2]
+    if (eta_b, cb) == (eta_a, ca) and np.array_equal(deltas_bob, deltas):
+        Xb = Xa  # a symmetric setup: Bob's are Alice's
+    else:
+        Xb = binned_homodyne_povms(eta_b, deltas_bob, cb)[2]
+    Na = photodetection_povm(alice.eta_d * alice.eta_t, ca)[2]
+    Nb = photodetection_povm(bob.eta_d * bob.eta_t, cb)[2]
     return Xa, Na, Xb + Nb, Xb - Nb
 
 
@@ -276,7 +282,7 @@ def _top_eigenvalue(basis: ModeBasis, alice: PartyConditions, bob: PartyConditio
     """
 
     def top(deltas):
-        return hermitian_eig(bell_matrices(basis, alice, bob, deltas))[0][:, -1]
+        return hermitian_eigvals(bell_matrices(basis, alice, bob, deltas))[:, -1]
 
     def top_and_slope(deltas):
         values, slopes = _mode_slopes(basis, alice, bob, deltas)
@@ -332,6 +338,9 @@ class DeltaSearch:
     maximum is interior, off a plateau, but the slope does not fall from
     positive to negative across its bracket: the objective then has more
     than one critical point there, and the grid maximum is returned.
+    ``refined`` is False when the grid maximum already exceeded the
+    search's ``stop_above``: the refine did not run, and ``value`` is the
+    grid maximum, a lower bound on the optimum.
     """
 
     delta: float
@@ -340,6 +349,7 @@ class DeltaSearch:
     bracket: tuple[float, float]
     evaluations: int
     unimodal: bool = True
+    refined: bool = True
 
 
 def refine_slope_root(value_and_slope, lo: float, hi: float, tol: float):
@@ -393,6 +403,7 @@ def search_delta(
     total_cap: int = 2,
     grid_points: int = 241,
     tol: float = 1e-6,
+    stop_above: float | None = None,
 ) -> DeltaSearch:
     """The delta search of :func:`optimize_delta`, with its record."""
     if state is None:
@@ -407,6 +418,8 @@ def search_delta(
     lo = grid[max(k - 1, 0)]
     hi = grid[min(k + 1, grid_points - 1)]
     keep_grid = DeltaSearch(float(grid[k]), float(values[k]), k, (float(lo), float(hi)), 0)
+    if stop_above is not None and values[k] > stop_above:
+        return replace(keep_grid, refined=False)
     if hi <= lo:
         return keep_grid
     delta_star, best, evaluations = refine_slope_root(value_and_slope, lo, hi, tol)
@@ -431,6 +444,7 @@ def optimize_delta(
     total_cap: int = 2,
     grid_points: int = 241,
     tol: float = 1e-6,
+    stop_above: float | None = None,
 ) -> tuple[float, float]:
     """Best bin half-width and the CHSH value it achieves.
 
@@ -440,10 +454,14 @@ def optimize_delta(
     evaluated in one batched call.  Between the best grid point's neighbours
     a safeguarded root search on the objective's delta-derivative
     (:func:`refine_slope_root`) refines to ``tol``; where the slope has no
-    root there, the grid maximizer is kept.  :func:`search_delta` returns
-    the same search with its record.
+    root there, the grid maximizer is kept.  The search never returns less
+    than its grid maximum, so when that exceeds ``stop_above`` the refine
+    cannot change whether the optimum does, and the grid point is returned
+    unrefined: a threshold solve passes its violation bound here.
+    :func:`search_delta` returns the same search with its record.
     """
-    search = search_delta(alice, bob, state, cutoff, total_cap, grid_points, tol)
+    search = search_delta(alice, bob, state, cutoff, total_cap, grid_points, tol,
+                          stop_above)
     return search.delta, search.value
 
 
@@ -486,21 +504,24 @@ def _scenario_for(
 #: above eigensolver noise.
 VIOLATION_MARGIN = 1e-7
 
+#: A threshold solve counts a max-CHSH value above this as a violation.
+VIOLATION_BOUND = 2.0 + VIOLATION_MARGIN
+
 
 def bisect_threshold(max_chsh, lo: float = 0.0, hi: float = 1.0, tol: float = 1e-4):
     """Smallest parameter value at which ``max_chsh`` exceeds 2.
 
-    Assumes monotonicity (more efficiency never hurts).  Returns ``None``
-    when there is no violation at the upper end.
+    A value counts as a violation above :data:`VIOLATION_BOUND`.  Assumes
+    monotonicity (more efficiency never hurts).  Returns ``None`` when there
+    is no violation at the upper end.
     """
-    bound = 2.0 + VIOLATION_MARGIN
-    if max_chsh(hi) <= bound:
+    if max_chsh(hi) <= VIOLATION_BOUND:
         return None
-    if max_chsh(lo) > bound:
+    if max_chsh(lo) > VIOLATION_BOUND:
         return lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
-        if max_chsh(mid) > bound:
+        if max_chsh(mid) > VIOLATION_BOUND:
             hi = mid
         else:
             lo = mid
@@ -522,7 +543,8 @@ def critical_efficiency(
 
     ``target`` is ``"eta_t"`` or ``"eta_d"``; the other efficiency is held at
     the supplied value.  The bin half-width (and, when ``state`` is None, the
-    subspace state) is re-optimized at every bisection step.
+    subspace state) is re-optimized at every bisection step; a step whose
+    delta grid already violates is decided there (``stop_above``).
     """
     if target not in ("eta_t", "eta_d"):
         raise ValueError("target must be 'eta_t' or 'eta_d'")
@@ -532,7 +554,8 @@ def critical_efficiency(
         kwargs[target] = value
         scen = _scenario_for(symmetry, eta_h=eta_h, **kwargs)
         return optimize_delta(
-            scen.alice, scen.bob, state=state, cutoff=cutoff, total_cap=total_cap
+            scen.alice, scen.bob, state=state, cutoff=cutoff, total_cap=total_cap,
+            stop_above=VIOLATION_BOUND,
         )[1]
 
     return bisect_threshold(max_chsh, tol=tol)

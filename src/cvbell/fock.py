@@ -400,6 +400,16 @@ def _check_hermitian(matrix: np.ndarray, what: str = "matrix") -> None:
         raise ValueError(f"{what} is not Hermitian")
 
 
+def _hermitian_input(H) -> np.ndarray:
+    """The checked, symmetrized matrix or stack of a Hermitian operator."""
+    matrix = H.matrix if isinstance(H, HermitianOperator) else np.asarray(H)
+    matrix = matrix.astype(complex if np.iscomplexobj(matrix) else float, copy=False)
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
+        raise ValueError("expected a square matrix")
+    _check_hermitian(matrix)
+    return (matrix + matrix.conj().swapaxes(-1, -2)) / 2.0
+
+
 def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian matrix.
 
@@ -408,13 +418,17 @@ def hermitian_eig(H) -> tuple[np.ndarray, np.ndarray]:
     real (real symmetric solver, real eigenvectors).  Rejects non-Hermitian
     input; the returned pairs satisfy ``||H v - w v|| <= 1e-10 ||H||``.
     """
-    matrix = H.matrix if isinstance(H, HermitianOperator) else np.asarray(H)
-    matrix = matrix.astype(complex if np.iscomplexobj(matrix) else float, copy=False)
-    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
-        raise ValueError("expected a square matrix")
-    _check_hermitian(matrix)
-    w, v = np.linalg.eigh((matrix + matrix.conj().swapaxes(-1, -2)) / 2.0)
-    return w, v
+    return np.linalg.eigh(_hermitian_input(H))
+
+
+def hermitian_eigvals(H) -> np.ndarray:
+    """Eigenvalues (ascending) of a Hermitian matrix or stack, without eigenvectors.
+
+    Takes the input of :func:`hermitian_eig` and rejects the same matrices.
+    LAPACK's values-only routine skips the eigenvectors; the values agree
+    with those of :func:`hermitian_eig` to rounding, not bit for bit.
+    """
+    return np.linalg.eigvalsh(_hermitian_input(H))
 
 
 def anchor_phase(vec: np.ndarray) -> np.ndarray:

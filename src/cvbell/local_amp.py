@@ -30,7 +30,7 @@ from .fock import (
     ModeBasis,
     StateVector,
 )
-from .bell import PartyConditions, bisect_threshold, optimize_delta
+from .bell import VIOLATION_BOUND, PartyConditions, bisect_threshold, optimize_delta
 from .parallel import map_ordered
 
 
@@ -140,15 +140,17 @@ def filtered_chsh(
     eta_d: float = 1.0,
     eta_c: float = 1.0,
     cutoff: int = 2,
+    stop_above: float | None = None,
 ) -> tuple[float, float]:
     """Best (delta, CHSH) for the filtered lossy state.
 
     Transmission and coupling losses already sit in the state, so the
-    measurements carry only the detector efficiencies.
+    measurements carry only the detector efficiencies.  ``stop_above`` is
+    passed to :func:`cvbell.bell.optimize_delta`.
     """
     rho = filtered_state(eta_t, gain, applications, eta_c, cutoff)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
-    return optimize_delta(party, party, state=rho)
+    return optimize_delta(party, party, state=rho, stop_above=stop_above)
 
 
 def filtered_critical_transmission(
@@ -161,11 +163,13 @@ def filtered_critical_transmission(
 ) -> float | None:
     """Critical transmission for a CHSH violation with local filters.
 
-    Bisection on eta_t with the bin half-width re-optimized at every step;
-    ``None`` when even unit transmission shows no violation.
+    Bisection on eta_t with the bin half-width re-optimized at every step,
+    except where the delta grid already violates; ``None`` when even unit
+    transmission shows no violation.
     """
     return bisect_threshold(
-        lambda eta_t: filtered_chsh(eta_t, gain, applications, eta_d, eta_c, cutoff)[1],
+        lambda eta_t: filtered_chsh(eta_t, gain, applications, eta_d, eta_c, cutoff,
+                                    stop_above=VIOLATION_BOUND)[1],
         tol=tol,
     )
 

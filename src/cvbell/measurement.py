@@ -217,21 +217,35 @@ def ideal_binned_homodyne(delta: float, cutoff: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _loss_kraus_stack(eta: float, cutoff: int) -> np.ndarray:
-    """The loss Kraus operators of :func:`cvbell.fock.loss_kraus`, stacked, read-only."""
-    kraus = np.stack(loss_kraus(eta, cutoff))
-    kraus.setflags(write=False)
-    return kraus
+def _loss_channel(eta: float, cutoff: int) -> np.ndarray:
+    """The loss channel as one read-only ``(n^2, n^2)`` matrix, ``n = cutoff + 1``.
+
+    ``C = sum_k A_k (x) A_k`` over the real Kraus operators of
+    :func:`cvbell.fock.loss_kraus`, so ``C[(m, m'), (n, n')] = sum_k
+    A_k[m, n] A_k[m', n']``.  On a matrix raveled into a row, the forward
+    channel ``sum_k A_k M A_k^T`` is ``vec(M) C^T`` and the adjoint
+    ``sum_k A_k^T M A_k`` is ``vec(M) C``.
+    """
+    n = cutoff + 1
+    kraus = np.stack(loss_kraus(eta, cutoff)).reshape(-1, n * n)
+    channel = (kraus.T @ kraus).reshape((n,) * 4).transpose(0, 2, 1, 3).reshape(n * n, -1)
+    channel.setflags(write=False)
+    return channel
 
 
 def _through_loss(eta_h: float, elements: np.ndarray, cutoff: int) -> np.ndarray:
-    """Adjoint loss channel on a stack: ``sum_k A_k^dag M A_k``."""
+    """Adjoint loss channel on a stack: ``sum_k A_k^dag M A_k``.
+
+    Each matrix is raveled into a row and multiplied by the channel matrix
+    (:func:`_loss_channel`).  The rows stay separate products, so a matrix
+    comes out the same alone or in any stack.
+    """
     if not 0.0 <= eta_h <= 1.0:
         raise ValueError("efficiency must lie in [0, 1]")
     if eta_h == 1.0:
         return elements
-    kraus = _loss_kraus_stack(float(eta_h), int(cutoff))[:, None]
-    return (kraus.swapaxes(-1, -2) @ elements @ kraus).sum(axis=0)
+    channel = _loss_channel(float(eta_h), int(cutoff))
+    return (elements.reshape(-1, 1, channel.shape[0]) @ channel).reshape(elements.shape)
 
 
 def binned_homodyne_povms(eta_h: float, deltas, cutoff: int):

@@ -55,8 +55,9 @@ from .fock import (
     embedding_indices,
     loss_kraus,
 )
-from .measurement import DELTA_MAX, _loss_kraus_stack, _through_loss, photodetection_povm
+from .measurement import DELTA_MAX, _loss_channel, _through_loss, photodetection_povm
 from .bell import (
+    VIOLATION_BOUND,
     PartyConditions,
     _capped_kron,
     _mode_observables,
@@ -714,7 +715,7 @@ _STACK_CACHE: dict = {}
 _STACK_CACHE_SIZE = 4
 
 
-def _source_stack(eta_c: float, cutoff: int):
+def _source_stack(eta_c: float, cutoff: int, trace: bool = False):
     """Images of the single-photon circuit, one run per (eta_c, cutoff), cached.
 
     With the single-photon ancilla the circuit is linear in its input
@@ -723,7 +724,9 @@ def _source_stack(eta_c: float, cutoff: int):
     2n) and ``|nn> (x) |01>`` (column 2n + 1).  Returns the capped output
     basis and the read-only Gram array ``M`` of :func:`_gram`: the
     unnormalized output for weights ``x`` (:func:`_input_weights`) is
-    ``sum_pq x_p x_q M[:, p, :, q]``.
+    ``sum_pq x_p x_q M[:, p, :, q]``.  With ``trace=True`` it also returns
+    the identity's read-only trace form ``T`` (:func:`_pair_forms`), which
+    is built once with the stack.
     """
 
     def build():
@@ -736,9 +739,12 @@ def _source_stack(eta_c: float, cutoff: int):
             inputs[arms.index_of((n, n)), n] = 1.0
         basis, gram, _ = _output_gram(config, inputs, photon=np.eye(2))
         gram.setflags(write=False)
-        return basis, gram
+        trace_form = _pair_forms(gram, np.eye(basis.dimension)[None])[0]
+        trace_form.setflags(write=False)
+        return basis, gram, trace_form
 
-    return _cached(_STACK_CACHE, _STACK_CACHE_SIZE, (float(eta_c), int(cutoff)), build)
+    stack = _cached(_STACK_CACHE, _STACK_CACHE_SIZE, (float(eta_c), int(cutoff)), build)
+    return stack if trace else stack[:2]
 
 
 def _input_weights(lams, ts, cutoff: int) -> np.ndarray:
@@ -758,7 +764,7 @@ def _input_weights(lams, ts, cutoff: int) -> np.ndarray:
 
 def _image_state(basis: ModeBasis, gram: np.ndarray, x: np.ndarray) -> DensityOperator:
     """Normalized output state for the image weights ``x``."""
-    rho = np.einsum("ipjq,p,q->ij", gram, x, x)
+    rho = np.tensordot(np.tensordot(gram, x, axes=(3, 0)), x, axes=(1, 0))
     return DensityOperator(basis, rho / np.trace(rho).real)
 
 
@@ -817,8 +823,7 @@ def max_source_chsh(
     """
     lam_grid = lam_grid or default_squeezing_grid()
     t_grid = t_grid or default_transmission_grid()
-    basis, gram = _source_stack(eta_c, cutoff)
-    trace = _pair_forms(gram, np.eye(basis.dimension)[None])[0]
+    basis, gram, trace = _source_stack(eta_c, cutoff, trace=True)
 
     deltas = np.linspace(0.0, DELTA_MAX, delta_points)
     g, k, value = _best_on_grid(
@@ -937,10 +942,11 @@ def _lossy_state(basis: ModeBasis, rho: np.ndarray, eta: float) -> np.ndarray:
 
     The matrix is padded into the product basis as the ``(a, b, a', b')``
     tensor.  Each mode's loss ``M -> sum_k A_k M A_k^T``, over its real Kraus
-    operators (:func:`cvbell.measurement._loss_kraus_stack`), is the matrix
-    ``sum_k A_k (x) A_k`` on that mode's raveled ``(n, n')`` pair, applied
-    in one product with the pair's axes last.  Loss never raises the photon
-    number, so cutting back to the cap afterwards is exact.
+    operators, is the channel matrix ``C = sum_k A_k (x) A_k``
+    (:func:`cvbell.measurement._loss_channel`) on that mode's raveled
+    ``(n, n')`` pair, applied as one product with ``C^T`` with the pair's
+    axes last.  Loss never raises the photon number, so cutting back to the
+    cap afterwards is exact.
     """
     ca, cb = basis.cutoffs
     idx = _embed_idx(basis.cutoffs, basis.total_cap, basis.cutoffs, None)
@@ -948,11 +954,8 @@ def _lossy_state(basis: ModeBasis, rho: np.ndarray, eta: float) -> np.ndarray:
     full[np.ix_(idx, idx)] = rho
     T = full.reshape(ca + 1, cb + 1, ca + 1, cb + 1).transpose(1, 3, 0, 2)
     for cutoff in (ca, cb):  # mode a on (b, b', a, a'), then mode b on (a, a', b, b')
-        n = cutoff + 1
-        kraus = _loss_kraus_stack(float(eta), cutoff).reshape(-1, n * n)
-        # channel[(n, n'), (m, m')] = sum_k A_k[n, m] A_k[n', m']
-        channel = (kraus.T @ kraus).reshape((n,) * 4).transpose(0, 2, 1, 3).reshape(n * n, -1)
-        T = (T.reshape(-1, n * n) @ channel.T).reshape(T.shape).transpose(2, 3, 0, 1)
+        channel = _loss_channel(float(eta), cutoff)
+        T = (T.reshape(-1, channel.shape[0]) @ channel.T).reshape(T.shape).transpose(2, 3, 0, 1)
     full = T.transpose(2, 0, 3, 1).reshape(full.shape)
     return full[np.ix_(idx, idx)]
 
@@ -1006,7 +1009,9 @@ def amplified_source_threshold_with_filters(
     The source output suffers the transmission loss explicitly (the filters
     sit between the channel and the measurements), is filtered on both
     modes, and is measured with detector efficiency ``eta_d``.  The source
-    parameters and bin half-width are re-optimized at every bisection step.
+    parameters and bin half-width are re-optimized at every bisection step;
+    a step whose delta grid already violates is decided there
+    (``stop_above`` of :func:`cvbell.bell.optimize_delta`).
 
     Every factor of the measured expectation is a product over the two
     modes: the filter is ``F = f (x) f``, the transmission loss is
@@ -1041,6 +1046,7 @@ def amplified_source_threshold_with_filters(
         rho = _lossy_state(basis, _image_state(basis, gram, inputs[k]).matrix, eta_t)
         rho = F[:, None] * rho * F
         best = DensityOperator(basis, rho / np.trace(rho).real)
-        return optimize_delta(party, party, state=best, grid_points=61, tol=1e-5)[1]
+        return optimize_delta(party, party, state=best, grid_points=61, tol=1e-5,
+                              stop_above=VIOLATION_BOUND)[1]
 
     return bisect_threshold(max_chsh, tol=tol)
