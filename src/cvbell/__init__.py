@@ -26,21 +26,15 @@ from .fock import (
     vacuum,
 )
 from .measurement import (
-    HomodyneSetting,
-    PhotodetectionSetting,
-    effective_setting,
     ideal_binned_homodyne,
     lossy_binned_homodyne,
     photodetection_povm,
 )
 from .bell import (
-    BellResult,
     BellScenario,
     DeltaSearch,
     PartyConditions,
     RegionPoint,
-    best_violation,
-    build_bell_operator,
     chsh_value,
     critical_efficiency,
     optimal_state,
@@ -53,7 +47,6 @@ __version__ = "0.1.0"
 
 from .local_amp import (  # noqa: E402
     CombinedSchemeReport,
-    FilterConfig,
     apply_filters,
     combined_source_and_local,
     filter_operator,

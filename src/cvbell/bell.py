@@ -23,12 +23,9 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .fock import (
-    DensityOperator,
-    HermitianOperator,
     ModeBasis,
     StateVector,
     anchor_phase,
-    embedding_indices,
     hermitian_eig,
     hermitian_eigvals,
 )
@@ -68,54 +65,27 @@ class PartyConditions:
 
 @dataclass(frozen=True)
 class BellScenario:
-    """Two-party measurement configuration with a shared bin half-width.
-
-    ``delta_bob`` allows an unequal binning; every reported result uses the
-    shared default.
-    """
+    """Two-party measurement configuration with a shared bin half-width."""
 
     alice: PartyConditions
     bob: PartyConditions
     delta: float
-    symmetry: str = "custom"
-    delta_bob: float | None = None
 
     def __post_init__(self):
         if self.delta < 0.0:
             raise ValueError("delta must be non-negative")
-        if self.delta_bob is not None and self.delta_bob < 0.0:
-            raise ValueError("delta_bob must be non-negative")
 
     @classmethod
     def symmetric(cls, eta_t=1.0, eta_d=1.0, eta_h=1.0, delta=0.0):
         party = PartyConditions(eta_t=eta_t, eta_d=eta_d, eta_h=eta_h)
-        return cls(alice=party, bob=party, delta=delta, symmetry=SYMMETRIC)
+        return cls(alice=party, bob=party, delta=delta)
 
     @classmethod
     def asymmetric(cls, eta_t=1.0, eta_d=1.0, eta_h=1.0, delta=0.0):
         """Source at Alice's lab: only Bob's mode suffers transmission loss."""
         alice = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=eta_h)
         bob = PartyConditions(eta_t=eta_t, eta_d=eta_d, eta_h=eta_h)
-        return cls(alice=alice, bob=bob, delta=delta, symmetry=ASYMMETRIC)
-
-
-@dataclass
-class BellResult:
-    chsh_value: float
-    optimal_state: StateVector | DensityOperator
-    optimal_delta: float
-    violated: bool
-
-    def __post_init__(self):
-        if abs(self.chsh_value) > TSIRELSON + 1e-9:
-            raise ValueError(
-                f"CHSH value {self.chsh_value} exceeds the quantum bound"
-            )
-
-
-@lru_cache(maxsize=16)
-def _product_basis(cutoff_a: int, cutoff_b: int) -> ModeBasis:
-    return ModeBasis((cutoff_a, cutoff_b))
+        return cls(alice=alice, bob=bob, delta=delta)
 
 
 def _trimmed_cutoffs(basis: ModeBasis) -> tuple[int, int]:
@@ -133,21 +103,18 @@ def _trimmed_cutoffs(basis: ModeBasis) -> tuple[int, int]:
     return ca, cb
 
 
-def _mode_observables(basis, alice, bob, deltas, deltas_bob=None):
+def _mode_observables(basis, alice, bob, deltas):
     """Binned-homodyne X (one per delta) and photodetection N of each party.
 
-    Returns Alice's (X, N) and Bob's (X + N, X - N) at the trimmed cutoffs;
-    ``deltas_bob`` gives Bob his own half-widths.
+    Returns Alice's (X, N) and Bob's (X + N, X - N) at the trimmed cutoffs.
     """
     ca, cb = _trimmed_cutoffs(basis)
     eta_a, eta_b = alice.eta_h * alice.eta_t, bob.eta_h * bob.eta_t
-    if deltas_bob is None:
-        deltas_bob = deltas
     Xa = binned_homodyne_povms(eta_a, deltas, ca)[2]
-    if (eta_b, cb) == (eta_a, ca) and np.array_equal(deltas_bob, deltas):
+    if (eta_b, cb) == (eta_a, ca):
         Xb = Xa  # a symmetric setup: Bob's are Alice's
     else:
-        Xb = binned_homodyne_povms(eta_b, deltas_bob, cb)[2]
+        Xb = binned_homodyne_povms(eta_b, deltas, cb)[2]
     Na = photodetection_povm(alice.eta_d * alice.eta_t, ca)[2]
     Nb = photodetection_povm(bob.eta_d * bob.eta_t, cb)[2]
     return Xa, Na, Xb + Nb, Xb - Nb
@@ -207,51 +174,56 @@ def _capped_kron(basis: ModeBasis, terms) -> np.ndarray:
 
 
 def bell_matrices(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions,
-                  deltas, deltas_bob=None) -> np.ndarray:
+                  deltas) -> np.ndarray:
     """Bell operators for a stack of bin half-widths, shape ``(G, d, d)``.
 
-    Each entry is gathered from the per-mode stacks (:func:`_capped_kron`);
-    ``deltas_bob`` gives Bob his own half-widths.
+    Each entry is gathered from the per-mode stacks (:func:`_capped_kron`).
     """
-    Xa, Na, plus, minus = _mode_observables(basis, alice, bob, deltas, deltas_bob)
+    Xa, Na, plus, minus = _mode_observables(basis, alice, bob, deltas)
     return _capped_kron(basis, ((Xa, plus), (Na, minus)))
 
 
 def bell_matrix(basis: ModeBasis, scenario: BellScenario) -> np.ndarray:
     """Bell operator matrix on a two-mode basis (projected if capped)."""
-    delta_b = scenario.delta if scenario.delta_bob is None else scenario.delta_bob
-    return bell_matrices(
-        basis, scenario.alice, scenario.bob, [scenario.delta], [delta_b]
-    )[0]
-
-
-def build_bell_operator(scenario: BellScenario, cutoff: int = 2) -> HermitianOperator:
-    basis = _product_basis(cutoff, cutoff)
-    return HermitianOperator(basis, bell_matrix(basis, scenario))
+    return bell_matrices(basis, scenario.alice, scenario.bob, [scenario.delta])[0]
 
 
 def chsh_value(state, scenario: BellScenario) -> float:
     """CHSH expectation of a pure or mixed two-mode state."""
-    delta_b = scenario.delta if scenario.delta_bob is None else scenario.delta_bob
     chsh = _state_chsh(state, scenario.alice, scenario.bob)[0]
-    return float(chsh([scenario.delta], [delta_b])[0])
+    return float(chsh([scenario.delta])[0])
+
+
+def _product_index(basis: ModeBasis) -> np.ndarray:
+    """Where each element of a two-mode basis sits in the uncapped product basis."""
+    alpha, beta = basis.occupations.T
+    return alpha * (basis.cutoffs[1] + 1) + beta
+
+
+def _product_tensor(basis: ModeBasis, matrix: np.ndarray) -> np.ndarray:
+    """A matrix on a (capped) two-mode basis, padded as the ``(a, b, a', b')`` tensor.
+
+    Entries outside the basis are zero.
+    """
+    ca, cb = basis.cutoffs
+    idx = _product_index(basis)
+    full = np.zeros(((ca + 1) * (cb + 1),) * 2, dtype=matrix.dtype)
+    full[np.ix_(idx, idx)] = matrix
+    return full.reshape(ca + 1, cb + 1, ca + 1, cb + 1)
 
 
 def _state_chsh(state, alice: PartyConditions, bob: PartyConditions):
     """CHSH expectation of a fixed state as a function of the bin half-widths.
 
     B is real, so ``Re(rho)``, embedded in the product basis as
-    ``(da, db, da, db)``, is contracted against the per-mode stacks.  Returns
-    ``chsh(deltas, deltas_bob=None)`` and ``chsh_and_slope(deltas)``, the
-    values and their delta-derivatives ``Tr rho dB`` at shared half-widths.
+    ``(da, db, da, db)`` (:func:`_product_tensor`), is contracted against the
+    per-mode stacks.  Returns ``chsh(deltas)`` and ``chsh_and_slope(deltas)``,
+    the values and their delta-derivatives ``Tr rho dB``.
     """
     rho = state.to_density() if isinstance(state, StateVector) else state
     ca, cb = rho.basis.cutoffs
-    full = _product_basis(ca, cb)
-    idx = embedding_indices(rho.basis, full)
-    matrix = np.zeros((full.dimension, full.dimension))
-    matrix[np.ix_(idx, idx)] = rho.matrix.real
-    matrix = matrix.reshape(ca + 1, cb + 1, ca + 1, cb + 1)
+    full = ModeBasis((ca, cb))
+    matrix = _product_tensor(rho.basis, rho.matrix.real)
 
     # Q[(i, j), (k, l)] = rho[i, k, j, l], so Tr rho (a (x) b) = vec(a^T) Q vec(b^T).
     Q = matrix.transpose(0, 2, 1, 3).reshape((ca + 1) ** 2, (cb + 1) ** 2)
@@ -263,8 +235,8 @@ def _state_chsh(state, alice: PartyConditions, bob: PartyConditions):
             for a, b in terms
         )
 
-    def chsh(deltas, deltas_bob=None):
-        Xa, Na, plus, minus = _mode_observables(full, alice, bob, deltas, deltas_bob)
+    def chsh(deltas):
+        Xa, Na, plus, minus = _mode_observables(full, alice, bob, deltas)
         return contract(((Xa, plus), (Na, minus)))
 
     def chsh_and_slope(deltas):
@@ -463,29 +435,6 @@ def optimize_delta(
     search = search_delta(alice, bob, state, cutoff, total_cap, grid_points, tol,
                           stop_above)
     return search.delta, search.value
-
-
-def best_violation(
-    alice: PartyConditions,
-    bob: PartyConditions,
-    state=None,
-    symmetry: str = "custom",
-    cutoff: int = 2,
-    total_cap: int = 2,
-) -> BellResult:
-    """Delta-optimized CHSH value, with the optimal subspace state if free."""
-    delta_star, value = optimize_delta(
-        alice, bob, state=state, cutoff=cutoff, total_cap=total_cap
-    )
-    scen = BellScenario(alice=alice, bob=bob, delta=delta_star, symmetry=symmetry)
-    if state is None:
-        state, value = optimal_state(scen, cutoff=cutoff, total_cap=total_cap)
-    return BellResult(
-        chsh_value=value,
-        optimal_state=state,
-        optimal_delta=delta_star,
-        violated=value > 2.0,
-    )
 
 
 def _scenario_for(

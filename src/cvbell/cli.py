@@ -177,7 +177,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reproduce-all", help="run every reference check")
     common(p, cutoff=6)
     p.add_argument("--skip-source", action="store_true",
-                   help="skip the slow amplified-source checks")
+                   help="skip the amplified-source checks (about 0.9 s of "
+                        "the 1.2 s run)")
     return parser
 
 

@@ -34,27 +34,6 @@ from .bell import VIOLATION_BOUND, PartyConditions, bisect_threshold, optimize_d
 from .parallel import map_ordered
 
 
-@dataclass(frozen=True)
-class FilterConfig:
-    """Gain and repetition count of the per-party filter."""
-
-    gain: float = 2.0
-    applications: int = 1
-    eta_t: float = 1.0
-    eta_d: float = 1.0
-    eta_c: float = 1.0
-
-    def __post_init__(self):
-        if self.gain < 1.0:
-            raise ValueError("filter gain must be >= 1")
-        if self.applications < 1:
-            raise ValueError("applications must be a positive integer")
-        for name in ("eta_t", "eta_d", "eta_c"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-
-
 def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.ndarray:
     """Diagonal of the filter on every mode of ``basis``, applied m times.
 

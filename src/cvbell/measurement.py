@@ -44,7 +44,6 @@ adjoint loss channel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -59,55 +58,6 @@ QUADRATURE_CONVENTION = (
 #: Half-widths beyond this are indistinguishable from an unbinned measurement
 #: for the photon numbers in scope (the inner element is identity to < 1e-9).
 DELTA_MAX = 6.0
-
-
-@dataclass(frozen=True)
-class PhotodetectionSetting:
-    """Click/no-click detector with the given efficiency."""
-
-    efficiency: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must lie in [0, 1]")
-
-    def povm(self, cutoff: int):
-        return photodetection_povm(self.efficiency, cutoff)
-
-    def observable(self, cutoff: int) -> np.ndarray:
-        return photodetection_povm(self.efficiency, cutoff)[2]
-
-
-@dataclass(frozen=True)
-class HomodyneSetting:
-    """Binned X-quadrature measurement: outcome +1 iff |x| <= bin_half_width."""
-
-    bin_half_width: float
-    efficiency: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError("efficiency must lie in [0, 1]")
-        if self.bin_half_width < 0.0:
-            raise ValueError("bin half-width must be non-negative")
-
-    def povm(self, cutoff: int):
-        return lossy_binned_homodyne(self.efficiency, self.bin_half_width, cutoff)
-
-    def observable(self, cutoff: int) -> np.ndarray:
-        return lossy_binned_homodyne(self.efficiency, self.bin_half_width, cutoff)[2]
-
-
-def effective_setting(setting, channel_transmission: float):
-    """Fold a transmission loss into the measurement efficiency.
-
-    Losses in the channel and losses in the detector stack multiplicatively,
-    so measuring a transmitted state with efficiency eta equals measuring the
-    source state with efficiency eta * eta_t.
-    """
-    if not 0.0 <= channel_transmission <= 1.0:
-        raise ValueError("channel transmission must lie in [0, 1]")
-    return replace(setting, efficiency=setting.efficiency * channel_transmission)
 
 
 def photodetection_povm(eta_d: float, cutoff: int):

@@ -121,9 +121,10 @@ def _within(value, target, tol) -> bool:
 def reproduce_all(include_source: bool = True, source_cutoff: int = 6) -> ReproductionReport:
     """Run the full battery of reference checks.
 
-    ``include_source`` gates the slow amplified-source sweeps (the coupling
-    composition property and the combined scheme); everything else runs in
-    well under a minute.
+    ``include_source`` gates the amplified-source sweeps (the coupling
+    composition property and the combined scheme).  On a 2-core Xeon VM
+    (Python 3.11, numpy 2.4) the whole battery takes about 1.2 s in-process,
+    about 0.9 s of it in those sweeps; without them it takes about 0.25 s.
     """
     t_start = time.time()
     rows: list[ReportRow] = []

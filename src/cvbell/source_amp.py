@@ -52,7 +52,6 @@ from .fock import (
     anchor_phase,
     beam_splitter,
     embed_single_mode,
-    embedding_indices,
     loss_kraus,
 )
 from .measurement import DELTA_MAX, _loss_channel, _through_loss, photodetection_povm
@@ -61,12 +60,14 @@ from .bell import (
     PartyConditions,
     _capped_kron,
     _mode_observables,
+    _product_index,
+    _product_tensor,
     bell_matrices,
     bisect_threshold,
     golden_section_max,
     optimize_delta,
 )
-from .local_amp import filter_diagonal
+from .local_amp import apply_filters, filter_diagonal
 from .parallel import map_ordered
 
 #: Branches with squared norm below this are dropped.  The cut is absolute
@@ -125,10 +126,6 @@ class SourceConfig:
         if self.herald_pattern not in ("d1", "d2", "either"):
             raise ValueError(f"unknown herald pattern {self.herald_pattern!r}")
 
-    @property
-    def gain(self) -> float:
-        return math.sqrt((1.0 - self.amp_transmission) / self.amp_transmission)
-
 
 @dataclass
 class HeraldedOutcome:
@@ -169,13 +166,6 @@ def tmsv_truncation_weight(lam: float, cutoff: int) -> float:
 @lru_cache(maxsize=256)
 def _basis(cutoffs: tuple, total_cap=None) -> ModeBasis:
     return ModeBasis(cutoffs, total_cap)
-
-
-@lru_cache(maxsize=256)
-def _embed_idx(sub_cutoffs: tuple, sub_cap, full_cutoffs: tuple, full_cap) -> np.ndarray:
-    idx = embedding_indices(_basis(sub_cutoffs, sub_cap), _basis(full_cutoffs, full_cap))
-    idx.setflags(write=False)
-    return idx
 
 
 @lru_cache(maxsize=64)
@@ -449,6 +439,20 @@ def _condition_on_heralds(config: SourceConfig, cutoffs, joint, a_mode, b_mode, 
     return branches, probability
 
 
+def _outcome(basis: ModeBasis, gram: np.ndarray, total: float,
+             herald_pattern: str) -> HeraldedOutcome:
+    """The output of one normalized input column from its :func:`_gram` array.
+
+    When no accepted herald fires (``total`` at most :data:`BRANCH_TOL`) the
+    state is the zero matrix and the success probability 0.
+    """
+    if total <= BRANCH_TOL:
+        matrix, total = np.zeros((basis.dimension,) * 2), 0.0
+    else:
+        matrix = gram[:, 0, :, 0] / total
+    return HeraldedOutcome(DensityOperator(basis, matrix), total, herald_pattern)
+
+
 def qscissor_amplify(state, t: float, herald_efficiency: float = 1.0,
                      ancilla_model: str = "single-photon",
                      ancilla_squeezing: float = 0.1,
@@ -483,18 +487,7 @@ def qscissor_amplify(state, t: float, herald_efficiency: float = 1.0,
         herald_pattern=herald_pattern,
     )
     gram, total = _heralded_gram(config, branches, cutoffs, 0)
-    basis = ModeBasis((_ancilla_cutoff(config),))  # the ancilla's c mode
-    if total <= BRANCH_TOL:
-        return HeraldedOutcome(
-            state=DensityOperator(basis, np.zeros((basis.dimension,) * 2)),
-            success_probability=0.0,
-            herald_pattern=herald_pattern,
-        )
-    return HeraldedOutcome(
-        state=DensityOperator(basis, gram[:, 0, :, 0] / total),
-        success_probability=total,
-        herald_pattern=herald_pattern,
-    )
+    return _outcome(ModeBasis((_ancilla_cutoff(config),)), gram, total, herald_pattern)
 
 
 def _gram(stack: np.ndarray) -> np.ndarray:
@@ -533,7 +526,7 @@ def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
     out_cut = config.cutoff + c_cutoff
     full = (out_cut, out_cut)
     capped = _basis(full, out_cut)
-    cap_idx = _embed_idx(capped.cutoffs, out_cut, full, None)
+    cap_idx = _product_index(capped)
     # Output phase plate (i^n on the second mode) fixes the documented
     # c00 >= 0, c2 <= 0 sign pattern of the leading component.
     plate = _output_plate(full)[:, None]
@@ -555,18 +548,7 @@ def amplified_source(config: SourceConfig) -> HeraldedOutcome:
     The success probability covers the configured herald pattern(s); for
     the heralded-pdc ancilla it includes the D0 click.
     """
-    capped, gram, total = _output_gram(config, _tmsv_column(config))
-    if total <= BRANCH_TOL:
-        return HeraldedOutcome(
-            state=DensityOperator(capped, np.zeros((capped.dimension,) * 2)),
-            success_probability=0.0,
-            herald_pattern=config.herald_pattern,
-        )
-    return HeraldedOutcome(
-        state=DensityOperator(capped, gram[:, 0, :, 0] / total),
-        success_probability=total,
-        herald_pattern=config.herald_pattern,
-    )
+    return _outcome(*_output_gram(config, _tmsv_column(config)), config.herald_pattern)
 
 
 def _reduced(stack: np.ndarray, cutoffs, mode: int) -> np.ndarray:
@@ -941,23 +923,21 @@ def _lossy_state(basis: ModeBasis, rho: np.ndarray, eta: float) -> np.ndarray:
     """Transmission ``eta`` on both modes of a matrix on a two-mode capped basis.
 
     The matrix is padded into the product basis as the ``(a, b, a', b')``
-    tensor.  Each mode's loss ``M -> sum_k A_k M A_k^T``, over its real Kraus
-    operators, is the channel matrix ``C = sum_k A_k (x) A_k``
+    tensor (:func:`cvbell.bell._product_tensor`).  Each mode's loss
+    ``M -> sum_k A_k M A_k^T``, over its real Kraus operators, is the
+    channel matrix ``C = sum_k A_k (x) A_k``
     (:func:`cvbell.measurement._loss_channel`) on that mode's raveled
     ``(n, n')`` pair, applied as one product with ``C^T`` with the pair's
     axes last.  Loss never raises the photon number, so cutting back to the
     cap afterwards is exact.
     """
     ca, cb = basis.cutoffs
-    idx = _embed_idx(basis.cutoffs, basis.total_cap, basis.cutoffs, None)
-    full = np.zeros(((ca + 1) * (cb + 1),) * 2, dtype=rho.dtype)
-    full[np.ix_(idx, idx)] = rho
-    T = full.reshape(ca + 1, cb + 1, ca + 1, cb + 1).transpose(1, 3, 0, 2)
+    T = _product_tensor(basis, rho).transpose(1, 3, 0, 2)
     for cutoff in (ca, cb):  # mode a on (b, b', a, a'), then mode b on (a, a', b, b')
         channel = _loss_channel(float(eta), cutoff)
         T = (T.reshape(-1, channel.shape[0]) @ channel.T).reshape(T.shape).transpose(2, 3, 0, 1)
-    full = T.transpose(2, 0, 3, 1).reshape(full.shape)
-    return full[np.ix_(idx, idx)]
+    idx = _product_index(basis)
+    return T.transpose(2, 0, 3, 1).reshape(((ca + 1) * (cb + 1),) * 2)[np.ix_(idx, idx)]
 
 
 def _filtered_pullback(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions,
@@ -1027,14 +1007,14 @@ def amplified_source_threshold_with_filters(
     the pullback is exact, because loss never raises the photon number and
     the source's output basis holds every occupation up to its cap.  The
     chosen state goes forward through the loss one mode at a time
-    (:func:`_lossy_state`).
+    (:func:`_lossy_state`) and then through the filters
+    (:func:`cvbell.local_amp.apply_filters`).
     """
     lam_grid = lam_grid or default_squeezing_grid(20)
     t_grid = t_grid or default_transmission_grid(30)
     basis, gram = _source_stack(eta_c, cutoff)
     inputs = _input_weights(lam_grid, t_grid, cutoff)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
-    F = filter_diagonal(basis, gain, applications)
     pullback = _filtered_pullback(
         basis, party, party, np.linspace(0.0, DELTA_MAX, 61), gain, applications
     )
@@ -1043,9 +1023,8 @@ def amplified_source_threshold_with_filters(
         bells, trace = pullback(eta_t)
         forms = _pair_forms(gram, np.concatenate([bells, trace[None]]))
         _, k, _ = _best_on_grid(forms[:-1], forms[-1], inputs)
-        rho = _lossy_state(basis, _image_state(basis, gram, inputs[k]).matrix, eta_t)
-        rho = F[:, None] * rho * F
-        best = DensityOperator(basis, rho / np.trace(rho).real)
+        lossy = _lossy_state(basis, _image_state(basis, gram, inputs[k]).matrix, eta_t)
+        best = apply_filters(DensityOperator(basis, lossy), gain, applications)
         return optimize_delta(party, party, state=best, grid_points=61, tol=1e-5,
                               stop_above=VIOLATION_BOUND)[1]
 

@@ -5,13 +5,10 @@ from cvbell.bell import (
     ASYMMETRIC,
     SYMMETRIC,
     TSIRELSON,
-    BellResult,
     BellScenario,
     PartyConditions,
     bell_matrix,
-    best_violation,
     bisect_threshold,
-    build_bell_operator,
     chsh_value,
     critical_efficiency,
     golden_section_max,
@@ -31,7 +28,7 @@ def subspace_top(scenario, cutoff=2):
 class TestBellOperator:
     def test_real_symmetric(self):
         scen = BellScenario.symmetric(eta_t=0.9, eta_d=0.8, delta=0.7)
-        B = build_bell_operator(scen).matrix
+        B = bell_matrix(ModeBasis((2, 2)), scen)
         assert np.abs(B.imag).max() < 1e-12
         assert np.abs(B - B.T).max() < 1e-12
 
@@ -112,28 +109,14 @@ class TestOptimalState:
                 _, value = optimal_state(scen)
                 assert value <= TSIRELSON + 1e-9
 
-    def test_result_validates_quantum_bound(self):
-        with pytest.raises(ValueError):
-            BellResult(
-                chsh_value=3.0,
-                optimal_state=psi2_state(),
-                optimal_delta=0.5,
-                violated=True,
-            )
-
-    def test_best_violation_bundle(self):
-        res = best_violation(PartyConditions(), PartyConditions(), symmetry=SYMMETRIC)
-        assert res.violated
-        assert res.chsh_value == pytest.approx(2.3137, abs=2e-3)
-        assert 0.5 < res.optimal_delta < 1.0
-        assert res.optimal_state.norm() == pytest.approx(1.0, abs=1e-12)
-
-    def test_best_violation_fixed_state(self):
-        res = best_violation(
-            PartyConditions(eta_t=0.5), PartyConditions(eta_t=0.5), state=psi2_state()
-        )
-        assert not res.violated
-        assert res.optimal_state is not None
+    def test_lossless_optimum(self):
+        p = PartyConditions()
+        delta, value = optimize_delta(p, p)
+        assert value == pytest.approx(2.3137, abs=2e-3)
+        assert 0.5 < delta < 1.0
+        state, top = optimal_state(BellScenario(alice=p, bob=p, delta=delta))
+        assert state.norm() == pytest.approx(1.0, abs=1e-12)
+        assert top == pytest.approx(value, abs=1e-12)
 
 
 class TestMonotonicity:
@@ -221,13 +204,3 @@ class TestScenario:
             PartyConditions(eta_t=1.4)
         with pytest.raises(ValueError):
             BellScenario.symmetric(delta=-0.1)
-
-    def test_per_party_delta_exposed(self):
-        scen = BellScenario(
-            alice=PartyConditions(), bob=PartyConditions(), delta=0.5, delta_bob=0.9
-        )
-        basis = ModeBasis((2, 2))
-        B = bell_matrix(basis, scen)
-        shared = bell_matrix(basis, BellScenario(
-            alice=PartyConditions(), bob=PartyConditions(), delta=0.5))
-        assert not np.allclose(B, shared)

@@ -74,11 +74,11 @@ def reference_observables(party, delta, cutoff):
     return X, N, 2.0 * reference_inner_slope(eta, delta, cutoff)
 
 
-def reference_bell(basis, alice, bob, delta, delta_b, slope=False):
+def reference_bell(basis, alice, bob, delta, slope=False):
     ca, cb = basis.cutoffs
     Xa, Na, dXa = reference_observables(alice, delta, ca)
-    Xb, Nb, dXb = reference_observables(bob, delta_b, cb)
-    if slope:  # shared delta; N does not depend on it
+    Xb, Nb, dXb = reference_observables(bob, delta, cb)
+    if slope:  # N does not depend on delta
         B = np.kron(dXa, Xb + Nb) + np.kron(Xa + Na, dXb)
     else:
         B = np.kron(Xa, Xb + Nb) + np.kron(Na, Xb - Nb)
@@ -92,7 +92,7 @@ def reference_optimize_delta(alice, bob, state, grid_points, tol):
     matrix = state.to_density().matrix if isinstance(state, StateVector) else state.matrix
 
     def expectation(d, slope=False):
-        return float(np.trace(matrix @ reference_bell(basis, alice, bob, d, d, slope)).real)
+        return float(np.trace(matrix @ reference_bell(basis, alice, bob, d, slope)).real)
 
     def value_and_slope(ds):
         return [expectation(d) for d in ds], [expectation(d, slope=True) for d in ds]
@@ -127,19 +127,36 @@ def test_povm_stack_matches_per_delta_kraus_sum(eta, ds, cutoff):
     ds=deltas,
     cutoffs=st.tuples(st.integers(1, 4), st.integers(1, 4)),
     cap=st.one_of(st.none(), st.integers(0, 5)),
-    own_bob=st.booleans(),
 )
-def test_bell_stack_matches_per_delta_kron(alice, bob, ds, cutoffs, cap, own_bob):
+def test_bell_stack_matches_per_delta_kron(alice, bob, ds, cutoffs, cap):
     basis = ModeBasis(cutoffs, total_cap=cap)
-    ds_bob = list(reversed(ds)) if own_bob else None
-    stack = bell_matrices(basis, alice, bob, ds, ds_bob)
+    stack = bell_matrices(basis, alice, bob, ds)
     assert stack.shape == (len(ds), basis.dimension, basis.dimension)
     for g, d in enumerate(ds):
-        d_b = ds_bob[g] if own_bob else d
-        reference = reference_bell(basis, alice, bob, d, d_b)
+        reference = reference_bell(basis, alice, bob, d)
         assert np.abs(stack[g] - reference).max() <= 1e-12
-        single = bell_matrix(basis, BellScenario(alice, bob, delta=d, delta_bob=d_b))
+        single = bell_matrix(basis, BellScenario(alice, bob, delta=d))
         assert np.array_equal(single, stack[g])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    alice=parties,
+    bob=parties,
+    ds=deltas,
+    cutoffs=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+    cap=st.one_of(st.none(), st.integers(0, 5)),
+)
+def test_bell_stack_invariant_under_party_swap(alice, bob, ds, cutoffs, cap):
+    # B = Xa (x) (Xb + Nb) + Na (x) (Xb - Nb) is symmetric in the two parties:
+    # swapping the parties and their modes permutes the basis, P B P^T.
+    ca, cb = cutoffs
+    basis = ModeBasis((ca, cb), total_cap=cap)
+    swapped = ModeBasis((cb, ca), total_cap=cap)
+    P = [basis.index_of((a, b)) for b, a in swapped.occupations]
+    expected = bell_matrices(basis, alice, bob, ds)[:, P][:, :, P]
+    found = bell_matrices(swapped, bob, alice, ds)
+    assert np.abs(found - expected).max() <= 1e-12
 
 
 LOSSY = PartyConditions(eta_t=0.9, eta_d=0.85, eta_h=0.95)

@@ -3,7 +3,6 @@ import pytest
 
 from cvbell.fock import LossChannel, apply_channel
 from cvbell.local_amp import (
-    FilterConfig,
     apply_filters,
     filter_operator,
     filtered_chsh,
@@ -25,12 +24,6 @@ class TestFilterOperator:
 
     def test_gain_three_two_photons(self):
         assert filter_operator(3.0, 3).matrix[2, 2] == pytest.approx(5.0)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FilterConfig(gain=0.5)
-        with pytest.raises(ValueError):
-            FilterConfig(applications=0)
 
 
 class TestLossyPsi2:

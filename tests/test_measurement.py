@@ -9,10 +9,7 @@ from scipy.integrate import quad
 from cvbell.fock import loss_kraus
 from cvbell.measurement import (
     DELTA_MAX,
-    HomodyneSetting,
-    PhotodetectionSetting,
     binned_homodyne_povms,
-    effective_setting,
     hermite_functions,
     ideal_binned_homodyne,
     lossy_binned_homodyne,
@@ -170,6 +167,9 @@ class TestIdealBinnedHomodyne:
                 w = np.linalg.eigvalsh(element)
                 assert w.min() > -1e-12 and w.max() < 1 + 1e-12
 
+    def test_delta_domain_sanity(self):
+        assert DELTA_MAX == 6.0
+
 
 class TestLossyBinnedHomodyne:
     def test_lossless_limit(self):
@@ -213,16 +213,6 @@ class TestLossyBinnedHomodyne:
         assert np.linalg.eigvalsh(inner).min() > -1e-10
         assert np.linalg.eigvalsh(outer).min() > -1e-10
 
-
-class TestEffectiveSetting:
-    def test_scaling(self):
-        setting = PhotodetectionSetting(efficiency=1.0)
-        assert effective_setting(setting, 0.805).efficiency == pytest.approx(0.805)
-
-    def test_identity(self):
-        setting = HomodyneSetting(bin_half_width=1.0, efficiency=1.0)
-        assert effective_setting(setting, 1.0) == setting
-
     def test_state_loss_equals_measurement_loss(self):
         # Measuring a transmitted state with an ideal POVM equals measuring
         # the source state with the transmission folded into the efficiency.
@@ -245,6 +235,3 @@ class TestEffectiveSetting:
         assert np.trace(n_src @ rho) == pytest.approx(
             np.trace(n_dst @ lossy_rho), abs=1e-12
         )
-
-    def test_delta_domain_sanity(self):
-        assert DELTA_MAX == 6.0
