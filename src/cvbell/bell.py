@@ -218,9 +218,13 @@ def _state_chsh(state, alice: PartyConditions, bob: PartyConditions):
     B is real, so ``Re(rho)``, embedded in the product basis as
     ``(da, db, da, db)`` (:func:`_product_tensor`), is contracted against the
     per-mode stacks.  Returns ``chsh(deltas)`` and ``chsh_and_slope(deltas)``,
-    the values and their delta-derivatives ``Tr rho dB``.
+    the values and their delta-derivatives ``Tr rho dB``.  A state of
+    non-positive trace (the zero state of a source that never heralds) is
+    rejected.
     """
     rho = state.to_density() if isinstance(state, StateVector) else state
+    if rho.trace() <= 0.0:
+        raise ValueError("state has non-positive trace")
     ca, cb = rho.basis.cutoffs
     full = ModeBasis((ca, cb))
     matrix = _product_tensor(rho.basis, rho.matrix.real)

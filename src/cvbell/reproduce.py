@@ -123,8 +123,8 @@ def reproduce_all(include_source: bool = True, source_cutoff: int = 6) -> Reprod
 
     ``include_source`` gates the amplified-source sweeps (the coupling
     composition property and the combined scheme).  On a 2-core Xeon VM
-    (Python 3.11, numpy 2.4) the whole battery takes about 1.2 s in-process,
-    about 0.9 s of it in those sweeps; without them it takes about 0.25 s.
+    (Python 3.11, numpy 2.4) the whole battery takes about 0.44 s in-process,
+    about 0.17 s of it in those sweeps; without them it takes about 0.27 s.
     """
     t_start = time.time()
     rows: list[ReportRow] = []

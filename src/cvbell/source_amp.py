@@ -132,7 +132,10 @@ class HeraldedOutcome:
     """Conditional output of a post-selected circuit.
 
     The state is normalized; ``success_probability`` is the
-    pre-normalization weight of the accepted herald pattern(s).
+    pre-normalization weight of the accepted herald pattern(s).  When no
+    accepted herald can fire (success probability 0, e.g. dead detectors)
+    there is nothing to normalize: the state is the zero matrix, which the
+    CHSH evaluation rejects (:func:`cvbell.bell.chsh_value`).
     """
 
     state: DensityOperator
@@ -704,11 +707,16 @@ def _source_stack(eta_c: float, cutoff: int, trace: bool = False):
     ``sum_n lam^n |nn> (x) (sqrt(t) |10> + sqrt(1 - t) |01>)``, so it runs
     once on the P = 2 (cutoff + 1) basis inputs ``|nn> (x) |10>`` (column
     2n) and ``|nn> (x) |01>`` (column 2n + 1).  Returns the capped output
-    basis and the read-only Gram array ``M`` of :func:`_gram`: the
-    unnormalized output for weights ``x`` (:func:`_input_weights`) is
-    ``sum_pq x_p x_q M[:, p, :, q]``.  With ``trace=True`` it also returns
-    the identity's read-only trace form ``T`` (:func:`_pair_forms`), which
-    is built once with the stack.
+    basis and the read-only Gram array ``(re, im)`` of the blocks
+    ``M_pq = M[:, p, :, q]`` of :func:`_gram`, as two contiguous real
+    ``(P^2, d^2)`` arrays whose row ``p P + q`` is the raveled transpose of
+    ``M_pq``.  The unnormalized output for weights ``x``
+    (:func:`_input_weights`) is ``sum_pq x_p x_q M_pq``, one product of the
+    weight pairs with each array (:func:`_image_state`), and ``Tr(M_pq O)``
+    is row ``p P + q`` dotted with the raveled ``O``, one product for a
+    whole stack of operators (:func:`_pair_forms`).  With ``trace=True`` it
+    also returns the identity's read-only trace form ``T``, which is built
+    once with the stack.
     """
 
     def build():
@@ -719,8 +727,14 @@ def _source_stack(eta_c: float, cutoff: int, trace: bool = False):
         inputs = np.zeros((arms.dimension, cutoff + 1), dtype=complex)
         for n in range(cutoff + 1):
             inputs[arms.index_of((n, n)), n] = 1.0
-        basis, gram, _ = _output_gram(config, inputs, photon=np.eye(2))
-        gram.setflags(write=False)
+        basis, blocks, _ = _output_gram(config, inputs, photon=np.eye(2))
+        d, P = blocks.shape[:2]
+        gram = tuple(
+            np.ascontiguousarray(part.transpose(1, 3, 2, 0)).reshape(P * P, d * d)
+            for part in (blocks.real, blocks.imag)
+        )
+        for part in gram:
+            part.setflags(write=False)
         trace_form = _pair_forms(gram, np.eye(basis.dimension)[None])[0]
         trace_form.setflags(write=False)
         return basis, gram, trace_form
@@ -729,52 +743,91 @@ def _source_stack(eta_c: float, cutoff: int, trace: bool = False):
     return stack if trace else stack[:2]
 
 
+def _weight_factors(lams, ts, degree: int):
+    """The factors of the image weights: squeezing powers and photon columns.
+
+    Returns ``lam^s`` for ``s <= degree``, ``(L, degree + 1)``, and
+    ``(sqrt(t), sqrt(1 - t))``, ``(T, 2)``.
+    """
+    lams, ts = np.asarray(lams, dtype=float), np.asarray(ts, dtype=float)
+    if not (((lams >= 0.0) & (lams < 1.0)).all() and ((ts > 0.0) & (ts <= 1.0)).all()):
+        raise ValueError("squeezing must lie in [0, 1) and transmission in (0, 1]")
+    return lams[:, None] ** np.arange(degree + 1), np.sqrt(np.array([ts, 1.0 - ts]).T)
+
+
 def _input_weights(lams, ts, cutoff: int) -> np.ndarray:
     """Image weights ``x``, one row per (lam, t) in row-major order.
 
     ``x[2n + j] = lam^n (sqrt(t), sqrt(1 - t))[j]``; the squeezed-vacuum
     normalization is left out, as it cancels in every normalized output.
     """
-    lams, ts = np.asarray(lams, dtype=float), np.asarray(ts, dtype=float)
-    if not (np.all((lams >= 0.0) & (lams < 1.0)) and np.all((ts > 0.0) & (ts <= 1.0))):
-        raise ValueError("squeezing must lie in [0, 1) and transmission in (0, 1]")
-    powers = lams[:, None] ** np.arange(cutoff + 1)
-    photon = np.stack([np.sqrt(ts), np.sqrt(1.0 - ts)], axis=-1)
+    powers, photon = _weight_factors(lams, ts, cutoff)
     rows = powers[:, None, :, None] * photon[None, :, None, :]
-    return rows.reshape(len(lams) * len(ts), 2 * (cutoff + 1))
+    return rows.reshape(len(powers) * len(photon), 2 * (cutoff + 1))
 
 
-def _image_state(basis: ModeBasis, gram: np.ndarray, x: np.ndarray) -> DensityOperator:
-    """Normalized output state for the image weights ``x``."""
-    rho = np.tensordot(np.tensordot(gram, x, axes=(3, 0)), x, axes=(1, 0))
+def _image_state(basis: ModeBasis, gram, x: np.ndarray) -> DensityOperator:
+    """Normalized output state for the image weights ``x``.
+
+    One product of the weight pairs ``x_p x_q`` with each part of the Gram
+    array gives the raveled transpose of ``sum_pq x_p x_q M_pq``.
+    """
+    re, im = gram
+    pairs = np.outer(x, x).ravel()
+    d = basis.dimension
+    rho = (pairs @ re + 1j * (pairs @ im)).reshape(d, d).T
     return DensityOperator(basis, rho / np.trace(rho).real)
 
 
-def _pair_forms(gram: np.ndarray, ops: np.ndarray) -> np.ndarray:
+def _pair_forms(gram, ops: np.ndarray) -> np.ndarray:
     """``R[g, p, q] = Re Tr(M_pq O_g)`` for a real stack of operators ``O``.
 
     Then ``Tr(rho O_g) = x R_g x / x T x`` for the state of weights ``x``,
-    with ``T`` the forms of the identity.
+    with ``T`` the forms of the identity.  ``gram`` is the ``(re, im)``
+    pair of :func:`_source_stack`: the raveled stack times the real part's
+    transpose, a view, so nothing is copied.
     """
-    d, P = gram.shape[:2]
-    pairs = gram.real.transpose(1, 3, 0, 2).reshape(P * P, d * d)
-    return (ops.swapaxes(1, 2).reshape(len(ops), d * d) @ pairs.T).reshape(-1, P, P)
+    re = gram[0]
+    P = math.isqrt(len(re))
+    return (ops.reshape(len(ops), -1) @ re.T).reshape(-1, P, P)
 
 
-def _grid_values(forms: np.ndarray, trace: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """CHSH values ``x R_g x / x T x`` of every (operator g, input row x) pair.
+def _hankel(forms: np.ndarray) -> np.ndarray:
+    """Hankel sums ``H[..., s, j, k] = sum_{n + m = s} R[..., 2n + j, 2m + k]``.
 
-    ``forms`` and ``trace`` come from :func:`_pair_forms`; shape ``(G, S)``.
+    ``forms`` is ``(..., P, P)`` over the image weights; the result is
+    ``(..., P - 1, 2, 2)``.  With ``x[2n + j] = lam^n phi_j(t)``,
+    ``x R x = sum_s lam^s sum_jk phi_j(t) phi_k(t) H[s, j, k]``
+    (:func:`_grid_chsh`).
     """
-    values = ((inputs @ forms) * inputs).sum(axis=-1)
-    return values / ((inputs @ trace) * inputs).sum(axis=-1)
+    terms = forms.shape[-1] // 2
+    # R[..., n, m, j, k] = forms[..., 2n + j, 2m + k]
+    R = np.ascontiguousarray(forms.reshape(*forms.shape[:-2], terms, 2, terms, 2).swapaxes(-3, -2))
+    H = np.zeros(forms.shape[:-2] + (2 * terms - 1, 2, 2))
+    for n in range(terms):
+        H[..., n:n + terms, :, :] += R[..., n, :, :, :]
+    return H
 
 
-def _best_on_grid(forms: np.ndarray, trace: np.ndarray, inputs: np.ndarray):
-    """First CHSH maximum of :func:`_grid_values`, in row-major order: ``(g, k, value)``."""
-    values = _grid_values(forms, trace, inputs)
-    g, k = np.unravel_index(int(np.argmax(values)), values.shape)
-    return g, k, float(values[g, k])
+def _grid_chsh(hankels: np.ndarray, trace: np.ndarray, lams, ts) -> np.ndarray:
+    """CHSH values ``x R_g x / x T x`` on the full ``lams`` x ``ts`` grid.
+
+    ``hankels`` and ``trace`` are the :func:`_hankel` sums of the forms
+    ``R_g`` and ``T``, ``(G, S, 2, 2)`` and ``(S, 2, 2)``.  Each quadratic
+    form is a polynomial in lam contracted with the photon pair
+    ``phi_j(t) phi_k(t)``, ``phi(t) = (sqrt(t), sqrt(1 - t))``: the lam
+    powers times the sums, then times the pairs, ``O(G L (S + T))`` work
+    against ``O(G L T P^2)`` for the dense forms.  The two contractions
+    factor only over the full product of ``lams`` and ``ts``.  Returns
+    ``(G, L, T)``, in row-major (g, lam, t) order.
+    """
+    powers, photon = _weight_factors(lams, ts, trace.shape[0] - 1)
+    pairs = (photon[:, :, None] * photon[:, None, :]).reshape(len(photon), 4).T
+
+    def forms(h):
+        return powers @ h.reshape(*h.shape[:-2], 4) @ pairs
+
+    return forms(hankels) / forms(trace)
 
 
 @dataclass
@@ -801,29 +854,28 @@ def max_source_chsh(
     (golden sections in lam and log t, then the delta search of
     :func:`optimize_delta`) around the best grid point.
     At fixed delta every (lam, t) is a quadratic form in the image weights,
-    so no step runs the circuit again.
+    so no step runs the circuit again.  The grid scan and each
+    golden-section step evaluate the forms factored (:func:`_grid_chsh`); of
+    equal grid values the first in (delta, lam, t) order is taken.
     """
     lam_grid = lam_grid or default_squeezing_grid()
     t_grid = t_grid or default_transmission_grid()
     basis, gram, trace = _source_stack(eta_c, cutoff, trace=True)
+    trace = _hankel(trace)
 
     deltas = np.linspace(0.0, DELTA_MAX, delta_points)
-    g, k, value = _best_on_grid(
-        _pair_forms(gram, bell_matrices(basis, alice, bob, deltas)),
-        trace,
-        _input_weights(lam_grid, t_grid, cutoff),
-    )
-    lam, t = lam_grid[k // len(t_grid)], t_grid[k % len(t_grid)]
-    delta = float(deltas[g])
+    hankels = _hankel(_pair_forms(gram, bell_matrices(basis, alice, bob, deltas)))
+    values = _grid_chsh(hankels, trace, lam_grid, t_grid)
+    g, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+    lam, t, delta, value = lam_grid[i], t_grid[j], float(deltas[g]), float(values[g, i, j])
 
     if not refine:
         return SourceOptimum(value, lam, t, delta)
 
-    form = _pair_forms(gram, bell_matrices(basis, alice, bob, [delta]))[0]
+    form = _hankel(_pair_forms(gram, bell_matrices(basis, alice, bob, [delta])))
 
     def chsh_at_delta(lam_v, t_v):
-        x = _input_weights([lam_v], [t_v], cutoff)[0]
-        return float(x @ form @ x / (x @ trace @ x))
+        return float(_grid_chsh(form, trace, [lam_v], [t_v])[0, 0, 0])
 
     lam_step = lam_grid[1] - lam_grid[0]
     lam, _ = golden_section_max(
@@ -1013,7 +1065,6 @@ def amplified_source_threshold_with_filters(
     lam_grid = lam_grid or default_squeezing_grid(20)
     t_grid = t_grid or default_transmission_grid(30)
     basis, gram = _source_stack(eta_c, cutoff)
-    inputs = _input_weights(lam_grid, t_grid, cutoff)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
     pullback = _filtered_pullback(
         basis, party, party, np.linspace(0.0, DELTA_MAX, 61), gain, applications
@@ -1021,9 +1072,11 @@ def amplified_source_threshold_with_filters(
 
     def max_chsh(eta_t):
         bells, trace = pullback(eta_t)
-        forms = _pair_forms(gram, np.concatenate([bells, trace[None]]))
-        _, k, _ = _best_on_grid(forms[:-1], forms[-1], inputs)
-        lossy = _lossy_state(basis, _image_state(basis, gram, inputs[k]).matrix, eta_t)
+        hankels = _hankel(_pair_forms(gram, np.concatenate([bells, trace[None]])))
+        values = _grid_chsh(hankels[:-1], hankels[-1], lam_grid, t_grid)
+        _, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+        x = _input_weights([lam_grid[i]], [t_grid[j]], cutoff)[0]
+        lossy = _lossy_state(basis, _image_state(basis, gram, x).matrix, eta_t)
         best = apply_filters(DensityOperator(basis, lossy), gain, applications)
         return optimize_delta(party, party, state=best, grid_points=61, tol=1e-5,
                               stop_above=VIOLATION_BOUND)[1]

@@ -7,7 +7,9 @@ full, refined ``optimize_delta`` values is the reference, and the
 thresholds must agree bit for bit.
 """
 
+import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
@@ -105,3 +107,11 @@ def test_violated_steps_skip_the_refine():
     grid = np.linspace(0.0, DELTA_MAX, 241)
     assert stopped.delta == grid[stopped.grid_index] and stopped.value > VIOLATION_BOUND
     assert stopped.value <= full.value
+
+
+def test_benchmark_checks_use_the_solvers_bound(monkeypatch):
+    # perfbench/checks.py keeps its own copy of the bound for its bracket
+    # checks; a change to VIOLATION_MARGIN must change both.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+    checks = importlib.import_module("perfbench.checks")
+    assert checks.VIOLATION_BOUND == VIOLATION_BOUND

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvbell.bell import PartyConditions, optimize_delta
+from cvbell.bell import BellScenario, PartyConditions, chsh_value, optimize_delta
 from cvbell.fock import ModeBasis, StateVector, fidelity, partial_trace
 from cvbell.source_amp import (
     SourceConfig,
@@ -209,6 +209,13 @@ class TestAmplifiedSource:
         config = SourceConfig(squeezing=0.1, amp_transmission=0.3, herald_efficiency=0.0,
                               ancilla_model=ancilla_model, cutoff=3)
         assert amplified_source(config).success_probability == 0.0
+
+    def test_chsh_of_a_source_that_never_heralds_is_rejected(self):
+        config = SourceConfig(squeezing=0.1, amp_transmission=0.3, herald_efficiency=0.0,
+                              cutoff=3)
+        state = amplified_source(config).state
+        with pytest.raises(ValueError, match="non-positive trace"):
+            chsh_value(state, BellScenario.symmetric(delta=0.5))
 
     def test_coupling_loss_mixes_output(self):
         pure = amplified_source(

@@ -2,7 +2,10 @@
 
 With the single-photon ancilla the sweeps never run the circuit per
 (lam, t): they evaluate quadratic forms in the circuit's images of its basis
-inputs (``source_amp._source_stack``).
+inputs (``source_amp._source_stack``).  The grid scans evaluate those forms
+factored, as polynomials in lam contracted with the photon pair in t
+(``source_amp._grid_chsh``); the dense form ``x R x / x T x`` over every
+image-weight row is the reference.
 """
 
 import numpy as np
@@ -20,6 +23,12 @@ from cvbell.source_amp import (
     default_transmission_grid,
     max_source_chsh,
 )
+
+
+def dense_values(forms, trace, inputs):
+    """CHSH values ``x R_g x / x T x`` of every (form g, input row x) pair: ``(G, S)``."""
+    values = ((inputs @ forms) * inputs).sum(axis=-1)
+    return values / ((inputs @ trace) * inputs).sum(axis=-1)
 
 
 def image_state(lam, t, eta_c, cutoff):
@@ -56,7 +65,8 @@ def test_grid_values_equal_chsh_of_materialized_states():
     basis, gram = sa._source_stack(0.9, 3)
     trace = sa._pair_forms(gram, np.eye(basis.dimension)[None])[0]
     forms = sa._pair_forms(gram, bell_matrices(basis, party, party, deltas))
-    values = sa._grid_values(forms, trace, sa._input_weights(lam_grid, t_grid, 3))
+    values = sa._grid_chsh(sa._hankel(forms), sa._hankel(trace), lam_grid,
+                           t_grid).reshape(len(deltas), -1)
 
     expected = np.array([
         [chsh_value(image_state(lam, t, 0.9, 3), BellScenario(party, party, delta=d))
@@ -88,8 +98,51 @@ def test_stack_cache_stays_bounded():
 @pytest.mark.parametrize("lam_grid, t_grid", [
     ((0.0, 1.0), (0.5, 0.9)),
     ((0.0, 0.2), (0.0, 0.5)),
+    ((-0.1, 0.2), (0.5, 0.9)),
 ])
 def test_grid_outside_the_source_parameters_is_rejected(lam_grid, t_grid):
     with pytest.raises(ValueError):
         max_source_chsh(PartyConditions(), PartyConditions(), cutoff=2,
                         lam_grid=lam_grid, t_grid=t_grid)
+
+
+parties = st.builds(PartyConditions, eta_t=st.floats(0.5, 1.0), eta_d=st.floats(0.5, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cutoff=st.integers(min_value=1, max_value=6),
+    eta_c=st.sampled_from([1.0, 0.9]),
+    lam_points=st.integers(min_value=1, max_value=12),
+    lam_upper=st.floats(min_value=0.01, max_value=0.95),
+    t_points=st.integers(min_value=1, max_value=16),
+    t_lower=st.floats(min_value=1e-6, max_value=0.9),
+    alice=parties,
+    bob=parties,
+    filtered=st.booleans(),
+    eta=st.floats(min_value=0.5, max_value=1.0),
+    gain=st.floats(min_value=1.0, max_value=3.0),
+)
+def test_factored_grid_matches_dense_forms(cutoff, eta_c, lam_points, lam_upper, t_points,
+                                          t_lower, alice, bob, filtered, eta, gain):
+    # Every grid holds lam = 0 and t = 0.99, the ends of the default grids.
+    lam_grid = default_squeezing_grid(lam_points, lam_upper)
+    t_grid = default_transmission_grid(t_points, t_lower) if t_points > 1 else (0.99,)
+    basis, gram, trace = sa._source_stack(eta_c, cutoff, trace=True)
+    deltas = np.linspace(0.0, DELTA_MAX, 81)
+    if filtered:  # the forms of the filtered-source threshold
+        bells, square = sa._filtered_pullback(basis, alice, bob, deltas, gain, 1)(eta)
+        forms = sa._pair_forms(gram, np.concatenate([bells, square[None]]))
+        forms, trace = forms[:-1], forms[-1]
+    else:
+        forms = sa._pair_forms(gram, bell_matrices(basis, alice, bob, deltas))
+
+    expected = dense_values(forms, trace, sa._input_weights(lam_grid, t_grid, cutoff))
+    values = sa._grid_chsh(sa._hankel(forms), sa._hankel(trace), lam_grid, t_grid)
+    assert values.shape == (len(deltas), len(lam_grid), len(t_grid))
+    values = values.reshape(expected.shape)
+    assert np.abs(values - expected).max() <= 1e-13
+
+    top, second = np.sort(expected, axis=None)[[-1, -2]]
+    if top - second > 1e-12:
+        assert np.argmax(values) == np.argmax(expected)
