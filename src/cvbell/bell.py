@@ -466,14 +466,20 @@ def bisect_threshold(max_chsh, lo: float = 0.0, hi: float = 1.0, tol: float = 1e
 
     A value counts as a violation above :data:`VIOLATION_BOUND`.  Assumes
     monotonicity (more efficiency never hurts).  Returns ``None`` when there
-    is no violation at the upper end.
+    is no violation at the upper end.  ``tol`` must be finite and positive,
+    or the bisection would never end (or end on NaN comparisons); below the
+    float spacing of the bracket it stops at adjacent floats.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"bisection tol must be finite and positive, got {tol}")
     if max_chsh(hi) <= VIOLATION_BOUND:
         return None
     if max_chsh(lo) > VIOLATION_BOUND:
         return lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # tol is below the float spacing: no finer midpoint
+            break
         if max_chsh(mid) > VIOLATION_BOUND:
             hi = mid
         else:

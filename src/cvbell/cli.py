@@ -332,9 +332,13 @@ def _run_source_amp(args) -> int:
     return 0
 
 
+def _check_gain(gain: float) -> None:
+    if not gain >= 1.0:  # also rejects NaN
+        raise ValidationError(f"--g must be >= 1, got {gain}")
+
+
 def _run_local_amp(args) -> int:
-    if args.g < 1.0:
-        raise ValidationError("--g must be >= 1")
+    _check_gain(args.g)
     args.cutoff = max(args.cutoff, 2)  # the filtered state needs two photons per mode
     value = filtered_critical_transmission(
         args.g, args.m, eta_d=args.eta_d, eta_c=args.eta_c,
@@ -358,6 +362,9 @@ def _run_local_amp(args) -> int:
 
 
 def _run_multi_filter(args) -> int:
+    _check_gain(args.g)
+    if args.m_max < 1:
+        raise ValidationError(f"--m-max must be at least 1, got {args.m_max}")
     args.cutoff = max(args.cutoff, 2)
     curve = multi_filter_curve(
         args.g, args.m_max, eta_d=args.eta_d,

@@ -25,7 +25,8 @@ plate then casts the leading component into the all-real sign pattern
 branch stays pure, so the simulation propagates weighted pure branches and
 assembles the conditional density operator only at the end.  A branch is a
 ``(dim, P)`` block: one column for one input state, or the images of P basis
-inputs, from which the source sweeps evaluate every (squeezing,
+inputs.  The source sweeps fold those images once into their Hankel sums
+over the squeezing powers, from which they evaluate every (squeezing,
 transmission) point without running the circuit again (:func:`_source_stack`).
 Each stage holds its branches as one ``(B, dim, P)`` stack and applies its
 beam splitter to all of them in one product on the two split modes
@@ -694,29 +695,58 @@ def default_transmission_grid(points: int = 60, lower: float = 3e-5,
     return tuple(np.geomspace(lower, upper, points))
 
 
-#: Output images of the single-photon circuit by (eta_c, cutoff), least
+#: Folded output images of the single-photon circuit by (eta_c, cutoff), least
 #: recently used first (see :func:`_source_stack`).  perfbench reads this name.
 _STACK_CACHE: dict = {}
 _STACK_CACHE_SIZE = 4
 
 
+def _fold(blocks: np.ndarray) -> tuple:
+    """The Hankel sums of the Gram blocks over the squeezing powers.
+
+    ``blocks`` is the ``(d, P, d, P)`` :func:`_gram` array of the images of
+    the basis inputs, ``P = 2 N`` with input ``2n + j`` weighted by
+    ``lam^n phi_j(t)``.  Returns the parts ``(re, im)`` of the sums
+    ``H[s, j, k] = sum_{n + m = s} M[:, 2n + j, :, 2m + k]``, s = 0 ... 2N - 2,
+    each a read-only ``(4 (2N - 1), d^2)`` array whose row ``4 s + 2 j + k``
+    is the raveled transpose of ``H[s, j, k]``.  The sums are added from
+    views of ``blocks``, so no second unfolded copy is made.
+    """
+    d, P = blocks.shape[:2]
+    terms = P // 2
+    # V[n, m, j, k] is the transpose of the block M[:, 2n + j, :, 2m + k].
+    V = blocks.reshape(d, terms, 2, d, terms, 2).transpose(1, 4, 2, 5, 3, 0)
+    folded = []
+    for part in (V.real, V.imag):
+        H = np.zeros((2 * terms - 1, 2, 2, d, d))
+        for n in range(terms):
+            H[n:n + terms] += part[n]
+        H = H.reshape(-1, d * d)
+        H.setflags(write=False)
+        folded.append(H)
+    return tuple(folded)
+
+
 def _source_stack(eta_c: float, cutoff: int, trace: bool = False):
-    """Images of the single-photon circuit, one run per (eta_c, cutoff), cached.
+    """Folded images of the single-photon circuit, one run per (eta_c, cutoff), cached.
 
     With the single-photon ancilla the circuit is linear in its input
     ``sum_n lam^n |nn> (x) (sqrt(t) |10> + sqrt(1 - t) |01>)``, so it runs
     once on the P = 2 (cutoff + 1) basis inputs ``|nn> (x) |10>`` (column
-    2n) and ``|nn> (x) |01>`` (column 2n + 1).  Returns the capped output
-    basis and the read-only Gram array ``(re, im)`` of the blocks
-    ``M_pq = M[:, p, :, q]`` of :func:`_gram`, as two contiguous real
-    ``(P^2, d^2)`` arrays whose row ``p P + q`` is the raveled transpose of
-    ``M_pq``.  The unnormalized output for weights ``x``
-    (:func:`_input_weights`) is ``sum_pq x_p x_q M_pq``, one product of the
-    weight pairs with each array (:func:`_image_state`), and ``Tr(M_pq O)``
-    is row ``p P + q`` dotted with the raveled ``O``, one product for a
-    whole stack of operators (:func:`_pair_forms`).  With ``trace=True`` it
-    also returns the identity's read-only trace form ``T``, which is built
-    once with the stack.
+    2n) and ``|nn> (x) |01>`` (column 2n + 1).  The unnormalized output for
+    the image weights ``x[2n + j] = lam^n phi_j(t)``,
+    ``phi(t) = (sqrt(t), sqrt(1 - t))``, is ``sum_pq x_p x_q M_pq`` over the
+    blocks ``M_pq`` of :func:`_gram`.  The weights are a product, so that sum
+    is ``sum_s lam^s sum_jk phi_j(t) phi_k(t) H[s, j, k]`` over the Hankel
+    sums of :func:`_fold`, s = 0 ... 2 cutoff, and every quantity the sweeps
+    read is a function of them.  Returns the capped output basis and the
+    read-only folded rows ``(re, im)``, two real ``(4 (2 cutoff + 1), d^2)``
+    arrays (52 x 1296 at cutoff 6).  The output state is one product of the
+    weights ``lam^s phi_j phi_k`` with each array (:func:`_image_state`),
+    and the sums of ``Tr(M_pq O)`` are the real array times the raveled
+    ``O``, one product for a whole stack of operators (:func:`_pair_forms`).
+    With ``trace=True`` it also returns the identity's read-only sums ``T``,
+    which are built once with the stack.
     """
 
     def build():
@@ -728,106 +758,123 @@ def _source_stack(eta_c: float, cutoff: int, trace: bool = False):
         for n in range(cutoff + 1):
             inputs[arms.index_of((n, n)), n] = 1.0
         basis, blocks, _ = _output_gram(config, inputs, photon=np.eye(2))
-        d, P = blocks.shape[:2]
-        gram = tuple(
-            np.ascontiguousarray(part.transpose(1, 3, 2, 0)).reshape(P * P, d * d)
-            for part in (blocks.real, blocks.imag)
-        )
-        for part in gram:
-            part.setflags(write=False)
-        trace_form = _pair_forms(gram, np.eye(basis.dimension)[None])[0]
+        folded = _fold(blocks)
+        trace_form = _pair_forms(folded, np.eye(basis.dimension)[None])[0]
         trace_form.setflags(write=False)
-        return basis, gram, trace_form
+        return basis, folded, trace_form
 
     stack = _cached(_STACK_CACHE, _STACK_CACHE_SIZE, (float(eta_c), int(cutoff)), build)
     return stack if trace else stack[:2]
 
 
-def _weight_factors(lams, ts, degree: int):
-    """The factors of the image weights: squeezing powers and photon columns.
+def _sweep_grid(grid, name: str) -> np.ndarray:
+    """A sweep grid as a 1-D float array of at least two points."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 1 or len(grid) < 2:
+        raise ValueError(f"{name} must be a 1-D sequence of at least 2 points, "
+                         f"got shape {grid.shape}")
+    return grid
 
-    Returns ``lam^s`` for ``s <= degree``, ``(L, degree + 1)``, and
-    ``(sqrt(t), sqrt(1 - t))``, ``(T, 2)``.
+
+def _weight_factors(lams, ts, degree: int):
+    """The factors of the image weights: squeezing powers and photon pairs.
+
+    Returns ``lam^s`` for ``s <= degree``, ``(L, degree + 1)``, and the
+    pairs ``phi_j(t) phi_k(t)`` of ``phi(t) = (sqrt(t), sqrt(1 - t))``,
+    ``(4, T)`` with row ``2 j + k``.
     """
     lams, ts = np.asarray(lams, dtype=float), np.asarray(ts, dtype=float)
     if not (((lams >= 0.0) & (lams < 1.0)).all() and ((ts > 0.0) & (ts <= 1.0)).all()):
         raise ValueError("squeezing must lie in [0, 1) and transmission in (0, 1]")
-    return lams[:, None] ** np.arange(degree + 1), np.sqrt(np.array([ts, 1.0 - ts]).T)
+    photon = np.sqrt(np.array([ts, 1.0 - ts]).T)
+    pairs = (photon[:, :, None] * photon[:, None, :]).reshape(len(photon), 4).T
+    return lams[:, None] ** np.arange(degree + 1), pairs
 
 
-def _input_weights(lams, ts, cutoff: int) -> np.ndarray:
-    """Image weights ``x``, one row per (lam, t) in row-major order.
+def _image_state(basis: ModeBasis, stack, lam: float, t: float) -> DensityOperator:
+    """Normalized output state at squeezing ``lam`` and transmission ``t``.
 
-    ``x[2n + j] = lam^n (sqrt(t), sqrt(1 - t))[j]``; the squeezed-vacuum
-    normalization is left out, as it cancels in every normalized output.
+    ``stack`` is the folded ``(re, im)`` pair of :func:`_source_stack`.  One
+    product of the weights ``lam^s phi_j(t) phi_k(t)`` with each part gives
+    the raveled transpose of the unnormalized output.
     """
-    powers, photon = _weight_factors(lams, ts, cutoff)
-    rows = powers[:, None, :, None] * photon[None, :, None, :]
-    return rows.reshape(len(powers) * len(photon), 2 * (cutoff + 1))
-
-
-def _image_state(basis: ModeBasis, gram, x: np.ndarray) -> DensityOperator:
-    """Normalized output state for the image weights ``x``.
-
-    One product of the weight pairs ``x_p x_q`` with each part of the Gram
-    array gives the raveled transpose of ``sum_pq x_p x_q M_pq``.
-    """
-    re, im = gram
-    pairs = np.outer(x, x).ravel()
+    re, im = stack
+    powers, pairs = _weight_factors([lam], [t], len(re) // 4 - 1)
+    weights = (powers[0][:, None] * pairs[:, 0]).ravel()
     d = basis.dimension
-    rho = (pairs @ re + 1j * (pairs @ im)).reshape(d, d).T
+    rho = (weights @ re + 1j * (weights @ im)).reshape(d, d).T
     return DensityOperator(basis, rho / np.trace(rho).real)
 
 
-def _pair_forms(gram, ops: np.ndarray) -> np.ndarray:
-    """``R[g, p, q] = Re Tr(M_pq O_g)`` for a real stack of operators ``O``.
+def _pair_forms(stack, ops: np.ndarray) -> np.ndarray:
+    """``F[g, s, j, k] = Re Tr(H[s, j, k] O_g)`` for a real stack of operators ``O``.
 
-    Then ``Tr(rho O_g) = x R_g x / x T x`` for the state of weights ``x``,
-    with ``T`` the forms of the identity.  ``gram`` is the ``(re, im)``
-    pair of :func:`_source_stack`: the raveled stack times the real part's
-    transpose, a view, so nothing is copied.
+    ``stack`` is the folded ``(re, im)`` pair of :func:`_source_stack`.
+    Then ``Tr(rho O_g)`` is ``sum_s lam^s sum_jk phi_j phi_k F[g, s, j, k]``
+    over the same sums of the identity (:func:`_grid_chsh`).  One product
+    of the raveled stack with the real part's transpose, a view, so nothing
+    is copied.
     """
-    re = gram[0]
-    P = math.isqrt(len(re))
-    return (ops.reshape(len(ops), -1) @ re.T).reshape(-1, P, P)
-
-
-def _hankel(forms: np.ndarray) -> np.ndarray:
-    """Hankel sums ``H[..., s, j, k] = sum_{n + m = s} R[..., 2n + j, 2m + k]``.
-
-    ``forms`` is ``(..., P, P)`` over the image weights; the result is
-    ``(..., P - 1, 2, 2)``.  With ``x[2n + j] = lam^n phi_j(t)``,
-    ``x R x = sum_s lam^s sum_jk phi_j(t) phi_k(t) H[s, j, k]``
-    (:func:`_grid_chsh`).
-    """
-    terms = forms.shape[-1] // 2
-    # R[..., n, m, j, k] = forms[..., 2n + j, 2m + k]
-    R = np.ascontiguousarray(forms.reshape(*forms.shape[:-2], terms, 2, terms, 2).swapaxes(-3, -2))
-    H = np.zeros(forms.shape[:-2] + (2 * terms - 1, 2, 2))
-    for n in range(terms):
-        H[..., n:n + terms, :, :] += R[..., n, :, :, :]
-    return H
+    re = stack[0]
+    return (ops.reshape(len(ops), -1) @ re.T).reshape(len(ops), -1, 2, 2)
 
 
 def _grid_chsh(hankels: np.ndarray, trace: np.ndarray, lams, ts) -> np.ndarray:
     """CHSH values ``x R_g x / x T x`` on the full ``lams`` x ``ts`` grid.
 
-    ``hankels`` and ``trace`` are the :func:`_hankel` sums of the forms
-    ``R_g`` and ``T``, ``(G, S, 2, 2)`` and ``(S, 2, 2)``.  Each quadratic
-    form is a polynomial in lam contracted with the photon pair
+    ``hankels`` and ``trace`` are the :func:`_pair_forms` sums of the Bell
+    operators and of the identity, ``(G, S, 2, 2)`` and ``(S, 2, 2)``.  Each
+    quadratic form is a polynomial in lam contracted with the photon pair
     ``phi_j(t) phi_k(t)``, ``phi(t) = (sqrt(t), sqrt(1 - t))``: the lam
     powers times the sums, then times the pairs, ``O(G L (S + T))`` work
-    against ``O(G L T P^2)`` for the dense forms.  The two contractions
-    factor only over the full product of ``lams`` and ``ts``.  Returns
-    ``(G, L, T)``, in row-major (g, lam, t) order.
+    against ``O(G L T P^2)`` for the dense forms over the P image weights.
+    The two contractions factor only over the full product of ``lams`` and
+    ``ts``.  Returns ``(G, L, T)``, in row-major (g, lam, t) order.
     """
-    powers, photon = _weight_factors(lams, ts, trace.shape[0] - 1)
-    pairs = (photon[:, :, None] * photon[:, None, :]).reshape(len(photon), 4).T
+    powers, pairs = _weight_factors(lams, ts, trace.shape[0] - 1)
 
     def forms(h):
         return powers @ h.reshape(*h.shape[:-2], 4) @ pairs
 
     return forms(hankels) / forms(trace)
+
+
+def _along_lam(forms: np.ndarray, t: float):
+    """The CHSH value as a function of lam at fixed ``t``.
+
+    ``forms`` stacks the sums of one Bell operator and of the identity,
+    ``(2, S, 2, 2)``.  The photon pair at ``t`` contracts them once into two
+    polynomials of degree S - 1 in lam; each value is then one product of
+    the lam powers with both.  Equal to :func:`_grid_chsh` on a 1 x 1 grid
+    up to rounding.
+    """
+    _, pairs = _weight_factors([], [t], 0)
+    coefs = (forms.reshape(2, -1, 4) @ pairs)[..., 0].T
+    exponents = np.arange(len(coefs))
+
+    def chsh(lam):
+        value, norm = lam ** exponents @ coefs
+        return float(value / norm)
+
+    return chsh
+
+
+def _along_t(forms: np.ndarray, lam: float):
+    """The CHSH value as a function of t at fixed ``lam``.
+
+    The lam powers contract the sums ``forms`` (see :func:`_along_lam`) once
+    into two 2 x 2 forms in the photon pair; each value is then their
+    product with the pair ``phi_j(t) phi_k(t)``.
+    """
+    powers, _ = _weight_factors([lam], [], forms.shape[1] - 1)
+    coefs = powers[0] @ forms.reshape(2, -1, 4)
+
+    def chsh(t):
+        root = (math.sqrt(t), math.sqrt(1.0 - t))
+        value, norm = coefs @ [a * b for a in root for b in root]
+        return float(value / norm)
+
+    return chsh
 
 
 @dataclass
@@ -852,48 +899,50 @@ def max_source_chsh(
 
     Coarse grid scan over the circuit images, then coordinate refinement
     (golden sections in lam and log t, then the delta search of
-    :func:`optimize_delta`) around the best grid point.
-    At fixed delta every (lam, t) is a quadratic form in the image weights,
-    so no step runs the circuit again.  The grid scan and each
-    golden-section step evaluate the forms factored (:func:`_grid_chsh`); of
-    equal grid values the first in (delta, lam, t) order is taken.
+    :func:`optimize_delta`) around the best grid point.  ``lam_grid`` and
+    ``t_grid`` are 1-D sequences of at least two points; ``None`` selects
+    the default grid.  At fixed delta every (lam, t) is a quadratic form in
+    the image weights, so no step runs the circuit again.  The grid scan
+    evaluates the forms factored (:func:`_grid_chsh`); of equal grid values
+    the first in (delta, lam, t) order is taken.  The golden sections read
+    row g* of the grid's sums, the Bell form at the grid's delta, contracted
+    once per section (:func:`_along_lam`, :func:`_along_t`).
     """
-    lam_grid = lam_grid or default_squeezing_grid()
-    t_grid = t_grid or default_transmission_grid()
-    basis, gram, trace = _source_stack(eta_c, cutoff, trace=True)
-    trace = _hankel(trace)
+    lam_grid = _sweep_grid(default_squeezing_grid() if lam_grid is None else lam_grid,
+                           "lam_grid")
+    t_grid = _sweep_grid(default_transmission_grid() if t_grid is None else t_grid,
+                         "t_grid")
+    basis, stack, trace = _source_stack(eta_c, cutoff, trace=True)
 
     deltas = np.linspace(0.0, DELTA_MAX, delta_points)
-    hankels = _hankel(_pair_forms(gram, bell_matrices(basis, alice, bob, deltas)))
+    hankels = _pair_forms(stack, bell_matrices(basis, alice, bob, deltas))
     values = _grid_chsh(hankels, trace, lam_grid, t_grid)
     g, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-    lam, t, delta, value = lam_grid[i], t_grid[j], float(deltas[g]), float(values[g, i, j])
+    lam, t = float(lam_grid[i]), float(t_grid[j])
+    delta, value = float(deltas[g]), float(values[g, i, j])
 
     if not refine:
         return SourceOptimum(value, lam, t, delta)
 
-    form = _hankel(_pair_forms(gram, bell_matrices(basis, alice, bob, [delta])))
-
-    def chsh_at_delta(lam_v, t_v):
-        return float(_grid_chsh(form, trace, [lam_v], [t_v])[0, 0, 0])
-
+    forms = np.stack([hankels[g], trace])
     lam_step = lam_grid[1] - lam_grid[0]
     lam, _ = golden_section_max(
-        lambda x: chsh_at_delta(x, t),
+        _along_lam(forms, t),
         max(0.0, lam - lam_step),
         min(lam_grid[-1], lam + lam_step),
         1e-4,
     )
+    along_t = _along_t(forms, lam)
     log_step = math.log(t_grid[1] / t_grid[0])
     logt, _ = golden_section_max(
-        lambda x: chsh_at_delta(lam, math.exp(x)),
+        lambda x: along_t(math.exp(x)),
         math.log(t) - log_step,
         min(math.log(t_grid[-1]), math.log(t) + log_step),
         1e-4,
     )
     t = math.exp(logt)
-    state = _image_state(basis, gram, _input_weights([lam], [t], cutoff)[0])
-    delta, value = optimize_delta(alice, bob, state=state, grid_points=61)
+    delta, value = optimize_delta(alice, bob, state=_image_state(basis, stack, lam, t),
+                                  grid_points=61)
     return SourceOptimum(value, lam, t, delta)
 
 
@@ -1062,9 +1111,11 @@ def amplified_source_threshold_with_filters(
     (:func:`_lossy_state`) and then through the filters
     (:func:`cvbell.local_amp.apply_filters`).
     """
-    lam_grid = lam_grid or default_squeezing_grid(20)
-    t_grid = t_grid or default_transmission_grid(30)
-    basis, gram = _source_stack(eta_c, cutoff)
+    lam_grid = _sweep_grid(default_squeezing_grid(20) if lam_grid is None else lam_grid,
+                           "lam_grid")
+    t_grid = _sweep_grid(default_transmission_grid(30) if t_grid is None else t_grid,
+                         "t_grid")
+    basis, stack = _source_stack(eta_c, cutoff)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
     pullback = _filtered_pullback(
         basis, party, party, np.linspace(0.0, DELTA_MAX, 61), gain, applications
@@ -1072,11 +1123,11 @@ def amplified_source_threshold_with_filters(
 
     def max_chsh(eta_t):
         bells, trace = pullback(eta_t)
-        hankels = _hankel(_pair_forms(gram, np.concatenate([bells, trace[None]])))
+        hankels = _pair_forms(stack, np.concatenate([bells, trace[None]]))
         values = _grid_chsh(hankels[:-1], hankels[-1], lam_grid, t_grid)
         _, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-        x = _input_weights([lam_grid[i]], [t_grid[j]], cutoff)[0]
-        lossy = _lossy_state(basis, _image_state(basis, gram, x).matrix, eta_t)
+        state = _image_state(basis, stack, lam_grid[i], t_grid[j])
+        lossy = _lossy_state(basis, state.matrix, eta_t)
         best = apply_filters(DensityOperator(basis, lossy), gain, applications)
         return optimize_delta(party, party, state=best, grid_points=61, tol=1e-5,
                               stop_above=VIOLATION_BOUND)[1]

@@ -5,6 +5,7 @@ from cvbell.bell import (
     ASYMMETRIC,
     SYMMETRIC,
     TSIRELSON,
+    VIOLATION_BOUND,
     BellScenario,
     PartyConditions,
     bell_matrix,
@@ -144,6 +145,18 @@ class TestMonotonicity:
 class TestThresholds:
     def test_bisect_threshold_simple(self):
         assert bisect_threshold(lambda x: 4 * x, tol=1e-6) == pytest.approx(0.5, abs=1e-5)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_bisect_threshold_rejects_a_tol_it_cannot_reach(self, tol):
+        calls = []
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            bisect_threshold(lambda x: calls.append(x) or 4 * x, tol=tol)
+        assert not calls  # rejected before any evaluation
+
+    def test_bisect_threshold_ends_below_the_float_spacing(self):
+        # The bracket stops halving at adjacent floats, above any tol below their gap.
+        value = bisect_threshold(lambda x: 4 * x, tol=1e-300)
+        assert value == pytest.approx(VIOLATION_BOUND / 4, abs=1e-15)
 
     def test_no_violation_reported(self):
         assert bisect_threshold(lambda x: 1.0) is None

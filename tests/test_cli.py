@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -247,6 +251,46 @@ class TestMultiFilterCommand:
         header = lines[0].split(",")
         rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
         assert float(rows[0]["eta_t_star"]) > float(rows[1]["eta_t_star"])
+
+
+class TestBadNumbers:
+    @pytest.mark.parametrize("tol", ["0", "-1e-3", "nan"])
+    def test_bisection_tol_is_rejected(self, tol, tmp_path):
+        # In a child with a timeout: a tolerance the bisection can never reach
+        # must end the run, not hang the suite.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        out = tmp_path / "x.csv"
+        run = subprocess.run(
+            [sys.executable, "-m", "cvbell.cli", "threshold", f"--tol={tol}",
+             "--output", str(out)],
+            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+            timeout=60,
+        )
+        assert run.returncode == 1
+        assert_one_error_line(run.stderr, "tol must be finite and positive")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["threshold", "region", "source-amp", "local-amp",
+                                         "multi-filter"])
+    def test_every_solver_rejects_a_zero_tol(self, command, tmp_path, capsys):
+        code, out = run_cli([command, "--tol=0", "--cutoff", "2"], tmp_path)
+        assert code == 1
+        assert_one_error_line(capsys.readouterr().err, "tol must be finite and positive")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["local-amp", "multi-filter"])
+    def test_nan_gain_is_rejected(self, command, tmp_path, capsys):
+        code, out = run_cli([command, "--g", "nan"], tmp_path)
+        assert code == 1
+        assert_one_error_line(capsys.readouterr().err, "--g must be >= 1")
+        assert not out.exists()
+
+    def test_zero_filter_applications_are_rejected(self, tmp_path, capsys):
+        code, out = run_cli(["multi-filter", "--m-max", "0"], tmp_path)
+        assert code == 1
+        assert_one_error_line(capsys.readouterr().err, "--m-max must be at least 1")
+        assert not out.exists()
 
 
 class TestConfigFile:
