@@ -468,19 +468,27 @@ def bisect_threshold(max_chsh, lo: float = 0.0, hi: float = 1.0, tol: float = 1e
     monotonicity (more efficiency never hurts).  Returns ``None`` when there
     is no violation at the upper end.  ``tol`` must be finite and positive,
     or the bisection would never end (or end on NaN comparisons); below the
-    float spacing of the bracket it stops at adjacent floats.
+    float spacing of the bracket it stops at adjacent floats.  A non-finite
+    ``max_chsh`` value raises ``ValueError``: NaN would read as a verdict.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"bisection tol must be finite and positive, got {tol}")
-    if max_chsh(hi) <= VIOLATION_BOUND:
+
+    def violates(value: float) -> bool:
+        chsh = max_chsh(value)
+        if not math.isfinite(chsh):
+            raise ValueError(f"max CHSH is not finite at {value}: {chsh}")
+        return chsh > VIOLATION_BOUND
+
+    if not violates(hi):
         return None
-    if max_chsh(lo) > VIOLATION_BOUND:
+    if violates(lo):
         return lo
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # tol is below the float spacing: no finer midpoint
             break
-        if max_chsh(mid) > VIOLATION_BOUND:
+        if violates(mid):
             hi = mid
         else:
             lo = mid

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import re
 import sys
 
@@ -80,11 +81,13 @@ def _efficiency(text: str) -> float:
 
 
 def _efficiency_grid(text: str) -> str:
-    """A grid of efficiencies (:func:`parse_grid`), checked and kept as text."""
+    """A non-empty grid of efficiencies (:func:`parse_grid`), checked and kept as text."""
     try:
         grid = parse_grid(text)
     except ValidationError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if not grid:  # a sweep of no points would write a header-only table
+        raise argparse.ArgumentTypeError("grid is empty")
     for value in grid:
         if not 0.0 <= value <= 1.0:
             raise argparse.ArgumentTypeError(f"values must lie in [0, 1], got {value}")
@@ -236,7 +239,19 @@ def _emit(args, fieldnames, rows, extra=None) -> str:
     return path
 
 
+def _two_photon_cutoff(args) -> None:
+    """Run at a per-mode cutoff of at least 2; the sidecar records the cutoff used.
+
+    The optimal state, psi2 and the filtered states hold up to two photons
+    per mode, so a smaller basis cannot hold them.
+    """
+    if args.cutoff < 0:
+        raise ValidationError(f"--cutoff must be >= 0, got {args.cutoff}")
+    args.cutoff = max(args.cutoff, 2)
+
+
 def _run_threshold(args) -> int:
+    _two_photon_cutoff(args)
     state = None if args.state == "optimal" else psi2_state(args.cutoff)
     value = critical_efficiency(
         args.target.replace("-", "_"),
@@ -266,6 +281,7 @@ def _run_threshold(args) -> int:
 
 
 def _run_region(args) -> int:
+    _two_photon_cutoff(args)
     grid = parse_grid(args.eta_d_grid)
     state = None if args.state == "optimal" else psi2_state(args.cutoff)
     points = region_boundary(
@@ -333,13 +349,13 @@ def _run_source_amp(args) -> int:
 
 
 def _check_gain(gain: float) -> None:
-    if not gain >= 1.0:  # also rejects NaN
-        raise ValidationError(f"--g must be >= 1, got {gain}")
+    if not 1.0 <= gain < math.inf:  # also rejects NaN
+        raise ValidationError(f"--g must be >= 1 and finite, got {gain}")
 
 
 def _run_local_amp(args) -> int:
     _check_gain(args.g)
-    args.cutoff = max(args.cutoff, 2)  # the filtered state needs two photons per mode
+    _two_photon_cutoff(args)
     value = filtered_critical_transmission(
         args.g, args.m, eta_d=args.eta_d, eta_c=args.eta_c,
         cutoff=args.cutoff, tol=args.tol,
@@ -365,7 +381,7 @@ def _run_multi_filter(args) -> int:
     _check_gain(args.g)
     if args.m_max < 1:
         raise ValidationError(f"--m-max must be at least 1, got {args.m_max}")
-    args.cutoff = max(args.cutoff, 2)
+    _two_photon_cutoff(args)
     curve = multi_filter_curve(
         args.g, args.m_max, eta_d=args.eta_d,
         cutoff=args.cutoff, tol=args.tol, workers=args.workers,

@@ -394,10 +394,15 @@ def partial_trace(rho: DensityOperator, keep) -> DensityOperator:
 
 
 def _check_hermitian(matrix: np.ndarray, what: str = "matrix") -> None:
-    """Reject a matrix, or a stack of matrices, that is not Hermitian."""
+    """Reject a matrix, or a stack of matrices, that is not Hermitian or not finite.
+
+    A NaN entry makes the asymmetry NaN and an inf entry makes the bound
+    inf, and either fails the one chained comparison.
+    """
     scale = max(1.0, float(np.abs(matrix).max()))
-    if np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max() > HERMITICITY_RTOL * scale:
-        raise ValueError(f"{what} is not Hermitian")
+    bound = HERMITICITY_RTOL * scale
+    if not np.abs(matrix - matrix.conj().swapaxes(-1, -2)).max() <= bound < math.inf:
+        raise ValueError(f"{what} is not Hermitian or not finite")
 
 
 def _hermitian_input(H) -> np.ndarray:

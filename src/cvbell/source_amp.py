@@ -28,13 +28,16 @@ assembles the conditional density operator only at the end.  A branch is a
 inputs.  The source sweeps fold those images once into their Hankel sums
 over the squeezing powers, from which they evaluate every (squeezing,
 transmission) point without running the circuit again (:func:`_source_stack`).
-Each stage holds its branches as one ``(B, dim, P)`` stack and applies its
-beam splitter to all of them in one product on the two split modes
-(:func:`_split`); ``fock.beam_splitter`` over the full joint basis is the
-reference that the tests hold it to.  The circuit runs once per branch of
-the ancilla, on all input branches together, and sums the Gram arrays of
-the outputs (:func:`_heralded_gram`); the herald distribution needs only
-the reduced states of the two modes that meet on the interference splitter
+Each stage holds its branches as one ``(B, dim, P)`` stack and acts only on
+its own axes of the stack's mode tensor (:func:`_modes`): a beam splitter on
+its two modes (:func:`_split`), a loss on one mode (:func:`_loss_branches`),
+the detectors on the herald modes and the phase plates on the last mode.  No
+operator over the joint basis is built; ``fock.beam_splitter`` and
+``fock.embed_single_mode`` over it are the references that the tests hold
+the stages to.  The circuit runs once per branch of the ancilla, on all
+input branches together, and sums the Gram arrays of the outputs
+(:func:`_heralded_gram`); the herald distribution needs only the reduced
+states of the two modes that meet on the interference splitter
 (:func:`herald_probabilities`).
 """
 
@@ -52,7 +55,6 @@ from .fock import (
     StateVector,
     anchor_phase,
     beam_splitter,
-    embed_single_mode,
     loss_kraus,
 )
 from .measurement import DELTA_MAX, _loss_channel, _through_loss, photodetection_povm
@@ -186,13 +188,21 @@ def _cached_bs(cutoffs: tuple, t: float, in_cutoffs: tuple) -> np.ndarray:
     return U
 
 
+def _modes(stack: np.ndarray, cutoffs) -> np.ndarray:
+    """A ``(B, D, W)`` stack over ``cutoffs`` as the mode tensor ``(B, d_0, ..., W)``.
+
+    The sizes are explicit, so an empty stack (no branch survived) works too.
+    """
+    return stack.reshape(len(stack), *(c + 1 for c in cutoffs), stack.shape[-1])
+
+
 def _split(stack: np.ndarray, cutoffs: tuple, modes: tuple, t: float,
            out_cutoffs: tuple | None = None) -> np.ndarray:
     """Beam splitter of transmission ``t`` on ``modes`` of every block in a stack.
 
     ``stack`` is ``(B, D, W)``: B branch blocks of W columns over the uncapped
-    basis of ``cutoffs``.  Read as the mode tensor ``(B, d_0, ..., W)``, its
-    two split modes are contracted with the two-mode unitary in one product
+    basis of ``cutoffs``.  Its two split modes of the mode tensor
+    (:func:`_modes`) are contracted with the two-mode unitary in one product
     over all branches and columns.  ``out_cutoffs`` (default ``cutoffs``)
     may enlarge the two split modes; the result is ``(B, D', W)`` over it.
     """
@@ -200,7 +210,7 @@ def _split(stack: np.ndarray, cutoffs: tuple, modes: tuple, t: float,
     i, j = modes
     U = _cached_bs((out_cutoffs[i], out_cutoffs[j]), t, (cutoffs[i], cutoffs[j]))
     B, _, W = stack.shape
-    T = np.moveaxis(stack.reshape(B, *(c + 1 for c in cutoffs), W), (i + 1, j + 1), (0, 1))
+    T = np.moveaxis(_modes(stack, cutoffs), (i + 1, j + 1), (0, 1))
     rest = T.shape[2:]
     T = (U @ T.reshape(U.shape[1], -1)).reshape(out_cutoffs[i] + 1, out_cutoffs[j] + 1, *rest)
     # Explicit sizes: an empty stack (no branch survived) keeps its shape.
@@ -214,18 +224,10 @@ def _norms2(blocks: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im)
 
 
-@lru_cache(maxsize=64)
-def _parity_last_mode(kept_cutoffs: tuple) -> np.ndarray:
-    arr = np.array([(-1.0) ** occ[-1] for occ in _basis(kept_cutoffs).occupations])
-    arr.setflags(write=False)
-    return arr
-
-
-@lru_cache(maxsize=64)
-def _output_plate(cutoffs: tuple) -> np.ndarray:
-    arr = np.array([1j ** int(occ[1]) for occ in _basis(cutoffs).occupations])
-    arr.setflags(write=False)
-    return arr
+def _phase_plate(stack: np.ndarray, cutoffs, phase) -> np.ndarray:
+    """The stack with its last mode's amplitudes of n photons times ``phase ** n``."""
+    phases = np.array([phase ** n for n in range(cutoffs[-1] + 1)])
+    return (_modes(stack, cutoffs) * phases[:, None]).reshape(stack.shape)
 
 
 def _cached(cache: dict, size: int, key, build):
@@ -242,38 +244,45 @@ def _cached(cache: dict, size: int, key, build):
     return value
 
 
-#: Embedded loss Kraus operators by (cutoffs, total_cap, eta, mode), for the
-#: coupling loss of the circuit's arms (:func:`_loss_branches`); bounded, as
-#: each coupling efficiency adds entries.  perfbench reads this name.
+#: Single-mode loss Kraus stacks ``(K, n, n)`` by (eta, cutoff), for the
+#: coupling loss of the down-converters' arms (:func:`_loss_branches`);
+#: bounded, as each coupling efficiency adds entries.  The entries are not
+#: photon-capped; the name stays because perfbench reads it.
 _CAPPED_LOSS_CACHE: dict = {}
 _LOSS_CACHE_SIZE = 16
 
 
-def _loss_embed(basis: ModeBasis, eta: float, mode: int) -> np.ndarray:
-    """Loss Kraus operators embedded in a (possibly photon-capped) basis, stacked."""
-
-    def build():
-        ops = np.stack([
-            embed_single_mode(basis, A, mode) for A in loss_kraus(eta, basis.cutoffs[mode])
-        ])
-        ops.setflags(write=False)
-        return ops
-
-    key = (basis.cutoffs, basis.total_cap, float(eta), int(mode))
-    return _cached(_CAPPED_LOSS_CACHE, _LOSS_CACHE_SIZE, key, build)
-
-
 def _loss_branches(cutoffs, branches: np.ndarray, mode: int, eta: float) -> np.ndarray:
-    """Every loss Kraus operator on every block of a ``(B, D, W)`` stack.
+    """Every loss Kraus operator on ``mode`` of every block of a ``(B, D, W)`` stack.
 
-    The result is ordered Kraus operator first; blocks with squared norm at
-    or below ``BRANCH_TOL`` are dropped.
+    The single-mode Kraus stack ``(K, n, n)`` is contracted with the mode's
+    axis of the mode tensor (:func:`_modes`); ``fock.embed_single_mode`` is
+    the tests' dense reference.  The result is ordered Kraus operator first;
+    blocks with squared norm at or below ``BRANCH_TOL`` are dropped.
     """
     if eta == 1.0:
         return branches
-    kraus = _loss_embed(_basis(tuple(cutoffs)), eta, mode)
-    out = (kraus[:, None] @ branches[None]).reshape(-1, *branches.shape[1:])
+
+    def build():
+        ops = np.stack(loss_kraus(eta, cutoffs[mode]))
+        ops.setflags(write=False)
+        return ops
+
+    kraus = _cached(_CAPPED_LOSS_CACHE, _LOSS_CACHE_SIZE, (float(eta), int(cutoffs[mode])), build)
+    T = np.tensordot(kraus, _modes(branches, cutoffs), axes=([2], [mode + 1]))
+    out = np.moveaxis(T, 1, mode + 2).reshape(len(kraus) * len(branches), *branches.shape[1:])
     return out[_norms2(out) > BRANCH_TOL]
+
+
+def _lossy_arms(config: SourceConfig, inputs: np.ndarray, cutoff: int) -> np.ndarray:
+    """Coupling loss on both arms (``cutoff`` photons each) of a ``(d, P)`` block.
+
+    The arms are the source's or the heralded-PDC ancilla's; returns a branch stack.
+    """
+    cutoffs, branches = (cutoff, cutoff), inputs[None]
+    for mode in (0, 1):
+        branches = _loss_branches(cutoffs, branches, mode, config.coupling)
+    return branches
 
 
 def _detector_diags(eta: float, cutoff: int):
@@ -303,12 +312,10 @@ def _ancilla_branches(config: SourceConfig, c_cutoff: int, photon=None):
 
     # Weak down-converter: signal feeds the splitter, idler feeds D0.
     pair = two_mode_squeezed(config.ancilla_squeezing, c_cutoff)
-    branches = pair.amplitudes[None, :, None]
-    for mode in (0, 1):
-        branches = _loss_branches(basis.cutoffs, branches, mode, config.coupling)
+    branches = _lossy_arms(config, pair.amplitudes[:, None], c_cutoff)
     d0 = np.stack(_detector_diags(config.herald_efficiency, c_cutoff))
     # Signal amplitudes by (branch, D0 outcome, idler count), as (n_signal, 1) blocks.
-    signal = branches.reshape(len(branches), 1, c_cutoff + 1, c_cutoff + 1, 1).swapaxes(2, 3)
+    signal = _modes(branches, basis.cutoffs).swapaxes(1, 2)[:, None]
     signal, keep, _ = _detected(signal, d0)
     labels = np.broadcast_to(np.array([["click"], ["none"]]), keep.shape)[keep]
     # The signal enters mode b with mode c empty.
@@ -383,13 +390,22 @@ def _herald_patterns(config: SourceConfig):
     return (config.herald_pattern,)
 
 
+def _herald_detectors(eta: float, a_cutoff: int, b_cutoff: int) -> dict:
+    """The (D1, D2) diagonal weights of each herald pattern: d1, d2, both, none.
+
+    D1 counts the photons of mode a (the scissor arm), D2 those of the
+    ancilla's b mode; ``eta`` is their efficiency.
+    """
+    click_a, no_click_a = _detector_diags(eta, a_cutoff)
+    click_b, no_click_b = _detector_diags(eta, b_cutoff)
+    return {"d1": (click_a, no_click_b), "d2": (no_click_a, click_b),
+            "both": (click_a, click_b), "none": (no_click_a, no_click_b)}
+
+
 def _herald_weights(config: SourceConfig, a_cutoff: int, b_cutoff: int) -> np.ndarray:
-    """D1/D2 weights of each herald pattern, ``(patterns, 1, d_a, d_b)``."""
-    click_a, no_click_a = _detector_diags(config.herald_efficiency, a_cutoff)
-    click_b, no_click_b = _detector_diags(config.herald_efficiency, b_cutoff)
-    pattern_weights = {"d1": (click_a, no_click_b), "d2": (no_click_a, click_b)}
-    patterns = _herald_patterns(config)
-    return np.stack([np.outer(*pattern_weights[p]) for p in patterns])[:, None]
+    """D1/D2 weights of each accepted herald pattern, ``(patterns, 1, d_a, d_b)``."""
+    detectors = _herald_detectors(config.herald_efficiency, a_cutoff, b_cutoff)
+    return np.stack([np.outer(*detectors[p]) for p in _herald_patterns(config)])[:, None]
 
 
 def _herald_blocks(joint: np.ndarray, cutoffs, a_mode: int, b_mode: int):
@@ -399,10 +415,10 @@ def _herald_blocks(joint: np.ndarray, cutoffs, a_mode: int, b_mode: int):
     block is branch k with na and nb photons on modes a and b (the other
     modes in order).
     """
-    dims = tuple(c + 1 for c in cutoffs)
     n, D, W = joint.shape
-    T = np.moveaxis(joint.reshape(n, *dims, W), (a_mode + 1, b_mode + 1), (1, 2))
-    return T.reshape(n, dims[a_mode], dims[b_mode], D // (dims[a_mode] * dims[b_mode]), W)
+    da, db = cutoffs[a_mode] + 1, cutoffs[b_mode] + 1
+    T = np.moveaxis(_modes(joint, cutoffs), (a_mode + 1, b_mode + 1), (1, 2))
+    return T.reshape(n, da, db, D // (da * db), W)
 
 
 def _detected(blocks: np.ndarray, weights: np.ndarray):
@@ -439,7 +455,8 @@ def _condition_on_heralds(config: SourceConfig, cutoffs, joint, a_mode, b_mode, 
     T = _herald_blocks(joint, cutoffs, a_mode, b_mode)
     branches, keep, probability = _detected(T[None], weights)
     if _herald_patterns(config)[0] == "d1":
-        branches[:int(keep[0].sum())] *= _parity_last_mode(kept_cutoffs)[:, None]
+        d1 = int(keep[0].sum())
+        branches[:d1] = _phase_plate(branches[:d1], kept_cutoffs, -1.0)
     return branches, probability
 
 
@@ -508,14 +525,6 @@ def _tmsv_column(config: SourceConfig) -> np.ndarray:
     return two_mode_squeezed(config.squeezing, config.cutoff).amplitudes[:, None]
 
 
-def _lossy_arms(config: SourceConfig, inputs: np.ndarray) -> np.ndarray:
-    """Coupling loss on both arms of a ``(d, P)`` input block, as a branch stack."""
-    branches = inputs[None]
-    for mode in (0, 1):
-        branches = _loss_branches((config.cutoff,) * 2, branches, mode, config.coupling)
-    return branches
-
-
 def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
     """The source circuit on a ``(d, P)`` block of inputs on the two arms.
 
@@ -531,16 +540,15 @@ def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
     full = (out_cut, out_cut)
     capped = _basis(full, out_cut)
     cap_idx = _product_index(capped)
-    # Output phase plate (i^n on the second mode) fixes the documented
-    # c00 >= 0, c2 <= 0 sign pattern of the leading component.
-    plate = _output_plate(full)[:, None]
 
     def output(branches):
-        return (plate * _split(branches, (config.cutoff, c_cutoff), (0, 1), 0.5, full))[:, cap_idx]
+        recombined = _split(branches, (config.cutoff, c_cutoff), (0, 1), 0.5, full)
+        # Output phase plate (i^n on the second mode) fixes the documented
+        # c00 >= 0, c2 <= 0 sign pattern of the leading component.
+        return _phase_plate(recombined, full, 1j)[:, cap_idx]
 
-    gram, total = _heralded_gram(
-        config, _lossy_arms(config, inputs), (config.cutoff,) * 2, 1, output, photon
-    )
+    arms = _lossy_arms(config, inputs, config.cutoff)
+    gram, total = _heralded_gram(config, arms, (config.cutoff,) * 2, 1, output, photon)
     return capped, gram, total
 
 
@@ -560,9 +568,7 @@ def _reduced(stack: np.ndarray, cutoffs, mode: int) -> np.ndarray:
 
     ``stack`` is ``(B, D, W)`` over the uncapped basis of ``cutoffs``.
     """
-    dims = tuple(c + 1 for c in cutoffs)
-    amps = np.moveaxis(stack.reshape(len(stack), *dims, stack.shape[-1]), mode + 1, 0)
-    amps = amps.reshape(dims[mode], -1)
+    amps = np.moveaxis(_modes(stack, cutoffs), mode + 1, 0).reshape(cutoffs[mode] + 1, -1)
     return amps @ amps.conj().T
 
 
@@ -585,28 +591,20 @@ def herald_probabilities(config: SourceConfig) -> dict:
     a_mode = 1  # the scissor arm
     small, big, b_mode = _interference_cutoffs(arms, a_mode, c_cutoff)
     U = _cached_bs((big[a_mode], big[b_mode]), 0.5, (small[a_mode], small[b_mode]))
-    rho_1 = _reduced(_lossy_arms(config, _tmsv_column(config)), arms, a_mode)
+    rho_1 = _reduced(_lossy_arms(config, _tmsv_column(config), config.cutoff), arms, a_mode)
     anc_basis, anc, labels = _ancilla_branches(config, c_cutoff)
 
     with_d0 = config.ancilla_model == "heralded-pdc"
-    click_a, no_click_a = _detector_diags(config.herald_efficiency, big[a_mode])
-    click_b, no_click_b = _detector_diags(config.herald_efficiency, big[b_mode])
-    detectors = {"click": (click_a, click_b), "none": (no_click_a, no_click_b)}
-    names = {
-        ("click", "none"): "d1",
-        ("none", "click"): "d2",
-        ("click", "click"): "both",
-        ("none", "none"): "none",
-    }
+    detectors = _herald_detectors(config.herald_efficiency, big[a_mode], big[b_mode])
     probs: dict = {}
     for d0_label in dict.fromkeys(labels):
         rho = np.kron(rho_1, _reduced(anc[labels == d0_label], anc_basis.cutoffs, 0))
         # Photon-count distribution on the herald modes for this D0 outcome.
         counts = ((U @ rho) * U.conj()).sum(axis=1).real
         counts = counts.reshape(big[a_mode] + 1, big[b_mode] + 1)
-        for (la, lb), name in names.items():
+        for name, (d1, d2) in detectors.items():
             key = (str(d0_label), name) if with_d0 else name
-            probs[key] = float(detectors[la][0] @ counts @ detectors[lb][1])
+            probs[key] = float(d1 @ counts @ d2)
     return probs
 
 

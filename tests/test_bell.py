@@ -161,6 +161,17 @@ class TestThresholds:
     def test_no_violation_reported(self):
         assert bisect_threshold(lambda x: 1.0) is None
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("at", [1.0, 0.0, 0.5])
+    def test_bisect_threshold_rejects_a_non_finite_objective(self, bad, at):
+        # NaN compares False, so it would read as "no violation" below the
+        # bound test and as a violation in the "<=" test at the upper end.
+        def max_chsh(x):
+            return bad if x == at else 4 * x
+
+        with pytest.raises(ValueError, match="max CHSH is not finite"):
+            bisect_threshold(max_chsh, tol=1e-3)
+
     def test_symmetric_transmission(self):
         thr = critical_efficiency("eta_t", SYMMETRIC)
         assert thr == pytest.approx(0.805, abs=0.005)

@@ -92,6 +92,8 @@ class TestParsing:
     ["local-amp", "--m", "0"],
     ["threshold", "--cutoff", "-1"],
     ["region", "--eta-d-grid", "0.9,1.5", "--workers", "2"],
+    ["region", "--eta-d-grid", ""],
+    ["source-amp", "--eta-d-grid", ""],
 ])
 def test_bad_input_exits_cleanly(args, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -146,11 +148,6 @@ class TestThresholdCommand:
 
 
 class TestRegionCommand:
-    def test_empty_grid_header_only(self, tmp_path):
-        code, out = run_cli(["region", "--eta-d-grid", ""], tmp_path)
-        assert code == 0
-        assert out.read_text().count("\n") == 1  # header line only
-
     def test_worker_count_independent(self, tmp_path):
         _, one = run_cli(
             ["region", "--eta-d-grid", "0.9,1.0", "--workers", "1"], tmp_path, "w1.csv"
@@ -221,6 +218,8 @@ class TestLocalAmpCommand:
     @pytest.mark.parametrize("command, solver, flags", [
         ("local-amp", "filtered_critical_transmission", []),
         ("multi-filter", "multi_filter_curve", ["--m-max", "1"]),
+        ("threshold", "critical_efficiency", ["--state", "psi2"]),
+        ("region", "region_boundary", ["--state", "psi2"]),
     ])
     def test_sidecar_records_the_cutoff_used(self, command, solver, flags, tmp_path,
                                              monkeypatch):
@@ -228,7 +227,7 @@ class TestLocalAmpCommand:
 
         def solve(*args, **kwargs):
             received.update(kwargs)
-            return None if solver == "filtered_critical_transmission" else []
+            return [] if solver in ("multi_filter_curve", "region_boundary") else None
 
         monkeypatch.setattr(cvbell.cli, solver, solve)
         code, _ = run_cli([command, "--cutoff", "1"] + flags, tmp_path)
@@ -279,11 +278,24 @@ class TestBadNumbers:
         assert_one_error_line(capsys.readouterr().err, "tol must be finite and positive")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["local-amp", "multi-filter"])
-    def test_nan_gain_is_rejected(self, command, tmp_path, capsys):
-        code, out = run_cli([command, "--g", "nan"], tmp_path)
+    @pytest.mark.parametrize("command, gain", [
+        ("local-amp", "nan"), ("multi-filter", "nan"),
+        ("local-amp", "inf"), ("multi-filter", "inf"),
+    ], ids=["local-amp", "multi-filter", "local-amp-inf", "multi-filter-inf"])
+    def test_nan_gain_is_rejected(self, command, gain, tmp_path, capsys):
+        code, out = run_cli([command, "--g", gain], tmp_path)
         assert code == 1
         assert_one_error_line(capsys.readouterr().err, "--g must be >= 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, gain", [("local-amp", "1e200"), ("multi-filter", "1e308")])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the case under test
+    def test_filter_overflow_is_an_error(self, command, gain, tmp_path, capsys):
+        # The filter overflows to a NaN state; it must not read as a threshold.
+        # numpy's overflow warnings may precede the error line.
+        code, out = run_cli([command, "--g", gain], tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1].startswith("cvbell: error: ")
         assert not out.exists()
 
     def test_zero_filter_applications_are_rejected(self, tmp_path, capsys):
@@ -407,7 +419,7 @@ class TestConfigFile:
 
         monkeypatch.setattr(cvbell.cli, "source_region_boundary", boundary)
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[source-amp]\neta-d-grid =\ntol = -1e-3\n")
+        cfg.write_text("[source-amp]\neta-d-grid = 1.0\ntol = -1e-3\n")
         code, out = run_cli(["source-amp", "--config", str(cfg)], tmp_path)
         assert code == 0
         assert received["tol"] == -1e-3

@@ -17,6 +17,7 @@ from cvbell.fock import (
     expectation,
     fock_state,
     hermitian_eig,
+    hermitian_eigvals,
     loss_kraus,
     partial_trace,
     tensor,
@@ -259,6 +260,20 @@ class TestEigensolver:
         with pytest.raises(ValueError):
             hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("solve", [hermitian_eig, hermitian_eigvals])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_rejects_non_finite_entries(self, solve, bad):
+        # A NaN asymmetry compares False with the tolerance; it must still fail.
+        with pytest.raises(ValueError, match="not Hermitian or not finite"):
+            solve(np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="not Hermitian or not finite"):
+            solve(np.array([[0.0, bad], [0.0, 0.0]]))  # inf asymmetry under an inf scale
+        stack = np.stack([np.eye(2), np.eye(2)])
+        stack[1, 0, 1] = stack[1, 1, 0] = bad  # symmetric, but not finite
+        with pytest.raises(ValueError, match="not Hermitian or not finite"):
+            solve(stack)
+
 
 class TestExpectation:
     def test_vacuum_photon_number(self):
@@ -303,6 +318,15 @@ class TestStateInvariants:
         basis = ModeBasis((1,))
         with pytest.raises(ValueError):
             DensityOperator(basis, np.array([[1.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf
+    def test_density_rejects_non_finite_entries(self, bad):
+        basis = ModeBasis((1,))
+        with pytest.raises(ValueError, match="not finite"):
+            DensityOperator(basis, np.array([[bad, 0.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="not finite"):
+            DensityOperator(basis, np.array([[0.5, bad], [bad, 0.5]]))
 
     def test_embedding_indices(self):
         sub = ModeBasis((2, 2), total_cap=2)

@@ -1,9 +1,13 @@
-"""The heralded circuit's stacked two-mode splitters against the dense reference.
+"""The heralded circuit's stages on mode axes against the dense reference.
 
 The circuit applies each beam splitter as the two-mode unitary contracted
 with the split modes of a whole stack of branch blocks
-(``source_amp._split``).  ``fock.beam_splitter`` over the full joint basis is
-the slow reference it must reproduce.  The pinned outputs guard the wiring
+(``source_amp._split``), each coupling loss as the single-mode Kraus stack
+on one mode's axis (``source_amp._loss_branches``) and each phase plate as
+a vector on the last mode's axis (``source_amp._phase_plate``).
+``fock.beam_splitter`` and ``fock.embed_single_mode`` over the full joint
+basis, and the plates built over its occupations, are the slow references
+they must reproduce.  The pinned outputs guard the wiring
 of the circuit: which modes each splitter acts on and which are heralded.
 The herald distribution, which the circuit takes from the reduced states of
 the two herald modes, is held to the joint stack of every input branch times
@@ -20,7 +24,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cvbell.source_amp as sa
-from cvbell.fock import DensityOperator, ModeBasis, beam_splitter, embedding_indices
+from cvbell.fock import (
+    DensityOperator,
+    ModeBasis,
+    beam_splitter,
+    embed_single_mode,
+    embedding_indices,
+    loss_kraus,
+)
 
 PINS = json.loads((Path(__file__).parent / "data" / "direct_circuit_pins.json").read_text())
 
@@ -79,6 +90,59 @@ def test_split_of_a_block_without_enlargement(case, t, seed):
     assert np.abs(fast - beam_splitter(ModeBasis(cutoffs), t, modes) @ block).max() < 1e-12
 
 
+@st.composite
+def loss_cases(draw):
+    cutoffs = tuple(draw(st.lists(st.integers(0, 5), min_size=2, max_size=3)))
+    return cutoffs, draw(st.integers(0, len(cutoffs) - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=loss_cases(),
+    eta=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    branches=st.integers(0, 3),
+    width=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(case=((3, 2, 1), 1), eta=0.9, branches=2, width=3, seed=4)
+@example(case=((0, 4), 0), eta=0.5, branches=1, width=1, seed=5)
+def test_loss_on_a_mode_axis_equals_the_dense_embedding(case, eta, branches, width, seed):
+    """Bitwise: each output entry is one product of a Kraus element and an amplitude."""
+    cutoffs, mode = case
+    basis = ModeBasis(cutoffs)
+    stack = random_stack(seed, (branches, basis.dimension, width))
+    dense = np.stack([embed_single_mode(basis, A, mode) for A in loss_kraus(eta, cutoffs[mode])])
+    reference = (dense[:, None] @ stack[None]).reshape(-1, basis.dimension, width)
+    reference = reference[sa._norms2(reference) > sa.BRANCH_TOL]
+    fast = sa._loss_branches(cutoffs, stack, mode, eta)
+    assert fast.shape == reference.shape
+    assert np.array_equal(fast, reference)
+
+
+def occupation_plate(cutoffs, phase):
+    """The plate as a vector over the joint basis, one occupation at a time."""
+    return np.array([phase ** int(occ[-1]) for occ in ModeBasis(cutoffs).occupations])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cutoffs=st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple),
+    phase=st.sampled_from([-1.0, 1j]),
+    branches=st.integers(0, 3),
+    width=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cutoffs=(3, 4), phase=1j, branches=2, width=2, seed=6)  # the output plate
+@example(cutoffs=(5,), phase=-1.0, branches=0, width=1, seed=7)  # no D1 branch
+def test_phase_plates_equal_the_occupation_vectors(cutoffs, phase, branches, width, seed):
+    """The D1 parity ``(-1)^n`` and the output plate ``i^n`` on the last mode, bitwise."""
+    stack = random_stack(seed, (branches, ModeBasis(cutoffs).dimension, width))
+    expected = occupation_plate(cutoffs, phase)[:, None] * stack
+    fast = sa._phase_plate(stack, cutoffs, phase)
+    assert fast.shape == expected.shape
+    assert np.array_equal(fast, expected)
+
+
 def complex_matrix(entry):
     return np.array(entry["real"]) + 1j * np.array(entry["imag"])
 
@@ -126,7 +190,7 @@ def joint_stack_herald_probabilities(config):
     c = config.cutoff
     c_anc = 1 if config.ancilla_model == "single-photon" else min(3, c)
     anc_basis, anc, labels = sa._ancilla_branches(config, c_anc)
-    inputs = sa._lossy_arms(config, sa._tmsv_column(config))
+    inputs = sa._lossy_arms(config, sa._tmsv_column(config), c)
     small, big = (c, c) + anc_basis.cutoffs, (c, c + c_anc, c_anc + c, c_anc)
     (n_in, d, P), (n_anc, d_anc, Q) = inputs.shape, anc.shape
     joint = inputs[:, None, :, None, :, None] * anc[None, :, None, :, None, :]
