@@ -80,6 +80,17 @@ def _efficiency(text: str) -> float:
     return value
 
 
+def _workers(text: str) -> int:
+    """The ``--workers`` count, at least 1; errors name the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _efficiency_grid(text: str) -> str:
     """A non-empty grid of efficiencies (:func:`parse_grid`), checked and kept as text."""
     try:
@@ -134,7 +145,7 @@ def build_parser() -> _Parser:
     def common(p, cutoff=2):
         p.add_argument("--config", help="INI file with one section per command")
         p.add_argument("--output", "-o", help="CSV output path")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_workers, default=1)
         p.add_argument("--cutoff", type=int, default=cutoff)
         p.add_argument("--tol", type=float, default=1e-4)
 

@@ -38,8 +38,15 @@ def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.
     """Diagonal of the filter on every mode of ``basis``, applied m times.
 
     Each mode contributes ``((g - 1) n + 1)^m`` for its photon number n.
+    Raises ``ValueError`` naming the gain, the applications and the cutoff
+    when an entry overflows the float range.
     """
-    return np.prod(((gain - 1.0) * basis.occupations + 1.0) ** applications, axis=1)
+    with np.errstate(over="ignore"):
+        diag = np.prod(((gain - 1.0) * basis.occupations + 1.0) ** applications, axis=1)
+    if not np.isfinite(diag).all():
+        raise ValueError(f"the filter of gain {gain} applied {applications} times overflows "
+                         f"the float range at cutoff {max(basis.cutoffs)}")
+    return diag
 
 
 def filter_operator(gain: float, cutoff: int) -> HermitianOperator:

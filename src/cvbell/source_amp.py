@@ -30,14 +30,16 @@ over the squeezing powers, from which they evaluate every (squeezing,
 transmission) point without running the circuit again (:func:`_source_stack`).
 Each stage holds its branches as one ``(B, dim, P)`` stack and acts only on
 its own axes of the stack's mode tensor (:func:`_modes`): a beam splitter on
-its two modes (:func:`_split`), a loss on one mode (:func:`_loss_branches`),
-the detectors on the herald modes and the phase plates on the last mode.  No
-operator over the joint basis is built; ``fock.beam_splitter`` and
-``fock.embed_single_mode`` over it are the references that the tests hold
-the stages to.  The circuit runs once per branch of the ancilla, on all
-input branches together, and sums the Gram arrays of the outputs
-(:func:`_heralded_gram`); the herald distribution needs only the reduced
-states of the two modes that meet on the interference splitter
+its two adjacent modes (:func:`_split`), a loss on one mode
+(:func:`_loss_branches`), the detectors on the herald modes and the D1
+parity plate on the last mode.  All of them are real, so the stacks are
+float64 (a complex input runs complex through the same code) and the output
+plate ``i^n`` acts once, on the summed Gram array (:func:`_output_gram`).
+No operator over the joint basis is built: ``fock.beam_splitter`` and
+``fock.embed_single_mode`` over it are the tests' references.  The circuit
+runs once per ancilla branch on all input branches and sums the outputs'
+Gram arrays (:func:`_heralded_gram`); the herald distribution needs only the
+reduced states of the two modes that meet on the interference splitter
 (:func:`herald_probabilities`).
 """
 
@@ -153,15 +155,17 @@ def two_mode_squeezed(lam: float, cutoff: int) -> StateVector:
     renormalized.  The discarded weight of the untruncated state is
     ``lam^(2 cutoff + 2)`` (see :func:`tmsv_truncation_weight`).
     """
+    return StateVector(ModeBasis((cutoff, cutoff)), _tmsv_column(lam, cutoff)[:, 0])
+
+
+def _tmsv_column(lam: float, cutoff: int) -> np.ndarray:
+    """The real ``(d, 1)`` column of :func:`two_mode_squeezed`: ``|nn>`` is row n (cutoff + 2)."""
     if not 0.0 <= lam < 1.0:
         raise ValueError("squeezing must lie in [0, 1)")
-    basis = ModeBasis((cutoff, cutoff))
-    v = np.zeros(basis.dimension, dtype=complex)
     amps = lam ** np.arange(cutoff + 1, dtype=float)
-    amps /= np.linalg.norm(amps)
-    for n in range(cutoff + 1):
-        v[basis.index_of((n, n))] = amps[n]
-    return StateVector(basis, v)
+    column = np.zeros(((cutoff + 1) ** 2, 1))
+    column[::cutoff + 2, 0] = amps / np.linalg.norm(amps)
+    return column
 
 
 def tmsv_truncation_weight(lam: float, cutoff: int) -> float:
@@ -178,12 +182,12 @@ def _basis(cutoffs: tuple, total_cap=None) -> ModeBasis:
 def _cached_bs(cutoffs: tuple, t: float, in_cutoffs: tuple) -> np.ndarray:
     """Two-mode splitter of transmission ``t`` onto the mode pair's ``cutoffs``.
 
-    Only the columns of input occupations inside ``in_cutoffs`` are kept, so
-    a stage that enlarges the two modes needs no zero padding of its input.
+    The float64 real part of ``fock.beam_splitter``, whose entries are all real,
+    on the columns of input occupations inside ``in_cutoffs`` only (no padding).
     """
-    U = beam_splitter(_basis(cutoffs), t, (0, 1))
+    U = beam_splitter(_basis(cutoffs), t, (0, 1)).real
     (d0, d1), (e0, e1) = ((c + 1 for c in cut) for cut in (cutoffs, in_cutoffs))
-    U = U.reshape(d0, d1, d0, d1)[:, :, :e0, :e1].reshape(d0 * d1, e0 * e1)
+    U = np.ascontiguousarray(U.reshape(d0, d1, d0, d1)[:, :, :e0, :e1]).reshape(d0 * d1, e0 * e1)
     U.setflags(write=False)
     return U
 
@@ -196,32 +200,30 @@ def _modes(stack: np.ndarray, cutoffs) -> np.ndarray:
     return stack.reshape(len(stack), *(c + 1 for c in cutoffs), stack.shape[-1])
 
 
-def _split(stack: np.ndarray, cutoffs: tuple, modes: tuple, t: float,
+def _split(stack: np.ndarray, cutoffs: tuple, mode: int, t: float,
            out_cutoffs: tuple | None = None) -> np.ndarray:
-    """Beam splitter of transmission ``t`` on ``modes`` of every block in a stack.
+    """Beam splitter of transmission ``t`` on modes ``(mode, mode + 1)`` of a stack's blocks.
 
     ``stack`` is ``(B, D, W)``: B branch blocks of W columns over the uncapped
-    basis of ``cutoffs``.  Its two split modes of the mode tensor
-    (:func:`_modes`) are contracted with the two-mode unitary in one product
-    over all branches and columns.  ``out_cutoffs`` (default ``cutoffs``)
-    may enlarge the two split modes; the result is ``(B, D', W)`` over it.
+    basis of ``cutoffs``.  The pair's axes of the mode tensor (:func:`_modes`)
+    are adjacent, so the stack is viewed as ``(B pre, d_i d_j, post W)`` and
+    contracted with the two-mode unitary in one batched product, whose result
+    is the ``(B, D', W)`` stack as it stands: the input is not copied.
+    ``out_cutoffs`` (default ``cutoffs``) may enlarge the pair.
     """
     out_cutoffs = tuple(cutoffs) if out_cutoffs is None else tuple(out_cutoffs)
-    i, j = modes
-    U = _cached_bs((out_cutoffs[i], out_cutoffs[j]), t, (cutoffs[i], cutoffs[j]))
+    U = _cached_bs(out_cutoffs[mode:mode + 2], t, tuple(cutoffs[mode:mode + 2]))
     B, _, W = stack.shape
-    T = np.moveaxis(_modes(stack, cutoffs), (i + 1, j + 1), (0, 1))
-    rest = T.shape[2:]
-    T = (U @ T.reshape(U.shape[1], -1)).reshape(out_cutoffs[i] + 1, out_cutoffs[j] + 1, *rest)
     # Explicit sizes: an empty stack (no branch survived) keeps its shape.
-    D = math.prod(c + 1 for c in out_cutoffs)
-    return np.moveaxis(T, (0, 1), (i + 1, j + 1)).reshape(B, D, W)
+    pre, post = (math.prod(c + 1 for c in cut) for cut in (cutoffs[:mode], cutoffs[mode + 2:]))
+    T = U @ stack.reshape(B * pre, U.shape[1], post * W)
+    return T.reshape(B, math.prod(c + 1 for c in out_cutoffs), W)
 
 
 def _norms2(blocks: np.ndarray) -> np.ndarray:
     """Squared Frobenius norms of the blocks on the last two axes."""
-    re, im = blocks.real, blocks.imag
-    return np.einsum("...ij,...ij->...", re, re) + np.einsum("...ij,...ij->...", im, im)
+    parts = (blocks.real, blocks.imag) if np.iscomplexobj(blocks) else (blocks,)
+    return sum(np.einsum("...ij,...ij->...", part, part) for part in parts)
 
 
 def _phase_plate(stack: np.ndarray, cutoffs, phase) -> np.ndarray:
@@ -305,21 +307,20 @@ def _ancilla_branches(config: SourceConfig, c_cutoff: int, photon=None):
     if config.ancilla_model == "single-photon":
         if photon is None:
             photon = np.array([[math.sqrt(t)], [math.sqrt(1.0 - t)]])
-        block = np.zeros((basis.dimension, 2), dtype=complex)
+        block = np.zeros((basis.dimension, 2))
         block[basis.index_of((1, 0)), 0] = 1.0
         block[basis.index_of((0, 1)), 1] = 1.0
         return basis, (block @ photon)[None], np.array(["click"])
 
     # Weak down-converter: signal feeds the splitter, idler feeds D0.
-    pair = two_mode_squeezed(config.ancilla_squeezing, c_cutoff)
-    branches = _lossy_arms(config, pair.amplitudes[:, None], c_cutoff)
+    branches = _lossy_arms(config, _tmsv_column(config.ancilla_squeezing, c_cutoff), c_cutoff)
     d0 = np.stack(_detector_diags(config.herald_efficiency, c_cutoff))
     # Signal amplitudes by (branch, D0 outcome, idler count), as (n_signal, 1) blocks.
     signal = _modes(branches, basis.cutoffs).swapaxes(1, 2)[:, None]
     signal, keep, _ = _detected(signal, d0)
     labels = np.broadcast_to(np.array([["click"], ["none"]]), keep.shape)[keep]
     # The signal enters mode b with mode c empty.
-    out = _split(signal, (c_cutoff, 0), (0, 1), t, basis.cutoffs)
+    out = _split(signal, (c_cutoff, 0), 0, t, basis.cutoffs)
     return basis, out, labels
 
 
@@ -368,7 +369,7 @@ def _heralded_gram(config: SourceConfig, inputs, input_cutoffs, scissor_mode: in
     for block in anc[labels == "click"]:
         joint = inputs[:, :, None, :, None] * block[None, None, :, None, :]
         joint = _split(joint.reshape(n_in, d * len(block), W), small_cutoffs,
-                       (scissor_mode, b_mode), 0.5, big_cutoffs)
+                       scissor_mode, 0.5, big_cutoffs)  # b_mode is scissor_mode + 1
         branches, probability = _condition_on_heralds(
             config, big_cutoffs, joint, scissor_mode, b_mode, weights
         )
@@ -380,7 +381,7 @@ def _heralded_gram(config: SourceConfig, inputs, input_cutoffs, scissor_mode: in
         total += probability
     if gram is None:  # no ancilla branch heralded: zeros of the output's shape
         kept = [c + 1 for m, c in enumerate(big_cutoffs) if m not in (scissor_mode, b_mode)]
-        gram = _gram(output(np.zeros((0, math.prod(kept), W), dtype=complex)))
+        gram = _gram(output(np.zeros((0, math.prod(kept), W), dtype=inputs.dtype)))
     return gram, total
 
 
@@ -514,15 +515,11 @@ def qscissor_amplify(state, t: float, herald_efficiency: float = 1.0,
 def _gram(stack: np.ndarray) -> np.ndarray:
     """``M[:, p, :, q] = sum_b w_b[:, p] w_b[:, q]^dag`` over a ``(B, d, P)`` stack.
 
-    Returned as a ``(d, P, d, P)`` array; for P = 1, ``M[:, 0, :, 0]`` is the
-    unnormalized density matrix of the branches.
+    Returned as a ``(d, P, d, P)`` array, real for a real stack; for P = 1,
+    ``M[:, 0, :, 0]`` is the unnormalized density matrix of the branches.
     """
     flat = stack.reshape(len(stack), math.prod(stack.shape[1:]))
     return (flat.T @ flat.conj()).reshape(stack.shape[1:] * 2)
-
-
-def _tmsv_column(config: SourceConfig) -> np.ndarray:
-    return two_mode_squeezed(config.squeezing, config.cutoff).amplitudes[:, None]
 
 
 def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
@@ -533,7 +530,8 @@ def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
     ancilla ``photon`` (see :func:`_ancilla_branches`), summed over the
     ancilla's branches one pass at a time (:func:`_heralded_gram`), and the
     accepted herald probability, which is the success probability for a
-    single normalized input column.
+    single normalized input column.  The branches stay real: the output plate
+    ``ph = i^n`` on the second mode scales the sum once by ``ph[x] conj(ph[y])``.
     """
     c_cutoff = _ancilla_cutoff(config)
     out_cut = config.cutoff + c_cutoff
@@ -542,14 +540,13 @@ def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
     cap_idx = _product_index(capped)
 
     def output(branches):
-        recombined = _split(branches, (config.cutoff, c_cutoff), (0, 1), 0.5, full)
-        # Output phase plate (i^n on the second mode) fixes the documented
-        # c00 >= 0, c2 <= 0 sign pattern of the leading component.
-        return _phase_plate(recombined, full, 1j)[:, cap_idx]
+        return _split(branches, (config.cutoff, c_cutoff), 0, 0.5, full)[:, cap_idx]
 
     arms = _lossy_arms(config, inputs, config.cutoff)
     gram, total = _heralded_gram(config, arms, (config.cutoff,) * 2, 1, output, photon)
-    return capped, gram, total
+    # Fixes the documented c00 >= 0, c2 <= 0 sign pattern; every factor is ±1 or ±i.
+    ph = np.array([1j ** n for n in range(out_cut + 1)])[capped.occupations[:, 1]]
+    return capped, gram * np.multiply.outer(ph, ph.conj())[:, None, :, None], total
 
 
 def amplified_source(config: SourceConfig) -> HeraldedOutcome:
@@ -560,7 +557,8 @@ def amplified_source(config: SourceConfig) -> HeraldedOutcome:
     The success probability covers the configured herald pattern(s); for
     the heralded-pdc ancilla it includes the D0 click.
     """
-    return _outcome(*_output_gram(config, _tmsv_column(config)), config.herald_pattern)
+    inputs = _tmsv_column(config.squeezing, config.cutoff)
+    return _outcome(*_output_gram(config, inputs), config.herald_pattern)
 
 
 def _reduced(stack: np.ndarray, cutoffs, mode: int) -> np.ndarray:
@@ -591,7 +589,8 @@ def herald_probabilities(config: SourceConfig) -> dict:
     a_mode = 1  # the scissor arm
     small, big, b_mode = _interference_cutoffs(arms, a_mode, c_cutoff)
     U = _cached_bs((big[a_mode], big[b_mode]), 0.5, (small[a_mode], small[b_mode]))
-    rho_1 = _reduced(_lossy_arms(config, _tmsv_column(config), config.cutoff), arms, a_mode)
+    inputs = _tmsv_column(config.squeezing, config.cutoff)
+    rho_1 = _reduced(_lossy_arms(config, inputs, config.cutoff), arms, a_mode)
     anc_basis, anc, labels = _ancilla_branches(config, c_cutoff)
 
     with_d0 = config.ancilla_model == "heralded-pdc"
@@ -752,7 +751,7 @@ def _source_stack(eta_c: float, cutoff: int, trace: bool = False):
         config = SourceConfig(squeezing=0.0, amp_transmission=1.0, coupling=eta_c,
                               cutoff=cutoff)
         arms = _basis((cutoff, cutoff))
-        inputs = np.zeros((arms.dimension, cutoff + 1), dtype=complex)
+        inputs = np.zeros((arms.dimension, cutoff + 1))
         for n in range(cutoff + 1):
             inputs[arms.index_of((n, n)), n] = 1.0
         basis, blocks, _ = _output_gram(config, inputs, photon=np.eye(2))

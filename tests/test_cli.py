@@ -109,6 +109,8 @@ def test_bad_input_exits_cleanly(args, tmp_path, capsys):
     (["threshold", "--eta-t", "1.5"], "--eta-t"),
     (["local-amp", "--eta-c", "2"], "--eta-c"),
     (["region", "--eta-d-grid", "0.5:1.2:3"], "--eta-d-grid"),
+    (["threshold", "--workers", "0"], "--workers"),
+    (["region", "--workers", "-3", "--eta-d-grid", "0.9"], "--workers"),
 ])
 def test_out_of_range_flag_is_named(args, flag, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -288,15 +290,26 @@ class TestBadNumbers:
         assert_one_error_line(capsys.readouterr().err, "--g must be >= 1")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, gain", [("local-amp", "1e200"), ("multi-filter", "1e308")])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow is the case under test
-    def test_filter_overflow_is_an_error(self, command, gain, tmp_path, capsys):
-        # The filter overflows to a NaN state; it must not read as a threshold.
-        # numpy's overflow warnings may precede the error line.
-        code, out = run_cli([command, "--g", gain], tmp_path)
+    @pytest.mark.parametrize("args, gain", [
+        (["local-amp", "--g", "1e200"], 1e200),
+        (["multi-filter", "--g", "1e308", "--m-max", "1"], 1e308),
+        (["local-amp", "--m", "100000000"], 2.0),
+    ], ids=["local-amp-1e200", "multi-filter-1e308", "local-amp-m-1e8"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning precedes the error
+    def test_filter_overflow_is_an_error(self, args, gain, tmp_path, capsys):
+        # The filter overflows the float range; it must not read as a threshold,
+        # and the one error line names the gain.
+        code, out = run_cli(args, tmp_path)
         assert code == 1
-        assert capsys.readouterr().err.splitlines()[-1].startswith("cvbell: error: ")
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
+        assert_one_error_line(err, f"the filter of gain {gain} applied")
         assert not out.exists()
+
+    def test_large_finite_filter_still_gives_the_threshold(self, tmp_path, capsys):
+        code, out = run_cli(["local-amp", "--g", "1e100"], tmp_path)
+        assert code == 0
+        assert "0.356903" in capsys.readouterr().out
 
     def test_zero_filter_applications_are_rejected(self, tmp_path, capsys):
         code, out = run_cli(["multi-filter", "--m-max", "0"], tmp_path)
@@ -379,6 +392,7 @@ class TestConfigFile:
         "[source-amp]\ncutoff = 3\neta_c = nan\n",
         "[region]\nstate = psi2\neta_d_grid = 0.5:1.2:3\n",
         "[source-amp]\ncutoff = 3\neta_d_grid = 0.9:1:0x\n",
+        "[region]\neta_d_grid = 0.9\nworkers = 0\n",
     ])
     def test_out_of_range_value_names_its_line(self, section, tmp_path, capsys):
         cfg = tmp_path / "run.ini"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,26 @@ class TestApplyFilters:
         full1 = np.array([g1[o[0]] * g1[o[1]] for o in rho.basis.occupations])
         trace1 = float(np.trace(full1[:, None] * rho.matrix * full1[None, :]).real)
         assert trace1 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gain, applications, one_mode_overflows", [
+        (1e200, 1, False),  # only the two-mode product overflows
+        (1e308, 1, True),
+        (2.0, 10**8, True),
+    ])
+    def test_overflowing_filter_is_named(self, gain, applications, one_mode_overflows):
+        """The filter diagonal, and every path through it, rejects an infinite entry."""
+        import cvbell.source_amp as sa
+        from cvbell.bell import PartyConditions
+
+        message = re.escape(f"filter of gain {gain} applied {applications} times overflows")
+        with pytest.raises(ValueError, match=message):
+            apply_filters(lossy_psi2(0.8), gain, applications)
+        if not one_mode_overflows:
+            return
+        party = PartyConditions(eta_t=1.0, eta_d=1.0, eta_h=1.0)
+        with pytest.raises(ValueError, match=message):
+            sa._filtered_pullback(lossy_psi2(0.8).basis, party, party, [0.5], gain, applications)
 
     def test_positivity_preserved(self):
         rho = apply_filters(lossy_psi2(0.4), 3.0, 2)

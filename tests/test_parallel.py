@@ -1,11 +1,15 @@
 """The pool of worker processes is optional: importing the package needs none."""
 
+import multiprocessing
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from cvbell.bell import region_boundary
+from cvbell.parallel import map_ordered
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,3 +28,38 @@ def test_import_leaves_multiprocessing_out():
 def test_two_workers_equal_one():
     grid = [0.8, 0.9, 1.0]
     assert region_boundary(grid, workers=2) == region_boundary(grid, workers=1)
+
+
+class RecordingPool:
+    """Stands in for ``multiprocessing.Pool``: records its size and starts no process."""
+
+    sizes: list = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+@pytest.mark.parametrize("workers, items, cpus, pool", [
+    (1000, 5, 2, 2),   # capped at the machine
+    (3, 5, 8, 3),      # as asked
+    (8, 2, 8, 2),      # no more processes than items
+    (1000, 5, 1, None),  # one process: no pool
+    (4, 5, None, None),  # an unknown CPU count counts as one
+    (0, 5, 8, None),
+])
+def test_pool_is_capped_at_the_cpu_count(workers, items, cpus, pool, monkeypatch):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert map_ordered(lambda x: x * x, range(items), workers=workers) == [
+        x * x for x in range(items)]
+    assert RecordingPool.sizes == ([] if pool is None else [pool])

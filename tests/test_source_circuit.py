@@ -1,14 +1,17 @@
 """The heralded circuit's stages on mode axes against the dense reference.
 
 The circuit applies each beam splitter as the two-mode unitary contracted
-with the split modes of a whole stack of branch blocks
+with an adjacent mode pair of a whole stack of branch blocks
 (``source_amp._split``), each coupling loss as the single-mode Kraus stack
-on one mode's axis (``source_amp._loss_branches``) and each phase plate as
-a vector on the last mode's axis (``source_amp._phase_plate``).
+on one mode's axis (``source_amp._loss_branches``) and the D1 parity plate
+as a vector on the last mode's axis (``source_amp._phase_plate``).
 ``fock.beam_splitter`` and ``fock.embed_single_mode`` over the full joint
 basis, and the plates built over its occupations, are the slow references
-they must reproduce.  The pinned outputs guard the wiring
-of the circuit: which modes each splitter acts on and which are heralded.
+they must reproduce.  Every stage before the output plate ``i^n`` is real,
+so the circuit runs in float64 and applies that plate once, to the summed
+Gram array; the per-branch plate is its reference.  The pinned outputs
+guard the wiring of the circuit: which modes each splitter acts on and
+which are heralded.
 The herald distribution, which the circuit takes from the reduced states of
 the two herald modes, is held to the joint stack of every input branch times
 every ancilla branch (:func:`joint_stack_herald_probabilities`).
@@ -41,22 +44,22 @@ def random_stack(seed, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
-def dense_reference(stack, cutoffs, modes, t, out_cutoffs):
+def dense_reference(stack, cutoffs, mode, t, out_cutoffs):
     """Embed every block in the enlarged basis, then apply the full-basis splitter."""
     small, big = ModeBasis(cutoffs), ModeBasis(out_cutoffs)
     embedded = np.zeros((len(stack), big.dimension, stack.shape[2]), dtype=complex)
     embedded[:, embedding_indices(small, big)] = stack
-    return beam_splitter(big, t, modes) @ embedded
+    return beam_splitter(big, t, (mode, mode + 1)) @ embedded
 
 
 @st.composite
 def split_cases(draw):
     cutoffs = draw(st.lists(st.integers(0, 3), min_size=3, max_size=4))
-    modes = tuple(draw(st.permutations(range(len(cutoffs))))[:2])
+    mode = draw(st.integers(0, len(cutoffs) - 2))
     out_cutoffs = list(cutoffs)
-    for mode in modes:
-        out_cutoffs[mode] += draw(st.integers(0, 2))
-    return tuple(cutoffs), modes, tuple(out_cutoffs)
+    for m in (mode, mode + 1):
+        out_cutoffs[m] += draw(st.integers(0, 2))
+    return tuple(cutoffs), mode, tuple(out_cutoffs)
 
 
 @settings(max_examples=60, deadline=None)
@@ -66,28 +69,34 @@ def split_cases(draw):
     branches=st.integers(0, 3),
     width=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
 )
-# Adjacent, distant and reversed mode pairs, as in the circuit's stages.
-@example(case=((2, 1, 3), (0, 1), (3, 3, 3)), t=0.5, branches=2, width=2, seed=1)
-@example(case=((2, 1, 3, 1), (1, 3), (2, 2, 3, 3)), t=0.3, branches=3, width=1, seed=2)
-@example(case=((1, 2, 0, 3), (3, 0), (3, 2, 0, 3)), t=0.8, branches=1, width=3, seed=3)
-def test_split_matches_dense_beam_splitter(case, t, branches, width, seed):
-    cutoffs, modes, out_cutoffs = case
+# The circuit's pairs: (0, 1) for the ancilla, the PDC signal and the output,
+# (1, 2) for the interference; and an empty stack on the last pair.
+@example(case=((2, 1, 3), 0, (3, 3, 3)), t=0.5, branches=2, width=2, seed=1, real=True)
+@example(case=((2, 1, 3, 1), 1, (2, 2, 5, 1)), t=0.3, branches=3, width=1, seed=2, real=False)
+@example(case=((1, 2, 0, 3), 2, (1, 2, 2, 3)), t=0.8, branches=0, width=3, seed=3, real=True)
+def test_split_matches_dense_beam_splitter(case, t, branches, width, seed, real):
+    cutoffs, mode, out_cutoffs = case
     stack = random_stack(seed, (branches, ModeBasis(cutoffs).dimension, width))
-    fast = sa._split(stack, cutoffs, modes, t, out_cutoffs)
-    reference = dense_reference(stack, cutoffs, modes, t, out_cutoffs)
+    if real:
+        stack = stack.real.copy()
+    fast = sa._split(stack, cutoffs, mode, t, out_cutoffs)
+    reference = dense_reference(stack, cutoffs, mode, t, out_cutoffs)
     # An empty stack (every branch dropped) keeps its shape.
     assert fast.shape == reference.shape
+    assert fast.dtype == stack.dtype  # a real stack stays real
     assert np.all(np.abs(fast - reference) < 1e-12)
 
 
 @settings(max_examples=30, deadline=None)
 @given(case=split_cases(), t=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
 def test_split_of_a_block_without_enlargement(case, t, seed):
-    cutoffs, modes, _ = case
+    cutoffs, mode, _ = case
     block = random_stack(seed, (ModeBasis(cutoffs).dimension, 4))
-    fast = sa._split(block[None], cutoffs, modes, t)[0]
-    assert np.abs(fast - beam_splitter(ModeBasis(cutoffs), t, modes) @ block).max() < 1e-12
+    fast = sa._split(block[None], cutoffs, mode, t)[0]
+    reference = beam_splitter(ModeBasis(cutoffs), t, (mode, mode + 1)) @ block
+    assert np.abs(fast - reference).max() < 1e-12
 
 
 @st.composite
@@ -132,7 +141,7 @@ def occupation_plate(cutoffs, phase):
     width=st.integers(1, 3),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(cutoffs=(3, 4), phase=1j, branches=2, width=2, seed=6)  # the output plate
+@example(cutoffs=(3, 4), phase=1j, branches=2, width=2, seed=6)  # per-branch output plate
 @example(cutoffs=(5,), phase=-1.0, branches=0, width=1, seed=7)  # no D1 branch
 def test_phase_plates_equal_the_occupation_vectors(cutoffs, phase, branches, width, seed):
     """The D1 parity ``(-1)^n`` and the output plate ``i^n`` on the last mode, bitwise."""
@@ -141,6 +150,56 @@ def test_phase_plates_equal_the_occupation_vectors(cutoffs, phase, branches, wid
     fast = sa._phase_plate(stack, cutoffs, phase)
     assert fast.shape == expected.shape
     assert np.array_equal(fast, expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cutoff=st.integers(1, 4),
+    ancilla=st.sampled_from(["single-photon", "heralded-pdc"]),
+    branches=st.integers(0, 3),
+    width=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(cutoff=3, ancilla="single-photon", branches=0, width=2, seed=8)  # nothing heralded
+def test_output_plate_on_the_gram_equals_the_per_branch_plate(cutoff, ancilla, branches,
+                                                              width, seed):
+    """``_output_gram`` plates the summed Gram array once; the reference plates each branch.
+
+    Random real branches over the kept modes stand in for the heralded ones.
+    """
+    config = sa.SourceConfig(squeezing=0.0, amp_transmission=0.5, ancilla_model=ancilla,
+                             cutoff=cutoff)
+    kept = (cutoff, sa._ancilla_cutoff(config))
+    stack = random_stack(seed, (branches, ModeBasis(kept).dimension, width)).real.copy()
+
+    def heralded_gram(config, arms, cutoffs, mode, output, photon):
+        return sa._gram(output(stack)), 1.0
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sa, "_heralded_gram", heralded_gram)
+        basis, gram, _ = sa._output_gram(config, sa._tmsv_column(0.0, cutoff))
+    full = (cutoff + kept[1],) * 2
+    plated = sa._phase_plate(sa._split(stack, kept, 0, 0.5, full), full, 1j)
+    reference = sa._gram(plated[:, sa._product_index(basis)])
+    assert gram.shape == reference.shape
+    assert np.abs(gram - reference).max() <= 1e-14 * np.sum(stack**2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    cutoffs=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+    smaller=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+    t=st.floats(0.0, 1.0),
+)
+def test_cached_splitter_is_the_real_part_of_the_dense_one(cutoffs, smaller, t):
+    in_cutoffs = tuple(max(c - s, 0) for c, s in zip(cutoffs, smaller))
+    U = sa._cached_bs(cutoffs, t, in_cutoffs)
+    dense = beam_splitter(ModeBasis(cutoffs), t, (0, 1))
+    assert U.dtype == np.float64 and not U.flags.writeable
+    assert np.all(dense.imag == 0.0)  # the part it drops is exactly zero
+    (d0, d1), (e0, e1) = ((c + 1 for c in cut) for cut in (cutoffs, in_cutoffs))
+    columns = dense.real.reshape(d0, d1, d0, d1)[:, :, :e0, :e1]
+    assert np.array_equal(U, columns.reshape(d0 * d1, e0 * e1))
 
 
 def complex_matrix(entry):
@@ -171,13 +230,50 @@ class TestPinnedDirectCircuit:
         assert np.abs(out.state.matrix - complex_matrix(pins["state"])).max() < 1e-12
 
     @pytest.mark.parametrize("ancilla", ["single-photon", "heralded-pdc"])
-    def test_scissor_on_mixed_input(self, ancilla):
+    def test_scissor_on_mixed_input(self, ancilla, stack_dtypes):
         pins = PINS["qscissor_mixed_input"]
         rho = DensityOperator(ModeBasis((2,)), complex_matrix(pins["input"]))
         expected = pins["outputs"][ancilla]
         out = sa.qscissor_amplify(rho, **expected["kwargs"])
+        # A complex input runs complex through the same stages.
+        assert np.dtype(complex) in stack_dtypes["_split"] & stack_dtypes["_gram"]
         assert out.success_probability == pytest.approx(expected["success_probability"], abs=1e-12)
         assert np.abs(out.state.matrix - complex_matrix(expected["state"])).max() < 1e-12
+
+
+@pytest.fixture
+def stack_dtypes(monkeypatch):
+    """The dtypes of the stacks that reach the circuit's stages, by stage name."""
+    seen = {}
+    for name in ("_split", "_gram", "_reduced", "_detected"):
+        def spy(stack, *args, _stage=getattr(sa, name), _name=name, **kwargs):
+            seen.setdefault(_name, set()).add(stack.dtype)
+            return _stage(stack, *args, **kwargs)
+        monkeypatch.setattr(sa, name, spy)
+    monkeypatch.setattr(sa, "_STACK_CACHE", {})  # so that _source_stack runs the circuit
+    return seen
+
+
+PDC = sa.SourceConfig(**PINS["heralded_pdc"]["config"])
+REAL_RUNS = {
+    "amplified_source-single-photon": (
+        lambda: sa.amplified_source(sa.SourceConfig(squeezing=0.2, amp_transmission=0.3,
+                                                    coupling=0.9, cutoff=3)),
+        {"_split", "_gram", "_detected"}),
+    "amplified_source-heralded-pdc": (lambda: sa.amplified_source(PDC),
+                                      {"_split", "_gram", "_detected"}),
+    "herald_probabilities": (lambda: sa.herald_probabilities(PDC),
+                             {"_split", "_reduced", "_detected"}),
+    "_source_stack": (lambda: sa._source_stack(0.9, 3), {"_split", "_gram", "_detected"}),
+}
+
+
+@pytest.mark.parametrize("run, stages", list(REAL_RUNS.values()), ids=list(REAL_RUNS))
+def test_circuit_runs_in_real_arithmetic(run, stages, stack_dtypes):
+    """Every stack before the output plate is float64: no complex GEMM, no complex Gram."""
+    run()
+    assert set(stack_dtypes) == stages
+    assert all(dtypes == {np.dtype(np.float64)} for dtypes in stack_dtypes.values())
 
 
 def joint_stack_herald_probabilities(config):
@@ -190,11 +286,11 @@ def joint_stack_herald_probabilities(config):
     c = config.cutoff
     c_anc = 1 if config.ancilla_model == "single-photon" else min(3, c)
     anc_basis, anc, labels = sa._ancilla_branches(config, c_anc)
-    inputs = sa._lossy_arms(config, sa._tmsv_column(config), c)
+    inputs = sa._lossy_arms(config, sa._tmsv_column(config.squeezing, config.cutoff), c)
     small, big = (c, c) + anc_basis.cutoffs, (c, c + c_anc, c_anc + c, c_anc)
     (n_in, d, P), (n_anc, d_anc, Q) = inputs.shape, anc.shape
     joint = inputs[:, None, :, None, :, None] * anc[None, :, None, :, None, :]
-    joint = sa._split(joint.reshape(n_in * n_anc, d * d_anc, P * Q), small, (1, 2), 0.5, big)
+    joint = sa._split(joint.reshape(n_in * n_anc, d * d_anc, P * Q), small, 1, 0.5, big)
     labels = np.tile(labels, n_in)
 
     detectors = {}
