@@ -13,7 +13,6 @@ from cvbell import (
     optimal_state,
     optimize_delta,
     psi2_state,
-    region_boundary,
 )
 
 # --- the reference two-photon state ----------------------------------------------
@@ -44,7 +43,6 @@ print(f"  fixed two-photon state, eta_d=1: {critical_efficiency('eta_t', 'symmet
 
 # --- a slice of the violation region ---------------------------------------------------
 grid = [0.85, 0.9, 0.95, 1.0]
-points = region_boundary(grid, "symmetric")
 print("\nviolation region boundary (optimal states):")
-for p in points:
-    print(f"  eta_d = {p.eta_d:.2f}: eta_t* = {p.eta_t_star:.4f}")
+for e in grid:
+    print(f"  eta_d = {e:.2f}: eta_t* = {critical_efficiency('eta_t', 'symmetric', eta_d=e):.4f}")

@@ -15,7 +15,6 @@ from cvbell import (
     filtered_critical_transmission,
     log_linear_fit,
     lossy_psi2,
-    multi_filter_curve,
 )
 from cvbell.local_amp import filtered_chsh
 
@@ -40,7 +39,7 @@ for g in (1.0, 2.0, 3.0):
     print(f"  g = {g}: eta_t* = {thr:.4f}")
 
 # --- repeated filtering ------------------------------------------------------------
-curve = multi_filter_curve(2.0, 5)
+curve = [(m, filtered_critical_transmission(2.0, m)) for m in range(1, 6)]
 print("\nrepeated g = 2 filters:")
 for m, thr in curve:
     print(f"  {m} applications: eta_t* = {thr:.4f}")

@@ -34,12 +34,10 @@ from .bell import (
     BellScenario,
     DeltaSearch,
     PartyConditions,
-    RegionPoint,
     chsh_value,
     critical_efficiency,
     optimal_state,
     optimize_delta,
-    region_boundary,
     search_delta,
 )
 
@@ -53,7 +51,6 @@ from .local_amp import (  # noqa: E402
     filtered_critical_transmission,
     log_linear_fit,
     lossy_psi2,
-    multi_filter_curve,
     psi2_state,
 )
 from .source_amp import (  # noqa: E402
@@ -64,7 +61,6 @@ from .source_amp import (  # noqa: E402
     qscissor_amplify,
     solve_source_params,
     source_critical_transmission,
-    source_region_boundary,
     two_mode_squeezed,
 )
 from .reproduce import ReproductionReport, reproduce_all  # noqa: E402

@@ -12,13 +12,18 @@ inefficiency), so states are always written at the source.
 State optimization is restricted to the subspace with at most two photons in
 total, where the top eigenvector of the projected Bell operator is the
 optimal entangled state for the given losses.
+
+Every loss threshold of the package is :func:`bisect_threshold` applied to
+a max-CHSH function; :func:`critical_efficiency` is this scenario's.  A
+violation-region boundary is such a solver mapped over detection
+efficiencies (:func:`cvbell.parallel.map_ordered`, as :mod:`cvbell.cli` does).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -35,7 +40,6 @@ from .measurement import (
     binned_homodyne_slopes,
     photodetection_povm,
 )
-from .parallel import map_ordered
 
 TSIRELSON = 2.0 * math.sqrt(2.0)
 
@@ -366,6 +370,9 @@ def refine_slope_root(value_and_slope, lo: float, hi: float, tol: float):
     return float(best[1]), float(best[2]), evaluations
 
 
+#: Width to which :func:`search_delta` refines the best bin half-width by default.
+DELTA_REFINE_TOL = 1e-6
+
 #: Grid values that agree to this are a plateau of the delta objective: its
 #: argmax there is decided by rounding, not by a second maximum.
 PLATEAU_TOL = 1e-12
@@ -378,7 +385,7 @@ def search_delta(
     cutoff: int = 2,
     total_cap: int = 2,
     grid_points: int = 241,
-    tol: float = 1e-6,
+    tol: float = DELTA_REFINE_TOL,
     stop_above: float | None = None,
 ) -> DeltaSearch:
     """The delta search of :func:`optimize_delta`, with its record."""
@@ -419,7 +426,7 @@ def optimize_delta(
     cutoff: int = 2,
     total_cap: int = 2,
     grid_points: int = 241,
-    tol: float = 1e-6,
+    tol: float = DELTA_REFINE_TOL,
     stop_above: float | None = None,
 ) -> tuple[float, float]:
     """Best bin half-width and the CHSH value it achieves.
@@ -527,50 +534,3 @@ def critical_efficiency(
 
     return bisect_threshold(max_chsh, tol=tol)
 
-
-@dataclass
-class RegionPoint:
-    eta_d: float
-    eta_t_star: float | None
-
-    @property
-    def violation_possible(self) -> bool:
-        return self.eta_t_star is not None
-
-
-def _region_solve(eta_d, symmetry, state, cutoff, total_cap, tol):
-    thr = critical_efficiency(
-        "eta_t",
-        symmetry=symmetry,
-        eta_d=eta_d,
-        state=state,
-        cutoff=cutoff,
-        total_cap=total_cap,
-        tol=tol,
-    )
-    return RegionPoint(eta_d=float(eta_d), eta_t_star=thr)
-
-
-def region_boundary(
-    eta_d_values,
-    symmetry: str = SYMMETRIC,
-    state=None,
-    cutoff: int = 2,
-    total_cap: int = 2,
-    tol: float = 1e-4,
-    workers: int = 1,
-) -> list[RegionPoint]:
-    """Critical transmission as a function of detection efficiency.
-
-    One threshold solve per grid point; points without any violation are
-    reported with ``eta_t_star=None``.
-    """
-    solve = partial(
-        _region_solve,
-        symmetry=symmetry,
-        state=state,
-        cutoff=cutoff,
-        total_cap=total_cap,
-        tol=tol,
-    )
-    return map_ordered(solve, eta_d_values, workers=workers)

@@ -9,14 +9,21 @@ local-amp      critical transmission with local filters
 multi-filter   threshold versus number of filter applications
 reproduce-all  run every reference check and fail on any miss
 
+Every command but reproduce-all runs one threshold solver of the package
+(``critical_efficiency``, ``source_critical_transmission`` or
+``filtered_critical_transmission``) at each value it sweeps, through
+``parallel.map_ordered`` on ``--workers`` processes, and writes one row per
+value; threshold and local-amp sweep a single value.
+
 Configuration may be given as ``--config file.ini`` with one section per
 command (``key = value``).  The section is turned into flags and parsed by
 the same parser: ``eta_d = 0.9`` is ``--eta-d=0.9``, ``symmetry = asymmetric``
 is ``--asymmetric`` and ``skip_source = yes|no`` sets or omits
 ``--skip-source``.  Flags on the command line win over the file, and a bad
 key or value is reported with its ``file:line``.  Every run writes a CSV
-result table and a JSON sidecar describing the effective configuration,
-conventions and tolerances.  Exit codes: 0 success, 1 invalid
+result table and a JSON sidecar describing the effective configuration
+(whose ``tol`` the solvers got), the conventions and the delta-refinement
+and violation tolerances.  Exit codes: 0 success, 1 invalid
 configuration, 2 reproduction-gate failure.
 """
 
@@ -27,17 +34,15 @@ import configparser
 import math
 import re
 import sys
+from functools import partial
 
 import numpy as np
 
-from .bell import ASYMMETRIC, SYMMETRIC, critical_efficiency, region_boundary
-from .local_amp import (
-    filtered_critical_transmission,
-    multi_filter_curve,
-    psi2_state,
-)
+from .bell import ASYMMETRIC, SYMMETRIC, _scenario_for, critical_efficiency
+from .local_amp import filtered_critical_transmission, psi2_state
+from .parallel import map_ordered
 from .reproduce import reproduce_all
-from .source_amp import source_region_boundary
+from .source_amp import max_source_chsh, source_critical_transmission
 from .sweep import sidecar_path, write_csv, write_sidecar
 
 
@@ -261,30 +266,41 @@ def _two_photon_cutoff(args) -> None:
     args.cutoff = max(args.cutoff, 2)
 
 
+def _solve_at(solver, key, fixed, value):
+    """``solver(**fixed)`` with ``key`` set to ``value``: one point of a sweep."""
+    return solver(**fixed, **{key: value})
+
+
+def _threshold_rows(args, fields, solver, fixed, key, values, column=None,
+                    result="eta_t_star") -> list[dict]:
+    """One row per value of ``key``: the threshold of ``solver`` there.
+
+    ``solver`` runs at ``fixed``, ``key = value``, ``args.cutoff`` and
+    ``args.tol``, through :func:`map_ordered` on ``args.workers`` processes.
+    A row holds each of ``fields`` that names a flag, the value under
+    ``column`` (``key`` by default), the threshold under ``result``,
+    ``no_violation`` and ``bisection_tol``.
+    """
+    flags = {name: getattr(args, name) for name in fields if hasattr(args, name)}
+    solve = partial(_solve_at, solver, key,
+                    {**fixed, "cutoff": args.cutoff, "tol": args.tol})
+    thresholds = map_ordered(solve, values, workers=args.workers)
+    return [{**flags, column or key: value, result: threshold,
+             "no_violation": threshold is None, "bisection_tol": args.tol}
+            for value, threshold in zip(values, thresholds)]
+
+
 def _run_threshold(args) -> int:
     _two_photon_cutoff(args)
     state = None if args.state == "optimal" else psi2_state(args.cutoff)
-    value = critical_efficiency(
-        args.target.replace("-", "_"),
-        symmetry=args.symmetry,
-        eta_t=args.eta_t,
-        eta_d=args.eta_d,
-        state=state,
-        cutoff=args.cutoff,
-        tol=args.tol,
-    )
-    row = {
-        "symmetry": args.symmetry,
-        "target": args.target,
-        "eta_d": args.eta_d,
-        "eta_t": args.eta_t,
-        "state": args.state,
-        "cutoff": args.cutoff,
-        "threshold": value,
-        "no_violation": value is None,
-        "bisection_tol": args.tol,
-    }
-    path = _emit(args, list(row.keys()), [row])
+    fixed = {"target": args.target.replace("-", "_"), "symmetry": args.symmetry,
+             "eta_t": args.eta_t, "state": state}
+    fields = ["symmetry", "target", "eta_d", "eta_t", "state", "cutoff", "threshold",
+              "no_violation", "bisection_tol"]
+    [row] = _threshold_rows(args, fields, critical_efficiency, fixed, "eta_d", [args.eta_d],
+                            result="threshold")
+    path = _emit(args, fields, [row])
+    value = row["threshold"]
     label = "no violation" if value is None else f"{value:.6f}"
     print(f"critical {args.target} ({args.symmetry}, state={args.state}): {label}")
     print(f"wrote {path}")
@@ -293,67 +309,33 @@ def _run_threshold(args) -> int:
 
 def _run_region(args) -> int:
     _two_photon_cutoff(args)
-    grid = parse_grid(args.eta_d_grid)
     state = None if args.state == "optimal" else psi2_state(args.cutoff)
-    points = region_boundary(
-        grid,
-        symmetry=args.symmetry,
-        state=state,
-        cutoff=args.cutoff,
-        tol=args.tol,
-        workers=args.workers,
-    )
-    rows = [
-        {
-            "symmetry": args.symmetry,
-            "state": args.state,
-            "cutoff": args.cutoff,
-            "eta_d": p.eta_d,
-            "eta_t_star": p.eta_t_star,
-            "no_violation": p.eta_t_star is None,
-            "bisection_tol": args.tol,
-        }
-        for p in points
-    ]
+    fixed = {"target": "eta_t", "symmetry": args.symmetry, "state": state}
     fields = ["symmetry", "state", "cutoff", "eta_d", "eta_t_star",
               "no_violation", "bisection_tol"]
+    rows = _threshold_rows(args, fields, critical_efficiency, fixed, "eta_d",
+                           parse_grid(args.eta_d_grid))
     path = _emit(args, fields, rows)
     print(f"{len(rows)} grid points -> {path}")
     return 0
 
 
 def _run_source_amp(args) -> int:
-    grid = parse_grid(args.eta_d_grid)
-    points = source_region_boundary(
-        grid,
-        eta_c=args.eta_c,
-        symmetry=args.symmetry,
-        cutoff=args.cutoff,
-        tol=args.tol,
-        workers=args.workers,
-    )
-    rows = []
-    for p in points:
-        row = {
-            "symmetry": args.symmetry,
-            "eta_c": args.eta_c,
-            "cutoff": args.cutoff,
-            "eta_d": p.eta_d,
-            "eta_t_star": p.eta_t_star,
-            "no_violation": p.eta_t_star is None,
-            "squeezing": None,
-            "amp_transmission": None,
-            "delta": None,
-        }
-        if p.optimum is not None:
-            row.update(
-                squeezing=p.optimum.squeezing,
-                amp_transmission=p.optimum.amp_transmission,
-                delta=p.optimum.delta,
-            )
-        rows.append(row)
     fields = ["symmetry", "eta_c", "cutoff", "eta_d", "eta_t_star",
               "no_violation", "squeezing", "amp_transmission", "delta"]
+    rows = _threshold_rows(args, fields, source_critical_transmission,
+                           {"eta_c": args.eta_c, "symmetry": args.symmetry}, "eta_d",
+                           parse_grid(args.eta_d_grid))
+    for row in rows:
+        if row["eta_t_star"] is not None:
+            # The optimum just inside the violating region: at the threshold
+            # itself it may be the flat delta = 0 corner at CHSH = 2.
+            eta_t = min(1.0, row["eta_t_star"] + args.tol)
+            scen = _scenario_for(args.symmetry, eta_t=eta_t, eta_d=row["eta_d"], eta_h=1.0)
+            optimum = max_source_chsh(scen.alice, scen.bob, eta_c=args.eta_c,
+                                      cutoff=args.cutoff)
+            row.update(squeezing=optimum.squeezing,
+                       amp_transmission=optimum.amp_transmission, delta=optimum.delta)
     path = _emit(args, fields, rows)
     print(f"{len(rows)} grid points -> {path}")
     return 0
@@ -367,21 +349,13 @@ def _check_gain(gain: float) -> None:
 def _run_local_amp(args) -> int:
     _check_gain(args.g)
     _two_photon_cutoff(args)
-    value = filtered_critical_transmission(
-        args.g, args.m, eta_d=args.eta_d, eta_c=args.eta_c,
-        cutoff=args.cutoff, tol=args.tol,
-    )
-    row = {
-        "g": args.g,
-        "m": args.m,
-        "eta_d": args.eta_d,
-        "eta_c": args.eta_c,
-        "cutoff": args.cutoff,
-        "eta_t_star": value,
-        "no_violation": value is None,
-        "bisection_tol": args.tol,
-    }
-    path = _emit(args, list(row.keys()), [row])
+    fixed = {"gain": args.g, "applications": args.m, "eta_c": args.eta_c}
+    fields = ["g", "m", "eta_d", "eta_c", "cutoff", "eta_t_star", "no_violation",
+              "bisection_tol"]
+    [row] = _threshold_rows(args, fields, filtered_critical_transmission, fixed, "eta_d",
+                            [args.eta_d])
+    path = _emit(args, fields, [row])
+    value = row["eta_t_star"]
     label = "no violation" if value is None else f"{value:.6f}"
     print(f"critical eta_t with g={args.g}, m={args.m}: {label}")
     print(f"wrote {path}")
@@ -393,22 +367,10 @@ def _run_multi_filter(args) -> int:
     if args.m_max < 1:
         raise ValidationError(f"--m-max must be at least 1, got {args.m_max}")
     _two_photon_cutoff(args)
-    curve = multi_filter_curve(
-        args.g, args.m_max, eta_d=args.eta_d,
-        cutoff=args.cutoff, tol=args.tol, workers=args.workers,
-    )
-    rows = [
-        {
-            "g": args.g,
-            "eta_d": args.eta_d,
-            "m": m,
-            "eta_t_star": thr,
-            "no_violation": thr is None,
-            "bisection_tol": args.tol,
-        }
-        for m, thr in curve
-    ]
     fields = ["g", "eta_d", "m", "eta_t_star", "no_violation", "bisection_tol"]
+    rows = _threshold_rows(args, fields, filtered_critical_transmission,
+                           {"gain": args.g, "eta_d": args.eta_d}, "applications",
+                           range(1, args.m_max + 1), column="m")
     path = _emit(args, fields, rows)
     print(f"{len(rows)} filter counts -> {path}")
     return 0

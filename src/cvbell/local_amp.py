@@ -31,7 +31,6 @@ from .fock import (
     StateVector,
 )
 from .bell import VIOLATION_BOUND, PartyConditions, bisect_threshold, optimize_delta
-from .parallel import map_ordered
 
 
 def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.ndarray:
@@ -44,9 +43,13 @@ def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.
     with np.errstate(over="ignore"):
         diag = np.prod(((gain - 1.0) * basis.occupations + 1.0) ** applications, axis=1)
     if not np.isfinite(diag).all():
-        raise ValueError(f"the filter of gain {gain} applied {applications} times overflows "
-                         f"the float range at cutoff {max(basis.cutoffs)}")
+        raise _overflow_error(gain, applications, max(basis.cutoffs))
     return diag
+
+
+def _overflow_error(gain: float, applications: int, cutoff: int) -> ValueError:
+    return ValueError(f"the filter of gain {gain} applied {applications} times overflows "
+                      f"the float range at cutoff {cutoff}")
 
 
 def filter_operator(gain: float, cutoff: int) -> HermitianOperator:
@@ -158,38 +161,6 @@ def filtered_critical_transmission(
                                     stop_above=VIOLATION_BOUND)[1],
         tol=tol,
     )
-
-
-def _multi_filter_solve(applications, gain, eta_d, eta_c, cutoff, tol):
-    return (
-        applications,
-        filtered_critical_transmission(
-            gain, applications, eta_d=eta_d, eta_c=eta_c, cutoff=cutoff, tol=tol
-        ),
-    )
-
-
-def multi_filter_curve(
-    gain: float = 2.0,
-    max_applications: int = 4,
-    eta_d: float = 1.0,
-    eta_c: float = 1.0,
-    cutoff: int = 2,
-    tol: float = 1e-4,
-    workers: int = 1,
-) -> list[tuple[int, float | None]]:
-    """Critical transmission versus number of filter applications."""
-    from functools import partial
-
-    solve = partial(
-        _multi_filter_solve,
-        gain=gain,
-        eta_d=eta_d,
-        eta_c=eta_c,
-        cutoff=cutoff,
-        tol=tol,
-    )
-    return map_ordered(solve, range(1, max_applications + 1), workers=workers)
 
 
 def log_linear_fit(curve) -> tuple[float, float, float]:

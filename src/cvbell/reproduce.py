@@ -28,7 +28,6 @@ from .local_amp import (
     filtered_chsh,
     filtered_critical_transmission,
     log_linear_fit,
-    multi_filter_curve,
     psi2_state,
 )
 from .source_amp import source_critical_transmission
@@ -249,7 +248,7 @@ def reproduce_all(include_source: bool = True, source_cutoff: int = 6) -> Reprod
             dt,
         )
     )
-    curve, dt = _timed(lambda: multi_filter_curve(2.0, 4))
+    curve, dt = _timed(lambda: [(m, filtered_critical_transmission(2.0, m)) for m in range(1, 5)])
     m3 = dict(curve).get(3)
     rows.append(
         ReportRow(

@@ -67,13 +67,13 @@ from .bell import (
     _mode_observables,
     _product_index,
     _product_tensor,
+    _scenario_for,
     bell_matrices,
     bisect_threshold,
     golden_section_max,
     optimize_delta,
 )
-from .local_amp import apply_filters, filter_diagonal
-from .parallel import map_ordered
+from .local_amp import _overflow_error, apply_filters, filter_diagonal
 
 #: Branches with squared norm below this are dropped.  The cut is absolute
 #: (the circuit's input is normalized), although outputs are renormalized by
@@ -943,19 +943,6 @@ def max_source_chsh(
     return SourceOptimum(value, lam, t, delta)
 
 
-def _source_scenario(symmetry: str, eta_t: float, eta_d: float):
-    from .bell import _scenario_for
-
-    return _scenario_for(symmetry, eta_t=eta_t, eta_d=eta_d, eta_h=1.0)
-
-
-@dataclass
-class SourceRegionPoint:
-    eta_d: float
-    eta_t_star: float | None
-    optimum: SourceOptimum | None
-
-
 def source_critical_transmission(
     eta_d: float = 1.0,
     eta_c: float = 1.0,
@@ -968,53 +955,13 @@ def source_critical_transmission(
     """Critical transmission for the amplified source at a given eta_d."""
 
     def max_chsh(eta_t):
-        scen = _source_scenario(symmetry, eta_t, eta_d)
+        scen = _scenario_for(symmetry, eta_t=eta_t, eta_d=eta_d, eta_h=1.0)
         return max_source_chsh(
             scen.alice, scen.bob, eta_c=eta_c, cutoff=cutoff,
             lam_grid=lam_grid, t_grid=t_grid,
         ).chsh_value
 
     return bisect_threshold(max_chsh, tol=tol)
-
-
-def _source_region_solve(eta_d, eta_c, symmetry, cutoff, tol, lam_grid, t_grid):
-    thr = source_critical_transmission(
-        eta_d=eta_d, eta_c=eta_c, symmetry=symmetry, cutoff=cutoff, tol=tol,
-        lam_grid=lam_grid, t_grid=t_grid,
-    )
-    optimum = None
-    if thr is not None:
-        scen = _source_scenario(symmetry, thr, eta_d)
-        optimum = max_source_chsh(
-            scen.alice, scen.bob, eta_c=eta_c, cutoff=cutoff,
-            lam_grid=lam_grid, t_grid=t_grid,
-        )
-    return SourceRegionPoint(eta_d=float(eta_d), eta_t_star=thr, optimum=optimum)
-
-
-def source_region_boundary(
-    eta_d_values,
-    eta_c: float = 1.0,
-    symmetry: str = "symmetric",
-    cutoff: int = 6,
-    tol: float = 1e-3,
-    lam_grid: tuple | None = None,
-    t_grid: tuple | None = None,
-    workers: int = 1,
-) -> list[SourceRegionPoint]:
-    """Violation-region boundary with (lam, t, delta) optimized per point."""
-    from functools import partial
-
-    solve = partial(
-        _source_region_solve,
-        eta_c=eta_c,
-        symmetry=symmetry,
-        cutoff=cutoff,
-        tol=tol,
-        lam_grid=lam_grid,
-        t_grid=t_grid,
-    )
-    return map_ordered(solve, eta_d_values, workers=workers)
 
 
 def _lossy_state(basis: ModeBasis, rho: np.ndarray, eta: float) -> np.ndarray:
@@ -1055,6 +1002,12 @@ def _filtered_pullback(basis: ModeBasis, alice: PartyConditions, bob: PartyCondi
         """``f O f`` for each stack, with ``f^2`` last: one mode's factors."""
         cutoff = ops[0].shape[-1] - 1
         f = filter_diagonal(_basis((cutoff,)), gain, applications)
+        # F^2 = (f (x) f)^2 sets the scale of the two-mode products below, so
+        # its largest entry is checked before any product is formed.
+        with np.errstate(over="ignore"):
+            largest = np.abs(f).max() ** 4
+        if not np.isfinite(largest):
+            raise _overflow_error(gain, applications, cutoff)
         stack = np.concatenate([*(op.reshape(-1, cutoff + 1, cutoff + 1) for op in ops),
                                 np.eye(cutoff + 1)[None]])
         return f[:, None] * stack * f, cutoff

@@ -1,10 +1,14 @@
-"""Result serialization for sweeps: CSV tables with a JSON metadata sidecar.
+"""Result files of every command: a CSV table and a JSON metadata sidecar.
 
+A sweep itself is :func:`cvbell.parallel.map_ordered` over a threshold
+solver (see :mod:`cvbell.cli`); this module only writes what it found.
 Every run writes one UTF-8 CSV (LF line endings, floats at 17 significant
 digits, self-describing named columns) plus a sidecar JSON recording the
-schema version, the full effective configuration, solver tolerances and the
-measurement conventions.  Files are written atomically (temp file + rename)
-so a failed run leaves no partial output.
+schema version, the full effective configuration (its ``tol`` is the
+bisection tolerance the solvers got), the delta-refinement width and the
+violation margin of :mod:`cvbell.bell`, and the measurement conventions.
+Files are written atomically (temp file + rename) so a failed run leaves no
+partial output.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import os
 import tempfile
 
 from . import __version__
+from .bell import DELTA_REFINE_TOL, VIOLATION_MARGIN
 from .measurement import QUADRATURE_CONVENTION
 
 SCHEMA_VERSION = 1
@@ -29,13 +34,6 @@ CONVENTIONS = {
     "photodetection": "observable +1 on click",
     "binned_homodyne": "observable +1 for |x| <= delta",
 }
-
-TOLERANCES = {
-    "efficiency_bisection": 1e-4,
-    "delta_refinement": 1e-6,
-    "violation_margin": 1e-7,
-}
-
 
 def format_value(value) -> str:
     if value is None:
@@ -80,7 +78,8 @@ def write_sidecar(path: str, command: str, effective_config: dict,
         "command": command,
         "effective_config": effective_config,
         "conventions": CONVENTIONS,
-        "tolerances": TOLERANCES,
+        "tolerances": {"delta_refinement": DELTA_REFINE_TOL,
+                       "violation_margin": VIOLATION_MARGIN},
     }
     if extra:
         payload.update(extra)

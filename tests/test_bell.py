@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,11 @@ from cvbell.bell import (
     golden_section_max,
     optimal_state,
     optimize_delta,
-    region_boundary,
 )
+from cvbell.cli import _solve_at, main
 from cvbell.fock import ModeBasis
 from cvbell.local_amp import psi2_state
+from cvbell.parallel import map_ordered
 
 
 def subspace_top(scenario, cutoff=2):
@@ -190,31 +193,33 @@ class TestThresholds:
 
 
 class TestRegionBoundary:
+    """The boundary eta_t*(eta_d): one transmission threshold per eta_d."""
+
     def test_monotone_boundary(self):
-        points = region_boundary([0.85, 0.9, 1.0], SYMMETRIC)
-        thresholds = [p.eta_t_star for p in points]
+        thresholds = [critical_efficiency("eta_t", SYMMETRIC, eta_d=e) for e in (0.85, 0.9, 1.0)]
         assert all(t is not None for t in thresholds)
         assert thresholds[0] >= thresholds[1] >= thresholds[2]
 
-    def test_no_violation_marked(self):
-        points = region_boundary([0.3], SYMMETRIC)
-        assert points[0].eta_t_star is None
-        assert not points[0].violation_possible
+    def test_no_violation_marked(self, tmp_path):
+        assert critical_efficiency("eta_t", SYMMETRIC, eta_d=0.3) is None
+        out = tmp_path / "region.csv"
+        assert main(["region", "--eta-d-grid", "0.3", "--output", str(out)]) == 0
+        header, row = (line.split(",") for line in out.read_text().split("\n")[:2])
+        row = dict(zip(header, row))
+        assert row["eta_t_star"] == "" and row["no_violation"] == "true"
 
     def test_worker_independence(self):
+        solve = partial(_solve_at, critical_efficiency, "eta_d",
+                        {"target": "eta_t", "symmetry": SYMMETRIC})
         grid = [0.9, 1.0]
-        serial = region_boundary(grid, SYMMETRIC, workers=1)
-        parallel = region_boundary(grid, SYMMETRIC, workers=2)
-        for a, b in zip(serial, parallel):
-            assert a.eta_t_star == b.eta_t_star
+        assert map_ordered(solve, grid, workers=2) == map_ordered(solve, grid, workers=1)
 
     def test_endpoint_matches_threshold(self):
-        points = region_boundary([1.0], SYMMETRIC)
-        assert points[0].eta_t_star == pytest.approx(0.805, abs=0.005)
+        assert critical_efficiency("eta_t", SYMMETRIC, eta_d=1.0) == pytest.approx(0.805, abs=0.005)
 
     def test_fixed_state_boundary_endpoint(self):
-        points = region_boundary([1.0], SYMMETRIC, state=psi2_state())
-        assert points[0].eta_t_star == pytest.approx(0.84, abs=0.01)
+        thr = critical_efficiency("eta_t", SYMMETRIC, eta_d=1.0, state=psi2_state())
+        assert thr == pytest.approx(0.84, abs=0.01)
 
 
 class TestScenario:

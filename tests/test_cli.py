@@ -8,7 +8,22 @@ import pytest
 
 import cvbell.cli
 import cvbell.reproduce
+from cvbell.bell import (
+    DELTA_REFINE_TOL,
+    VIOLATION_BOUND,
+    VIOLATION_MARGIN,
+    BellScenario,
+    chsh_value,
+)
 from cvbell.cli import ValidationError, main, parse_grid
+from cvbell.source_amp import SourceConfig, amplified_source, max_source_chsh
+
+#: The commands' CSVs as written at commit 65f91db, before they called the
+#: threshold solvers directly.
+PARENT_CSVS = Path(__file__).resolve().parent / "data" / "cli"
+
+#: The three optimum columns of ``source-amp``, mended since those CSVs.
+SOURCE_OPTIMUM = ("squeezing", "amp_transmission", "delta")
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -27,6 +42,23 @@ def fake_reproduce_all(monkeypatch) -> dict:
 
     monkeypatch.setattr(cvbell.cli, "reproduce_all", reproduce_all)
     return received
+
+
+def record_solver(monkeypatch, name, threshold=None) -> list:
+    """Replace the solver ``cvbell.cli.<name>``; returns the keyword arguments of each call."""
+    calls = []
+
+    def solve(**kwargs):
+        calls.append(kwargs)
+        return threshold
+
+    monkeypatch.setattr(cvbell.cli, name, solve)
+    return calls
+
+
+def read_rows(path) -> list[dict]:
+    lines = path.read_text().strip().split("\n")
+    return [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
 
 
 def assert_one_error_line(err: str, location: str):
@@ -138,8 +170,8 @@ class TestThresholdCommand:
         sidecar = json.loads((tmp_path / "out.json").read_text())
         assert sidecar["schema_version"] == 1
         assert "quadrature" in sidecar["conventions"]
-        assert set(sidecar["tolerances"]) == {
-            "efficiency_bisection", "delta_refinement", "violation_margin",
+        assert sidecar["tolerances"] == {
+            "delta_refinement": DELTA_REFINE_TOL, "violation_margin": VIOLATION_MARGIN,
         }
         assert sidecar["effective_config"]["state"] == "psi2"
 
@@ -168,32 +200,38 @@ class TestRegionCommand:
 class TestSourceAmpCommand:
     @pytest.mark.parametrize("flags", [[], ["--tol", "2e-4"], ["--tol", "5e-3"]])
     def test_solver_gets_the_recorded_tolerance(self, flags, tmp_path, monkeypatch):
-        received = {}
-
-        def boundary(grid, **kwargs):
-            received.update(kwargs)
-            return []
-
-        monkeypatch.setattr(cvbell.cli, "source_region_boundary", boundary)
+        calls = record_solver(monkeypatch, "source_critical_transmission")
         code, _ = run_cli(["source-amp", "--eta-d-grid", "1.0"] + flags, tmp_path)
         assert code == 0
         sidecar = json.loads((tmp_path / "out.json").read_text())
-        assert received["tol"] == sidecar["effective_config"]["tol"]
+        assert [call["tol"] for call in calls] == [sidecar["effective_config"]["tol"]]
 
     def test_config_file_sets_the_cutoff(self, tmp_path, monkeypatch):
-        received = {}
-
-        def boundary(grid, **kwargs):
-            received.update(kwargs)
-            return []
-
-        monkeypatch.setattr(cvbell.cli, "source_region_boundary", boundary)
+        calls = record_solver(monkeypatch, "source_critical_transmission")
         cfg = tmp_path / "run.ini"
         cfg.write_text("[source-amp]\ncutoff = 3\n")
         code, _ = run_cli(["source-amp", "--eta-d-grid", "1.0", "--config", str(cfg)], tmp_path)
         assert code == 0
         sidecar = json.loads((tmp_path / "out.json").read_text())
-        assert received["cutoff"] == sidecar["effective_config"]["cutoff"] == 3
+        assert calls[0]["cutoff"] == sidecar["effective_config"]["cutoff"] == 3
+
+    def test_reported_optimum_violates(self, tmp_path):
+        # The optimum columns come from just inside the violating region, not
+        # from the delta = 0 corner at CHSH = 2 on the threshold itself.
+        code, out = run_cli(["source-amp"], tmp_path)
+        assert code == 0
+        rows = read_rows(out)
+        # eta_t* as computed before the optimum columns were mended.
+        assert [row["eta_t_star"] for row in rows] == [
+            "0.897430419921875", "0.846405029296875", "0.805084228515625"]
+        for row in rows:
+            eta_t = min(1.0, float(row["eta_t_star"]) + 1e-4)
+            config = SourceConfig(float(row["squeezing"]), float(row["amp_transmission"]))
+            scenario = BellScenario.symmetric(eta_t=eta_t, eta_d=float(row["eta_d"]),
+                                              delta=float(row["delta"]))
+            assert float(row["delta"]) > 0.0
+            assert chsh_value(amplified_source(config).state, scenario) > VIOLATION_BOUND
+            assert max_source_chsh(scenario.alice, scenario.bob).chsh_value > VIOLATION_BOUND
 
     def test_flag_default_is_not_explicit(self, tmp_path, monkeypatch):
         parser = cvbell.cli.build_parser()
@@ -219,23 +257,18 @@ class TestLocalAmpCommand:
 
     @pytest.mark.parametrize("command, solver, flags", [
         ("local-amp", "filtered_critical_transmission", []),
-        ("multi-filter", "multi_filter_curve", ["--m-max", "1"]),
+        ("multi-filter", "filtered_critical_transmission", ["--m-max", "1"]),
         ("threshold", "critical_efficiency", ["--state", "psi2"]),
-        ("region", "region_boundary", ["--state", "psi2"]),
+        ("region", "critical_efficiency", ["--state", "psi2"]),
     ])
     def test_sidecar_records_the_cutoff_used(self, command, solver, flags, tmp_path,
                                              monkeypatch):
-        received = {}
-
-        def solve(*args, **kwargs):
-            received.update(kwargs)
-            return [] if solver in ("multi_filter_curve", "region_boundary") else None
-
-        monkeypatch.setattr(cvbell.cli, solver, solve)
+        calls = record_solver(monkeypatch, solver)
         code, _ = run_cli([command, "--cutoff", "1"] + flags, tmp_path)
         assert code == 0
         sidecar = json.loads((tmp_path / "out.json").read_text())
-        assert received["cutoff"] == sidecar["effective_config"]["cutoff"] == 2
+        assert calls and {call["cutoff"] for call in calls} == {2}
+        assert sidecar["effective_config"]["cutoff"] == 2
 
     def test_invalid_gain(self, tmp_path, capsys):
         code = main(["local-amp", "--g", "0.5", "--output", str(tmp_path / "x.csv")])
@@ -425,15 +458,86 @@ class TestConfigFile:
         assert code == 0 and received["symmetry"] == "symmetric"
 
     def test_value_may_start_with_a_dash(self, tmp_path, monkeypatch):
-        received = {}
-
-        def boundary(grid, **kwargs):
-            received.update(kwargs)
-            return []
-
-        monkeypatch.setattr(cvbell.cli, "source_region_boundary", boundary)
+        calls = record_solver(monkeypatch, "source_critical_transmission")
         cfg = tmp_path / "run.ini"
         cfg.write_text("[source-amp]\neta-d-grid = 1.0\ntol = -1e-3\n")
         code, out = run_cli(["source-amp", "--config", str(cfg)], tmp_path)
         assert code == 0
-        assert received["tol"] == -1e-3
+        assert calls[0]["tol"] == -1e-3
+
+
+@pytest.mark.parametrize("name, args", [
+    ("threshold", ["threshold"]),
+    ("threshold-psi2-eta-d-asym",
+     ["threshold", "--target", "eta-d", "--state", "psi2", "--asymmetric"]),
+    ("region-psi2", ["region", "--state", "psi2", "--workers", "2", "--eta-d-grid", "0.7,0.9"]),
+    ("local-amp", ["local-amp", "--g", "3", "--m", "2"]),
+    ("multi-filter", ["multi-filter"]),
+    ("multi-filter-small", ["multi-filter", "--workers", "2", "--m-max", "3", "--eta-d", "0.9"]),
+    ("reproduce-all", ["reproduce-all"]),
+])
+def test_csv_is_unchanged(name, args, tmp_path, capsys):
+    code, out = run_cli(args, tmp_path, f"{name}.csv")
+    assert code in (0, 2)  # reproduce-all exits 2 on its standing misses
+    assert out.read_bytes() == (PARENT_CSVS / f"{name}.csv").read_bytes()
+
+
+def test_source_amp_csv_is_unchanged_but_its_optimum(tmp_path):
+    args = ["source-amp", "--eta-c", "0.9", "--workers", "2", "--eta-d-grid", "0.9,1.0"]
+    code, out = run_cli(args, tmp_path)
+    assert code == 0
+    rows, parent = read_rows(out), read_rows(PARENT_CSVS / "source-amp-eta-c.csv")
+    assert list(rows[0]) == list(parent[0])
+    for row, old in zip(rows, parent, strict=True):
+        kept = [column for column in old if column not in SOURCE_OPTIMUM]
+        assert [row[c] for c in kept] == [old[c] for c in kept]
+        assert float(row["delta"]) > 0.0
+
+
+@pytest.mark.parametrize("command, solver, flags", [
+    ("threshold", "critical_efficiency", []),
+    ("region", "critical_efficiency", ["--eta-d-grid", "0.9,1.0"]),
+    ("source-amp", "source_critical_transmission", ["--eta-d-grid", "1.0"]),
+    ("local-amp", "filtered_critical_transmission", []),
+    ("multi-filter", "filtered_critical_transmission", ["--m-max", "2"]),
+])
+def test_one_tol_reaches_the_solver_the_csv_and_the_sidecar(command, solver, flags,
+                                                            tmp_path, monkeypatch):
+    calls = record_solver(monkeypatch, solver, threshold=0.5)
+    code, out = run_cli([command, "--tol", "5e-3"] + flags, tmp_path)
+    assert code == 0
+    sidecar = json.loads((tmp_path / "out.json").read_text())
+    assert [call["tol"] for call in calls] == [5e-3] * len(read_rows(out))
+    assert sidecar["effective_config"]["tol"] == 5e-3
+    assert "efficiency_bisection" not in sidecar["tolerances"]
+    if command != "source-amp":  # the one command without the column
+        assert {float(row["bisection_tol"]) for row in read_rows(out)} == {5e-3}
+
+
+@pytest.mark.parametrize("args, solver, expected", [
+    (["threshold", "--target", "eta-d", "--eta-t", "0.9", "--asymmetric"],
+     "critical_efficiency",
+     [{"target": "eta_d", "symmetry": "asymmetric", "eta_t": 0.9, "state": None,
+       "cutoff": 2, "tol": 1e-4, "eta_d": 1.0}]),
+    (["region", "--eta-d-grid", "0.8,0.9"], "critical_efficiency",
+     [{"target": "eta_t", "symmetry": "symmetric", "state": None, "cutoff": 2,
+       "tol": 1e-4, "eta_d": eta_d} for eta_d in (0.8, 0.9)]),
+    (["source-amp", "--eta-c", "0.9", "--eta-d-grid", "0.8,0.9"],
+     "source_critical_transmission",
+     [{"eta_c": 0.9, "symmetry": "symmetric", "cutoff": 6, "tol": 1e-4, "eta_d": eta_d}
+      for eta_d in (0.8, 0.9)]),
+    (["local-amp", "--g", "3", "--m", "2", "--eta-d", "0.9", "--eta-c", "0.95"],
+     "filtered_critical_transmission",
+     [{"gain": 3.0, "applications": 2, "eta_c": 0.95, "cutoff": 2, "tol": 1e-4,
+       "eta_d": 0.9}]),
+    (["multi-filter", "--g", "3", "--m-max", "2", "--eta-d", "0.9"],
+     "filtered_critical_transmission",
+     [{"gain": 3.0, "eta_d": 0.9, "cutoff": 2, "tol": 1e-4, "applications": m}
+      for m in (1, 2)]),
+], ids=["threshold", "region", "source-amp", "local-amp", "multi-filter"])
+def test_solver_gets_every_value_by_keyword(args, solver, expected, tmp_path, monkeypatch):
+    calls = record_solver(monkeypatch, solver)
+    code, out = run_cli(args, tmp_path)
+    assert code == 0
+    assert calls == expected
+    assert all(row["no_violation"] == "true" for row in read_rows(out))

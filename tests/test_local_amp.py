@@ -1,8 +1,10 @@
 import re
+from functools import partial
 
 import numpy as np
 import pytest
 
+from cvbell.cli import _solve_at
 from cvbell.fock import LossChannel, apply_channel
 from cvbell.local_amp import (
     apply_filters,
@@ -12,9 +14,9 @@ from cvbell.local_amp import (
     filtered_state,
     log_linear_fit,
     lossy_psi2,
-    multi_filter_curve,
     psi2_state,
 )
+from cvbell.parallel import map_ordered
 
 
 class TestFilterOperator:
@@ -177,27 +179,29 @@ class TestFilteredThresholds:
         assert filtered_critical_transmission(2.0, eta_d=0.3) is None
 
 
+def filter_curve(applications) -> list:
+    """``(m, eta_t*)`` of gain-2 filters for each number m of applications."""
+    return [(m, filtered_critical_transmission(2.0, m)) for m in applications]
+
+
 class TestMultiFilter:
     def test_curve_monotone_decreasing(self):
-        curve = multi_filter_curve(2.0, 4)
-        thresholds = [thr for _, thr in curve]
+        thresholds = [thr for _, thr in filter_curve(range(1, 5))]
         assert all(t is not None for t in thresholds)
         assert np.all(np.diff(thresholds) < 0)
 
     def test_middle_point_between_neighbours(self):
-        curve = dict(multi_filter_curve(2.0, 3))
+        curve = dict(filter_curve(range(1, 4)))
         assert curve[3] < curve[2] < curve[1]
 
     def test_log_linear_fit_quality(self):
-        curve = multi_filter_curve(2.0, 4)
-        slope, _, r2 = log_linear_fit(curve)
+        slope, _, r2 = log_linear_fit(filter_curve(range(1, 5)))
         assert slope < 0
         assert r2 >= 0.98
 
     def test_worker_independence(self):
-        serial = multi_filter_curve(2.0, 2, workers=1)
-        parallel = multi_filter_curve(2.0, 2, workers=2)
-        assert serial == parallel
+        solve = partial(_solve_at, filtered_critical_transmission, "applications", {"gain": 2.0})
+        assert map_ordered(solve, [1, 2], workers=2) == map_ordered(solve, [1, 2], workers=1)
 
 
 class TestCombinedScheme:

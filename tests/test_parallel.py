@@ -4,11 +4,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from cvbell.bell import region_boundary
+from cvbell.bell import critical_efficiency
+from cvbell.cli import _solve_at
 from cvbell.parallel import map_ordered
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,8 +28,9 @@ def test_import_leaves_multiprocessing_out():
 
 
 def test_two_workers_equal_one():
+    solve = partial(_solve_at, critical_efficiency, "eta_d", {"target": "eta_t"})
     grid = [0.8, 0.9, 1.0]
-    assert region_boundary(grid, workers=2) == region_boundary(grid, workers=1)
+    assert map_ordered(solve, grid, workers=2) == map_ordered(solve, grid, workers=1)
 
 
 class RecordingPool:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from cvbell.fock import ModeBasis, StateVector, fidelity, partial_trace
 from cvbell.source_amp import (
     SourceConfig,
     amplified_source,
+    amplified_source_threshold_with_filters,
     default_squeezing_grid,
     default_transmission_grid,
     dominant_component,
@@ -275,3 +277,18 @@ class TestSourceOptimization:
         )
         assert opt.chsh_value > 2.30
         assert opt.chsh_value <= 2.3137 + 1e-6
+
+
+class TestFilteredSourceThreshold:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning precedes the error
+    @pytest.mark.parametrize("gain", [1e200, 1e100, 1e80])
+    def test_overflowing_filter_is_named(self, gain):
+        # The single-mode diagonal is finite at these gains; the two-mode
+        # products of the pulled-back filter, of order f^4, are not.
+        message = re.escape(f"the filter of gain {gain} applied 1 times overflows")
+        with pytest.raises(ValueError, match=message):
+            amplified_source_threshold_with_filters(gain, 1, cutoff=2)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_large_finite_filter_still_solves(self):
+        assert amplified_source_threshold_with_filters(1e70, 1, cutoff=2) is None
