@@ -35,11 +35,16 @@ its two adjacent modes (:func:`_split`), a loss on one mode
 parity plate on the last mode.  All of them are real, so the stacks are
 float64 (a complex input runs complex through the same code) and the output
 plate ``i^n`` acts once, on the summed Gram array (:func:`_output_gram`).
-No operator over the joint basis is built: ``fock.beam_splitter`` and
-``fock.embed_single_mode`` over it are the tests' references.  The circuit
-runs once per ancilla branch on all input branches and sums the outputs'
-Gram arrays (:func:`_heralded_gram`); the herald distribution needs only the
-reduced states of the two modes that meet on the interference splitter
+No operator over the joint basis is built: each splitter is filled only on
+its input columns from the pair amplitudes (:func:`_cached_bs`), and
+``fock.beam_splitter`` and ``fock.embed_single_mode`` over the joint basis
+are the tests' references.  The heralded-PDC ancilla's coupling loss and D0
+detector are diagonal in photon number, so its D0-conditioned signal is a
+photon-number mixture in closed form (:func:`_ancilla_distribution`), one
+branch per (D0 outcome, photon number).  The circuit runs once per ancilla
+branch on all input branches and sums the outputs' Gram arrays
+(:func:`_heralded_gram`); the herald distribution needs only the reduced
+states of the two modes that meet on the interference splitter
 (:func:`herald_probabilities`).
 """
 
@@ -55,8 +60,8 @@ from .fock import (
     DensityOperator,
     ModeBasis,
     StateVector,
+    _bs_pair_coefficient,
     anchor_phase,
-    beam_splitter,
     loss_kraus,
 )
 from .measurement import DELTA_MAX, _loss_channel, _through_loss, photodetection_povm
@@ -79,13 +84,15 @@ from .local_amp import _overflow_error, apply_filters, filter_diagonal
 #: (the circuit's input is normalized), although outputs are renormalized by
 #: success probabilities that can be small.  Measured on the heralded-PDC
 #: ancilla (squeezing 0.2, t = 0.3, chi = 0.2, coupling 0.95) at cutoffs 3 to
-#: 5, a cut of 0 moves the normalized states by at most 1.1e-12, the success
-#: probabilities by at most 1.9e-14 and the herald probabilities by 1.1e-16.
-#: On the same ancilla at cutoffs 4 and 5 (perfbench's pdc-ancilla workload)
-#: it raises peak memory from 35.2 to 36.2 MiB and leaves the run time within
-#: noise, 0.108 to 0.116 s against 0.110 to 0.114 s (3 runs each, 2-core VM,
-#: BLAS on one thread).  A cut relative to the success probability would need
-#: that probability before the circuit has run.
+#: 5, a cut of 0 moves the normalized states by at most 2.1e-13, the success
+#: probabilities by at most 3.5e-15 and the herald probabilities by 1.1e-16
+#: (1.1e-12, 1.9e-14 and 1.1e-16 while the ancilla ran one branch per loss
+#: Kraus pair instead of one per photon number).  With those per-pair
+#: branches, on the same ancilla at cutoffs 4 and 5 (perfbench's pdc-ancilla
+#: workload), a cut of 0 raised peak memory from 35.2 to 36.2 MiB and left
+#: the run time within noise, 0.108 to 0.116 s against 0.110 to 0.114 s (3
+#: runs each, 2-core VM, BLAS on one thread).  A cut relative to the success
+#: probability would need that probability before the circuit has run.
 BRANCH_TOL = 1e-16
 
 
@@ -182,12 +189,19 @@ def _basis(cutoffs: tuple, total_cap=None) -> ModeBasis:
 def _cached_bs(cutoffs: tuple, t: float, in_cutoffs: tuple) -> np.ndarray:
     """Two-mode splitter of transmission ``t`` onto the mode pair's ``cutoffs``.
 
-    The float64 real part of ``fock.beam_splitter``, whose entries are all real,
-    on the columns of input occupations inside ``in_cutoffs`` only (no padding).
+    Only the columns of input occupations inside ``in_cutoffs`` are built (no
+    padding), each from the real pair amplitudes of
+    ``fock._bs_pair_coefficient``: the float64 columns of ``fock.beam_splitter``,
+    whose imaginary part is exactly zero.
     """
-    U = beam_splitter(_basis(cutoffs), t, (0, 1)).real
-    (d0, d1), (e0, e1) = ((c + 1 for c in cut) for cut in (cutoffs, in_cutoffs))
-    U = np.ascontiguousarray(U.reshape(d0, d1, d0, d1)[:, :, :e0, :e1]).reshape(d0 * d1, e0 * e1)
+    (c0, c1), (i0, i1) = cutoffs, in_cutoffs
+    U = np.zeros((c0 + 1, c1 + 1, i0 + 1, i1 + 1))
+    for m in range(i0 + 1):
+        for n in range(i1 + 1):
+            # Photon number is conserved: |m, n> goes to |k, m + n - k> only.
+            for k in range(max(0, m + n - c1), min(c0, m + n) + 1):
+                U[k, m + n - k, m, n] = _bs_pair_coefficient(k, m + n - k, m, n, t)
+    U = U.reshape((c0 + 1) * (c1 + 1), (i0 + 1) * (i1 + 1))
     U.setflags(write=False)
     return U
 
@@ -277,9 +291,10 @@ def _loss_branches(cutoffs, branches: np.ndarray, mode: int, eta: float) -> np.n
 
 
 def _lossy_arms(config: SourceConfig, inputs: np.ndarray, cutoff: int) -> np.ndarray:
-    """Coupling loss on both arms (``cutoff`` photons each) of a ``(d, P)`` block.
+    """Coupling loss on both source arms (``cutoff`` photons each) of a ``(d, P)`` block.
 
-    The arms are the source's or the heralded-PDC ancilla's; returns a branch stack.
+    Returns the branch stack, one block per pair of Kraus operators that
+    :func:`_loss_branches` keeps.
     """
     cutoffs, branches = (cutoff, cutoff), inputs[None]
     for mode in (0, 1):
@@ -292,6 +307,33 @@ def _detector_diags(eta: float, cutoff: int):
     return np.diag(click).copy(), np.diag(no_click).copy()
 
 
+def _ancilla_distribution(config: SourceConfig, c_cutoff: int) -> np.ndarray:
+    """Joint distribution of the D0 outcome and the heralded-PDC ancilla's signal photons.
+
+    Returns ``p[o, m]``: o = 0 for a D0 click and 1 for none, m = 0 ...
+    ``c_cutoff`` photons in the signal.  The weak down-converter emits n
+    pairs with probability ``c_n^2``, the truncated and renormalized squeezed
+    vacuum of :func:`_tmsv_column`.  Each arm's coupling loss keeps each
+    photon with probability eta_c, so the signal keeps m of the n photons with
+    probability ``Bin(m; n, eta_c)``, and D0 (efficiency eta_h) misses every
+    idler photon with probability ``(1 - eta_c eta_h)^n``:
+
+        p[none, m]  = sum_n c_n^2 Bin(m; n, eta_c) (1 - eta_c eta_h)^n
+        p[click, m] = sum_n c_n^2 Bin(m; n, eta_c) (1 - (1 - eta_c eta_h)^n)
+
+    The loss and the bucket detector are diagonal in photon number, so the
+    signal of each D0 outcome is the mixture ``sum_m p[o, m] |m><m|``.
+    """
+    eta = config.coupling
+    counts = np.arange(c_cutoff + 1)
+    pairs = _tmsv_column(config.ancilla_squeezing, c_cutoff)[::c_cutoff + 2, 0] ** 2
+    # binomial[n, m]: m of n photons survive the coupling loss.
+    binomial = np.array([[math.comb(n, m) * eta ** m * (1.0 - eta) ** (n - m) if m <= n else 0.0
+                          for m in counts] for n in counts])
+    missed = (1.0 - eta * config.herald_efficiency) ** counts
+    return np.stack([(pairs * (1.0 - missed)) @ binomial, (pairs * missed) @ binomial])
+
+
 def _ancilla_branches(config: SourceConfig, c_cutoff: int, photon=None):
     """Weighted pure branches of the split ancilla on modes (b, c).
 
@@ -300,7 +342,10 @@ def _ancilla_branches(config: SourceConfig, c_cutoff: int, photon=None):
     an array of their B labels, the D0 outcome ("click" always, for the
     ideal model).  The single photon is ``[|10>, |01>] @ photon``;
     ``photon`` defaults to the column ``(sqrt(t), sqrt(1 - t))``, and the
-    identity keeps both inputs apart.
+    identity keeps both inputs apart.  The heralded-PDC signal is one block
+    ``sqrt(p[o, m]) |m, 0>`` per (D0 outcome, photon number) of
+    :func:`_ancilla_distribution` with ``p[o, m]`` above ``BRANCH_TOL``,
+    clicks first, each split on the ancilla splitter.
     """
     t = config.amp_transmission
     basis = _basis((c_cutoff, c_cutoff))
@@ -313,15 +358,13 @@ def _ancilla_branches(config: SourceConfig, c_cutoff: int, photon=None):
         return basis, (block @ photon)[None], np.array(["click"])
 
     # Weak down-converter: signal feeds the splitter, idler feeds D0.
-    branches = _lossy_arms(config, _tmsv_column(config.ancilla_squeezing, c_cutoff), c_cutoff)
-    d0 = np.stack(_detector_diags(config.herald_efficiency, c_cutoff))
-    # Signal amplitudes by (branch, D0 outcome, idler count), as (n_signal, 1) blocks.
-    signal = _modes(branches, basis.cutoffs).swapaxes(1, 2)[:, None]
-    signal, keep, _ = _detected(signal, d0)
-    labels = np.broadcast_to(np.array([["click"], ["none"]]), keep.shape)[keep]
+    p = _ancilla_distribution(config, c_cutoff)
+    outcome, photons = np.nonzero(p > BRANCH_TOL)
+    signal = np.zeros((len(photons), c_cutoff + 1, 1))
+    signal[np.arange(len(photons)), photons, 0] = np.sqrt(p[outcome, photons])
     # The signal enters mode b with mode c empty.
     out = _split(signal, (c_cutoff, 0), 0, t, basis.cutoffs)
-    return basis, out, labels
+    return basis, out, np.array(["click", "none"])[outcome]
 
 
 def _ancilla_cutoff(config: SourceConfig) -> int:
@@ -410,51 +453,64 @@ def _herald_weights(config: SourceConfig, a_cutoff: int, b_cutoff: int) -> np.nd
 
 
 def _herald_blocks(joint: np.ndarray, cutoffs, a_mode: int, b_mode: int):
-    """The joint stack split by the photon counts on the herald modes.
+    """The joint stack split by the photon counts on the adjacent herald modes.
 
-    Returns ``T`` of shape ``(B, d_a, d_b, D_kept, W)``, whose ``[k, na, nb]``
-    block is branch k with na and nb photons on modes a and b (the other
-    modes in order).
+    ``b_mode`` is ``a_mode + 1``, so the ``(B, D, W)`` stack is the tensor
+    ``(B, pre, d_a, d_b, post W)`` over the modes before, on and after the
+    pair.  Returns it with the herald axes moved forward,
+    ``(B, d_a, d_b, pre, post W)``: its ``[k, na, nb]`` block is branch k with
+    na and nb photons on modes a and b, whose rows run over the modes before
+    the pair and whose columns over the modes after it and the W columns.  A
+    view: nothing is copied.
     """
-    n, D, W = joint.shape
-    da, db = cutoffs[a_mode] + 1, cutoffs[b_mode] + 1
-    T = np.moveaxis(_modes(joint, cutoffs), (a_mode + 1, b_mode + 1), (1, 2))
-    return T.reshape(n, da, db, D // (da * db), W)
+    if b_mode != a_mode + 1:
+        raise ValueError("the herald modes must be adjacent")
+    B, _, W = joint.shape
+    pre, post = (math.prod(c + 1 for c in cut) for cut in (cutoffs[:a_mode], cutoffs[b_mode + 1:]))
+    T = joint.reshape(B, pre, cutoffs[a_mode] + 1, cutoffs[b_mode] + 1, post * W)
+    return np.moveaxis(T, 1, 3)
 
 
 def _detected(blocks: np.ndarray, weights: np.ndarray):
     """The branches of a detector outcome of diagonal POVM weights.
 
-    ``blocks`` is ``(..., D, W)``; ``weights`` broadcasts against its leading
+    ``blocks`` is ``(..., R, C)``; ``weights`` broadcasts against its leading
     axes.  Each block is scaled by the square root of its weight.  Blocks
     whose weight and weighted squared norm exceed ``BRANCH_TOL`` are kept,
-    in C order of the leading axes.  Returns the ``(K, D, W)`` stack, the
-    boolean mask of kept blocks and their summed weighted squared norms.
+    in C order of the leading axes; only they are copied.  Returns the
+    ``(K, R, C)`` stack, the boolean mask of kept blocks and their summed
+    weighted squared norms.
     """
     heard = weights > BRANCH_TOL
     weighted = weights * _norms2(blocks)
     keep = heard & (weighted > BRANCH_TOL)
     scale = np.broadcast_to(np.sqrt(np.where(heard, weights, 0.0)), keep.shape)[keep]
-    blocks = np.broadcast_to(blocks, keep.shape + blocks.shape[-2:])[keep]
-    return scale[:, None, None] * blocks, keep, float(weighted[keep].sum())
+    kept = np.broadcast_to(blocks, keep.shape + blocks.shape[-2:])[keep]
+    kept *= scale[:, None, None]
+    return kept, keep, float(weighted[keep].sum())
 
 
 def _condition_on_heralds(config: SourceConfig, cutoffs, joint, a_mode, b_mode, weights):
     """Split branches over the D1/D2 outcomes, keeping the other modes.
 
-    ``weights`` is the :func:`_herald_weights` stack of the herald modes.
+    ``weights`` is the :func:`_herald_weights` stack of the herald modes,
+    which are adjacent (``b_mode = a_mode + 1``).
 
     Returns the heralded branches as one ``(K, dim, P)`` stack over the kept
     modes and their probability.  Every (pattern, branch, na, nb) whose
     detector weight and weighted squared norm exceed ``BRANCH_TOL`` is a new
-    branch, in that order.  The D1 branches get the feed-forward parity
-    plate on the amplified mode (the last kept mode) so both patterns
-    prepare the same state.  The probability is the squared Frobenius norm
-    summed over the kept blocks, the herald probability when P is 1.
+    branch, in that order.  The norms are taken on the view of
+    :func:`_herald_blocks`, and only the kept blocks are copied out of it.
+    The D1 branches get the feed-forward parity plate on the amplified mode
+    (the last kept mode) so both patterns prepare the same state.  The
+    probability is the squared Frobenius norm summed over the kept blocks,
+    the herald probability when P is 1.
     """
     kept_cutoffs = tuple(c for m, c in enumerate(cutoffs) if m not in (a_mode, b_mode))
     T = _herald_blocks(joint, cutoffs, a_mode, b_mode)
     branches, keep, probability = _detected(T[None], weights)
+    branches = branches.reshape(len(branches), math.prod(c + 1 for c in kept_cutoffs),
+                                joint.shape[-1])
     if _herald_patterns(config)[0] == "d1":
         d1 = int(keep[0].sum())
         branches[:d1] = _phase_plate(branches[:d1], kept_cutoffs, -1.0)
@@ -986,7 +1042,7 @@ def _lossy_state(basis: ModeBasis, rho: np.ndarray, eta: float) -> np.ndarray:
 
 
 def _filtered_pullback(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions,
-                       deltas, gain: float, applications: int):
+                       deltas, gain: float, applications: int, cutoff: int | None = None):
     """The filtered Bell stack and ``F^2``, pulled back through a two-mode loss.
 
     Returns ``pullback(eta)``, which gives ``L^dag(F B F)`` for the Bell
@@ -994,23 +1050,29 @@ def _filtered_pullback(basis: ModeBasis, alice: PartyConditions, bob: PartyCondi
     capped two-mode ``basis``, with ``F`` the filter of ``gain`` applied
     ``applications`` times on each mode and ``L`` the transmission ``eta``
     on each mode.  Both are assembled from single-mode factors (see
-    :func:`amplified_source_threshold_with_filters`).
+    :func:`amplified_source_threshold_with_filters`).  A filter that
+    overflows the float range raises the ``filter_diagonal`` error, naming
+    ``cutoff`` (default: the mode's own cutoff in ``basis``).
     """
     Xa, Na, plus, minus = _mode_observables(basis, alice, bob, deltas)
 
     def filtered(*ops):
         """``f O f`` for each stack, with ``f^2`` last: one mode's factors."""
-        cutoff = ops[0].shape[-1] - 1
-        f = filter_diagonal(_basis((cutoff,)), gain, applications)
+        mode_cutoff = ops[0].shape[-1] - 1
+        named = mode_cutoff if cutoff is None else cutoff
+        try:
+            f = filter_diagonal(_basis((mode_cutoff,)), gain, applications)
+        except ValueError:
+            raise _overflow_error(gain, applications, named) from None
         # F^2 = (f (x) f)^2 sets the scale of the two-mode products below, so
         # its largest entry is checked before any product is formed.
         with np.errstate(over="ignore"):
             largest = np.abs(f).max() ** 4
         if not np.isfinite(largest):
-            raise _overflow_error(gain, applications, cutoff)
-        stack = np.concatenate([*(op.reshape(-1, cutoff + 1, cutoff + 1) for op in ops),
-                                np.eye(cutoff + 1)[None]])
-        return f[:, None] * stack * f, cutoff
+            raise _overflow_error(gain, applications, named)
+        stack = np.concatenate([*(op.reshape(-1, mode_cutoff + 1, mode_cutoff + 1) for op in ops),
+                                np.eye(mode_cutoff + 1)[None]])
+        return f[:, None] * stack * f, mode_cutoff
 
     # The filtered factors do not depend on eta.
     (alice_ops, ca), (bob_ops, cb) = filtered(Xa, Na), filtered(plus, minus)
@@ -1068,7 +1130,7 @@ def amplified_source_threshold_with_filters(
     basis, stack = _source_stack(eta_c, cutoff)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
     pullback = _filtered_pullback(
-        basis, party, party, np.linspace(0.0, DELTA_MAX, 61), gain, applications
+        basis, party, party, np.linspace(0.0, DELTA_MAX, 61), gain, applications, cutoff
     )
 
     def max_chsh(eta_t):

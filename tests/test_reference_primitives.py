@@ -1,10 +1,11 @@
 """The general Fock primitives stay the tests' reference, not a production path.
 
-``fock.embed_single_mode``, ``apply_channel``, ``partial_trace`` and
-``tensor`` work over the whole joint basis, one occupation at a time.  The
-solvers act on single modes instead, and the tests hold them to these
-primitives.  ``beam_splitter`` is allowed: ``source_amp._cached_bs`` builds
-each two-mode matrix from it once per key.
+``fock.embed_single_mode``, ``apply_channel``, ``partial_trace``, ``tensor``
+and ``beam_splitter`` work over the whole joint basis, one occupation at a
+time.  The solvers act on single modes and mode pairs instead, and the tests
+hold them to these primitives: ``source_amp._cached_bs`` fills only a
+splitter's input columns from the pair amplitudes, and
+``tests/test_source_circuit.py`` holds it to ``beam_splitter`` bitwise.
 """
 
 import ast
@@ -14,7 +15,8 @@ import pytest
 
 import cvbell
 
-REFERENCE_ONLY = {"embed_single_mode", "apply_channel", "partial_trace", "tensor"}
+REFERENCE_ONLY = {"embed_single_mode", "apply_channel", "partial_trace", "tensor",
+                  "beam_splitter"}
 PACKAGE = Path(cvbell.__file__).parent
 PRODUCTION = sorted(
     path for path in PACKAGE.glob("*.py") if path.name not in ("fock.py", "__init__.py")

@@ -290,5 +290,18 @@ class TestFilteredSourceThreshold:
             amplified_source_threshold_with_filters(gain, 1, cutoff=2)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("gain, applications", [(1e200, 1), (1e200, 2), (1e308, 1)])
+    @pytest.mark.parametrize("cutoff", [2, 4])
+    def test_overflow_error_names_the_callers_cutoff(self, gain, applications, cutoff):
+        """Not the per-mode cutoff of the circuit's output basis, which is one larger.
+
+        Gain 1e200 applied once overflows only in the two-mode products, twice
+        and 1e308 already in the single-mode diagonal.
+        """
+        message = re.escape(f"overflows the float range at cutoff {cutoff}") + "$"
+        with pytest.raises(ValueError, match=message):
+            amplified_source_threshold_with_filters(gain, applications, cutoff=cutoff)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_finite_filter_still_solves(self):
         assert amplified_source_threshold_with_filters(1e70, 1, cutoff=2) is None

@@ -14,7 +14,10 @@ guard the wiring of the circuit: which modes each splitter acts on and
 which are heralded.
 The herald distribution, which the circuit takes from the reduced states of
 the two herald modes, is held to the joint stack of every input branch times
-every ancilla branch (:func:`joint_stack_herald_probabilities`).
+every ancilla branch (:func:`joint_stack_herald_probabilities`).  The
+heralded-PDC ancilla's closed-form photon-number distribution is held to the
+dense squeezed vacuum through the loss Kraus operators and the D0 POVM
+(:func:`dense_ancilla_distribution`).
 """
 
 import json
@@ -35,6 +38,7 @@ from cvbell.fock import (
     embedding_indices,
     loss_kraus,
 )
+from cvbell.measurement import photodetection_povm
 
 PINS = json.loads((Path(__file__).parent / "data" / "direct_circuit_pins.json").read_text())
 
@@ -262,8 +266,7 @@ REAL_RUNS = {
         {"_split", "_gram", "_detected"}),
     "amplified_source-heralded-pdc": (lambda: sa.amplified_source(PDC),
                                       {"_split", "_gram", "_detected"}),
-    "herald_probabilities": (lambda: sa.herald_probabilities(PDC),
-                             {"_split", "_reduced", "_detected"}),
+    "herald_probabilities": (lambda: sa.herald_probabilities(PDC), {"_split", "_reduced"}),
     "_source_stack": (lambda: sa._source_stack(0.9, 3), {"_split", "_gram", "_detected"}),
 }
 
@@ -360,3 +363,76 @@ def test_heralded_pdc_circuit_stays_small(run):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def dense_ancilla_distribution(config, c_cutoff):
+    """``p[o, m]`` from the density matrix of the heralded-PDC pair, one Kraus sum per arm.
+
+    The truncated squeezed vacuum on (signal, idler) passes the coupling loss
+    on both arms; the signal's photon number m and the idler's D0 outcome o
+    (click, none) are then read off the dense two-mode state.
+    """
+    psi = sa.two_mode_squeezed(config.ancilla_squeezing, c_cutoff).amplitudes.real
+    rho = np.outer(psi, psi)
+    eye = np.eye(c_cutoff + 1)
+    for mode in (0, 1):
+        ops = [np.kron(A, eye) if mode == 0 else np.kron(eye, A)
+               for A in loss_kraus(config.coupling, c_cutoff)]
+        rho = sum(A @ rho @ A.T for A in ops)
+    no_click, click, _ = photodetection_povm(config.herald_efficiency, c_cutoff)
+    return np.array([[np.trace(np.kron(np.diag(eye[m]), povm) @ rho) for m in range(c_cutoff + 1)]
+                     for povm in (click, no_click)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    lam=st.floats(0.0, 0.95),
+    eta_c=st.floats(0.0, 1.0),
+    eta_h=st.floats(0.0, 1.0),
+    c_cutoff=st.integers(1, 3),
+)
+@example(lam=0.3, eta_c=0.0, eta_h=0.7, c_cutoff=3)
+@example(lam=0.3, eta_c=1.0, eta_h=0.7, c_cutoff=3)
+@example(lam=0.3, eta_c=0.8, eta_h=0.0, c_cutoff=2)
+@example(lam=0.3, eta_c=0.8, eta_h=1.0, c_cutoff=2)
+@example(lam=0.0, eta_c=0.8, eta_h=0.9, c_cutoff=1)
+@example(lam=0.9, eta_c=1.0, eta_h=1.0, c_cutoff=3)
+def test_ancilla_distribution_matches_the_dense_state(lam, eta_c, eta_h, c_cutoff):
+    config = sa.SourceConfig(squeezing=0.0, amp_transmission=0.5, coupling=eta_c,
+                             ancilla_model="heralded-pdc", ancilla_squeezing=lam,
+                             herald_efficiency=eta_h)
+    p = sa._ancilla_distribution(config, c_cutoff)
+    assert p.shape == (2, c_cutoff + 1)
+    assert np.abs(p - dense_ancilla_distribution(config, c_cutoff)).max() < 1e-14
+    assert abs(p.sum() - 1.0) < 1e-14
+
+
+def test_ancilla_branches_are_one_block_per_kept_photon_number():
+    """Each block is sqrt(p[o, m]) |m, 0> through the ancilla splitter, clicks first."""
+    config = sa.SourceConfig(**{**PINS["heralded_pdc"]["config"], "coupling": 0.9})
+    c_cutoff = sa._ancilla_cutoff(config)
+    p = sa._ancilla_distribution(config, c_cutoff)
+    basis, anc, labels = sa._ancilla_branches(config, c_cutoff)
+    outcome, photons = np.nonzero(p > sa.BRANCH_TOL)
+    assert list(labels) == [("click", "none")[o] for o in outcome]
+    assert list(labels).index("none") == int((outcome == 0).sum())
+    U = beam_splitter(basis, config.amp_transmission, (0, 1))
+    for block, o, m in zip(anc, outcome, photons):
+        expected = np.sqrt(p[o, m]) * U[:, basis.index_of((m, 0))]
+        assert np.abs(block[:, 0] - expected).max() < 1e-15
+
+
+def test_heralded_pdc_source_runs_one_pass_per_clicked_photon_number(monkeypatch):
+    """At cutoff 5 the ancilla carries 0 ... 3 photons: four passes, not one per Kraus branch."""
+    config = sa.SourceConfig(squeezing=0.2, amp_transmission=0.3, coupling=0.95,
+                             ancilla_model="heralded-pdc", ancilla_squeezing=0.2, cutoff=5)
+    passes = []
+
+    def condition(*args, _stage=sa._condition_on_heralds):
+        passes.append(args)
+        return _stage(*args)
+
+    monkeypatch.setattr(sa, "_condition_on_heralds", condition)
+    sa.amplified_source(config)
+    p = sa._ancilla_distribution(config, sa._ancilla_cutoff(config))
+    assert len(passes) == int((p[0] > sa.BRANCH_TOL).sum()) <= 4
