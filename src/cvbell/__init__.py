@@ -44,9 +44,7 @@ from .bell import (
 __version__ = "0.1.0"
 
 from .local_amp import (  # noqa: E402
-    CombinedSchemeReport,
     apply_filters,
-    combined_source_and_local,
     filter_operator,
     filtered_critical_transmission,
     log_linear_fit,

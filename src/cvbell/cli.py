@@ -196,8 +196,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reproduce-all", help="run every reference check")
     common(p, cutoff=6)
     p.add_argument("--skip-source", action="store_true",
-                   help="skip the amplified-source checks (about 0.17 s of "
-                        "the 0.44 s run)")
+                   help="skip the amplified-source checks (about 0.19 s of "
+                        "the 0.41 s run)")
     return parser
 
 

@@ -48,9 +48,12 @@ class ModeBasis:
                 raise ValueError("total_cap must be non-negative")
         self.cutoffs = cutoffs
         self.total_cap = total_cap
+        # No mode holds more photons than the cap, so each is enumerated only
+        # up to min(cutoff, cap): a capped basis costs nothing for huge cutoffs.
+        reach = cutoffs if total_cap is None else tuple(min(c, total_cap) for c in cutoffs)
         occupations = [
             occ
-            for occ in product(*(range(c + 1) for c in cutoffs))
+            for occ in product(*(range(c + 1) for c in reach))
             if total_cap is None or sum(occ) <= total_cap
         ]
         self.occupations = np.array(occupations, dtype=np.int64)

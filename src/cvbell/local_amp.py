@@ -20,7 +20,6 @@ input state through a loss of eta_t * eta_c per mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,61 +179,3 @@ def log_linear_fit(curve) -> tuple[float, float, float]:
     r2 = 1.0 - float(residuals @ residuals) / float(total @ total)
     return float(slope), float(intercept), r2
 
-
-@dataclass
-class CombinedSchemeReport:
-    """Threshold comparison: local filters alone versus source amplifier feed.
-
-    ``improvement`` is (psi2 threshold) - (amplified-source threshold);
-    positive values mean the source amplifier helped.
-    """
-
-    gain: float
-    applications: int
-    eta_d: float
-    eta_c: float
-    threshold_psi2: float | None
-    threshold_amplified_source: float | None
-
-    @property
-    def improvement(self) -> float:
-        if self.threshold_psi2 is None or self.threshold_amplified_source is None:
-            return float("nan")
-        return self.threshold_psi2 - self.threshold_amplified_source
-
-
-def combined_source_and_local(
-    gain: float = 2.0,
-    applications: int = 1,
-    eta_d: float = 1.0,
-    eta_c: float = 1.0,
-    cutoff: int = 6,
-    tol: float = 1e-3,
-) -> CombinedSchemeReport:
-    """Feed the local filters from the amplified source instead of psi2.
-
-    At each candidate transmission the source squeezing, amplifier gain and
-    bin half-width are re-optimized; the report pairs the resulting critical
-    transmission with the plain psi2 one.
-    """
-    from .source_amp import amplified_source_threshold_with_filters
-
-    threshold_psi2 = filtered_critical_transmission(
-        gain, applications, eta_d=eta_d, eta_c=1.0, cutoff=2, tol=tol
-    )
-    threshold_src = amplified_source_threshold_with_filters(
-        gain,
-        applications,
-        eta_d=eta_d,
-        eta_c=eta_c,
-        cutoff=cutoff,
-        tol=tol,
-    )
-    return CombinedSchemeReport(
-        gain=gain,
-        applications=applications,
-        eta_d=eta_d,
-        eta_c=eta_c,
-        threshold_psi2=threshold_psi2,
-        threshold_amplified_source=threshold_src,
-    )

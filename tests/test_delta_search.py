@@ -244,6 +244,16 @@ def test_slope_refine_reaches_the_golden_section_optimum(alice, bob, state):
     assert (search.delta, search.value) == optimize_delta(alice, bob, state=state)
 
 
+@settings(max_examples=40, deadline=None)
+@given(alice=parties, bob=parties, state=st.sampled_from([None, "psi2"]))
+def test_party_swap_leaves_the_optimum_unchanged(alice, bob, state):
+    # Both the capped optimal state and psi2 are symmetric under exchanging
+    # the modes, so exchanging the parties' conditions cannot move the optimum.
+    state = make_state(state)
+    forward = optimize_delta(alice, bob, state=state)[1]
+    assert optimize_delta(bob, alice, state=state)[1] == pytest.approx(forward, abs=1e-12)
+
+
 @pytest.mark.parametrize("state", [None, "psi2"])
 @pytest.mark.parametrize("eta_t", [1.0, 0.9])
 def test_refine_converges_superlinearly(state, eta_t):

@@ -46,6 +46,14 @@ class TestBasis:
     def test_two_mode_uncapped_count(self):
         assert enumerate_basis(2, [6, 6]).dimension == 49
 
+    def test_cap_bounds_the_enumeration_not_the_cutoffs(self):
+        huge = ModeBasis((10**6, 10**6), total_cap=2)
+        small = ModeBasis((2, 2), total_cap=2)
+        assert huge.cutoffs == (10**6, 10**6)
+        assert np.array_equal(huge.occupations, small.occupations)
+        for occ in small.occupations:
+            assert huge.index_of(occ) == small.index_of(occ)
+
     def test_round_trip_bijection(self):
         basis = enumerate_basis(3, [2, 3, 1], total_cap=4)
         for i in range(basis.dimension):

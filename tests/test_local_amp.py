@@ -208,15 +208,13 @@ class TestCombinedScheme:
     def test_source_feed_never_worse_than_psi2(self):
         # The source family contains the bare two-photon state as a limit,
         # so feeding the filters from it cannot raise the threshold.
-        from cvbell.local_amp import combined_source_and_local
+        from cvbell.source_amp import amplified_source_threshold_with_filters
 
-        report = combined_source_and_local(2.0, tol=2e-3)
-        assert report.threshold_psi2 == pytest.approx(0.6527, abs=5e-3)
-        assert report.threshold_amplified_source is not None
-        assert report.threshold_amplified_source <= report.threshold_psi2 + 2e-3
-        assert report.improvement == pytest.approx(
-            report.threshold_psi2 - report.threshold_amplified_source
-        )
+        threshold_psi2 = filtered_critical_transmission(2.0, tol=2e-3)
+        threshold_source = amplified_source_threshold_with_filters(2.0, tol=2e-3)
+        assert threshold_psi2 == pytest.approx(0.6527, abs=5e-3)
+        assert threshold_source is not None
+        assert threshold_source <= threshold_psi2 + 2e-3
 
     def test_vacuum_source_slice_has_no_violation(self):
         from cvbell.bell import PartyConditions, optimize_delta

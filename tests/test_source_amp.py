@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvbell.bell import BellScenario, PartyConditions, chsh_value, optimize_delta
 from cvbell.fock import ModeBasis, StateVector, fidelity, partial_trace
@@ -227,6 +229,20 @@ class TestAmplifiedSource:
             SourceConfig(squeezing=0.2, amp_transmission=0.3, coupling=0.8)
         )
         assert lossy.state.purity() < pure.state.purity() - 1e-3
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=st.floats(min_value=0.0, max_value=0.5, exclude_max=True),
+       t=st.floats(min_value=1e-4, max_value=1.0),
+       eta_c=st.floats(min_value=0.5, max_value=1.0),
+       cutoff=st.integers(min_value=1, max_value=4))
+def test_amplified_source_is_physical(lam, t, eta_c, cutoff):
+    out = amplified_source(SourceConfig(squeezing=lam, amp_transmission=t, coupling=eta_c,
+                                        cutoff=cutoff))
+    rho = out.state.matrix
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-12
+    assert abs(np.trace(rho) - 1.0) <= 1e-12
+    assert 0.0 < out.success_probability <= 1.0
 
 
 class TestSolveSourceParams:
