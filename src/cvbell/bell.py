@@ -33,6 +33,7 @@ from .fock import (
     anchor_phase,
     hermitian_eig,
     hermitian_eigvals,
+    shared_basis,
 )
 from .measurement import (
     DELTA_MAX,
@@ -153,7 +154,7 @@ def _kron_gather(cutoff_a: int, cutoff_b: int, total_cap) -> tuple[np.ndarray, n
     b[beta_i, beta_j]``.  Returns the read-only ``(d, d)`` flat indices of
     those entries into the raveled single-mode matrices.
     """
-    alpha, beta = ModeBasis((cutoff_a, cutoff_b), total_cap=total_cap).occupations.T
+    alpha, beta = shared_basis((cutoff_a, cutoff_b), total_cap).occupations.T
     gathers = (alpha[:, None] * (cutoff_a + 1) + alpha,
                beta[:, None] * (cutoff_b + 1) + beta)
     for index in gathers:
@@ -225,13 +226,19 @@ def _state_chsh(state, alice: PartyConditions, bob: PartyConditions):
     the values and their delta-derivatives ``Tr rho dB``.  A state of
     non-positive trace (the zero state of a source that never heralds) is
     rejected.
+
+    The stacks are built only up to the largest photon number the state
+    occupies in each mode.  That is exact for the reason
+    :func:`_trimmed_cutoffs` gives: entries up to a photon number depend only
+    on entries up to it.
     """
     rho = state.to_density() if isinstance(state, StateVector) else state
     if rho.trace() <= 0.0:
         raise ValueError("state has non-positive trace")
-    ca, cb = rho.basis.cutoffs
-    full = ModeBasis((ca, cb))
-    matrix = _product_tensor(rho.basis, rho.matrix.real)
+    occupied = (rho.matrix != 0).any(axis=0) | (rho.matrix != 0).any(axis=1)
+    ca, cb = (int(n) for n in rho.basis.occupations[occupied].max(axis=0))
+    full = shared_basis((ca, cb))
+    matrix = _product_tensor(rho.basis, rho.matrix.real)[:ca + 1, :cb + 1, :ca + 1, :cb + 1]
 
     # Q[(i, j), (k, l)] = rho[i, k, j, l], so Tr rho (a (x) b) = vec(a^T) Q vec(b^T).
     Q = matrix.transpose(0, 2, 1, 3).reshape((ca + 1) ** 2, (cb + 1) ** 2)
@@ -281,7 +288,7 @@ def optimal_state(
     The eigenvector's global phase is fixed so that its largest-magnitude
     coefficient is real positive.
     """
-    basis = ModeBasis((cutoff, cutoff), total_cap=total_cap)
+    basis = shared_basis((cutoff, cutoff), total_cap)
     B = bell_matrix(basis, scenario)
     w, v = hermitian_eig(B)
     return StateVector(basis, anchor_phase(v[:, -1])), float(w[-1])
@@ -390,7 +397,7 @@ def search_delta(
 ) -> DeltaSearch:
     """The delta search of :func:`optimize_delta`, with its record."""
     if state is None:
-        basis = ModeBasis((cutoff, cutoff), total_cap=total_cap)
+        basis = shared_basis((cutoff, cutoff), total_cap)
         objective, value_and_slope = _top_eigenvalue(basis, alice, bob)
     else:
         objective, value_and_slope = _state_chsh(state, alice, bob)
@@ -468,34 +475,112 @@ VIOLATION_MARGIN = 1e-7
 VIOLATION_BOUND = 2.0 + VIOLATION_MARGIN
 
 
+def _finest_cell(lo: float, hi: float, tol: float, x: float) -> tuple[float, float]:
+    """The last bracket of a bisection on ``[lo, hi]`` whose threshold is ``x``.
+
+    Walks the bisection's own recurrence (the same midpoints, the same
+    stopping rule), so both ends are points the bisection could evaluate.
+    """
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if mid > x:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def _crossing_estimate(points) -> float | None:
+    """Where the value crosses :data:`VIOLATION_BOUND`, from three ``(x, value)``.
+
+    Inverse quadratic interpolation (as in Brent's root finder): x as a
+    quadratic in the value, read at the bound.  ``None`` unless the three
+    values are distinct and the estimate is finite.
+    """
+    (x0, y0), (x1, y1), (x2, y2) = points
+    if y0 == y1 or y1 == y2 or y0 == y2:
+        return None
+    b = VIOLATION_BOUND
+    x = (x0 * (b - y1) * (b - y2) / ((y0 - y1) * (y0 - y2))
+         + x1 * (b - y0) * (b - y2) / ((y1 - y0) * (y1 - y2))
+         + x2 * (b - y0) * (b - y1) / ((y2 - y0) * (y2 - y1)))
+    return x if math.isfinite(x) else None
+
+
 def bisect_threshold(max_chsh, lo: float = 0.0, hi: float = 1.0, tol: float = 1e-4):
     """Smallest parameter value at which ``max_chsh`` exceeds 2.
 
     A value counts as a violation above :data:`VIOLATION_BOUND`.  Assumes
     monotonicity (more efficiency never hurts).  Returns ``None`` when there
-    is no violation at the upper end.  ``tol`` must be finite and positive,
-    or the bisection would never end (or end on NaN comparisons); below the
-    float spacing of the bracket it stops at adjacent floats.  A non-finite
-    ``max_chsh`` value raises ``ValueError``: NaN would read as a verdict.
+    is no violation at the upper end.  The bracket must be finite with
+    ``lo < hi``, and ``tol`` finite and positive, or the bisection would
+    never end (or end on NaN comparisons); below the float spacing of the
+    bracket it stops at adjacent floats.  A non-finite ``max_chsh`` value
+    raises ``ValueError``: NaN would read as a verdict.
+
+    The bracket walk is plain bisection's, and so is the result, bit for
+    bit, whenever the verdicts are monotone.  But a midpoint is evaluated
+    only when no earlier evaluation implies its verdict: one at or below the
+    largest non-violating point is a "no", one at or above the smallest
+    violating point a "yes".  Before evaluating an open midpoint, the
+    solver estimates the crossing from the three smallest violating points
+    evaluated (:func:`_crossing_estimate`; the flat side at 2 has no slope
+    to read) and probes an end of the bisection cell the estimate ends in
+    (:func:`_finest_cell`), the upper end first.  Two right probes leave
+    every remaining midpoint implied.  There are never more probes than
+    bisection levels, so a solve takes fewer than twice plain bisection's
+    evaluations.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"bisection tol must be finite and positive, got {tol}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"bisection bracket must be finite with lo < hi, got [{lo}, {hi}]")
 
-    def violates(value: float) -> bool:
-        chsh = max_chsh(value)
+    violating = []  # (x, max CHSH) of every violating point evaluated
+
+    def violates(x: float) -> bool:
+        chsh = max_chsh(x)
         if not math.isfinite(chsh):
-            raise ValueError(f"max CHSH is not finite at {value}: {chsh}")
+            raise ValueError(f"max CHSH is not finite at {x}: {chsh}")
+        if chsh > VIOLATION_BOUND:
+            violating.append((x, chsh))
         return chsh > VIOLATION_BOUND
 
     if not violates(hi):
         return None
     if violates(lo):
         return lo
+    no_max, yes_min = lo, hi  # largest "no" and smallest "yes" evaluated
+    levels = probes = 0
+
+    def probe_point():
+        """An end of the estimate's cell whose verdict is still open."""
+        if probes >= levels or len(violating) < 3:
+            return None
+        estimate = _crossing_estimate(sorted(violating)[:3])
+        if estimate is None or not no_max < estimate < yes_min:
+            return None
+        a, b = _finest_cell(lo, hi, tol, estimate)
+        return next((x for x in (b, a) if no_max < x < yes_min), None)
+
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # tol is below the float spacing: no finer midpoint
             break
-        if violates(mid):
+        levels += 1
+        while no_max < mid < yes_min:
+            x = probe_point()
+            if x is None:
+                x = mid
+            else:
+                probes += 1
+            if violates(x):
+                yes_min = x
+            else:
+                no_max = x
+        if mid >= yes_min:
             hi = mid
         else:
             lo = mid

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -93,6 +94,17 @@ class ModeBasis:
     def __repr__(self):
         cap = "" if self.total_cap is None else f", total_cap={self.total_cap}"
         return f"ModeBasis(cutoffs={self.cutoffs}{cap})"
+
+
+@lru_cache(maxsize=256)
+def shared_basis(cutoffs: tuple, total_cap: int | None = None) -> ModeBasis:
+    """One :class:`ModeBasis` per ``(cutoffs, total_cap)``, shared by its callers.
+
+    Its ``occupations`` are read-only, so no caller can change another's basis.
+    """
+    basis = ModeBasis(cutoffs, total_cap)
+    basis.occupations.setflags(write=False)
+    return basis
 
 
 def enumerate_basis(mode_count: int, cutoffs, total_cap: int | None = None) -> ModeBasis:

@@ -28,6 +28,7 @@ from .fock import (
     HermitianOperator,
     ModeBasis,
     StateVector,
+    shared_basis,
 )
 from .bell import VIOLATION_BOUND, PartyConditions, bisect_threshold, optimize_delta
 
@@ -55,13 +56,13 @@ def filter_operator(gain: float, cutoff: int) -> HermitianOperator:
     """Single-mode filter G(g) = diag((g - 1) n + 1)."""
     if gain < 0.0:
         raise ValueError("gain must be non-negative")
-    basis = ModeBasis((cutoff,))
+    basis = shared_basis((cutoff,))
     return HermitianOperator(basis, np.diag(filter_diagonal(basis, gain)))
 
 
 def psi2_state(cutoff: int = 2) -> StateVector:
     """The two-photon entangled state (|20> + |02>)/sqrt(2)."""
-    basis = ModeBasis((cutoff, cutoff))
+    basis = shared_basis((cutoff, cutoff))
     v = np.zeros(basis.dimension, dtype=complex)
     v[basis.index_of((2, 0))] = 1.0 / math.sqrt(2.0)
     v[basis.index_of((0, 2))] = 1.0 / math.sqrt(2.0)
@@ -77,7 +78,7 @@ def lossy_psi2(eta_t: float, cutoff: int = 2) -> DensityOperator:
     """
     if not 0.0 <= eta_t <= 1.0:
         raise ValueError("eta_t must lie in [0, 1]")
-    basis = ModeBasis((cutoff, cutoff))
+    basis = shared_basis((cutoff, cutoff))
     psi2 = psi2_state(cutoff).amplitudes
     rho = eta_t**2 * np.outer(psi2, psi2.conj())
     for occ, weight in (

@@ -63,6 +63,7 @@ from .fock import (
     _bs_pair_coefficient,
     anchor_phase,
     loss_kraus,
+    shared_basis,
 )
 from .measurement import DELTA_MAX, _loss_channel, _through_loss, photodetection_povm
 from .bell import (
@@ -162,7 +163,7 @@ def two_mode_squeezed(lam: float, cutoff: int) -> StateVector:
     renormalized.  The discarded weight of the untruncated state is
     ``lam^(2 cutoff + 2)`` (see :func:`tmsv_truncation_weight`).
     """
-    return StateVector(ModeBasis((cutoff, cutoff)), _tmsv_column(lam, cutoff)[:, 0])
+    return StateVector(shared_basis((cutoff, cutoff)), _tmsv_column(lam, cutoff)[:, 0])
 
 
 def _tmsv_column(lam: float, cutoff: int) -> np.ndarray:
@@ -178,11 +179,6 @@ def _tmsv_column(lam: float, cutoff: int) -> np.ndarray:
 def tmsv_truncation_weight(lam: float, cutoff: int) -> float:
     """Probability weight of the untruncated state beyond the cutoff."""
     return lam ** (2 * cutoff + 2)
-
-
-@lru_cache(maxsize=256)
-def _basis(cutoffs: tuple, total_cap=None) -> ModeBasis:
-    return ModeBasis(cutoffs, total_cap)
 
 
 @lru_cache(maxsize=64)
@@ -348,7 +344,7 @@ def _ancilla_branches(config: SourceConfig, c_cutoff: int, photon=None):
     clicks first, each split on the ancilla splitter.
     """
     t = config.amp_transmission
-    basis = _basis((c_cutoff, c_cutoff))
+    basis = shared_basis((c_cutoff, c_cutoff))
     if config.ancilla_model == "single-photon":
         if photon is None:
             photon = np.array([[math.sqrt(t)], [math.sqrt(1.0 - t)]])
@@ -522,13 +518,15 @@ def _outcome(basis: ModeBasis, gram: np.ndarray, total: float,
     """The output of one normalized input column from its :func:`_gram` array.
 
     When no accepted herald fires (``total`` at most :data:`BRANCH_TOL`) the
-    state is the zero matrix and the success probability 0.
+    state is the zero matrix and the success probability 0.  A herald that
+    always fires can sum to one ulp above 1 by rounding; the reported
+    probability is capped at 1.
     """
     if total <= BRANCH_TOL:
         matrix, total = np.zeros((basis.dimension,) * 2), 0.0
     else:
         matrix = gram[:, 0, :, 0] / total
-    return HeraldedOutcome(DensityOperator(basis, matrix), total, herald_pattern)
+    return HeraldedOutcome(DensityOperator(basis, matrix), min(total, 1.0), herald_pattern)
 
 
 def qscissor_amplify(state, t: float, herald_efficiency: float = 1.0,
@@ -565,7 +563,7 @@ def qscissor_amplify(state, t: float, herald_efficiency: float = 1.0,
         herald_pattern=herald_pattern,
     )
     gram, total = _heralded_gram(config, branches, cutoffs, 0)
-    return _outcome(ModeBasis((_ancilla_cutoff(config),)), gram, total, herald_pattern)
+    return _outcome(shared_basis((_ancilla_cutoff(config),)), gram, total, herald_pattern)
 
 
 def _gram(stack: np.ndarray) -> np.ndarray:
@@ -592,7 +590,7 @@ def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
     c_cutoff = _ancilla_cutoff(config)
     out_cut = config.cutoff + c_cutoff
     full = (out_cut, out_cut)
-    capped = _basis(full, out_cut)
+    capped = shared_basis(full, out_cut)
     cap_idx = _product_index(capped)
 
     def output(branches):
@@ -806,7 +804,7 @@ def _source_stack(eta_c: float, cutoff: int, trace: bool = False):
         # The basis inputs stand in for the squeezing and the transmission.
         config = SourceConfig(squeezing=0.0, amp_transmission=1.0, coupling=eta_c,
                               cutoff=cutoff)
-        arms = _basis((cutoff, cutoff))
+        arms = shared_basis((cutoff, cutoff))
         inputs = np.zeros((arms.dimension, cutoff + 1))
         for n in range(cutoff + 1):
             inputs[arms.index_of((n, n)), n] = 1.0
@@ -1061,7 +1059,7 @@ def _filtered_pullback(basis: ModeBasis, alice: PartyConditions, bob: PartyCondi
         mode_cutoff = ops[0].shape[-1] - 1
         named = mode_cutoff if cutoff is None else cutoff
         try:
-            f = filter_diagonal(_basis((mode_cutoff,)), gain, applications)
+            f = filter_diagonal(shared_basis((mode_cutoff,)), gain, applications)
         except ValueError:
             raise _overflow_error(gain, applications, named) from None
         # F^2 = (f (x) f)^2 sets the scale of the two-mode products below, so

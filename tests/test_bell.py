@@ -19,8 +19,8 @@ from cvbell.bell import (
     optimize_delta,
 )
 from cvbell.cli import _solve_at, main
-from cvbell.fock import ModeBasis
-from cvbell.local_amp import psi2_state
+from cvbell.fock import ModeBasis, shared_basis
+from cvbell.local_amp import filtered_critical_transmission, psi2_state
 from cvbell.parallel import map_ordered
 
 
@@ -164,6 +164,16 @@ class TestThresholds:
     def test_no_violation_reported(self):
         assert bisect_threshold(lambda x: 1.0) is None
 
+    @pytest.mark.parametrize("lo, hi", [(1.0, 0.0), (0.5, 0.5), (float("nan"), 1.0),
+                                        (0.0, float("nan")), (0.0, float("inf")),
+                                        (float("-inf"), 1.0)])
+    def test_bisect_threshold_rejects_a_bracket_it_cannot_walk(self, lo, hi):
+        # A reversed bracket used to evaluate its lower end as the "upper" one.
+        calls = []
+        with pytest.raises(ValueError, match="bracket must be finite with lo < hi"):
+            bisect_threshold(lambda x: calls.append(x) or 4 * x, lo=lo, hi=hi)
+        assert not calls  # rejected before any evaluation
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("at", [1.0, 0.0, 0.5])
     def test_bisect_threshold_rejects_a_non_finite_objective(self, bad, at):
@@ -174,6 +184,25 @@ class TestThresholds:
 
         with pytest.raises(ValueError, match="max CHSH is not finite"):
             bisect_threshold(max_chsh, tol=1e-3)
+
+    def test_a_solve_builds_each_basis_once(self, monkeypatch):
+        # The delta searches of a threshold solve share their bases.
+        built = []
+        init = ModeBasis.__init__
+
+        def recording_init(self, cutoffs, total_cap=None):
+            built.append((tuple(cutoffs), total_cap))
+            init(self, cutoffs, total_cap)
+
+        shared_basis.cache_clear()
+        monkeypatch.setattr(ModeBasis, "__init__", recording_init)
+        filtered_critical_transmission(2.0, cutoff=6, tol=1e-3)
+        critical_efficiency("eta_t", state=psi2_state(6), cutoff=6, tol=1e-3)
+        critical_efficiency("eta_d", cutoff=6, tol=1e-3)
+        assert built and len(built) == len(set(built)) <= 6
+        built.clear()
+        filtered_critical_transmission(3.0, cutoff=6, tol=1e-3)
+        assert built == []
 
     def test_symmetric_transmission(self):
         thr = critical_efficiency("eta_t", SYMMETRIC)

@@ -14,6 +14,9 @@ from hypothesis import strategies as st
 from cvbell.bell import (
     BellScenario,
     PartyConditions,
+    _mode_observables,
+    _mode_slopes,
+    _product_tensor,
     _state_chsh,
     _top_eigenvalue,
     bell_matrices,
@@ -23,7 +26,14 @@ from cvbell.bell import (
     refine_slope_root,
     search_delta,
 )
-from cvbell.fock import ModeBasis, StateVector, embedding_indices, fock_state, loss_kraus
+from cvbell.fock import (
+    DensityOperator,
+    ModeBasis,
+    StateVector,
+    embedding_indices,
+    fock_state,
+    loss_kraus,
+)
 from cvbell.local_amp import lossy_psi2, psi2_state
 from cvbell.measurement import (
     DELTA_MAX,
@@ -340,3 +350,51 @@ def test_filtered_source_threshold_pinned(gain, expected):
     assert amplified_source_threshold_with_filters(
         gain, 1, eta_c=0.9, **SMALL_GRIDS
     ) == expected
+
+
+def untrimmed_chsh(rho, alice, bob, deltas):
+    """``Tr rho B`` and ``Tr rho dB`` with the stacks at the basis's full cutoffs."""
+    T = _product_tensor(rho.basis, rho.matrix.real)
+    full = ModeBasis(rho.basis.cutoffs)
+    G = len(deltas)
+
+    def contract(terms):
+        # Tr rho (a (x) b) = sum rho[i, a, j, b] a[j, i] b[b, a], per delta.
+        return sum(np.einsum("iajb,xji,xba->x", T, *(np.broadcast_to(m, (G, *m.shape[-2:]))
+                                                      for m in pair))
+                   for pair in terms)
+
+    values, slopes = _mode_slopes(full, alice, bob, deltas)
+    Xa, Na, plus, minus = _mode_observables(full, alice, bob, deltas)
+    return contract(((Xa, plus), (Na, minus))), contract(values), contract(slopes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(alice=lossy_parties, bob=lossy_parties, cutoff=st.sampled_from([2, 4, 6]),
+       cap=st.sampled_from([None, 2]), reach=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+       seed=st.integers(0, 2**32 - 1), delta_list=deltas)
+def test_state_chsh_on_the_support_equals_the_full_contraction(alice, bob, cutoff, cap, reach,
+                                                               seed, delta_list):
+    # The stacks are built only up to the photon numbers the state occupies.
+    basis = ModeBasis((cutoff, cutoff), total_cap=cap)
+    inside = np.all(basis.occupations <= reach, axis=1)
+    rng = np.random.default_rng(seed)
+    g = (rng.normal(size=(basis.dimension, 3)) + 1j * rng.normal(size=(basis.dimension, 3)))
+    g[~inside] = 0.0
+    g[0] += 1.0  # the vacuum is always inside: a non-zero trace
+    rho = g @ g.conj().T
+    rho = DensityOperator(basis, rho / np.trace(rho).real)
+    chsh, chsh_and_slope = _state_chsh(rho, alice, bob)
+    values, slopes = chsh_and_slope(np.array(delta_list))
+    reference = untrimmed_chsh(rho, alice, bob, np.array(delta_list))
+    for found, expected in zip((chsh(delta_list), values, slopes), reference):
+        assert np.abs(found - expected).max() <= 1e-14
+
+
+@pytest.mark.parametrize("cutoff", [2, 4, 6])
+def test_fixed_states_on_the_support_equal_the_full_contraction(cutoff):
+    party = PartyConditions(eta_t=0.9, eta_d=0.85, eta_h=0.95)
+    grid = np.linspace(0.0, DELTA_MAX, 241)
+    for state in (psi2_state(cutoff).to_density(), lossy_psi2(0.7, cutoff), lossy_psi2(0.0, cutoff)):
+        found = _state_chsh(state, party, party)[0](grid)
+        assert np.abs(found - untrimmed_chsh(state, party, party, grid)[0]).max() <= 1e-14

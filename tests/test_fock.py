@@ -20,6 +20,7 @@ from cvbell.fock import (
     hermitian_eigvals,
     loss_kraus,
     partial_trace,
+    shared_basis,
     tensor,
     vacuum,
 )
@@ -53,6 +54,14 @@ class TestBasis:
         assert np.array_equal(huge.occupations, small.occupations)
         for occ in small.occupations:
             assert huge.index_of(occ) == small.index_of(occ)
+
+    def test_shared_basis_is_one_read_only_basis_per_key(self):
+        basis = shared_basis((3, 3), 2)
+        assert basis is shared_basis((3, 3), 2) and basis == ModeBasis((3, 3), total_cap=2)
+        assert basis is not shared_basis((3, 3))
+        assert np.array_equal(basis.occupations, ModeBasis((3, 3), total_cap=2).occupations)
+        with pytest.raises(ValueError, match="read-only"):
+            basis.occupations[0, 0] = 1
 
     def test_round_trip_bijection(self):
         basis = enumerate_basis(3, [2, 3, 1], total_cap=4)

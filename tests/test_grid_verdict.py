@@ -1,10 +1,13 @@
-"""Bisection steps decided on the delta grid.
+"""Bisection steps decided without a full delta search.
 
-``search_delta`` never returns less than its grid maximum, so once that
-exceeds the violation bound the refine cannot change a step's verdict.  The
-threshold solvers pass the bound as ``stop_above``; a bisection over the
-full, refined ``optimize_delta`` values is the reference, and the
-thresholds must agree bit for bit.
+A step is decided on the delta grid: ``search_delta`` never returns less
+than its grid maximum, so once that exceeds the violation bound the refine
+cannot change the step's verdict.  The threshold solvers pass the bound as
+``stop_above``.  And ``bisect_threshold`` evaluates only the midpoints whose
+verdicts its earlier evaluations do not imply.  The reference for both is
+plain bisection, written out below, over the full, refined ``optimize_delta``
+values: the thresholds must agree bit for bit, and ``bisect_threshold`` may
+take at most twice the reference's evaluations.
 """
 
 import importlib
@@ -12,9 +15,11 @@ import math
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cvbell.source_amp as sa
 from cvbell.bell import (
     ASYMMETRIC,
     SYMMETRIC,
@@ -29,6 +34,98 @@ from cvbell.bell import (
 from cvbell.local_amp import filtered_chsh, filtered_critical_transmission, lossy_psi2, psi2_state
 from cvbell.measurement import DELTA_MAX
 
+
+def plain_bisection(max_chsh, lo=0.0, hi=1.0, tol=1e-4):
+    """Every midpoint evaluated: the walk ``bisect_threshold`` must reproduce."""
+
+    def violates(x):
+        return max_chsh(x) > VIOLATION_BOUND
+
+    if not violates(hi):
+        return None
+    if violates(lo):
+        return lo
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if violates(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def counted(f):
+    """``f`` with a list that grows by one entry per call."""
+    calls = []
+
+    def wrapper(x):
+        calls.append(x)
+        return f(x)
+
+    return wrapper, calls
+
+
+def synthetic(shape, crossing, slope, flat):
+    """A max-CHSH stand-in that violates exactly above ``crossing``.
+
+    ``flat`` puts it at exactly 2 below the crossing, as the delta = 0
+    corner does.
+    """
+    def rising(x):
+        d = x - crossing
+        if shape == "linear":
+            return slope * d
+        if shape == "sqrt":
+            return slope * math.copysign(math.sqrt(abs(d)), d)
+        if shape == "cubic":
+            return slope * d ** 3
+        if shape == "steps":  # runs of equal values
+            return slope * math.ceil(8.0 * d) / 8.0 if d > 0.0 else -1.0
+        if shape == "tiny":
+            return 1e-6 * d
+        return slope * d * (1.0 + 0.5 * math.sin(1e4 * x))  # "noisy"
+
+    def max_chsh(x):
+        excess = rising(x)
+        if flat and not excess > 0.0:
+            return 2.0
+        return VIOLATION_BOUND + excess
+
+    return max_chsh
+
+
+SHAPES = ["linear", "sqrt", "cubic", "steps", "tiny", "noisy"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.sampled_from(SHAPES), flat=st.booleans(),
+       lo=st.floats(min_value=-2.0, max_value=1.0),
+       width_exp=st.floats(min_value=-3.0, max_value=1.0),
+       where=st.floats(min_value=-0.1, max_value=1.1),
+       slope_exp=st.floats(min_value=-2.0, max_value=2.0),
+       tol_exp=st.floats(min_value=-300.0, max_value=-3.0))
+@example(shape="linear", flat=True, lo=0.0, width_exp=0.0, where=0.8049, slope_exp=0.0,
+         tol_exp=-4.0)
+@example(shape="cubic", flat=True, lo=0.0, width_exp=0.0, where=0.3371, slope_exp=0.0,
+         tol_exp=-300.0)
+@example(shape="cubic", flat=True, lo=0.0, width_exp=0.0, where=0.1, slope_exp=0.0,
+         tol_exp=-6.0)  # 2.2x plain bisection's evaluations without the probe budget
+@example(shape="steps", flat=False, lo=-1.0, width_exp=0.5, where=0.5, slope_exp=1.0,
+         tol_exp=-9.0)
+def test_bisection_equals_plain_bisection(shape, flat, lo, width_exp, where, slope_exp,
+                                          tol_exp):
+    hi = lo + 10.0 ** width_exp
+    objective = synthetic(shape, lo + where * (hi - lo), 10.0 ** slope_exp, flat)
+    tol = 10.0 ** tol_exp
+    reference, reference_calls = counted(objective)
+    found, calls = counted(objective)
+    assert bisect_threshold(found, lo, hi, tol) == plain_bisection(reference, lo, hi, tol)
+    assert len(calls) <= 2 * len(reference_calls)
+    assert len(set(calls)) == len(calls)  # no point evaluated twice
+
+
 TOL = 1e-3
 cutoffs = st.sampled_from([2, 6])
 high = st.floats(min_value=0.85, max_value=1.0)
@@ -42,7 +139,7 @@ def reference_efficiency(target, symmetry, other, state, cutoff):
         scen = _scenario_for(symmetry, eta_h=1.0, **kwargs)
         return optimize_delta(scen.alice, scen.bob, state=state, cutoff=cutoff)[1]
 
-    return bisect_threshold(max_chsh, tol=TOL)
+    return plain_bisection(max_chsh, tol=TOL)
 
 
 @settings(max_examples=12, deadline=None)
@@ -65,11 +162,21 @@ def test_filtered_transmission_matches_full_search_bisection(gain, applications,
                                                              eta_c, cutoff):
     found = filtered_critical_transmission(gain, applications, eta_d=eta_d, eta_c=eta_c,
                                            cutoff=cutoff, tol=TOL)
-    reference = bisect_threshold(
+    reference = plain_bisection(
         lambda eta_t: filtered_chsh(eta_t, gain, applications, eta_d, eta_c, cutoff)[1],
         tol=TOL,
     )
     assert found == reference
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: sa.source_critical_transmission(eta_d=0.93, eta_c=0.95, symmetry=ASYMMETRIC),
+    lambda: sa.amplified_source_threshold_with_filters(2.5, eta_d=0.95, eta_c=0.9),
+], ids=["source", "filtered-source"])
+def test_source_threshold_matches_plain_bisection(monkeypatch, solve):
+    found = solve()
+    monkeypatch.setattr(sa, "bisect_threshold", plain_bisection)
+    assert found is not None and solve() == found
 
 
 lossy = st.floats(min_value=0.3, max_value=1.0)

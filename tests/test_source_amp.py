@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvbell.bell import BellScenario, PartyConditions, chsh_value, optimize_delta
@@ -236,6 +236,7 @@ class TestAmplifiedSource:
        t=st.floats(min_value=1e-4, max_value=1.0),
        eta_c=st.floats(min_value=0.5, max_value=1.0),
        cutoff=st.integers(min_value=1, max_value=4))
+@example(lam=0.0, t=1.0, eta_c=1.0, cutoff=1)  # the heralds sum to 1 + 2e-16
 def test_amplified_source_is_physical(lam, t, eta_c, cutoff):
     out = amplified_source(SourceConfig(squeezing=lam, amp_transmission=t, coupling=eta_c,
                                         cutoff=cutoff))
