@@ -30,6 +30,7 @@ import numpy as np
 from .fock import (
     ModeBasis,
     StateVector,
+    _product_tensor,
     anchor_phase,
     hermitian_eig,
     hermitian_eigvals,
@@ -197,24 +198,6 @@ def chsh_value(state, scenario: BellScenario) -> float:
     """CHSH expectation of a pure or mixed two-mode state."""
     chsh = _state_chsh(state, scenario.alice, scenario.bob)[0]
     return float(chsh([scenario.delta])[0])
-
-
-def _product_index(basis: ModeBasis) -> np.ndarray:
-    """Where each element of a two-mode basis sits in the uncapped product basis."""
-    alpha, beta = basis.occupations.T
-    return alpha * (basis.cutoffs[1] + 1) + beta
-
-
-def _product_tensor(basis: ModeBasis, matrix: np.ndarray) -> np.ndarray:
-    """A matrix on a (capped) two-mode basis, padded as the ``(a, b, a', b')`` tensor.
-
-    Entries outside the basis are zero.
-    """
-    ca, cb = basis.cutoffs
-    idx = _product_index(basis)
-    full = np.zeros(((ca + 1) * (cb + 1),) * 2, dtype=matrix.dtype)
-    full[np.ix_(idx, idx)] = matrix
-    return full.reshape(ca + 1, cb + 1, ca + 1, cb + 1)
 
 
 def _state_chsh(state, alice: PartyConditions, bob: PartyConditions):

@@ -11,16 +11,18 @@ reproduce-all  run every reference check and fail on any miss
 
 Every command but reproduce-all runs one threshold solver of the package
 (``critical_efficiency``, ``source_critical_transmission`` or
-``filtered_critical_transmission``) at each value it sweeps, through
-``parallel.map_ordered`` on ``--workers`` processes, and writes one row per
-value; threshold and local-amp sweep a single value.
+``filtered_critical_transmission``) to ``--tol`` at each value it sweeps and
+writes one row per value.  threshold and local-amp solve at a single value;
+region, source-amp and multi-filter sweep theirs through
+``parallel.map_ordered`` on ``--workers`` processes.
 
 Configuration may be given as ``--config file.ini`` with one section per
-command (``key = value``).  The section is turned into flags and parsed by
-the same parser: ``eta_d = 0.9`` is ``--eta-d=0.9``, ``symmetry = asymmetric``
-is ``--asymmetric`` and ``skip_source = yes|no`` sets or omits
-``--skip-source``.  Flags on the command line win over the file, and a bad
-key or value is reported with its ``file:line``.  Every run writes a CSV
+command (``key = value``); keys under ``[DEFAULT]`` apply to every command
+that takes them and are skipped by the others.  The keys are turned into
+flags and parsed by the same parser: ``eta_d = 0.9`` is ``--eta-d=0.9``,
+``symmetry = asymmetric`` is ``--asymmetric`` and ``skip_source = yes|no``
+sets or omits ``--skip-source``.  Flags on the command line win over the
+file, and a bad key or value is reported with its ``file:line``.  Every run writes a CSV
 result table and a JSON sidecar describing the effective configuration
 (whose ``tol`` the solvers got), the conventions and the delta-refinement
 and violation tolerances.  Exit codes: 0 success, 1 invalid
@@ -111,6 +113,7 @@ def _efficiency_grid(text: str) -> str:
 
 
 def load_config(path: str, command: str) -> dict:
+    """The keys of ``[command]`` and ``[DEFAULT]`` in ``path``; the section's win."""
     parser = configparser.ConfigParser()
     try:
         read = parser.read(path, encoding="utf-8")
@@ -118,16 +121,12 @@ def load_config(path: str, command: str) -> dict:
         raise ValidationError(f"{path}: {exc}") from exc
     if not read:
         raise ValidationError(f"config file {path!r} not found")
-    if command not in parser:
-        return {}
-    out = {}
-    for key, value in parser[command].items():
-        out[key.replace("-", "_")] = value
-    return out
+    section = parser[command if parser.has_section(command) else "DEFAULT"]
+    return {key.replace("-", "_"): value for key, value in section.items()}
 
 
-def _config_line_number(path: str, command: str, key: str) -> int | None:
-    """Line of ``key`` in section ``[command]``, else in ``[DEFAULT]``."""
+def _config_origin(path: str, command: str, key: str) -> tuple[str, int | None]:
+    """Section and line of ``key``: in ``[command]``, else in ``[DEFAULT]``."""
     found, section = {}, None
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -138,7 +137,10 @@ def _config_line_number(path: str, command: str, key: str) -> int | None:
                 name = re.split("[=:]", text)[0].strip().lower().replace("-", "_")
                 if name == key:
                     found.setdefault(section, lineno)
-    return found.get(command, found.get("DEFAULT"))
+    for origin in (command, "DEFAULT"):
+        if origin in found:
+            return origin, found[origin]
+    return command, None
 
 
 def build_parser() -> _Parser:
@@ -150,9 +152,14 @@ def build_parser() -> _Parser:
     def common(p, cutoff=2):
         p.add_argument("--config", help="INI file with one section per command")
         p.add_argument("--output", "-o", help="CSV output path")
-        p.add_argument("--workers", type=_workers, default=1)
         p.add_argument("--cutoff", type=int, default=cutoff)
+
+    def solver(p):
         p.add_argument("--tol", type=float, default=1e-4)
+
+    def sweep(p):
+        solver(p)
+        p.add_argument("--workers", type=_workers, default=1)
 
     def symmetry(p):
         p.add_argument("--symmetric", dest="symmetry", action="store_const",
@@ -162,6 +169,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("threshold", help="single critical-efficiency solve")
     common(p)
+    solver(p)
     symmetry(p)
     p.add_argument("--target", choices=["eta-t", "eta-d"], default="eta-t")
     p.add_argument("--eta-d", type=_efficiency, default=1.0)
@@ -170,18 +178,21 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("region", help="violation-region boundary")
     common(p)
+    sweep(p)
     symmetry(p)
     p.add_argument("--eta-d-grid", type=_efficiency_grid, default="0.6:1.0:9")
     p.add_argument("--state", choices=["optimal", "psi2"], default="optimal")
 
     p = sub.add_parser("source-amp", help="amplified-source region boundary")
     common(p, cutoff=6)
+    sweep(p)
     symmetry(p)
     p.add_argument("--eta-d-grid", type=_efficiency_grid, default="0.8:1.0:3")
     p.add_argument("--eta-c", type=_efficiency, default=1.0)
 
     p = sub.add_parser("local-amp", help="filtered critical transmission")
     common(p)
+    solver(p)
     p.add_argument("--g", type=float, default=2.0)
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--eta-d", type=_efficiency, default=1.0)
@@ -189,6 +200,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("multi-filter", help="threshold vs filter applications")
     common(p)
+    sweep(p)
     p.add_argument("--g", type=float, default=2.0)
     p.add_argument("--m-max", type=int, default=4)
     p.add_argument("--eta-d", type=_efficiency, default=1.0)
@@ -196,28 +208,31 @@ def build_parser() -> _Parser:
     p = sub.add_parser("reproduce-all", help="run every reference check")
     common(p, cutoff=6)
     p.add_argument("--skip-source", action="store_true",
-                   help="skip the amplified-source checks (about 0.19 s of "
-                        "the 0.41 s run)")
+                   help="skip the amplified-source checks")
     return parser
 
 
 def _config_tokens(parser: _Parser, path: str, command: str) -> list[str]:
-    """The ``[command]`` section of ``path`` as command-line tokens.
+    """The ``[command]`` and ``[DEFAULT]`` keys of ``path`` as command-line tokens.
 
     A valued option becomes ``--opt=value``; a shared-destination flag is the
     one whose constant the value names (``symmetry = asymmetric`` gives
     ``--asymmetric``); an on/off flag takes a configparser boolean
     (``skip_source = yes`` gives ``--skip-source``, ``no`` gives nothing).
-    Each key's tokens are parsed on their own, so every error names its line.
+    A ``[DEFAULT]`` key that the command does not take is skipped; one in
+    ``[command]`` is an error.  Each key's tokens are parsed on their own,
+    so every error names its line.
     """
     command_parser = parser.commands[command]
     tokens = []
     for key, value in load_config(path, command).items():
-        line = _config_line_number(path, command, key)
+        section, line = _config_origin(path, command, key)
         location = f"{path}:{line}: " if line else f"{path}: "
         actions = [a for a in command_parser._actions
                    if a.dest == key and a.dest != "help"]
         if not actions:
+            if section == "DEFAULT":
+                continue
             raise ValidationError(f"{location}unknown option {key!r}")
         if actions[0].nargs != 0:
             given = [f"{actions[0].option_strings[0]}={value}"]
@@ -276,7 +291,8 @@ def _threshold_rows(args, fields, solver, fixed, key, values, column=None,
     """One row per value of ``key``: the threshold of ``solver`` there.
 
     ``solver`` runs at ``fixed``, ``key = value``, ``args.cutoff`` and
-    ``args.tol``, through :func:`map_ordered` on ``args.workers`` processes.
+    ``args.tol``, through :func:`map_ordered` on ``--workers`` processes
+    (one for a command without the flag).
     A row holds each of ``fields`` that names a flag, the value under
     ``column`` (``key`` by default), the threshold under ``result``,
     ``no_violation`` and ``bisection_tol``.
@@ -284,7 +300,7 @@ def _threshold_rows(args, fields, solver, fixed, key, values, column=None,
     flags = {name: getattr(args, name) for name in fields if hasattr(args, name)}
     solve = partial(_solve_at, solver, key,
                     {**fixed, "cutoff": args.cutoff, "tol": args.tol})
-    thresholds = map_ordered(solve, values, workers=args.workers)
+    thresholds = map_ordered(solve, values, workers=getattr(args, "workers", 1))
     return [{**flags, column or key: value, result: threshold,
              "no_violation": threshold is None, "bisection_tol": args.tol}
             for value, threshold in zip(values, thresholds)]

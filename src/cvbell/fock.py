@@ -107,6 +107,24 @@ def shared_basis(cutoffs: tuple, total_cap: int | None = None) -> ModeBasis:
     return basis
 
 
+def _product_index(basis: ModeBasis) -> np.ndarray:
+    """Where each element of a two-mode basis sits in the uncapped product basis."""
+    alpha, beta = basis.occupations.T
+    return alpha * (basis.cutoffs[1] + 1) + beta
+
+
+def _product_tensor(basis: ModeBasis, matrix: np.ndarray) -> np.ndarray:
+    """A matrix on a (capped) two-mode basis, padded as the ``(a, b, a', b')`` tensor.
+
+    Entries outside the basis are zero.
+    """
+    ca, cb = basis.cutoffs
+    idx = _product_index(basis)
+    full = np.zeros(((ca + 1) * (cb + 1),) * 2, dtype=matrix.dtype)
+    full[np.ix_(idx, idx)] = matrix
+    return full.reshape(ca + 1, cb + 1, ca + 1, cb + 1)
+
+
 def enumerate_basis(mode_count: int, cutoffs, total_cap: int | None = None) -> ModeBasis:
     """Build the lexicographically ordered occupation basis.
 

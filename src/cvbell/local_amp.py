@@ -31,15 +31,22 @@ from .fock import (
     shared_basis,
 )
 from .bell import VIOLATION_BOUND, PartyConditions, bisect_threshold, optimize_delta
+from .measurement import _lossy_state
 
 
 def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.ndarray:
     """Diagonal of the filter on every mode of ``basis``, applied m times.
 
     Each mode contributes ``((g - 1) n + 1)^m`` for its photon number n.
-    Raises ``ValueError`` naming the gain, the applications and the cutoff
-    when an entry overflows the float range.
+    Every filter path of the package goes through here, so the arguments
+    are checked here: the gain must be finite and at least 1, and the filter
+    applied at least once.  Raises ``ValueError`` naming the gain, the
+    applications and the cutoff when an entry overflows the float range.
     """
+    if not 1.0 <= gain < math.inf:  # also rejects NaN
+        raise ValueError(f"filter gain must be finite and at least 1, got {gain}")
+    if not applications >= 1:
+        raise ValueError(f"filter applications must be at least 1, got {applications}")
     with np.errstate(over="ignore"):
         diag = np.prod(((gain - 1.0) * basis.occupations + 1.0) ** applications, axis=1)
     if not np.isfinite(diag).all():
@@ -54,8 +61,6 @@ def _overflow_error(gain: float, applications: int, cutoff: int) -> ValueError:
 
 def filter_operator(gain: float, cutoff: int) -> HermitianOperator:
     """Single-mode filter G(g) = diag((g - 1) n + 1)."""
-    if gain < 0.0:
-        raise ValueError("gain must be non-negative")
     basis = shared_basis((cutoff,))
     return HermitianOperator(basis, np.diag(filter_diagonal(basis, gain)))
 
@@ -72,23 +77,15 @@ def psi2_state(cutoff: int = 2) -> StateVector:
 def lossy_psi2(eta_t: float, cutoff: int = 2) -> DensityOperator:
     """State (|20> + |02>)/sqrt(2) after per-mode transmission eta_t.
 
-    Closed form: the two-photon component survives with weight eta_t^2, the
-    single-photon mixture |01><01| + |10><10| carries eta_t (1 - eta_t), and
-    the vacuum (1 - eta_t)^2.
+    The two-photon component keeps weight eta_t^2, the single-photon mixture
+    |01><01| + |10><10| carries eta_t (1 - eta_t) and the vacuum
+    (1 - eta_t)^2 (:func:`cvbell.measurement._lossy_state`).
     """
     if not 0.0 <= eta_t <= 1.0:
         raise ValueError("eta_t must lie in [0, 1]")
     basis = shared_basis((cutoff, cutoff))
-    psi2 = psi2_state(cutoff).amplitudes
-    rho = eta_t**2 * np.outer(psi2, psi2.conj())
-    for occ, weight in (
-        ((0, 1), eta_t * (1.0 - eta_t)),
-        ((1, 0), eta_t * (1.0 - eta_t)),
-        ((0, 0), (1.0 - eta_t) ** 2),
-    ):
-        i = basis.index_of(occ)
-        rho[i, i] += weight
-    return DensityOperator(basis, rho)
+    psi2 = psi2_state(cutoff).amplitudes.real  # real amplitudes: a real loss product
+    return DensityOperator(basis, _lossy_state(basis, np.outer(psi2, psi2), eta_t))
 
 
 def apply_filters(rho: DensityOperator, gain: float, applications: int = 1) -> DensityOperator:
@@ -98,8 +95,6 @@ def apply_filters(rho: DensityOperator, gain: float, applications: int = 1) -> D
     ``((g - 1) n + 1)^m``; the success probability is absorbed into the
     renormalization (filtering is part of state preparation).
     """
-    if applications < 1:
-        raise ValueError("applications must be a positive integer")
     basis = rho.basis
     if basis.mode_count != 2:
         raise ValueError("expected a two-mode state")

@@ -48,7 +48,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import loss_kraus
+from .fock import ModeBasis, _product_index, _product_tensor, loss_kraus
 
 QUADRATURE_CONVENTION = (
     "X = (a + a^dag)/sqrt(2), vacuum variance 1/2; Fock phases i^n; "
@@ -196,6 +196,25 @@ def _through_loss(eta_h: float, elements: np.ndarray, cutoff: int) -> np.ndarray
         return elements
     channel = _loss_channel(float(eta_h), int(cutoff))
     return (elements.reshape(-1, 1, channel.shape[0]) @ channel).reshape(elements.shape)
+
+
+def _lossy_state(basis: ModeBasis, rho: np.ndarray, eta: float) -> np.ndarray:
+    """Transmission ``eta`` on both modes of a matrix on a two-mode (capped) basis.
+
+    The matrix is padded into the product basis as the ``(a, b, a', b')``
+    tensor (:func:`cvbell.fock._product_tensor`).  Each mode's loss
+    ``M -> sum_k A_k M A_k^T`` is the forward channel of :func:`_loss_channel`
+    on that mode's raveled ``(n, n')`` pair, one product with ``C^T`` with
+    the pair's axes last.  Loss never raises the photon number, so cutting
+    back to the cap afterwards is exact.
+    """
+    ca, cb = basis.cutoffs
+    T = _product_tensor(basis, rho).transpose(1, 3, 0, 2)
+    for cutoff in (ca, cb):  # mode a on (b, b', a, a'), then mode b on (a, a', b, b')
+        channel = _loss_channel(float(eta), cutoff)
+        T = (T.reshape(-1, channel.shape[0]) @ channel.T).reshape(T.shape).transpose(2, 3, 0, 1)
+    idx = _product_index(basis)
+    return T.transpose(2, 0, 3, 1).reshape(((ca + 1) * (cb + 1),) * 2)[np.ix_(idx, idx)]
 
 
 def binned_homodyne_povms(eta_h: float, deltas, cutoff: int):

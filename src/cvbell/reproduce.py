@@ -129,9 +129,9 @@ def reproduce_all(include_source: bool = True, source_cutoff: int = 6) -> Reprod
     """Run the full battery of reference checks.
 
     ``include_source`` gates the amplified-source checks (rows 9, 10a and
-    10b).  On a 2-core Xeon VM (Python 3.11, numpy 2.4, BLAS on one thread)
-    the whole battery takes about 0.41 s in-process, about 0.19 s of it in
-    those checks; without them it takes about 0.22 s.
+    10b).  On a 2-core Xeon VM (Python 3.11, numpy 2.4, BLAS on one thread;
+    medians of 9 fresh processes) the whole battery takes about 0.19 s
+    in-process, and about 0.11 s without those checks.
     """
     t_start = time.time()
     rows: list[ReportRow] = []

@@ -61,18 +61,17 @@ from .fock import (
     ModeBasis,
     StateVector,
     _bs_pair_coefficient,
+    _product_index,
     anchor_phase,
     loss_kraus,
     shared_basis,
 )
-from .measurement import DELTA_MAX, _loss_channel, _through_loss, photodetection_povm
+from .measurement import DELTA_MAX, _lossy_state, _through_loss, photodetection_povm
 from .bell import (
     VIOLATION_BOUND,
     PartyConditions,
     _capped_kron,
     _mode_observables,
-    _product_index,
-    _product_tensor,
     _scenario_for,
     bell_matrices,
     bisect_threshold,
@@ -86,14 +85,9 @@ from .local_amp import _overflow_error, apply_filters, filter_diagonal
 #: success probabilities that can be small.  Measured on the heralded-PDC
 #: ancilla (squeezing 0.2, t = 0.3, chi = 0.2, coupling 0.95) at cutoffs 3 to
 #: 5, a cut of 0 moves the normalized states by at most 2.1e-13, the success
-#: probabilities by at most 3.5e-15 and the herald probabilities by 1.1e-16
-#: (1.1e-12, 1.9e-14 and 1.1e-16 while the ancilla ran one branch per loss
-#: Kraus pair instead of one per photon number).  With those per-pair
-#: branches, on the same ancilla at cutoffs 4 and 5 (perfbench's pdc-ancilla
-#: workload), a cut of 0 raised peak memory from 35.2 to 36.2 MiB and left
-#: the run time within noise, 0.108 to 0.116 s against 0.110 to 0.114 s (3
-#: runs each, 2-core VM, BLAS on one thread).  A cut relative to the success
-#: probability would need that probability before the circuit has run.
+#: probabilities by at most 3.5e-15 and the herald probabilities by 1.1e-16.
+#: A cut relative to the success probability would need that probability
+#: before the circuit has run.
 BRANCH_TOL = 1e-16
 
 
@@ -391,8 +385,7 @@ def _heralded_gram(config: SourceConfig, inputs, input_cutoffs, scissor_mode: in
     interferes on the 50/50 splitter and conditions on the heralds.
     ``output`` (default: none) maps the pass's heralded branches over the
     kept modes to the output basis.  Returns the :func:`_gram` array of the
-    output branches summed over all passes, and the accepted herald
-    probability.
+    output branches summed over all passes.
     """
     c_cutoff = _ancilla_cutoff(config)
     small_cutoffs, big_cutoffs, b_mode = _interference_cutoffs(
@@ -404,24 +397,21 @@ def _heralded_gram(config: SourceConfig, inputs, input_cutoffs, scissor_mode: in
 
     n_in, d, P = inputs.shape
     W = P * anc.shape[2]
-    gram, total = None, 0.0
+    gram = None
     for block in anc[labels == "click"]:
         joint = inputs[:, :, None, :, None] * block[None, None, :, None, :]
         joint = _split(joint.reshape(n_in, d * len(block), W), small_cutoffs,
                        scissor_mode, 0.5, big_cutoffs)  # b_mode is scissor_mode + 1
-        branches, probability = _condition_on_heralds(
-            config, big_cutoffs, joint, scissor_mode, b_mode, weights
-        )
+        branches = _condition_on_heralds(config, big_cutoffs, joint, scissor_mode, b_mode, weights)
         del joint  # the pass's largest array; free it before the output stage
         part = _gram(output(branches))
         # The first pass's array is the sum: no second Gram-sized array for
         # the single photon's one pass.
         gram = part if gram is None else np.add(gram, part, out=gram)
-        total += probability
     if gram is None:  # no ancilla branch heralded: zeros of the output's shape
         kept = [c + 1 for m, c in enumerate(big_cutoffs) if m not in (scissor_mode, b_mode)]
         gram = _gram(output(np.zeros((0, math.prod(kept), W), dtype=inputs.dtype)))
-    return gram, total
+    return gram
 
 
 def _herald_patterns(config: SourceConfig):
@@ -474,8 +464,7 @@ def _detected(blocks: np.ndarray, weights: np.ndarray):
     axes.  Each block is scaled by the square root of its weight.  Blocks
     whose weight and weighted squared norm exceed ``BRANCH_TOL`` are kept,
     in C order of the leading axes; only they are copied.  Returns the
-    ``(K, R, C)`` stack, the boolean mask of kept blocks and their summed
-    weighted squared norms.
+    ``(K, R, C)`` stack and the boolean mask of kept blocks.
     """
     heard = weights > BRANCH_TOL
     weighted = weights * _norms2(blocks)
@@ -483,7 +472,7 @@ def _detected(blocks: np.ndarray, weights: np.ndarray):
     scale = np.broadcast_to(np.sqrt(np.where(heard, weights, 0.0)), keep.shape)[keep]
     kept = np.broadcast_to(blocks, keep.shape + blocks.shape[-2:])[keep]
     kept *= scale[:, None, None]
-    return kept, keep, float(weighted[keep].sum())
+    return kept, keep
 
 
 def _condition_on_heralds(config: SourceConfig, cutoffs, joint, a_mode, b_mode, weights):
@@ -493,35 +482,35 @@ def _condition_on_heralds(config: SourceConfig, cutoffs, joint, a_mode, b_mode, 
     which are adjacent (``b_mode = a_mode + 1``).
 
     Returns the heralded branches as one ``(K, dim, P)`` stack over the kept
-    modes and their probability.  Every (pattern, branch, na, nb) whose
-    detector weight and weighted squared norm exceed ``BRANCH_TOL`` is a new
-    branch, in that order.  The norms are taken on the view of
+    modes.  Every (pattern, branch, na, nb) whose detector weight and
+    weighted squared norm exceed ``BRANCH_TOL`` is a new branch, in that
+    order.  The norms are taken on the view of
     :func:`_herald_blocks`, and only the kept blocks are copied out of it.
     The D1 branches get the feed-forward parity plate on the amplified mode
-    (the last kept mode) so both patterns prepare the same state.  The
-    probability is the squared Frobenius norm summed over the kept blocks,
-    the herald probability when P is 1.
+    (the last kept mode) so both patterns prepare the same state.
     """
     kept_cutoffs = tuple(c for m, c in enumerate(cutoffs) if m not in (a_mode, b_mode))
     T = _herald_blocks(joint, cutoffs, a_mode, b_mode)
-    branches, keep, probability = _detected(T[None], weights)
+    branches, keep = _detected(T[None], weights)
     branches = branches.reshape(len(branches), math.prod(c + 1 for c in kept_cutoffs),
                                 joint.shape[-1])
     if _herald_patterns(config)[0] == "d1":
         d1 = int(keep[0].sum())
         branches[:d1] = _phase_plate(branches[:d1], kept_cutoffs, -1.0)
-    return branches, probability
+    return branches
 
 
-def _outcome(basis: ModeBasis, gram: np.ndarray, total: float,
-             herald_pattern: str) -> HeraldedOutcome:
+def _outcome(basis: ModeBasis, gram: np.ndarray, herald_pattern: str) -> HeraldedOutcome:
     """The output of one normalized input column from its :func:`_gram` array.
 
-    When no accepted herald fires (``total`` at most :data:`BRANCH_TOL`) the
-    state is the zero matrix and the success probability 0.  A herald that
-    always fires can sum to one ulp above 1 by rounding; the reported
-    probability is capped at 1.
+    The success probability is the trace of the unnormalized output: the
+    heralded branches' squared norms, which neither the output plate nor
+    the photon cap changes.  When no accepted herald fires (a trace at most
+    :data:`BRANCH_TOL`) the state is the zero matrix and the success
+    probability 0.  A herald that always fires can sum to one ulp above 1
+    by rounding; the reported probability is capped at 1.
     """
+    total = float(np.trace(gram[:, 0, :, 0]).real)
     if total <= BRANCH_TOL:
         matrix, total = np.zeros((basis.dimension,) * 2), 0.0
     else:
@@ -562,8 +551,8 @@ def qscissor_amplify(state, t: float, herald_efficiency: float = 1.0,
         cutoff=max(cutoffs[0], 1),
         herald_pattern=herald_pattern,
     )
-    gram, total = _heralded_gram(config, branches, cutoffs, 0)
-    return _outcome(shared_basis((_ancilla_cutoff(config),)), gram, total, herald_pattern)
+    gram = _heralded_gram(config, branches, cutoffs, 0)
+    return _outcome(shared_basis((_ancilla_cutoff(config),)), gram, herald_pattern)
 
 
 def _gram(stack: np.ndarray) -> np.ndarray:
@@ -582,10 +571,9 @@ def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
     Returns the photon-capped output basis, the :func:`_gram` array of the
     output branches, ``(d_out, P Q, d_out, P Q)`` with Q columns of the
     ancilla ``photon`` (see :func:`_ancilla_branches`), summed over the
-    ancilla's branches one pass at a time (:func:`_heralded_gram`), and the
-    accepted herald probability, which is the success probability for a
-    single normalized input column.  The branches stay real: the output plate
-    ``ph = i^n`` on the second mode scales the sum once by ``ph[x] conj(ph[y])``.
+    ancilla's branches one pass at a time (:func:`_heralded_gram`).  The
+    branches stay real: the output plate ``ph = i^n`` on the second mode
+    scales the sum once by ``ph[x] conj(ph[y])``.
     """
     c_cutoff = _ancilla_cutoff(config)
     out_cut = config.cutoff + c_cutoff
@@ -597,10 +585,10 @@ def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
         return _split(branches, (config.cutoff, c_cutoff), 0, 0.5, full)[:, cap_idx]
 
     arms = _lossy_arms(config, inputs, config.cutoff)
-    gram, total = _heralded_gram(config, arms, (config.cutoff,) * 2, 1, output, photon)
+    gram = _heralded_gram(config, arms, (config.cutoff,) * 2, 1, output, photon)
     # Fixes the documented c00 >= 0, c2 <= 0 sign pattern; every factor is ±1 or ±i.
     ph = np.array([1j ** n for n in range(out_cut + 1)])[capped.occupations[:, 1]]
-    return capped, gram * np.multiply.outer(ph, ph.conj())[:, None, :, None], total
+    return capped, gram * np.multiply.outer(ph, ph.conj())[:, None, :, None]
 
 
 def amplified_source(config: SourceConfig) -> HeraldedOutcome:
@@ -736,14 +724,14 @@ def dominant_component(rho: DensityOperator) -> tuple[StateVector, float]:
 # Sweeps over the source parameters
 
 
-def default_squeezing_grid(points: int = 40, upper: float = 0.4) -> tuple:
-    return tuple(np.linspace(0.0, upper, points))
+def default_squeezing_grid(points: int = 40) -> tuple:
+    """Squeezing from 0 to 0.4."""
+    return tuple(np.linspace(0.0, 0.4, points))
 
 
-def default_transmission_grid(points: int = 60, lower: float = 3e-5,
-                              upper: float = 0.99) -> tuple:
-    """Log-spaced splitter transmissions; small t realizes large gains."""
-    return tuple(np.geomspace(lower, upper, points))
+def default_transmission_grid(points: int = 60) -> tuple:
+    """Log-spaced splitter transmissions from 3e-5 to 0.99; small t realizes large gains."""
+    return tuple(np.geomspace(3e-5, 0.99, points))
 
 
 #: Folded output images of the single-photon circuit by (eta_c, cutoff), least
@@ -778,7 +766,7 @@ def _fold(blocks: np.ndarray) -> tuple:
     return tuple(folded)
 
 
-def _source_stack(eta_c: float, cutoff: int, trace: bool = False):
+def _source_stack(eta_c: float, cutoff: int):
     """Folded images of the single-photon circuit, one run per (eta_c, cutoff), cached.
 
     With the single-photon ancilla the circuit is linear in its input
@@ -790,14 +778,13 @@ def _source_stack(eta_c: float, cutoff: int, trace: bool = False):
     blocks ``M_pq`` of :func:`_gram`.  The weights are a product, so that sum
     is ``sum_s lam^s sum_jk phi_j(t) phi_k(t) H[s, j, k]`` over the Hankel
     sums of :func:`_fold`, s = 0 ... 2 cutoff, and every quantity the sweeps
-    read is a function of them.  Returns the capped output basis and the
+    read is a function of them.  Returns the capped output basis, the
     read-only folded rows ``(re, im)``, two real ``(4 (2 cutoff + 1), d^2)``
-    arrays (52 x 1296 at cutoff 6).  The output state is one product of the
+    arrays (52 x 1296 at cutoff 6), and the identity's read-only sums ``T``,
+    built once with the stack.  The output state is one product of the
     weights ``lam^s phi_j phi_k`` with each array (:func:`_image_state`),
     and the sums of ``Tr(M_pq O)`` are the real array times the raveled
     ``O``, one product for a whole stack of operators (:func:`_pair_forms`).
-    With ``trace=True`` it also returns the identity's read-only sums ``T``,
-    which are built once with the stack.
     """
 
     def build():
@@ -808,14 +795,13 @@ def _source_stack(eta_c: float, cutoff: int, trace: bool = False):
         inputs = np.zeros((arms.dimension, cutoff + 1))
         for n in range(cutoff + 1):
             inputs[arms.index_of((n, n)), n] = 1.0
-        basis, blocks, _ = _output_gram(config, inputs, photon=np.eye(2))
+        basis, blocks = _output_gram(config, inputs, photon=np.eye(2))
         folded = _fold(blocks)
         trace_form = _pair_forms(folded, np.eye(basis.dimension)[None])[0]
         trace_form.setflags(write=False)
         return basis, folded, trace_form
 
-    stack = _cached(_STACK_CACHE, _STACK_CACHE_SIZE, (float(eta_c), int(cutoff)), build)
-    return stack if trace else stack[:2]
+    return _cached(_STACK_CACHE, _STACK_CACHE_SIZE, (float(eta_c), int(cutoff)), build)
 
 
 def _sweep_grid(grid, name: str) -> np.ndarray:
@@ -890,39 +876,20 @@ def _grid_chsh(hankels: np.ndarray, trace: np.ndarray, lams, ts) -> np.ndarray:
     return forms(hankels) / forms(trace)
 
 
-def _along_lam(forms: np.ndarray, t: float):
-    """The CHSH value as a function of lam at fixed ``t``.
+def _point_chsh(forms: np.ndarray):
+    """The CHSH value as a function of (lam, t).
 
     ``forms`` stacks the sums of one Bell operator and of the identity,
-    ``(2, S, 2, 2)``.  The photon pair at ``t`` contracts them once into two
-    polynomials of degree S - 1 in lam; each value is then one product of
-    the lam powers with both.  Equal to :func:`_grid_chsh` on a 1 x 1 grid
-    up to rounding.
+    ``(2, S, 2, 2)``.  Each value contracts them with the lam powers into two
+    2 x 2 forms in the photon pair, then with the pair ``phi_j(t) phi_k(t)``.
+    Equal to :func:`_grid_chsh` on a 1 x 1 grid up to rounding.
     """
-    _, pairs = _weight_factors([], [t], 0)
-    coefs = (forms.reshape(2, -1, 4) @ pairs)[..., 0].T
-    exponents = np.arange(len(coefs))
+    coefs = forms.reshape(2, -1, 4)
+    exponents = np.arange(coefs.shape[1])
 
-    def chsh(lam):
-        value, norm = lam ** exponents @ coefs
-        return float(value / norm)
-
-    return chsh
-
-
-def _along_t(forms: np.ndarray, lam: float):
-    """The CHSH value as a function of t at fixed ``lam``.
-
-    The lam powers contract the sums ``forms`` (see :func:`_along_lam`) once
-    into two 2 x 2 forms in the photon pair; each value is then their
-    product with the pair ``phi_j(t) phi_k(t)``.
-    """
-    powers, _ = _weight_factors([lam], [], forms.shape[1] - 1)
-    coefs = powers[0] @ forms.reshape(2, -1, 4)
-
-    def chsh(t):
+    def chsh(lam, t):
         root = (math.sqrt(t), math.sqrt(1.0 - t))
-        value, norm = coefs @ [a * b for a in root for b in root]
+        value, norm = (lam ** exponents @ coefs) @ [a * b for a in root for b in root]
         return float(value / norm)
 
     return chsh
@@ -943,8 +910,6 @@ def max_source_chsh(
     cutoff: int = 6,
     lam_grid: tuple | None = None,
     t_grid: tuple | None = None,
-    delta_points: int = 81,
-    refine: bool = True,
 ) -> SourceOptimum:
     """Maximize the CHSH value of the source output over (lam, t, delta).
 
@@ -954,39 +919,34 @@ def max_source_chsh(
     ``t_grid`` are 1-D sequences of at least two points; ``None`` selects
     the default grid.  At fixed delta every (lam, t) is a quadratic form in
     the image weights, so no step runs the circuit again.  The grid scan
-    evaluates the forms factored (:func:`_grid_chsh`); of equal grid values
-    the first in (delta, lam, t) order is taken.  The golden sections read
-    row g* of the grid's sums, the Bell form at the grid's delta, contracted
-    once per section (:func:`_along_lam`, :func:`_along_t`).
+    evaluates the forms factored (:func:`_grid_chsh`) at 81 deltas; of equal
+    grid values the first in (delta, lam, t) order is taken.  The golden
+    sections read row g* of the grid's sums, the Bell form at the grid's
+    delta (:func:`_point_chsh`).
     """
     lam_grid = _sweep_grid(default_squeezing_grid() if lam_grid is None else lam_grid,
                            "lam_grid")
     t_grid = _sweep_grid(default_transmission_grid() if t_grid is None else t_grid,
                          "t_grid")
-    basis, stack, trace = _source_stack(eta_c, cutoff, trace=True)
+    basis, stack, trace = _source_stack(eta_c, cutoff)
 
-    deltas = np.linspace(0.0, DELTA_MAX, delta_points)
+    deltas = np.linspace(0.0, DELTA_MAX, 81)
     hankels = _pair_forms(stack, bell_matrices(basis, alice, bob, deltas))
     values = _grid_chsh(hankels, trace, lam_grid, t_grid)
     g, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     lam, t = float(lam_grid[i]), float(t_grid[j])
-    delta, value = float(deltas[g]), float(values[g, i, j])
 
-    if not refine:
-        return SourceOptimum(value, lam, t, delta)
-
-    forms = np.stack([hankels[g], trace])
+    chsh = _point_chsh(np.stack([hankels[g], trace]))
     lam_step = lam_grid[1] - lam_grid[0]
     lam, _ = golden_section_max(
-        _along_lam(forms, t),
+        lambda x: chsh(x, t),
         max(0.0, lam - lam_step),
         min(lam_grid[-1], lam + lam_step),
         1e-4,
     )
-    along_t = _along_t(forms, lam)
     log_step = math.log(t_grid[1] / t_grid[0])
     logt, _ = golden_section_max(
-        lambda x: along_t(math.exp(x)),
+        lambda x: chsh(lam, math.exp(x)),
         math.log(t) - log_step,
         min(math.log(t_grid[-1]), math.log(t) + log_step),
         1e-4,
@@ -1018,29 +978,8 @@ def source_critical_transmission(
     return bisect_threshold(max_chsh, tol=tol)
 
 
-def _lossy_state(basis: ModeBasis, rho: np.ndarray, eta: float) -> np.ndarray:
-    """Transmission ``eta`` on both modes of a matrix on a two-mode capped basis.
-
-    The matrix is padded into the product basis as the ``(a, b, a', b')``
-    tensor (:func:`cvbell.bell._product_tensor`).  Each mode's loss
-    ``M -> sum_k A_k M A_k^T``, over its real Kraus operators, is the
-    channel matrix ``C = sum_k A_k (x) A_k``
-    (:func:`cvbell.measurement._loss_channel`) on that mode's raveled
-    ``(n, n')`` pair, applied as one product with ``C^T`` with the pair's
-    axes last.  Loss never raises the photon number, so cutting back to the
-    cap afterwards is exact.
-    """
-    ca, cb = basis.cutoffs
-    T = _product_tensor(basis, rho).transpose(1, 3, 0, 2)
-    for cutoff in (ca, cb):  # mode a on (b, b', a, a'), then mode b on (a, a', b, b')
-        channel = _loss_channel(float(eta), cutoff)
-        T = (T.reshape(-1, channel.shape[0]) @ channel.T).reshape(T.shape).transpose(2, 3, 0, 1)
-    idx = _product_index(basis)
-    return T.transpose(2, 0, 3, 1).reshape(((ca + 1) * (cb + 1),) * 2)[np.ix_(idx, idx)]
-
-
 def _filtered_pullback(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions,
-                       deltas, gain: float, applications: int, cutoff: int | None = None):
+                       deltas, gain: float, applications: int, cutoff: int):
     """The filtered Bell stack and ``F^2``, pulled back through a two-mode loss.
 
     Returns ``pullback(eta)``, which gives ``L^dag(F B F)`` for the Bell
@@ -1048,26 +987,28 @@ def _filtered_pullback(basis: ModeBasis, alice: PartyConditions, bob: PartyCondi
     capped two-mode ``basis``, with ``F`` the filter of ``gain`` applied
     ``applications`` times on each mode and ``L`` the transmission ``eta``
     on each mode.  Both are assembled from single-mode factors (see
-    :func:`amplified_source_threshold_with_filters`).  A filter that
-    overflows the float range raises the ``filter_diagonal`` error, naming
-    ``cutoff`` (default: the mode's own cutoff in ``basis``).
+    :func:`amplified_source_threshold_with_filters`).  Invalid filter
+    arguments raise the ``filter_diagonal`` error, and a filter that
+    overflows the float range raises it naming the caller's ``cutoff``.
     """
+    # Checks the arguments (and an overflow at the caller's own cutoff) first,
+    # so that every error below is an overflow at the modes' larger cutoff.
+    filter_diagonal(shared_basis((cutoff,)), gain, applications)
     Xa, Na, plus, minus = _mode_observables(basis, alice, bob, deltas)
 
     def filtered(*ops):
         """``f O f`` for each stack, with ``f^2`` last: one mode's factors."""
         mode_cutoff = ops[0].shape[-1] - 1
-        named = mode_cutoff if cutoff is None else cutoff
         try:
             f = filter_diagonal(shared_basis((mode_cutoff,)), gain, applications)
         except ValueError:
-            raise _overflow_error(gain, applications, named) from None
+            raise _overflow_error(gain, applications, cutoff) from None
         # F^2 = (f (x) f)^2 sets the scale of the two-mode products below, so
         # its largest entry is checked before any product is formed.
         with np.errstate(over="ignore"):
             largest = np.abs(f).max() ** 4
         if not np.isfinite(largest):
-            raise _overflow_error(gain, applications, named)
+            raise _overflow_error(gain, applications, cutoff)
         stack = np.concatenate([*(op.reshape(-1, mode_cutoff + 1, mode_cutoff + 1) for op in ops),
                                 np.eye(mode_cutoff + 1)[None]])
         return f[:, None] * stack * f, mode_cutoff
@@ -1118,14 +1059,14 @@ def amplified_source_threshold_with_filters(
     the pullback is exact, because loss never raises the photon number and
     the source's output basis holds every occupation up to its cap.  The
     chosen state goes forward through the loss one mode at a time
-    (:func:`_lossy_state`) and then through the filters
+    (:func:`cvbell.measurement._lossy_state`) and then through the filters
     (:func:`cvbell.local_amp.apply_filters`).
     """
     lam_grid = _sweep_grid(default_squeezing_grid(20) if lam_grid is None else lam_grid,
                            "lam_grid")
     t_grid = _sweep_grid(default_transmission_grid(30) if t_grid is None else t_grid,
                          "t_grid")
-    basis, stack = _source_stack(eta_c, cutoff)
+    basis, stack, _ = _source_stack(eta_c, cutoff)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
     pullback = _filtered_pullback(
         basis, party, party, np.linspace(0.0, DELTA_MAX, 61), gain, applications, cutoff

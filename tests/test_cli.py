@@ -141,7 +141,7 @@ def test_bad_input_exits_cleanly(args, tmp_path, capsys):
     (["threshold", "--eta-t", "1.5"], "--eta-t"),
     (["local-amp", "--eta-c", "2"], "--eta-c"),
     (["region", "--eta-d-grid", "0.5:1.2:3"], "--eta-d-grid"),
-    (["threshold", "--workers", "0"], "--workers"),
+    (["multi-filter", "--workers", "0"], "--workers"),
     (["region", "--workers", "-3", "--eta-d-grid", "0.9"], "--workers"),
 ])
 def test_out_of_range_flag_is_named(args, flag, tmp_path, capsys):
@@ -392,6 +392,39 @@ class TestConfigFile:
     def test_missing_config_file(self, capsys):
         assert main(["threshold", "--config", "/nonexistent.ini"]) == 1
 
+    def test_default_key_applies_without_a_command_section(self, tmp_path, monkeypatch):
+        calls = record_solver(monkeypatch, "critical_efficiency")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[DEFAULT]\ncutoff = 3\n")
+        code, _ = run_cli(["threshold", "--config", str(cfg)], tmp_path)
+        assert code == 0
+        sidecar = json.loads((tmp_path / "out.json").read_text())
+        assert sidecar["effective_config"]["cutoff"] == 3
+        assert [call["cutoff"] for call in calls] == [3]
+
+    def test_default_key_the_command_does_not_take_is_skipped(self, tmp_path, monkeypatch):
+        calls = record_solver(monkeypatch, "critical_efficiency")
+        cfg = tmp_path / "shared.ini"
+        cfg.write_text("[DEFAULT]\neta_c = 0.9\nworkers = 2\n\n[threshold]\neta_d = 0.95\n")
+        code, _ = run_cli(["threshold", "--config", str(cfg)], tmp_path)
+        assert code == 0
+        assert [call["eta_d"] for call in calls] == [0.95]
+        effective = json.loads((tmp_path / "out.json").read_text())["effective_config"]
+        assert "eta_c" not in effective and "workers" not in effective
+        # A command that takes the key gets it.
+        calls = record_solver(monkeypatch, "filtered_critical_transmission")
+        code, _ = run_cli(["local-amp", "--config", str(cfg)], tmp_path)
+        assert code == 0
+        assert [call["eta_c"] for call in calls] == [0.9]
+
+    def test_section_key_the_command_does_not_take_names_its_line(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[DEFAULT]\nworkers = 2\n\n[threshold]\neta_d = 0.95\neta_c = 0.9\n")
+        out = tmp_path / "out.csv"
+        assert main(["threshold", "--config", str(cfg), "--output", str(out)]) == 1
+        assert_one_error_line(capsys.readouterr().err, f"{cfg}:6: unknown option 'eta_c'")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value, include_source", [
         ("no", True), ("false", True), ("yes", False), ("on", False),
     ])
@@ -480,6 +513,27 @@ def test_csv_is_unchanged(name, args, tmp_path, capsys):
     code, out = run_cli(args, tmp_path, f"{name}.csv")
     assert code in (0, 2)  # reproduce-all exits 2 on its standing misses
     assert out.read_bytes() == (PARENT_CSVS / f"{name}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["reproduce-all", "--tol", "1e-3"],
+    ["reproduce-all", "--workers", "2"],
+    ["threshold", "--workers", "2"],
+    ["local-amp", "--workers", "2"],
+], ids=["reproduce-all-tol", "reproduce-all-workers", "threshold-workers", "local-amp-workers"])
+def test_flag_that_changes_nothing_is_rejected(args, tmp_path, capsys):
+    code, out = run_cli(args, tmp_path)
+    assert code == 1
+    assert_one_error_line(capsys.readouterr().err, f"unrecognized arguments: {args[1]}")
+    assert not out.exists()
+
+
+def test_reproduce_all_sidecar_claims_no_tol(tmp_path, monkeypatch):
+    fake_reproduce_all(monkeypatch)
+    code, _ = run_cli(["reproduce-all"], tmp_path)
+    assert code == 0
+    effective = json.loads((tmp_path / "out.json").read_text())["effective_config"]
+    assert set(effective) == {"cutoff", "output", "skip_source"}
 
 
 def test_source_amp_csv_is_unchanged_but_its_optimum(tmp_path):

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cvbell.source_amp as sa
 from cvbell.bell import (
     BellScenario,
     PartyConditions,
     _mode_observables,
     _mode_slopes,
-    _product_tensor,
     _state_chsh,
     _top_eigenvalue,
     bell_matrices,
@@ -30,6 +30,7 @@ from cvbell.fock import (
     DensityOperator,
     ModeBasis,
     StateVector,
+    _product_tensor,
     embedding_indices,
     fock_state,
     loss_kraus,
@@ -327,8 +328,19 @@ SMALL_GRIDS = dict(cutoff=3, lam_grid=default_squeezing_grid(4),
                    t_grid=default_transmission_grid(5))
 
 
+def source_grid_optimum(party, eta_c, cutoff, lam_grid, t_grid):
+    """The (chsh, squeezing, amp_transmission, delta) grid point that max_source_chsh refines."""
+    basis, stack, trace = sa._source_stack(eta_c, cutoff)
+    deltas = np.linspace(0.0, DELTA_MAX, 81)
+    hankels = sa._pair_forms(stack, bell_matrices(basis, party, party, deltas))
+    values = sa._grid_chsh(hankels, trace, lam_grid, t_grid)
+    g, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+    return values[g, i, j], lam_grid[i], t_grid[j], deltas[g]
+
+
 @pytest.mark.parametrize("eta_t, eta_d, refine, expected", [
-    # (chsh, squeezing, amp_transmission, delta) from the per-delta loops.
+    # (chsh, squeezing, amp_transmission, delta) from the per-delta loops,
+    # of the grid scan alone (refine False) and of max_source_chsh.
     (1.0, 1.0, False, (2.243917871879339, 0.13333333333333333,
                        0.0004043428237538843, 0.6749999999999999)),
     # With refine, delta is pinned at the slope refine's optimum.
@@ -339,8 +351,11 @@ SMALL_GRIDS = dict(cutoff=3, lam_grid=default_squeezing_grid(4),
 ])
 def test_max_source_chsh_pinned(eta_t, eta_d, refine, expected):
     party = PartyConditions(eta_t=eta_t, eta_d=eta_d)
-    found = max_source_chsh(party, party, eta_c=0.9, refine=refine, **SMALL_GRIDS)
-    values = (found.chsh_value, found.squeezing, found.amp_transmission, found.delta)
+    if refine:
+        found = max_source_chsh(party, party, eta_c=0.9, **SMALL_GRIDS)
+        values = (found.chsh_value, found.squeezing, found.amp_transmission, found.delta)
+    else:
+        values = source_grid_optimum(party, eta_c=0.9, **SMALL_GRIDS)
     assert values == pytest.approx(expected, abs=1e-12)
 
 

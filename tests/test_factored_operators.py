@@ -5,7 +5,7 @@ basis keeps; ``np.kron`` followed by the capped-index projection is the
 reference, entry for entry.  The filtered-source threshold pulls its
 filtered Bell operators and ``F^2`` back through the transmission loss one
 mode at a time (``source_amp._filtered_pullback``) and sends the chosen
-state forward the same way (``source_amp._lossy_state``); the two-mode Kraus
+state forward the same way (``measurement._lossy_state``); the two-mode Kraus
 operators of ``fock.embed_single_mode`` and ``fock.loss_kraus`` are the
 reference for both.
 """
@@ -18,7 +18,7 @@ import cvbell.source_amp as sa
 from cvbell.bell import PartyConditions, _capped_kron, bell_matrices
 from cvbell.fock import ModeBasis, embed_single_mode, embedding_indices, loss_kraus
 from cvbell.local_amp import filter_diagonal
-from cvbell.measurement import DELTA_MAX
+from cvbell.measurement import DELTA_MAX, _lossy_state
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -94,7 +94,8 @@ def test_per_mode_loss_matches_embedded_kraus(eta, gain, applications, cutoff, e
     kraus = embedded_loss(basis, eta)
     F = filter_diagonal(basis, gain, applications)
 
-    bells, trace = sa._filtered_pullback(basis, alice, bob, deltas, gain, applications)(eta)
+    bells, trace = sa._filtered_pullback(basis, alice, bob, deltas, gain, applications,
+                                         cutoff)(eta)
     filtered = F[:, None] * bell_matrices(basis, alice, bob, deltas) * F
     assert_relatively_close(bells, through_embedded(filtered, kraus, adjoint=True))
     assert_relatively_close(trace, through_embedded(np.diag(F * F), kraus, adjoint=True))
@@ -102,5 +103,5 @@ def test_per_mode_loss_matches_embedded_kraus(eta, gain, applications, cutoff, e
     M = rng.normal(size=(basis.dimension,) * 2) + 1j * rng.normal(size=(basis.dimension,) * 2)
     rho = M @ M.conj().T
     assert_relatively_close(
-        sa._lossy_state(basis, rho, eta), through_embedded(rho, kraus, adjoint=False)
+        _lossy_state(basis, rho, eta), through_embedded(rho, kraus, adjoint=False)
     )

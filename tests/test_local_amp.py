@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from cvbell.cli import _solve_at
-from cvbell.fock import LossChannel, apply_channel
+from cvbell.fock import LossChannel, apply_channel, shared_basis
 from cvbell.local_amp import (
     apply_filters,
+    filter_diagonal,
     filter_operator,
     filtered_chsh,
     filtered_critical_transmission,
@@ -17,6 +18,7 @@ from cvbell.local_amp import (
     psi2_state,
 )
 from cvbell.parallel import map_ordered
+from cvbell.source_amp import amplified_source_threshold_with_filters
 
 
 class TestFilterOperator:
@@ -28,6 +30,38 @@ class TestFilterOperator:
 
     def test_gain_three_two_photons(self):
         assert filter_operator(3.0, 3).matrix[2, 2] == pytest.approx(5.0)
+
+
+#: Every public way into the filter, called with a gain and a number of applications.
+FILTER_ENTRY_POINTS = {
+    "filter_diagonal": lambda g, m: filter_diagonal(shared_basis((2, 2)), g, m),
+    "filter_operator": lambda g, m: filter_operator(g, 4),
+    "apply_filters": lambda g, m: apply_filters(lossy_psi2(0.8), g, m),
+    "filtered_state": lambda g, m: filtered_state(0.8, g, m),
+    "filtered_chsh": lambda g, m: filtered_chsh(0.8, g, m),
+    "filtered_critical_transmission": lambda g, m: filtered_critical_transmission(g, m),
+    "amplified_source_threshold_with_filters":
+        lambda g, m: amplified_source_threshold_with_filters(g, m, cutoff=2),
+}
+
+
+class TestFilterArguments:
+    """The filter's gain and applications are checked once, in ``filter_diagonal``."""
+
+    @pytest.mark.parametrize("entry", FILTER_ENTRY_POINTS)
+    @pytest.mark.parametrize("gain", [float("nan"), float("inf"), -1.0, 0.5])
+    def test_gain_below_one_or_not_finite_is_named(self, entry, gain):
+        message = re.escape(f"filter gain must be finite and at least 1, got {gain}")
+        with pytest.raises(ValueError, match=message):
+            FILTER_ENTRY_POINTS[entry](gain, 1)
+
+    @pytest.mark.parametrize("entry", [name for name in FILTER_ENTRY_POINTS
+                                       if name != "filter_operator"])
+    @pytest.mark.parametrize("applications", [0, -2])
+    def test_fewer_than_one_application_is_named(self, entry, applications):
+        message = f"filter applications must be at least 1, got {applications}"
+        with pytest.raises(ValueError, match=message):
+            FILTER_ENTRY_POINTS[entry](2.0, applications)
 
 
 class TestLossyPsi2:
@@ -141,7 +175,8 @@ class TestApplyFilters:
             return
         party = PartyConditions(eta_t=1.0, eta_d=1.0, eta_h=1.0)
         with pytest.raises(ValueError, match=message):
-            sa._filtered_pullback(lossy_psi2(0.8).basis, party, party, [0.5], gain, applications)
+            sa._filtered_pullback(lossy_psi2(0.8).basis, party, party, [0.5], gain, applications,
+                                  cutoff=2)
 
     def test_positivity_preserved(self):
         rho = apply_filters(lossy_psi2(0.4), 3.0, 2)

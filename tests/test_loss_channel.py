@@ -1,7 +1,7 @@
 """The loss as one channel matrix, stacks row by row, and grid eigenvalues.
 
 ``measurement._through_loss`` applies the adjoint loss to a raveled stack as
-one product with ``C = sum_k A_k (x) A_k``, and ``source_amp._lossy_state``
+one product with ``C = sum_k A_k (x) A_k``, and ``measurement._lossy_state``
 applies the forward loss with ``C^T``; the Kraus sums over
 ``fock.loss_kraus``, summed in extended precision, are the reference.  A
 stack's rows are separate
@@ -15,11 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import cvbell.source_amp as sa
 from cvbell.bell import PartyConditions, bell_matrices
 from cvbell.fock import ModeBasis, embedding_indices, hermitian_eig, hermitian_eigvals, loss_kraus
 from cvbell.measurement import (
     DELTA_MAX,
+    _lossy_state,
     _through_loss,
     binned_homodyne_povms,
     binned_homodyne_slopes,
@@ -73,7 +73,7 @@ def test_forward_loss_matches_kraus_sum(eta, cutoffs, capped, seed):
         extended(np.kron(A, B)) @ extended(padded) @ extended(np.kron(A, B)).T
         for A in loss_kraus(eta, ca) for B in loss_kraus(eta, cb)
     )[np.ix_(idx, idx)]
-    found = sa._lossy_state(basis, rho, eta)
+    found = _lossy_state(basis, rho, eta)
     assert np.abs(found - reference).max() <= 1e-15 * stack_scale(rho, reference)
 
 

@@ -6,6 +6,11 @@ time.  The solvers act on single modes and mode pairs instead, and the tests
 hold them to these primitives: ``source_amp._cached_bs`` fills only a
 splitter's input columns from the pair amplitudes, and
 ``tests/test_source_circuit.py`` holds it to ``beam_splitter`` bitwise.
+
+The loss channel matrix ``measurement._loss_channel`` has a layout (the
+raveled ``(n, n')`` pairs of ``C = sum_k A_k (x) A_k``) that only
+``measurement.py`` knows: the other modules apply loss through
+``_through_loss`` and ``_lossy_state``.
 """
 
 import ast
@@ -50,3 +55,30 @@ def test_no_production_module_uses_a_reference_primitive(path):
 def test_the_walk_finds_a_reference_import():
     tree = ast.parse("from .fock import ModeBasis, embed_single_mode\nfock.tensor(a, b)\n")
     assert fock_names_used(tree) == {"ModeBasis", "embed_single_mode", "tensor"}
+
+
+def names_read(tree: ast.AST) -> set:
+    """Every name a module reads: bare names, attributes and imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.name != "measurement.py"),
+                         ids=lambda p: p.name)
+def test_only_measurement_reads_the_loss_channel_matrix(path):
+    assert "_loss_channel" not in names_read(ast.parse(path.read_text(encoding="utf-8")))
+
+
+def test_the_walk_finds_the_loss_channel():
+    assert "_loss_channel" in names_read(ast.parse((PACKAGE / "measurement.py").read_text()))
+    for source in ("from .measurement import _loss_channel\n",
+                   "measurement._loss_channel(0.5, 2)\n"):
+        assert "_loss_channel" in names_read(ast.parse(source))

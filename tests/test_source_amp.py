@@ -290,7 +290,6 @@ class TestSourceOptimization:
             UNIT,
             lam_grid=default_squeezing_grid(12),
             t_grid=default_transmission_grid(18),
-            delta_points=41,
         )
         assert opt.chsh_value > 2.30
         assert opt.chsh_value <= 2.3137 + 1e-6

@@ -177,11 +177,11 @@ def test_output_plate_on_the_gram_equals_the_per_branch_plate(cutoff, ancilla, b
     stack = random_stack(seed, (branches, ModeBasis(kept).dimension, width)).real.copy()
 
     def heralded_gram(config, arms, cutoffs, mode, output, photon):
-        return sa._gram(output(stack)), 1.0
+        return sa._gram(output(stack))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sa, "_heralded_gram", heralded_gram)
-        basis, gram, _ = sa._output_gram(config, sa._tmsv_column(0.0, cutoff))
+        basis, gram = sa._output_gram(config, sa._tmsv_column(0.0, cutoff))
     full = (cutoff + kept[1],) * 2
     plated = sa._phase_plate(sa._split(stack, kept, 0, 0.5, full), full, 1j)
     reference = sa._gram(plated[:, sa._product_index(basis)])

@@ -39,7 +39,7 @@ def unfolded_rows(eta_c, cutoff):
     inputs = np.zeros((arms.dimension, cutoff + 1), dtype=complex)
     for n in range(cutoff + 1):
         inputs[arms.index_of((n, n)), n] = 1.0
-    _, blocks, _ = sa._output_gram(config, inputs, photon=np.eye(2))
+    _, blocks = sa._output_gram(config, inputs, photon=np.eye(2))
     d, P = blocks.shape[:2]
     return blocks.transpose(1, 3, 2, 0).reshape(P * P, d * d)
 
@@ -77,14 +77,14 @@ def dense_values(forms, trace, inputs):
 
 
 def image_state(lam, t, eta_c, cutoff):
-    basis, stack = sa._source_stack(eta_c, cutoff)
+    basis, stack, _ = sa._source_stack(eta_c, cutoff)
     return sa._image_state(basis, stack, lam, t)
 
 
 @settings(max_examples=20, deadline=None)
 @given(cutoff=st.integers(min_value=1, max_value=6), eta_c=st.sampled_from([1.0, 0.9]))
 def test_folded_rows_equal_fold_of_unfolded_gram(cutoff, eta_c):
-    basis, (re, im) = sa._source_stack(eta_c, cutoff)
+    basis, (re, im), _ = sa._source_stack(eta_c, cutoff)
     rows = unfolded_rows(eta_c, cutoff)
     assert re.shape == im.shape == (4 * (2 * cutoff + 1), basis.dimension ** 2)
     assert not re.flags.writeable and not im.flags.writeable
@@ -118,8 +118,8 @@ def test_image_state_matches_circuit(lam, t, eta_c, cutoff):
 def test_grid_values_equal_chsh_of_materialized_states():
     party = PartyConditions(eta_t=0.9, eta_d=0.95)
     lam_grid, t_grid = default_squeezing_grid(4), default_transmission_grid(5)
-    deltas = np.linspace(0.0, DELTA_MAX, 7)  # the grid of max_source_chsh
-    basis, stack, trace = sa._source_stack(0.9, 3, trace=True)
+    deltas = np.linspace(0.0, DELTA_MAX, 7)
+    basis, stack, trace = sa._source_stack(0.9, 3)
     forms = sa._pair_forms(stack, bell_matrices(basis, party, party, deltas))
     values = sa._grid_chsh(forms, trace, lam_grid, t_grid).reshape(len(deltas), -1)
 
@@ -130,19 +130,11 @@ def test_grid_values_equal_chsh_of_materialized_states():
     ])
     assert np.abs(values - expected).max() <= 1e-12
 
-    found = max_source_chsh(party, party, eta_c=0.9, cutoff=3, lam_grid=lam_grid,
-                            t_grid=t_grid, delta_points=7, refine=False)
-    g, k = np.unravel_index(int(np.argmax(values)), values.shape)
-    assert (found.delta, found.squeezing, found.amp_transmission) == (
-        deltas[g], lam_grid[k // len(t_grid)], t_grid[k % len(t_grid)]
-    )
-    assert found.chsh_value == pytest.approx(expected.max(), abs=1e-12)
-
 
 def test_stack_cache_stays_bounded():
     party = PartyConditions()
     grids = dict(cutoff=2, lam_grid=default_squeezing_grid(3),
-                 t_grid=default_transmission_grid(3), refine=False)
+                 t_grid=default_transmission_grid(3))
     etas = [0.8 + 0.02 * i for i in range(sa._STACK_CACHE_SIZE + 3)]
     for eta_c in etas:
         max_source_chsh(party, party, eta_c=eta_c, **grids)
@@ -181,12 +173,12 @@ parties = st.builds(PartyConditions, eta_t=st.floats(0.5, 1.0), eta_d=st.floats(
 def test_factored_grid_matches_dense_forms(cutoff, eta_c, lam_points, lam_upper, t_points,
                                           t_lower, alice, bob, filtered, eta, gain):
     # Every grid holds lam = 0 and t = 0.99, the ends of the default grids.
-    lam_grid = default_squeezing_grid(lam_points, lam_upper)
-    t_grid = default_transmission_grid(t_points, t_lower) if t_points > 1 else (0.99,)
-    basis, stack, trace = sa._source_stack(eta_c, cutoff, trace=True)
+    lam_grid = np.linspace(0.0, lam_upper, lam_points)
+    t_grid = np.geomspace(t_lower, 0.99, t_points) if t_points > 1 else (0.99,)
+    basis, stack, trace = sa._source_stack(eta_c, cutoff)
     deltas = np.linspace(0.0, DELTA_MAX, 81)
     if filtered:  # the operators of the filtered-source threshold
-        bells, square = sa._filtered_pullback(basis, alice, bob, deltas, gain, 1)(eta)
+        bells, square = sa._filtered_pullback(basis, alice, bob, deltas, gain, 1, cutoff)(eta)
         ops = np.concatenate([bells, square[None]])
         hankels = sa._pair_forms(stack, ops)
         hankels, trace = hankels[:-1], hankels[-1]
@@ -218,12 +210,10 @@ def test_factored_grid_matches_dense_forms(cutoff, eta_c, lam_points, lam_upper,
     bob=parties,
 )
 def test_golden_section_objectives_match_grid(lam, t, delta, cutoff, eta_c, alice, bob):
-    basis, stack, trace = sa._source_stack(eta_c, cutoff, trace=True)
+    basis, stack, trace = sa._source_stack(eta_c, cutoff)
     form = sa._pair_forms(stack, bell_matrices(basis, alice, bob, [delta]))
     expected = sa._grid_chsh(form, trace, [lam], [t])[0, 0, 0]
-    forms = np.stack([form[0], trace])
-    assert abs(sa._along_lam(forms, t)(lam) - expected) <= 1e-13
-    assert abs(sa._along_t(forms, lam)(t) - expected) <= 1e-13
+    assert abs(sa._point_chsh(np.stack([form[0], trace]))(lam, t) - expected) <= 1e-13
 
 
 SMALL = dict(cutoff=2, lam_grid=default_squeezing_grid(4), t_grid=default_transmission_grid(5))
