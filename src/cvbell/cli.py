@@ -22,11 +22,12 @@ that takes them and are skipped by the others.  The keys are turned into
 flags and parsed by the same parser: ``eta_d = 0.9`` is ``--eta-d=0.9``,
 ``symmetry = asymmetric`` is ``--asymmetric`` and ``skip_source = yes|no``
 sets or omits ``--skip-source``.  Flags on the command line win over the
-file, and a bad key or value is reported with its ``file:line``.  Every run writes a CSV
-result table and a JSON sidecar describing the effective configuration
-(whose ``tol`` the solvers got), the conventions and the delta-refinement
-and violation tolerances.  Exit codes: 0 success, 1 invalid
-configuration, 2 reproduction-gate failure.
+file, and an unknown key in the command's section or a bad value is
+reported with its ``file:line``.  Every run writes a CSV result table and a
+JSON sidecar describing the effective configuration (whose ``tol`` the
+solvers got), the conventions and the delta-refinement and violation
+tolerances.  Exit codes: 0 success, 1 invalid configuration, 2
+reproduction-gate failure.
 """
 
 from __future__ import annotations
