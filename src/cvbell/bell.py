@@ -10,8 +10,11 @@ measurement efficiencies (a loss upstream of the detectors is a detector
 inefficiency), so states are always written at the source.
 
 State optimization is restricted to the subspace with at most two photons in
-total, where the top eigenvector of the projected Bell operator is the
-optimal entangled state for the given losses.
+total (``total_cap``).  The binned quadrature and photodetection keep each
+mode's photon parity, so the projected Bell operator is block-diagonal in
+the four (P_a, P_b) parity sectors; the optimal entangled state for the
+given losses is the top eigenvector of the sector whose top eigenvalue is
+largest, and each sector is solved on its own.
 
 Every loss threshold of the package is :func:`bisect_threshold` applied to
 a max-CHSH function; :func:`critical_efficiency` is this scenario's.  A
@@ -24,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -163,20 +167,99 @@ def _kron_gather(cutoff_a: int, cutoff_b: int, total_cap) -> tuple[np.ndarray, n
     return gathers
 
 
+def _kron_take(terms, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
+    """``sum a[ia] * b[ib]`` over the (a, b) pairs, each factor raveled per matrix.
+
+    A factor may be one matrix or a stack; the stacks broadcast.
+    """
+    out = None
+    for a, b in terms:
+        term = (np.take(a.reshape(*a.shape[:-2], -1), ia, axis=-1)
+                * np.take(b.reshape(*b.shape[:-2], -1), ib, axis=-1))
+        out = term if out is None else out + term
+    return out
+
+
 def _capped_kron(basis: ModeBasis, terms) -> np.ndarray:
     """``sum a (x) b`` over the (a, b) pairs, stacked over delta, on the basis.
 
     Each entry is gathered from the per-mode factors (:func:`_kron_gather`),
     so only the basis's entries are formed, never the full Kronecker product.
-    A factor may be one matrix or a stack; the stacks broadcast.
+    All pairs share the per-mode dimensions.
     """
-    out = None
-    for a, b in terms:
-        ia, ib = _kron_gather(a.shape[-1] - 1, b.shape[-1] - 1, basis.total_cap)
-        term = (np.take(a.reshape(*a.shape[:-2], -1), ia, axis=-1)
-                * np.take(b.reshape(*b.shape[:-2], -1), ib, axis=-1))
-        out = term if out is None else out + term
-    return out
+    a, b = terms[0]
+    return _kron_take(terms, *_kron_gather(a.shape[-1] - 1, b.shape[-1] - 1, basis.total_cap))
+
+
+@dataclass(frozen=True)
+class _Sectors:
+    """The photon-parity sectors of a two-mode basis (:func:`_parity_sectors`).
+
+    ``positions`` holds each non-empty sector's positions in the basis, in
+    ``(P_a, P_b)`` order; ``gathers`` the flat per-mode indices
+    (:func:`_kron_gather`) of every sector's block, raveled and packed
+    sector after sector; ``runs`` a ``(k, n)`` pair for each run of k
+    consecutive sectors of size n.
+    """
+
+    positions: tuple
+    gathers: tuple
+    runs: tuple
+
+
+@lru_cache(maxsize=64)
+def _parity_sectors(cutoff_a: int, cutoff_b: int, total_cap) -> _Sectors:
+    """The photon-parity sectors of the (capped) two-mode basis.
+
+    The bin ``|x| <= delta`` is symmetric and photodetection is diagonal, so
+    every per-mode observable (after loss, and under the diagonal filters)
+    commutes with that mode's photon parity: the Bell operator has no entry
+    between elements whose ``(n_a mod 2, n_b mod 2)`` differ.  A sector is a
+    set of positions in the unchanged lexicographic basis.
+    """
+    occupations = shared_basis((cutoff_a, cutoff_b), total_cap).occupations
+    parities = occupations % 2
+    positions = [np.flatnonzero((parities == sector).all(axis=1))
+                 for sector in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    positions = tuple(p for p in positions if p.size)
+    gathers = tuple(
+        np.concatenate([(n[:, None] * (cutoff + 1) + n).ravel()
+                        for n in (occupations[p, mode] for p in positions)])
+        for mode, cutoff in ((0, cutoff_a), (1, cutoff_b))
+    )
+    for index in (*positions, *gathers):
+        index.setflags(write=False)
+    runs = tuple((len(list(run)), n) for n, run in groupby(p.size for p in positions))
+    return _Sectors(positions, gathers, runs)
+
+
+def _sector_blocks(basis: ModeBasis, terms) -> list[np.ndarray]:
+    """``sum a (x) b`` on each photon-parity sector of the basis.
+
+    Every sector's block is gathered straight from the per-mode factors in
+    one packed gather, never from the full matrix.  Returns one
+    ``(..., k, n, n)`` stack per run of k sectors of size n, in sector order.
+    """
+    sectors = _parity_sectors(*_trimmed_cutoffs(basis), basis.total_cap)
+    packed = _kron_take(terms, *sectors.gathers)
+    blocks, start = [], 0
+    for k, n in sectors.runs:
+        blocks.append(packed[..., start:start + k * n * n].reshape(*packed.shape[:-1], k, n, n))
+        start += k * n * n
+    return blocks
+
+
+def _top_pairs(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue ``(...)`` and eigenvector ``(..., n, 1)`` of each block.
+
+    A 1 x 1 block is its own eigenpair, read without LAPACK; larger ones go
+    through :func:`cvbell.fock.hermitian_eig`, which rejects a non-Hermitian
+    or non-finite block.
+    """
+    if blocks.shape[-1] == 1:
+        return blocks[..., 0, 0], np.ones_like(blocks)
+    w, v = hermitian_eig(blocks)
+    return w[..., -1], v[..., -1:]
 
 
 def bell_matrices(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions,
@@ -247,18 +330,31 @@ def _state_chsh(state, alice: PartyConditions, bob: PartyConditions):
 def _top_eigenvalue(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions):
     """Top eigenvalue of the Bell operator as a function of the bin half-widths.
 
-    Returns ``top(deltas)`` and ``top_and_slope(deltas)``; the slope is
-    ``v^T dB v`` with v the top eigenvector (Hellmann-Feynman).
+    Returns ``top(deltas)`` and ``top_and_slope(deltas)``.  B is block-diagonal
+    in the photon-parity sectors (:func:`_parity_sectors`), so its top
+    eigenvalue is the largest of the sectors'; a NaN in any sector makes it
+    NaN.  On the grid, 1 x 1 sectors are read and larger ones take
+    :func:`cvbell.fock.hermitian_eigvals`.  The slope is ``v^T dB v`` with v
+    the top eigenvector of the winning sector and dB that sector's block
+    (Hellmann-Feynman).
     """
 
     def top(deltas):
-        return hermitian_eigvals(bell_matrices(basis, alice, bob, deltas))[:, -1]
+        Xa, Na, plus, minus = _mode_observables(basis, alice, bob, deltas)
+        tops = [block[..., 0, 0] if block.shape[-1] == 1 else hermitian_eigvals(block)[..., -1]
+                for block in _sector_blocks(basis, ((Xa, plus), (Na, minus)))]
+        return np.concatenate(tops, axis=-1).max(axis=-1)
 
     def top_and_slope(deltas):
         values, slopes = _mode_slopes(basis, alice, bob, deltas)
-        w, v = hermitian_eig(_capped_kron(basis, values))
-        v = v[:, :, -1:]
-        return w[:, -1], (v.swapaxes(-1, -2) @ _capped_kron(basis, slopes) @ v)[:, 0, 0]
+        tops, derivatives = [], []
+        for B, dB in zip(_sector_blocks(basis, values), _sector_blocks(basis, slopes)):
+            w, v = _top_pairs(B)
+            tops.append(w)
+            derivatives.append((v.swapaxes(-1, -2) @ dB @ v)[..., 0, 0])
+        tops, derivatives = np.concatenate(tops, axis=-1), np.concatenate(derivatives, axis=-1)
+        best = np.arange(len(tops)), np.argmax(tops, axis=-1)
+        return tops[best], derivatives[best]
 
     return top, top_and_slope
 
@@ -268,13 +364,24 @@ def optimal_state(
 ) -> tuple[StateVector, float]:
     """Top eigenpair of the Bell operator on the photon-capped subspace.
 
-    The eigenvector's global phase is fixed so that its largest-magnitude
+    The eigenvector is the top one of the photon-parity sector with the
+    largest top eigenvalue (:func:`_parity_sectors`), embedded in the capped
+    basis.  Its global phase is fixed so that its largest-magnitude
     coefficient is real positive.
     """
     basis = shared_basis((cutoff, cutoff), total_cap)
-    B = bell_matrix(basis, scenario)
-    w, v = hermitian_eig(B)
-    return StateVector(basis, anchor_phase(v[:, -1])), float(w[-1])
+    Xa, Na, plus, minus = _mode_observables(basis, scenario.alice, scenario.bob,
+                                            [scenario.delta])
+    pairs = [_top_pairs(block[0]) for block in _sector_blocks(basis, ((Xa, plus), (Na, minus)))]
+    tops = np.concatenate([w for w, _ in pairs])
+    vectors = [vector[:, 0] for _, v in pairs for vector in v]
+    best = int(np.argmax(tops))
+    if not np.isfinite(tops[best]):
+        raise ValueError("Bell operator is not finite")
+    positions = _parity_sectors(*_trimmed_cutoffs(basis), total_cap).positions[best]
+    amplitudes = np.zeros(basis.dimension, dtype=vectors[best].dtype)
+    amplitudes[positions] = vectors[best]
+    return StateVector(basis, anchor_phase(amplitudes)), float(tops[best])
 
 
 def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:

@@ -37,7 +37,7 @@ import configparser
 import math
 import re
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -144,7 +144,14 @@ def _config_origin(path: str, command: str, key: str) -> tuple[str, int | None]:
     return command, None
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process.
+
+    Building it costs milliseconds (argparse makes a help formatter for every
+    argument), and a parse only reads it: each parse fills a new namespace
+    from the declared defaults, so one run leaves nothing for the next.
+    """
     parser = _Parser(prog="cvbell", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -112,6 +112,26 @@ class TestParsing:
         assert code == 0
         assert len(calls) == 1
 
+    def test_shared_parser_keeps_nothing_between_runs(self, tmp_path, monkeypatch):
+        assert cvbell.cli.build_parser() is cvbell.cli.build_parser()
+        monkeypatch.setattr(cvbell.cli, "critical_efficiency", lambda *a, **k: None)
+
+        def config(out):
+            return json.loads(out.with_suffix(".json").read_text())["effective_config"]
+
+        assert run_cli(["threshold", "--asymmetric"], tmp_path, "asym.csv")[0] == 0
+        code, plain = run_cli(["threshold"], tmp_path, "plain.csv")
+        assert code == 0 and read_rows(plain)[0]["symmetry"] == "symmetric"
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[threshold]\ntarget = eta-d\neta_d = 0.9\nstate = psi2\n"
+                       "symmetry = asymmetric\ntol = 1e-3\ncutoff = 4\n")
+        assert run_cli(["threshold", "--config", str(cfg)], tmp_path, "cfg.csv")[0] == 0
+        assert read_rows(tmp_path / "cfg.csv")[0]["target"] == "eta-d"
+        code, after = run_cli(["threshold"], tmp_path, "after.csv")
+        assert code == 0
+        assert after.read_bytes() == plain.read_bytes()
+        assert {**config(after), "output": None} == {**config(plain), "output": None}
+
     def test_seed_flag_removed(self, capsys):
         assert main(["threshold", "--seed", "1"]) == 1
         assert "--seed" in capsys.readouterr().err
