@@ -14,7 +14,9 @@ total (``total_cap``).  The binned quadrature and photodetection keep each
 mode's photon parity, so the projected Bell operator is block-diagonal in
 the four (P_a, P_b) parity sectors; the optimal entangled state for the
 given losses is the top eigenvector of the sector whose top eigenvalue is
-largest, and each sector is solved on its own.
+largest, and each sector is solved on its own.  Every two-mode operator of
+a solver is gathered in that packed sector layout (:func:`_packed_kron`);
+:func:`bell_matrices` is the dense reference.
 
 Every loss threshold of the package is :func:`bisect_threshold` applied to
 a max-CHSH function; :func:`critical_efficiency` is this scenario's.  A
@@ -114,9 +116,9 @@ def _trimmed_cutoffs(basis: ModeBasis) -> tuple[int, int]:
 
 
 def _mode_observables(basis, alice, bob, deltas):
-    """Binned-homodyne X (one per delta) and photodetection N of each party.
+    """The terms ``((Xa, Xb + Nb), (Na, Xb - Nb))`` of B at the trimmed cutoffs.
 
-    Returns Alice's (X, N) and Bob's (X + N, X - N) at the trimmed cutoffs.
+    X is the binned-homodyne observable (one per delta), N photodetection.
     """
     ca, cb = _trimmed_cutoffs(basis)
     eta_a, eta_b = alice.eta_h * alice.eta_t, bob.eta_h * bob.eta_t
@@ -127,7 +129,7 @@ def _mode_observables(basis, alice, bob, deltas):
         Xb = binned_homodyne_povms(eta_b, deltas, cb)[2]
     Na = photodetection_povm(alice.eta_d * alice.eta_t, ca)[2]
     Nb = photodetection_povm(bob.eta_d * bob.eta_t, cb)[2]
-    return Xa, Na, Xb + Nb, Xb - Nb
+    return (Xa, Xb + Nb), (Na, Xb - Nb)
 
 
 def _mode_slopes(basis, alice, bob, deltas):
@@ -150,28 +152,60 @@ def _mode_slopes(basis, alice, bob, deltas):
     return ((Xa, plus), (Na, Xb - Nb)), ((dXa, plus), (Xa + Na, dXb))
 
 
+@dataclass(frozen=True)
+class _Sectors:
+    """The photon-parity sectors of a two-mode basis (:func:`_parity_sectors`).
+
+    ``positions`` holds each non-empty sector's positions in the basis, in
+    ``(P_a, P_b)`` order.  The blocks are raveled and packed sector after
+    sector; ``gathers`` holds each packed entry's flat index into Alice's and
+    Bob's raveled factors, ``entries`` its flat position in the ``(d, d)``
+    matrix.  ``runs`` has a ``(k, n)`` pair per run of k sectors of size n.
+    """
+
+    positions: tuple
+    gathers: tuple
+    entries: np.ndarray
+    runs: tuple
+
+
 @lru_cache(maxsize=64)
-def _kron_gather(cutoff_a: int, cutoff_b: int, total_cap) -> tuple[np.ndarray, np.ndarray]:
-    """Where each entry of a two-mode operator sits in its per-mode factors.
+def _parity_sectors(basis: ModeBasis) -> _Sectors:
+    """The photon-parity sectors of a (capped) two-mode basis.
 
-    With ``(alpha_i, beta_i)`` the occupations of element i of the (capped)
-    basis, entry ``(i, j)`` of ``a (x) b`` is ``a[alpha_i, alpha_j]
-    b[beta_i, beta_j]``.  Returns the read-only ``(d, d)`` flat indices of
-    those entries into the raveled single-mode matrices.
+    The bin ``|x| <= delta`` is symmetric and photodetection is diagonal, so
+    every per-mode observable (after loss, and under the diagonal filters)
+    commutes with that mode's photon parity: the Bell operator has no entry
+    between elements whose ``(n_a mod 2, n_b mod 2)`` differ.  A sector is a
+    set of positions in the unchanged lexicographic basis.  Entry ``(i, j)``
+    of ``a (x) b`` is ``a[alpha_i, alpha_j] b[beta_i, beta_j]``, with
+    ``(alpha_i, beta_i)`` the occupations of element i.
     """
-    alpha, beta = shared_basis((cutoff_a, cutoff_b), total_cap).occupations.T
-    gathers = (alpha[:, None] * (cutoff_a + 1) + alpha,
-               beta[:, None] * (cutoff_b + 1) + beta)
-    for index in gathers:
+    occupations, (ca, cb) = basis.occupations, _trimmed_cutoffs(basis)
+    parities = occupations % 2
+    positions = [np.flatnonzero((parities == sector).all(axis=1))
+                 for sector in ((0, 0), (0, 1), (1, 0), (1, 1))]
+    positions = tuple(p for p in positions if p.size)
+
+    def packed(index, size):
+        return np.concatenate([(index[p, None] * size + index[p]).ravel() for p in positions])
+
+    gathers = (packed(occupations[:, 0], ca + 1), packed(occupations[:, 1], cb + 1))
+    entries = packed(np.arange(basis.dimension), basis.dimension)
+    for index in (*positions, *gathers, entries):
         index.setflags(write=False)
-    return gathers
+    runs = tuple((len(list(run)), n) for n, run in groupby(p.size for p in positions))
+    return _Sectors(positions, gathers, entries, runs)
 
 
-def _kron_take(terms, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
-    """``sum a[ia] * b[ib]`` over the (a, b) pairs, each factor raveled per matrix.
+def _packed_kron(basis: ModeBasis, terms) -> np.ndarray:
+    """``sum a (x) b`` over the (a, b) pairs on the photon-parity sectors only.
 
-    A factor may be one matrix or a stack; the stacks broadcast.
+    Each entry of each sector's block is gathered from the per-mode factors
+    (one matrix or a stack; stacks broadcast) and packed, ``(..., sum n^2)``
+    (:func:`_parity_sectors`).  The entries between sectors are not formed.
     """
+    ia, ib = _parity_sectors(basis).gathers
     out = None
     for a, b in terms:
         term = (np.take(a.reshape(*a.shape[:-2], -1), ia, axis=-1)
@@ -180,70 +214,15 @@ def _kron_take(terms, ia: np.ndarray, ib: np.ndarray) -> np.ndarray:
     return out
 
 
-def _capped_kron(basis: ModeBasis, terms) -> np.ndarray:
-    """``sum a (x) b`` over the (a, b) pairs, stacked over delta, on the basis.
-
-    Each entry is gathered from the per-mode factors (:func:`_kron_gather`),
-    so only the basis's entries are formed, never the full Kronecker product.
-    All pairs share the per-mode dimensions.
-    """
-    a, b = terms[0]
-    return _kron_take(terms, *_kron_gather(a.shape[-1] - 1, b.shape[-1] - 1, basis.total_cap))
-
-
-@dataclass(frozen=True)
-class _Sectors:
-    """The photon-parity sectors of a two-mode basis (:func:`_parity_sectors`).
-
-    ``positions`` holds each non-empty sector's positions in the basis, in
-    ``(P_a, P_b)`` order; ``gathers`` the flat per-mode indices
-    (:func:`_kron_gather`) of every sector's block, raveled and packed
-    sector after sector; ``runs`` a ``(k, n)`` pair for each run of k
-    consecutive sectors of size n.
-    """
-
-    positions: tuple
-    gathers: tuple
-    runs: tuple
-
-
-@lru_cache(maxsize=64)
-def _parity_sectors(cutoff_a: int, cutoff_b: int, total_cap) -> _Sectors:
-    """The photon-parity sectors of the (capped) two-mode basis.
-
-    The bin ``|x| <= delta`` is symmetric and photodetection is diagonal, so
-    every per-mode observable (after loss, and under the diagonal filters)
-    commutes with that mode's photon parity: the Bell operator has no entry
-    between elements whose ``(n_a mod 2, n_b mod 2)`` differ.  A sector is a
-    set of positions in the unchanged lexicographic basis.
-    """
-    occupations = shared_basis((cutoff_a, cutoff_b), total_cap).occupations
-    parities = occupations % 2
-    positions = [np.flatnonzero((parities == sector).all(axis=1))
-                 for sector in ((0, 0), (0, 1), (1, 0), (1, 1))]
-    positions = tuple(p for p in positions if p.size)
-    gathers = tuple(
-        np.concatenate([(n[:, None] * (cutoff + 1) + n).ravel()
-                        for n in (occupations[p, mode] for p in positions)])
-        for mode, cutoff in ((0, cutoff_a), (1, cutoff_b))
-    )
-    for index in (*positions, *gathers):
-        index.setflags(write=False)
-    runs = tuple((len(list(run)), n) for n, run in groupby(p.size for p in positions))
-    return _Sectors(positions, gathers, runs)
-
-
 def _sector_blocks(basis: ModeBasis, terms) -> list[np.ndarray]:
     """``sum a (x) b`` on each photon-parity sector of the basis.
 
-    Every sector's block is gathered straight from the per-mode factors in
-    one packed gather, never from the full matrix.  Returns one
-    ``(..., k, n, n)`` stack per run of k sectors of size n, in sector order.
+    Splits the packed gather (:func:`_packed_kron`) into one ``(..., k, n, n)``
+    stack per run of k sectors of size n, in sector order.
     """
-    sectors = _parity_sectors(*_trimmed_cutoffs(basis), basis.total_cap)
-    packed = _kron_take(terms, *sectors.gathers)
+    packed = _packed_kron(basis, terms)
     blocks, start = [], 0
-    for k, n in sectors.runs:
+    for k, n in _parity_sectors(basis).runs:
         blocks.append(packed[..., start:start + k * n * n].reshape(*packed.shape[:-1], k, n, n))
         start += k * n * n
     return blocks
@@ -266,10 +245,22 @@ def bell_matrices(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions
                   deltas) -> np.ndarray:
     """Bell operators for a stack of bin half-widths, shape ``(G, d, d)``.
 
-    Each entry is gathered from the per-mode stacks (:func:`_capped_kron`).
+    Built densely (:func:`_projected_kron`): the tests' reference for the
+    packed sector gather of the solvers (:func:`_packed_kron`).
     """
-    Xa, Na, plus, minus = _mode_observables(basis, alice, bob, deltas)
-    return _capped_kron(basis, ((Xa, plus), (Na, minus)))
+    return _projected_kron(basis, _mode_observables(basis, alice, bob, deltas))
+
+
+def _projected_kron(basis: ModeBasis, terms) -> np.ndarray:
+    """``sum a (x) b`` over the (a, b) pairs as full Kronecker products, projected.
+
+    The factors (matrices or stacks) are at the trimmed cutoffs.
+    """
+    da, db = (c + 1 for c in _trimmed_cutoffs(basis))
+    alpha, beta = basis.occupations.T
+    index = alpha * db + beta
+    kron = sum(a[..., :, None, :, None] * b[..., None, :, None, :] for a, b in terms)
+    return kron.reshape(*kron.shape[:-4], da * db, da * db)[..., index[:, None], index]
 
 
 def bell_matrix(basis: ModeBasis, scenario: BellScenario) -> np.ndarray:
@@ -317,8 +308,7 @@ def _state_chsh(state, alice: PartyConditions, bob: PartyConditions):
         )
 
     def chsh(deltas):
-        Xa, Na, plus, minus = _mode_observables(full, alice, bob, deltas)
-        return contract(((Xa, plus), (Na, minus)))
+        return contract(_mode_observables(full, alice, bob, deltas))
 
     def chsh_and_slope(deltas):
         values, slopes = _mode_slopes(full, alice, bob, deltas)
@@ -340,9 +330,8 @@ def _top_eigenvalue(basis: ModeBasis, alice: PartyConditions, bob: PartyConditio
     """
 
     def top(deltas):
-        Xa, Na, plus, minus = _mode_observables(basis, alice, bob, deltas)
         tops = [block[..., 0, 0] if block.shape[-1] == 1 else hermitian_eigvals(block)[..., -1]
-                for block in _sector_blocks(basis, ((Xa, plus), (Na, minus)))]
+                for block in _sector_blocks(basis, _mode_observables(basis, alice, bob, deltas))]
         return np.concatenate(tops, axis=-1).max(axis=-1)
 
     def top_and_slope(deltas):
@@ -370,15 +359,14 @@ def optimal_state(
     coefficient is real positive.
     """
     basis = shared_basis((cutoff, cutoff), total_cap)
-    Xa, Na, plus, minus = _mode_observables(basis, scenario.alice, scenario.bob,
-                                            [scenario.delta])
-    pairs = [_top_pairs(block[0]) for block in _sector_blocks(basis, ((Xa, plus), (Na, minus)))]
+    terms = _mode_observables(basis, scenario.alice, scenario.bob, [scenario.delta])
+    pairs = [_top_pairs(block[0]) for block in _sector_blocks(basis, terms)]
     tops = np.concatenate([w for w, _ in pairs])
     vectors = [vector[:, 0] for _, v in pairs for vector in v]
     best = int(np.argmax(tops))
     if not np.isfinite(tops[best]):
         raise ValueError("Bell operator is not finite")
-    positions = _parity_sectors(*_trimmed_cutoffs(basis), total_cap).positions[best]
+    positions = _parity_sectors(basis).positions[best]
     amplitudes = np.zeros(basis.dimension, dtype=vectors[best].dtype)
     amplitudes[positions] = vectors[best]
     return StateVector(basis, anchor_phase(amplitudes)), float(tops[best])

@@ -70,10 +70,10 @@ from .measurement import DELTA_MAX, _lossy_state, _through_loss, photodetection_
 from .bell import (
     VIOLATION_BOUND,
     PartyConditions,
-    _capped_kron,
     _mode_observables,
+    _packed_kron,
+    _parity_sectors,
     _scenario_for,
-    bell_matrices,
     bisect_threshold,
     golden_section_max,
     optimize_delta,
@@ -766,6 +766,18 @@ def _fold(blocks: np.ndarray) -> tuple:
     return tuple(folded)
 
 
+#: The largest side ``d P`` of the Gram array of :func:`_source_stack`, with
+#: ``d = (c + 2)(c + 3) / 2`` output states and ``P = 2 (c + 1)`` basis inputs
+#: at cutoff c: 504 at c = 6, 4080 at c = 14, the largest cutoff admitted
+#: (0.7 s and 416 MiB peak RSS for its build).  Cutoff 40 would need 40.9 GiB.
+MAX_GRAM_SIDE = 4096
+
+
+def _gram_side(cutoff: int) -> int:
+    """The side of the source sweeps' Gram array at a source cutoff."""
+    return (cutoff + 2) * (cutoff + 3) // 2 * 2 * (cutoff + 1)
+
+
 def _source_stack(eta_c: float, cutoff: int):
     """Folded images of the single-photon circuit, one run per (eta_c, cutoff), cached.
 
@@ -779,13 +791,23 @@ def _source_stack(eta_c: float, cutoff: int):
     is ``sum_s lam^s sum_jk phi_j(t) phi_k(t) H[s, j, k]`` over the Hankel
     sums of :func:`_fold`, s = 0 ... 2 cutoff, and every quantity the sweeps
     read is a function of them.  Returns the capped output basis, the
-    read-only folded rows ``(re, im)``, two real ``(4 (2 cutoff + 1), d^2)``
-    arrays (52 x 1296 at cutoff 6), and the identity's read-only sums ``T``,
-    built once with the stack.  The output state is one product of the
-    weights ``lam^s phi_j phi_k`` with each array (:func:`_image_state`),
-    and the sums of ``Tr(M_pq O)`` are the real array times the raveled
-    ``O``, one product for a whole stack of operators (:func:`_pair_forms`).
+    folded rows ``(re, im)``, two real ``(4 (2 cutoff + 1), d^2)`` arrays
+    (52 x 1296 at cutoff 6), the columns of ``re`` at the photon-parity
+    sector entries (:func:`cvbell.bell._parity_sectors`; 52 x 336), and the
+    identity's sums ``T``, all read-only.  The output state is one product
+    of the weights ``lam^s phi_j phi_k`` with ``re`` and ``im``
+    (:func:`_image_state`); the sums of ``Tr(M_pq O)`` for a whole stack of
+    operators are one product with the sector columns (:func:`_pair_forms`).
+    A cutoff above :data:`MAX_GRAM_SIDE` is rejected before any allocation.
     """
+    side = _gram_side(cutoff)
+    if side > MAX_GRAM_SIDE:
+        largest = max(c for c in range(cutoff) if _gram_side(c) <= MAX_GRAM_SIDE)
+        raise ValueError(
+            f"source cutoff {cutoff} needs a {side} x {side} Gram array "
+            f"({side * side * 8 / 2**30:.1f} GiB); the largest source cutoff is {largest} "
+            f"(MAX_GRAM_SIDE = {MAX_GRAM_SIDE})"
+        )
 
     def build():
         # The basis inputs stand in for the squeezing and the transmission.
@@ -797,9 +819,12 @@ def _source_stack(eta_c: float, cutoff: int):
             inputs[arms.index_of((n, n)), n] = 1.0
         basis, blocks = _output_gram(config, inputs, photon=np.eye(2))
         folded = _fold(blocks)
-        trace_form = _pair_forms(folded, np.eye(basis.dimension)[None])[0]
-        trace_form.setflags(write=False)
-        return basis, folded, trace_form
+        entries = _parity_sectors(basis).entries
+        packed = folded[0][:, entries]
+        trace_form = _pair_forms(packed, np.eye(basis.dimension).ravel()[entries][None])[0]
+        for array in (packed, trace_form):
+            array.setflags(write=False)
+        return basis, folded, packed, trace_form
 
     return _cached(_STACK_CACHE, _STACK_CACHE_SIZE, (float(eta_c), int(cutoff)), build)
 
@@ -843,17 +868,19 @@ def _image_state(basis: ModeBasis, stack, lam: float, t: float) -> DensityOperat
     return DensityOperator(basis, rho / np.trace(rho).real)
 
 
-def _pair_forms(stack, ops: np.ndarray) -> np.ndarray:
+def _pair_forms(packed: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """``F[g, s, j, k] = Re Tr(H[s, j, k] O_g)`` for a real stack of operators ``O``.
 
-    ``stack`` is the folded ``(re, im)`` pair of :func:`_source_stack`.
-    Then ``Tr(rho O_g)`` is ``sum_s lam^s sum_jk phi_j phi_k F[g, s, j, k]``
-    over the same sums of the identity (:func:`_grid_chsh`).  One product
-    of the raveled stack with the real part's transpose, a view, so nothing
-    is copied.
+    ``ops`` is ``(G, sum n^2)``, packed on the photon-parity sectors
+    (:func:`cvbell.bell._packed_kron`), and ``packed`` the same columns of the
+    real rows of :func:`_source_stack`.  That is exact: every operator the
+    sweeps contract keeps each mode's parity (the bin is symmetric, detection
+    and filter are diagonal, the adjoint loss takes ``(m, n)`` from
+    ``(m - k, n - k)``), so it has no entry between sectors.  Then
+    ``Tr(rho O_g) = sum_s lam^s sum_jk phi_j phi_k F[g, s, j, k]`` over the
+    same sums of the identity (:func:`_grid_chsh`).
     """
-    re = stack[0]
-    return (ops.reshape(len(ops), -1) @ re.T).reshape(len(ops), -1, 2, 2)
+    return (ops @ packed.T).reshape(len(ops), -1, 2, 2)
 
 
 def _grid_chsh(hankels: np.ndarray, trace: np.ndarray, lams, ts) -> np.ndarray:
@@ -928,10 +955,11 @@ def max_source_chsh(
                            "lam_grid")
     t_grid = _sweep_grid(default_transmission_grid() if t_grid is None else t_grid,
                          "t_grid")
-    basis, stack, trace = _source_stack(eta_c, cutoff)
+    basis, stack, packed, trace = _source_stack(eta_c, cutoff)
 
     deltas = np.linspace(0.0, DELTA_MAX, 81)
-    hankels = _pair_forms(stack, bell_matrices(basis, alice, bob, deltas))
+    bells = _packed_kron(basis, _mode_observables(basis, alice, bob, deltas))
+    hankels = _pair_forms(packed, bells)
     values = _grid_chsh(hankels, trace, lam_grid, t_grid)
     g, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     lam, t = float(lam_grid[i]), float(t_grid[j])
@@ -983,10 +1011,11 @@ def _filtered_pullback(basis: ModeBasis, alice: PartyConditions, bob: PartyCondi
     """The filtered Bell stack and ``F^2``, pulled back through a two-mode loss.
 
     Returns ``pullback(eta)``, which gives ``L^dag(F B F)`` for the Bell
-    operators of the two parties at ``deltas``, and ``L^dag(F^2)``, on the
-    capped two-mode ``basis``, with ``F`` the filter of ``gain`` applied
-    ``applications`` times on each mode and ``L`` the transmission ``eta``
-    on each mode.  Both are assembled from single-mode factors (see
+    operators of the two parties at ``deltas``, and ``L^dag(F^2)``, packed on
+    the photon-parity sectors of the capped two-mode ``basis``
+    (:func:`cvbell.bell._packed_kron`), with ``F`` the filter of ``gain``
+    applied ``applications`` times on each mode and ``L`` the transmission
+    ``eta`` on each mode.  Both are assembled from single-mode factors (see
     :func:`amplified_source_threshold_with_filters`).  Invalid filter
     arguments raise the ``filter_diagonal`` error, and a filter that
     overflows the float range raises it naming the caller's ``cutoff``.
@@ -994,7 +1023,7 @@ def _filtered_pullback(basis: ModeBasis, alice: PartyConditions, bob: PartyCondi
     # Checks the arguments (and an overflow at the caller's own cutoff) first,
     # so that every error below is an overflow at the modes' larger cutoff.
     filter_diagonal(shared_basis((cutoff,)), gain, applications)
-    Xa, Na, plus, minus = _mode_observables(basis, alice, bob, deltas)
+    (Xa, plus), (Na, minus) = _mode_observables(basis, alice, bob, deltas)
 
     def filtered(*ops):
         """``f O f`` for each stack, with ``f^2`` last: one mode's factors."""
@@ -1020,8 +1049,8 @@ def _filtered_pullback(basis: ModeBasis, alice: PartyConditions, bob: PartyCondi
     def pullback(eta: float):
         xa, na, square_a = np.split(_through_loss(eta, alice_ops, ca), [G, G + 1])
         xb_plus, xb_minus, square_b = np.split(_through_loss(eta, bob_ops, cb), [G, 2 * G])
-        bells = _capped_kron(basis, ((xa, xb_plus), (na, xb_minus)))
-        return bells, _capped_kron(basis, ((square_a, square_b),))[0]
+        bells = _packed_kron(basis, ((xa, xb_plus), (na, xb_minus)))
+        return bells, _packed_kron(basis, ((square_a, square_b),))[0]
 
     return pullback
 
@@ -1054,11 +1083,12 @@ def amplified_source_threshold_with_filters(
 
     and likewise for ``F^2``, the trace of the filtered state.  Each step
     pulls the single-mode stacks back through the loss
-    (:func:`cvbell.measurement._through_loss`) and gathers the capped
-    two-mode entries from them (:func:`_filtered_pullback`).  Capping after
-    the pullback is exact, because loss never raises the photon number and
-    the source's output basis holds every occupation up to its cap.  The
-    chosen state goes forward through the loss one mode at a time
+    (:func:`cvbell.measurement._through_loss`) and gathers the photon-parity
+    sector entries of the capped basis from them (:func:`_filtered_pullback`),
+    the only entries the forms read (:func:`_pair_forms`).  Capping after the
+    pullback is exact, because loss never raises the photon number and the
+    source's output basis holds every occupation up to its cap.  The chosen
+    state goes forward through the loss one mode at a time
     (:func:`cvbell.measurement._lossy_state`) and then through the filters
     (:func:`cvbell.local_amp.apply_filters`).
     """
@@ -1066,7 +1096,7 @@ def amplified_source_threshold_with_filters(
                            "lam_grid")
     t_grid = _sweep_grid(default_transmission_grid(30) if t_grid is None else t_grid,
                          "t_grid")
-    basis, stack, _ = _source_stack(eta_c, cutoff)
+    basis, stack, packed, _ = _source_stack(eta_c, cutoff)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
     pullback = _filtered_pullback(
         basis, party, party, np.linspace(0.0, DELTA_MAX, 61), gain, applications, cutoff
@@ -1074,7 +1104,7 @@ def amplified_source_threshold_with_filters(
 
     def max_chsh(eta_t):
         bells, trace = pullback(eta_t)
-        hankels = _pair_forms(stack, np.concatenate([bells, trace[None]]))
+        hankels = _pair_forms(packed, np.concatenate([bells, trace[None]]))
         values = _grid_chsh(hankels[:-1], hankels[-1], lam_grid, t_grid)
         _, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
         state = _image_state(basis, stack, lam_grid[i], t_grid[j])

@@ -8,6 +8,7 @@ import pytest
 
 import cvbell.cli
 import cvbell.reproduce
+import cvbell.source_amp
 from cvbell.bell import (
     DELTA_REFINE_TOL,
     VIOLATION_BOUND,
@@ -153,6 +154,22 @@ def test_bad_input_exits_cleanly(args, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("cvbell: error: ")
     assert err.count("\n") == 1  # one line, no traceback
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["source-amp", "reproduce-all"])
+def test_a_source_cutoff_beyond_the_gram_limit_exits_cleanly(command, tmp_path, capsys,
+                                                            monkeypatch):
+    def circuit(*args, **kwargs):
+        raise AssertionError("the circuit ran")
+
+    monkeypatch.setattr(cvbell.source_amp, "_output_gram", circuit)
+    args = [command, "--cutoff", "40"]
+    if command == "source-amp":
+        args += ["--eta-d-grid", "1.0"]
+    out = tmp_path / "out.csv"
+    assert main(args + ["--output", str(out)]) == 1
+    assert_one_error_line(capsys.readouterr().err, "source cutoff 40")
     assert not out.exists()
 
 

@@ -17,6 +17,7 @@ from cvbell.bell import (
     PartyConditions,
     _mode_observables,
     _mode_slopes,
+    _packed_kron,
     _state_chsh,
     _top_eigenvalue,
     bell_matrices,
@@ -330,9 +331,10 @@ SMALL_GRIDS = dict(cutoff=3, lam_grid=default_squeezing_grid(4),
 
 def source_grid_optimum(party, eta_c, cutoff, lam_grid, t_grid):
     """The (chsh, squeezing, amp_transmission, delta) grid point that max_source_chsh refines."""
-    basis, stack, trace = sa._source_stack(eta_c, cutoff)
+    basis, _, packed, trace = sa._source_stack(eta_c, cutoff)
     deltas = np.linspace(0.0, DELTA_MAX, 81)
-    hankels = sa._pair_forms(stack, bell_matrices(basis, party, party, deltas))
+    hankels = sa._pair_forms(packed, _packed_kron(basis, _mode_observables(basis, party, party,
+                                                                            deltas)))
     values = sa._grid_chsh(hankels, trace, lam_grid, t_grid)
     g, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     return values[g, i, j], lam_grid[i], t_grid[j], deltas[g]
@@ -380,8 +382,8 @@ def untrimmed_chsh(rho, alice, bob, deltas):
                    for pair in terms)
 
     values, slopes = _mode_slopes(full, alice, bob, deltas)
-    Xa, Na, plus, minus = _mode_observables(full, alice, bob, deltas)
-    return contract(((Xa, plus), (Na, minus))), contract(values), contract(slopes)
+    terms = _mode_observables(full, alice, bob, deltas)
+    return contract(terms), contract(values), contract(slopes)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,8 +1,10 @@
 """Capped two-mode operators built from their per-mode factors.
 
-``bell._capped_kron`` gathers the entries of ``sum a (x) b`` that a capped
-basis keeps; ``np.kron`` followed by the capped-index projection is the
-reference, entry for entry.  The filtered-source threshold pulls its
+``bell._packed_kron`` gathers the entries of ``sum a (x) b`` in the
+photon-parity sectors of a capped basis, and ``bell._projected_kron`` builds
+the whole matrix densely; ``np.kron`` followed by the capped-index
+projection is the reference for both, entry for entry.  The
+filtered-source threshold pulls its
 filtered Bell operators and ``F^2`` back through the transmission loss one
 mode at a time (``source_amp._filtered_pullback``) and sends the chosen
 state forward the same way (``measurement._lossy_state``); the two-mode Kraus
@@ -15,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvbell.source_amp as sa
-from cvbell.bell import PartyConditions, _capped_kron, bell_matrices
+from cvbell.bell import (
+    PartyConditions,
+    _parity_sectors,
+    _packed_kron,
+    _projected_kron,
+    _trimmed_cutoffs,
+    bell_matrices,
+)
 from cvbell.fock import ModeBasis, embed_single_mode, embedding_indices, loss_kraus
 from cvbell.local_amp import filter_diagonal
 from cvbell.measurement import DELTA_MAX, _lossy_state
@@ -31,28 +40,42 @@ def kron_cases(draw):
 
 
 def kron_reference(basis, terms):
-    """``np.kron`` of every pair at every stack index, summed, then projected."""
+    """``np.kron`` of every pair at every stack index, summed, then projected.
+
+    The factors are at the basis's trimmed cutoffs.
+    """
     (a, b), (c, d) = terms
     c = np.broadcast_to(c, (len(a),) + c.shape[-2:])
     full = np.stack([np.kron(a[g], b[g]) + np.kron(c[g], d[g]) for g in range(len(a))])
-    idx = embedding_indices(basis, ModeBasis(basis.cutoffs))
+    idx = embedding_indices(basis, ModeBasis(_trimmed_cutoffs(basis)))
     return full[:, idx[:, None], idx]
+
+
+def sector_entries(basis, matrices):
+    """The photon-parity sector entries of a ``(G, d, d)`` stack, packed."""
+    return matrices.reshape(len(matrices), -1)[:, _parity_sectors(basis).entries]
 
 
 @settings(max_examples=80, deadline=None)
 @given(case=kron_cases(), seed=seeds)
-def test_capped_kron_equals_projected_kron(case, seed):
+def test_packed_kron_equals_projected_kron(case, seed):
     basis, G, single = case
     rng = np.random.default_rng(seed)
-    da, db = (c + 1 for c in basis.cutoffs)
+    da, db = (c + 1 for c in _trimmed_cutoffs(basis))
     a, c = rng.normal(size=(G, da, da)), rng.normal(size=(G, da, da))
     b, d = rng.normal(size=(G, db, db)), rng.normal(size=(G, db, db))
     if single:  # one matrix against a stack, as Alice's N in the Bell operator
         c = c[0]
     terms = ((a, b), (c, d))
-    got = _capped_kron(basis, terms)
-    assert got.shape == (G, basis.dimension, basis.dimension)
-    assert np.array_equal(got, kron_reference(basis, terms))
+    reference = kron_reference(basis, terms)
+    dense = _projected_kron(basis, terms)
+    assert dense.shape == (G, basis.dimension, basis.dimension)
+    assert np.array_equal(dense, reference)
+    # The gather is exact for any factors; only its choice of entries
+    # relies on the parity structure.
+    got = _packed_kron(basis, terms)
+    assert got.shape == (G, sum(p.size ** 2 for p in _parity_sectors(basis).positions))
+    assert np.array_equal(got, sector_entries(basis, reference))
 
 
 def embedded_loss(basis, eta):
@@ -97,8 +120,11 @@ def test_per_mode_loss_matches_embedded_kraus(eta, gain, applications, cutoff, e
     bells, trace = sa._filtered_pullback(basis, alice, bob, deltas, gain, applications,
                                          cutoff)(eta)
     filtered = F[:, None] * bell_matrices(basis, alice, bob, deltas) * F
-    assert_relatively_close(bells, through_embedded(filtered, kraus, adjoint=True))
-    assert_relatively_close(trace, through_embedded(np.diag(F * F), kraus, adjoint=True))
+    assert_relatively_close(
+        bells, sector_entries(basis, through_embedded(filtered, kraus, adjoint=True))
+    )
+    square = through_embedded(np.diag(F * F), kraus, adjoint=True)
+    assert_relatively_close(trace, sector_entries(basis, square[None])[0])
 
     M = rng.normal(size=(basis.dimension,) * 2) + 1j * rng.normal(size=(basis.dimension,) * 2)
     rho = M @ M.conj().T

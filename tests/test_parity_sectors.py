@@ -1,22 +1,26 @@
 """The per-sector eigensolve of the Bell operator against the full matrix.
 
 ``bell._top_eigenvalue`` and ``bell.optimal_state`` solve the Bell stack in
-its four photon-parity sectors (``bell._parity_sectors``).  The references
-take ``np.linalg.eigvalsh`` / ``eigh`` of the full ``bell_matrices`` stack,
-whose entries between sectors must be exactly zero.
+its four photon-parity sectors (``bell._parity_sectors``), and the source
+sweeps contract only the sector entries of their operators
+(``source_amp._pair_forms``).  The references take ``np.linalg.eigvalsh`` /
+``eigh`` of the dense ``bell_matrices`` stack, and the dense trace forms,
+which needs every operator's entries between sectors to be exactly zero.
 """
 
 import numpy as np
 import pytest
 
 import cvbell.bell as bell
+import cvbell.source_amp as sa
 from cvbell.bell import (
     BellScenario,
     PartyConditions,
-    _capped_kron,
     _mode_slopes,
     _mode_observables,
+    _packed_kron,
     _parity_sectors,
+    _projected_kron,
     _sector_blocks,
     _top_eigenvalue,
     _top_pairs,
@@ -25,7 +29,8 @@ from cvbell.bell import (
     optimal_state,
     optimize_delta,
 )
-from cvbell.fock import ModeBasis
+from cvbell.fock import ModeBasis, embed_single_mode, loss_kraus
+from cvbell.local_amp import filter_diagonal
 from cvbell.measurement import DELTA_MAX
 
 CAPS = [2, 3, 4, 6, 8]
@@ -51,7 +56,7 @@ SIMPLE_GAP = 1e-6
 def full_reference(basis, alice, bob, deltas):
     """Top eigenvalue, its gap, norm and Hellmann-Feynman slope of the full stack."""
     w, v = np.linalg.eigh(bell_matrices(basis, alice, bob, deltas))
-    dB = _capped_kron(basis, _mode_slopes(basis, alice, bob, deltas)[1])
+    dB = _projected_kron(basis, _mode_slopes(basis, alice, bob, deltas)[1])
     top = v[:, :, -1:]
     slope = (top.swapaxes(-1, -2) @ dB @ top)[:, 0, 0]
     norm = np.abs(w).max(axis=1)
@@ -95,37 +100,80 @@ def test_optimal_state_matches_the_full_solve(cap, setup):
             assert same_up_to_phase(state.amplitudes, vector, 1e-10)
 
 
-@pytest.mark.parametrize("cap", [2, 3, 4, 5, 6])
+def embedded_adjoint_loss(basis, ops, eta):
+    """``L^dag(O)`` for a two-mode loss ``eta``, through the embedded Kraus operators."""
+    for mode in (0, 1):
+        kraus = [embed_single_mode(basis, A, mode).real
+                 for A in loss_kraus(eta, basis.cutoffs[mode])]
+        ops = sum(E.T @ ops @ E for E in kraus)
+    return ops
+
+
+def assert_source_forms_match(cutoff, ops, packed_ops):
+    """Packed ``_pair_forms`` equals the dense ``Re Tr(H O)`` at a source cutoff."""
+    _, (re, _), packed, _ = sa._source_stack(1.0, cutoff)
+    dense = ops.reshape(len(ops), -1) @ re.T
+    found = sa._pair_forms(packed, packed_ops).reshape(dense.shape)
+    scale = np.abs(re).max() * max(1.0, np.abs(ops).max())
+    assert np.abs(found - dense).max() <= 1e-13 * scale
+
+
+# Caps 4 and 7 are the source's output bases at cutoffs 3 and 6.
+@pytest.mark.parametrize("cap", [2, 3, 4, 5, 6, 7])
 def test_bell_matrices_vanish_between_sectors(cap):
     rng = np.random.default_rng(cap)
     basis = ModeBasis((cap, cap), total_cap=cap)
     parity = basis.occupations % 2
     between = (parity[:, None, :] != parity[None, :, :]).any(axis=-1)
-    positions = _parity_sectors(cap, cap, cap).positions
+    positions = _parity_sectors(basis).positions
     deltas = rng.uniform(0.0, DELTA_MAX, 40)
     for _ in range(30):
         alice, bob = (PartyConditions(*rng.uniform(0.0, 1.0, 3)) for _ in range(2))
         full = bell_matrices(basis, alice, bob, deltas)
         assert np.all(full[:, between] == 0.0)
-        slopes = _capped_kron(basis, _mode_slopes(basis, alice, bob, deltas)[1])
+        slopes = _projected_kron(basis, _mode_slopes(basis, alice, bob, deltas)[1])
         assert np.all(slopes[:, between] == 0.0)
         # Each gathered block is bitwise the full matrix's block.
-        Xa, Na, plus, minus = _mode_observables(basis, alice, bob, deltas)
-        blocks = [run[:, i] for run in _sector_blocks(basis, ((Xa, plus), (Na, minus)))
+        terms = _mode_observables(basis, alice, bob, deltas)
+        blocks = [run[:, i] for run in _sector_blocks(basis, terms)
                   for i in range(run.shape[1])]
         for p, block in zip(positions, blocks, strict=True):
             assert np.array_equal(block, full[:, p[:, None], p])
+    if cap not in (4, 7):
+        return
+    # The source sweeps' operators: the Bell stack, and L^dag(F B F) and
+    # L^dag(F^2) of the filtered-source threshold.
+    cutoff = cap - 1
+    assert_source_forms_match(cutoff, full, _packed_kron(basis, terms))
+    for gain in (1.0, 2.0, 3.0):
+        for applications in (1, 2, 3):
+            F = filter_diagonal(basis, gain, applications)
+            pullback = sa._filtered_pullback(basis, alice, bob, deltas, gain, applications,
+                                             cutoff)
+            for eta in (0.3, 0.62, 1.0):
+                ops = embedded_adjoint_loss(
+                    basis, np.concatenate([F[:, None] * full * F, np.diag(F * F)[None]]), eta
+                )
+                assert np.all(ops[:, between] == 0.0)
+                bells, square = pullback(eta)
+                assert_source_forms_match(cutoff, ops, np.concatenate([bells, square[None]]))
 
 
 def test_sectors_partition_the_basis_in_order():
     for cap in CAPS:
-        sectors = _parity_sectors(cap, cap, cap)
+        basis = ModeBasis((cap, cap), total_cap=cap)
+        sectors = _parity_sectors(basis)
         positions = np.concatenate(sectors.positions)
-        assert sorted(positions) == list(range(ModeBasis((cap, cap), total_cap=cap).dimension))
+        assert sorted(positions) == list(range(basis.dimension))
         assert all(np.all(np.diff(p) > 0) for p in sectors.positions)
         assert sum(k for k, _ in sectors.runs) == len(sectors.positions)
-    assert [p.size for p in _parity_sectors(2, 2, 2).positions] == [3, 1, 1, 1]
-    assert _parity_sectors(2, 2, 2).runs == ((1, 3), (3, 1))
+    paper = _parity_sectors(ModeBasis((2, 2), total_cap=2))
+    assert [p.size for p in paper.positions] == [3, 1, 1, 1]
+    assert paper.runs == ((1, 3), (3, 1))
+    # A larger per-mode cutoff under the same cap gives the same sectors.
+    wide = _parity_sectors(ModeBasis((6, 6), total_cap=2))
+    for got, expected in zip((*wide.gathers, wide.entries), (*paper.gathers, paper.entries)):
+        assert np.array_equal(got, expected)
 
 
 @pytest.mark.parametrize("cap, scenario, delta, size", [
@@ -136,10 +184,9 @@ def test_sectors_partition_the_basis_in_order():
 ])
 def test_a_top_outside_the_even_sector(cap, scenario, delta, size):
     basis = ModeBasis((cap, cap), total_cap=cap)
-    Xa, Na, plus, minus = _mode_observables(basis, scenario.alice, scenario.bob, [delta])
-    tops = np.concatenate([_top_pairs(block[0])[0]
-                           for block in _sector_blocks(basis, ((Xa, plus), (Na, minus)))])
-    labels = [tuple(basis.occupations[p[0]] % 2) for p in _parity_sectors(cap, cap, cap).positions]
+    terms = _mode_observables(basis, scenario.alice, scenario.bob, [delta])
+    tops = np.concatenate([_top_pairs(block[0])[0] for block in _sector_blocks(basis, terms)])
+    labels = [tuple(basis.occupations[p[0]] % 2) for p in _parity_sectors(basis).positions]
     tops = dict(zip(labels, tops))
     assert max(tops, key=tops.get) == (1, 0)
     assert tops[(1, 0)] - tops[(0, 0)] > 0.05

@@ -7,7 +7,10 @@ inputs, folded once into Hankel sums over the squeezing powers
 polynomials in lam contracted with the photon pair in t
 (``source_amp._grid_chsh``).  The reference is the dense form
 ``x R x / x T x`` over every image-weight row, with ``R`` built here from
-the unfolded Gram array of the circuit.
+the unfolded Gram array of the circuit and the dense operators.  The sweeps
+read only the photon-parity sector entries of each operator
+(``source_amp._pair_forms``); ``tests/test_parity_sectors.py`` checks that
+the entries between sectors are zero.
 """
 
 from functools import lru_cache
@@ -18,7 +21,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvbell.source_amp as sa
-from cvbell.bell import BellScenario, PartyConditions, bell_matrices, chsh_value
+from cvbell.bell import (
+    BellScenario,
+    PartyConditions,
+    _parity_sectors,
+    _mode_observables,
+    _packed_kron,
+    bell_matrices,
+    chsh_value,
+)
 from cvbell.fock import ModeBasis
 from cvbell.measurement import DELTA_MAX
 from cvbell.source_amp import (
@@ -77,20 +88,38 @@ def dense_values(forms, trace, inputs):
 
 
 def image_state(lam, t, eta_c, cutoff):
-    basis, stack, _ = sa._source_stack(eta_c, cutoff)
+    basis, stack, _, _ = sa._source_stack(eta_c, cutoff)
     return sa._image_state(basis, stack, lam, t)
+
+
+def packed_bells(basis, alice, bob, deltas):
+    """The Bell stack in the packed sector layout the source sweeps contract."""
+    return _packed_kron(basis, _mode_observables(basis, alice, bob, deltas))
+
+
+def unpacked(basis, packed):
+    """A packed ``(G, sum n^2)`` stack as full ``(G, d, d)`` matrices, zero between sectors."""
+    d = basis.dimension
+    full = np.zeros((len(packed), d * d))
+    full[:, _parity_sectors(basis).entries] = packed
+    return full.reshape(-1, d, d)
 
 
 @settings(max_examples=20, deadline=None)
 @given(cutoff=st.integers(min_value=1, max_value=6), eta_c=st.sampled_from([1.0, 0.9]))
 def test_folded_rows_equal_fold_of_unfolded_gram(cutoff, eta_c):
-    basis, (re, im), _ = sa._source_stack(eta_c, cutoff)
+    basis, (re, im), packed, trace = sa._source_stack(eta_c, cutoff)
     rows = unfolded_rows(eta_c, cutoff)
     assert re.shape == im.shape == (4 * (2 * cutoff + 1), basis.dimension ** 2)
-    assert not re.flags.writeable and not im.flags.writeable
+    for array in (re, im, packed, trace):
+        assert not array.flags.writeable
     expected = fold(rows, cutoff)
     assert np.abs(re - expected.real).max() <= 1e-13
     assert np.abs(im - expected.imag).max() <= 1e-13
+    # The sweeps' columns: the photon-parity sector entries of the real rows.
+    assert np.array_equal(packed, re[:, _parity_sectors(basis).entries])
+    identity = np.eye(basis.dimension).ravel() @ re.T
+    assert np.abs(trace.ravel() - identity).max() <= 1e-13 * np.abs(re).max()
 
 
 @settings(max_examples=40, deadline=None)
@@ -119,8 +148,8 @@ def test_grid_values_equal_chsh_of_materialized_states():
     party = PartyConditions(eta_t=0.9, eta_d=0.95)
     lam_grid, t_grid = default_squeezing_grid(4), default_transmission_grid(5)
     deltas = np.linspace(0.0, DELTA_MAX, 7)
-    basis, stack, trace = sa._source_stack(0.9, 3)
-    forms = sa._pair_forms(stack, bell_matrices(basis, party, party, deltas))
+    basis, _, packed, trace = sa._source_stack(0.9, 3)
+    forms = sa._pair_forms(packed, packed_bells(basis, party, party, deltas))
     values = sa._grid_chsh(forms, trace, lam_grid, t_grid).reshape(len(deltas), -1)
 
     expected = np.array([
@@ -129,6 +158,21 @@ def test_grid_values_equal_chsh_of_materialized_states():
         for d in deltas
     ])
     assert np.abs(values - expected).max() <= 1e-12
+
+
+def test_a_cutoff_beyond_the_gram_limit_is_rejected_before_the_circuit(monkeypatch):
+    def circuit(*args, **kwargs):
+        raise AssertionError("the circuit ran")
+
+    monkeypatch.setattr(sa, "_output_gram", circuit)
+    monkeypatch.setattr(sa, "_STACK_CACHE", {})
+    # 40.9 GiB for the 74046 x 74046 Gram array of cutoff 40.
+    with pytest.raises(ValueError, match=r"source cutoff 40 needs a 74046 x 74046 .*40\.9 GiB"
+                                         r".*largest source cutoff is 14"):
+        sa._source_stack(1.0, 40)
+    assert sa._STACK_CACHE == {}
+    assert sa._gram_side(6) == 504 and sa._gram_side(10) == 1716
+    assert sa._gram_side(14) <= sa.MAX_GRAM_SIDE < sa._gram_side(15)
 
 
 def test_stack_cache_stays_bounded():
@@ -175,17 +219,18 @@ def test_factored_grid_matches_dense_forms(cutoff, eta_c, lam_points, lam_upper,
     # Every grid holds lam = 0 and t = 0.99, the ends of the default grids.
     lam_grid = np.linspace(0.0, lam_upper, lam_points)
     t_grid = np.geomspace(t_lower, 0.99, t_points) if t_points > 1 else (0.99,)
-    basis, stack, trace = sa._source_stack(eta_c, cutoff)
+    basis, _, packed, trace = sa._source_stack(eta_c, cutoff)
     deltas = np.linspace(0.0, DELTA_MAX, 81)
     if filtered:  # the operators of the filtered-source threshold
         bells, square = sa._filtered_pullback(basis, alice, bob, deltas, gain, 1, cutoff)(eta)
         ops = np.concatenate([bells, square[None]])
-        hankels = sa._pair_forms(stack, ops)
+        hankels = sa._pair_forms(packed, ops)
         hankels, trace = hankels[:-1], hankels[-1]
+        ops = unpacked(basis, ops)
     else:
         ops = np.concatenate([bell_matrices(basis, alice, bob, deltas),
                               np.eye(basis.dimension)[None]])
-        hankels = sa._pair_forms(stack, ops[:-1])
+        hankels = sa._pair_forms(packed, packed_bells(basis, alice, bob, deltas))
     forms = dense_forms(eta_c, cutoff, ops)
 
     expected = dense_values(forms[:-1], forms[-1], input_weights(lam_grid, t_grid, cutoff))
@@ -210,8 +255,8 @@ def test_factored_grid_matches_dense_forms(cutoff, eta_c, lam_points, lam_upper,
     bob=parties,
 )
 def test_golden_section_objectives_match_grid(lam, t, delta, cutoff, eta_c, alice, bob):
-    basis, stack, trace = sa._source_stack(eta_c, cutoff)
-    form = sa._pair_forms(stack, bell_matrices(basis, alice, bob, [delta]))
+    basis, _, packed, trace = sa._source_stack(eta_c, cutoff)
+    form = sa._pair_forms(packed, packed_bells(basis, alice, bob, [delta]))
     expected = sa._grid_chsh(form, trace, [lam], [t])[0, 0, 0]
     assert abs(sa._point_chsh(np.stack([form[0], trace]))(lam, t) - expected) <= 1e-13
 
