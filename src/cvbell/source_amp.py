@@ -769,7 +769,8 @@ def _fold(blocks: np.ndarray) -> tuple:
 #: The largest side ``d P`` of the Gram array of :func:`_source_stack`, with
 #: ``d = (c + 2)(c + 3) / 2`` output states and ``P = 2 (c + 1)`` basis inputs
 #: at cutoff c: 504 at c = 6, 4080 at c = 14, the largest cutoff admitted
-#: (0.7 s and 416 MiB peak RSS for its build).  Cutoff 40 would need 40.9 GiB.
+#: (its build took 0.6 s and 416 MiB peak RSS on a 2-core Xeon VM, one BLAS
+#: thread).  Cutoff 40 would need 40.9 GiB.
 MAX_GRAM_SIDE = 4096
 
 

@@ -11,6 +11,11 @@ The loss channel matrix ``measurement._loss_channel`` has a layout (the
 raveled ``(n, n')`` pairs of ``C = sum_k A_k (x) A_k``) that only
 ``measurement.py`` knows: the other modules apply loss through
 ``_through_loss`` and ``_lossy_state``.
+
+``bell.bell_matrices`` and ``bell.bell_matrix`` build whole Bell matrices
+densely (``bell._projected_kron``); the solvers gather only the
+photon-parity sector entries (``bell._packed_kron``), so no module reads
+the dense builders outside their own definitions.
 """
 
 import ast
@@ -82,3 +87,26 @@ def test_the_walk_finds_the_loss_channel():
     for source in ("from .measurement import _loss_channel\n",
                    "measurement._loss_channel(0.5, 2)\n"):
         assert "_loss_channel" in names_read(ast.parse(source))
+
+
+DENSE_REFERENCE = {"bell_matrices", "bell_matrix", "_projected_kron"}
+
+
+def names_read_outside(tree: ast.Module, definitions: set) -> set:
+    """:func:`names_read` of a module without its top-level functions in ``definitions``."""
+    tree.body = [node for node in tree.body
+                 if not (isinstance(node, ast.FunctionDef) and node.name in definitions)]
+    return names_read(tree)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_reads_the_dense_bell_reference(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not names_read_outside(tree, DENSE_REFERENCE) & DENSE_REFERENCE
+
+
+def test_the_walk_finds_a_dense_bell_call():
+    source = "def bell_matrix(b, s):\n    return bell_matrices(b)\nB = bell.bell_matrix(b, s)\n"
+    assert names_read_outside(ast.parse(source), DENSE_REFERENCE) & DENSE_REFERENCE == {
+        "bell_matrix"}
+    assert not names_read_outside(ast.parse(source.split("B =")[0]), DENSE_REFERENCE)
