@@ -399,7 +399,9 @@ class DeltaSearch:
     ``delta`` and ``value`` are the optimum; ``grid_index`` is the best grid
     point and ``bracket`` the interval refined in, its neighbours.
     ``evaluations`` counts the objective evaluations of the refine, one per
-    delta, the two bracket ends included.  ``unimodal`` is False when the grid
+    delta, the two bracket ends included; it is 0 when the refine did not
+    run, as at a grid maximum at delta = 0, where the slope cannot be
+    positive (:func:`_search_grid`).  ``unimodal`` is False when the grid
     maximum is interior, off a plateau, but the slope does not fall from
     positive to negative across its bracket: the objective then has more
     than one critical point there, and the grid maximum is returned.
@@ -479,24 +481,40 @@ def search_delta(
         objective, value_and_slope = _top_eigenvalue(basis, alice, bob)
     else:
         objective, value_and_slope = _state_chsh(state, alice, bob)
-
     grid = np.linspace(0.0, DELTA_MAX, grid_points)
-    values = objective(grid)
+    return _search_grid(grid, objective(grid), lambda: value_and_slope, tol, stop_above)
+
+
+def _search_grid(grid, values, slope_objective, tol: float = DELTA_REFINE_TOL,
+                stop_above: float | None = None) -> DeltaSearch:
+    """The delta search on an evaluated grid: the refine and the record.
+
+    ``values`` is the objective on the increasing ``grid`` of bin
+    half-widths, and ``slope_objective()`` returns its ``value_and_slope``
+    (:func:`refine_slope_root`); it is called only when the refine runs.  A
+    maximum at delta = 0 is returned as it stands.  There ``X = -1`` exactly,
+    ``dX/d(delta)`` is positive semidefinite (the bin projector grows, and
+    the adjoint loss keeps positivity) and ``N <= 1``, so
+
+        dB/d(delta) = dXa (x) (Nb - 1) + (Na - 1) (x) dXb <= 0:
+
+    the slope cannot be positive at the grid's left end, for any state.
+    """
     k = int(np.argmax(values))
     lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, grid_points - 1)]
+    hi = grid[min(k + 1, len(grid) - 1)]
     keep_grid = DeltaSearch(float(grid[k]), float(values[k]), k, (float(lo), float(hi)), 0)
     if stop_above is not None and values[k] > stop_above:
         return replace(keep_grid, refined=False)
-    if hi <= lo:
+    if k == 0:
         return keep_grid
-    delta_star, best, evaluations = refine_slope_root(value_and_slope, lo, hi, tol)
+    delta_star, best, evaluations = refine_slope_root(slope_objective(), lo, hi, tol)
     keep_grid = replace(keep_grid, evaluations=evaluations)
     if delta_star is None:
-        # At an end of the grid the maximum may sit on the edge, and on a
-        # plateau the argmax is decided by rounding.  Otherwise a bracket
+        # At the right end of the grid the maximum may sit on the edge, and on
+        # a plateau the argmax is decided by rounding.  Otherwise a bracket
         # without a root breaks the unimodality the grid relies on.
-        edge = k in (0, grid_points - 1)
+        edge = k == len(grid) - 1
         unimodal = edge or values[k] - min(values[k - 1], values[k + 1]) <= PLATEAU_TOL
         return replace(keep_grid, unimodal=unimodal)
     if best < values[k]:  # flat objective: keep the grid maximizer

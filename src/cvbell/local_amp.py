@@ -30,8 +30,18 @@ from .fock import (
     StateVector,
     shared_basis,
 )
-from .bell import VIOLATION_BOUND, PartyConditions, bisect_threshold, optimize_delta
-from .measurement import _lossy_state
+from .bell import (
+    VIOLATION_BOUND,
+    PartyConditions,
+    _mode_observables,
+    _packed_kron,
+    _parity_sectors,
+    _search_grid,
+    _state_chsh,
+    bisect_threshold,
+    optimize_delta,
+)
+from .measurement import DELTA_MAX, _lossy_state, _through_loss
 
 
 def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.ndarray:
@@ -57,6 +67,62 @@ def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.
 def _overflow_error(gain: float, applications: int, cutoff: int) -> ValueError:
     return ValueError(f"the filter of gain {gain} applied {applications} times overflows "
                       f"the float range at cutoff {cutoff}")
+
+
+def _filtered_pullback(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions,
+                       deltas, gain: float, applications: int, cutoff: int):
+    """The filtered Bell stack and ``F^2``, pulled back through a two-mode loss.
+
+    Returns ``pullback(eta)``, which gives ``L^dag(F B F)`` for the Bell
+    operators of the two parties at ``deltas``, and ``L^dag(F^2)``, packed on
+    the photon-parity sectors of the capped two-mode ``basis``
+    (:func:`cvbell.bell._packed_kron`), with ``F`` the filter of ``gain``
+    applied ``applications`` times on each mode and ``L`` the transmission
+    ``eta`` on each mode.  Every factor is a product over the two modes, so
+
+        L^dag(F (A (x) B) F) = L_a^dag(f A f) (x) L_b^dag(f B f),
+
+    and both are assembled from single-mode factors, pulled back through the
+    loss (:func:`cvbell.measurement._through_loss`) at each eta.  The filter
+    ``f`` of each mode, whose entries run from 1 (vacuum) to its largest
+    entry M, is scaled by a power of two near ``1/sqrt(M)``: a product of
+    four entries then lies between about ``1/M^2`` and ``M^2``, so neither
+    overflows nor underflows wherever the filter's two-mode diagonal is
+    finite, and every product is exactly the unscaled one times a common
+    factor, which cancels in each CHSH ratio ``Tr(rho L^dag(F B F)) /
+    Tr(rho L^dag(F^2))``.  Capping after the pullback is exact, because loss
+    never raises the photon number.  Invalid filter arguments raise the
+    :func:`filter_diagonal` error, and a filter whose single-mode diagonal
+    overflows the float range raises it naming the caller's ``cutoff``.
+    """
+    # Checks the arguments (and an overflow at the caller's own cutoff) first,
+    # so that every error below is an overflow at the modes' own cutoff.
+    filter_diagonal(shared_basis((cutoff,)), gain, applications)
+    (Xa, plus), (Na, minus) = _mode_observables(basis, alice, bob, deltas)
+
+    def filtered(*ops):
+        """``f O f`` for each stack, with ``f^2`` last: one mode's factors."""
+        mode_cutoff = ops[0].shape[-1] - 1
+        try:
+            f = filter_diagonal(shared_basis((mode_cutoff,)), gain, applications)
+        except ValueError:
+            raise _overflow_error(gain, applications, cutoff) from None
+        f = np.ldexp(f, -(np.frexp(f.max())[1] // 2))
+        stack = np.concatenate([*(op.reshape(-1, mode_cutoff + 1, mode_cutoff + 1) for op in ops),
+                                np.eye(mode_cutoff + 1)[None]])
+        return f[:, None] * stack * f, mode_cutoff
+
+    # The filtered factors do not depend on eta.
+    (alice_ops, ca), (bob_ops, cb) = filtered(Xa, Na), filtered(plus, minus)
+    G = len(Xa)
+
+    def pullback(eta: float):
+        xa, na, square_a = np.split(_through_loss(eta, alice_ops, ca), [G, G + 1])
+        xb_plus, xb_minus, square_b = np.split(_through_loss(eta, bob_ops, cb), [G, 2 * G])
+        bells = _packed_kron(basis, ((xa, xb_plus), (na, xb_minus)))
+        return bells, _packed_kron(basis, ((square_a, square_b),))[0]
+
+    return pullback
 
 
 def filter_operator(gain: float, cutoff: int) -> HermitianOperator:
@@ -124,17 +190,15 @@ def filtered_chsh(
     eta_d: float = 1.0,
     eta_c: float = 1.0,
     cutoff: int = 2,
-    stop_above: float | None = None,
 ) -> tuple[float, float]:
     """Best (delta, CHSH) for the filtered lossy state.
 
     Transmission and coupling losses already sit in the state, so the
-    measurements carry only the detector efficiencies.  ``stop_above`` is
-    passed to :func:`cvbell.bell.optimize_delta`.
+    measurements carry only the detector efficiencies.
     """
     rho = filtered_state(eta_t, gain, applications, eta_c, cutoff)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
-    return optimize_delta(party, party, state=rho, stop_above=stop_above)
+    return optimize_delta(party, party, state=rho)
 
 
 def filtered_critical_transmission(
@@ -147,15 +211,42 @@ def filtered_critical_transmission(
 ) -> float | None:
     """Critical transmission for a CHSH violation with local filters.
 
-    Bisection on eta_t with the bin half-width re-optimized at every step,
-    except where the delta grid already violates; ``None`` when even unit
-    transmission shows no violation.
+    Bisection on eta_t with the bin half-width re-optimized at every step;
+    ``None`` when even unit transmission shows no violation.  Each step is
+    decided on the 241-point delta grid of the pulled-back forms
+
+        Tr(psi2 L^dag(F B F)) / Tr(psi2 L^dag(F^2)),
+
+    the CHSH values of :func:`filtered_state` (:func:`_filtered_pullback`):
+    the filtered measurement stacks are built once per solve, on the
+    photon-capped basis of two photons that psi2 and its losses live on, and
+    each step pulls them back through its loss ``eta_t * eta_c``.  Only a
+    step whose grid maximum neither violates nor sits at delta = 0 builds
+    the filtered state, for the slope refine (:func:`cvbell.bell._search_grid`).
     """
-    return bisect_threshold(
-        lambda eta_t: filtered_chsh(eta_t, gain, applications, eta_d, eta_c, cutoff,
-                                    stop_above=VIOLATION_BOUND)[1],
-        tol=tol,
-    )
+    # The check of apply_filters: the filter on the caller's two-mode basis.
+    filter_diagonal(shared_basis((cutoff, cutoff)), gain, applications)
+    basis = shared_basis((cutoff, cutoff), 2)
+    party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
+    grid = np.linspace(0.0, DELTA_MAX, 241)
+    pullback = _filtered_pullback(basis, party, party, grid, gain, applications, cutoff)
+    # (|20> + |02>)(<20| + <02|) on the packed entries: psi2 up to its norm,
+    # which cancels in the ratio.
+    v = np.zeros(basis.dimension)
+    v[[basis.index_of((2, 0)), basis.index_of((0, 2))]] = 1.0
+    psi2 = np.outer(v, v).ravel()[_parity_sectors(basis).entries]
+
+    def max_chsh(eta_t):
+        bells, square = pullback(eta_t * eta_c)
+
+        def slope_objective():
+            rho = filtered_state(eta_t, gain, applications, eta_c, cutoff)
+            return _state_chsh(rho, party, party)[1]
+
+        return _search_grid(grid, (bells @ psi2) / (square @ psi2), slope_objective,
+                            stop_above=VIOLATION_BOUND).value
+
+    return bisect_threshold(max_chsh, tol=tol)
 
 
 def log_linear_fit(curve) -> tuple[float, float, float]:

@@ -66,7 +66,7 @@ from .fock import (
     loss_kraus,
     shared_basis,
 )
-from .measurement import DELTA_MAX, _lossy_state, _through_loss, photodetection_povm
+from .measurement import DELTA_MAX, _lossy_state, photodetection_povm
 from .bell import (
     VIOLATION_BOUND,
     PartyConditions,
@@ -74,11 +74,13 @@ from .bell import (
     _packed_kron,
     _parity_sectors,
     _scenario_for,
+    _search_grid,
+    _state_chsh,
     bisect_threshold,
     golden_section_max,
     optimize_delta,
 )
-from .local_amp import _overflow_error, apply_filters, filter_diagonal
+from .local_amp import _filtered_pullback, _overflow_error, apply_filters
 
 #: Branches with squared norm below this are dropped.  The cut is absolute
 #: (the circuit's input is normalized), although outputs are renormalized by
@@ -1007,55 +1009,6 @@ def source_critical_transmission(
     return bisect_threshold(max_chsh, tol=tol)
 
 
-def _filtered_pullback(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions,
-                       deltas, gain: float, applications: int, cutoff: int):
-    """The filtered Bell stack and ``F^2``, pulled back through a two-mode loss.
-
-    Returns ``pullback(eta)``, which gives ``L^dag(F B F)`` for the Bell
-    operators of the two parties at ``deltas``, and ``L^dag(F^2)``, packed on
-    the photon-parity sectors of the capped two-mode ``basis``
-    (:func:`cvbell.bell._packed_kron`), with ``F`` the filter of ``gain``
-    applied ``applications`` times on each mode and ``L`` the transmission
-    ``eta`` on each mode.  Both are assembled from single-mode factors (see
-    :func:`amplified_source_threshold_with_filters`).  Invalid filter
-    arguments raise the ``filter_diagonal`` error, and a filter that
-    overflows the float range raises it naming the caller's ``cutoff``.
-    """
-    # Checks the arguments (and an overflow at the caller's own cutoff) first,
-    # so that every error below is an overflow at the modes' larger cutoff.
-    filter_diagonal(shared_basis((cutoff,)), gain, applications)
-    (Xa, plus), (Na, minus) = _mode_observables(basis, alice, bob, deltas)
-
-    def filtered(*ops):
-        """``f O f`` for each stack, with ``f^2`` last: one mode's factors."""
-        mode_cutoff = ops[0].shape[-1] - 1
-        try:
-            f = filter_diagonal(shared_basis((mode_cutoff,)), gain, applications)
-        except ValueError:
-            raise _overflow_error(gain, applications, cutoff) from None
-        # F^2 = (f (x) f)^2 sets the scale of the two-mode products below, so
-        # its largest entry is checked before any product is formed.
-        with np.errstate(over="ignore"):
-            largest = np.abs(f).max() ** 4
-        if not np.isfinite(largest):
-            raise _overflow_error(gain, applications, cutoff)
-        stack = np.concatenate([*(op.reshape(-1, mode_cutoff + 1, mode_cutoff + 1) for op in ops),
-                                np.eye(mode_cutoff + 1)[None]])
-        return f[:, None] * stack * f, mode_cutoff
-
-    # The filtered factors do not depend on eta.
-    (alice_ops, ca), (bob_ops, cb) = filtered(Xa, Na), filtered(plus, minus)
-    G = len(Xa)
-
-    def pullback(eta: float):
-        xa, na, square_a = np.split(_through_loss(eta, alice_ops, ca), [G, G + 1])
-        xb_plus, xb_minus, square_b = np.split(_through_loss(eta, bob_ops, cb), [G, 2 * G])
-        bells = _packed_kron(basis, ((xa, xb_plus), (na, xb_minus)))
-        return bells, _packed_kron(basis, ((square_a, square_b),))[0]
-
-    return pullback
-
-
 def amplified_source_threshold_with_filters(
     gain: float,
     applications: int = 1,
@@ -1073,25 +1026,22 @@ def amplified_source_threshold_with_filters(
     modes, and is measured with detector efficiency ``eta_d``.  The source
     parameters and bin half-width are re-optimized at every bisection step;
     a step whose delta grid already violates is decided there
-    (``stop_above`` of :func:`cvbell.bell.optimize_delta`).
+    (``stop_above`` of :func:`cvbell.bell._search_grid`).
 
-    Every factor of the measured expectation is a product over the two
-    modes: the filter is ``F = f (x) f``, the transmission loss is
-    ``L = L_a (x) L_b`` and the Bell operator is ``Xa (x) (Xb + Nb) +
-    Na (x) (Xb - Nb)``.  So ``Tr(F L(rho) F B) = Tr(rho L^dag(F B F))`` with
-
-        L^dag(F (A (x) B) F) = L_a^dag(f A f) (x) L_b^dag(f B f),
-
-    and likewise for ``F^2``, the trace of the filtered state.  Each step
-    pulls the single-mode stacks back through the loss
-    (:func:`cvbell.measurement._through_loss`) and gathers the photon-parity
-    sector entries of the capped basis from them (:func:`_filtered_pullback`),
-    the only entries the forms read (:func:`_pair_forms`).  Capping after the
-    pullback is exact, because loss never raises the photon number and the
-    source's output basis holds every occupation up to its cap.  The chosen
-    state goes forward through the loss one mode at a time
-    (:func:`cvbell.measurement._lossy_state`) and then through the filters
-    (:func:`cvbell.local_amp.apply_filters`).
+    ``Tr(F L(rho) F B) = Tr(rho L^dag(F B F))``, and likewise for ``F^2``, the
+    trace of the filtered state.  Each step pulls the filtered stacks back
+    through its loss and gathers the photon-parity sector entries of the
+    capped basis from them (:func:`cvbell.local_amp._filtered_pullback`), the
+    only entries the forms read (:func:`_pair_forms`).  The source's output
+    basis holds every occupation up to its cap, so capping after the pullback
+    is exact.  The forms give CHSH on the whole (delta, lam, t) grid; the
+    delta grid at the best (lam, t) is the chosen state's, and only a step
+    whose maximum there neither violates nor sits at delta = 0 builds that
+    state for the slope refine: it goes forward through the loss one mode at
+    a time (:func:`cvbell.measurement._lossy_state`) and then through the
+    filters (:func:`cvbell.local_amp.apply_filters`).  Its filtered entries
+    are of order ``f^4``, with f the largest single-mode filter entry, so a
+    filter whose ``f^4`` overflows the float range is rejected up front.
     """
     lam_grid = _sweep_grid(default_squeezing_grid(20) if lam_grid is None else lam_grid,
                            "lam_grid")
@@ -1099,19 +1049,26 @@ def amplified_source_threshold_with_filters(
                          "t_grid")
     basis, stack, packed, _ = _source_stack(eta_c, cutoff)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
-    pullback = _filtered_pullback(
-        basis, party, party, np.linspace(0.0, DELTA_MAX, 61), gain, applications, cutoff
-    )
+    deltas = np.linspace(0.0, DELTA_MAX, 61)
+    pullback = _filtered_pullback(basis, party, party, deltas, gain, applications, cutoff)
+    with np.errstate(over="ignore"):
+        largest = np.float64((gain - 1.0) * max(basis.cutoffs) + 1.0) ** (4 * applications)
+    if not np.isfinite(largest):
+        raise _overflow_error(gain, applications, cutoff)
 
     def max_chsh(eta_t):
         bells, trace = pullback(eta_t)
         hankels = _pair_forms(packed, np.concatenate([bells, trace[None]]))
         values = _grid_chsh(hankels[:-1], hankels[-1], lam_grid, t_grid)
         _, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-        state = _image_state(basis, stack, lam_grid[i], t_grid[j])
-        lossy = _lossy_state(basis, state.matrix, eta_t)
-        best = apply_filters(DensityOperator(basis, lossy), gain, applications)
-        return optimize_delta(party, party, state=best, grid_points=61, tol=1e-5,
-                              stop_above=VIOLATION_BOUND)[1]
+
+        def slope_objective():
+            state = _image_state(basis, stack, lam_grid[i], t_grid[j])
+            lossy = _lossy_state(basis, state.matrix, eta_t)
+            best = apply_filters(DensityOperator(basis, lossy), gain, applications)
+            return _state_chsh(best, party, party)[1]
+
+        return _search_grid(deltas, values[:, i, j], slope_objective, tol=1e-5,
+                            stop_above=VIOLATION_BOUND).value
 
     return bisect_threshold(max_chsh, tol=tol)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import cvbell.bell as bell
 import cvbell.source_amp as sa
 from cvbell.bell import (
     BellScenario,
@@ -18,11 +19,14 @@ from cvbell.bell import (
     _mode_observables,
     _mode_slopes,
     _packed_kron,
+    _projected_kron,
     _state_chsh,
     _top_eigenvalue,
     bell_matrices,
     bell_matrix,
+    critical_efficiency,
     golden_section_max,
+    optimal_state,
     optimize_delta,
     refine_slope_root,
     search_delta,
@@ -36,7 +40,7 @@ from cvbell.fock import (
     fock_state,
     loss_kraus,
 )
-from cvbell.local_amp import lossy_psi2, psi2_state
+from cvbell.local_amp import filtered_critical_transmission, filtered_state, lossy_psi2, psi2_state
 from cvbell.measurement import (
     DELTA_MAX,
     binned_homodyne_povms,
@@ -279,11 +283,54 @@ def test_refine_converges_superlinearly(state, eta_t):
 def test_refine_stops_at_the_zero_delta_edge():
     # All photons lost: X = (2 erf(delta) - 1) 1 and N = -1, so CHSH is
     # x^2 - 2x - 1, largest (2) at the constant observable X = -1, delta = 0.
+    # A maximum at delta = 0 is not refined: the slope there is never positive.
     lost = PartyConditions(eta_t=0.0)
     search = search_delta(lost, lost)
-    assert (search.delta, search.grid_index, search.evaluations) == (0.0, 0, 2)
+    assert (search.delta, search.grid_index, search.evaluations) == (0.0, 0, 0)
     assert search.value == pytest.approx(2.0, abs=1e-12)
     assert search.unimodal
+
+
+@settings(max_examples=40, deadline=None)
+@given(alice=parties, other=parties, symmetric=st.booleans(), cap=st.integers(2, 6),
+       delta=st.floats(min_value=0.0, max_value=DELTA_MAX), eta=unit,
+       gain=st.floats(min_value=1.0, max_value=4.0), applications=st.integers(1, 4))
+def test_the_slope_at_zero_delta_is_never_positive(alice, other, symmetric, cap, delta, eta,
+                                                   gain, applications):
+    # X(0) = -1, dX/d(delta) >= 0 and N <= 1, so
+    # dB(0) = dXa (x) (Nb - 1) + (Na - 1) (x) dXb <= 0: no state has a positive
+    # slope at delta = 0, and a maximum there is returned unrefined.
+    bob = alice if symmetric else other
+    basis = ModeBasis((cap, cap), total_cap=cap)
+    slope = _projected_kron(basis, _mode_slopes(basis, alice, bob, [0.0])[1])[0]
+    w = np.linalg.eigvalsh(slope)
+    assert w[-1] <= 1e-12 * np.abs(w).max()
+    states = [psi2_state(cap), filtered_state(eta, gain, applications, cutoff=cap),
+              optimal_state(BellScenario(alice, bob, delta), cap, cap)[0]]
+    for state in states:
+        (_,), (state_slope,) = _state_chsh(state, alice, bob)[1](np.array([0.0]))
+        assert state_slope <= 1e-12
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: critical_efficiency("eta_t"),
+    lambda: critical_efficiency("eta_d", state=psi2_state()),
+    lambda: filtered_critical_transmission(2.0),
+], ids=["optimal-eta-t", "psi2-eta-d", "filtered"])
+def test_cap_two_threshold_solves_never_refine(monkeypatch, solve):
+    # Every step of these solves violates on the grid or peaks at delta = 0,
+    # where the refine could not move the verdict, so it never runs.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return refine_slope_root(*args)
+
+    monkeypatch.setattr(bell, "refine_slope_root", counted)
+    assert solve() is not None
+    assert calls == []
+    optimize_delta(PartyConditions(), PartyConditions())  # an interior maximum
+    assert len(calls) == 1
 
 
 def test_flat_objective_keeps_the_grid_maximizer():

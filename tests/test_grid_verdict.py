@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cvbell.local_amp as la
 import cvbell.source_amp as sa
 from cvbell.bell import (
     ASYMMETRIC,
@@ -26,12 +27,19 @@ from cvbell.bell import (
     VIOLATION_BOUND,
     PartyConditions,
     _scenario_for,
+    _state_chsh,
     bisect_threshold,
     critical_efficiency,
     optimize_delta,
     search_delta,
 )
-from cvbell.local_amp import filtered_chsh, filtered_critical_transmission, lossy_psi2, psi2_state
+from cvbell.local_amp import (
+    filtered_chsh,
+    filtered_critical_transmission,
+    filtered_state,
+    lossy_psi2,
+    psi2_state,
+)
 from cvbell.measurement import DELTA_MAX
 
 
@@ -167,6 +175,54 @@ def test_filtered_transmission_matches_full_search_bisection(gain, applications,
         tol=TOL,
     )
     assert found == reference
+
+
+def recorded_searches(monkeypatch, module):
+    """Every ``(grid, values, slope_objective)`` that ``module``'s solvers search, in order."""
+    searches = []
+    search = module._search_grid
+
+    def record(grid, values, slope_objective, *args, **kwargs):
+        searches.append((np.array(grid), np.array(values), slope_objective))
+        return search(grid, values, slope_objective, *args, **kwargs)
+
+    monkeypatch.setattr(module, "_search_grid", record)
+    return searches
+
+
+@pytest.mark.parametrize("eta_c", [1.0, 0.9])
+@pytest.mark.parametrize("applications", [1, 2, 3, 4])
+@pytest.mark.parametrize("cutoff", [2, 6])
+def test_filtered_steps_read_the_filtered_states_grid(monkeypatch, cutoff, applications, eta_c):
+    # Each step's grid of pulled-back forms is the filtered state's CHSH.
+    steps = []
+    monkeypatch.setattr(la, "bisect_threshold", lambda max_chsh, **kwargs: bisect_threshold(
+        lambda eta_t: steps.append(eta_t) or max_chsh(eta_t), **kwargs))
+    searches = recorded_searches(monkeypatch, la)
+    filtered_critical_transmission(2.0, applications, eta_d=0.95, eta_c=eta_c, cutoff=cutoff)
+    assert len(searches) == len(steps) > 0
+    party = PartyConditions(eta_d=0.95)
+    for eta_t, (grid, values, slope_objective) in zip(steps, searches):
+        rho = filtered_state(eta_t, 2.0, applications, eta_c, cutoff)
+        assert len(grid) == 241
+        assert np.abs(values - _state_chsh(rho, party, party)[0](grid)).max() <= 1e-14
+        assert np.abs(values - slope_objective()(grid)[0]).max() <= 1e-14
+
+
+@pytest.mark.parametrize("eta_c", [1.0, 0.9])
+@pytest.mark.parametrize("applications", [1, 2, 3, 4])
+@pytest.mark.parametrize("cutoff", [2, 6])
+def test_filtered_source_steps_read_the_chosen_states_grid(monkeypatch, cutoff, applications,
+                                                           eta_c):
+    # The delta grid at the best (lam, t) of the forms is the CHSH of that
+    # filtered lossy output state, which the refine builds (its slope objective).
+    searches = recorded_searches(monkeypatch, sa)
+    sa.amplified_source_threshold_with_filters(2.0, applications, eta_d=0.95, eta_c=eta_c,
+                                               cutoff=cutoff)
+    assert searches
+    for grid, values, slope_objective in searches:
+        assert len(grid) == 61
+        assert np.abs(values - slope_objective()(grid)[0]).max() <= 1e-14
 
 
 @pytest.mark.parametrize("solve", [
