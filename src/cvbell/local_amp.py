@@ -34,14 +34,13 @@ from .bell import (
     VIOLATION_BOUND,
     PartyConditions,
     _mode_observables,
+    _mode_slopes,
     _packed_kron,
     _parity_sectors,
     _search_grid,
-    _state_chsh,
     bisect_threshold,
-    optimize_delta,
 )
-from .measurement import DELTA_MAX, _lossy_state, _through_loss
+from .measurement import DELTA_MAX, _through_loss
 
 
 def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.ndarray:
@@ -60,69 +59,74 @@ def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.
     with np.errstate(over="ignore"):
         diag = np.prod(((gain - 1.0) * basis.occupations + 1.0) ** applications, axis=1)
     if not np.isfinite(diag).all():
-        raise _overflow_error(gain, applications, max(basis.cutoffs))
+        raise ValueError(f"the filter of gain {gain} applied {applications} times overflows "
+                         f"the float range at cutoff {max(basis.cutoffs)}")
     return diag
 
 
-def _overflow_error(gain: float, applications: int, cutoff: int) -> ValueError:
-    return ValueError(f"the filter of gain {gain} applied {applications} times overflows "
-                      f"the float range at cutoff {cutoff}")
+def _filtered_pullback(basis: ModeBasis, gain: float, applications: int, cutoff: int):
+    """Filtered two-mode operators pulled back through a loss on both modes.
 
+    Returns ``pullback(terms)``, which filters the per-mode factors of
+    ``B = sum a (x) b`` once and returns ``at(eta)``: ``L^dag(F B F)`` and
+    ``L^dag(F^2)``, packed on the photon-parity sectors of the capped
+    two-mode ``basis`` (:func:`cvbell.bell._packed_kron`), with ``F`` the
+    filter of ``gain`` applied ``applications`` times on each mode and ``L``
+    the transmission ``eta`` on each mode.  Filter and loss factor by mode,
 
-def _filtered_pullback(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions,
-                       deltas, gain: float, applications: int, cutoff: int):
-    """The filtered Bell stack and ``F^2``, pulled back through a two-mode loss.
+        L^dag(F (a (x) b) F) = L_a^dag(f a f) (x) L_b^dag(f b f),
 
-    Returns ``pullback(eta)``, which gives ``L^dag(F B F)`` for the Bell
-    operators of the two parties at ``deltas``, and ``L^dag(F^2)``, packed on
-    the photon-parity sectors of the capped two-mode ``basis``
-    (:func:`cvbell.bell._packed_kron`), with ``F`` the filter of ``gain``
-    applied ``applications`` times on each mode and ``L`` the transmission
-    ``eta`` on each mode.  Every factor is a product over the two modes, so
-
-        L^dag(F (A (x) B) F) = L_a^dag(f A f) (x) L_b^dag(f B f),
-
-    and both are assembled from single-mode factors, pulled back through the
-    loss (:func:`cvbell.measurement._through_loss`) at each eta.  The filter
-    ``f`` of each mode, whose entries run from 1 (vacuum) to its largest
-    entry M, is scaled by a power of two near ``1/sqrt(M)``: a product of
-    four entries then lies between about ``1/M^2`` and ``M^2``, so neither
-    overflows nor underflows wherever the filter's two-mode diagonal is
-    finite, and every product is exactly the unscaled one times a common
-    factor, which cancels in each CHSH ratio ``Tr(rho L^dag(F B F)) /
-    Tr(rho L^dag(F^2))``.  Capping after the pullback is exact, because loss
-    never raises the photon number.  Invalid filter arguments raise the
-    :func:`filter_diagonal` error, and a filter whose single-mode diagonal
-    overflows the float range raises it naming the caller's ``cutoff``.
+    and capping after the pullback is exact, because loss never raises the
+    photon number.  Each mode's ``f``, with entries from 1 to its largest,
+    M, is scaled by a power of two near ``1/sqrt(M)``, so a product of four
+    entries lies between about ``1/M^2`` and ``M^2``: it neither overflows
+    nor underflows where the two-mode diagonal is finite, and the common
+    factor cancels exactly in every ratio to ``L^dag(F^2)``.  The filter is
+    checked once, on the two-mode basis at the caller's ``cutoff``: invalid
+    arguments and an overflow there raise the :func:`filter_diagonal` error.
     """
-    # Checks the arguments (and an overflow at the caller's own cutoff) first,
-    # so that every error below is an overflow at the modes' own cutoff.
-    filter_diagonal(shared_basis((cutoff,)), gain, applications)
-    (Xa, plus), (Na, minus) = _mode_observables(basis, alice, bob, deltas)
+    filter_diagonal(shared_basis((cutoff, cutoff)), gain, applications)
 
-    def filtered(*ops):
-        """``f O f`` for each stack, with ``f^2`` last: one mode's factors."""
-        mode_cutoff = ops[0].shape[-1] - 1
-        try:
-            f = filter_diagonal(shared_basis((mode_cutoff,)), gain, applications)
-        except ValueError:
-            raise _overflow_error(gain, applications, cutoff) from None
+    def filtered(ops):
+        """``f O f`` for each factor of one mode, stacked, with ``f^2`` last."""
+        n = ops[0].shape[-1]
+        f = filter_diagonal(shared_basis((n - 1,)), gain, applications)
         f = np.ldexp(f, -(np.frexp(f.max())[1] // 2))
-        stack = np.concatenate([*(op.reshape(-1, mode_cutoff + 1, mode_cutoff + 1) for op in ops),
-                                np.eye(mode_cutoff + 1)[None]])
-        return f[:, None] * stack * f, mode_cutoff
+        stack = np.concatenate([*(op.reshape(-1, n, n) for op in ops), np.eye(n)[None]])
+        return f[:, None] * stack * f, np.cumsum([op.size // (n * n) for op in ops]).tolist()
 
-    # The filtered factors do not depend on eta.
-    (alice_ops, ca), (bob_ops, cb) = filtered(Xa, Na), filtered(plus, minus)
-    G = len(Xa)
+    def pullback(terms):
+        modes = [filtered(ops) for ops in zip(*terms)]
 
-    def pullback(eta: float):
-        xa, na, square_a = np.split(_through_loss(eta, alice_ops, ca), [G, G + 1])
-        xb_plus, xb_minus, square_b = np.split(_through_loss(eta, bob_ops, cb), [G, 2 * G])
-        bells = _packed_kron(basis, ((xa, xb_plus), (na, xb_minus)))
-        return bells, _packed_kron(basis, ((square_a, square_b),))[0]
+        def at(eta: float):
+            (*a, square_a), (*b, square_b) = (
+                np.split(_through_loss(eta, stack, stack.shape[-1] - 1), ends)
+                for stack, ends in modes)
+            return (_packed_kron(basis, zip(a, b)),
+                    _packed_kron(basis, ((square_a, square_b),))[0])
+
+        return at
 
     return pullback
+
+
+def _filtered_slopes(pullback, basis: ModeBasis, party: PartyConditions, eta: float,
+                     rho: np.ndarray):
+    """The refine's ``value_and_slope`` of a filtered state (:func:`cvbell.bell._search_grid`).
+
+    ``Tr(rho L^dag(F B F))`` and ``Tr(rho L^dag(F dB F))`` over
+    ``Tr(rho L^dag(F^2))``, which does not depend on delta, for ``rho``
+    packed on the sectors of ``basis`` and both parties measuring as
+    ``party``; ``pullback`` is the :func:`_filtered_pullback` of ``basis``.
+    """
+
+    def value_and_slope(deltas):
+        values, slopes = _mode_slopes(basis, party, party, deltas)
+        (bells, square), (dbells, _) = pullback(values)(eta), pullback(slopes)(eta)
+        norm = square @ rho
+        return (bells @ rho) / norm, (dbells @ rho) / norm
+
+    return value_and_slope
 
 
 def filter_operator(gain: float, cutoff: int) -> HermitianOperator:
@@ -145,13 +149,19 @@ def lossy_psi2(eta_t: float, cutoff: int = 2) -> DensityOperator:
 
     The two-photon component keeps weight eta_t^2, the single-photon mixture
     |01><01| + |10><10| carries eta_t (1 - eta_t) and the vacuum
-    (1 - eta_t)^2 (:func:`cvbell.measurement._lossy_state`).
+    (1 - eta_t)^2.  The arms lose photons into different environment modes,
+    so |10> and |01> stay incoherent.  A forward reference for the tests.
     """
     if not 0.0 <= eta_t <= 1.0:
         raise ValueError("eta_t must lie in [0, 1]")
     basis = shared_basis((cutoff, cutoff))
-    psi2 = psi2_state(cutoff).amplitudes.real  # real amplitudes: a real loss product
-    return DensityOperator(basis, _lossy_state(basis, np.outer(psi2, psi2), eta_t))
+    psi2 = psi2_state(cutoff).amplitudes.real
+    rho = eta_t**2 * np.outer(psi2, psi2)
+    one = eta_t * (1.0 - eta_t)
+    for occupation, weight in (((1, 0), one), ((0, 1), one), ((0, 0), (1.0 - eta_t) ** 2)):
+        i = basis.index_of(occupation)
+        rho[i, i] += weight
+    return DensityOperator(basis, rho)
 
 
 def apply_filters(rho: DensityOperator, gain: float, applications: int = 1) -> DensityOperator:
@@ -159,7 +169,8 @@ def apply_filters(rho: DensityOperator, gain: float, applications: int = 1) -> D
 
     m applications equal a single diagonal filter with entries
     ``((g - 1) n + 1)^m``; the success probability is absorbed into the
-    renormalization (filtering is part of state preparation).
+    renormalization (filtering is part of state preparation).  The forward
+    reference that the pulled-back forms of the solvers are tested against.
     """
     basis = rho.basis
     if basis.mode_count != 2:
@@ -179,8 +190,39 @@ def filtered_state(
     eta_c: float = 1.0,
     cutoff: int = 2,
 ) -> DensityOperator:
-    """Lossy two-photon state after both parties' filters."""
+    """Lossy two-photon state after both parties' filters: the forward reference."""
     return apply_filters(lossy_psi2(eta_t * eta_c, cutoff), gain, applications)
+
+
+def _psi2_search(gain: float, applications: int, eta_d: float, eta_c: float, cutoff: int):
+    """The delta search of the filtered psi2 at a transmission: ``search(eta_t, stop_above)``.
+
+    The 241-point grid reads ``Tr(psi2 L^dag(F B F)) / Tr(psi2 L^dag(F^2))``
+    (:func:`_filtered_pullback`) through the loss ``eta_t * eta_c``, on the
+    basis capped at the two photons that psi2 and its losses hold; the
+    filtered stacks of the grid are built once.  The refine, when it runs,
+    reads the slopes from the same forms (:func:`_filtered_slopes`).  The
+    measurements carry only the detector efficiencies.
+    """
+    basis = shared_basis((cutoff, cutoff), 2)
+    pullback = _filtered_pullback(basis, gain, applications, cutoff)
+    party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
+    grid = np.linspace(0.0, DELTA_MAX, 241)
+    grid_forms = pullback(_mode_observables(basis, party, party, grid))
+    # (|20> + |02>)(<20| + <02|) on the packed entries: psi2 up to its norm,
+    # which cancels in the ratio.
+    v = np.zeros(basis.dimension)
+    v[[basis.index_of((2, 0)), basis.index_of((0, 2))]] = 1.0
+    psi2 = np.outer(v, v).ravel()[_parity_sectors(basis).entries]
+
+    def search(eta_t: float, stop_above: float | None = None):
+        eta = eta_t * eta_c
+        bells, square = grid_forms(eta)
+        return _search_grid(grid, (bells @ psi2) / (square @ psi2),
+                            lambda: _filtered_slopes(pullback, basis, party, eta, psi2),
+                            stop_above=stop_above)
+
+    return search
 
 
 def filtered_chsh(
@@ -191,14 +233,13 @@ def filtered_chsh(
     eta_c: float = 1.0,
     cutoff: int = 2,
 ) -> tuple[float, float]:
-    """Best (delta, CHSH) for the filtered lossy state.
+    """Best (delta, CHSH) for the filtered lossy state (:func:`filtered_state`).
 
-    Transmission and coupling losses already sit in the state, so the
-    measurements carry only the detector efficiencies.
+    The full delta search of :func:`_psi2_search`, refined to
+    :data:`cvbell.bell.DELTA_REFINE_TOL`.
     """
-    rho = filtered_state(eta_t, gain, applications, eta_c, cutoff)
-    party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
-    return optimize_delta(party, party, state=rho)
+    search = _psi2_search(gain, applications, eta_d, eta_c, cutoff)(eta_t)
+    return search.delta, search.value
 
 
 def filtered_critical_transmission(
@@ -211,42 +252,13 @@ def filtered_critical_transmission(
 ) -> float | None:
     """Critical transmission for a CHSH violation with local filters.
 
-    Bisection on eta_t with the bin half-width re-optimized at every step;
-    ``None`` when even unit transmission shows no violation.  Each step is
-    decided on the 241-point delta grid of the pulled-back forms
-
-        Tr(psi2 L^dag(F B F)) / Tr(psi2 L^dag(F^2)),
-
-    the CHSH values of :func:`filtered_state` (:func:`_filtered_pullback`):
-    the filtered measurement stacks are built once per solve, on the
-    photon-capped basis of two photons that psi2 and its losses live on, and
-    each step pulls them back through its loss ``eta_t * eta_c``.  Only a
-    step whose grid maximum neither violates nor sits at delta = 0 builds
-    the filtered state, for the slope refine (:func:`cvbell.bell._search_grid`).
+    Bisection on eta_t with the bin half-width re-optimized at every step
+    (:func:`_psi2_search`); ``None`` when even unit transmission shows no
+    violation.  A step whose grid maximum already violates is decided there
+    (``stop_above``).
     """
-    # The check of apply_filters: the filter on the caller's two-mode basis.
-    filter_diagonal(shared_basis((cutoff, cutoff)), gain, applications)
-    basis = shared_basis((cutoff, cutoff), 2)
-    party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
-    grid = np.linspace(0.0, DELTA_MAX, 241)
-    pullback = _filtered_pullback(basis, party, party, grid, gain, applications, cutoff)
-    # (|20> + |02>)(<20| + <02|) on the packed entries: psi2 up to its norm,
-    # which cancels in the ratio.
-    v = np.zeros(basis.dimension)
-    v[[basis.index_of((2, 0)), basis.index_of((0, 2))]] = 1.0
-    psi2 = np.outer(v, v).ravel()[_parity_sectors(basis).entries]
-
-    def max_chsh(eta_t):
-        bells, square = pullback(eta_t * eta_c)
-
-        def slope_objective():
-            rho = filtered_state(eta_t, gain, applications, eta_c, cutoff)
-            return _state_chsh(rho, party, party)[1]
-
-        return _search_grid(grid, (bells @ psi2) / (square @ psi2), slope_objective,
-                            stop_above=VIOLATION_BOUND).value
-
-    return bisect_threshold(max_chsh, tol=tol)
+    search = _psi2_search(gain, applications, eta_d, eta_c, cutoff)
+    return bisect_threshold(lambda eta_t: search(eta_t, VIOLATION_BOUND).value, tol=tol)
 
 
 def log_linear_fit(curve) -> tuple[float, float, float]:

@@ -18,6 +18,7 @@ import numpy as np
 from .bell import (
     ASYMMETRIC,
     SYMMETRIC,
+    VIOLATION_BOUND,
     BellScenario,
     critical_efficiency,
     optimal_state,
@@ -207,7 +208,7 @@ def reproduce_all(include_source: bool = True, source_cutoff: int = 6) -> Reprod
             "7. violation at eta_d = eta_t = 0.8 with gain-2 filters",
             "CHSH > 2",
             f"{v_f:.4f}",
-            v_f > 2.0,
+            v_f > VIOLATION_BOUND,
             dt + dt2,
             detail=f"single application; two applications give {v_f2:.4f}",
         )

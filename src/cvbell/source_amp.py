@@ -66,7 +66,7 @@ from .fock import (
     loss_kraus,
     shared_basis,
 )
-from .measurement import DELTA_MAX, _lossy_state, photodetection_povm
+from .measurement import DELTA_MAX, photodetection_povm
 from .bell import (
     VIOLATION_BOUND,
     PartyConditions,
@@ -75,12 +75,11 @@ from .bell import (
     _parity_sectors,
     _scenario_for,
     _search_grid,
-    _state_chsh,
     bisect_threshold,
     golden_section_max,
     optimize_delta,
 )
-from .local_amp import _filtered_pullback, _overflow_error, apply_filters
+from .local_amp import _filtered_pullback, _filtered_slopes
 
 #: Branches with squared norm below this are dropped.  The cut is absolute
 #: (the circuit's input is normalized), although outputs are renormalized by
@@ -856,6 +855,12 @@ def _weight_factors(lams, ts, degree: int):
     return lams[:, None] ** np.arange(degree + 1), pairs
 
 
+def _image_weights(lam: float, t: float, degree: int) -> np.ndarray:
+    """The weights ``lam^s phi_j(t) phi_k(t)`` of the folded rows, s <= ``degree``."""
+    powers, pairs = _weight_factors([lam], [t], degree)
+    return (powers[0][:, None] * pairs[:, 0]).ravel()
+
+
 def _image_state(basis: ModeBasis, stack, lam: float, t: float) -> DensityOperator:
     """Normalized output state at squeezing ``lam`` and transmission ``t``.
 
@@ -864,8 +869,7 @@ def _image_state(basis: ModeBasis, stack, lam: float, t: float) -> DensityOperat
     the raveled transpose of the unnormalized output.
     """
     re, im = stack
-    powers, pairs = _weight_factors([lam], [t], len(re) // 4 - 1)
-    weights = (powers[0][:, None] * pairs[:, 0]).ravel()
+    weights = _image_weights(lam, t, len(re) // 4 - 1)
     d = basis.dimension
     rho = (weights @ re + 1j * (weights @ im)).reshape(d, d).T
     return DensityOperator(basis, rho / np.trace(rho).real)
@@ -1030,43 +1034,36 @@ def amplified_source_threshold_with_filters(
 
     ``Tr(F L(rho) F B) = Tr(rho L^dag(F B F))``, and likewise for ``F^2``, the
     trace of the filtered state.  Each step pulls the filtered stacks back
-    through its loss and gathers the photon-parity sector entries of the
-    capped basis from them (:func:`cvbell.local_amp._filtered_pullback`), the
-    only entries the forms read (:func:`_pair_forms`).  The source's output
-    basis holds every occupation up to its cap, so capping after the pullback
-    is exact.  The forms give CHSH on the whole (delta, lam, t) grid; the
-    delta grid at the best (lam, t) is the chosen state's, and only a step
-    whose maximum there neither violates nor sits at delta = 0 builds that
-    state for the slope refine: it goes forward through the loss one mode at
-    a time (:func:`cvbell.measurement._lossy_state`) and then through the
-    filters (:func:`cvbell.local_amp.apply_filters`).  Its filtered entries
-    are of order ``f^4``, with f the largest single-mode filter entry, so a
-    filter whose ``f^4`` overflows the float range is rejected up front.
+    through its loss onto the photon-parity sector entries of the capped
+    output basis (:func:`cvbell.local_amp._filtered_pullback`), the only
+    entries the forms read (:func:`_pair_forms`); the output basis holds
+    every occupation up to its cap, so capping after the pullback is exact.
+    The forms give CHSH on the whole (delta, lam, t) grid, and the delta grid
+    at the best (lam, t) is the chosen output's.  A refine reads its slopes
+    from the same pulled-back forms, contracted with that output
+    (:func:`cvbell.local_amp._filtered_slopes`), which is built only then.
     """
     lam_grid = _sweep_grid(default_squeezing_grid(20) if lam_grid is None else lam_grid,
                            "lam_grid")
     t_grid = _sweep_grid(default_transmission_grid(30) if t_grid is None else t_grid,
                          "t_grid")
-    basis, stack, packed, _ = _source_stack(eta_c, cutoff)
+    basis, _, packed, _ = _source_stack(eta_c, cutoff)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
     deltas = np.linspace(0.0, DELTA_MAX, 61)
-    pullback = _filtered_pullback(basis, party, party, deltas, gain, applications, cutoff)
-    with np.errstate(over="ignore"):
-        largest = np.float64((gain - 1.0) * max(basis.cutoffs) + 1.0) ** (4 * applications)
-    if not np.isfinite(largest):
-        raise _overflow_error(gain, applications, cutoff)
+    pullback = _filtered_pullback(basis, gain, applications, cutoff)
+    grid_forms = pullback(_mode_observables(basis, party, party, deltas))
 
     def max_chsh(eta_t):
-        bells, trace = pullback(eta_t)
+        bells, trace = grid_forms(eta_t)
         hankels = _pair_forms(packed, np.concatenate([bells, trace[None]]))
         values = _grid_chsh(hankels[:-1], hankels[-1], lam_grid, t_grid)
         _, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
 
         def slope_objective():
-            state = _image_state(basis, stack, lam_grid[i], t_grid[j])
-            lossy = _lossy_state(basis, state.matrix, eta_t)
-            best = apply_filters(DensityOperator(basis, lossy), gain, applications)
-            return _state_chsh(best, party, party)[1]
+            # The packed, unnormalized output at (lam, t): raveled transposes,
+            # which the symmetric forms read as they are.
+            rho = _image_weights(lam_grid[i], t_grid[j], len(packed) // 4 - 1) @ packed
+            return _filtered_slopes(pullback, basis, party, eta_t, rho)
 
         return _search_grid(deltas, values[:, i, j], slope_objective, tol=1e-5,
                             stop_above=VIOLATION_BOUND).value

@@ -4,12 +4,11 @@
 photon-parity sectors of a capped basis, and ``bell._projected_kron`` builds
 the whole matrix densely; ``np.kron`` followed by the capped-index
 projection is the reference for both, entry for entry.  The
-filtered-source threshold pulls its
+filtered solvers pull their
 filtered Bell operators and ``F^2`` back through the transmission loss one
-mode at a time (``source_amp._filtered_pullback``) and sends the chosen
-state forward the same way (``measurement._lossy_state``); the two-mode Kraus
+mode at a time (``local_amp._filtered_pullback``); the two-mode Kraus
 operators of ``fock.embed_single_mode`` and ``fock.loss_kraus`` are the
-reference for both.
+reference.
 """
 
 import numpy as np
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 import cvbell.source_amp as sa
 from cvbell.bell import (
     PartyConditions,
+    _mode_observables,
     _parity_sectors,
     _packed_kron,
     _projected_kron,
@@ -27,7 +27,7 @@ from cvbell.bell import (
 )
 from cvbell.fock import ModeBasis, embed_single_mode, embedding_indices, loss_kraus
 from cvbell.local_amp import filter_diagonal
-from cvbell.measurement import DELTA_MAX, _lossy_state
+from cvbell.measurement import DELTA_MAX
 
 seeds = st.integers(0, 2**32 - 1)
 
@@ -86,10 +86,10 @@ def embedded_loss(basis, eta):
     ]
 
 
-def through_embedded(ops, kraus, adjoint):
-    """``sum_k E_k^T O E_k`` (adjoint) or ``sum_k E_k O E_k^T``, mode 0 then mode 1."""
+def through_embedded(ops, kraus):
+    """The adjoint loss ``sum_k E_k^T O E_k``, mode 0 then mode 1."""
     for mode_kraus in kraus:
-        ops = sum(E.T @ ops @ E if adjoint else E @ ops @ E.T for E in mode_kraus)
+        ops = sum(E.T @ ops @ E for E in mode_kraus)
     return ops
 
 
@@ -127,18 +127,12 @@ def test_per_mode_loss_matches_embedded_kraus(eta, gain, applications, cutoff, e
     kraus = embedded_loss(basis, eta)
     F = filter_diagonal(basis, gain, applications)
 
-    bells, trace = sa._filtered_pullback(basis, alice, bob, deltas, gain, applications,
-                                         cutoff)(eta)
+    terms = _mode_observables(basis, alice, bob, deltas)
+    bells, trace = sa._filtered_pullback(basis, gain, applications, cutoff)(terms)(eta)
     filtered = F[:, None] * bell_matrices(basis, alice, bob, deltas) * F
-    square = sector_entries(basis, through_embedded(np.diag(F * F), kraus, adjoint=True)[None])[0]
+    square = sector_entries(basis, through_embedded(np.diag(F * F), kraus)[None])[0]
     scale = filter_scale(trace, square)
     assert_relatively_close(
-        bells, scale * sector_entries(basis, through_embedded(filtered, kraus, adjoint=True))
+        bells, scale * sector_entries(basis, through_embedded(filtered, kraus))
     )
     assert_relatively_close(trace, scale * square)
-
-    M = rng.normal(size=(basis.dimension,) * 2) + 1j * rng.normal(size=(basis.dimension,) * 2)
-    rho = M @ M.conj().T
-    assert_relatively_close(
-        _lossy_state(basis, rho, eta), through_embedded(rho, kraus, adjoint=False)
-    )

@@ -1,9 +1,16 @@
+import math
 import re
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import cvbell.local_amp as la
+import cvbell.reproduce
+import cvbell.source_amp as sa
+from cvbell.bell import PartyConditions, _parity_sectors, _state_chsh, optimize_delta
 from cvbell.cli import _solve_at
 from cvbell.fock import LossChannel, apply_channel, shared_basis
 from cvbell.local_amp import (
@@ -17,6 +24,7 @@ from cvbell.local_amp import (
     lossy_psi2,
     psi2_state,
 )
+from cvbell.measurement import DELTA_MAX
 from cvbell.parallel import map_ordered
 from cvbell.source_amp import amplified_source_threshold_with_filters
 
@@ -90,14 +98,15 @@ class TestLossyPsi2:
         assert one_photon == pytest.approx(0.5)
         assert vac == pytest.approx(0.25)
 
-    @pytest.mark.parametrize("eta", [0.2, 0.5, 0.84])
+    @pytest.mark.parametrize("eta", [0.2, 0.5, 0.84, 0.0, 1.0])
     def test_matches_loss_channel(self, eta):
-        # Cross-check against the generic per-mode Kraus channel.
-        direct = lossy_psi2(eta)
-        channel = psi2_state().to_density()
-        for mode in (0, 1):
-            channel = apply_channel(channel, LossChannel(eta), mode)
-        assert np.abs(direct.matrix - channel.matrix).max() < 1e-12
+        # The closed form against the generic per-mode Kraus channel.
+        for cutoff in (2, 6):
+            direct = lossy_psi2(eta, cutoff)
+            channel = psi2_state(cutoff).to_density()
+            for mode in (0, 1):
+                channel = apply_channel(channel, LossChannel(eta), mode)
+            assert np.abs(direct.matrix - channel.matrix).max() < 1e-12
 
     def test_trace_one(self):
         assert lossy_psi2(0.37).trace() == pytest.approx(1.0, abs=1e-12)
@@ -165,18 +174,18 @@ class TestApplyFilters:
     ])
     def test_overflowing_filter_is_named(self, gain, applications, one_mode_overflows):
         """The filter diagonal, and every path through it, rejects an infinite entry."""
-        import cvbell.source_amp as sa
-        from cvbell.bell import PartyConditions
-
         message = re.escape(f"filter of gain {gain} applied {applications} times overflows")
         with pytest.raises(ValueError, match=message):
             apply_filters(lossy_psi2(0.8), gain, applications)
-        if not one_mode_overflows:
-            return
-        party = PartyConditions(eta_t=1.0, eta_d=1.0, eta_h=1.0)
-        with pytest.raises(ValueError, match=message):
-            sa._filtered_pullback(lossy_psi2(0.8).basis, party, party, [0.5], gain, applications,
-                                  cutoff=2)
+        one_mode = partial(filter_diagonal, shared_basis((2,)), gain, applications)
+        if one_mode_overflows:
+            with pytest.raises(ValueError, match=message):
+                one_mode()
+        else:
+            assert np.isfinite(one_mode()).all()
+        # The pullback checks the two-mode diagonal at the caller's cutoff.
+        with pytest.raises(ValueError, match=message + ".* at cutoff 2$"):
+            la._filtered_pullback(shared_basis((2, 2), 2), gain, applications, cutoff=2)
 
     def test_positivity_preserved(self):
         rho = apply_filters(lossy_psi2(0.4), 3.0, 2)
@@ -295,3 +304,115 @@ class TestFilteredChsh:
     def test_filtered_state_hermitian(self):
         rho = filtered_state(0.5, 2.0, 2)
         assert np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-12
+
+    def test_refine_matches_the_forward_state(self):
+        # An interior optimum off the grid: the refine runs on the pulled-back slopes.
+        delta, value = filtered_chsh(0.8, 2.0, 2, eta_d=0.8)
+        party = PartyConditions(eta_d=0.8)
+        reference = optimize_delta(party, party, state=filtered_state(0.8, 2.0, 2))
+        assert delta == pytest.approx(0.7935, abs=1e-4)
+        assert abs(delta - reference[0]) <= 1e-9
+        assert abs(value - reference[1]) <= 1e-12
+
+    def test_row_seven_passes_only_above_the_violation_bound(self, monkeypatch):
+        # A value at 2 up to rounding is the constant-observable corner, no violation.
+        monkeypatch.setattr(cvbell.reproduce, "filtered_chsh",
+                            lambda *args, **kwargs: (0.0, 2.0 + 1e-12))
+        rows = cvbell.reproduce.reproduce_all(include_source=False).rows
+        row = next(row for row in rows if row.name.startswith("7."))
+        assert row.target == "CHSH > 2"
+        assert not row.passed
+
+
+def packed_psi2(basis):
+    """(|20> + |02>)(<20| + <02|) on the photon-parity sector entries of ``basis``."""
+    v = np.zeros(basis.dimension)
+    v[[basis.index_of((2, 0)), basis.index_of((0, 2))]] = 1.0
+    return np.outer(v, v).ravel()[_parity_sectors(basis).entries]
+
+
+def assert_close_to_reference(found, reference):
+    """Values and slopes within 1e-13 of the largest reference value."""
+    scale = max(np.abs(r).max() for r in reference)
+    for f, r in zip(found, reference, strict=True):
+        assert np.abs(f - r).max() <= 1e-13 * scale
+
+
+below_one = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+delta_arrays = st.lists(st.floats(min_value=0.0, max_value=DELTA_MAX), min_size=1,
+                        max_size=5).map(np.array)
+
+
+class TestPulledBackForms:
+    """The filtered solvers' values and slopes against states sent forward."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(cutoff=st.sampled_from([2, 6]), applications=st.integers(1, 4),
+           gain=st.floats(min_value=1.0, max_value=4.0), eta_t=st.floats(0.0, 1.0),
+           eta_c=below_one, eta_d=below_one, deltas=delta_arrays)
+    def test_local_psi2(self, cutoff, applications, gain, eta_t, eta_c, eta_d, deltas):
+        basis = shared_basis((cutoff, cutoff), 2)
+        party = PartyConditions(eta_d=eta_d)
+        pullback = la._filtered_pullback(basis, gain, applications, cutoff)
+        found = la._filtered_slopes(pullback, basis, party, eta_t * eta_c,
+                                    packed_psi2(basis))(deltas)
+        rho = filtered_state(eta_t, gain, applications, eta_c, cutoff)
+        assert_close_to_reference(found, _state_chsh(rho, party, party)[1](deltas))
+
+    @settings(max_examples=30, deadline=None)
+    @given(cutoff=st.integers(2, 4), eta_c=st.sampled_from([1.0, 0.9]),
+           applications=st.integers(1, 4), gain=st.floats(min_value=1.0, max_value=4.0),
+           eta=st.floats(0.0, 1.0), eta_d=below_one, lam=st.floats(0.0, 0.9),
+           t=st.floats(0.01, 1.0), deltas=delta_arrays)
+    def test_filtered_source(self, cutoff, eta_c, applications, gain, eta, eta_d, lam, t,
+                             deltas):
+        basis, stack, packed, _ = sa._source_stack(eta_c, cutoff)
+        party = PartyConditions(eta_d=eta_d)
+        pullback = la._filtered_pullback(basis, gain, applications, cutoff)
+        rho = sa._image_weights(lam, t, len(packed) // 4 - 1) @ packed
+        found = la._filtered_slopes(pullback, basis, party, eta, rho)(deltas)
+        state = sa._image_state(basis, stack, lam, t)
+        for mode in (0, 1):
+            state = apply_channel(state, LossChannel(eta), mode)
+        state = apply_filters(state, gain, applications)
+        assert_close_to_reference(found, _state_chsh(state, party, party)[1](deltas))
+
+    def test_no_solver_sends_a_filtered_state_forward(self, monkeypatch):
+        def forward(*args, **kwargs):
+            raise AssertionError("a solver built a filtered state")
+
+        for name in ("filtered_state", "apply_filters", "lossy_psi2"):
+            monkeypatch.setattr(la, name, forward)
+        assert filtered_critical_transmission(2.0) is not None
+        assert filtered_chsh(0.8, 2.0, 2, eta_d=0.8)[1] > 2.0
+        assert amplified_source_threshold_with_filters(2.0, cutoff=4) is not None
+
+
+def overflow_boundary(applications: int, cutoff: int) -> tuple[float, float]:
+    """The largest gain whose two-mode filter diagonal at ``cutoff`` is finite, and the next."""
+    basis = shared_basis((cutoff, cutoff))
+    lo, hi = 1.0, 1e308
+    while True:
+        mid = math.sqrt(lo * hi) if hi > 2.0 * lo else 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return lo, hi
+        try:
+            filter_diagonal(basis, mid, applications)
+            lo = mid
+        except ValueError:
+            hi = mid
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("solve", [filtered_critical_transmission,
+                                   amplified_source_threshold_with_filters],
+                         ids=["local", "source"])
+def test_overflow_boundary_is_the_two_mode_diagonal(solve, cutoff):
+    below, above = overflow_boundary(1, cutoff)
+    found = solve(below, 1, cutoff=cutoff)
+    assert found is None or 0.0 <= found <= 1.0
+    message = (f"the filter of gain {above} applied 1 times overflows the float range "
+               f"at cutoff {cutoff}")
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
+        solve(above, 1, cutoff=cutoff)

@@ -1,11 +1,10 @@
 """The loss as one channel matrix, stacks row by row, and grid eigenvalues.
 
 ``measurement._through_loss`` applies the adjoint loss to a raveled stack as
-one product with ``C = sum_k A_k (x) A_k``, and ``measurement._lossy_state``
-applies the forward loss with ``C^T``; the Kraus sums over
+one product with ``C = sum_k A_k (x) A_k``; the Kraus sums over
 ``fock.loss_kraus``, summed in extended precision, are the reference.  A
-stack's rows are separate
-products, so one delta alone equals its row in a stack bit for bit.  The
+stack's rows are separate products, so one delta alone equals its row in a
+stack bit for bit.  The
 delta grid takes eigenvalues only (``fock.hermitian_eigvals``), checked
 against ``eigh``.
 """
@@ -16,10 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvbell.bell import PartyConditions, bell_matrices
-from cvbell.fock import ModeBasis, embedding_indices, hermitian_eig, hermitian_eigvals, loss_kraus
+from cvbell.fock import ModeBasis, hermitian_eig, hermitian_eigvals, loss_kraus
 from cvbell.measurement import (
     DELTA_MAX,
-    _lossy_state,
     _through_loss,
     binned_homodyne_povms,
     binned_homodyne_slopes,
@@ -31,7 +29,7 @@ delta_lists = st.lists(st.floats(min_value=0.0, max_value=DELTA_MAX), min_size=1
 
 
 def extended(A):
-    return A.astype(np.clongdouble if np.iscomplexobj(A) else np.longdouble)
+    return A.astype(np.longdouble)
 
 
 def adjoint_kraus_sum(eta, stack, cutoff):
@@ -54,27 +52,6 @@ def test_channel_matrix_matches_adjoint_kraus_sum(eta, cutoff, count, seed):
     assert np.abs(found - reference).max() <= 1e-15 * stack_scale(stack, reference)
     single = _through_loss(eta, stack[0], cutoff)
     assert np.array_equal(single, found[0])
-
-
-@settings(max_examples=40, deadline=None)
-@given(eta=unit, cutoffs=st.tuples(st.integers(0, 6), st.integers(0, 6)),
-       capped=st.booleans(), seed=seeds)
-def test_forward_loss_matches_kraus_sum(eta, cutoffs, capped, seed):
-    ca, cb = cutoffs
-    basis = ModeBasis(cutoffs, total_cap=max(cutoffs) if capped else None)
-    rng = np.random.default_rng(seed)
-    M = rng.normal(size=(basis.dimension,) * 2) + 1j * rng.normal(size=(basis.dimension,) * 2)
-    rho = M @ M.conj().T
-    full = ModeBasis(cutoffs)
-    idx = embedding_indices(basis, full)
-    padded = np.zeros((full.dimension,) * 2, dtype=complex)
-    padded[np.ix_(idx, idx)] = rho
-    reference = sum(
-        extended(np.kron(A, B)) @ extended(padded) @ extended(np.kron(A, B)).T
-        for A in loss_kraus(eta, ca) for B in loss_kraus(eta, cb)
-    )[np.ix_(idx, idx)]
-    found = _lossy_state(basis, rho, eta)
-    assert np.abs(found - reference).max() <= 1e-15 * stack_scale(rho, reference)
 
 
 @settings(max_examples=60, deadline=None)

@@ -148,8 +148,7 @@ def test_bell_matrices_vanish_between_sectors(cap):
     for gain in (1.0, 2.0, 3.0):
         for applications in (1, 2, 3):
             F = filter_diagonal(basis, gain, applications)
-            pullback = sa._filtered_pullback(basis, alice, bob, deltas, gain, applications,
-                                             cutoff)
+            pullback = sa._filtered_pullback(basis, gain, applications, cutoff)(terms)
             for eta in (0.3, 0.62, 1.0):
                 ops = embedded_adjoint_loss(
                     basis, np.concatenate([F[:, None] * full * F, np.diag(F * F)[None]]), eta

@@ -10,7 +10,7 @@ splitter's input columns from the pair amplitudes, and
 The loss channel matrix ``measurement._loss_channel`` has a layout (the
 raveled ``(n, n')`` pairs of ``C = sum_k A_k (x) A_k``) that only
 ``measurement.py`` knows: the other modules apply loss through
-``_through_loss`` and ``_lossy_state``.
+``_through_loss``.
 
 ``bell.bell_matrices`` and ``bell.bell_matrix`` build whole Bell matrices
 densely (``bell._projected_kron``); the solvers gather only the

@@ -222,7 +222,8 @@ def test_factored_grid_matches_dense_forms(cutoff, eta_c, lam_points, lam_upper,
     basis, _, packed, trace = sa._source_stack(eta_c, cutoff)
     deltas = np.linspace(0.0, DELTA_MAX, 81)
     if filtered:  # the operators of the filtered-source threshold
-        bells, square = sa._filtered_pullback(basis, alice, bob, deltas, gain, 1, cutoff)(eta)
+        terms = _mode_observables(basis, alice, bob, deltas)
+        bells, square = sa._filtered_pullback(basis, gain, 1, cutoff)(terms)(eta)
         ops = np.concatenate([bells, square[None]])
         hankels = sa._pair_forms(packed, ops)
         hankels, trace = hankels[:-1], hankels[-1]
