@@ -297,13 +297,15 @@ class TestSourceOptimization:
 
 class TestFilteredSourceThreshold:
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # no numpy warning precedes the error
-    @pytest.mark.parametrize("gain", [1e200])
+    @pytest.mark.parametrize("gain", [1e80, 1e100, 1e200])
     def test_overflowing_filter_is_named(self, gain):
-        # The single-mode diagonal is finite at this gain; the two-mode
-        # diagonal at the caller's cutoff is not.
-        message = re.escape(f"the filter of gain {gain} applied 1 times overflows")
+        # Applied so that the single-mode diagonal is finite and the two-mode
+        # diagonal at the caller's cutoff is not: the two-mode entries grow as
+        # gain^(2 applications), so twice below about 1e154 and once above.
+        applications = 1 if gain > 1e154 else 2
+        message = re.escape(f"the filter of gain {gain} applied {applications} times overflows")
         with pytest.raises(ValueError, match=message):
-            amplified_source_threshold_with_filters(gain, 1, cutoff=2)
+            amplified_source_threshold_with_filters(gain, applications, cutoff=2)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("gain, applications", [(1e200, 1), (1e200, 2), (1e308, 1)])
