@@ -40,7 +40,7 @@ from .bell import (
     _search_grid,
     bisect_threshold,
 )
-from .measurement import DELTA_MAX, _through_loss
+from .measurement import _through_loss, delta_grid
 
 
 def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.ndarray:
@@ -207,7 +207,7 @@ def _psi2_search(gain: float, applications: int, eta_d: float, eta_c: float, cut
     basis = shared_basis((cutoff, cutoff), 2)
     pullback = _filtered_pullback(basis, gain, applications, cutoff)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
-    grid = np.linspace(0.0, DELTA_MAX, 241)
+    grid = delta_grid(241)
     grid_forms = pullback(_mode_observables(basis, party, party, grid))
     # (|20> + |02>)(<20| + <02|) on the packed entries: psi2 up to its norm,
     # which cancels in the ratio.

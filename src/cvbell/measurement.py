@@ -48,8 +48,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import loss_kraus
-
 QUADRATURE_CONVENTION = (
     "X = (a + a^dag)/sqrt(2), vacuum variance 1/2; Fock phases i^n; "
     "binned observable +1 for |x| <= delta"
@@ -140,11 +138,26 @@ def _closed_form_constants(cutoff: int):
 
 
 @lru_cache(maxsize=16)
-def _ideal_binned_cached(deltas: tuple, cutoff: int) -> np.ndarray:
-    """Read-only closed-form stack of a delta grid, kept for repeated grids."""
-    M = _ideal_binned_stack(np.array(deltas), cutoff)
+def _ideal_binned_cached(deltas: bytes, cutoff: int) -> np.ndarray:
+    """Read-only closed-form stack of a delta grid, kept for repeated grids.
+
+    The grid is keyed by its raw float64 bytes: one cheap hash of a bytes
+    object, not one per float.
+    """
+    M = _ideal_binned_stack(np.frombuffer(deltas), cutoff)
     M.setflags(write=False)
     return M
+
+
+@lru_cache(maxsize=8)
+def delta_grid(points: int) -> np.ndarray:
+    """``points`` evenly spaced bin half-widths on ``[0, DELTA_MAX]``, read-only.
+
+    Built once per size and shared by every delta search of that size.
+    """
+    grid = np.linspace(0.0, DELTA_MAX, points)
+    grid.setflags(write=False)
+    return grid
 
 
 def _deltas(deltas) -> np.ndarray:
@@ -175,12 +188,41 @@ def _loss_channel(eta: float, cutoff: int) -> np.ndarray:
     A_k[m, n] A_k[m', n']``.  On a matrix raveled into a row, the forward
     channel ``sum_k A_k M A_k^T`` is ``vec(M) C^T`` and the adjoint
     ``sum_k A_k^T M A_k`` is ``vec(M) C``.
+
+    ``A_k[m, n]`` is non-zero only at ``k = n - m``, so each entry is the one
+    product ``A_k[m, n] A_k[m', n']`` with ``k = n - m = n' - m'``, or zero.
+    The amplitudes are computed as :func:`cvbell.fock.loss_kraus` computes
+    them, and the entries equal that Kraus sum's bit for bit.
     """
-    n = cutoff + 1
-    kraus = np.stack(loss_kraus(eta, cutoff)).reshape(-1, n * n)
-    channel = (kraus.T @ kraus).reshape((n,) * 4).transpose(0, 2, 1, 3).reshape(n * n, -1)
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("transmission must lie in [0, 1]")
+    amplitudes = np.array([
+        math.sqrt(math.comb(n, k)) * eta ** ((n - k) / 2.0) * (1.0 - eta) ** (k / 2.0)
+        for n in range(cutoff + 1) for k in range(n + 1)
+    ] + [0.0])
+    left, right = _loss_channel_index(cutoff)
+    channel = amplitudes[left] * amplitudes[right]
     channel.setflags(write=False)
     return channel
+
+
+@lru_cache(maxsize=32)
+def _loss_channel_index(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the two factors of each :func:`_loss_channel` entry sit among its amplitudes.
+
+    The amplitude of ``(n, k)`` is number ``n (n + 1) / 2 + k``, so entry
+    ``[(m, m'), (n, n')]`` reads ``(n, n - m)`` and ``(n', n' - m')``; where
+    ``n - m != n' - m'`` or ``m > n`` it reads the appended zero twice.
+    """
+    m, mm, n, nn = np.indices((cutoff + 1,) * 4).reshape(4, -1)
+    valid = (n >= m) & (n - m == nn - mm)
+    zero = (cutoff + 1) * (cutoff + 2) // 2
+    shape = ((cutoff + 1) ** 2,) * 2
+    index = tuple(np.where(valid, a * (a + 1) // 2 + a - b, zero).reshape(shape)
+                  for a, b in ((n, m), (nn, mm)))
+    for array in index:
+        array.setflags(write=False)
+    return index
 
 
 def _through_loss(eta_h: float, elements: np.ndarray, cutoff: int) -> np.ndarray:
@@ -209,7 +251,7 @@ def binned_homodyne_povms(eta_h: float, deltas, cutoff: int):
     small cache.
     """
     deltas = _deltas(deltas)
-    ideal = _ideal_binned_cached(tuple(deltas.tolist()), int(cutoff))
+    ideal = _ideal_binned_cached(deltas.tobytes(), int(cutoff))
     inner = _through_loss(eta_h, ideal, cutoff)
     outer = np.eye(cutoff + 1) - inner
     return inner, outer, inner - outer

@@ -66,7 +66,7 @@ from .fock import (
     loss_kraus,
     shared_basis,
 )
-from .measurement import DELTA_MAX, photodetection_povm
+from .measurement import delta_grid, photodetection_povm
 from .bell import (
     VIOLATION_BOUND,
     PartyConditions,
@@ -964,7 +964,7 @@ def max_source_chsh(
                          "t_grid")
     basis, stack, packed, trace = _source_stack(eta_c, cutoff)
 
-    deltas = np.linspace(0.0, DELTA_MAX, 81)
+    deltas = delta_grid(81)
     bells = _packed_kron(basis, _mode_observables(basis, alice, bob, deltas))
     hankels = _pair_forms(packed, bells)
     values = _grid_chsh(hankels, trace, lam_grid, t_grid)
@@ -1049,7 +1049,7 @@ def amplified_source_threshold_with_filters(
                          "t_grid")
     basis, _, packed, _ = _source_stack(eta_c, cutoff)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
-    deltas = np.linspace(0.0, DELTA_MAX, 61)
+    deltas = delta_grid(61)
     pullback = _filtered_pullback(basis, gain, applications, cutoff)
     grid_forms = pullback(_mode_observables(basis, party, party, deltas))
 

@@ -18,6 +18,7 @@ from cvbell.bell import PartyConditions, bell_matrices
 from cvbell.fock import ModeBasis, hermitian_eig, hermitian_eigvals, loss_kraus
 from cvbell.measurement import (
     DELTA_MAX,
+    _loss_channel,
     _through_loss,
     binned_homodyne_povms,
     binned_homodyne_slopes,
@@ -26,6 +27,17 @@ from cvbell.measurement import (
 unit = st.floats(min_value=0.0, max_value=1.0)
 seeds = st.integers(0, 2**32 - 1)
 delta_lists = st.lists(st.floats(min_value=0.0, max_value=DELTA_MAX), min_size=1, max_size=8)
+
+
+def test_channel_matrix_is_the_kraus_sum_bit_for_bit():
+    """The closed-form entries equal ``sum_k A_k (x) A_k`` of ``fock.loss_kraus``."""
+    for cutoff in range(9):
+        for eta in [*np.linspace(0.0, 1.0, 57), 1e-300, 1.0 - 1e-16, 0.123456789]:
+            reference = sum(np.kron(A, A) for A in loss_kraus(float(eta), cutoff))
+            found = _loss_channel(float(eta), cutoff)
+            assert found.shape == reference.shape
+            assert np.array_equal(found, reference)
+            assert not found.flags.writeable
 
 
 def extended(A):

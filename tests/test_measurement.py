@@ -9,7 +9,9 @@ from scipy.integrate import quad
 from cvbell.fock import loss_kraus
 from cvbell.measurement import (
     DELTA_MAX,
+    _ideal_binned_cached,
     binned_homodyne_povms,
+    delta_grid,
     hermite_functions,
     ideal_binned_homodyne,
     lossy_binned_homodyne,
@@ -235,3 +237,25 @@ class TestLossyBinnedHomodyne:
         assert np.trace(n_src @ rho) == pytest.approx(
             np.trace(n_dst @ lossy_rho), abs=1e-12
         )
+
+
+def test_delta_grids_are_built_once_and_read_only():
+    for points in (61, 81, 241):
+        grid = delta_grid(points)
+        assert grid is delta_grid(points)
+        assert np.array_equal(grid, np.linspace(0.0, DELTA_MAX, points))
+        assert not grid.flags.writeable
+
+
+def test_ideal_stacks_are_kept_per_grid():
+    """A repeated grid, as the shared array or as equal values, hits the cache."""
+    grid = delta_grid(241)
+    first = binned_homodyne_povms(0.9, grid, 3)
+    hits = _ideal_binned_cached.cache_info().hits
+    again = binned_homodyne_povms(0.9, list(np.linspace(0.0, DELTA_MAX, 241)), 3)
+    assert _ideal_binned_cached.cache_info().hits == hits + 1
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+    other = binned_homodyne_povms(0.9, grid[:7], 3)
+    assert _ideal_binned_cached.cache_info().hits == hits + 1
+    assert np.array_equal(other[2], first[2][:7])

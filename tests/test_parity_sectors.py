@@ -1,11 +1,13 @@
 """The per-sector eigensolve of the Bell operator against the full matrix.
 
 ``bell._top_eigenvalue`` and ``bell.optimal_state`` solve the Bell stack in
-its four photon-parity sectors (``bell._parity_sectors``), and the source
-sweeps contract only the sector entries of their operators
-(``source_amp._pair_forms``).  The references take ``np.linalg.eigvalsh`` /
-``eigh`` of the dense ``bell_matrices`` stack, and the dense trace forms,
-which needs every operator's entries between sectors to be exactly zero.
+its four photon-parity sectors (``bell._parity_sectors``), split into
+swap-even and swap-odd halves when the parties are symmetric
+(``bell._swap_layout``), and the source sweeps contract only the sector
+entries of their operators (``source_amp._pair_forms``).  The references
+take ``np.linalg.eigvalsh`` / ``eigh`` of the dense ``bell_matrices`` stack,
+and the dense trace forms, which needs every operator's entries between
+sectors to be exactly zero.
 """
 
 import numpy as np
@@ -21,15 +23,19 @@ from cvbell.bell import (
     _packed_kron,
     _parity_sectors,
     _projected_kron,
+    _layout,
     _sector_blocks,
+    _sector_layout,
+    _swap_layout,
     _top_eigenvalue,
     _top_pairs,
+    _top_values,
     bell_matrices,
     critical_efficiency,
     optimal_state,
     optimize_delta,
 )
-from cvbell.fock import ModeBasis, embed_single_mode, loss_kraus
+from cvbell.fock import ModeBasis, embed_single_mode, loss_kraus, shared_basis
 from cvbell.local_amp import filter_diagonal
 from cvbell.measurement import DELTA_MAX
 
@@ -135,7 +141,7 @@ def test_bell_matrices_vanish_between_sectors(cap):
         assert np.all(slopes[:, between] == 0.0)
         # Each gathered block is bitwise the full matrix's block.
         terms = _mode_observables(basis, alice, bob, deltas)
-        blocks = [run[:, i] for run in _sector_blocks(basis, terms)
+        blocks = [run[:, i] for run in _sector_blocks(basis, terms, _sector_layout(basis))
                   for i in range(run.shape[1])]
         for p, block in zip(positions, blocks, strict=True):
             assert np.array_equal(block, full[:, p[:, None], p])
@@ -189,7 +195,8 @@ def test_sectors_partition_the_basis_in_order():
 def test_a_top_outside_the_even_sector(cap, scenario, delta, size):
     basis = ModeBasis((cap, cap), total_cap=cap)
     terms = _mode_observables(basis, scenario.alice, scenario.bob, [delta])
-    tops = np.concatenate([_top_pairs(block[0])[0] for block in _sector_blocks(basis, terms)])
+    tops = np.concatenate([_top_pairs(block[0])[0]
+                           for block in _sector_blocks(basis, terms, _sector_layout(basis))])
     labels = [tuple(basis.occupations[p[0]] % 2) for p in _parity_sectors(basis).positions]
     tops = dict(zip(labels, tops))
     assert max(tops, key=tops.get) == (1, 0)
@@ -266,3 +273,159 @@ def test_a_non_finite_one_by_one_sector_fails_the_state_solve(monkeypatch):
 ])
 def test_large_cap_thresholds_are_pinned(cap, target, threshold):
     assert critical_efficiency(target, cutoff=cap, total_cap=cap) == threshold
+
+
+SYMMETRIC_SETUPS = {
+    "lossless": BellScenario.symmetric(),
+    "symmetric": SETUPS["symmetric"],
+    "lossy-homodyne": SETUPS["lossy-homodyne"],
+    "low-eta-d": BellScenario.symmetric(eta_t=0.6, eta_d=0.3, eta_h=0.7),
+}
+
+
+def layout_matrix(basis, layout, block):
+    """The ``(d, n)`` matrix whose columns are block ``block``'s basis states."""
+    rows, columns, coefficients = layout.states[block]
+    n = int(columns.max()) + 1
+    U = np.zeros((basis.dimension, n))
+    U[rows, columns] = coefficients
+    return U
+
+
+def test_symmetric_parties_take_the_swap_layout():
+    basis = ModeBasis((4, 4), total_cap=4)
+    for scenario in SYMMETRIC_SETUPS.values():
+        assert _layout(basis, scenario.alice, scenario.bob) is _swap_layout(basis)
+    # Only eta_t eta_h and eta_t eta_d enter the factors (0.5 and 0.4 on both sides).
+    alice = PartyConditions(eta_t=0.5, eta_d=0.8, eta_h=1.0)
+    bob = PartyConditions(eta_t=1.0, eta_d=0.4, eta_h=0.5)
+    assert _layout(basis, alice, bob) is _swap_layout(basis)
+    for setup in ("asymmetric", "low-eta-d"):
+        scenario = SETUPS[setup]
+        assert _layout(basis, scenario.alice, scenario.bob) is _sector_layout(basis)
+    # Different trimmed cutoffs: no swap symmetry.
+    uneven = ModeBasis((2, 3))
+    party = PartyConditions()
+    assert _layout(uneven, party, party) is _sector_layout(uneven)
+    # At the paper's cap: a 2 x 2 swap-even (even, even) block, then the
+    # swap-odd |02> - |20>, |01> and |11>; |10> is not solved.
+    paper = _swap_layout(ModeBasis((2, 2), total_cap=2))
+    assert paper.runs == ((1, 2), (3, 1))
+    labels = [{tuple(ModeBasis((2, 2), 2).occupations[r]) for r in rows}
+              for rows, _, _ in paper.states]
+    assert labels == [{(0, 0), (0, 2), (2, 0)}, {(0, 2), (2, 0)}, {(0, 1)}, {(1, 1)}]
+
+
+@pytest.mark.parametrize("cap", range(2, 9))
+def test_swap_blocks_are_the_projected_operator(cap):
+    """Each block is U^T B U of the dense B, and the blocks hold B's whole spectrum."""
+    basis = ModeBasis((cap, cap), total_cap=cap)
+    layout = _swap_layout(basis)
+    deltas = DELTAS[::8]
+    for scenario in SYMMETRIC_SETUPS.values():
+        full = bell_matrices(basis, scenario.alice, scenario.bob, deltas)
+        norm = np.abs(np.linalg.eigvalsh(full)).max(axis=-1)
+        blocks = [run[:, i] for run in _sector_blocks(
+            basis, _mode_observables(basis, scenario.alice, scenario.bob, deltas), layout)
+            for i in range(run.shape[1])]
+        spectrum = []
+        for b, block in enumerate(blocks):
+            U = layout_matrix(basis, layout, b)
+            assert np.abs(U.T @ U - np.eye(U.shape[1])).max() <= 1e-15
+            projected = U.T @ full @ U
+            assert np.all(np.abs(block - projected).max(axis=(1, 2)) <= 4e-16 * norm)
+            spectrum.append(np.linalg.eigvalsh(block))
+            if (basis.occupations[layout.states[b][0]] % 2 == (0, 1)).all():
+                spectrum.append(np.linalg.eigvalsh(block))  # and its image, (1, 0)
+        spectrum = np.sort(np.concatenate(spectrum, axis=-1), axis=-1)
+        assert np.all(np.abs(spectrum - np.linalg.eigvalsh(full)).max(axis=-1) <= RTOL * norm)
+
+
+def without_the_image_sector(basis, alice, bob, deltas):
+    """:func:`full_reference` on every sector but (1, 0), embedded back in the basis.
+
+    For symmetric parties (1, 0) is the swap image of (0, 1), so at odd caps
+    a top eigenvalue there is always doubly degenerate in the full matrix.
+    Both sectors are decoupled from the rest, so the eigenpairs without
+    (1, 0) are eigenpairs of B.
+    """
+    keep = np.flatnonzero((basis.occupations % 2 != (1, 0)).any(axis=1))
+    B = bell_matrices(basis, alice, bob, deltas)[:, keep[:, None], keep]
+    dB = _projected_kron(basis, _mode_slopes(basis, alice, bob, deltas)[1])[:, keep[:, None], keep]
+    w, v = np.linalg.eigh(B)
+    top = v[:, :, -1:]
+    vectors = np.zeros((len(deltas), basis.dimension))
+    vectors[:, keep] = v[:, :, -1]
+    norm = np.abs(w).max(axis=1)
+    return w[:, -1], w[:, -1] - w[:, -2], norm, (top.swapaxes(-1, -2) @ dB @ top)[:, 0, 0], vectors
+
+
+@pytest.mark.parametrize("setup", SYMMETRIC_SETUPS)
+@pytest.mark.parametrize("cap", range(2, 9))
+def test_swap_layout_matches_the_full_solve(cap, setup):
+    scenario = SYMMETRIC_SETUPS[setup]
+    basis = ModeBasis((cap, cap), total_cap=cap)
+    top, top_and_slope = _top_eigenvalue(basis, scenario.alice, scenario.bob)
+    w, gap, norm, slope, vectors = without_the_image_sector(basis, scenario.alice,
+                                                            scenario.bob, DELTAS)
+    assert np.all(np.abs(top(DELTAS) - w) <= RTOL * norm)
+    values, slopes = top_and_slope(DELTAS)
+    assert np.all(np.abs(values - w) <= RTOL * norm)
+    simple = gap > SIMPLE_GAP * norm
+    assert simple.any()
+    assert np.all(np.abs(slopes - slope)[simple] <= RTOL * norm[simple])
+    for k in range(0, len(DELTAS), 12):
+        state, value = optimal_state(BellScenario(scenario.alice, scenario.bob, DELTAS[k]),
+                                     cutoff=cap, total_cap=cap)
+        assert abs(value - w[k]) <= RTOL * norm[k]
+        assert abs(state.norm() - 1.0) <= 1e-14
+        if simple[k]:
+            # Either vector moves by about eps ||B|| / gap (Davis-Kahan).
+            assert same_up_to_phase(state.amplitudes, vectors[k], 1e-14 * norm[k] / gap[k])
+
+
+@pytest.mark.parametrize("cap", [2, 4, 6])
+def test_symmetric_optimal_states_are_swap_symmetric(cap):
+    basis = shared_basis((cap, cap), cap)
+    swapped = [basis.index_of((b, a)) for a, b in basis.occupations.tolist()]
+    for scenario in SYMMETRIC_SETUPS.values():
+        for delta in (0.3, 0.9, 1.7):
+            state, _ = optimal_state(BellScenario(scenario.alice, scenario.bob, delta), cap, cap)
+            psi = state.amplitudes
+            assert (np.abs(psi - psi[swapped]).max() <= 1e-15
+                    or np.abs(psi + psi[swapped]).max() <= 1e-15)
+
+
+def symmetric_blocks(rng, count, scale=1.0):
+    a, d, r = (rng.normal(size=count) * scale for _ in range(3))
+    return np.stack([np.stack([a, r], -1), np.stack([r, d], -1)], -2)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e150, 1e-150])
+def test_two_by_two_top_in_closed_form(scale):
+    rng = np.random.default_rng(7)
+    random = symmetric_blocks(rng, 2000, scale)
+    a = rng.normal(size=500) * scale
+    degenerate = np.zeros((500, 2, 2))
+    degenerate[:, 0, 0] = degenerate[:, 1, 1] = a
+    diagonal = symmetric_blocks(rng, 500, scale)
+    diagonal[:, 0, 1] = diagonal[:, 1, 0] = 0.0
+    near = degenerate + symmetric_blocks(rng, 500, scale * 1e-9)  # tops nearly meet
+    for blocks in (random, degenerate, diagonal, near, -random):
+        reference = np.linalg.eigvalsh(blocks)
+        norm = np.abs(reference).max(axis=-1)
+        found = _top_values(blocks)
+        assert np.all(np.isfinite(found))
+        assert np.all(np.abs(found - reference[:, -1]) <= 4 * np.finfo(float).eps * norm)
+    assert np.array_equal(_top_values(degenerate), a)
+
+
+def test_two_by_two_top_checks_hermiticity():
+    blocks = symmetric_blocks(np.random.default_rng(3), 4)
+    skewed = blocks.copy()
+    skewed[2, 0, 1] += 0.1
+    with pytest.raises(ValueError, match="not Hermitian or not finite"):
+        _top_values(skewed)
+    blocks[1, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="not Hermitian or not finite"):
+        _top_values(blocks)
