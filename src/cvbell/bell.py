@@ -411,31 +411,52 @@ def chsh_value(state, scenario: BellScenario) -> float:
     return float(chsh([scenario.delta])[0])
 
 
-def _state_chsh(state, alice: PartyConditions, bob: PartyConditions):
-    """CHSH expectation of a fixed state as a function of the bin half-widths.
+@dataclass(frozen=True)
+class _FixedState:
+    """A fixed state as the solvers contract it (:func:`_fixed_state`).
+
+    ``basis`` is the product basis up to the state's largest photon numbers
+    and ``Q`` the matrix ``Q[(i, j), (k, l)] = Re rho[i, k, j, l]`` on it.
+    """
+
+    basis: ModeBasis
+    Q: np.ndarray
+
+
+def _fixed_state(state) -> _FixedState:
+    """The contraction matrix of a pure or mixed two-mode state; built once per solve.
 
     B is real, so ``Re(rho)``, embedded in the product basis as
-    ``(da, db, da, db)`` (:func:`_product_tensor`), is contracted against the
-    per-mode stacks.  Returns ``chsh(deltas)`` and ``chsh_and_slope(deltas)``,
-    the values and their delta-derivatives ``Tr rho dB``.  A state of
-    non-positive trace (the zero state of a source that never heralds) is
-    rejected.
-
-    The stacks are built only up to the largest photon number the state
-    occupies in each mode.  That is exact for the reason
-    :func:`_trimmed_cutoffs` gives: entries up to a photon number depend only
-    on entries up to it.
+    ``(da, db, da, db)`` (:func:`_product_tensor`), is what the per-mode
+    stacks are contracted against: ``Tr rho (a (x) b) = vec(a^T) Q vec(b^T)``.
+    A state of non-positive trace (the zero state of a source that never
+    heralds) is rejected.  The basis ends at the largest photon number the
+    state occupies in each mode.  That is exact for the reason
+    :func:`_trimmed_cutoffs` gives: entries up to a photon number depend
+    only on entries up to it.  A :class:`_FixedState` is returned as it is.
     """
+    if isinstance(state, _FixedState):
+        return state
     rho = state.to_density() if isinstance(state, StateVector) else state
     if rho.trace() <= 0.0:
         raise ValueError("state has non-positive trace")
     occupied = (rho.matrix != 0).any(axis=0) | (rho.matrix != 0).any(axis=1)
     ca, cb = (int(n) for n in rho.basis.occupations[occupied].max(axis=0))
-    full = shared_basis((ca, cb))
     matrix = _product_tensor(rho.basis, rho.matrix.real)[:ca + 1, :cb + 1, :ca + 1, :cb + 1]
-
-    # Q[(i, j), (k, l)] = rho[i, k, j, l], so Tr rho (a (x) b) = vec(a^T) Q vec(b^T).
     Q = matrix.transpose(0, 2, 1, 3).reshape((ca + 1) ** 2, (cb + 1) ** 2)
+    return _FixedState(shared_basis((ca, cb)), Q)
+
+
+def _state_chsh(state, alice: PartyConditions, bob: PartyConditions):
+    """CHSH expectation of a fixed state as a function of the bin half-widths.
+
+    ``state`` is a pure or mixed state or its :func:`_fixed_state`.  Returns
+    ``chsh(deltas)`` and ``chsh_and_slope(deltas)``, the values and their
+    delta-derivatives ``Tr rho dB``, from the per-mode stacks built on the
+    fixed state's basis.
+    """
+    fixed = _fixed_state(state)
+    full, Q = fixed.basis, fixed.Q
 
     def contract(terms):
         return sum(
@@ -839,10 +860,13 @@ def critical_efficiency(
     ``target`` is ``"eta_t"`` or ``"eta_d"``; the other efficiency is held at
     the supplied value.  The bin half-width (and, when ``state`` is None, the
     subspace state) is re-optimized at every bisection step; a step whose
-    delta grid already violates is decided there (``stop_above``).
+    delta grid already violates is decided there (``stop_above``).  A fixed
+    state is contracted once for all steps (:func:`_fixed_state`).
     """
     if target not in ("eta_t", "eta_d"):
         raise ValueError("target must be 'eta_t' or 'eta_d'")
+    if state is not None:
+        state = _fixed_state(state)
 
     def max_chsh(value):
         kwargs = {"eta_t": eta_t, "eta_d": eta_d}

@@ -36,16 +36,19 @@ parity plate on the last mode.  All of them are real, so the stacks are
 float64 (a complex input runs complex through the same code) and the output
 plate ``i^n`` acts once, on the summed Gram array (:func:`_output_gram`).
 No operator over the joint basis is built: each splitter is filled only on
-its input columns from the pair amplitudes (:func:`_cached_bs`), and
-``fock.beam_splitter`` and ``fock.embed_single_mode`` over the joint basis
-are the tests' references.  The heralded-PDC ancilla's coupling loss and D0
-detector are diagonal in photon number, so its D0-conditioned signal is a
-photon-number mixture in closed form (:func:`_ancilla_distribution`), one
-branch per (D0 outcome, photon number).  The circuit runs once per ancilla
-branch on all input branches and sums the outputs' Gram arrays
-(:func:`_heralded_gram`); the herald distribution needs only the reduced
-states of the two modes that meet on the interference splitter
-(:func:`herald_probabilities`).
+its input columns from the pair amplitudes (:func:`_cached_bs`) and computes
+only the rows that are read, the herald rows an accepted pattern hears and
+the photon-capped output rows; ``fock.beam_splitter`` and
+``fock.embed_single_mode`` over the joint basis are the tests' references.
+The source sweeps build only the photon-parity sector entries of the output,
+one real Gram array per sector (:func:`_source_stack`).  The heralded-PDC
+ancilla's coupling loss and D0 detector are diagonal in photon number, so
+its D0-conditioned signal is a photon-number mixture in closed form
+(:func:`_ancilla_distribution`), one branch per (D0 outcome, photon number).
+The circuit runs once per ancilla branch on all input branches and sums the
+outputs' Gram arrays (:func:`_heralded_gram`); the herald distribution needs
+only the reduced states of the two modes that meet on the interference
+splitter (:func:`herald_probabilities`).
 """
 
 from __future__ import annotations
@@ -206,7 +209,7 @@ def _modes(stack: np.ndarray, cutoffs) -> np.ndarray:
 
 
 def _split(stack: np.ndarray, cutoffs: tuple, mode: int, t: float,
-           out_cutoffs: tuple | None = None) -> np.ndarray:
+           out_cutoffs: tuple | None = None, rows=None) -> np.ndarray:
     """Beam splitter of transmission ``t`` on modes ``(mode, mode + 1)`` of a stack's blocks.
 
     ``stack`` is ``(B, D, W)``: B branch blocks of W columns over the uncapped
@@ -214,15 +217,21 @@ def _split(stack: np.ndarray, cutoffs: tuple, mode: int, t: float,
     are adjacent, so the stack is viewed as ``(B pre, d_i d_j, post W)`` and
     contracted with the two-mode unitary in one batched product, whose result
     is the ``(B, D', W)`` stack as it stands: the input is not copied.
-    ``out_cutoffs`` (default ``cutoffs``) may enlarge the pair.
+    ``out_cutoffs`` (default ``cutoffs``) may enlarge the pair.  ``rows``
+    (default: all) are the rows of the two-mode unitary to compute, flat
+    indices ``k (c_j + 1) + l`` of the pair's output occupations ``(k, l)``
+    over ``out_cutoffs``; the result then holds the pair's axes as one axis
+    of those rows, in their order, ``(B, pre R post, W)``.
     """
     out_cutoffs = tuple(cutoffs) if out_cutoffs is None else tuple(out_cutoffs)
     U = _cached_bs(out_cutoffs[mode:mode + 2], t, tuple(cutoffs[mode:mode + 2]))
+    if rows is not None:
+        U = U[rows]
     B, _, W = stack.shape
     # Explicit sizes: an empty stack (no branch survived) keeps its shape.
     pre, post = (math.prod(c + 1 for c in cut) for cut in (cutoffs[:mode], cutoffs[mode + 2:]))
     T = U @ stack.reshape(B * pre, U.shape[1], post * W)
-    return T.reshape(B, math.prod(c + 1 for c in out_cutoffs), W)
+    return T.reshape(B, pre * len(U) * post, W)
 
 
 def _norms2(blocks: np.ndarray) -> np.ndarray:
@@ -378,41 +387,42 @@ def _interference_cutoffs(input_cutoffs, scissor_mode: int, c_cutoff: int):
 
 
 def _heralded_gram(config: SourceConfig, inputs, input_cutoffs, scissor_mode: int,
-                   output=None, photon=None):
+                   gram=None, photon=None):
     """The heralded circuit, streamed over the ancilla's D0-click branches.
 
     Each pass joins one ancilla block ``(d', Q)`` to every input block
     ``(d, P)`` of the ``(B, d, P)`` stack ``inputs`` (column ``p Q + q``),
-    interferes on the 50/50 splitter and conditions on the heralds.
-    ``output`` (default: none) maps the pass's heralded branches over the
-    kept modes to the output basis.  Returns the :func:`_gram` array of the
-    output branches summed over all passes.
+    interferes on the 50/50 splitter and conditions on the heralds.  The
+    splitter computes only the herald rows that an accepted pattern hears
+    (:func:`_herald_weights`); the others would all be dropped.  ``gram``
+    (default :func:`_gram`) maps the pass's heralded branches over the kept
+    modes to an array.  Returns that array summed over all passes.
     """
     c_cutoff = _ancilla_cutoff(config)
     small_cutoffs, big_cutoffs, b_mode = _interference_cutoffs(
         input_cutoffs, scissor_mode, c_cutoff
     )
     _, anc, labels = _ancilla_branches(config, c_cutoff, photon)
-    weights = _herald_weights(config, big_cutoffs[scissor_mode], big_cutoffs[b_mode])
-    output = output or (lambda branches: branches)
+    rows, weights = _herald_weights(config, big_cutoffs[scissor_mode], big_cutoffs[b_mode])
+    gram = gram or _gram
 
     n_in, d, P = inputs.shape
     W = P * anc.shape[2]
-    gram = None
+    total = None
     for block in anc[labels == "click"]:
         joint = inputs[:, :, None, :, None] * block[None, None, :, None, :]
         joint = _split(joint.reshape(n_in, d * len(block), W), small_cutoffs,
-                       scissor_mode, 0.5, big_cutoffs)  # b_mode is scissor_mode + 1
-        branches = _condition_on_heralds(config, big_cutoffs, joint, scissor_mode, b_mode, weights)
+                       scissor_mode, 0.5, big_cutoffs, rows)  # b_mode is scissor_mode + 1
+        branches = _condition_on_heralds(config, big_cutoffs, joint, scissor_mode, weights)
         del joint  # the pass's largest array; free it before the output stage
-        part = _gram(output(branches))
+        part = gram(branches)
         # The first pass's array is the sum: no second Gram-sized array for
         # the single photon's one pass.
-        gram = part if gram is None else np.add(gram, part, out=gram)
-    if gram is None:  # no ancilla branch heralded: zeros of the output's shape
+        total = part if total is None else np.add(total, part, out=total)
+    if total is None:  # no ancilla branch heralded: zeros of the output's shape
         kept = [c + 1 for m, c in enumerate(big_cutoffs) if m not in (scissor_mode, b_mode)]
-        gram = _gram(output(np.zeros((0, math.prod(kept), W), dtype=inputs.dtype)))
-    return gram
+        total = gram(np.zeros((0, math.prod(kept), W), dtype=inputs.dtype))
+    return total
 
 
 def _herald_patterns(config: SourceConfig):
@@ -433,29 +443,36 @@ def _herald_detectors(eta: float, a_cutoff: int, b_cutoff: int) -> dict:
             "both": (click_a, click_b), "none": (no_click_a, no_click_b)}
 
 
-def _herald_weights(config: SourceConfig, a_cutoff: int, b_cutoff: int) -> np.ndarray:
-    """D1/D2 weights of each accepted herald pattern, ``(patterns, 1, d_a, d_b)``."""
-    detectors = _herald_detectors(config.herald_efficiency, a_cutoff, b_cutoff)
-    return np.stack([np.outer(*detectors[p]) for p in _herald_patterns(config)])[:, None]
+def _herald_weights(config: SourceConfig, a_cutoff: int, b_cutoff: int):
+    """The herald rows that an accepted pattern hears, and its D1/D2 weights on them.
 
-
-def _herald_blocks(joint: np.ndarray, cutoffs, a_mode: int, b_mode: int):
-    """The joint stack split by the photon counts on the adjacent herald modes.
-
-    ``b_mode`` is ``a_mode + 1``, so the ``(B, D, W)`` stack is the tensor
-    ``(B, pre, d_a, d_b, post W)`` over the modes before, on and after the
-    pair.  Returns it with the herald axes moved forward,
-    ``(B, d_a, d_b, pre, post W)``: its ``[k, na, nb]`` block is branch k with
-    na and nb photons on modes a and b, whose rows run over the modes before
-    the pair and whose columns over the modes after it and the W columns.  A
-    view: nothing is copied.
+    Row ``na (b_cutoff + 1) + nb`` holds na photons on mode a and nb on mode
+    b.  Returns the rows where some accepted pattern's weight exceeds
+    ``BRANCH_TOL``, ascending, and the weights of each pattern on them,
+    ``(patterns, 1, R)``.  Every other row is dropped by every pattern
+    (:func:`_detected`): 14 of the 64 rows are heard at source cutoff 6.
     """
-    if b_mode != a_mode + 1:
-        raise ValueError("the herald modes must be adjacent")
+    detectors = _herald_detectors(config.herald_efficiency, a_cutoff, b_cutoff)
+    weights = np.stack([np.outer(*detectors[p]).ravel() for p in _herald_patterns(config)])
+    rows = np.flatnonzero((weights > BRANCH_TOL).any(axis=0))
+    return rows, weights[:, None, rows]
+
+
+def _herald_blocks(joint: np.ndarray, cutoffs, a_mode: int, n_rows: int):
+    """The joint stack split by its herald rows.
+
+    ``joint`` is the ``(B, D, W)`` stack of :func:`_split` on the adjacent
+    herald modes ``(a_mode, a_mode + 1)`` of ``cutoffs``, with ``n_rows``
+    rows of the splitter: the tensor ``(B, pre, R, post W)`` over the modes
+    before the pair, the rows and the modes after it.  Returns it with the
+    row axis moved forward, ``(B, R, pre, post W)``: its ``[k, r]`` block is
+    branch k on herald row r, whose rows run over the modes before the pair
+    and whose columns over the modes after it and the W columns.  A view:
+    nothing is copied.
+    """
     B, _, W = joint.shape
-    pre, post = (math.prod(c + 1 for c in cut) for cut in (cutoffs[:a_mode], cutoffs[b_mode + 1:]))
-    T = joint.reshape(B, pre, cutoffs[a_mode] + 1, cutoffs[b_mode] + 1, post * W)
-    return np.moveaxis(T, 1, 3)
+    pre, post = (math.prod(c + 1 for c in cut) for cut in (cutoffs[:a_mode], cutoffs[a_mode + 2:]))
+    return np.moveaxis(joint.reshape(B, pre, n_rows, post * W), 1, 2)
 
 
 def _detected(blocks: np.ndarray, weights: np.ndarray):
@@ -476,22 +493,23 @@ def _detected(blocks: np.ndarray, weights: np.ndarray):
     return kept, keep
 
 
-def _condition_on_heralds(config: SourceConfig, cutoffs, joint, a_mode, b_mode, weights):
+def _condition_on_heralds(config: SourceConfig, cutoffs, joint, a_mode, weights):
     """Split branches over the D1/D2 outcomes, keeping the other modes.
 
-    ``weights`` is the :func:`_herald_weights` stack of the herald modes,
-    which are adjacent (``b_mode = a_mode + 1``).
+    The herald modes ``(a_mode, a_mode + 1)`` hold the rows of ``weights``,
+    the :func:`_herald_weights` stack; ``joint`` is the splitter's stack on
+    those rows (:func:`_split`).
 
     Returns the heralded branches as one ``(K, dim, P)`` stack over the kept
-    modes.  Every (pattern, branch, na, nb) whose detector weight and
+    modes.  Every (pattern, branch, row) whose detector weight and
     weighted squared norm exceed ``BRANCH_TOL`` is a new branch, in that
     order.  The norms are taken on the view of
     :func:`_herald_blocks`, and only the kept blocks are copied out of it.
     The D1 branches get the feed-forward parity plate on the amplified mode
     (the last kept mode) so both patterns prepare the same state.
     """
-    kept_cutoffs = tuple(c for m, c in enumerate(cutoffs) if m not in (a_mode, b_mode))
-    T = _herald_blocks(joint, cutoffs, a_mode, b_mode)
+    kept_cutoffs = tuple(c for m, c in enumerate(cutoffs) if m not in (a_mode, a_mode + 1))
+    T = _herald_blocks(joint, cutoffs, a_mode, weights.shape[-1])
     branches, keep = _detected(T[None], weights)
     branches = branches.reshape(len(branches), math.prod(c + 1 for c in kept_cutoffs),
                                 joint.shape[-1])
@@ -573,8 +591,9 @@ def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
     output branches, ``(d_out, P Q, d_out, P Q)`` with Q columns of the
     ancilla ``photon`` (see :func:`_ancilla_branches`), summed over the
     ancilla's branches one pass at a time (:func:`_heralded_gram`).  The
-    branches stay real: the output plate ``ph = i^n`` on the second mode
-    scales the sum once by ``ph[x] conj(ph[y])``.
+    output splitter computes only the photon-capped rows.  The branches stay
+    real: the output plate ``ph = i^n`` on the second mode scales the sum
+    once by ``ph[x] conj(ph[y])``.
     """
     c_cutoff = _ancilla_cutoff(config)
     out_cut = config.cutoff + c_cutoff
@@ -582,11 +601,11 @@ def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
     capped = shared_basis(full, out_cut)
     cap_idx = _product_index(capped)
 
-    def output(branches):
-        return _split(branches, (config.cutoff, c_cutoff), 0, 0.5, full)[:, cap_idx]
+    def output_gram(branches):
+        return _gram(_split(branches, (config.cutoff, c_cutoff), 0, 0.5, full, cap_idx))
 
     arms = _lossy_arms(config, inputs, config.cutoff)
-    gram = _heralded_gram(config, arms, (config.cutoff,) * 2, 1, output, photon)
+    gram = _heralded_gram(config, arms, (config.cutoff,) * 2, 1, output_gram, photon)
     # Fixes the documented c00 >= 0, c2 <= 0 sign pattern; every factor is ±1 or ±i.
     ph = np.array([1j ** n for n in range(out_cut + 1)])[capped.occupations[:, 1]]
     return capped, gram * np.multiply.outer(ph, ph.conj())[:, None, :, None]
@@ -735,53 +754,59 @@ def default_transmission_grid(points: int = 60) -> tuple:
     return tuple(np.geomspace(3e-5, 0.99, points))
 
 
-#: Folded output images of the single-photon circuit by (eta_c, cutoff), least
+#: Packed output images of the single-photon circuit by (eta_c, cutoff), least
 #: recently used first (see :func:`_source_stack`).  perfbench reads this name.
 _STACK_CACHE: dict = {}
 _STACK_CACHE_SIZE = 4
 
 
-def _fold(blocks: np.ndarray) -> tuple:
-    """The Hankel sums of the Gram blocks over the squeezing powers.
+def _fold(blocks: np.ndarray) -> np.ndarray:
+    """The Hankel sums of a real Gram array over the squeezing powers.
 
-    ``blocks`` is the ``(d, P, d, P)`` :func:`_gram` array of the images of
-    the basis inputs, ``P = 2 N`` with input ``2n + j`` weighted by
-    ``lam^n phi_j(t)``.  Returns the parts ``(re, im)`` of the sums
-    ``H[s, j, k] = sum_{n + m = s} M[:, 2n + j, :, 2m + k]``, s = 0 ... 2N - 2,
-    each a read-only ``(4 (2N - 1), d^2)`` array whose row ``4 s + 2 j + k``
-    is the raveled transpose of ``H[s, j, k]``.  The sums are added from
-    views of ``blocks``, so no second unfolded copy is made.
+    ``blocks`` is a ``(n, P, n, P)`` :func:`_gram` array of the images of
+    the basis inputs, ``P = 2 N`` with input ``2m + j`` weighted by
+    ``lam^m phi_j(t)``.  Returns the sums
+    ``H[s, j, k] = sum_{m + m' = s} M[:, 2m + j, :, 2m' + k]``,
+    s = 0 ... 2N - 2, as a ``(4 (2N - 1), n^2)`` array whose row
+    ``4 s + 2 j + k`` is the raveled transpose of ``H[s, j, k]``.  The sums
+    are added from views of ``blocks``, so no second unfolded copy is made.
     """
-    d, P = blocks.shape[:2]
+    n, P = blocks.shape[:2]
     terms = P // 2
-    # V[n, m, j, k] is the transpose of the block M[:, 2n + j, :, 2m + k].
-    V = blocks.reshape(d, terms, 2, d, terms, 2).transpose(1, 4, 2, 5, 3, 0)
-    folded = []
-    for part in (V.real, V.imag):
-        H = np.zeros((2 * terms - 1, 2, 2, d, d))
-        for n in range(terms):
-            H[n:n + terms] += part[n]
-        H = H.reshape(-1, d * d)
-        H.setflags(write=False)
-        folded.append(H)
-    return tuple(folded)
+    # V[m, m', j, k] is the transpose of the block M[:, 2m + j, :, 2m' + k].
+    V = blocks.reshape(n, terms, 2, n, terms, 2).transpose(1, 4, 2, 5, 3, 0)
+    H = np.zeros((2 * terms - 1, 2, 2, n, n))
+    for m in range(terms):
+        H[m:m + terms] += V[m]
+    return H.reshape(-1, n * n)
 
 
-#: The largest side ``d P`` of the Gram array of :func:`_source_stack`, with
-#: ``d = (c + 2)(c + 3) / 2`` output states and ``P = 2 (c + 1)`` basis inputs
-#: at cutoff c: 504 at c = 6, 4080 at c = 14, the largest cutoff admitted
-#: (its build took 0.6 s and 416 MiB peak RSS on a 2-core Xeon VM, one BLAS
-#: thread).  Cutoff 40 would need 40.9 GiB.
+#: The largest number ``d P`` of (output state, basis input) pairs of
+#: :func:`_source_stack`, with ``d = (c + 2)(c + 3) / 2`` output states and
+#: ``P = 2 (c + 1)`` basis inputs at cutoff c: 504 at c = 6, 4080 at c = 14,
+#: the largest cutoff admitted.  The Gram arrays are built per parity sector,
+#: about a quarter of ``(d P)^2`` entries in all (:func:`_gram_bytes`): at
+#: c = 14 a fresh build took 0.30 s and its process peaked at 111 MiB RSS on
+#: a 2-core Xeon VM, one BLAS thread (1.22 s and 429 MiB with the whole Gram
+#: array).  Cutoff 40 would need 10.2 GiB of them.
 MAX_GRAM_SIDE = 4096
 
 
 def _gram_side(cutoff: int) -> int:
-    """The side of the source sweeps' Gram array at a source cutoff."""
+    """The number of (output state, basis input) pairs at a source cutoff."""
     return (cutoff + 2) * (cutoff + 3) // 2 * 2 * (cutoff + 1)
 
 
+def _gram_bytes(cutoff: int) -> int:
+    """The bytes of the parity-sector Gram arrays of :func:`_source_stack` at a cutoff."""
+    cap = cutoff + 1
+    occupations = np.array([(a, b) for a in range(cap + 1) for b in range(cap + 1 - a)])
+    sizes = np.bincount(occupations[:, 0] % 2 * 2 + occupations[:, 1] % 2)
+    return int(((sizes * 2 * (cutoff + 1)) ** 2).sum()) * 8
+
+
 def _source_stack(eta_c: float, cutoff: int):
-    """Folded images of the single-photon circuit, one run per (eta_c, cutoff), cached.
+    """Packed images of the single-photon circuit, one run per (eta_c, cutoff), cached.
 
     With the single-photon ancilla the circuit is linear in its input
     ``sum_n lam^n |nn> (x) (sqrt(t) |10> + sqrt(1 - t) |01>)``, so it runs
@@ -791,24 +816,30 @@ def _source_stack(eta_c: float, cutoff: int):
     ``phi(t) = (sqrt(t), sqrt(1 - t))``, is ``sum_pq x_p x_q M_pq`` over the
     blocks ``M_pq`` of :func:`_gram`.  The weights are a product, so that sum
     is ``sum_s lam^s sum_jk phi_j(t) phi_k(t) H[s, j, k]`` over the Hankel
-    sums of :func:`_fold`, s = 0 ... 2 cutoff, and every quantity the sweeps
-    read is a function of them.  Returns the capped output basis, the
-    folded rows ``(re, im)``, two real ``(4 (2 cutoff + 1), d^2)`` arrays
-    (52 x 1296 at cutoff 6), the columns of ``re`` at the photon-parity
-    sector entries (:func:`cvbell.bell._parity_sectors`; 52 x 336), and the
-    identity's sums ``T``, all read-only.  The output state is one product
-    of the weights ``lam^s phi_j phi_k`` with ``re`` and ``im``
-    (:func:`_image_state`); the sums of ``Tr(M_pq O)`` for a whole stack of
-    operators are one product with the sector columns (:func:`_pair_forms`).
-    A cutoff above :data:`MAX_GRAM_SIDE` is rejected before any allocation.
+    sums of :func:`_fold`, s = 0 ... 2 cutoff.
+
+    Every quantity the sweeps read is a form of an operator that keeps each
+    mode's photon parity (:func:`_pair_forms`), so only the photon-parity
+    sector entries of the sums are built (:func:`cvbell.bell._parity_sectors`).
+    The output splitter computes only the capped output rows, sector by
+    sector, and each sector gets its own real Gram array.  Within a sector
+    the output plate's factor ``i^(n - n')`` on the second mode is
+    ``s_n s_n'`` with ``s_n = (-1)^(n // 2)``, so the plate is the real sign
+    ``s_n`` on the sector's rows.  Returns the capped output basis, the
+    packed rows, ``(4 (2 cutoff + 1), sum n^2)`` (52 x 336 at cutoff 6), and
+    the identity's sums ``T``, both read-only.  The output state's sector
+    part is one product of the weights ``lam^s phi_j phi_k`` with the packed
+    rows (:func:`_image_state`); the sums of ``Tr(M_pq O)`` for a whole stack
+    of operators are one product with them (:func:`_pair_forms`).  A cutoff
+    above :data:`MAX_GRAM_SIDE` is rejected before any allocation.
     """
     side = _gram_side(cutoff)
     if side > MAX_GRAM_SIDE:
         largest = max(c for c in range(cutoff) if _gram_side(c) <= MAX_GRAM_SIDE)
         raise ValueError(
-            f"source cutoff {cutoff} needs a {side} x {side} Gram array "
-            f"({side * side * 8 / 2**30:.1f} GiB); the largest source cutoff is {largest} "
-            f"(MAX_GRAM_SIDE = {MAX_GRAM_SIDE})"
+            f"source cutoff {cutoff} has {side} (output state, basis input) pairs, whose "
+            f"parity-sector Gram arrays need {_gram_bytes(cutoff) / 2**30:.1f} GiB; the "
+            f"largest source cutoff is {largest} (MAX_GRAM_SIDE = {MAX_GRAM_SIDE})"
         )
 
     def build():
@@ -819,14 +850,28 @@ def _source_stack(eta_c: float, cutoff: int):
         inputs = np.zeros((arms.dimension, cutoff + 1))
         for n in range(cutoff + 1):
             inputs[arms.index_of((n, n)), n] = 1.0
-        basis, blocks = _output_gram(config, inputs, photon=np.eye(2))
-        folded = _fold(blocks)
-        entries = _parity_sectors(basis).entries
-        packed = folded[0][:, entries]
-        trace_form = _pair_forms(packed, np.eye(basis.dimension).ravel()[entries][None])[0]
+        full = (cutoff + 1,) * 2
+        basis = shared_basis(full, cutoff + 1)
+        sectors, cap_idx = _parity_sectors(basis), _product_index(basis)
+        # The output plate i^n within a sector: the sign (-1)^(n // 2) per row.
+        plates = [(-1.0) ** (basis.occupations[p, 1] // 2) for p in sectors.positions]
+
+        def packed_rows(branches):
+            # The heralded branches live on (arm1, amplified mode): (cutoff, 1).
+            folded = []
+            for positions, plate in zip(sectors.positions, plates):
+                out = _split(branches, (cutoff, 1), 0, 0.5, full, cap_idx[positions])
+                out *= plate[:, None]
+                folded.append(_fold(_gram(out)))
+            return np.concatenate(folded, axis=1)
+
+        packed = _heralded_gram(config, _lossy_arms(config, inputs, cutoff), (cutoff, cutoff), 1,
+                                packed_rows, np.eye(2))
+        identity = np.eye(basis.dimension).ravel()[sectors.entries]
+        trace_form = _pair_forms(packed, identity[None])[0]
         for array in (packed, trace_form):
             array.setflags(write=False)
-        return basis, folded, packed, trace_form
+        return basis, packed, trace_form
 
     return _cached(_STACK_CACHE, _STACK_CACHE_SIZE, (float(eta_c), int(cutoff)), build)
 
@@ -861,26 +906,30 @@ def _image_weights(lam: float, t: float, degree: int) -> np.ndarray:
     return (powers[0][:, None] * pairs[:, 0]).ravel()
 
 
-def _image_state(basis: ModeBasis, stack, lam: float, t: float) -> DensityOperator:
-    """Normalized output state at squeezing ``lam`` and transmission ``t``.
+def _image_state(basis: ModeBasis, packed: np.ndarray, lam: float, t: float) -> DensityOperator:
+    """The normalized output's parity-sector part at squeezing ``lam``, transmission ``t``.
 
-    ``stack`` is the folded ``(re, im)`` pair of :func:`_source_stack`.  One
-    product of the weights ``lam^s phi_j(t) phi_k(t)`` with each part gives
-    the raveled transpose of the unnormalized output.
+    ``packed`` holds the rows of :func:`_source_stack`.  One product of the
+    weights ``lam^s phi_j(t) phi_k(t)`` with them gives the sector entries of
+    the raveled transpose of the unnormalized output, which are scattered
+    into place; the entries between sectors stay zero.  Every Bell operator
+    keeps each mode's photon parity, so it reads the same CHSH value from
+    this part as from the whole state (:func:`_pair_forms`).
     """
-    re, im = stack
-    weights = _image_weights(lam, t, len(re) // 4 - 1)
+    weights = _image_weights(lam, t, len(packed) // 4 - 1)
     d = basis.dimension
-    rho = (weights @ re + 1j * (weights @ im)).reshape(d, d).T
-    return DensityOperator(basis, rho / np.trace(rho).real)
+    rho = np.zeros(d * d)
+    rho[_parity_sectors(basis).entries] = weights @ packed
+    rho = rho.reshape(d, d).T
+    return DensityOperator(basis, rho / np.trace(rho))
 
 
 def _pair_forms(packed: np.ndarray, ops: np.ndarray) -> np.ndarray:
     """``F[g, s, j, k] = Re Tr(H[s, j, k] O_g)`` for a real stack of operators ``O``.
 
     ``ops`` is ``(G, sum n^2)``, packed on the photon-parity sectors
-    (:func:`cvbell.bell._packed_kron`), and ``packed`` the same columns of the
-    real rows of :func:`_source_stack`.  That is exact: every operator the
+    (:func:`cvbell.bell._packed_kron`), and ``packed`` the rows of
+    :func:`_source_stack` on the same entries.  That is exact: every operator the
     sweeps contract keeps each mode's parity (the bin is symmetric, detection
     and filter are diagonal, the adjoint loss takes ``(m, n)`` from
     ``(m - k, n - k)``), so it has no entry between sectors.  Then
@@ -910,23 +959,36 @@ def _grid_chsh(hankels: np.ndarray, trace: np.ndarray, lams, ts) -> np.ndarray:
     return forms(hankels) / forms(trace)
 
 
-def _point_chsh(forms: np.ndarray):
-    """The CHSH value as a function of (lam, t).
+def _section_objectives(forms: np.ndarray):
+    """The CHSH value along lam at a fixed t, and along log t at a fixed lam.
 
     ``forms`` stacks the sums of one Bell operator and of the identity,
     ``(2, S, 2, 2)``.  Each value contracts them with the lam powers into two
     2 x 2 forms in the photon pair, then with the pair ``phi_j(t) phi_k(t)``.
-    Equal to :func:`_grid_chsh` on a 1 x 1 grid up to rounding.
+    Returns ``along_lam(t)`` and ``along_log_t(lam)``, which contract their
+    fixed half once and return the objective of the other coordinate.  Equal
+    to :func:`_grid_chsh` on a 1 x 1 grid up to rounding.
     """
     coefs = forms.reshape(2, -1, 4)
     exponents = np.arange(coefs.shape[1])
 
-    def chsh(lam, t):
+    def pair(t):
         root = (math.sqrt(t), math.sqrt(1.0 - t))
-        value, norm = (lam ** exponents @ coefs) @ [a * b for a in root for b in root]
+        return np.array([a * b for a in root for b in root])
+
+    def ratio(value_and_norm):
+        value, norm = value_and_norm
         return float(value / norm)
 
-    return chsh
+    def along_lam(t):
+        fixed = pair(t)
+        return lambda lam: ratio((lam ** exponents @ coefs) @ fixed)
+
+    def along_log_t(lam):
+        fixed = lam ** exponents @ coefs
+        return lambda log_t: ratio(fixed @ pair(math.exp(log_t)))
+
+    return along_lam, along_log_t
 
 
 @dataclass
@@ -949,20 +1011,22 @@ def max_source_chsh(
 
     Coarse grid scan over the circuit images, then coordinate refinement
     (golden sections in lam and log t, then the delta search of
-    :func:`optimize_delta`) around the best grid point.  ``lam_grid`` and
+    :func:`optimize_delta` on the output's parity-sector part,
+    :func:`_image_state`) around the best grid point.  ``lam_grid`` and
     ``t_grid`` are 1-D sequences of at least two points; ``None`` selects
     the default grid.  At fixed delta every (lam, t) is a quadratic form in
     the image weights, so no step runs the circuit again.  The grid scan
     evaluates the forms factored (:func:`_grid_chsh`) at 81 deltas; of equal
     grid values the first in (delta, lam, t) order is taken.  The golden
     sections read row g* of the grid's sums, the Bell form at the grid's
-    delta (:func:`_point_chsh`).
+    delta, and contract each section's fixed coordinate once
+    (:func:`_section_objectives`).
     """
     lam_grid = _sweep_grid(default_squeezing_grid() if lam_grid is None else lam_grid,
                            "lam_grid")
     t_grid = _sweep_grid(default_transmission_grid() if t_grid is None else t_grid,
                          "t_grid")
-    basis, stack, packed, trace = _source_stack(eta_c, cutoff)
+    basis, packed, trace = _source_stack(eta_c, cutoff)
 
     deltas = delta_grid(81)
     bells = _packed_kron(basis, _mode_observables(basis, alice, bob, deltas))
@@ -971,23 +1035,23 @@ def max_source_chsh(
     g, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     lam, t = float(lam_grid[i]), float(t_grid[j])
 
-    chsh = _point_chsh(np.stack([hankels[g], trace]))
+    along_lam, along_log_t = _section_objectives(np.stack([hankels[g], trace]))
     lam_step = lam_grid[1] - lam_grid[0]
     lam, _ = golden_section_max(
-        lambda x: chsh(x, t),
+        along_lam(t),
         max(0.0, lam - lam_step),
         min(lam_grid[-1], lam + lam_step),
         1e-4,
     )
     log_step = math.log(t_grid[1] / t_grid[0])
     logt, _ = golden_section_max(
-        lambda x: chsh(lam, math.exp(x)),
+        along_log_t(lam),
         math.log(t) - log_step,
         min(math.log(t_grid[-1]), math.log(t) + log_step),
         1e-4,
     )
     t = math.exp(logt)
-    delta, value = optimize_delta(alice, bob, state=_image_state(basis, stack, lam, t),
+    delta, value = optimize_delta(alice, bob, state=_image_state(basis, packed, lam, t),
                                   grid_points=61)
     return SourceOptimum(value, lam, t, delta)
 
@@ -1047,7 +1111,7 @@ def amplified_source_threshold_with_filters(
                            "lam_grid")
     t_grid = _sweep_grid(default_transmission_grid(30) if t_grid is None else t_grid,
                          "t_grid")
-    basis, _, packed, _ = _source_stack(eta_c, cutoff)
+    basis, packed, _ = _source_stack(eta_c, cutoff)
     party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
     deltas = delta_grid(61)
     pullback = _filtered_pullback(basis, gain, applications, cutoff)

@@ -163,7 +163,7 @@ def test_a_source_cutoff_beyond_the_gram_limit_exits_cleanly(command, tmp_path, 
     def circuit(*args, **kwargs):
         raise AssertionError("the circuit ran")
 
-    monkeypatch.setattr(cvbell.source_amp, "_output_gram", circuit)
+    monkeypatch.setattr(cvbell.source_amp, "_heralded_gram", circuit)
     args = [command, "--cutoff", "40"]
     if command == "source-amp":
         args += ["--eta-d-grid", "1.0"]

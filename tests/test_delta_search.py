@@ -378,7 +378,7 @@ SMALL_GRIDS = dict(cutoff=3, lam_grid=default_squeezing_grid(4),
 
 def source_grid_optimum(party, eta_c, cutoff, lam_grid, t_grid):
     """The (chsh, squeezing, amp_transmission, delta) grid point that max_source_chsh refines."""
-    basis, _, packed, trace = sa._source_stack(eta_c, cutoff)
+    basis, packed, trace = sa._source_stack(eta_c, cutoff)
     deltas = np.linspace(0.0, DELTA_MAX, 81)
     hankels = sa._pair_forms(packed, _packed_kron(basis, _mode_observables(basis, party, party,
                                                                             deltas)))

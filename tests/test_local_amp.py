@@ -366,12 +366,12 @@ class TestPulledBackForms:
            t=st.floats(0.01, 1.0), deltas=delta_arrays)
     def test_filtered_source(self, cutoff, eta_c, applications, gain, eta, eta_d, lam, t,
                              deltas):
-        basis, stack, packed, _ = sa._source_stack(eta_c, cutoff)
+        basis, packed, _ = sa._source_stack(eta_c, cutoff)
         party = PartyConditions(eta_d=eta_d)
         pullback = la._filtered_pullback(basis, gain, applications, cutoff)
         rho = sa._image_weights(lam, t, len(packed) // 4 - 1) @ packed
         found = la._filtered_slopes(pullback, basis, party, eta, rho)(deltas)
-        state = sa._image_state(basis, stack, lam, t)
+        state = sa._image_state(basis, packed, lam, t)
         for mode in (0, 1):
             state = apply_channel(state, LossChannel(eta), mode)
         state = apply_filters(state, gain, applications)

@@ -115,9 +115,20 @@ def embedded_adjoint_loss(basis, ops, eta):
     return ops
 
 
+def whole_output_rows(cutoff):
+    """The real Hankel rows of the circuit's whole output, every entry (``_output_gram``)."""
+    config = sa.SourceConfig(squeezing=0.0, amp_transmission=1.0, cutoff=cutoff)
+    arms = ModeBasis((cutoff, cutoff))
+    inputs = np.zeros((arms.dimension, cutoff + 1))
+    for n in range(cutoff + 1):
+        inputs[arms.index_of((n, n)), n] = 1.0
+    return sa._fold(sa._output_gram(config, inputs, photon=np.eye(2))[1].real)
+
+
 def assert_source_forms_match(cutoff, ops, packed_ops):
     """Packed ``_pair_forms`` equals the dense ``Re Tr(H O)`` at a source cutoff."""
-    _, (re, _), packed, _ = sa._source_stack(1.0, cutoff)
+    _, packed, _ = sa._source_stack(1.0, cutoff)
+    re = whole_output_rows(cutoff)
     dense = ops.reshape(len(ops), -1) @ re.T
     found = sa._pair_forms(packed, packed_ops).reshape(dense.shape)
     scale = np.abs(re).max() * max(1.0, np.abs(ops).max())

@@ -9,9 +9,13 @@ as a vector on the last mode's axis (``source_amp._phase_plate``).
 basis, and the plates built over its occupations, are the slow references
 they must reproduce.  Every stage before the output plate ``i^n`` is real,
 so the circuit runs in float64 and applies that plate once, to the summed
-Gram array; the per-branch plate is its reference.  The pinned outputs
-guard the wiring of the circuit: which modes each splitter acts on and
-which are heralded.
+Gram array; the per-branch plate is its reference.  (The source sweeps'
+stack never applies it as a complex factor: within a photon-parity sector it
+is a real sign, ``tests/test_source_images.py``.)  The interference splitter
+computes only the herald rows an accepted pattern hears; the full split
+followed by the detectors' drop is its bitwise reference.  The pinned
+outputs guard the wiring of the circuit: which modes each splitter acts on
+and which are heralded.
 The herald distribution, which the circuit takes from the reduced states of
 the two herald modes, is held to the joint stack of every input branch times
 every ancilla branch (:func:`joint_stack_herald_probabilities`).  The
@@ -176,8 +180,8 @@ def test_output_plate_on_the_gram_equals_the_per_branch_plate(cutoff, ancilla, b
     kept = (cutoff, sa._ancilla_cutoff(config))
     stack = random_stack(seed, (branches, ModeBasis(kept).dimension, width)).real.copy()
 
-    def heralded_gram(config, arms, cutoffs, mode, output, photon):
-        return sa._gram(output(stack))
+    def heralded_gram(config, arms, cutoffs, mode, gram, photon):
+        return gram(stack)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sa, "_heralded_gram", heralded_gram)
@@ -273,7 +277,11 @@ REAL_RUNS = {
 
 @pytest.mark.parametrize("run, stages", list(REAL_RUNS.values()), ids=list(REAL_RUNS))
 def test_circuit_runs_in_real_arithmetic(run, stages, stack_dtypes):
-    """Every stack before the output plate is float64: no complex GEMM, no complex Gram."""
+    """Every stack before the output plate is float64: no complex GEMM, no complex Gram.
+
+    The source sweeps' stack applies no complex plate at all: its sector
+    Grams take the plate as a real sign on their rows.
+    """
     run()
     assert set(stack_dtypes) == stages
     assert all(dtypes == {np.dtype(np.float64)} for dtypes in stack_dtypes.values())
@@ -302,7 +310,8 @@ def joint_stack_herald_probabilities(config):
         detectors[mode] = {"click": click, "none": no_click}
     names = {("click", "none"): "d1", ("none", "click"): "d2",
              ("click", "click"): "both", ("none", "none"): "none"}
-    norms2 = sa._norms2(sa._herald_blocks(joint, big, 1, 2))
+    d_a, d_b = big[1] + 1, big[2] + 1
+    norms2 = sa._norms2(sa._herald_blocks(joint, big, 1, d_a * d_b)).reshape(-1, d_a, d_b)
     probs = {}
     for d0_label in dict.fromkeys(labels):
         counts = norms2[labels == d0_label].sum(axis=0)
@@ -310,6 +319,74 @@ def joint_stack_herald_probabilities(config):
             key = (str(d0_label), name) if config.ancilla_model == "heralded-pdc" else name
             probs[key] = float(detectors[1][la] @ counts @ detectors[2][lb])
     return probs
+
+
+def every_row(config, a_cutoff, b_cutoff):
+    """The herald weights on every row of the interference splitter, heard or not."""
+    detectors = sa._herald_detectors(config.herald_efficiency, a_cutoff, b_cutoff)
+    weights = np.stack([np.outer(*detectors[p]).ravel() for p in sa._herald_patterns(config)])
+    return np.arange(weights.shape[1]), weights[:, None]
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("eta_h", [1.0, 0.7, 0.0])
+@pytest.mark.parametrize("pattern", ["d1", "d2", "either"])
+@pytest.mark.parametrize("ancilla", ["single-photon", "heralded-pdc"])
+@pytest.mark.parametrize("cutoff", range(1, 7))
+def test_heralded_rows_equal_the_full_split_then_drop(cutoff, ancilla, pattern, eta_h, real):
+    """Bitwise: the rows no accepted pattern hears are dropped by every one of them."""
+    config = sa.SourceConfig(squeezing=0.0, amp_transmission=0.3, ancilla_model=ancilla,
+                             herald_efficiency=eta_h, cutoff=cutoff, herald_pattern=pattern)
+    c_anc = sa._ancilla_cutoff(config)
+    small, big, _ = sa._interference_cutoffs((cutoff, cutoff), 1, c_anc)
+    rows, weights = sa._herald_weights(config, big[1], big[2])
+    _, full = every_row(config, big[1], big[2])
+    assert np.array_equal(rows, np.flatnonzero((full > sa.BRANCH_TOL).any(axis=(0, 1))))
+    assert np.array_equal(weights, full[..., rows])
+
+    inputs = random_stack(cutoff, (2, (cutoff + 1) ** 2, 2))
+    if real:
+        inputs = inputs.real.copy()
+    _, anc, labels = sa._ancilla_branches(config, c_anc)
+    for block in anc[labels == "click"]:
+        joint = (inputs[:, :, None, :, None] * block[None, None, :, None, :]).reshape(
+            2, -1, 2 * block.shape[1])
+        heard = sa._split(joint, small, 1, 0.5, big, rows)
+        assert heard.shape[1] == (cutoff + 1) * len(rows) * (c_anc + 1)
+        fast = sa._condition_on_heralds(config, big, heard, 1, weights)
+        slow = sa._condition_on_heralds(config, big, sa._split(joint, small, 1, 0.5, big), 1, full)
+        assert fast.dtype == inputs.dtype
+        assert fast.shape == slow.shape
+        assert np.array_equal(fast, slow)
+
+
+def test_ideal_heralds_hear_fourteen_of_sixty_four_rows_at_cutoff_six():
+    rows, weights = sa._herald_weights(sa.SourceConfig(0.0, 0.5), 7, 7)
+    assert len(rows) == 14 and weights.shape == (2, 1, 14)
+
+
+SCISSOR_INPUT = DensityOperator(ModeBasis((2,)),
+                                complex_matrix(PINS["qscissor_mixed_input"]["input"]))
+END_TO_END = {
+    "single-photon": lambda eta_h: sa.amplified_source(sa.SourceConfig(
+        squeezing=0.2, amp_transmission=0.3, coupling=0.9, herald_efficiency=eta_h, cutoff=4)),
+    "heralded-pdc": lambda eta_h: sa.amplified_source(sa.SourceConfig(
+        **{**PINS["heralded_pdc"]["config"], "herald_efficiency": eta_h})),
+    "scissor-mixed-input": lambda eta_h: sa.qscissor_amplify(
+        SCISSOR_INPUT, 0.3, herald_efficiency=eta_h),
+    "scissor-mixed-input-heralded-pdc": lambda eta_h: sa.qscissor_amplify(
+        SCISSOR_INPUT, 0.3, herald_efficiency=eta_h, ancilla_model="heralded-pdc"),
+}
+
+
+@pytest.mark.parametrize("eta_h", [1.0, 0.7])
+@pytest.mark.parametrize("run", list(END_TO_END.values()), ids=list(END_TO_END))
+def test_circuit_outputs_equal_the_full_split_bitwise(run, eta_h, monkeypatch):
+    fast = run(eta_h)
+    monkeypatch.setattr(sa, "_herald_weights", every_row)
+    slow = run(eta_h)
+    assert np.array_equal(fast.state.matrix, slow.state.matrix)
+    assert fast.success_probability == slow.success_probability
 
 
 @st.composite

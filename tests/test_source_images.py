@@ -7,13 +7,17 @@ inputs, folded once into Hankel sums over the squeezing powers
 polynomials in lam contracted with the photon pair in t
 (``source_amp._grid_chsh``).  The reference is the dense form
 ``x R x / x T x`` over every image-weight row, with ``R`` built here from
-the unfolded Gram array of the circuit and the dense operators.  The sweeps
-read only the photon-parity sector entries of each operator
-(``source_amp._pair_forms``); ``tests/test_parity_sectors.py`` checks that
-the entries between sectors are zero.
+the unfolded Gram array of the whole circuit output
+(``source_amp._output_gram``) and the dense operators.  The sweeps read
+only the photon-parity sector entries of each operator
+(``source_amp._pair_forms``), and the stack builds only those entries of
+the sums; ``tests/test_parity_sectors.py`` checks that the entries between
+sectors are zero.
 """
 
 from functools import lru_cache
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,8 +92,8 @@ def dense_values(forms, trace, inputs):
 
 
 def image_state(lam, t, eta_c, cutoff):
-    basis, stack, _, _ = sa._source_stack(eta_c, cutoff)
-    return sa._image_state(basis, stack, lam, t)
+    basis, packed, _ = sa._source_stack(eta_c, cutoff)
+    return sa._image_state(basis, packed, lam, t)
 
 
 def packed_bells(basis, alice, bob, deltas):
@@ -105,21 +109,44 @@ def unpacked(basis, packed):
     return full.reshape(-1, d, d)
 
 
-@settings(max_examples=20, deadline=None)
-@given(cutoff=st.integers(min_value=1, max_value=6), eta_c=st.sampled_from([1.0, 0.9]))
-def test_folded_rows_equal_fold_of_unfolded_gram(cutoff, eta_c):
-    basis, (re, im), packed, trace = sa._source_stack(eta_c, cutoff)
-    rows = unfolded_rows(eta_c, cutoff)
-    assert re.shape == im.shape == (4 * (2 * cutoff + 1), basis.dimension ** 2)
-    for array in (re, im, packed, trace):
-        assert not array.flags.writeable
-    expected = fold(rows, cutoff)
-    assert np.abs(re - expected.real).max() <= 1e-13
-    assert np.abs(im - expected.imag).max() <= 1e-13
-    # The sweeps' columns: the photon-parity sector entries of the real rows.
-    assert np.array_equal(packed, re[:, _parity_sectors(basis).entries])
-    identity = np.eye(basis.dimension).ravel() @ re.T
-    assert np.abs(trace.ravel() - identity).max() <= 1e-13 * np.abs(re).max()
+def test_folded_rows_equal_fold_of_unfolded_gram():
+    """The packed rows are the sector entries of the dense fold of the whole output."""
+    for cutoff in range(1, 7):
+        for eta_c in (1.0, 0.9):
+            basis, packed, trace = sa._source_stack(eta_c, cutoff)
+            entries = _parity_sectors(basis).entries
+            assert packed.shape == (4 * (2 * cutoff + 1), len(entries))
+            assert packed.dtype == trace.dtype == np.float64
+            for array in (packed, trace):
+                assert not array.flags.writeable
+            # The sector entries of the whole output's fold are real (the
+            # plate's i^(n - n') is +-1 there), and they are all the stack keeps.
+            expected = fold(unfolded_rows(eta_c, cutoff), cutoff)[:, entries]
+            scale = np.abs(expected).max()
+            assert np.all(expected.imag == 0.0)
+            assert np.abs(packed - expected.real).max() <= 1e-13 * scale
+            identity = np.eye(basis.dimension).ravel()[entries] @ expected.real.T
+            assert np.abs(trace.ravel() - identity).max() <= 1e-13 * scale
+
+
+def sector_part(basis, matrix):
+    """The photon-parity sector entries of a matrix, zero between sectors."""
+    part = np.zeros(basis.dimension ** 2, dtype=matrix.dtype)
+    entries = _parity_sectors(basis).entries
+    part[entries] = matrix.ravel()[entries]
+    return part.reshape(matrix.shape)
+
+
+def direct_state(lam, t, eta_c, cutoff):
+    # The circuit drops pure branches below an absolute squared norm of
+    # BRANCH_TOL; at success probabilities near 1e-4 that alone moves the
+    # normalized state by a few 1e-12.  Without the cut both paths compute
+    # the same linear map.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sa, "BRANCH_TOL", 0.0)
+        return amplified_source(
+            SourceConfig(squeezing=lam, amp_transmission=t, coupling=eta_c, cutoff=cutoff)
+        ).state
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,25 +157,39 @@ def test_folded_rows_equal_fold_of_unfolded_gram(cutoff, eta_c):
     cutoff=st.integers(min_value=1, max_value=4),
 )
 def test_image_state_matches_circuit(lam, t, eta_c, cutoff):
-    # The circuit drops pure branches below an absolute squared norm of
-    # BRANCH_TOL; at success probabilities near 1e-4 that alone moves the
-    # normalized state by a few 1e-12.  Without the cut both paths compute
-    # the same linear map.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sa, "BRANCH_TOL", 0.0)
-        direct = amplified_source(
-            SourceConfig(squeezing=lam, amp_transmission=t, coupling=eta_c, cutoff=cutoff)
-        ).state
+    """The image state is the photon-parity sector part of the circuit output."""
+    direct = direct_state(lam, t, eta_c, cutoff)
     fast = image_state(lam, t, eta_c, cutoff)
     assert fast.basis == direct.basis
-    assert np.abs(fast.matrix - direct.matrix).max() <= 1e-12
+    assert np.array_equal(sector_part(fast.basis, fast.matrix), fast.matrix)
+    assert np.abs(fast.matrix - sector_part(direct.basis, direct.matrix)).max() <= 1e-12
+
+
+parties = st.builds(PartyConditions, eta_t=st.floats(0.5, 1.0), eta_d=st.floats(0.5, 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lam=st.floats(min_value=0.0, max_value=0.4),
+    t=st.floats(min_value=3e-5, max_value=0.99),
+    delta=st.floats(min_value=0.0, max_value=DELTA_MAX),
+    eta_c=st.sampled_from([1.0, 0.9]),
+    cutoff=st.integers(min_value=1, max_value=6),
+    alice=parties,
+    bob=parties,
+)
+def test_sector_part_gives_the_chsh_of_the_whole_output(lam, t, delta, eta_c, cutoff,
+                                                       alice, bob):
+    scenario = BellScenario(alice, bob, delta=delta)
+    whole = chsh_value(direct_state(lam, t, eta_c, cutoff), scenario)
+    assert abs(chsh_value(image_state(lam, t, eta_c, cutoff), scenario) - whole) <= 1e-12
 
 
 def test_grid_values_equal_chsh_of_materialized_states():
     party = PartyConditions(eta_t=0.9, eta_d=0.95)
     lam_grid, t_grid = default_squeezing_grid(4), default_transmission_grid(5)
     deltas = np.linspace(0.0, DELTA_MAX, 7)
-    basis, _, packed, trace = sa._source_stack(0.9, 3)
+    basis, packed, trace = sa._source_stack(0.9, 3)
     forms = sa._pair_forms(packed, packed_bells(basis, party, party, deltas))
     values = sa._grid_chsh(forms, trace, lam_grid, t_grid).reshape(len(deltas), -1)
 
@@ -164,15 +205,41 @@ def test_a_cutoff_beyond_the_gram_limit_is_rejected_before_the_circuit(monkeypat
     def circuit(*args, **kwargs):
         raise AssertionError("the circuit ran")
 
-    monkeypatch.setattr(sa, "_output_gram", circuit)
+    monkeypatch.setattr(sa, "_heralded_gram", circuit)
     monkeypatch.setattr(sa, "_STACK_CACHE", {})
-    # 40.9 GiB for the 74046 x 74046 Gram array of cutoff 40.
-    with pytest.raises(ValueError, match=r"source cutoff 40 needs a 74046 x 74046 .*40\.9 GiB"
+    # 10.2 GiB for the parity-sector Gram arrays of the 74046 pairs of cutoff 40.
+    with pytest.raises(ValueError, match=r"source cutoff 40 has 74046 .* pairs.*10\.2 GiB"
                                          r".*largest source cutoff is 14"):
         sa._source_stack(1.0, 40)
     assert sa._STACK_CACHE == {}
     assert sa._gram_side(6) == 504 and sa._gram_side(10) == 1716
     assert sa._gram_side(14) <= sa.MAX_GRAM_SIDE < sa._gram_side(15)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 6, 14])
+def test_gram_bytes_count_the_sector_grams_of_the_output_basis(cutoff):
+    basis = ModeBasis((cutoff + 1,) * 2, cutoff + 1)
+    side = 2 * (cutoff + 1)
+    sizes = [p.size for p in _parity_sectors(basis).positions]
+    assert sa._gram_bytes(cutoff) == sum((n * side) ** 2 for n in sizes) * 8
+    assert sum(sizes) * side == sa._gram_side(cutoff)
+
+
+def test_fresh_stack_stays_small(monkeypatch):
+    """The build allocates no Gram array over the whole output.
+
+    That array and its complex plated copy held 1.9 and 3.9 MiB at cutoff 6,
+    and the build peaked at 6.2 MiB; the sector path peaks near 2.2 MiB.
+    """
+    sa._source_stack(0.9, 6)  # fill the splitter, loss and sector caches outside
+    monkeypatch.setattr(sa, "_STACK_CACHE", {})
+    tracemalloc.start()
+    try:
+        sa._source_stack(0.9, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.25 * 2**20
 
 
 def test_stack_cache_stays_bounded():
@@ -197,9 +264,6 @@ def test_grid_outside_the_source_parameters_is_rejected(lam_grid, t_grid):
                         lam_grid=lam_grid, t_grid=t_grid)
 
 
-parties = st.builds(PartyConditions, eta_t=st.floats(0.5, 1.0), eta_d=st.floats(0.5, 1.0))
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     cutoff=st.integers(min_value=1, max_value=6),
@@ -219,7 +283,7 @@ def test_factored_grid_matches_dense_forms(cutoff, eta_c, lam_points, lam_upper,
     # Every grid holds lam = 0 and t = 0.99, the ends of the default grids.
     lam_grid = np.linspace(0.0, lam_upper, lam_points)
     t_grid = np.geomspace(t_lower, 0.99, t_points) if t_points > 1 else (0.99,)
-    basis, _, packed, trace = sa._source_stack(eta_c, cutoff)
+    basis, packed, trace = sa._source_stack(eta_c, cutoff)
     deltas = np.linspace(0.0, DELTA_MAX, 81)
     if filtered:  # the operators of the filtered-source threshold
         terms = _mode_observables(basis, alice, bob, deltas)
@@ -256,10 +320,12 @@ def test_factored_grid_matches_dense_forms(cutoff, eta_c, lam_points, lam_upper,
     bob=parties,
 )
 def test_golden_section_objectives_match_grid(lam, t, delta, cutoff, eta_c, alice, bob):
-    basis, _, packed, trace = sa._source_stack(eta_c, cutoff)
+    basis, packed, trace = sa._source_stack(eta_c, cutoff)
     form = sa._pair_forms(packed, packed_bells(basis, alice, bob, [delta]))
     expected = sa._grid_chsh(form, trace, [lam], [t])[0, 0, 0]
-    assert abs(sa._point_chsh(np.stack([form[0], trace]))(lam, t) - expected) <= 1e-13
+    along_lam, along_log_t = sa._section_objectives(np.stack([form[0], trace]))
+    assert abs(along_lam(t)(lam) - expected) <= 1e-13
+    assert abs(along_log_t(lam)(np.log(t)) - along_lam(t)(lam)) <= 1e-13
 
 
 SMALL = dict(cutoff=2, lam_grid=default_squeezing_grid(4), t_grid=default_transmission_grid(5))
