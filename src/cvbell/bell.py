@@ -46,6 +46,8 @@ from .fock import (
     shared_basis,
 )
 from .measurement import (
+    _expand_loss,
+    bernstein_weights,
     binned_homodyne_povms,
     binned_homodyne_slopes,
     delta_grid,
@@ -140,6 +142,11 @@ def _mode_observables(basis, alice, bob, deltas):
     Xb = Xa if same_x else binned_homodyne_povms(bob.eta_h * bob.eta_t, deltas, cb)[2]
     Na = photodetection_povm(alice.eta_d * alice.eta_t, ca)[2]
     Nb = Na if same_n else photodetection_povm(bob.eta_d * bob.eta_t, cb)[2]
+    return _observable_terms(Xa, Xb, Na, Nb)
+
+
+def _observable_terms(Xa, Xb, Na, Nb):
+    """The terms ``((Xa, Xb + Nb), (Na, Xb - Nb))`` of B from the four observables."""
     return (Xa, Xb + Nb), (Na, Xb - Nb)
 
 
@@ -158,6 +165,112 @@ def _mode_slopes(basis, alice, bob, deltas):
     Nb = Na if same_n else photodetection_povm(bob.eta_d * bob.eta_t, cb)[2]
     plus = Xb + Nb
     return ((Xa, plus), (Na, Xb - Nb)), ((dXa, plus), (Xa + Na, dXb))
+
+
+def _sweep(target: str, symmetry: str, eta_t: float, eta_d: float, eta_h: float):
+    """A threshold solve's scenarios as the efficiency ``target`` sweeps a value v.
+
+    Returns ``(scenario, base, sweeps)``: ``scenario(v)`` is the scenario at
+    v, ``base`` the one at v = 1, and ``sweeps`` holds per party whether v
+    enters its X and whether it enters its N.  Losses compose, so a factor
+    that v enters is the base one through a loss v on its mode: with v the
+    transmission, ``X(eta_h v) = L^dag_v(X(eta_h))`` and
+    ``N(eta_d v) = L^dag_v(N(eta_d))``; with v the detector efficiency,
+    ``N(v eta_t) = L^dag_v(N(eta_t))``.
+    """
+    fixed = {"eta_t": eta_t, "eta_d": eta_d}
+
+    def scenario(value):
+        return _scenario_for(symmetry, eta_h=eta_h, **{**fixed, target: value})
+
+    base, zero = scenario(1.0), scenario(0.0)
+    sweeps = tuple((one.eta_t != none.eta_t, one.eta_t != none.eta_t or one.eta_d != none.eta_d)
+                   for one, none in ((base.alice, zero.alice), (base.bob, zero.bob)))
+    return scenario, base, sweeps
+
+
+def _swept_observables(basis, alice, bob, sweeps, deltas):
+    """Xa, Xb, Na and Nb as polynomials in a swept efficiency v (:func:`_sweep`).
+
+    ``alice`` and ``bob`` hold the efficiencies at v = 1.  A factor that v
+    enters is pulled back through the loss v once, for every v
+    (:func:`cvbell.measurement._expand_loss`): a ``(c + 1, ...)`` stack of
+    coefficients of :func:`cvbell.measurement.bernstein_weights` of degree c,
+    the mode's trimmed cutoff.  A factor that v does not enter is the
+    degree-0 stack ``(1, ...)``.  Bob's factor is Alice's object where the
+    two agree, as in :func:`_mode_observables`.
+    """
+    ca, cb = _trimmed_cutoffs(basis)
+    (xa, na), (xb, nb) = sweeps
+    same_x, same_n = _same_factors(basis, alice, bob)
+
+    def expanded(M, swept, cutoff):
+        return _expand_loss(M, cutoff) if swept else M[None]
+
+    Xa = expanded(binned_homodyne_povms(alice.eta_h * alice.eta_t, deltas, ca)[2], xa, ca)
+    Xb = Xa if same_x and xa == xb else expanded(
+        binned_homodyne_povms(bob.eta_h * bob.eta_t, deltas, cb)[2], xb, cb)
+    Na = expanded(photodetection_povm(alice.eta_d * alice.eta_t, ca)[2], na, ca)
+    Nb = Na if same_n and na == nb else expanded(
+        photodetection_povm(bob.eta_d * bob.eta_t, cb)[2], nb, cb)
+    return Xa, Xb, Na, Nb
+
+
+def _swept_at(factors, value: float):
+    """The four :func:`_swept_observables` at one value v.
+
+    Each stack of degree d > 0 is contracted with ``bernstein_weights(v, d)``
+    (d + 1 scaled additions); a degree-0 stack is its own value, and a
+    factor shared by both parties is evaluated once.
+    """
+    Xa, Xb, Na, Nb = factors
+    weights = {}
+
+    def at(f):
+        if len(f) == 1:
+            return f[0]
+        if len(f) not in weights:
+            weights[len(f)] = bernstein_weights(value, len(f) - 1)
+        return (weights[len(f)] @ f.reshape(len(f), -1)).reshape(f.shape[1:])
+
+    Xa_v, Na_v = at(Xa), at(Na)
+    return Xa_v, Xa_v if Xb is Xa else at(Xb), Na_v, Na_v if Nb is Na else at(Nb)
+
+
+def _common_degree(*factors):
+    """The coefficient stacks of one mode's factors, all at the largest degree d among them.
+
+    Only degrees 0 and d occur (:func:`_swept_observables`); a degree-0
+    stack M is raised as ``M = M (eta + (1 - eta))^d``, coefficients
+    ``C(d, i) M``.
+    """
+    d = max(len(f) for f in factors) - 1
+    raised = np.array([math.comb(d, i) for i in range(d + 1)], dtype=float)
+    return [f if len(f) == d + 1 else raised.reshape(-1, *[1] * (f.ndim - 1)) * f
+            for f in factors]
+
+
+def _bilinear_coefficients(Q: np.ndarray, terms) -> np.ndarray:
+    """``sum Tr rho (a (x) b)`` over the terms, as a polynomial: ``(da + db + 1, g)``.
+
+    Each factor is a ``(d + 1, g, n, n)`` stack of coefficients of
+    :func:`cvbell.measurement.bernstein_weights` (g is 1 or the grid), and
+    the weights multiply as ``w_i(da) w_j(db) = w_{i + j}(da + db)``, so
+    coefficients i of a and j of b meet at degree i + j.  Each pair is
+    contracted with the ``Q`` of :func:`_fixed_state` as :func:`_state_chsh`
+    contracts one ``a (x) b``, but without the transposes: rho is
+    Hermitian, so Q is unchanged when both of its index pairs swap, and
+    ``vec(a^T) Q vec(b^T) = vec(a) Q vec(b)``.
+    """
+    out = 0.0
+    for a, b in terms:
+        left = a.reshape(len(a), -1, Q.shape[0]) @ Q
+        pairs = np.einsum("i...k,j...k->ij...", left, b.reshape(len(b), -1, Q.shape[1]))
+        folded = np.zeros((len(a) + len(b) - 1, pairs.shape[-1]))
+        for i, row in enumerate(pairs):
+            folded[i:i + len(b)] += row
+        out = out + folded
+    return out
 
 
 @dataclass(frozen=True)
@@ -475,23 +588,48 @@ def _state_chsh(state, alice: PartyConditions, bob: PartyConditions):
     return chsh, chsh_and_slope
 
 
+def _swept_state_chsh(state, alice: PartyConditions, bob: PartyConditions, sweeps,
+                      deltas) -> np.ndarray:
+    """CHSH of a fixed state as a polynomial in a swept efficiency v: ``(D + 1, G)``.
+
+    The factors of :func:`_swept_observables` on the fixed state's basis,
+    each mode's raised to that mode's degree (:func:`_common_degree`), are
+    contracted with the state pairwise (:func:`_bilinear_coefficients`), so
+    ``D`` is the sum of the two modes' degrees and
+    ``bernstein_weights(v, D) @ W`` is the CHSH of :func:`_state_chsh` at v
+    on the grid, up to rounding.
+    """
+    fixed = _fixed_state(state)
+    Xa, Xb, Na, Nb = (f.reshape(len(f), -1, *f.shape[-2:])
+                      for f in _swept_observables(fixed.basis, alice, bob, sweeps, deltas))
+    Xa, Na = _common_degree(Xa, Na)
+    Xb, Nb = _common_degree(Xb, Nb)
+    return _bilinear_coefficients(fixed.Q, _observable_terms(Xa, Xb, Na, Nb))
+
+
+def _block_tops(basis: ModeBasis, terms, layout: _Layout) -> np.ndarray:
+    """Top eigenvalue of ``sum a (x) b`` on a grid: the largest of the layout's blocks'.
+
+    The blocks take :func:`_top_values`; a NaN in any block makes the top NaN.
+    """
+    tops = [_top_values(block) for block in _sector_blocks(basis, terms, layout)]
+    return np.concatenate(tops, axis=-1).max(axis=-1)
+
+
 def _top_eigenvalue(basis: ModeBasis, alice: PartyConditions, bob: PartyConditions):
     """Top eigenvalue of the Bell operator as a function of the bin half-widths.
 
     Returns ``top(deltas)`` and ``top_and_slope(deltas)``.  B is block-diagonal
     in the photon-parity sectors, and for symmetric parties also in their
     swap-adapted halves (:func:`_layout`), so its top eigenvalue is the
-    largest of the blocks'; a NaN in any block makes it NaN.  On the grid the
-    blocks take :func:`_top_values`.  The slope is ``v^T dB v`` with v the
-    top eigenvector of the winning block and dB that block of the slope
-    (Hellmann-Feynman).
+    largest of the blocks' (:func:`_block_tops`).  The slope is ``v^T dB v``
+    with v the top eigenvector of the winning block and dB that block of the
+    slope (Hellmann-Feynman).
     """
     layout = _layout(basis, alice, bob)
 
     def top(deltas):
-        terms = _mode_observables(basis, alice, bob, deltas)
-        tops = [_top_values(block) for block in _sector_blocks(basis, terms, layout)]
-        return np.concatenate(tops, axis=-1).max(axis=-1)
+        return _block_tops(basis, _mode_observables(basis, alice, bob, deltas), layout)
 
     def top_and_slope(deltas):
         values, slopes = _mode_slopes(basis, alice, bob, deltas)
@@ -860,22 +998,37 @@ def critical_efficiency(
     ``target`` is ``"eta_t"`` or ``"eta_d"``; the other efficiency is held at
     the supplied value.  The bin half-width (and, when ``state`` is None, the
     subspace state) is re-optimized at every bisection step; a step whose
-    delta grid already violates is decided there (``stop_above``).  A fixed
-    state is contracted once for all steps (:func:`_fixed_state`).
+    delta grid already violates is decided there (``stop_above``).
+
+    Every per-mode factor that the swept efficiency enters is expanded once
+    per solve as a polynomial in it (:func:`_swept_observables`).  A fixed
+    state is contracted with the products once (:func:`_swept_state_chsh`),
+    so a step's grid is one polynomial evaluation; without a state a step
+    evaluates the factors and solves the sector blocks (:func:`_block_tops`).
+    A refine, when it runs, reads the one-value slope objective.
     """
     if target not in ("eta_t", "eta_d"):
         raise ValueError("target must be 'eta_t' or 'eta_d'")
+    scenario, base, sweeps = _sweep(target, symmetry, eta_t, eta_d, eta_h)
+    grid = delta_grid(241)
     if state is not None:
         state = _fixed_state(state)
+        chsh = _swept_state_chsh(state, base.alice, base.bob, sweeps, grid)
+
+        def step(value, scen):
+            return (bernstein_weights(value, len(chsh) - 1) @ chsh,
+                    lambda: _state_chsh(state, scen.alice, scen.bob)[1])
+    else:
+        basis = shared_basis((cutoff, cutoff), total_cap)
+        factors = _swept_observables(basis, base.alice, base.bob, sweeps, grid)
+
+        def step(value, scen):
+            terms = _observable_terms(*_swept_at(factors, value))
+            return (_block_tops(basis, terms, _layout(basis, scen.alice, scen.bob)),
+                    lambda: _top_eigenvalue(basis, scen.alice, scen.bob)[1])
 
     def max_chsh(value):
-        kwargs = {"eta_t": eta_t, "eta_d": eta_d}
-        kwargs[target] = value
-        scen = _scenario_for(symmetry, eta_h=eta_h, **kwargs)
-        return optimize_delta(
-            scen.alice, scen.bob, state=state, cutoff=cutoff, total_cap=total_cap,
-            stop_above=VIOLATION_BOUND,
-        )[1]
+        values, slope_objective = step(value, scenario(value))
+        return _search_grid(grid, values, slope_objective, stop_above=VIOLATION_BOUND).value
 
     return bisect_threshold(max_chsh, tol=tol)
-

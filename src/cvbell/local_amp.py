@@ -33,6 +33,8 @@ from .fock import (
 from .bell import (
     VIOLATION_BOUND,
     PartyConditions,
+    _bilinear_coefficients,
+    _fixed_state,
     _mode_observables,
     _mode_slopes,
     _packed_kron,
@@ -40,7 +42,7 @@ from .bell import (
     _search_grid,
     bisect_threshold,
 )
-from .measurement import _through_loss, delta_grid
+from .measurement import _expand_loss, _through_loss, bernstein_weights, delta_grid
 
 
 def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.ndarray:
@@ -68,35 +70,24 @@ def _filtered_pullback(basis: ModeBasis, gain: float, applications: int, cutoff:
     """Filtered two-mode operators pulled back through a loss on both modes.
 
     Returns ``pullback(terms)``, which filters the per-mode factors of
-    ``B = sum a (x) b`` once and returns ``at(eta)``: ``L^dag(F B F)`` and
-    ``L^dag(F^2)``, packed on the photon-parity sectors of the capped
-    two-mode ``basis`` (:func:`cvbell.bell._packed_kron`), with ``F`` the
-    filter of ``gain`` applied ``applications`` times on each mode and ``L``
-    the transmission ``eta`` on each mode.  Filter and loss factor by mode,
+    ``B = sum a (x) b`` once (:func:`_filtered_stacks`) and returns
+    ``at(eta)``: ``L^dag(F B F)`` and ``L^dag(F^2)``, packed on the
+    photon-parity sectors of the capped two-mode ``basis``
+    (:func:`cvbell.bell._packed_kron`), with ``F`` the filter of ``gain``
+    applied ``applications`` times on each mode and ``L`` the transmission
+    ``eta`` on each mode.  Filter and loss factor by mode,
 
         L^dag(F (a (x) b) F) = L_a^dag(f a f) (x) L_b^dag(f b f),
 
     and capping after the pullback is exact, because loss never raises the
-    photon number.  Each mode's ``f``, with entries from 1 to its largest,
-    M, is scaled by a power of two near ``1/sqrt(M)``, so a product of four
-    entries lies between about ``1/M^2`` and ``M^2``: it neither overflows
-    nor underflows where the two-mode diagonal is finite, and the common
-    factor cancels exactly in every ratio to ``L^dag(F^2)``.  The filter is
-    checked once, on the two-mode basis at the caller's ``cutoff``: invalid
-    arguments and an overflow there raise the :func:`filter_diagonal` error.
+    photon number.  The filter is checked once, on the two-mode basis at the
+    caller's ``cutoff``: invalid arguments and an overflow there raise the
+    :func:`filter_diagonal` error.
     """
     filter_diagonal(shared_basis((cutoff, cutoff)), gain, applications)
 
-    def filtered(ops):
-        """``f O f`` for each factor of one mode, stacked, with ``f^2`` last."""
-        n = ops[0].shape[-1]
-        f = filter_diagonal(shared_basis((n - 1,)), gain, applications)
-        f = np.ldexp(f, -(np.frexp(f.max())[1] // 2))
-        stack = np.concatenate([*(op.reshape(-1, n, n) for op in ops), np.eye(n)[None]])
-        return f[:, None] * stack * f, np.cumsum([op.size // (n * n) for op in ops]).tolist()
-
     def pullback(terms):
-        modes = [filtered(ops) for ops in zip(*terms)]
+        modes = _filtered_stacks(terms, gain, applications)
 
         def at(eta: float):
             (*a, square_a), (*b, square_b) = (
@@ -108,6 +99,28 @@ def _filtered_pullback(basis: ModeBasis, gain: float, applications: int, cutoff:
         return at
 
     return pullback
+
+
+def _filtered_stacks(terms, gain: float, applications: int):
+    """Each mode's factors of ``B = sum a (x) b`` filtered, stacked, with ``f^2`` last.
+
+    Returns one ``(stack, ends)`` per mode: ``f O f`` for each of the mode's
+    factors, raveled to ``(-1, n, n)`` and split back at ``ends``.  The
+    mode's ``f``, with entries from 1 to its largest, M, is scaled by a power
+    of two near ``1/sqrt(M)``, so a product of four entries lies between
+    about ``1/M^2`` and ``M^2``: it neither overflows nor underflows where
+    the two-mode diagonal is finite, and the common factor cancels exactly
+    in every ratio to ``L^dag(F^2)``.
+    """
+    modes = []
+    for ops in zip(*terms):
+        n = ops[0].shape[-1]
+        f = filter_diagonal(shared_basis((n - 1,)), gain, applications)
+        f = np.ldexp(f, -(np.frexp(f.max())[1] // 2))
+        stack = np.concatenate([*(op.reshape(-1, n, n) for op in ops), np.eye(n)[None]])
+        modes.append((f[:, None] * stack * f,
+                      np.cumsum([op.size // (n * n) for op in ops]).tolist()))
+    return modes
 
 
 def _filtered_slopes(pullback, basis: ModeBasis, party: PartyConditions, eta: float,
@@ -194,21 +207,44 @@ def filtered_state(
     return apply_filters(lossy_psi2(eta_t * eta_c, cutoff), gain, applications)
 
 
+def _psi2_forms(gain: float, applications: int, eta_d: float, deltas):
+    """``Tr(psi2 L^dag(F B F))`` and ``Tr(psi2 L^dag(F^2))`` as polynomials in the loss.
+
+    The filtered stacks of the delta grid (:func:`_filtered_stacks`) are
+    expanded once through the loss eta on each mode
+    (:func:`cvbell.measurement._expand_loss`) and contracted with psi2
+    (:func:`cvbell.bell._bilinear_coefficients`): the numerator ``(D + 1, G)``
+    and denominator ``(D + 1, 1)`` of
+    :func:`cvbell.measurement.bernstein_weights` of degree ``D = 4``, psi2's
+    two photons on each of the two modes.
+    """
+    fixed = _fixed_state(psi2_state())
+    party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
+    (*a, square_a), (*b, square_b) = (
+        np.split(_expand_loss(stack, stack.shape[-1] - 1), ends, axis=1)
+        for stack, ends in _filtered_stacks(
+            _mode_observables(fixed.basis, party, party, deltas), gain, applications))
+    return (_bilinear_coefficients(fixed.Q, zip(a, b)),
+            _bilinear_coefficients(fixed.Q, [(square_a, square_b)]))
+
+
 def _psi2_search(gain: float, applications: int, eta_d: float, eta_c: float, cutoff: int):
     """The delta search of the filtered psi2 at a transmission: ``search(eta_t, stop_above)``.
 
     The 241-point grid reads ``Tr(psi2 L^dag(F B F)) / Tr(psi2 L^dag(F^2))``
-    (:func:`_filtered_pullback`) through the loss ``eta_t * eta_c``, on the
-    basis capped at the two photons that psi2 and its losses hold; the
-    filtered stacks of the grid are built once.  The refine, when it runs,
-    reads the slopes from the same forms (:func:`_filtered_slopes`).  The
-    measurements carry only the detector efficiencies.
+    through the loss ``eta_t * eta_c``, one evaluation of the two
+    polynomials of :func:`_psi2_forms`, which are built once, after the
+    filter check of :func:`_filtered_pullback` at ``cutoff``.  The refine,
+    when it runs, reads the slopes from the forms pulled back through the
+    step's loss (:func:`_filtered_slopes`), on the basis capped at the two
+    photons that psi2 and its losses hold.  The measurements carry only the
+    detector efficiencies.
     """
     basis = shared_basis((cutoff, cutoff), 2)
     pullback = _filtered_pullback(basis, gain, applications, cutoff)
-    party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
     grid = delta_grid(241)
-    grid_forms = pullback(_mode_observables(basis, party, party, grid))
+    bells, square = _psi2_forms(gain, applications, eta_d, grid)
+    party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
     # (|20> + |02>)(<20| + <02|) on the packed entries: psi2 up to its norm,
     # which cancels in the ratio.
     v = np.zeros(basis.dimension)
@@ -217,8 +253,8 @@ def _psi2_search(gain: float, applications: int, eta_d: float, eta_c: float, cut
 
     def search(eta_t: float, stop_above: float | None = None):
         eta = eta_t * eta_c
-        bells, square = grid_forms(eta)
-        return _search_grid(grid, (bells @ psi2) / (square @ psi2),
+        w = bernstein_weights(eta, len(bells) - 1)
+        return _search_grid(grid, (w @ bells) / (w @ square),
                             lambda: _filtered_slopes(pullback, basis, party, eta, psi2),
                             stop_above=stop_above)
 

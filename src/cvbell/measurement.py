@@ -225,6 +225,59 @@ def _loss_channel_index(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     return index
 
 
+@lru_cache(maxsize=16)
+def _loss_coefficients(cutoff: int) -> np.ndarray:
+    """The adjoint loss as a polynomial in the transmission, ``(cutoff + 1, n^2, n^2)``, read-only.
+
+    ``L^dag_eta(M) = sum_i eta^i (1 - eta)^(c - i) vec(M) E_i`` for every M
+    that keeps photon parity, ``c = cutoff`` (:func:`bernstein_weights`).
+    Entry ``[(m, m'), (n, n')]`` of the adjoint is the one Kraus term
+    ``sqrt(C(n, k) C(n', k)) eta^p (1 - eta)^k`` with ``k = n - m = n' - m'``
+    and ``p = (n + n')/2 - k``, of degree ``(n + n')/2``; it is raised to
+    degree c by the factor ``(eta + (1 - eta))^(c - (n + n')/2)``, so that
+    ``E_i`` holds ``sqrt(C(n, k) C(n', k)) C(c - (n + n')/2, i - p)`` and no
+    coefficient is negative.  Entries with odd ``n + n'`` are zero: M has
+    none there.
+    """
+    c = int(cutoff)
+    binomial = np.array([[math.comb(a, b) for b in range(c + 1)] for a in range(c + 1)],
+                        dtype=float)
+    root = np.sqrt(binomial)
+    m, mm, n, nn = np.indices((c + 1,) * 4).reshape(4, -1)
+    k = n - m
+    valid = (k >= 0) & (k == nn - mm) & ((n + nn) % 2 == 0)
+    k, rest = np.where(valid, k, 0), c - (n + nn) // 2
+    j = np.arange(c + 1)[:, None] - ((n + nn) // 2 - k)  # i - p
+    inside = valid & (j >= 0) & (j <= rest)
+    E = np.where(inside, root[n, k] * root[nn, k] * binomial[rest, np.clip(j, 0, c)], 0.0)
+    E = E.reshape(c + 1, (c + 1) ** 2, (c + 1) ** 2)
+    E.setflags(write=False)
+    return E
+
+
+def bernstein_weights(eta, degree: int) -> np.ndarray:
+    """``eta^i (1 - eta)^(degree - i)`` for i = 0 .. degree, on a last axis.
+
+    The basis in which :func:`_loss_coefficients` and every form expanded
+    from it are read; ``eta`` may be an array.
+    """
+    eta = np.asarray(eta, dtype=float)[..., None]
+    i = np.arange(degree + 1)
+    return eta**i * (1.0 - eta) ** (degree - i)
+
+
+def _expand_loss(elements: np.ndarray, cutoff: int) -> np.ndarray:
+    """The adjoint loss of a stack as a polynomial in the transmission.
+
+    Returns the ``(cutoff + 1, *elements.shape)`` coefficients of
+    :func:`_loss_coefficients`: ``_through_loss(eta, elements, cutoff)`` is
+    ``bernstein_weights(eta, cutoff)`` contracted with them, up to rounding,
+    for every eta at once.  The elements must keep photon parity.
+    """
+    E = _loss_coefficients(int(cutoff))
+    return (elements.reshape(-1, E.shape[-1]) @ E).reshape(len(E), *elements.shape)
+
+
 def _through_loss(eta_h: float, elements: np.ndarray, cutoff: int) -> np.ndarray:
     """Adjoint loss channel on a stack: ``sum_k A_k^dag M A_k``.
 

@@ -1006,6 +1006,7 @@ def max_source_chsh(
     cutoff: int = 6,
     lam_grid: tuple | None = None,
     t_grid: tuple | None = None,
+    stop_above: float | None = None,
 ) -> SourceOptimum:
     """Maximize the CHSH value of the source output over (lam, t, delta).
 
@@ -1020,7 +1021,9 @@ def max_source_chsh(
     grid values the first in (delta, lam, t) order is taken.  The golden
     sections read row g* of the grid's sums, the Bell form at the grid's
     delta, and contract each section's fixed coordinate once
-    (:func:`_section_objectives`).
+    (:func:`_section_objectives`).  ``stop_above`` goes to the final delta
+    search (:func:`optimize_delta`): a delta grid maximum above it is
+    returned unrefined, a lower bound that already exceeds it.
     """
     lam_grid = _sweep_grid(default_squeezing_grid() if lam_grid is None else lam_grid,
                            "lam_grid")
@@ -1052,7 +1055,7 @@ def max_source_chsh(
     )
     t = math.exp(logt)
     delta, value = optimize_delta(alice, bob, state=_image_state(basis, packed, lam, t),
-                                  grid_points=61)
+                                  grid_points=61, stop_above=stop_above)
     return SourceOptimum(value, lam, t, delta)
 
 
@@ -1065,13 +1068,18 @@ def source_critical_transmission(
     lam_grid: tuple | None = None,
     t_grid: tuple | None = None,
 ) -> float | None:
-    """Critical transmission for the amplified source at a given eta_d."""
+    """Critical transmission for the amplified source at a given eta_d.
+
+    A step whose final delta grid already violates is decided there
+    (``stop_above`` of :func:`max_source_chsh`); the golden sections run at
+    every step.
+    """
 
     def max_chsh(eta_t):
         scen = _scenario_for(symmetry, eta_t=eta_t, eta_d=eta_d, eta_h=1.0)
         return max_source_chsh(
             scen.alice, scen.bob, eta_c=eta_c, cutoff=cutoff,
-            lam_grid=lam_grid, t_grid=t_grid,
+            lam_grid=lam_grid, t_grid=t_grid, stop_above=VIOLATION_BOUND,
         ).chsh_value
 
     return bisect_threshold(max_chsh, tol=tol)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import cvbell.bell as bell
 import cvbell.source_amp as sa
 from cvbell.bell import (
+    VIOLATION_BOUND,
     BellScenario,
     PartyConditions,
     _mode_observables,
@@ -331,6 +332,31 @@ def test_cap_two_threshold_solves_never_refine(monkeypatch, solve):
     assert calls == []
     optimize_delta(PartyConditions(), PartyConditions())  # an interior maximum
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"eta_c": 0.9}, {}, {"eta_d": 0.93, "eta_c": 0.95, "symmetry": "asymmetric"},
+], ids=["coupling-loss", "defaults", "asymmetric"])
+def test_source_threshold_solves_never_refine(monkeypatch, kwargs):
+    # The final delta search of each step stops above the violation bound,
+    # and the steps below it peak at delta = 0 (4 or 5 refines per solve
+    # without the bound).  The golden sections still run.
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return refine_slope_root(*args)
+
+    monkeypatch.setattr(bell, "refine_slope_root", counted)
+    assert sa.source_critical_transmission(**kwargs) is not None
+    assert calls == []
+    party = PartyConditions(eta_t=0.9)
+    optimum = max_source_chsh(party, party, eta_c=0.9)
+    assert calls and optimum.chsh_value > 2.0
+    stopped = max_source_chsh(party, party, eta_c=0.9, stop_above=VIOLATION_BOUND)
+    assert (stopped.squeezing, stopped.amp_transmission) == (optimum.squeezing,
+                                                             optimum.amp_transmission)
+    assert VIOLATION_BOUND < stopped.chsh_value <= optimum.chsh_value
 
 
 def test_flat_objective_keeps_the_grid_maximizer():

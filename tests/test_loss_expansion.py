@@ -1,0 +1,260 @@
+"""The swept loss expanded once: the polynomial forms against the one-value paths.
+
+``measurement._loss_coefficients`` writes the adjoint loss as a polynomial in
+the transmission, ``sum_i eta^i (1 - eta)^(c - i) E_i``.  The threshold
+solves expand every per-mode factor that their swept efficiency enters once
+(``bell._swept_observables``) and read each step from the expansion: a fixed
+state's grid is one polynomial (``bell._swept_state_chsh``), the filtered
+psi2's the ratio of two (``local_amp._psi2_forms``), and the optimal-state
+steps evaluate the factors from their coefficients (``bell._swept_at``).
+The references are the channel matrix and the Kraus sum, and the one-value
+paths ``_state_chsh``, ``_filtered_pullback`` and ``_mode_observables``.
+The expansion also makes the monotonicity that bisection assumes cheap to
+check on a fine grid of efficiencies.
+"""
+
+import numpy as np
+import pytest
+
+import cvbell.bell as bell
+import cvbell.local_amp as la
+import cvbell.measurement as measurement
+from cvbell.bell import (
+    ASYMMETRIC,
+    SYMMETRIC,
+    PartyConditions,
+    _mode_observables,
+    _observable_terms,
+    _parity_sectors,
+    _state_chsh,
+    _sweep,
+    _swept_at,
+    _swept_observables,
+    _swept_state_chsh,
+    critical_efficiency,
+    optimize_delta,
+)
+from cvbell.fock import DensityOperator, loss_kraus, shared_basis
+from cvbell.local_amp import filtered_critical_transmission, psi2_state
+from cvbell.measurement import (
+    _expand_loss,
+    _loss_channel,
+    _loss_coefficients,
+    _through_loss,
+    bernstein_weights,
+    delta_grid,
+)
+
+EPS = np.finfo(float).eps
+
+#: Every parity entry of the expanded channel is a sum of non-negative terms,
+#: each a few roundings from exact, so it lies within this many ulps of the
+#: entry itself (measured: 3.5 against the channel matrix and 3.3 against the
+#: extended-precision Kraus sum, cutoffs 0-8).
+ULPS = 8
+
+#: Swept grids and factors agree with the one-value paths to this, relative to
+#: the largest value of the reference.
+RTOL = 1e-14
+
+ETAS = np.linspace(0.0, 1.0, 57)
+STEPS = (0.0, 0.31, 0.77, 0.9, 1.0)
+GRID = delta_grid(241)
+
+
+def even_entries(cutoff):
+    """Mask of the channel entries ``[(m, m'), (n, n')]`` with ``m + m'`` even."""
+    n = cutoff + 1
+    m, mm, _, _ = np.indices((n,) * 4).reshape(4, -1)
+    return ((m + mm) % 2 == 0).reshape(n * n, n * n)
+
+
+def assert_close(found, reference):
+    scale = np.abs(reference).max()
+    assert np.abs(found - reference).max() <= RTOL * scale
+
+
+@pytest.mark.parametrize("cutoff", range(9))
+def test_coefficients_expand_the_channel_and_the_kraus_sum(cutoff):
+    E = _loss_coefficients(cutoff)
+    assert E.shape == (cutoff + 1, (cutoff + 1) ** 2, (cutoff + 1) ** 2)
+    assert not E.flags.writeable and (E >= 0.0).all()
+    even = even_entries(cutoff)
+    assert not E[:, ~even].any()
+    for eta in ETAS:
+        found = np.tensordot(bernstein_weights(eta, cutoff), E, 1)
+        kraus = sum(np.kron(A, A) for A in (A.astype(np.longdouble)
+                                            for A in loss_kraus(float(eta), cutoff)))
+        for reference in (_loss_channel(float(eta), cutoff), kraus):
+            error = np.abs(found - reference)[even].astype(float)
+            assert (error <= ULPS * EPS * np.abs(reference)[even].astype(float)).all()
+
+
+@pytest.mark.parametrize("cutoff", range(9))
+def test_expanded_stacks_match_the_loss_of_each_value(cutoff):
+    rng = np.random.default_rng(cutoff)
+    n = cutoff + 1
+    stack = rng.normal(size=(5, n, n)) * (np.add.outer(range(n), range(n)) % 2 == 0)
+    expanded = _expand_loss(stack, cutoff)
+    assert expanded.shape == (cutoff + 1, *stack.shape)
+    for eta in ETAS:
+        found = np.tensordot(bernstein_weights(eta, cutoff), expanded, 1)
+        assert_close(found, _through_loss(float(eta), stack, cutoff))
+
+
+def test_bernstein_weights_of_arrays_are_the_scalar_rows():
+    rows = bernstein_weights(ETAS, 4)
+    assert rows.shape == (len(ETAS), 5)
+    assert np.array_equal(rows[17], bernstein_weights(ETAS[17], 4))
+    assert np.array_equal(bernstein_weights(0.0, 3), [1.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(bernstein_weights(1.0, 3), [0.0, 0.0, 0.0, 1.0])
+
+
+@pytest.mark.parametrize("target, symmetry, expected", [
+    ("eta_t", SYMMETRIC, ((True, True), (True, True))),
+    ("eta_t", ASYMMETRIC, ((False, False), (True, True))),
+    ("eta_d", SYMMETRIC, ((False, True), (False, True))),
+    ("eta_d", ASYMMETRIC, ((False, True), (False, True))),
+])
+def test_the_sweep_enters_the_factors_of_its_efficiency(target, symmetry, expected):
+    scenario, base, sweeps = _sweep(target, symmetry, 0.9, 0.8, 0.7)
+    assert sweeps == expected
+    assert base == scenario(1.0)
+    assert getattr(scenario(0.4).bob, target) == 0.4
+
+
+def random_state(rng, cutoff):
+    """A random full-rank complex density operator on the (cutoff, cutoff) basis."""
+    basis = shared_basis((cutoff, cutoff))
+    A = rng.normal(size=(basis.dimension,) * 2) + 1j * rng.normal(size=(basis.dimension,) * 2)
+    rho = A @ A.conj().T
+    return DensityOperator(basis, rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("cutoff", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("target", ["eta_t", "eta_d"])
+@pytest.mark.parametrize("symmetry", [SYMMETRIC, ASYMMETRIC])
+def test_fixed_state_grids_match_the_one_value_path(cutoff, target, symmetry):
+    state = random_state(np.random.default_rng(cutoff), cutoff)
+    scenario, base, sweeps = _sweep(target, symmetry, 0.91, 0.87, 0.83)
+    chsh = _swept_state_chsh(state, base.alice, base.bob, sweeps, GRID)
+    mode_degrees = [cutoff * any(swept) for swept in sweeps]
+    assert chsh.shape == (sum(mode_degrees) + 1, len(GRID))
+    for value in STEPS:
+        scen = scenario(value)
+        assert_close(bernstein_weights(value, len(chsh) - 1) @ chsh,
+                     _state_chsh(state, scen.alice, scen.bob)[0](GRID))
+
+
+def packed_psi2(basis):
+    """psi2 = (|20> + |02>)/sqrt(2) on the photon-parity sector entries of ``basis``."""
+    v = np.zeros(basis.dimension)
+    v[[basis.index_of((2, 0)), basis.index_of((0, 2))]] = np.sqrt(0.5)
+    return np.outer(v, v).ravel()[_parity_sectors(basis).entries]
+
+
+@pytest.mark.parametrize("gain, applications", [
+    *((g, m) for g in (1.0, 1.5, 2.0, 3.0) for m in (1, 2, 3, 4)), (1e100, 1)])
+@pytest.mark.parametrize("eta_d", [1.0, 0.9])
+def test_filtered_forms_match_the_pullback(gain, applications, eta_d):
+    bells, square = la._psi2_forms(gain, applications, eta_d, GRID)
+    assert bells.shape == (5, len(GRID)) and square.shape == (5, 1)
+    basis = shared_basis((2, 2), 2)
+    party = PartyConditions(eta_d=eta_d)
+    at = la._filtered_pullback(basis, gain, applications, 2)(
+        _mode_observables(basis, party, party, GRID))
+    psi2 = packed_psi2(basis)
+    for eta in STEPS:
+        w = bernstein_weights(eta, 4)
+        pulled_bells, pulled_square = at(eta)
+        assert_close(w @ bells, pulled_bells @ psi2)
+        assert_close(w @ square, pulled_square @ psi2)
+        assert_close((w @ bells) / (w @ square), (pulled_bells @ psi2) / (pulled_square @ psi2))
+
+
+def test_an_overflowing_filter_is_named_before_any_expansion(monkeypatch):
+    monkeypatch.setattr(la, "_psi2_forms", None)
+    with pytest.raises(ValueError, match="overflows the float range at cutoff 6"):
+        la._psi2_search(1e100, 2, 1.0, 1.0, 6)
+
+
+@pytest.mark.parametrize("cap", [2, 4, 6])
+@pytest.mark.parametrize("target", ["eta_t", "eta_d"])
+@pytest.mark.parametrize("symmetry", [SYMMETRIC, ASYMMETRIC])
+def test_optimal_state_factors_match_mode_observables(cap, target, symmetry):
+    basis = shared_basis((cap, cap), cap)
+    scenario, base, sweeps = _sweep(target, symmetry, 0.91, 0.87, 0.83)
+    factors = _swept_observables(basis, base.alice, base.bob, sweeps, GRID)
+    for value in STEPS:
+        scen = scenario(value)
+        found = _observable_terms(*_swept_at(factors, value))
+        reference = _mode_observables(basis, scen.alice, scen.bob, GRID)
+        for found_term, reference_term in zip(found, reference, strict=True):
+            for f, r in zip(found_term, reference_term, strict=True):
+                assert f.shape[-2:] == r.shape[-2:]
+                assert_close(f, r)
+
+
+#: On the fine grid the maximum over delta may fall by rounding only (the
+#: worst fall measured is 8.9e-16).
+ETA_GRID = np.linspace(0.0, 1.0, 401)
+FALL = 1e-12
+
+
+@pytest.mark.parametrize("target", ["eta_t", "eta_d"])
+@pytest.mark.parametrize("symmetry", [SYMMETRIC, ASYMMETRIC])
+@pytest.mark.parametrize("other", [1.0, 0.9])
+def test_fixed_psi2_grid_maximum_never_falls(target, symmetry, other):
+    # Bisection assumes that more efficiency never hurts.
+    _, base, sweeps = _sweep(target, symmetry, other, other, 1.0)
+    chsh = _swept_state_chsh(psi2_state(), base.alice, base.bob, sweeps, GRID)
+    maxima = (bernstein_weights(ETA_GRID, len(chsh) - 1) @ chsh).max(axis=1)
+    assert np.diff(maxima).min() >= -FALL
+    assert maxima[-1] > maxima[0]
+
+
+@pytest.mark.parametrize("gain", [1.0, 1.5, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("applications", [1, 2, 3, 4])
+@pytest.mark.parametrize("eta_d", [1.0, 0.9])
+def test_filtered_psi2_grid_maximum_never_falls(gain, applications, eta_d):
+    bells, square = la._psi2_forms(gain, applications, eta_d, GRID)
+    w = bernstein_weights(ETA_GRID, len(bells) - 1)
+    maxima = ((w @ bells) / (w @ square)).max(axis=1)
+    assert np.diff(maxima).min() >= -FALL
+    assert maxima[-1] > maxima[0]
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: critical_efficiency("eta_t", state=psi2_state()),
+    lambda: critical_efficiency("eta_d", state=psi2_state()),
+    lambda: filtered_critical_transmission(2.0),
+], ids=["psi2-eta-t", "psi2-eta-d", "filtered"])
+def test_threshold_steps_build_no_loss_channel(monkeypatch, solve):
+    # After the set-up, every step reads the expansion: no channel is built
+    # and no stack goes through a loss.
+    calls = []
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+        return wrapper
+
+    for module, name in ((measurement, "_loss_channel"), (measurement, "_through_loss"),
+                         (la, "_through_loss")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    during = []
+    for module in (bell, la):
+        def bisect(max_chsh, original=module.bisect_threshold, **kwargs):
+            start = len(calls)
+            result = original(max_chsh, **kwargs)
+            during.append(calls[start:])
+            return result
+
+        monkeypatch.setattr(module, "bisect_threshold", bisect)
+    assert solve() is not None
+    assert during == [[]]
+    # The counters see a one-value search.
+    party = PartyConditions(eta_t=0.9)
+    optimize_delta(party, party, state=psi2_state())
+    assert "_loss_channel" in calls

@@ -36,7 +36,7 @@ from cvbell.bell import (
     optimize_delta,
 )
 from cvbell.fock import ModeBasis, embed_single_mode, loss_kraus, shared_basis
-from cvbell.local_amp import filter_diagonal
+from cvbell.local_amp import filter_diagonal, psi2_state
 from cvbell.measurement import DELTA_MAX
 
 CAPS = [2, 3, 4, 6, 8]
@@ -254,8 +254,9 @@ def skew(matrix):
     ("binned_homodyne_slopes", 0, set_nan((0, 0)), "not Hermitian or not finite"),
     ("binned_homodyne_povms", 2, skew, "not Hermitian or not finite"),
     ("binned_homodyne_slopes", 0, skew, "not Hermitian or not finite"),
-    # |1><1| of N only reaches the 1 x 1 sectors: the bisection's own check.
-    ("photodetection_povm", 2, set_nan((1, 1)), "max CHSH is not finite"),
+    # The swept N is the base N pulled back through the loss, which carries
+    # |1><1| into |2><2| and so into the 3 x 3 block.
+    ("photodetection_povm", 2, set_nan((1, 1)), "not Hermitian or not finite"),
 ])
 def test_bad_per_mode_input_is_rejected(monkeypatch, name, index, edit, message):
     corrupt(monkeypatch, name, index, edit)
@@ -267,6 +268,13 @@ def test_bad_per_mode_input_is_rejected(monkeypatch, name, index, edit, message)
             optimize_delta(PartyConditions(), PartyConditions())
         else:
             critical_efficiency("eta_t")
+
+
+def test_a_non_finite_fixed_state_grid_fails_the_bisection(monkeypatch):
+    # A fixed state's grid passes no eigensolver: the bisection's own check.
+    corrupt(monkeypatch, "photodetection_povm", 2, set_nan((1, 1)))
+    with pytest.raises(ValueError, match="max CHSH is not finite"):
+        critical_efficiency("eta_t", state=psi2_state())
 
 
 def test_a_non_finite_one_by_one_sector_fails_the_state_solve(monkeypatch):
