@@ -134,15 +134,11 @@ def _same_factors(basis, alice, bob) -> tuple[bool, bool]:
 def _mode_observables(basis, alice, bob, deltas):
     """The terms ``((Xa, Xb + Nb), (Na, Xb - Nb))`` of B at the trimmed cutoffs.
 
-    X is the binned-homodyne observable (one per delta), N photodetection.
+    X is the binned-homodyne observable (one per delta), N photodetection:
+    the degree-0 factors of :func:`_swept_observables`, with nothing swept.
     """
-    ca, cb = _trimmed_cutoffs(basis)
-    same_x, same_n = _same_factors(basis, alice, bob)
-    Xa = binned_homodyne_povms(alice.eta_h * alice.eta_t, deltas, ca)[2]
-    Xb = Xa if same_x else binned_homodyne_povms(bob.eta_h * bob.eta_t, deltas, cb)[2]
-    Na = photodetection_povm(alice.eta_d * alice.eta_t, ca)[2]
-    Nb = Na if same_n else photodetection_povm(bob.eta_d * bob.eta_t, cb)[2]
-    return _observable_terms(Xa, Xb, Na, Nb)
+    factors = _swept_observables(basis, alice, bob, ((False, False),) * 2, deltas)
+    return _observable_terms(*(f[0] for f in factors))
 
 
 def _observable_terms(Xa, Xb, Na, Nb):
@@ -198,7 +194,7 @@ def _swept_observables(basis, alice, bob, sweeps, deltas):
     coefficients of :func:`cvbell.measurement.bernstein_weights` of degree c,
     the mode's trimmed cutoff.  A factor that v does not enter is the
     degree-0 stack ``(1, ...)``.  Bob's factor is Alice's object where the
-    two agree, as in :func:`_mode_observables`.
+    two agree and are swept alike (:func:`_same_factors`).
     """
     ca, cb = _trimmed_cutoffs(basis)
     (xa, na), (xb, nb) = sweeps
@@ -257,10 +253,11 @@ def _bilinear_coefficients(Q: np.ndarray, terms) -> np.ndarray:
     :func:`cvbell.measurement.bernstein_weights` (g is 1 or the grid), and
     the weights multiply as ``w_i(da) w_j(db) = w_{i + j}(da + db)``, so
     coefficients i of a and j of b meet at degree i + j.  Each pair is
-    contracted with the ``Q`` of :func:`_fixed_state` as :func:`_state_chsh`
-    contracts one ``a (x) b``, but without the transposes: rho is
-    Hermitian, so Q is unchanged when both of its index pairs swap, and
-    ``vec(a^T) Q vec(b^T) = vec(a) Q vec(b)``.
+    contracted with the ``Q`` of :func:`_fixed_state` as
+    ``vec(a) Q vec(b)``: ``Tr rho (a (x) b) = vec(a^T) Q vec(b^T)``, and
+    rho is Hermitian, so Q is unchanged when both of its index pairs swap
+    and the transposes drop out.  At degree 0 (``(1, g, n, n)`` factors)
+    this is the CHSH at one loss, as :func:`_state_chsh` reads it.
     """
     out = 0.0
     for a, b in terms:
@@ -566,17 +563,14 @@ def _state_chsh(state, alice: PartyConditions, bob: PartyConditions):
     ``state`` is a pure or mixed state or its :func:`_fixed_state`.  Returns
     ``chsh(deltas)`` and ``chsh_and_slope(deltas)``, the values and their
     delta-derivatives ``Tr rho dB``, from the per-mode stacks built on the
-    fixed state's basis.
+    fixed state's basis, each contracted as a degree-0 polynomial
+    (:func:`_bilinear_coefficients`).
     """
     fixed = _fixed_state(state)
     full, Q = fixed.basis, fixed.Q
 
     def contract(terms):
-        return sum(
-            ((a.swapaxes(-1, -2).reshape(-1, Q.shape[0]) @ Q)
-             * b.swapaxes(-1, -2).reshape(-1, Q.shape[1])).sum(axis=-1)
-            for a, b in terms
-        )
+        return _bilinear_coefficients(Q, ((a[None], b[None]) for a, b in terms))[0]
 
     def chsh(deltas):
         return contract(_mode_observables(full, alice, bob, deltas))

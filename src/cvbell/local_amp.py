@@ -38,7 +38,6 @@ from .bell import (
     _mode_observables,
     _mode_slopes,
     _packed_kron,
-    _parity_sectors,
     _search_grid,
     bisect_threshold,
 )
@@ -82,7 +81,8 @@ def _filtered_pullback(basis: ModeBasis, gain: float, applications: int, cutoff:
     and capping after the pullback is exact, because loss never raises the
     photon number.  The filter is checked once, on the two-mode basis at the
     caller's ``cutoff``: invalid arguments and an overflow there raise the
-    :func:`filter_diagonal` error.
+    :func:`filter_diagonal` error.  The filtered-source threshold reads its
+    steps here; the psi2 solvers read :func:`_psi2_forms`.
     """
     filter_diagonal(shared_basis((cutoff, cutoff)), gain, applications)
 
@@ -207,25 +207,30 @@ def filtered_state(
     return apply_filters(lossy_psi2(eta_t * eta_c, cutoff), gain, applications)
 
 
-def _psi2_forms(gain: float, applications: int, eta_d: float, deltas):
+def _psi2_forms(gain: float, applications: int):
     """``Tr(psi2 L^dag(F B F))`` and ``Tr(psi2 L^dag(F^2))`` as polynomials in the loss.
 
-    The filtered stacks of the delta grid (:func:`_filtered_stacks`) are
-    expanded once through the loss eta on each mode
-    (:func:`cvbell.measurement._expand_loss`) and contracted with psi2
-    (:func:`cvbell.bell._bilinear_coefficients`): the numerator ``(D + 1, G)``
-    and denominator ``(D + 1, 1)`` of
+    Returns ``forms(*term_sets)``: for each set of terms of a
+    ``B = sum a (x) b``, per-mode stacks at cutoff 2, where psi2 lives, one
+    numerator ``(D + 1, G)``, and then the denominator ``(D + 1, 1)``, in
     :func:`cvbell.measurement.bernstein_weights` of degree ``D = 4``, psi2's
-    two photons on each of the two modes.
+    two photons on each of the two modes.  The factors of all the sets are
+    filtered together (:func:`_filtered_stacks`), expanded once through the
+    loss eta on each mode (:func:`cvbell.measurement._expand_loss`) and
+    contracted with psi2 (:func:`cvbell.bell._bilinear_coefficients`).
     """
-    fixed = _fixed_state(psi2_state())
-    party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
-    (*a, square_a), (*b, square_b) = (
-        np.split(_expand_loss(stack, stack.shape[-1] - 1), ends, axis=1)
-        for stack, ends in _filtered_stacks(
-            _mode_observables(fixed.basis, party, party, deltas), gain, applications))
-    return (_bilinear_coefficients(fixed.Q, zip(a, b)),
-            _bilinear_coefficients(fixed.Q, [(square_a, square_b)]))
+    Q = _fixed_state(psi2_state()).Q
+
+    def forms(*term_sets):
+        (*a, square_a), (*b, square_b) = (
+            np.split(_expand_loss(stack, stack.shape[-1] - 1), ends, axis=1)
+            for stack, ends in _filtered_stacks(
+                [pair for terms in term_sets for pair in terms], gain, applications))
+        pairs = iter(zip(a, b))
+        return (*(_bilinear_coefficients(Q, [next(pairs) for _ in terms]) for terms in term_sets),
+                _bilinear_coefficients(Q, [(square_a, square_b)]))
+
+    return forms
 
 
 def _psi2_search(gain: float, applications: int, eta_d: float, eta_c: float, cutoff: int):
@@ -234,28 +239,29 @@ def _psi2_search(gain: float, applications: int, eta_d: float, eta_c: float, cut
     The 241-point grid reads ``Tr(psi2 L^dag(F B F)) / Tr(psi2 L^dag(F^2))``
     through the loss ``eta_t * eta_c``, one evaluation of the two
     polynomials of :func:`_psi2_forms`, which are built once, after the
-    filter check of :func:`_filtered_pullback` at ``cutoff``.  The refine,
-    when it runs, reads the slopes from the forms pulled back through the
-    step's loss (:func:`_filtered_slopes`), on the basis capped at the two
-    photons that psi2 and its losses hold.  The measurements carry only the
-    detector efficiencies.
+    filter check at ``cutoff`` (:func:`filter_diagonal`).  The refine, when
+    it runs, reads the value and the delta-slope from the forms of B and dB,
+    expanded together, at the step's loss and over the grid's denominator.
+    The measurements carry only the detector efficiencies.  psi2 holds two
+    photons in a mode, so a per-mode cutoff below 2 is rejected.
     """
-    basis = shared_basis((cutoff, cutoff), 2)
-    pullback = _filtered_pullback(basis, gain, applications, cutoff)
+    if cutoff < 2:
+        raise ValueError(f"psi2 needs a per-mode cutoff of at least 2, got {cutoff}")
+    filter_diagonal(shared_basis((cutoff, cutoff)), gain, applications)
+    basis, party = shared_basis((2, 2)), PartyConditions(eta_d=eta_d)
+    forms = _psi2_forms(gain, applications)
     grid = delta_grid(241)
-    bells, square = _psi2_forms(gain, applications, eta_d, grid)
-    party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
-    # (|20> + |02>)(<20| + <02|) on the packed entries: psi2 up to its norm,
-    # which cancels in the ratio.
-    v = np.zeros(basis.dimension)
-    v[[basis.index_of((2, 0)), basis.index_of((0, 2))]] = 1.0
-    psi2 = np.outer(v, v).ravel()[_parity_sectors(basis).entries]
+    bells, square = forms(_mode_observables(basis, party, party, grid))
 
     def search(eta_t: float, stop_above: float | None = None):
-        eta = eta_t * eta_c
-        w = bernstein_weights(eta, len(bells) - 1)
-        return _search_grid(grid, (w @ bells) / (w @ square),
-                            lambda: _filtered_slopes(pullback, basis, party, eta, psi2),
+        w = bernstein_weights(eta_t * eta_c, len(bells) - 1)
+        norm = w @ square
+
+        def value_and_slope(deltas):
+            values, slopes, _ = forms(*_mode_slopes(basis, party, party, deltas))
+            return (w @ values) / norm, (w @ slopes) / norm
+
+        return _search_grid(grid, (w @ bells) / norm, lambda: value_and_slope,
                             stop_above=stop_above)
 
     return search

@@ -38,7 +38,12 @@ optimum.  A small cache keeps the ideal stacks of repeated delta grids.
 
 Detector inefficiency ``eta_h`` is modelled as a photon-loss channel in
 front of an ideal measurement: every POVM element is pushed through the
-adjoint loss channel.
+adjoint loss channel.  Every entry of that channel is one Kraus term, a
+fixed polynomial in the transmission, so the channel is written once per
+cutoff as coefficients in the basis ``eta^i (1 - eta)^(c - i)``
+(:func:`_loss_coefficients`).  A threshold solve expands its stacks through
+them once (:func:`_expand_loss`); one transmission reads the same
+coefficients at that point (:func:`_loss_channel`).
 """
 
 from __future__ import annotations
@@ -179,52 +184,6 @@ def ideal_binned_homodyne(delta: float, cutoff: int) -> np.ndarray:
     return _ideal_binned_stack(_deltas([delta]), int(cutoff))[0]
 
 
-@lru_cache(maxsize=64)
-def _loss_channel(eta: float, cutoff: int) -> np.ndarray:
-    """The loss channel as one read-only ``(n^2, n^2)`` matrix, ``n = cutoff + 1``.
-
-    ``C = sum_k A_k (x) A_k`` over the real Kraus operators of
-    :func:`cvbell.fock.loss_kraus`, so ``C[(m, m'), (n, n')] = sum_k
-    A_k[m, n] A_k[m', n']``.  On a matrix raveled into a row, the forward
-    channel ``sum_k A_k M A_k^T`` is ``vec(M) C^T`` and the adjoint
-    ``sum_k A_k^T M A_k`` is ``vec(M) C``.
-
-    ``A_k[m, n]`` is non-zero only at ``k = n - m``, so each entry is the one
-    product ``A_k[m, n] A_k[m', n']`` with ``k = n - m = n' - m'``, or zero.
-    The amplitudes are computed as :func:`cvbell.fock.loss_kraus` computes
-    them, and the entries equal that Kraus sum's bit for bit.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("transmission must lie in [0, 1]")
-    amplitudes = np.array([
-        math.sqrt(math.comb(n, k)) * eta ** ((n - k) / 2.0) * (1.0 - eta) ** (k / 2.0)
-        for n in range(cutoff + 1) for k in range(n + 1)
-    ] + [0.0])
-    left, right = _loss_channel_index(cutoff)
-    channel = amplitudes[left] * amplitudes[right]
-    channel.setflags(write=False)
-    return channel
-
-
-@lru_cache(maxsize=32)
-def _loss_channel_index(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the two factors of each :func:`_loss_channel` entry sit among its amplitudes.
-
-    The amplitude of ``(n, k)`` is number ``n (n + 1) / 2 + k``, so entry
-    ``[(m, m'), (n, n')]`` reads ``(n, n - m)`` and ``(n', n' - m')``; where
-    ``n - m != n' - m'`` or ``m > n`` it reads the appended zero twice.
-    """
-    m, mm, n, nn = np.indices((cutoff + 1,) * 4).reshape(4, -1)
-    valid = (n >= m) & (n - m == nn - mm)
-    zero = (cutoff + 1) * (cutoff + 2) // 2
-    shape = ((cutoff + 1) ** 2,) * 2
-    index = tuple(np.where(valid, a * (a + 1) // 2 + a - b, zero).reshape(shape)
-                  for a, b in ((n, m), (nn, mm)))
-    for array in index:
-        array.setflags(write=False)
-    return index
-
-
 @lru_cache(maxsize=16)
 def _loss_coefficients(cutoff: int) -> np.ndarray:
     """The adjoint loss as a polynomial in the transmission, ``(cutoff + 1, n^2, n^2)``, read-only.
@@ -236,8 +195,8 @@ def _loss_coefficients(cutoff: int) -> np.ndarray:
     and ``p = (n + n')/2 - k``, of degree ``(n + n')/2``; it is raised to
     degree c by the factor ``(eta + (1 - eta))^(c - (n + n')/2)``, so that
     ``E_i`` holds ``sqrt(C(n, k) C(n', k)) C(c - (n + n')/2, i - p)`` and no
-    coefficient is negative.  Entries with odd ``n + n'`` are zero: M has
-    none there.
+    coefficient is negative.  Only those entries are filled; the rest, odd
+    ``n + n'`` among them (M has none there), are zero.
     """
     c = int(cutoff)
     binomial = np.array([[math.comb(a, b) for b in range(c + 1)] for a in range(c + 1)],
@@ -245,14 +204,33 @@ def _loss_coefficients(cutoff: int) -> np.ndarray:
     root = np.sqrt(binomial)
     m, mm, n, nn = np.indices((c + 1,) * 4).reshape(4, -1)
     k = n - m
-    valid = (k >= 0) & (k == nn - mm) & ((n + nn) % 2 == 0)
-    k, rest = np.where(valid, k, 0), c - (n + nn) // 2
-    j = np.arange(c + 1)[:, None] - ((n + nn) // 2 - k)  # i - p
-    inside = valid & (j >= 0) & (j <= rest)
-    E = np.where(inside, root[n, k] * root[nn, k] * binomial[rest, np.clip(j, 0, c)], 0.0)
+    valid = np.flatnonzero((k >= 0) & (k == nn - mm) & ((n + nn) % 2 == 0))
+    n, nn, k = n[valid], nn[valid], k[valid]
+    p, rest = (n + nn) // 2 - k, c - (n + nn) // 2
+    j, entry = np.nonzero(np.arange(c + 1)[:, None] <= rest)  # i - p
+    E = np.zeros((c + 1, (c + 1) ** 4))
+    E[p[entry] + j, valid[entry]] = (root[n, k] * root[nn, k])[entry] * binomial[rest[entry], j]
     E = E.reshape(c + 1, (c + 1) ** 2, (c + 1) ** 2)
     E.setflags(write=False)
     return E
+
+
+@lru_cache(maxsize=64)
+def _loss_channel(eta: float, cutoff: int) -> np.ndarray:
+    """The adjoint loss at one transmission: a read-only ``(n^2, n^2)`` matrix, n = cutoff + 1.
+
+    :func:`_loss_coefficients` read at ``eta``: its coefficients contracted
+    with ``bernstein_weights(eta, cutoff)``.  On a matrix M that keeps
+    photon parity, raveled into a row, the adjoint ``sum_k A_k^T M A_k``
+    over the Kraus operators of :func:`cvbell.fock.loss_kraus` is
+    ``vec(M) C``.
+    """
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("transmission must lie in [0, 1]")
+    E = _loss_coefficients(int(cutoff))
+    channel = (bernstein_weights(eta, len(E) - 1) @ E.reshape(len(E), -1)).reshape(E.shape[1:])
+    channel.setflags(write=False)
+    return channel
 
 
 def bernstein_weights(eta, degree: int) -> np.ndarray:
@@ -283,7 +261,8 @@ def _through_loss(eta_h: float, elements: np.ndarray, cutoff: int) -> np.ndarray
 
     Each matrix is raveled into a row and multiplied by the channel matrix
     (:func:`_loss_channel`).  The rows stay separate products, so a matrix
-    comes out the same alone or in any stack.
+    comes out the same alone or in any stack.  The elements must keep
+    photon parity.
     """
     if not 0.0 <= eta_h <= 1.0:
         raise ValueError("efficiency must lie in [0, 1]")

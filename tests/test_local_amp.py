@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 import cvbell.local_amp as la
 import cvbell.reproduce
 import cvbell.source_amp as sa
-from cvbell.bell import PartyConditions, _parity_sectors, _state_chsh, optimize_delta
+from cvbell.bell import (
+    PartyConditions,
+    _mode_slopes,
+    _parity_sectors,
+    _state_chsh,
+    optimize_delta,
+)
 from cvbell.cli import _solve_at
 from cvbell.fock import LossChannel, apply_channel, shared_basis
 from cvbell.local_amp import (
@@ -24,7 +30,7 @@ from cvbell.local_amp import (
     lossy_psi2,
     psi2_state,
 )
-from cvbell.measurement import DELTA_MAX
+from cvbell.measurement import DELTA_MAX, bernstein_weights
 from cvbell.parallel import map_ordered
 from cvbell.source_amp import amplified_source_threshold_with_filters
 
@@ -296,6 +302,16 @@ class TestFilteredChsh:
         assert v2 > v1 - 1e-9
         assert v2 > 2.0
 
+    @pytest.mark.parametrize("cutoff", [0, 1])
+    @pytest.mark.parametrize("solve", [
+        lambda cutoff: filtered_chsh(0.8, 2.0, cutoff=cutoff),
+        lambda cutoff: filtered_critical_transmission(2.0, cutoff=cutoff),
+    ], ids=["filtered_chsh", "filtered_critical_transmission"])
+    def test_a_cutoff_below_two_is_rejected(self, solve, cutoff):
+        # psi2 holds two photons in a mode.
+        with pytest.raises(ValueError, match=f"cutoff of at least 2, got {cutoff}$"):
+            solve(cutoff)
+
     def test_cutoff_independent(self):
         _, v2 = filtered_chsh(0.7, 2.0, 1, cutoff=2)
         _, v6 = filtered_chsh(0.7, 2.0, 1, cutoff=6)
@@ -354,10 +370,17 @@ class TestPulledBackForms:
         basis = shared_basis((cutoff, cutoff), 2)
         party = PartyConditions(eta_d=eta_d)
         pullback = la._filtered_pullback(basis, gain, applications, cutoff)
-        found = la._filtered_slopes(pullback, basis, party, eta_t * eta_c,
-                                    packed_psi2(basis))(deltas)
+        pulled = la._filtered_slopes(pullback, basis, party, eta_t * eta_c,
+                                     packed_psi2(basis))(deltas)
+        # The psi2 refine's value and slope: the forms of B and dB at the loss.
+        forms = la._psi2_forms(gain, applications)
+        bells, dbells, square = forms(*_mode_slopes(shared_basis((2, 2)), party, party, deltas))
+        w = bernstein_weights(eta_t * eta_c, len(bells) - 1)
+        refine = (w @ bells) / (w @ square), (w @ dbells) / (w @ square)
         rho = filtered_state(eta_t, gain, applications, eta_c, cutoff)
-        assert_close_to_reference(found, _state_chsh(rho, party, party)[1](deltas))
+        reference = _state_chsh(rho, party, party)[1](deltas)
+        for found in (pulled, refine):
+            assert_close_to_reference(found, reference)
 
     @settings(max_examples=30, deadline=None)
     @given(cutoff=st.integers(2, 4), eta_c=st.sampled_from([1.0, 0.9]),
@@ -376,6 +399,19 @@ class TestPulledBackForms:
             state = apply_channel(state, LossChannel(eta), mode)
         state = apply_filters(state, gain, applications)
         assert_close_to_reference(found, _state_chsh(state, party, party)[1](deltas))
+
+    def test_psi2_solvers_read_no_pullback(self, monkeypatch):
+        # Grid and refine of the filtered psi2 read its forms; only the
+        # filtered-source threshold pulls stacks back through a loss.
+        def pulled(*args, **kwargs):
+            raise AssertionError("a psi2 solver pulled stacks back")
+
+        for name in ("_filtered_pullback", "_filtered_slopes"):
+            monkeypatch.setattr(la, name, pulled)
+        assert filtered_critical_transmission(2.0) is not None
+        search = la._psi2_search(2.0, 2, 0.8, 1.0, 2)(0.8)
+        assert search.evaluations > 0  # the refine ran
+        assert filtered_chsh(0.8, 2.0, 2, eta_d=0.8) == (search.delta, search.value)
 
     def test_no_solver_sends_a_filtered_state_forward(self, monkeypatch):
         def forward(*args, **kwargs):

@@ -1,12 +1,12 @@
 """The loss as one channel matrix, stacks row by row, and grid eigenvalues.
 
 ``measurement._through_loss`` applies the adjoint loss to a raveled stack as
-one product with ``C = sum_k A_k (x) A_k``; the Kraus sums over
-``fock.loss_kraus``, summed in extended precision, are the reference.  A
-stack's rows are separate products, so one delta alone equals its row in a
-stack bit for bit.  The
-delta grid takes eigenvalues only (``fock.hermitian_eigvals``), checked
-against ``eigh``.
+one product with the channel matrix, the swept loss read at one
+transmission; the Kraus sums over ``fock.loss_kraus``, summed in extended
+precision, are the reference on parity-keeping stacks, the only ones the
+matrix represents.  A stack's rows are separate products, so one delta
+alone equals its row in a stack bit for bit.  The delta grid takes
+eigenvalues only (``fock.hermitian_eigvals``), checked against ``eigh``.
 """
 
 import numpy as np
@@ -18,7 +18,6 @@ from cvbell.bell import PartyConditions, bell_matrices
 from cvbell.fock import ModeBasis, hermitian_eig, hermitian_eigvals, loss_kraus
 from cvbell.measurement import (
     DELTA_MAX,
-    _loss_channel,
     _through_loss,
     binned_homodyne_povms,
     binned_homodyne_slopes,
@@ -27,17 +26,6 @@ from cvbell.measurement import (
 unit = st.floats(min_value=0.0, max_value=1.0)
 seeds = st.integers(0, 2**32 - 1)
 delta_lists = st.lists(st.floats(min_value=0.0, max_value=DELTA_MAX), min_size=1, max_size=8)
-
-
-def test_channel_matrix_is_the_kraus_sum_bit_for_bit():
-    """The closed-form entries equal ``sum_k A_k (x) A_k`` of ``fock.loss_kraus``."""
-    for cutoff in range(9):
-        for eta in [*np.linspace(0.0, 1.0, 57), 1e-300, 1.0 - 1e-16, 0.123456789]:
-            reference = sum(np.kron(A, A) for A in loss_kraus(float(eta), cutoff))
-            found = _loss_channel(float(eta), cutoff)
-            assert found.shape == reference.shape
-            assert np.array_equal(found, reference)
-            assert not found.flags.writeable
 
 
 def extended(A):
@@ -57,7 +45,8 @@ def stack_scale(stack, image):
 @given(eta=unit, cutoff=st.integers(0, 7), count=st.integers(1, 9), seed=seeds)
 def test_channel_matrix_matches_adjoint_kraus_sum(eta, cutoff, count, seed):
     rng = np.random.default_rng(seed)
-    stack = rng.normal(size=(count, cutoff + 1, cutoff + 1))
+    n = np.arange(cutoff + 1)
+    stack = rng.normal(size=(count, cutoff + 1, cutoff + 1)) * ((n[:, None] + n) % 2 == 0)
     found = _through_loss(eta, stack, cutoff)
     assert found.shape == stack.shape
     reference = adjoint_kraus_sum(eta, stack, cutoff)

@@ -7,8 +7,12 @@ solves expand every per-mode factor that their swept efficiency enters once
 state's grid is one polynomial (``bell._swept_state_chsh``), the filtered
 psi2's the ratio of two (``local_amp._psi2_forms``), and the optimal-state
 steps evaluate the factors from their coefficients (``bell._swept_at``).
-The references are the channel matrix and the Kraus sum, and the one-value
-paths ``_state_chsh``, ``_filtered_pullback`` and ``_mode_observables``.
+A one-value read is the same expansion at one point: the channel matrix
+(``measurement._loss_channel``) is the coefficients contracted with the
+weights of its transmission.  The references are the extended-precision
+Kraus sum, the per-value loss ``_through_loss``, the one-value paths
+``_state_chsh`` and ``_mode_observables``, and the per-value pullback of
+the filtered-source solver, ``_filtered_pullback``.
 The expansion also makes the monotonicity that bisection assumes cheap to
 check on a fine grid of efficiencies.
 """
@@ -49,8 +53,8 @@ EPS = np.finfo(float).eps
 
 #: Every parity entry of the expanded channel is a sum of non-negative terms,
 #: each a few roundings from exact, so it lies within this many ulps of the
-#: entry itself (measured: 3.5 against the channel matrix and 3.3 against the
-#: extended-precision Kraus sum, cutoffs 0-8).
+#: entry itself (measured: 3.3 against the extended-precision Kraus sum,
+#: cutoffs 0-8).
 ULPS = 8
 
 #: Swept grids and factors agree with the one-value paths to this, relative to
@@ -82,12 +86,13 @@ def test_coefficients_expand_the_channel_and_the_kraus_sum(cutoff):
     even = even_entries(cutoff)
     assert not E[:, ~even].any()
     for eta in ETAS:
-        found = np.tensordot(bernstein_weights(eta, cutoff), E, 1)
+        found = _loss_channel(float(eta), cutoff)
+        assert np.array_equal(found, np.tensordot(bernstein_weights(eta, cutoff), E, 1))
+        assert not found.flags.writeable and not found[~even].any()
         kraus = sum(np.kron(A, A) for A in (A.astype(np.longdouble)
                                             for A in loss_kraus(float(eta), cutoff)))
-        for reference in (_loss_channel(float(eta), cutoff), kraus):
-            error = np.abs(found - reference)[even].astype(float)
-            assert (error <= ULPS * EPS * np.abs(reference)[even].astype(float)).all()
+        error = np.abs(found - kraus)[even].astype(float)
+        assert (error <= ULPS * EPS * np.abs(kraus)[even].astype(float)).all()
 
 
 @pytest.mark.parametrize("cutoff", range(9))
@@ -153,11 +158,18 @@ def packed_psi2(basis):
     return np.outer(v, v).ravel()[_parity_sectors(basis).entries]
 
 
+def psi2_grid_forms(gain, applications, eta_d):
+    """The filtered psi2's numerator and denominator forms on the delta grid."""
+    party = PartyConditions(eta_d=eta_d)
+    terms = _mode_observables(shared_basis((2, 2)), party, party, GRID)
+    return la._psi2_forms(gain, applications)(terms)
+
+
 @pytest.mark.parametrize("gain, applications", [
     *((g, m) for g in (1.0, 1.5, 2.0, 3.0) for m in (1, 2, 3, 4)), (1e100, 1)])
 @pytest.mark.parametrize("eta_d", [1.0, 0.9])
 def test_filtered_forms_match_the_pullback(gain, applications, eta_d):
-    bells, square = la._psi2_forms(gain, applications, eta_d, GRID)
+    bells, square = psi2_grid_forms(gain, applications, eta_d)
     assert bells.shape == (5, len(GRID)) and square.shape == (5, 1)
     basis = shared_basis((2, 2), 2)
     party = PartyConditions(eta_d=eta_d)
@@ -217,7 +229,7 @@ def test_fixed_psi2_grid_maximum_never_falls(target, symmetry, other):
 @pytest.mark.parametrize("applications", [1, 2, 3, 4])
 @pytest.mark.parametrize("eta_d", [1.0, 0.9])
 def test_filtered_psi2_grid_maximum_never_falls(gain, applications, eta_d):
-    bells, square = la._psi2_forms(gain, applications, eta_d, GRID)
+    bells, square = psi2_grid_forms(gain, applications, eta_d)
     w = bernstein_weights(ETA_GRID, len(bells) - 1)
     maxima = ((w @ bells) / (w @ square)).max(axis=1)
     assert np.diff(maxima).min() >= -FALL

@@ -5,7 +5,8 @@ usually a sign of an import cycle worked around at run time.  The one
 exception is ``parallel``'s ``multiprocessing``, which only a worker pool
 needs and which is kept off ``import cvbell``.  A module-level import that
 nothing reads is a leftover of a deletion; ``__init__.py``, which imports to
-re-export, is exempt.
+re-export, is exempt.  So is a module-level private name (``_name``) that no
+production module reads: nothing outside the package may rely on it.
 """
 
 import ast
@@ -67,6 +68,52 @@ def unused_module_imports(tree: ast.Module) -> list:
 def test_no_unused_module_level_import(path):
     unused = unused_module_imports(ast.parse(path.read_text(encoding="utf-8")))
     assert not unused, f"{path.name} never reads {unused}"
+
+
+def private_definitions(tree: ast.Module) -> set:
+    """The private names (``_name``, not dunder) a module defines at module level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for target in targets for t in ast.walk(target)
+                         if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.endswith("__")}
+
+
+def unread_private_helpers(modules: dict) -> list:
+    """Sorted ``module:name`` of the private names that no module of ``modules`` reads.
+
+    ``modules`` maps a file name to its parsed tree.  A read is a loaded bare
+    name or an attribute (``module._name``); an import alone is not one.
+    """
+    read = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(f"{name}:{helper}" for name, tree in modules.items()
+                  for helper in private_definitions(tree) - read)
+
+
+def test_every_private_helper_is_read():
+    modules = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    assert sum(len(private_definitions(tree)) for tree in modules.values()) > 100
+    unread = unread_private_helpers(modules)
+    assert not unread, f"no production module reads {unread}"
+
+
+def test_the_walk_finds_unread_private_helpers():
+    modules = {"m.py": ast.parse("_CACHE = {}\nclass _Kept: pass\ndef _index(): pass\n"
+                                 "def _channel():\n    return _Kept()\n"
+                                 "def public():\n    return _channel()\n__all__ = []\n"),
+               "n.py": ast.parse("from .m import _index\nimport m\nm._CACHE\n")}
+    assert unread_private_helpers(modules) == ["m.py:_index"]
 
 
 def test_the_walk_finds_unused_imports():
