@@ -699,8 +699,8 @@ class DeltaSearch:
     positive to negative across its bracket: the objective then has more
     than one critical point there, and the grid maximum is returned.
     ``refined`` is False when the grid maximum already exceeded the
-    search's ``stop_above``: the refine did not run, and ``value`` is the
-    grid maximum, a lower bound on the optimum.
+    ``stop_above`` of :func:`_search_grid`: the refine did not run, and
+    ``value`` is the grid maximum, a lower bound on the optimum.
     """
 
     delta: float
@@ -766,7 +766,6 @@ def search_delta(
     total_cap: int = 2,
     grid_points: int = 241,
     tol: float = DELTA_REFINE_TOL,
-    stop_above: float | None = None,
 ) -> DeltaSearch:
     """The delta search of :func:`optimize_delta`, with its record."""
     if state is None:
@@ -775,7 +774,7 @@ def search_delta(
     else:
         objective, value_and_slope = _state_chsh(state, alice, bob)
     grid = delta_grid(grid_points)
-    return _search_grid(grid, objective(grid), lambda: value_and_slope, tol, stop_above)
+    return _search_grid(grid, objective(grid), lambda: value_and_slope, tol)
 
 
 def _search_grid(grid, values, slope_objective, tol: float = DELTA_REFINE_TOL,
@@ -791,7 +790,11 @@ def _search_grid(grid, values, slope_objective, tol: float = DELTA_REFINE_TOL,
 
         dB/d(delta) = dXa (x) (Nb - 1) + (Na - 1) (x) dXb <= 0:
 
-    the slope cannot be positive at the grid's left end, for any state.
+    the slope cannot be positive at the grid's left end, for any state.  The
+    search never returns less than its grid maximum, so when that exceeds
+    ``stop_above`` the refine cannot change whether the optimum does, and the
+    grid point is returned unrefined: the threshold steps pass their
+    violation bound here.
     """
     k = int(np.argmax(values))
     lo = grid[max(k - 1, 0)]
@@ -823,7 +826,6 @@ def optimize_delta(
     total_cap: int = 2,
     grid_points: int = 241,
     tol: float = DELTA_REFINE_TOL,
-    stop_above: float | None = None,
 ) -> tuple[float, float]:
     """Best bin half-width and the CHSH value it achieves.
 
@@ -833,14 +835,10 @@ def optimize_delta(
     evaluated in one batched call.  Between the best grid point's neighbours
     a safeguarded root search on the objective's delta-derivative
     (:func:`refine_slope_root`) refines to ``tol``; where the slope has no
-    root there, the grid maximizer is kept.  The search never returns less
-    than its grid maximum, so when that exceeds ``stop_above`` the refine
-    cannot change whether the optimum does, and the grid point is returned
-    unrefined: a threshold solve passes its violation bound here.
-    :func:`search_delta` returns the same search with its record.
+    root there, the grid maximizer is kept.  :func:`search_delta` returns
+    the same search with its record.
     """
-    search = search_delta(alice, bob, state, cutoff, total_cap, grid_points, tol,
-                          stop_above)
+    search = search_delta(alice, bob, state, cutoff, total_cap, grid_points, tol)
     return search.delta, search.value
 
 

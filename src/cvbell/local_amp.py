@@ -66,33 +66,35 @@ def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.
 
 
 def _filtered_pullback(basis: ModeBasis, gain: float, applications: int, cutoff: int):
-    """Filtered two-mode operators pulled back through a loss on both modes.
+    """Filtered two-mode operators pulled back through a loss on each mode.
 
     Returns ``pullback(terms)``, which filters the per-mode factors of
     ``B = sum a (x) b`` once (:func:`_filtered_stacks`) and returns
-    ``at(eta)``: ``L^dag(F B F)`` and ``L^dag(F^2)``, packed on the
-    photon-parity sectors of the capped two-mode ``basis``
+    ``at(eta_a, eta_b)``: ``L^dag(F B F)`` and ``L^dag(F^2)``, packed
+    on the photon-parity sectors of the capped two-mode ``basis``
     (:func:`cvbell.bell._packed_kron`), with ``F`` the filter of ``gain``
     applied ``applications`` times on each mode and ``L`` the transmission
-    ``eta`` on each mode.  Filter and loss factor by mode,
+    ``eta_a`` on Alice's mode, ``eta_b`` on Bob's.  Filter and loss factor
+    by mode,
 
         L^dag(F (a (x) b) F) = L_a^dag(f a f) (x) L_b^dag(f b f),
 
     and capping after the pullback is exact, because loss never raises the
     photon number.  The filter is checked once, on the two-mode basis at the
     caller's ``cutoff``: invalid arguments and an overflow there raise the
-    :func:`filter_diagonal` error.  The filtered-source threshold reads its
-    steps here; the psi2 solvers read :func:`_psi2_forms`.
+    :func:`filter_diagonal` error; then the mode filter is built once
+    (:func:`_mode_filter`).  The source thresholds read their steps here.
     """
     filter_diagonal(shared_basis((cutoff, cutoff)), gain, applications)
+    f = _mode_filter(gain, applications, max(basis.cutoffs))
 
     def pullback(terms):
-        modes = _filtered_stacks(terms, gain, applications)
+        modes = _filtered_stacks(terms, f)
 
-        def at(eta: float):
+        def at(eta_a: float, eta_b: float):
             (*a, square_a), (*b, square_b) = (
                 np.split(_through_loss(eta, stack, stack.shape[-1] - 1), ends)
-                for stack, ends in modes)
+                for (stack, ends), eta in zip(modes, (eta_a, eta_b)))
             return (_packed_kron(basis, zip(a, b)),
                     _packed_kron(basis, ((square_a, square_b),))[0])
 
@@ -101,41 +103,49 @@ def _filtered_pullback(basis: ModeBasis, gain: float, applications: int, cutoff:
     return pullback
 
 
-def _filtered_stacks(terms, gain: float, applications: int):
-    """Each mode's factors of ``B = sum a (x) b`` filtered, stacked, with ``f^2`` last.
+def _mode_filter(gain: float, applications: int, cutoff: int) -> np.ndarray:
+    """One mode's filter up to ``cutoff`` photons, scaled for :func:`_filtered_stacks`.
 
-    Returns one ``(stack, ends)`` per mode: ``f O f`` for each of the mode's
-    factors, raveled to ``(-1, n, n)`` and split back at ``ends``.  The
-    mode's ``f``, with entries from 1 to its largest, M, is scaled by a power
+    The filter, with entries from 1 to its largest, M, is scaled by a power
     of two near ``1/sqrt(M)``, so a product of four entries lies between
     about ``1/M^2`` and ``M^2``: it neither overflows nor underflows where
     the two-mode diagonal is finite, and the common factor cancels exactly
     in every ratio to ``L^dag(F^2)``.
     """
+    f = filter_diagonal(shared_basis((cutoff,)), gain, applications)
+    return np.ldexp(f, -(np.frexp(f.max())[1] // 2))
+
+
+def _filtered_stacks(terms, f: np.ndarray):
+    """Each mode's factors of ``B = sum a (x) b`` filtered, stacked, with ``f^2`` last.
+
+    Returns one ``(stack, ends)`` per mode: ``f O f`` for each of the mode's
+    factors, raveled to ``(-1, n, n)`` and split back at ``ends``, with ``f``
+    the first n entries of a :func:`_mode_filter`.
+    """
     modes = []
     for ops in zip(*terms):
         n = ops[0].shape[-1]
-        f = filter_diagonal(shared_basis((n - 1,)), gain, applications)
-        f = np.ldexp(f, -(np.frexp(f.max())[1] // 2))
         stack = np.concatenate([*(op.reshape(-1, n, n) for op in ops), np.eye(n)[None]])
-        modes.append((f[:, None] * stack * f,
+        modes.append((f[:n, None] * stack * f[:n],
                       np.cumsum([op.size // (n * n) for op in ops]).tolist()))
     return modes
 
 
-def _filtered_slopes(pullback, basis: ModeBasis, party: PartyConditions, eta: float,
+def _filtered_slopes(pullback, basis: ModeBasis, party: PartyConditions, etas: tuple,
                      rho: np.ndarray):
     """The refine's ``value_and_slope`` of a filtered state (:func:`cvbell.bell._search_grid`).
 
     ``Tr(rho L^dag(F B F))`` and ``Tr(rho L^dag(F dB F))`` over
     ``Tr(rho L^dag(F^2))``, which does not depend on delta, for ``rho``
-    packed on the sectors of ``basis`` and both parties measuring as
-    ``party``; ``pullback`` is the :func:`_filtered_pullback` of ``basis``.
+    packed on the sectors of ``basis``, the transmissions ``etas`` of the
+    two modes and both parties measuring as ``party``; ``pullback`` is the
+    :func:`_filtered_pullback` of ``basis``.
     """
 
     def value_and_slope(deltas):
         values, slopes = _mode_slopes(basis, party, party, deltas)
-        (bells, square), (dbells, _) = pullback(values)(eta), pullback(slopes)(eta)
+        (bells, square), (dbells, _) = pullback(values)(*etas), pullback(slopes)(*etas)
         norm = square @ rho
         return (bells @ rho) / norm, (dbells @ rho) / norm
 
@@ -149,7 +159,9 @@ def filter_operator(gain: float, cutoff: int) -> HermitianOperator:
 
 
 def psi2_state(cutoff: int = 2) -> StateVector:
-    """The two-photon entangled state (|20> + |02>)/sqrt(2)."""
+    """The two-photon entangled state (|20> + |02>)/sqrt(2), at a per-mode cutoff of at least 2."""
+    if cutoff < 2:
+        raise ValueError(f"psi2 needs a per-mode cutoff of at least 2, got {cutoff}")
     basis = shared_basis((cutoff, cutoff))
     v = np.zeros(basis.dimension, dtype=complex)
     v[basis.index_of((2, 0))] = 1.0 / math.sqrt(2.0)
@@ -214,18 +226,19 @@ def _psi2_forms(gain: float, applications: int):
     ``B = sum a (x) b``, per-mode stacks at cutoff 2, where psi2 lives, one
     numerator ``(D + 1, G)``, and then the denominator ``(D + 1, 1)``, in
     :func:`cvbell.measurement.bernstein_weights` of degree ``D = 4``, psi2's
-    two photons on each of the two modes.  The factors of all the sets are
-    filtered together (:func:`_filtered_stacks`), expanded once through the
-    loss eta on each mode (:func:`cvbell.measurement._expand_loss`) and
-    contracted with psi2 (:func:`cvbell.bell._bilinear_coefficients`).
+    two photons on each of the two modes.  The mode filter is built once
+    (:func:`_mode_filter`); the factors of all the sets are filtered together
+    (:func:`_filtered_stacks`), expanded once through the loss eta on each
+    mode (:func:`cvbell.measurement._expand_loss`) and contracted with psi2
+    (:func:`cvbell.bell._bilinear_coefficients`).
     """
-    Q = _fixed_state(psi2_state()).Q
+    Q, f = _fixed_state(psi2_state()).Q, _mode_filter(gain, applications, 2)
 
     def forms(*term_sets):
         (*a, square_a), (*b, square_b) = (
             np.split(_expand_loss(stack, stack.shape[-1] - 1), ends, axis=1)
             for stack, ends in _filtered_stacks(
-                [pair for terms in term_sets for pair in terms], gain, applications))
+                [pair for terms in term_sets for pair in terms], f))
         pairs = iter(zip(a, b))
         return (*(_bilinear_coefficients(Q, [next(pairs) for _ in terms]) for terms in term_sets),
                 _bilinear_coefficients(Q, [(square_a, square_b)]))
@@ -245,9 +258,7 @@ def _psi2_search(gain: float, applications: int, eta_d: float, eta_c: float, cut
     The measurements carry only the detector efficiencies.  psi2 holds two
     photons in a mode, so a per-mode cutoff below 2 is rejected.
     """
-    if cutoff < 2:
-        raise ValueError(f"psi2 needs a per-mode cutoff of at least 2, got {cutoff}")
-    filter_diagonal(shared_basis((cutoff, cutoff)), gain, applications)
+    filter_diagonal(psi2_state(cutoff).basis, gain, applications)
     basis, party = shared_basis((2, 2)), PartyConditions(eta_d=eta_d)
     forms = _psi2_forms(gain, applications)
     grid = delta_grid(241)

@@ -132,7 +132,7 @@ def reproduce_all(include_source: bool = True, source_cutoff: int = 6) -> Reprod
     ``include_source`` gates the amplified-source checks (rows 9, 10a and
     10b).  On a 2-core Xeon VM (Python 3.11, numpy 2.4, BLAS on one thread;
     medians of 9 fresh processes, the call timed after the import) the whole
-    battery takes about 0.056 s, and about 0.018 s without those checks.
+    battery takes about 0.043 s, and about 0.017 s without those checks.
     """
     t_start = time.time()
     rows: list[ReportRow] = []

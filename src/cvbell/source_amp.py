@@ -1006,24 +1006,22 @@ def max_source_chsh(
     cutoff: int = 6,
     lam_grid: tuple | None = None,
     t_grid: tuple | None = None,
-    stop_above: float | None = None,
 ) -> SourceOptimum:
     """Maximize the CHSH value of the source output over (lam, t, delta).
 
-    Coarse grid scan over the circuit images, then coordinate refinement
-    (golden sections in lam and log t, then the delta search of
-    :func:`optimize_delta` on the output's parity-sector part,
-    :func:`_image_state`) around the best grid point.  ``lam_grid`` and
-    ``t_grid`` are 1-D sequences of at least two points; ``None`` selects
-    the default grid.  At fixed delta every (lam, t) is a quadratic form in
-    the image weights, so no step runs the circuit again.  The grid scan
-    evaluates the forms factored (:func:`_grid_chsh`) at 81 deltas; of equal
-    grid values the first in (delta, lam, t) order is taken.  The golden
-    sections read row g* of the grid's sums, the Bell form at the grid's
-    delta, and contract each section's fixed coordinate once
-    (:func:`_section_objectives`).  ``stop_above`` goes to the final delta
-    search (:func:`optimize_delta`): a delta grid maximum above it is
-    returned unrefined, a lower bound that already exceeds it.
+    The optimum that ``cvbell source-amp`` reports; the thresholds do not
+    call it (:func:`_source_threshold`).  Coarse grid scan over the circuit
+    images, then coordinate refinement (golden sections in lam and log t,
+    then the delta search of :func:`optimize_delta` on the output's
+    parity-sector part, :func:`_image_state`) around the best grid point.
+    ``lam_grid`` and ``t_grid`` are 1-D sequences of at least two points;
+    ``None`` selects the default grid.  At fixed delta every (lam, t) is a
+    quadratic form in the image weights, so no step runs the circuit again.
+    The grid scan evaluates the forms factored (:func:`_grid_chsh`) at 81
+    deltas; of equal grid values the first in (delta, lam, t) order is
+    taken.  The golden sections read row g* of the grid's sums, the Bell
+    form at the grid's delta, and contract each section's fixed coordinate
+    once (:func:`_section_objectives`).
     """
     lam_grid = _sweep_grid(default_squeezing_grid() if lam_grid is None else lam_grid,
                            "lam_grid")
@@ -1040,23 +1038,61 @@ def max_source_chsh(
 
     along_lam, along_log_t = _section_objectives(np.stack([hankels[g], trace]))
     lam_step = lam_grid[1] - lam_grid[0]
-    lam, _ = golden_section_max(
-        along_lam(t),
-        max(0.0, lam - lam_step),
-        min(lam_grid[-1], lam + lam_step),
-        1e-4,
-    )
+    lam, _ = golden_section_max(along_lam(t), max(0.0, lam - lam_step),
+                                min(lam_grid[-1], lam + lam_step), 1e-4)
     log_step = math.log(t_grid[1] / t_grid[0])
-    logt, _ = golden_section_max(
-        along_log_t(lam),
-        math.log(t) - log_step,
-        min(math.log(t_grid[-1]), math.log(t) + log_step),
-        1e-4,
-    )
+    logt, _ = golden_section_max(along_log_t(lam), math.log(t) - log_step,
+                                 min(math.log(t_grid[-1]), math.log(t) + log_step), 1e-4)
     t = math.exp(logt)
     delta, value = optimize_delta(alice, bob, state=_image_state(basis, packed, lam, t),
-                                  grid_points=61, stop_above=stop_above)
+                                  grid_points=61)
     return SourceOptimum(value, lam, t, delta)
+
+
+def _source_threshold(gain: float, applications: int, symmetry: str, eta_d: float,
+                      eta_c: float, cutoff: int, tol: float, lam_grid, t_grid) -> float | None:
+    """Critical transmission of the source output: the step of both source thresholds.
+
+    The output suffers the transmission loss explicitly, on the modes that
+    ``symmetry`` puts it on (:func:`cvbell.bell._scenario_for`), is filtered
+    on both modes (at gain 1 the filter is the identity) and is measured
+    with detector efficiency ``eta_d``.  ``Tr(F L(rho) F B) =
+    Tr(rho L^dag(F B F))``, and likewise for ``F^2``, the trace of the
+    filtered state: each step pulls the filtered stacks back through its
+    loss onto the photon-parity sector entries of the capped output basis
+    (:func:`cvbell.local_amp._filtered_pullback`), the only entries the
+    forms read (:func:`_pair_forms`).  The forms give CHSH on the whole
+    (delta, lam, t) grid, and the delta grid at the best (lam, t) is the
+    chosen output's.  A step whose grid already violates is decided there
+    (``stop_above`` of :func:`cvbell.bell._search_grid`); a refine reads its
+    slopes from the same forms, contracted with the chosen output
+    (:func:`cvbell.local_amp._filtered_slopes`), which is built only then.
+    """
+    lam_grid, t_grid = _sweep_grid(lam_grid, "lam_grid"), _sweep_grid(t_grid, "t_grid")
+    basis, packed, _ = _source_stack(eta_c, cutoff)
+    party = PartyConditions(eta_d=eta_d)
+    deltas = delta_grid(61)
+    pullback = _filtered_pullback(basis, gain, applications, cutoff)
+    grid_forms = pullback(_mode_observables(basis, party, party, deltas))
+
+    def max_chsh(eta_t):
+        scenario = _scenario_for(symmetry, eta_t=eta_t, eta_d=eta_d, eta_h=1.0)
+        etas = scenario.alice.eta_t, scenario.bob.eta_t
+        bells, trace = grid_forms(*etas)
+        hankels = _pair_forms(packed, np.concatenate([bells, trace[None]]))
+        values = _grid_chsh(hankels[:-1], hankels[-1], lam_grid, t_grid)
+        _, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+
+        def slope_objective():
+            # The packed, unnormalized output at (lam, t): raveled transposes,
+            # which the symmetric forms read as they are.
+            rho = _image_weights(lam_grid[i], t_grid[j], len(packed) // 4 - 1) @ packed
+            return _filtered_slopes(pullback, basis, party, etas, rho)
+
+        return _search_grid(deltas, values[:, i, j], slope_objective, tol=1e-5,
+                            stop_above=VIOLATION_BOUND).value
+
+    return bisect_threshold(max_chsh, tol=tol)
 
 
 def source_critical_transmission(
@@ -1070,19 +1106,11 @@ def source_critical_transmission(
 ) -> float | None:
     """Critical transmission for the amplified source at a given eta_d.
 
-    A step whose final delta grid already violates is decided there
-    (``stop_above`` of :func:`max_source_chsh`); the golden sections run at
-    every step.
+    :func:`_source_threshold` at filter gain 1, on a 40 x 60 (lam, t) grid by default.
     """
-
-    def max_chsh(eta_t):
-        scen = _scenario_for(symmetry, eta_t=eta_t, eta_d=eta_d, eta_h=1.0)
-        return max_source_chsh(
-            scen.alice, scen.bob, eta_c=eta_c, cutoff=cutoff,
-            lam_grid=lam_grid, t_grid=t_grid, stop_above=VIOLATION_BOUND,
-        ).chsh_value
-
-    return bisect_threshold(max_chsh, tol=tol)
+    return _source_threshold(1.0, 1, symmetry, eta_d, eta_c, cutoff, tol,
+                             default_squeezing_grid() if lam_grid is None else lam_grid,
+                             default_transmission_grid() if t_grid is None else t_grid)
 
 
 def amplified_source_threshold_with_filters(
@@ -1097,47 +1125,8 @@ def amplified_source_threshold_with_filters(
 ) -> float | None:
     """Critical transmission when the source feeds the local filters.
 
-    The source output suffers the transmission loss explicitly (the filters
-    sit between the channel and the measurements), is filtered on both
-    modes, and is measured with detector efficiency ``eta_d``.  The source
-    parameters and bin half-width are re-optimized at every bisection step;
-    a step whose delta grid already violates is decided there
-    (``stop_above`` of :func:`cvbell.bell._search_grid`).
-
-    ``Tr(F L(rho) F B) = Tr(rho L^dag(F B F))``, and likewise for ``F^2``, the
-    trace of the filtered state.  Each step pulls the filtered stacks back
-    through its loss onto the photon-parity sector entries of the capped
-    output basis (:func:`cvbell.local_amp._filtered_pullback`), the only
-    entries the forms read (:func:`_pair_forms`); the output basis holds
-    every occupation up to its cap, so capping after the pullback is exact.
-    The forms give CHSH on the whole (delta, lam, t) grid, and the delta grid
-    at the best (lam, t) is the chosen output's.  A refine reads its slopes
-    from the same pulled-back forms, contracted with that output
-    (:func:`cvbell.local_amp._filtered_slopes`), which is built only then.
+    :func:`_source_threshold`, symmetric, on a 20 x 30 (lam, t) grid by default.
     """
-    lam_grid = _sweep_grid(default_squeezing_grid(20) if lam_grid is None else lam_grid,
-                           "lam_grid")
-    t_grid = _sweep_grid(default_transmission_grid(30) if t_grid is None else t_grid,
-                         "t_grid")
-    basis, packed, _ = _source_stack(eta_c, cutoff)
-    party = PartyConditions(eta_t=1.0, eta_d=eta_d, eta_h=1.0)
-    deltas = delta_grid(61)
-    pullback = _filtered_pullback(basis, gain, applications, cutoff)
-    grid_forms = pullback(_mode_observables(basis, party, party, deltas))
-
-    def max_chsh(eta_t):
-        bells, trace = grid_forms(eta_t)
-        hankels = _pair_forms(packed, np.concatenate([bells, trace[None]]))
-        values = _grid_chsh(hankels[:-1], hankels[-1], lam_grid, t_grid)
-        _, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-
-        def slope_objective():
-            # The packed, unnormalized output at (lam, t): raveled transposes,
-            # which the symmetric forms read as they are.
-            rho = _image_weights(lam_grid[i], t_grid[j], len(packed) // 4 - 1) @ packed
-            return _filtered_slopes(pullback, basis, party, eta_t, rho)
-
-        return _search_grid(deltas, values[:, i, j], slope_objective, tol=1e-5,
-                            stop_above=VIOLATION_BOUND).value
-
-    return bisect_threshold(max_chsh, tol=tol)
+    return _source_threshold(gain, applications, "symmetric", eta_d, eta_c, cutoff, tol,
+                             default_squeezing_grid(20) if lam_grid is None else lam_grid,
+                             default_transmission_grid(30) if t_grid is None else t_grid)

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import cvbell.bell as bell
 import cvbell.source_amp as sa
 from cvbell.bell import (
-    VIOLATION_BOUND,
     BellScenario,
     PartyConditions,
     _mode_observables,
@@ -338,9 +337,8 @@ def test_cap_two_threshold_solves_never_refine(monkeypatch, solve):
     {"eta_c": 0.9}, {}, {"eta_d": 0.93, "eta_c": 0.95, "symmetry": "asymmetric"},
 ], ids=["coupling-loss", "defaults", "asymmetric"])
 def test_source_threshold_solves_never_refine(monkeypatch, kwargs):
-    # The final delta search of each step stops above the violation bound,
-    # and the steps below it peak at delta = 0 (4 or 5 refines per solve
-    # without the bound).  The golden sections still run.
+    # The delta search of each step stops above the violation bound, and the
+    # steps below it peak at delta = 0.  The reported optimum still refines.
     calls = []
 
     def counted(*args):
@@ -353,10 +351,6 @@ def test_source_threshold_solves_never_refine(monkeypatch, kwargs):
     party = PartyConditions(eta_t=0.9)
     optimum = max_source_chsh(party, party, eta_c=0.9)
     assert calls and optimum.chsh_value > 2.0
-    stopped = max_source_chsh(party, party, eta_c=0.9, stop_above=VIOLATION_BOUND)
-    assert (stopped.squeezing, stopped.amp_transmission) == (optimum.squeezing,
-                                                             optimum.amp_transmission)
-    assert VIOLATION_BOUND < stopped.chsh_value <= optimum.chsh_value
 
 
 def test_flat_objective_keeps_the_grid_maximizer():
@@ -440,6 +434,32 @@ def test_filtered_source_threshold_pinned(gain, expected):
     assert amplified_source_threshold_with_filters(
         gain, 1, eta_c=0.9, **SMALL_GRIDS
     ) == expected
+
+
+@pytest.mark.parametrize("symmetry, eta_c, eta_d, tol, expected", [
+    ("symmetric", 0.9, 1.0, 1e-3, 0.84521484375),
+    ("symmetric", 1.0, 0.9, 1e-4, 0.846405029296875),
+    ("asymmetric", 1.0, 1.0, 1e-4, 0.697906494140625),
+    ("asymmetric", 0.9, 0.8, 1e-3, 0.89306640625),
+    ("asymmetric", 0.9, 0.9, 1e-4, 0.805206298828125),
+])
+def test_source_threshold_pinned(symmetry, eta_c, eta_d, tol, expected):
+    # Measured with each step's own golden sections and delta search on the
+    # default 40 x 60 grid at cutoff 6; the shared step keeps every verdict.
+    assert sa.source_critical_transmission(eta_d=eta_d, eta_c=eta_c, symmetry=symmetry,
+                                           tol=tol) == expected
+
+
+def test_source_threshold_runs_no_golden_section(monkeypatch):
+    # The threshold steps read the (delta, lam, t) grid and a delta search;
+    # only the reported optimum refines lam and t.
+    def refined(*args, **kwargs):
+        raise AssertionError("a threshold step refined lam or t")
+
+    for name in ("max_source_chsh", "golden_section_max"):
+        monkeypatch.setattr(sa, name, refined)
+    for symmetry in ("symmetric", "asymmetric"):
+        assert sa.source_critical_transmission(eta_c=0.9, symmetry=symmetry) is not None
 
 
 def untrimmed_chsh(rho, alice, bob, deltas):

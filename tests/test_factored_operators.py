@@ -128,7 +128,7 @@ def test_per_mode_loss_matches_embedded_kraus(eta, gain, applications, cutoff, e
     F = filter_diagonal(basis, gain, applications)
 
     terms = _mode_observables(basis, alice, bob, deltas)
-    bells, trace = sa._filtered_pullback(basis, gain, applications, cutoff)(terms)(eta)
+    bells, trace = sa._filtered_pullback(basis, gain, applications, cutoff)(terms)(eta, eta)
     filtered = F[:, None] * bell_matrices(basis, alice, bob, deltas) * F
     square = sector_entries(basis, through_embedded(np.diag(F * F), kraus)[None])[0]
     scale = filter_scale(trace, square)

@@ -1,10 +1,11 @@
 """Bisection steps decided without a full delta search.
 
-A step is decided on the delta grid: ``search_delta`` never returns less
+A step is decided on the delta grid: a delta search never returns less
 than its grid maximum, so once that exceeds the violation bound the refine
-cannot change the step's verdict.  The threshold solvers pass the bound as
-``stop_above``.  And ``bisect_threshold`` evaluates only the midpoints whose
-verdicts its earlier evaluations do not imply.  The reference for both is
+cannot change the step's verdict.  The threshold steps pass the bound as
+the ``stop_above`` of ``bell._search_grid``.  And ``bisect_threshold``
+evaluates only the midpoints whose verdicts its earlier evaluations do not
+imply.  The reference for both is
 plain bisection, written out below, over the full, refined ``optimize_delta``
 values: the thresholds must agree bit for bit, and ``bisect_threshold`` may
 take at most twice the reference's evaluations.
@@ -12,6 +13,7 @@ take at most twice the reference's evaluations.
 
 import importlib
 import math
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -27,12 +29,15 @@ from cvbell.bell import (
     VIOLATION_BOUND,
     PartyConditions,
     _scenario_for,
+    _search_grid,
     _state_chsh,
+    _top_eigenvalue,
     bisect_threshold,
     critical_efficiency,
     optimize_delta,
     search_delta,
 )
+from cvbell.fock import shared_basis
 from cvbell.local_amp import (
     filtered_chsh,
     filtered_critical_transmission,
@@ -40,7 +45,7 @@ from cvbell.local_amp import (
     lossy_psi2,
     psi2_state,
 )
-from cvbell.measurement import DELTA_MAX
+from cvbell.measurement import DELTA_MAX, delta_grid
 
 
 def plain_bisection(max_chsh, lo=0.0, hi=1.0, tol=1e-4):
@@ -209,20 +214,43 @@ def test_filtered_steps_read_the_filtered_states_grid(monkeypatch, cutoff, appli
         assert np.abs(values - slope_objective()(grid)[0]).max() <= 1e-14
 
 
+#: The source thresholds' step: filtered at gain 2 (by the number of
+#: applications), or unfiltered, the filter at gain 1, by symmetry.
+SOURCE_STEPS = [
+    *(pytest.param(partial(sa.amplified_source_threshold_with_filters, 2.0, m), None, id=str(m))
+      for m in (1, 2, 3, 4)),
+    *(pytest.param(partial(sa.source_critical_transmission, symmetry=symmetry), symmetry,
+                   id=symmetry) for symmetry in (SYMMETRIC, ASYMMETRIC)),
+]
+
+
 @pytest.mark.parametrize("eta_c", [1.0, 0.9])
-@pytest.mark.parametrize("applications", [1, 2, 3, 4])
+@pytest.mark.parametrize("solve, symmetry", SOURCE_STEPS)
 @pytest.mark.parametrize("cutoff", [2, 6])
-def test_filtered_source_steps_read_the_chosen_states_grid(monkeypatch, cutoff, applications,
+def test_filtered_source_steps_read_the_chosen_states_grid(monkeypatch, cutoff, solve, symmetry,
                                                            eta_c):
     # The delta grid at the best (lam, t) of the forms is the CHSH of that
     # filtered lossy output state, which the refine builds (its slope objective).
+    # Unfiltered, it is the CHSH of the chosen output state itself, measured
+    # in the step's scenario, with the loss in the measurements.
+    steps, chosen = [], []
+    monkeypatch.setattr(sa, "bisect_threshold", lambda max_chsh, **kwargs: bisect_threshold(
+        lambda eta_t: steps.append(eta_t) or max_chsh(eta_t), **kwargs))
+    weights = sa._image_weights
+    monkeypatch.setattr(sa, "_image_weights",
+                        lambda lam, t, degree: chosen.append((lam, t)) or weights(lam, t, degree))
     searches = recorded_searches(monkeypatch, sa)
-    sa.amplified_source_threshold_with_filters(2.0, applications, eta_d=0.95, eta_c=eta_c,
-                                               cutoff=cutoff)
-    assert searches
-    for grid, values, slope_objective in searches:
+    solve(eta_d=0.95, eta_c=eta_c, cutoff=cutoff)
+    assert len(searches) == len(steps) > 0
+    basis, packed, _ = sa._source_stack(eta_c, cutoff)
+    for eta_t, (grid, values, slope_objective) in zip(steps, searches):
         assert len(grid) == 61
         assert np.abs(values - slope_objective()(grid)[0]).max() <= 1e-14
+        if symmetry is not None:
+            scenario = _scenario_for(symmetry, eta_t=eta_t, eta_d=0.95, eta_h=1.0)
+            state = sa._image_state(basis, packed, *chosen[-1])
+            chsh = _state_chsh(state, scenario.alice, scenario.bob)[0](grid)
+            assert np.abs(values - chsh).max() <= 1e-13
 
 
 @pytest.mark.parametrize("solve", [
@@ -239,6 +267,17 @@ lossy = st.floats(min_value=0.3, max_value=1.0)
 parties = st.builds(PartyConditions, eta_t=lossy, eta_d=lossy, eta_h=lossy)
 
 
+def stopped_search(alice, bob, state=None, stop_above=None):
+    """``search_delta``'s grid and refine, through ``_search_grid`` with a bound."""
+    if state is None:
+        objective, value_and_slope = _top_eigenvalue(shared_basis((2, 2), 2), alice, bob)
+    else:
+        objective, value_and_slope = _state_chsh(state, alice, bob)
+    grid = delta_grid(241)
+    return _search_grid(grid, objective(grid), lambda: value_and_slope,
+                        stop_above=stop_above)
+
+
 @settings(max_examples=40, deadline=None)
 @given(alice=parties, bob=parties, state=st.sampled_from([None, "psi2", "lossy-psi2"]),
        where=st.sampled_from(["grid", "optimum", "offset"]),
@@ -246,25 +285,24 @@ parties = st.builds(PartyConditions, eta_t=lossy, eta_d=lossy, eta_h=lossy)
 def test_stopped_search_lands_on_the_same_side(alice, bob, state, where, offset):
     state = {None: None, "psi2": psi2_state(), "lossy-psi2": lossy_psi2(0.8)}[state]
     full = search_delta(alice, bob, state=state)
-    grid = search_delta(alice, bob, state=state, stop_above=-math.inf)
+    assert stopped_search(alice, bob, state) == full
+    grid = stopped_search(alice, bob, state, stop_above=-math.inf)
     assert not grid.refined and grid.evaluations == 0
     assert full.value >= grid.value
     bound = {"grid": grid.value, "optimum": full.value,
              "offset": full.value + offset}[where]
-    stopped = search_delta(alice, bob, state=state, stop_above=bound)
+    stopped = stopped_search(alice, bob, state, stop_above=bound)
     assert (stopped.value > bound) == (full.value > bound)
     if stopped.refined:
         assert stopped == full
     else:
         assert stopped == grid and stopped.value > bound
-    assert optimize_delta(alice, bob, state=state, stop_above=bound) == (
-        stopped.delta, stopped.value)
 
 
 def test_violated_steps_skip_the_refine():
     # Unit efficiencies violate on the grid: the step is decided there.
     unit = PartyConditions()
-    stopped = search_delta(unit, unit, stop_above=VIOLATION_BOUND)
+    stopped = stopped_search(unit, unit, stop_above=VIOLATION_BOUND)
     full = search_delta(unit, unit)
     assert not stopped.refined and full.refined
     grid = np.linspace(0.0, DELTA_MAX, 241)

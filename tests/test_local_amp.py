@@ -306,7 +306,11 @@ class TestFilteredChsh:
     @pytest.mark.parametrize("solve", [
         lambda cutoff: filtered_chsh(0.8, 2.0, cutoff=cutoff),
         lambda cutoff: filtered_critical_transmission(2.0, cutoff=cutoff),
-    ], ids=["filtered_chsh", "filtered_critical_transmission"])
+        psi2_state,
+        lambda cutoff: lossy_psi2(0.8, cutoff),
+        lambda cutoff: filtered_state(0.8, 2.0, cutoff=cutoff),
+    ], ids=["filtered_chsh", "filtered_critical_transmission", "psi2_state", "lossy_psi2",
+            "filtered_state"])
     def test_a_cutoff_below_two_is_rejected(self, solve, cutoff):
         # psi2 holds two photons in a mode.
         with pytest.raises(ValueError, match=f"cutoff of at least 2, got {cutoff}$"):
@@ -370,7 +374,7 @@ class TestPulledBackForms:
         basis = shared_basis((cutoff, cutoff), 2)
         party = PartyConditions(eta_d=eta_d)
         pullback = la._filtered_pullback(basis, gain, applications, cutoff)
-        pulled = la._filtered_slopes(pullback, basis, party, eta_t * eta_c,
+        pulled = la._filtered_slopes(pullback, basis, party, (eta_t * eta_c,) * 2,
                                      packed_psi2(basis))(deltas)
         # The psi2 refine's value and slope: the forms of B and dB at the loss.
         forms = la._psi2_forms(gain, applications)
@@ -393,7 +397,7 @@ class TestPulledBackForms:
         party = PartyConditions(eta_d=eta_d)
         pullback = la._filtered_pullback(basis, gain, applications, cutoff)
         rho = sa._image_weights(lam, t, len(packed) // 4 - 1) @ packed
-        found = la._filtered_slopes(pullback, basis, party, eta, rho)(deltas)
+        found = la._filtered_slopes(pullback, basis, party, (eta, eta), rho)(deltas)
         state = sa._image_state(basis, packed, lam, t)
         for mode in (0, 1):
             state = apply_channel(state, LossChannel(eta), mode)
@@ -412,6 +416,35 @@ class TestPulledBackForms:
         search = la._psi2_search(2.0, 2, 0.8, 1.0, 2)(0.8)
         assert search.evaluations > 0  # the refine ran
         assert filtered_chsh(0.8, 2.0, 2, eta_d=0.8) == (search.delta, search.value)
+
+    @pytest.mark.parametrize("solve", [
+        lambda: filtered_chsh(0.8, 2.0, 2, eta_d=0.8),  # with a refine
+        lambda: filtered_critical_transmission(2.0, 3, cutoff=6),
+        lambda: amplified_source_threshold_with_filters(2.0, cutoff=4),
+        lambda: sa.source_critical_transmission(eta_c=0.9, symmetry="asymmetric"),
+    ], ids=["filtered_chsh", "filtered_critical_transmission",
+            "amplified_source_threshold_with_filters", "source_critical_transmission"])
+    def test_a_solve_builds_the_filter_once(self, monkeypatch, solve):
+        # One check of the two-mode diagonal at the caller's cutoff, then one
+        # mode filter for both modes, however many steps and refines follow.
+        calls = []
+
+        def counted(basis, *args):
+            calls.append(basis.mode_count)
+            return filter_diagonal(basis, *args)
+
+        monkeypatch.setattr(la, "filter_diagonal", counted)
+        solve()
+        assert calls == [2, 1]
+
+    def test_source_refines_build_no_filter(self, monkeypatch):
+        basis, packed, _ = sa._source_stack(0.9, 4)
+        pullback = la._filtered_pullback(basis, 2.0, 2, 4)
+        rho = sa._image_weights(0.1, 0.01, len(packed) // 4 - 1) @ packed
+        slopes = la._filtered_slopes(pullback, basis, PartyConditions(eta_d=0.9), (0.8, 0.7), rho)
+        monkeypatch.setattr(la, "filter_diagonal", None)  # any call would fail
+        for delta in (0.5, 0.6, 0.7):
+            slopes(np.array([delta]))
 
     def test_no_solver_sends_a_filtered_state_forward(self, monkeypatch):
         def forward(*args, **kwargs):

@@ -178,7 +178,7 @@ def test_filtered_forms_match_the_pullback(gain, applications, eta_d):
     psi2 = packed_psi2(basis)
     for eta in STEPS:
         w = bernstein_weights(eta, 4)
-        pulled_bells, pulled_square = at(eta)
+        pulled_bells, pulled_square = at(eta, eta)
         assert_close(w @ bells, pulled_bells @ psi2)
         assert_close(w @ square, pulled_square @ psi2)
         assert_close((w @ bells) / (w @ square), (pulled_bells @ psi2) / (pulled_square @ psi2))

@@ -171,7 +171,7 @@ def test_bell_matrices_vanish_between_sectors(cap):
                     basis, np.concatenate([F[:, None] * full * F, np.diag(F * F)[None]]), eta
                 )
                 assert np.all(ops[:, between] == 0.0)
-                bells, square = pullback(eta)
+                bells, square = pullback(eta, eta)
                 # One common power of two: the pullback's filter scale.
                 k = np.argmax(np.abs(ops[-1]))
                 scale = 2.0 ** np.round(np.log2(
