@@ -23,7 +23,7 @@ solver is gathered in the packed sector layout (:func:`_packed_kron`);
 Every loss threshold of the package is :func:`bisect_threshold` applied to
 a max-CHSH function; :func:`critical_efficiency` is this scenario's.  A
 violation-region boundary is such a solver mapped over detection
-efficiencies (:func:`cvbell.parallel.map_ordered`, as :mod:`cvbell.cli` does).
+efficiencies, one solve per value (as :mod:`cvbell.cli` does).
 """
 
 from __future__ import annotations
@@ -131,6 +131,21 @@ def _same_factors(basis, alice, bob) -> tuple[bool, bool]:
             ca == cb and alice.eta_d * alice.eta_t == bob.eta_d * bob.eta_t)
 
 
+def _party_factors(basis, alice, bob, homodyne, photodetection, sweeps=((False, False),) * 2):
+    """Xa, Xb, Na and Nb, each built once per (efficiency, trimmed cutoff, swept).
+
+    ``homodyne`` and ``photodetection`` build one party's X (at ``eta_h
+    eta_t``) and N (at ``eta_d eta_t``) from that key; ``sweeps`` holds per
+    party whether its X and its N are swept.  Bob's factor is Alice's object
+    exactly where the two agree and are swept alike (:func:`_same_factors`).
+    """
+    homodyne, photodetection = lru_cache(homodyne), lru_cache(photodetection)
+    parties = list(zip((alice, bob), _trimmed_cutoffs(basis), sweeps))
+    X = [homodyne(p.eta_h * p.eta_t, c, x) for p, c, (x, _) in parties]
+    N = [photodetection(p.eta_d * p.eta_t, c, n) for p, c, (_, n) in parties]
+    return (*X, *N)
+
+
 def _mode_observables(basis, alice, bob, deltas):
     """The terms ``((Xa, Xb + Nb), (Na, Xb - Nb))`` of B at the trimmed cutoffs.
 
@@ -153,12 +168,9 @@ def _mode_slopes(basis, alice, bob, deltas):
     ``dB = dXa (x) plus + (Xa + Na) (x) dXb``.  Returns the pairs
     ``((Xa, plus), (Na, minus))`` and ``((dXa, plus), (Xa + Na, dXb))``.
     """
-    ca, cb = _trimmed_cutoffs(basis)
-    same_x, same_n = _same_factors(basis, alice, bob)
-    Xa, dXa = binned_homodyne_slopes(alice.eta_h * alice.eta_t, deltas, ca)
-    Xb, dXb = (Xa, dXa) if same_x else binned_homodyne_slopes(bob.eta_h * bob.eta_t, deltas, cb)
-    Na = photodetection_povm(alice.eta_d * alice.eta_t, ca)[2]
-    Nb = Na if same_n else photodetection_povm(bob.eta_d * bob.eta_t, cb)[2]
+    (Xa, dXa), (Xb, dXb), Na, Nb = _party_factors(
+        basis, alice, bob, lambda eta, cutoff, _: binned_homodyne_slopes(eta, deltas, cutoff),
+        lambda eta, cutoff, _: photodetection_povm(eta, cutoff)[2])
     plus = Xb + Nb
     return ((Xa, plus), (Na, Xb - Nb)), ((dXa, plus), (Xa + Na, dXb))
 
@@ -194,22 +206,17 @@ def _swept_observables(basis, alice, bob, sweeps, deltas):
     coefficients of :func:`cvbell.measurement.bernstein_weights` of degree c,
     the mode's trimmed cutoff.  A factor that v does not enter is the
     degree-0 stack ``(1, ...)``.  Bob's factor is Alice's object where the
-    two agree and are swept alike (:func:`_same_factors`).
+    two agree and are swept alike (:func:`_party_factors`).
     """
-    ca, cb = _trimmed_cutoffs(basis)
-    (xa, na), (xb, nb) = sweeps
-    same_x, same_n = _same_factors(basis, alice, bob)
-
-    def expanded(M, swept, cutoff):
+    def expanded(M, cutoff, swept):
         return _expand_loss(M, cutoff) if swept else M[None]
 
-    Xa = expanded(binned_homodyne_povms(alice.eta_h * alice.eta_t, deltas, ca)[2], xa, ca)
-    Xb = Xa if same_x and xa == xb else expanded(
-        binned_homodyne_povms(bob.eta_h * bob.eta_t, deltas, cb)[2], xb, cb)
-    Na = expanded(photodetection_povm(alice.eta_d * alice.eta_t, ca)[2], na, ca)
-    Nb = Na if same_n and na == nb else expanded(
-        photodetection_povm(bob.eta_d * bob.eta_t, cb)[2], nb, cb)
-    return Xa, Xb, Na, Nb
+    return _party_factors(
+        basis, alice, bob,
+        lambda eta, cutoff, swept: expanded(binned_homodyne_povms(eta, deltas, cutoff)[2],
+                                            cutoff, swept),
+        lambda eta, cutoff, swept: expanded(photodetection_povm(eta, cutoff)[2], cutoff, swept),
+        sweeps)
 
 
 def _swept_at(factors, value: float):

@@ -13,8 +13,8 @@ Every command but reproduce-all runs one threshold solver of the package
 (``critical_efficiency``, ``source_critical_transmission`` or
 ``filtered_critical_transmission``) to ``--tol`` at each value it sweeps and
 writes one row per value.  threshold and local-amp solve at a single value;
-region, source-amp and multi-filter sweep theirs through
-``parallel.map_ordered`` on ``--workers`` processes.
+region, source-amp and multi-filter sweep theirs, one value after another in
+this process.
 
 Configuration may be given as ``--config file.ini`` with one section per
 command (``key = value``); keys under ``[DEFAULT]`` apply to every command
@@ -37,13 +37,12 @@ import configparser
 import math
 import re
 import sys
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .bell import ASYMMETRIC, SYMMETRIC, _scenario_for, critical_efficiency
 from .local_amp import filtered_critical_transmission, psi2_state
-from .parallel import map_ordered
 from .reproduce import reproduce_all
 from .source_amp import max_source_chsh, source_critical_transmission
 from .sweep import sidecar_path, write_csv, write_sidecar
@@ -74,7 +73,11 @@ def parse_grid(text: str) -> list[float]:
         raise ValidationError(f"malformed grid {text!r}") from None
     if count < 1:
         raise ValidationError("grid count must be positive")
-    return [float(x) for x in np.linspace(start, stop, count)]
+    try:
+        grid = np.linspace(start, stop, count)
+    except MemoryError:  # numpy refuses the allocation before making it
+        raise ValidationError(f"grid count {count} is too large") from None
+    return [float(x) for x in grid]
 
 
 def _efficiency(text: str) -> float:
@@ -85,17 +88,6 @@ def _efficiency(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
-    return value
-
-
-def _workers(text: str) -> int:
-    """The ``--workers`` count, at least 1; errors name the flag."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
@@ -165,10 +157,6 @@ def build_parser() -> _Parser:
     def solver(p):
         p.add_argument("--tol", type=float, default=1e-4)
 
-    def sweep(p):
-        solver(p)
-        p.add_argument("--workers", type=_workers, default=1)
-
     def symmetry(p):
         p.add_argument("--symmetric", dest="symmetry", action="store_const",
                        const=SYMMETRIC, default=SYMMETRIC)
@@ -186,14 +174,14 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("region", help="violation-region boundary")
     common(p)
-    sweep(p)
+    solver(p)
     symmetry(p)
     p.add_argument("--eta-d-grid", type=_efficiency_grid, default="0.6:1.0:9")
     p.add_argument("--state", choices=["optimal", "psi2"], default="optimal")
 
     p = sub.add_parser("source-amp", help="amplified-source region boundary")
     common(p, cutoff=6)
-    sweep(p)
+    solver(p)
     symmetry(p)
     p.add_argument("--eta-d-grid", type=_efficiency_grid, default="0.8:1.0:3")
     p.add_argument("--eta-c", type=_efficiency, default=1.0)
@@ -208,7 +196,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("multi-filter", help="threshold vs filter applications")
     common(p)
-    sweep(p)
+    solver(p)
     p.add_argument("--g", type=float, default=2.0)
     p.add_argument("--m-max", type=int, default=4)
     p.add_argument("--eta-d", type=_efficiency, default=1.0)
@@ -272,9 +260,13 @@ def _echo(args: argparse.Namespace) -> dict:
 
 
 def _emit(args, fieldnames, rows, extra=None) -> str:
-    path = args.output or f"cvbell-{args.command}.csv"
-    write_csv(path, fieldnames, rows)
-    write_sidecar(sidecar_path(path), args.command, _echo(args), extra)
+    path = target = args.output or f"cvbell-{args.command}.csv"
+    try:
+        write_csv(path, fieldnames, rows)
+        target = sidecar_path(path)
+        write_sidecar(target, args.command, _echo(args), extra)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {target}: {exc.strerror}") from None
     return path
 
 
@@ -289,26 +281,19 @@ def _two_photon_cutoff(args) -> None:
     args.cutoff = max(args.cutoff, 2)
 
 
-def _solve_at(solver, key, fixed, value):
-    """``solver(**fixed)`` with ``key`` set to ``value``: one point of a sweep."""
-    return solver(**fixed, **{key: value})
-
-
 def _threshold_rows(args, fields, solver, fixed, key, values, column=None,
                     result="eta_t_star") -> list[dict]:
     """One row per value of ``key``: the threshold of ``solver`` there.
 
     ``solver`` runs at ``fixed``, ``key = value``, ``args.cutoff`` and
-    ``args.tol``, through :func:`map_ordered` on ``--workers`` processes
-    (one for a command without the flag).
+    ``args.tol``, one value after another.
     A row holds each of ``fields`` that names a flag, the value under
     ``column`` (``key`` by default), the threshold under ``result``,
     ``no_violation`` and ``bisection_tol``.
     """
     flags = {name: getattr(args, name) for name in fields if hasattr(args, name)}
-    solve = partial(_solve_at, solver, key,
-                    {**fixed, "cutoff": args.cutoff, "tol": args.tol})
-    thresholds = map_ordered(solve, values, workers=getattr(args, "workers", 1))
+    fixed = {**fixed, "cutoff": args.cutoff, "tol": args.tol}
+    thresholds = [solver(**fixed, **{key: value}) for value in values]
     return [{**flags, column or key: value, result: threshold,
              "no_violation": threshold is None, "bisection_tol": args.tol}
             for value, threshold in zip(values, thresholds)]
@@ -442,7 +427,7 @@ def main(argv=None) -> int:
             args = parser.parse_args([args.command, *tokens, *argv[1:]])
         return _RUNNERS[args.command](args)
     except (ValidationError, ValueError) as exc:
-        # Solvers (also in worker processes) reject bad parameters with ValueError.
+        # Solvers reject bad parameters with ValueError.
         print(f"cvbell: error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,7 +1,8 @@
 """Result files of every command: a CSV table and a JSON metadata sidecar.
 
-A sweep itself is :func:`cvbell.parallel.map_ordered` over a threshold
-solver (see :mod:`cvbell.cli`); this module only writes what it found.
+A sweep itself is a threshold solver run at each swept value, in the
+calling process (see :mod:`cvbell.cli`); this module only writes what it
+found.
 Every run writes one UTF-8 CSV (LF line endings, floats at 17 significant
 digits, self-describing named columns) plus a sidecar JSON recording the
 schema version, the full effective configuration (its ``tol`` is the

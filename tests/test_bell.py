@@ -1,5 +1,3 @@
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -18,10 +16,9 @@ from cvbell.bell import (
     optimal_state,
     optimize_delta,
 )
-from cvbell.cli import _solve_at, main
+from cvbell.cli import main
 from cvbell.fock import ModeBasis, shared_basis
 from cvbell.local_amp import filtered_critical_transmission, psi2_state
-from cvbell.parallel import map_ordered
 
 
 def subspace_top(scenario, cutoff=2):
@@ -236,12 +233,6 @@ class TestRegionBoundary:
         header, row = (line.split(",") for line in out.read_text().split("\n")[:2])
         row = dict(zip(header, row))
         assert row["eta_t_star"] == "" and row["no_violation"] == "true"
-
-    def test_worker_independence(self):
-        solve = partial(_solve_at, critical_efficiency, "eta_d",
-                        {"target": "eta_t", "symmetry": SYMMETRIC})
-        grid = [0.9, 1.0]
-        assert map_ordered(solve, grid, workers=2) == map_ordered(solve, grid, workers=1)
 
     def test_endpoint_matches_threshold(self):
         assert critical_efficiency("eta_t", SYMMETRIC, eta_d=1.0) == pytest.approx(0.805, abs=0.005)

@@ -144,7 +144,8 @@ class TestParsing:
     ["region", "--eta-d-grid", "0.9:1:0x"],
     ["local-amp", "--m", "0"],
     ["threshold", "--cutoff", "-1"],
-    ["region", "--eta-d-grid", "0.9,1.5", "--workers", "2"],
+    ["region", "--eta-d-grid", "0.9,1.5"],
+    ["region", "--eta-d-grid", "0.6:1.0:1000000000000"],  # numpy refuses the allocation
     ["region", "--eta-d-grid", ""],
     ["source-amp", "--eta-d-grid", ""],
 ])
@@ -178,14 +179,26 @@ def test_a_source_cutoff_beyond_the_gram_limit_exits_cleanly(command, tmp_path, 
     (["threshold", "--eta-t", "1.5"], "--eta-t"),
     (["local-amp", "--eta-c", "2"], "--eta-c"),
     (["region", "--eta-d-grid", "0.5:1.2:3"], "--eta-d-grid"),
-    (["multi-filter", "--workers", "0"], "--workers"),
-    (["region", "--workers", "-3", "--eta-d-grid", "0.9"], "--workers"),
 ])
 def test_out_of_range_flag_is_named(args, flag, tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(args + ["--output", str(out)]) == 1
     assert_one_error_line(capsys.readouterr().err, f"argument {flag}: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["threshold", "reproduce-all"])
+@pytest.mark.parametrize("target", ["taken", "file/x.csv"], ids=["directory", "under-a-file"])
+def test_unwritable_output_exits_cleanly(command, target, tmp_path, capsys, monkeypatch):
+    record_solver(monkeypatch, "critical_efficiency")
+    fake_reproduce_all(monkeypatch)
+    (tmp_path / "taken").mkdir()
+    (tmp_path / "file").write_text("")
+    out = tmp_path / target
+    assert main([command, "--output", str(out)]) == 1
+    assert_one_error_line(capsys.readouterr().err, f"cannot write {out}: ")
+    # Neither an output nor a .cvbell-* temp file is left.
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["file", "taken"]
 
 
 class TestThresholdCommand:
@@ -219,15 +232,6 @@ class TestThresholdCommand:
 
 
 class TestRegionCommand:
-    def test_worker_count_independent(self, tmp_path):
-        _, one = run_cli(
-            ["region", "--eta-d-grid", "0.9,1.0", "--workers", "1"], tmp_path, "w1.csv"
-        )
-        _, two = run_cli(
-            ["region", "--eta-d-grid", "0.9,1.0", "--workers", "2"], tmp_path, "w2.csv"
-        )
-        assert one.read_bytes() == two.read_bytes()
-
     def test_line_endings_lf(self, tmp_path):
         _, out = run_cli(["region", "--eta-d-grid", "1.0:1.0:1"], tmp_path)
         raw = out.read_bytes()
@@ -462,6 +466,14 @@ class TestConfigFile:
         assert_one_error_line(capsys.readouterr().err, f"{cfg}:6: unknown option 'eta_c'")
         assert not out.exists()
 
+    def test_workers_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[region]\neta_d_grid = 0.9\nworkers = 2\n")
+        out = tmp_path / "out.csv"
+        assert main(["region", "--config", str(cfg), "--output", str(out)]) == 1
+        assert_one_error_line(capsys.readouterr().err, f"{cfg}:3: unknown option 'workers'")
+        assert not out.exists()
+
     @pytest.mark.parametrize("value, include_source", [
         ("no", True), ("false", True), ("yes", False), ("on", False),
     ])
@@ -495,7 +507,6 @@ class TestConfigFile:
         "[source-amp]\ncutoff = 3\neta_c = nan\n",
         "[region]\nstate = psi2\neta_d_grid = 0.5:1.2:3\n",
         "[source-amp]\ncutoff = 3\neta_d_grid = 0.9:1:0x\n",
-        "[region]\neta_d_grid = 0.9\nworkers = 0\n",
     ])
     def test_out_of_range_value_names_its_line(self, section, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
@@ -540,10 +551,10 @@ class TestConfigFile:
     ("threshold", ["threshold"]),
     ("threshold-psi2-eta-d-asym",
      ["threshold", "--target", "eta-d", "--state", "psi2", "--asymmetric"]),
-    ("region-psi2", ["region", "--state", "psi2", "--workers", "2", "--eta-d-grid", "0.7,0.9"]),
+    ("region-psi2", ["region", "--state", "psi2", "--eta-d-grid", "0.7,0.9"]),
     ("local-amp", ["local-amp", "--g", "3", "--m", "2"]),
     ("multi-filter", ["multi-filter"]),
-    ("multi-filter-small", ["multi-filter", "--workers", "2", "--m-max", "3", "--eta-d", "0.9"]),
+    ("multi-filter-small", ["multi-filter", "--m-max", "3", "--eta-d", "0.9"]),
     ("reproduce-all", ["reproduce-all"]),
 ])
 def test_csv_is_unchanged(name, args, tmp_path, capsys):
@@ -557,7 +568,11 @@ def test_csv_is_unchanged(name, args, tmp_path, capsys):
     ["reproduce-all", "--workers", "2"],
     ["threshold", "--workers", "2"],
     ["local-amp", "--workers", "2"],
-], ids=["reproduce-all-tol", "reproduce-all-workers", "threshold-workers", "local-amp-workers"])
+    ["region", "--workers", "2"],
+    ["source-amp", "--workers", "2"],
+    ["multi-filter", "--workers", "2"],
+], ids=["reproduce-all-tol", "reproduce-all-workers", "threshold-workers", "local-amp-workers",
+        "region-workers", "source-amp-workers", "multi-filter-workers"])
 def test_flag_that_changes_nothing_is_rejected(args, tmp_path, capsys):
     code, out = run_cli(args, tmp_path)
     assert code == 1
@@ -574,7 +589,7 @@ def test_reproduce_all_sidecar_claims_no_tol(tmp_path, monkeypatch):
 
 
 def test_source_amp_csv_is_unchanged_but_its_optimum(tmp_path):
-    args = ["source-amp", "--eta-c", "0.9", "--workers", "2", "--eta-d-grid", "0.9,1.0"]
+    args = ["source-amp", "--eta-c", "0.9", "--eta-d-grid", "0.9,1.0"]
     code, out = run_cli(args, tmp_path)
     assert code == 0
     rows, parent = read_rows(out), read_rows(PARENT_CSVS / "source-amp-eta-c.csv")

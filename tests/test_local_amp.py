@@ -17,7 +17,6 @@ from cvbell.bell import (
     _state_chsh,
     optimize_delta,
 )
-from cvbell.cli import _solve_at
 from cvbell.fock import LossChannel, apply_channel, shared_basis
 from cvbell.local_amp import (
     apply_filters,
@@ -31,7 +30,6 @@ from cvbell.local_amp import (
     psi2_state,
 )
 from cvbell.measurement import DELTA_MAX, bernstein_weights
-from cvbell.parallel import map_ordered
 from cvbell.source_amp import amplified_source_threshold_with_filters
 
 
@@ -248,10 +246,6 @@ class TestMultiFilter:
         slope, _, r2 = log_linear_fit(filter_curve(range(1, 5)))
         assert slope < 0
         assert r2 >= 0.98
-
-    def test_worker_independence(self):
-        solve = partial(_solve_at, filtered_critical_transmission, "applications", {"gain": 2.0})
-        assert map_ordered(solve, [1, 2], workers=2) == map_ordered(solve, [1, 2], workers=1)
 
 
 class TestCombinedScheme:

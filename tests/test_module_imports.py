@@ -1,12 +1,11 @@
 """Production modules import at module level only, and read what they import.
 
 A function-level import hides a dependency from the module header and is
-usually a sign of an import cycle worked around at run time.  The one
-exception is ``parallel``'s ``multiprocessing``, which only a worker pool
-needs and which is kept off ``import cvbell``.  A module-level import that
-nothing reads is a leftover of a deletion; ``__init__.py``, which imports to
-re-export, is exempt.  So is a module-level private name (``_name``) that no
-production module reads: nothing outside the package may rely on it.
+usually a sign of an import cycle worked around at run time.  A
+module-level import that nothing reads is a leftover of a deletion;
+``__init__.py``, which imports to re-export, is exempt.  So is a
+module-level private name (``_name``) that no production module reads:
+nothing outside the package may rely on it.
 """
 
 import ast
@@ -17,7 +16,6 @@ import pytest
 import cvbell
 
 PACKAGE = Path(cvbell.__file__).parent
-ALLOWED = {("parallel.py", "multiprocessing")}
 
 
 def function_level_imports(tree: ast.AST) -> list:
@@ -36,9 +34,7 @@ def function_level_imports(tree: ast.AST) -> list:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_function_level_import(path):
     found = function_level_imports(ast.parse(path.read_text(encoding="utf-8")))
-    bad = [f"{path.name}:{line} {module}" for line, module in found
-           if (path.name, module) not in ALLOWED]
-    assert not bad, bad
+    assert not found, [f"{path.name}:{line} {module}" for line, module in found]
 
 
 def test_the_walk_finds_nested_imports():
