@@ -79,6 +79,10 @@ class TestParsing:
     def test_grid_empty(self):
         assert parse_grid("") == []
 
+    def test_grid_count_beyond_memory(self):
+        with pytest.raises(ValidationError, match="grid count 1000000000000 is too large"):
+            parse_grid("0.6:1.0:1000000000000")
+
     def test_grid_malformed(self):
         with pytest.raises(ValidationError):
             parse_grid("0.5:1.0")
@@ -179,6 +183,8 @@ def test_a_source_cutoff_beyond_the_gram_limit_exits_cleanly(command, tmp_path, 
     (["threshold", "--eta-t", "1.5"], "--eta-t"),
     (["local-amp", "--eta-c", "2"], "--eta-c"),
     (["region", "--eta-d-grid", "0.5:1.2:3"], "--eta-d-grid"),
+    (["region", "--eta-d-grid", "0.6:1.0:1000000000000"], "--eta-d-grid"),
+    (["source-amp", "--eta-d-grid", "0.6:1.0:1000000000000"], "--eta-d-grid"),
 ])
 def test_out_of_range_flag_is_named(args, flag, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -187,7 +193,7 @@ def test_out_of_range_flag_is_named(args, flag, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["threshold", "reproduce-all"])
+@pytest.mark.parametrize("command", ["threshold", "region", "reproduce-all"])
 @pytest.mark.parametrize("target", ["taken", "file/x.csv"], ids=["directory", "under-a-file"])
 def test_unwritable_output_exits_cleanly(command, target, tmp_path, capsys, monkeypatch):
     record_solver(monkeypatch, "critical_efficiency")
@@ -466,13 +472,29 @@ class TestConfigFile:
         assert_one_error_line(capsys.readouterr().err, f"{cfg}:6: unknown option 'eta_c'")
         assert not out.exists()
 
-    def test_workers_key_is_unknown(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["region", "source-amp", "multi-filter"])
+    def test_workers_key_is_unknown(self, command, tmp_path, capsys):
         cfg = tmp_path / "run.ini"
-        cfg.write_text("[region]\neta_d_grid = 0.9\nworkers = 2\n")
+        cfg.write_text(f"[{command}]\ncutoff = 2\nworkers = 2\n")
         out = tmp_path / "out.csv"
-        assert main(["region", "--config", str(cfg), "--output", str(out)]) == 1
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 1
         assert_one_error_line(capsys.readouterr().err, f"{cfg}:3: unknown option 'workers'")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, solver", [
+        ("region", "critical_efficiency"),
+        ("source-amp", "source_critical_transmission"),
+        ("multi-filter", "filtered_critical_transmission"),
+    ])
+    def test_default_workers_key_is_skipped_by_every_sweep(self, command, solver, tmp_path,
+                                                           monkeypatch):
+        calls = record_solver(monkeypatch, solver)
+        cfg = tmp_path / "shared.ini"
+        cfg.write_text("[DEFAULT]\nworkers = 2\n")
+        code, _ = run_cli([command, "--config", str(cfg)], tmp_path)
+        assert code == 0 and calls
+        effective = json.loads((tmp_path / "out.json").read_text())["effective_config"]
+        assert "workers" not in effective
 
     @pytest.mark.parametrize("value, include_source", [
         ("no", True), ("false", True), ("yes", False), ("on", False),

@@ -30,6 +30,7 @@ from cvbell.bell import (
     _mode_observables,
     _observable_terms,
     _parity_sectors,
+    _same_factors,
     _state_chsh,
     _sweep,
     _swept_at,
@@ -38,7 +39,7 @@ from cvbell.bell import (
     critical_efficiency,
     optimize_delta,
 )
-from cvbell.fock import DensityOperator, loss_kraus, shared_basis
+from cvbell.fock import DensityOperator, ModeBasis, loss_kraus, shared_basis
 from cvbell.local_amp import filtered_critical_transmission, psi2_state
 from cvbell.measurement import (
     _expand_loss,
@@ -205,6 +206,26 @@ def test_optimal_state_factors_match_mode_observables(cap, target, symmetry):
             for f, r in zip(found_term, reference_term, strict=True):
                 assert f.shape[-2:] == r.shape[-2:]
                 assert_close(f, r)
+
+
+ALICE = PartyConditions(eta_t=0.9, eta_d=0.8)
+ALIKE = ((True, True), (True, True))
+
+
+@pytest.mark.parametrize("bob, cutoffs, sweeps, shared", [
+    (ALICE, (2, 2), ALIKE, (True, True)),
+    (ALICE, (2, 2), ((False, True), (True, True)), (False, True)),
+    (PartyConditions(eta_t=0.9, eta_d=0.7), (2, 2), ALIKE, (True, False)),
+    (PartyConditions(eta_t=0.8, eta_d=0.9), (2, 2), ALIKE, (False, True)),
+    (ALICE, (3, 2), ALIKE, (False, False)),
+], ids=["alike", "swept-apart", "other-detector", "same-detection-product", "other-cutoff"])
+def test_bob_gets_alices_factor_exactly_where_they_agree(bob, cutoffs, sweeps, shared):
+    # The optimal-state steps evaluate a shared factor once (_swept_at).
+    basis = ModeBasis(cutoffs)
+    Xa, Xb, Na, Nb = _swept_observables(basis, ALICE, bob, sweeps, GRID)
+    assert (Xb is Xa, Nb is Na) == shared
+    alike = (a == b for a, b in zip(*sweeps, strict=True))
+    assert tuple(s and a for s, a in zip(_same_factors(basis, ALICE, bob), alike)) == shared
 
 
 #: On the fine grid the maximum over delta may fall by rounding only (the
