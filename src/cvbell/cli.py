@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import math
+import os
 import re
 import sys
 from functools import lru_cache
@@ -266,6 +267,8 @@ def _emit(args, fieldnames, rows, extra=None) -> str:
         target = sidecar_path(path)
         write_sidecar(target, args.command, _echo(args), extra)
     except OSError as exc:
+        if target != path:  # the CSV was written: a failed write leaves neither file
+            os.remove(path)
         raise ValidationError(f"cannot write {target}: {exc.strerror}") from None
     return path
 

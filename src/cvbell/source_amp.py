@@ -4,7 +4,8 @@ Circuit (all beam splitters in the convention of :mod:`cvbell.fock`):
 
 1. A parametric down-conversion source emits the two-mode squeezed state
    ``sqrt(1 - lam^2) sum_n lam^n |n>|n>`` on modes (arm1, arm2); each output
-   passes a coupling loss ``eta_c``.
+   passes a coupling loss ``eta_c``.  Arm 1's loss commutes with step 2,
+   which never touches arm 1, so it is applied after the heralds, before step 3.
 2. An ancilla single photon (ideal, or heralded from a second weak
    down-converter read out by bucket detector D0) is split on a beam
    splitter of transmission ``t``; the transmitted part interferes with
@@ -29,12 +30,13 @@ inputs.  The source sweeps fold those images once into their Hankel sums
 over the squeezing powers, from which they evaluate every (squeezing,
 transmission) point without running the circuit again (:func:`_source_stack`).
 Each stage holds its branches as one ``(B, dim, P)`` stack and acts only on
-its own axes of the stack's mode tensor (:func:`_modes`): a beam splitter on
-its two adjacent modes (:func:`_split`), a loss on one mode
-(:func:`_loss_branches`), the detectors on the herald modes and the D1
-parity plate on the last mode.  All of them are real, so the stacks are
-float64 (a complex input runs complex through the same code) and the output
-plate ``i^n`` acts once, on the summed Gram array (:func:`_output_gram`).
+its own axes of the stack's mode tensor (:func:`_modes`), in order: arm 2's
+loss (:func:`_loss_branches`), the interference splitter (:func:`_split`),
+the detectors, the D1 parity plate on the amplified mode, arm 1's loss and
+the output splitter; the heralds carry one branch per arm 2 Kraus operator.
+All stages are real, so the stacks are float64 (a complex input runs complex
+through the same code) and the output plate ``i^n`` acts once, on the summed
+Gram array (:func:`_output_gram`).
 No operator over the joint basis is built: each splitter is filled only on
 its input columns from the pair amplitudes (:func:`_cached_bs`) and computes
 only the rows that are read, the herald rows an accepted pattern hears and
@@ -47,8 +49,8 @@ its D0-conditioned signal is a photon-number mixture in closed form
 (:func:`_ancilla_distribution`), one branch per (D0 outcome, photon number).
 The circuit runs once per ancilla branch on all input branches and sums the
 outputs' Gram arrays (:func:`_heralded_gram`); the herald distribution needs
-only the reduced states of the two modes that meet on the interference
-splitter (:func:`herald_probabilities`).
+only the photon-number distributions of the two modes that meet on the
+interference splitter, arm 2's in closed form (:func:`herald_probabilities`).
 """
 
 from __future__ import annotations
@@ -290,16 +292,11 @@ def _loss_branches(cutoffs, branches: np.ndarray, mode: int, eta: float) -> np.n
     return out[_norms2(out) > BRANCH_TOL]
 
 
-def _lossy_arms(config: SourceConfig, inputs: np.ndarray, cutoff: int) -> np.ndarray:
-    """Coupling loss on both source arms (``cutoff`` photons each) of a ``(d, P)`` block.
-
-    Returns the branch stack, one block per pair of Kraus operators that
-    :func:`_loss_branches` keeps.
-    """
-    cutoffs, branches = (cutoff, cutoff), inputs[None]
-    for mode in (0, 1):
-        branches = _loss_branches(cutoffs, branches, mode, config.coupling)
-    return branches
+def _binomial_loss(eta: float, cutoff: int) -> np.ndarray:
+    """``B[n, m] = Bin(m; n, eta)``: m of n photons survive a loss of efficiency ``eta``."""
+    counts = range(cutoff + 1)
+    return np.array([[math.comb(n, m) * eta ** m * (1.0 - eta) ** (n - m) if m <= n else 0.0
+                      for m in counts] for n in counts])
 
 
 def _detector_diags(eta: float, cutoff: int):
@@ -324,13 +321,9 @@ def _ancilla_distribution(config: SourceConfig, c_cutoff: int) -> np.ndarray:
     The loss and the bucket detector are diagonal in photon number, so the
     signal of each D0 outcome is the mixture ``sum_m p[o, m] |m><m|``.
     """
-    eta = config.coupling
-    counts = np.arange(c_cutoff + 1)
     pairs = _tmsv_column(config.ancilla_squeezing, c_cutoff)[::c_cutoff + 2, 0] ** 2
-    # binomial[n, m]: m of n photons survive the coupling loss.
-    binomial = np.array([[math.comb(n, m) * eta ** m * (1.0 - eta) ** (n - m) if m <= n else 0.0
-                          for m in counts] for n in counts])
-    missed = (1.0 - eta * config.herald_efficiency) ** counts
+    binomial = _binomial_loss(config.coupling, c_cutoff)
+    missed = (1.0 - config.coupling * config.herald_efficiency) ** np.arange(c_cutoff + 1)
     return np.stack([(pairs * (1.0 - missed)) @ binomial, (pairs * missed) @ binomial])
 
 
@@ -590,8 +583,9 @@ def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
     Returns the photon-capped output basis, the :func:`_gram` array of the
     output branches, ``(d_out, P Q, d_out, P Q)`` with Q columns of the
     ancilla ``photon`` (see :func:`_ancilla_branches`), summed over the
-    ancilla's branches one pass at a time (:func:`_heralded_gram`).  The
-    output splitter computes only the photon-capped rows.  The branches stay
+    ancilla's branches one pass at a time (:func:`_heralded_gram`).  Arm 2's
+    coupling loss acts on the inputs and arm 1's on the heralded branches.
+    The output splitter computes only the photon-capped rows.  The branches stay
     real: the output plate ``ph = i^n`` on the second mode scales the sum
     once by ``ph[x] conj(ph[y])``.
     """
@@ -601,10 +595,13 @@ def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
     capped = shared_basis(full, out_cut)
     cap_idx = _product_index(capped)
 
-    def output_gram(branches):
-        return _gram(_split(branches, (config.cutoff, c_cutoff), 0, 0.5, full, cap_idx))
+    kept = (config.cutoff, c_cutoff)
 
-    arms = _lossy_arms(config, inputs, config.cutoff)
+    def output_gram(branches):
+        branches = _loss_branches(kept, branches, 0, config.coupling)
+        return _gram(_split(branches, kept, 0, 0.5, full, cap_idx))
+
+    arms = _loss_branches((config.cutoff,) * 2, inputs[None], 1, config.coupling)
     gram = _heralded_gram(config, arms, (config.cutoff,) * 2, 1, output_gram, photon)
     # Fixes the documented c00 >= 0, c2 <= 0 sign pattern; every factor is ±1 or ±i.
     ph = np.array([1j ** n for n in range(out_cut + 1)])[capped.occupations[:, 1]]
@@ -623,15 +620,6 @@ def amplified_source(config: SourceConfig) -> HeraldedOutcome:
     return _outcome(*_output_gram(config, inputs), config.herald_pattern)
 
 
-def _reduced(stack: np.ndarray, cutoffs, mode: int) -> np.ndarray:
-    """Reduced density matrix of ``mode``, summed over a stack's blocks and columns.
-
-    ``stack`` is ``(B, D, W)`` over the uncapped basis of ``cutoffs``.
-    """
-    amps = np.moveaxis(_modes(stack, cutoffs), mode + 1, 0).reshape(cutoffs[mode] + 1, -1)
-    return amps @ amps.conj().T
-
-
 def herald_probabilities(config: SourceConfig) -> dict:
     """Joint probability of every detector outcome combination.
 
@@ -640,28 +628,28 @@ def herald_probabilities(config: SourceConfig) -> dict:
     ``(d0_label, pattern)``.  Values sum to one.
 
     D1 and D2 count the photons of the two modes that meet on the 50/50
-    splitter U: the scissor arm, of reduced state rho_1 summed over the
-    lossy input branches, and the ancilla's b mode, of reduced state
-    rho_b summed over the ancilla branches of one D0 outcome.  Their count
-    distribution is the diagonal of ``U (rho_1 (x) rho_b) U^dag``, so no
-    joint state of the whole circuit is built.
+    splitter U.  Both modes' reduced states are diagonal in photon number:
+    the scissor arm's weights are the TMSV's ``c_n^2`` through ``Bin(m; n,
+    eta_c)``, and in each ancilla branch the b mode's photon number fixes
+    the c mode's.  The count distribution of one D0 outcome is then
+    ``|U|^2 (p_1 (x) p_b)``, so no joint state of the whole circuit is built.
     """
     c_cutoff = _ancilla_cutoff(config)
     arms = (config.cutoff,) * 2
     a_mode = 1  # the scissor arm
     small, big, b_mode = _interference_cutoffs(arms, a_mode, c_cutoff)
     U = _cached_bs((big[a_mode], big[b_mode]), 0.5, (small[a_mode], small[b_mode]))
-    inputs = _tmsv_column(config.squeezing, config.cutoff)
-    rho_1 = _reduced(_lossy_arms(config, inputs, config.cutoff), arms, a_mode)
+    pairs = _tmsv_column(config.squeezing, config.cutoff)[::config.cutoff + 2, 0] ** 2
+    p_1 = pairs @ _binomial_loss(config.coupling, config.cutoff)  # arm 2 after its loss
     anc_basis, anc, labels = _ancilla_branches(config, c_cutoff)
 
     with_d0 = config.ancilla_model == "heralded-pdc"
     detectors = _herald_detectors(config.herald_efficiency, big[a_mode], big[b_mode])
     probs: dict = {}
     for d0_label in dict.fromkeys(labels):
-        rho = np.kron(rho_1, _reduced(anc[labels == d0_label], anc_basis.cutoffs, 0))
+        b = _modes(anc[labels == d0_label], anc_basis.cutoffs)
         # Photon-count distribution on the herald modes for this D0 outcome.
-        counts = ((U @ rho) * U.conj()).sum(axis=1).real
+        counts = (U * U) @ np.kron(p_1, np.einsum("kbcw,kbcw->b", b, b))
         counts = counts.reshape(big[a_mode] + 1, big[b_mode] + 1)
         for name, (d1, d2) in detectors.items():
             key = (str(d0_label), name) if with_d0 else name
@@ -858,6 +846,7 @@ def _source_stack(eta_c: float, cutoff: int):
 
         def packed_rows(branches):
             # The heralded branches live on (arm1, amplified mode): (cutoff, 1).
+            branches = _loss_branches((cutoff, 1), branches, 0, eta_c)
             folded = []
             for positions, plate in zip(sectors.positions, plates):
                 out = _split(branches, (cutoff, 1), 0, 0.5, full, cap_idx[positions])
@@ -865,8 +854,8 @@ def _source_stack(eta_c: float, cutoff: int):
                 folded.append(_fold(_gram(out)))
             return np.concatenate(folded, axis=1)
 
-        packed = _heralded_gram(config, _lossy_arms(config, inputs, cutoff), (cutoff, cutoff), 1,
-                                packed_rows, np.eye(2))
+        arms = _loss_branches((cutoff, cutoff), inputs[None], 1, eta_c)
+        packed = _heralded_gram(config, arms, (cutoff, cutoff), 1, packed_rows, np.eye(2))
         identity = np.eye(basis.dimension).ravel()[sectors.entries]
         trace_form = _pair_forms(packed, identity[None])[0]
         for array in (packed, trace_form):

@@ -15,6 +15,7 @@ partial output.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import os
 import tempfile
@@ -48,7 +49,13 @@ def format_value(value) -> str:
 
 def _atomic_write(path: str, writer) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        blocker = os.path.dirname(path)  # the file in the way, not makedirs' "File exists"
+        while blocker and not os.path.lexists(blocker):
+            blocker = os.path.dirname(blocker)
+        raise NotADirectoryError(errno.ENOTDIR, f"{blocker or '.'} is not a directory") from None
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".cvbell-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:

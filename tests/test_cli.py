@@ -194,17 +194,26 @@ def test_out_of_range_flag_is_named(args, flag, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["threshold", "region", "reproduce-all"])
-@pytest.mark.parametrize("target", ["taken", "file/x.csv"], ids=["directory", "under-a-file"])
-def test_unwritable_output_exits_cleanly(command, target, tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("target, reason", [
+    ("taken", "{out}: "),
+    ("file/x.csv", "{out}: {tmp}/file is not a directory"),
+    ("file/sub/x.csv", "{out}: {tmp}/file is not a directory"),
+    ("out.csv", "{tmp}/out.json: "),  # the CSV is written, then its sidecar fails
+], ids=["directory", "under-a-file", "below-a-file", "sidecar-directory"])
+def test_unwritable_output_exits_cleanly(command, target, reason, tmp_path, capsys,
+                                         monkeypatch):
     record_solver(monkeypatch, "critical_efficiency")
     fake_reproduce_all(monkeypatch)
     (tmp_path / "taken").mkdir()
+    (tmp_path / "out.json").mkdir()
     (tmp_path / "file").write_text("")
     out = tmp_path / target
     assert main([command, "--output", str(out)]) == 1
-    assert_one_error_line(capsys.readouterr().err, f"cannot write {out}: ")
+    err = capsys.readouterr().err
+    assert_one_error_line(err, "cannot write " + reason.format(out=out, tmp=tmp_path))
+    assert "File exists" not in err
     # Neither an output nor a .cvbell-* temp file is left.
-    assert sorted(p.name for p in tmp_path.rglob("*")) == ["file", "taken"]
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["file", "out.json", "taken"]
 
 
 class TestThresholdCommand:

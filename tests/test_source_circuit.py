@@ -16,9 +16,13 @@ computes only the herald rows an accepted pattern hears; the full split
 followed by the detectors' drop is its bitwise reference.  The pinned
 outputs guard the wiring of the circuit: which modes each splitter acts on
 and which are heralded.
-The herald distribution, which the circuit takes from the reduced states of
-the two herald modes, is held to the joint stack of every input branch times
-every ancilla branch (:func:`joint_stack_herald_probabilities`).  The
+The circuit applies arm 1's coupling loss after the heralds; its outputs
+are held to the circuit with both arms' loss before them
+(:func:`loss_before_heralds`).
+The herald distribution, which the circuit takes from the photon-number
+distributions of the two herald modes, is held to the joint stack of every
+input branch, both arms' loss applied, times every ancilla branch
+(:func:`joint_stack_herald_probabilities`).  The
 heralded-PDC ancilla's closed-form photon-number distribution is held to the
 dense squeezed vacuum through the loss Kraus operators and the D0 POVM
 (:func:`dense_ancilla_distribution`).
@@ -253,7 +257,7 @@ class TestPinnedDirectCircuit:
 def stack_dtypes(monkeypatch):
     """The dtypes of the stacks that reach the circuit's stages, by stage name."""
     seen = {}
-    for name in ("_split", "_gram", "_reduced", "_detected"):
+    for name in ("_split", "_gram", "_detected"):
         def spy(stack, *args, _stage=getattr(sa, name), _name=name, **kwargs):
             seen.setdefault(_name, set()).add(stack.dtype)
             return _stage(stack, *args, **kwargs)
@@ -270,7 +274,7 @@ REAL_RUNS = {
         {"_split", "_gram", "_detected"}),
     "amplified_source-heralded-pdc": (lambda: sa.amplified_source(PDC),
                                       {"_split", "_gram", "_detected"}),
-    "herald_probabilities": (lambda: sa.herald_probabilities(PDC), {"_split", "_reduced"}),
+    "herald_probabilities": (lambda: sa.herald_probabilities(PDC), {"_split"}),
     "_source_stack": (lambda: sa._source_stack(0.9, 3), {"_split", "_gram", "_detected"}),
 }
 
@@ -287,17 +291,107 @@ def test_circuit_runs_in_real_arithmetic(run, stages, stack_dtypes):
     assert all(dtypes == {np.dtype(np.float64)} for dtypes in stack_dtypes.values())
 
 
-def joint_stack_herald_probabilities(config):
-    """Herald distribution from the full joint stack, the oracle of the reduced-state path.
+def both_arms_lossy(config, inputs):
+    """Both arms' coupling loss on a ``(d, P)`` input block, arm 1 first.
 
-    Every lossy input branch joins every ancilla branch (both D0 outcomes),
-    the whole stack passes the 50/50 interference splitter, and the photon
-    counts on the herald modes are summed per D0 outcome.
+    One block per pair of Kraus operators that ``sa._loss_branches`` keeps.
+    """
+    cutoffs, branches = (config.cutoff,) * 2, inputs[None]
+    for mode in (0, 1):
+        branches = sa._loss_branches(cutoffs, branches, mode, config.coupling)
+    return branches
+
+
+@pytest.fixture
+def loss_before_heralds(monkeypatch):
+    """Run the circuit with both arms' coupling loss in front of the heralds.
+
+    The circuit applies arm 2's loss (mode 1) to its input block and arm 1's
+    (mode 0) to the heralded branches.  Here the first becomes the loss on
+    both arms (:func:`both_arms_lossy`) and the second the identity.  Returns
+    the modes of the patched calls, so a test can check that both were made.
+    """
+    loss, modes = sa._loss_branches, []
+
+    def loss_first(cutoffs, branches, mode, eta):
+        modes.append(mode)
+        if mode == 0:
+            return branches
+        return loss(cutoffs, loss(cutoffs, branches, 0, eta), 1, eta)
+
+    monkeypatch.setattr(sa, "_loss_branches", loss_first)
+    monkeypatch.setattr(sa, "_STACK_CACHE", {})
+    return modes
+
+
+#: The largest entry difference between arm 1's loss after the heralds and
+#: both losses before them, for eta_c in {0.8, 0.9, 0.95} and cutoffs 2 to 6:
+#: the same terms summed in another order (2.2e-16 measured, on entries of at
+#: most 1).
+LOSS_ORDER_TOL = 1e-15
+
+
+def loss_order_runs(eta_c, cutoff):
+    """The outputs that pass the coupling loss, by name, as arrays."""
+    def source(model):
+        out = sa.amplified_source(sa.SourceConfig(
+            squeezing=0.2, amp_transmission=0.3, coupling=eta_c, ancilla_model=model,
+            ancilla_squeezing=0.2, herald_efficiency=0.9, cutoff=cutoff))
+        return np.append(out.state.matrix.ravel(), out.success_probability)
+
+    return {"packed": np.concatenate([a.ravel() for a in sa._source_stack(eta_c, cutoff)[1:]]),
+            "single-photon": source("single-photon"), "heralded-pdc": source("heralded-pdc")}
+
+
+@pytest.mark.parametrize("cutoff", range(2, 7))
+@pytest.mark.parametrize("eta_c", [0.8, 0.9, 0.95, 1.0])
+def test_arm_one_loss_after_the_heralds_equals_the_loss_before_them(eta_c, cutoff, request):
+    """Arm 1 is a spectator of the interference splitter and the detectors.
+
+    Its Kraus operators commute with them, so moving them behind the heralds
+    only reorders the sums; at eta_c = 1 no loss is applied and the outputs
+    are equal bit for bit.
+    """
+    moved = loss_order_runs(eta_c, cutoff)
+    modes = request.getfixturevalue("loss_before_heralds")
+    first = loss_order_runs(eta_c, cutoff)
+    assert set(modes) == {0, 1}  # the patch replaced both losses
+    for name, value in moved.items():
+        assert value.shape == first[name].shape, name
+        if eta_c == 1.0:
+            assert np.array_equal(value, first[name]), name
+        else:
+            assert np.abs(value - first[name]).max() <= LOSS_ORDER_TOL, name
+
+
+@pytest.mark.parametrize("cutoff", range(2, 7))
+@pytest.mark.parametrize("eta_c", [0.8, 0.9, 0.95, 1.0])
+def test_herald_probabilities_keep_the_loss_before_the_heralds(eta_c, cutoff):
+    """Arm 2's closed-form weights against the joint stack with both losses applied.
+
+    The two sum the same terms in another order, so they agree to rounding
+    only, at eta_c = 1 too.
+    """
+    config = sa.SourceConfig(squeezing=0.2, amp_transmission=0.3, coupling=eta_c,
+                             herald_efficiency=0.9, cutoff=cutoff)
+    probs, oracle = sa.herald_probabilities(config), joint_stack_herald_probabilities(config)
+    assert list(probs) == list(oracle)
+    assert all(abs(value - oracle[key]) <= LOSS_ORDER_TOL for key, value in probs.items())
+
+
+def joint_stack_herald_probabilities(config):
+    """Herald distribution from the full joint stack, the oracle of the photon-number path.
+
+    Both arms pass their coupling loss before the heralds
+    (:func:`both_arms_lossy`).  Every lossy input branch joins every ancilla
+    branch (both D0 outcomes), the whole stack passes the 50/50 interference
+    splitter, and the photon counts on the herald modes are summed per D0
+    outcome.
     """
     c = config.cutoff
     c_anc = 1 if config.ancilla_model == "single-photon" else min(3, c)
     anc_basis, anc, labels = sa._ancilla_branches(config, c_anc)
-    inputs = sa._lossy_arms(config, sa._tmsv_column(config.squeezing, config.cutoff), c)
+    inputs = both_arms_lossy(config, sa._tmsv_column(config.squeezing, config.cutoff))
     small, big = (c, c) + anc_basis.cutoffs, (c, c + c_anc, c_anc + c, c_anc)
     (n_in, d, P), (n_anc, d_anc, Q) = inputs.shape, anc.shape
     joint = inputs[:, None, :, None, :, None] * anc[None, :, None, :, None, :]
@@ -428,7 +522,7 @@ def test_heralded_pdc_circuit_stays_small(run):
     """No joint stack of every input branch times every ancilla branch is built.
 
     That stack held 63 MiB (herald probabilities) and 42 MiB (source) at
-    cutoff 5; the streamed circuit peaks near 0.3 and 2.4 MiB.
+    cutoff 5; the streamed circuit peaks near 0.02 and 0.2 MiB.
     """
     config = sa.SourceConfig(squeezing=0.2, amp_transmission=0.3, coupling=0.95,
                              ancilla_model="heralded-pdc", ancilla_squeezing=0.2, cutoff=5)

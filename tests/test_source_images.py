@@ -229,7 +229,8 @@ def test_fresh_stack_stays_small(monkeypatch):
     """The build allocates no Gram array over the whole output.
 
     That array and its complex plated copy held 1.9 and 3.9 MiB at cutoff 6,
-    and the build peaked at 6.2 MiB; the sector path peaks near 2.2 MiB.
+    and the build peaked at 6.2 MiB; the sector path peaks near 1.8 MiB
+    (2.2 MiB while both arms' coupling loss came before the heralds).
     """
     sa._source_stack(0.9, 6)  # fill the splitter, loss and sector caches outside
     monkeypatch.setattr(sa, "_STACK_CACHE", {})
