@@ -197,7 +197,7 @@ def _sweep(target: str, symmetry: str, eta_t: float, eta_d: float, eta_h: float)
     return scenario, base, sweeps
 
 
-def _swept_observables(basis, alice, bob, sweeps, deltas):
+def _swept_observables(basis, alice, bob, sweeps, deltas, f=None):
     """Xa, Xb, Na and Nb as polynomials in a swept efficiency v (:func:`_sweep`).
 
     ``alice`` and ``bob`` hold the efficiencies at v = 1.  A factor that v
@@ -206,9 +206,14 @@ def _swept_observables(basis, alice, bob, sweeps, deltas):
     coefficients of :func:`cvbell.measurement.bernstein_weights` of degree c,
     the mode's trimmed cutoff.  A factor that v does not enter is the
     degree-0 stack ``(1, ...)``.  Bob's factor is Alice's object where the
-    two agree and are swept alike (:func:`_party_factors`).
+    two agree and are swept alike (:func:`_party_factors`).  With a mode
+    filter ``f`` (:func:`cvbell.local_amp._mode_filter`) each factor M is
+    ``f M f`` before the loss: the filter acts on the state after the loss
+    v, as the parties' filters do.
     """
     def expanded(M, cutoff, swept):
+        if f is not None:
+            M = f[:cutoff + 1, None] * M * f[:cutoff + 1]
         return _expand_loss(M, cutoff) if swept else M[None]
 
     return _party_factors(
@@ -590,7 +595,7 @@ def _state_chsh(state, alice: PartyConditions, bob: PartyConditions):
 
 
 def _swept_state_chsh(state, alice: PartyConditions, bob: PartyConditions, sweeps,
-                      deltas) -> np.ndarray:
+                      deltas, f=None) -> np.ndarray:
     """CHSH of a fixed state as a polynomial in a swept efficiency v: ``(D + 1, G)``.
 
     The factors of :func:`_swept_observables` on the fixed state's basis,
@@ -598,11 +603,12 @@ def _swept_state_chsh(state, alice: PartyConditions, bob: PartyConditions, sweep
     contracted with the state pairwise (:func:`_bilinear_coefficients`), so
     ``D`` is the sum of the two modes' degrees and
     ``bernstein_weights(v, D) @ W`` is the CHSH of :func:`_state_chsh` at v
-    on the grid, up to rounding.
+    on the grid, up to rounding.  With a mode filter ``f`` it is the
+    unnormalized ``Tr(rho L_v^dag(F B F))``.
     """
     fixed = _fixed_state(state)
-    Xa, Xb, Na, Nb = (f.reshape(len(f), -1, *f.shape[-2:])
-                      for f in _swept_observables(fixed.basis, alice, bob, sweeps, deltas))
+    Xa, Xb, Na, Nb = (s.reshape(len(s), -1, *s.shape[-2:])
+                      for s in _swept_observables(fixed.basis, alice, bob, sweeps, deltas, f))
     Xa, Na = _common_degree(Xa, Na)
     Xb, Nb = _common_degree(Xb, Nb)
     return _bilinear_coefficients(fixed.Q, _observable_terms(Xa, Xb, Na, Nb))

@@ -262,6 +262,9 @@ def _echo(args: argparse.Namespace) -> dict:
 
 def _emit(args, fieldnames, rows, extra=None) -> str:
     path = target = args.output or f"cvbell-{args.command}.csv"
+    if sidecar_path(path) == path:  # the sidecar would replace the CSV
+        raise ValidationError(f"--output {path} would be overwritten by its sidecar; "
+                              "name the CSV without a .json extension")
     try:
         write_csv(path, fieldnames, rows)
         target = sidecar_path(path)

@@ -31,14 +31,18 @@ from .fock import (
     shared_basis,
 )
 from .bell import (
+    SYMMETRIC,
     VIOLATION_BOUND,
     PartyConditions,
     _bilinear_coefficients,
     _fixed_state,
-    _mode_observables,
     _mode_slopes,
     _packed_kron,
+    _parity_sectors,
     _search_grid,
+    _sweep,
+    _swept_state_chsh,
+    _trimmed_cutoffs,
     bisect_threshold,
 )
 from .measurement import _expand_loss, _through_loss, bernstein_weights, delta_grid
@@ -65,89 +69,71 @@ def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.
     return diag
 
 
-def _filtered_pullback(basis: ModeBasis, gain: float, applications: int, cutoff: int):
-    """Filtered two-mode operators pulled back through a loss on each mode.
+def _mode_filter(basis: ModeBasis, gain: float, applications: int, cutoff: int) -> np.ndarray:
+    """One mode's filter for the per-mode factors on ``basis``, scaled.
 
-    Returns ``pullback(terms)``, which filters the per-mode factors of
-    ``B = sum a (x) b`` once (:func:`_filtered_stacks`) and returns
-    ``at(eta_a, eta_b)``: ``L^dag(F B F)`` and ``L^dag(F^2)``, packed
-    on the photon-parity sectors of the capped two-mode ``basis``
-    (:func:`cvbell.bell._packed_kron`), with ``F`` the filter of ``gain``
-    applied ``applications`` times on each mode and ``L`` the transmission
-    ``eta_a`` on Alice's mode, ``eta_b`` on Bob's.  Filter and loss factor
-    by mode,
-
-        L^dag(F (a (x) b) F) = L_a^dag(f a f) (x) L_b^dag(f b f),
-
-    and capping after the pullback is exact, because loss never raises the
-    photon number.  The filter is checked once, on the two-mode basis at the
-    caller's ``cutoff``: invalid arguments and an overflow there raise the
-    :func:`filter_diagonal` error; then the mode filter is built once
-    (:func:`_mode_filter`).  The source thresholds read their steps here.
+    The filter is checked once, on the two-mode basis at the caller's
+    ``cutoff``: invalid arguments and an overflow there raise the
+    :func:`filter_diagonal` error.  Then one mode's filter is built up to
+    the largest cutoff of ``basis``, shared by both modes and by every step
+    and refine of a solve.  Its entries, from 1 to its largest, M, are
+    scaled by a power of two near ``1/sqrt(M)``, so a product of four
+    entries lies between about ``1/M^2`` and ``M^2``: it neither overflows
+    nor underflows where the two-mode diagonal is finite, and the common
+    factor cancels exactly in every ratio to ``L^dag(F^2)``.
     """
     filter_diagonal(shared_basis((cutoff, cutoff)), gain, applications)
-    f = _mode_filter(gain, applications, max(basis.cutoffs))
-
-    def pullback(terms):
-        modes = _filtered_stacks(terms, f)
-
-        def at(eta_a: float, eta_b: float):
-            (*a, square_a), (*b, square_b) = (
-                np.split(_through_loss(eta, stack, stack.shape[-1] - 1), ends)
-                for (stack, ends), eta in zip(modes, (eta_a, eta_b)))
-            return (_packed_kron(basis, zip(a, b)),
-                    _packed_kron(basis, ((square_a, square_b),))[0])
-
-        return at
-
-    return pullback
-
-
-def _mode_filter(gain: float, applications: int, cutoff: int) -> np.ndarray:
-    """One mode's filter up to ``cutoff`` photons, scaled for :func:`_filtered_stacks`.
-
-    The filter, with entries from 1 to its largest, M, is scaled by a power
-    of two near ``1/sqrt(M)``, so a product of four entries lies between
-    about ``1/M^2`` and ``M^2``: it neither overflows nor underflows where
-    the two-mode diagonal is finite, and the common factor cancels exactly
-    in every ratio to ``L^dag(F^2)``.
-    """
-    f = filter_diagonal(shared_basis((cutoff,)), gain, applications)
+    f = filter_diagonal(shared_basis((max(basis.cutoffs),)), gain, applications)
     return np.ldexp(f, -(np.frexp(f.max())[1] // 2))
 
 
-def _filtered_stacks(terms, f: np.ndarray):
-    """Each mode's factors of ``B = sum a (x) b`` filtered, stacked, with ``f^2`` last.
+def _swept_squares(basis: ModeBasis, f: np.ndarray, sweeps) -> tuple:
+    """``L^dag(f^2)`` on each mode as a polynomial in a swept transmission v.
 
-    Returns one ``(stack, ends)`` per mode: ``f O f`` for each of the mode's
-    factors, raveled to ``(-1, n, n)`` and split back at ``ends``, with ``f``
-    the first n entries of a :func:`_mode_filter`.
+    The filtered solvers' denominators (``Tr(rho L^dag(F^2))`` is the trace
+    of the filtered state): the filtered identity ``f I f`` at each mode's
+    trimmed cutoff, expanded through the loss v as
+    :func:`cvbell.bell._swept_observables` expands the filtered factors
+    where the transmission sweep ``sweeps`` enters the mode, else the
+    degree-0 stack.
     """
-    modes = []
-    for ops in zip(*terms):
-        n = ops[0].shape[-1]
-        stack = np.concatenate([*(op.reshape(-1, n, n) for op in ops), np.eye(n)[None]])
-        modes.append((f[:n, None] * stack * f[:n],
-                      np.cumsum([op.size // (n * n) for op in ops]).tolist()))
-    return modes
+    squares = []
+    for cutoff, swept in zip(_trimmed_cutoffs(basis), sweeps):
+        square = np.diag(f[:cutoff + 1] ** 2)
+        squares.append(_expand_loss(square, cutoff) if any(swept) else square[None])
+    return tuple(squares)
 
 
-def _filtered_slopes(pullback, basis: ModeBasis, party: PartyConditions, etas: tuple,
+def _filtered_slopes(basis: ModeBasis, party: PartyConditions, f: np.ndarray, etas: tuple,
                      rho: np.ndarray):
     """The refine's ``value_and_slope`` of a filtered state (:func:`cvbell.bell._search_grid`).
 
     ``Tr(rho L^dag(F B F))`` and ``Tr(rho L^dag(F dB F))`` over
     ``Tr(rho L^dag(F^2))``, which does not depend on delta, for ``rho``
-    packed on the sectors of ``basis``, the transmissions ``etas`` of the
-    two modes and both parties measuring as ``party``; ``pullback`` is the
-    :func:`_filtered_pullback` of ``basis``.
+    packed on the sectors of ``basis`` (:func:`cvbell.bell._packed_kron`),
+    both parties measuring as ``party``, the mode filter ``f`` of
+    :func:`_mode_filter` and the transmissions ``etas`` of the two modes.
+    Filter and loss factor by mode,
+
+        L^dag(F (a (x) b) F) = L_a^dag(f a f) (x) L_b^dag(f b f),
+
+    so each factor is filtered and goes through its mode's one loss
+    (:func:`cvbell.measurement._through_loss`); capping after the loss is
+    exact, because loss never raises the photon number.
     """
+    def pulled(M, eta):
+        n = M.shape[-1]
+        return _through_loss(eta, f[:n, None] * M * f[:n], n - 1)
+
+    def form(terms):
+        return _packed_kron(basis, ((pulled(a, etas[0]), pulled(b, etas[1]))
+                                    for a, b in terms)) @ rho
+
+    norm = form([tuple(np.eye(c + 1) for c in _trimmed_cutoffs(basis))])
 
     def value_and_slope(deltas):
         values, slopes = _mode_slopes(basis, party, party, deltas)
-        (bells, square), (dbells, _) = pullback(values)(*etas), pullback(slopes)(*etas)
-        norm = square @ rho
-        return (bells @ rho) / norm, (dbells @ rho) / norm
+        return form(values) / norm, form(slopes) / norm
 
     return value_and_slope
 
@@ -195,7 +181,7 @@ def apply_filters(rho: DensityOperator, gain: float, applications: int = 1) -> D
     m applications equal a single diagonal filter with entries
     ``((g - 1) n + 1)^m``; the success probability is absorbed into the
     renormalization (filtering is part of state preparation).  The forward
-    reference that the pulled-back forms of the solvers are tested against.
+    reference that the filtered forms of the solvers are tested against.
     """
     basis = rho.basis
     if basis.mode_count != 2:
@@ -219,60 +205,32 @@ def filtered_state(
     return apply_filters(lossy_psi2(eta_t * eta_c, cutoff), gain, applications)
 
 
-def _psi2_forms(gain: float, applications: int):
-    """``Tr(psi2 L^dag(F B F))`` and ``Tr(psi2 L^dag(F^2))`` as polynomials in the loss.
-
-    Returns ``forms(*term_sets)``: for each set of terms of a
-    ``B = sum a (x) b``, per-mode stacks at cutoff 2, where psi2 lives, one
-    numerator ``(D + 1, G)``, and then the denominator ``(D + 1, 1)``, in
-    :func:`cvbell.measurement.bernstein_weights` of degree ``D = 4``, psi2's
-    two photons on each of the two modes.  The mode filter is built once
-    (:func:`_mode_filter`); the factors of all the sets are filtered together
-    (:func:`_filtered_stacks`), expanded once through the loss eta on each
-    mode (:func:`cvbell.measurement._expand_loss`) and contracted with psi2
-    (:func:`cvbell.bell._bilinear_coefficients`).
-    """
-    Q, f = _fixed_state(psi2_state()).Q, _mode_filter(gain, applications, 2)
-
-    def forms(*term_sets):
-        (*a, square_a), (*b, square_b) = (
-            np.split(_expand_loss(stack, stack.shape[-1] - 1), ends, axis=1)
-            for stack, ends in _filtered_stacks(
-                [pair for terms in term_sets for pair in terms], f))
-        pairs = iter(zip(a, b))
-        return (*(_bilinear_coefficients(Q, [next(pairs) for _ in terms]) for terms in term_sets),
-                _bilinear_coefficients(Q, [(square_a, square_b)]))
-
-    return forms
-
-
 def _psi2_search(gain: float, applications: int, eta_d: float, eta_c: float, cutoff: int):
     """The delta search of the filtered psi2 at a transmission: ``search(eta_t, stop_above)``.
 
     The 241-point grid reads ``Tr(psi2 L^dag(F B F)) / Tr(psi2 L^dag(F^2))``
-    through the loss ``eta_t * eta_c``, one evaluation of the two
-    polynomials of :func:`_psi2_forms`, which are built once, after the
-    filter check at ``cutoff`` (:func:`filter_diagonal`).  The refine, when
-    it runs, reads the value and the delta-slope from the forms of B and dB,
-    expanded together, at the step's loss and over the grid's denominator.
-    The measurements carry only the detector efficiencies.  psi2 holds two
-    photons in a mode, so a per-mode cutoff below 2 is rejected.
+    through the loss ``eta_t * eta_c``: one evaluation of the filtered CHSH
+    polynomial (:func:`cvbell.bell._swept_state_chsh`) and of the squares'
+    (:func:`_swept_squares`), both built once, on the cutoff-2 factors where
+    psi2 lives, after the filter check at ``cutoff`` (:func:`_mode_filter`).
+    The refine, when it runs, reads :func:`_filtered_slopes` at the step's
+    loss.  The measurements carry only the detector efficiencies.  psi2
+    holds two photons in a mode, so a per-mode cutoff below 2 is rejected.
     """
-    filter_diagonal(psi2_state(cutoff).basis, gain, applications)
-    basis, party = shared_basis((2, 2)), PartyConditions(eta_d=eta_d)
-    forms = _psi2_forms(gain, applications)
+    psi2 = _fixed_state(psi2_state(cutoff))
+    basis = psi2.basis
+    f = _mode_filter(basis, gain, applications, cutoff)
+    _, base, sweeps = _sweep("eta_t", SYMMETRIC, 1.0, eta_d, 1.0)
     grid = delta_grid(241)
-    bells, square = forms(_mode_observables(basis, party, party, grid))
+    bells = _swept_state_chsh(psi2, base.alice, base.bob, sweeps, grid, f)
+    square = _bilinear_coefficients(psi2.Q, [_swept_squares(basis, f, sweeps)])
+    rho = psi2_state().to_density().matrix.real.ravel()[_parity_sectors(basis).entries]
 
     def search(eta_t: float, stop_above: float | None = None):
-        w = bernstein_weights(eta_t * eta_c, len(bells) - 1)
-        norm = w @ square
-
-        def value_and_slope(deltas):
-            values, slopes, _ = forms(*_mode_slopes(basis, party, party, deltas))
-            return (w @ values) / norm, (w @ slopes) / norm
-
-        return _search_grid(grid, (w @ bells) / norm, lambda: value_and_slope,
+        eta = eta_t * eta_c
+        w = bernstein_weights(eta, len(bells) - 1)
+        return _search_grid(grid, (w @ bells) / (w @ square),
+                            lambda: _filtered_slopes(basis, base.alice, f, (eta, eta), rho),
                             stop_above=stop_above)
 
     return search

@@ -71,20 +71,23 @@ from .fock import (
     loss_kraus,
     shared_basis,
 )
-from .measurement import delta_grid, photodetection_povm
+from .measurement import bernstein_weights, delta_grid, photodetection_povm
 from .bell import (
     VIOLATION_BOUND,
     PartyConditions,
     _mode_observables,
+    _observable_terms,
     _packed_kron,
     _parity_sectors,
-    _scenario_for,
     _search_grid,
+    _sweep,
+    _swept_at,
+    _swept_observables,
     bisect_threshold,
     golden_section_max,
     optimize_delta,
 )
-from .local_amp import _filtered_pullback, _filtered_slopes
+from .local_amp import _filtered_slopes, _mode_filter, _swept_squares
 
 #: Branches with squared norm below this are dropped.  The cut is absolute
 #: (the circuit's input is normalized), although outputs are renormalized by
@@ -824,9 +827,11 @@ def _source_stack(eta_c: float, cutoff: int):
     side = _gram_side(cutoff)
     if side > MAX_GRAM_SIDE:
         largest = max(c for c in range(cutoff) if _gram_side(c) <= MAX_GRAM_SIDE)
+        size = _gram_bytes(cutoff)
+        size = f"{size / 2**30:.1f} GiB" if size >= 2**30 else f"{size / 2**20:.1f} MiB"
         raise ValueError(
             f"source cutoff {cutoff} has {side} (output state, basis input) pairs, whose "
-            f"parity-sector Gram arrays need {_gram_bytes(cutoff) / 2**30:.1f} GiB; the "
+            f"parity-sector Gram arrays need {size}; the "
             f"largest source cutoff is {largest} (MAX_GRAM_SIDE = {MAX_GRAM_SIDE})"
         )
 
@@ -1038,37 +1043,52 @@ def max_source_chsh(
     return SourceOptimum(value, lam, t, delta)
 
 
+def _filtered_at(basis: ModeBasis, factors, squares, value: float) -> np.ndarray:
+    """``L^dag(F B F)`` on the delta grid and then ``L^dag(F^2)``, packed, at a transmission.
+
+    ``factors`` are the filtered :func:`cvbell.bell._swept_observables` and
+    ``squares`` the :func:`cvbell.local_amp._swept_squares` of the capped
+    output ``basis``, both read at the swept transmission ``value``
+    (:func:`cvbell.bell._swept_at`) and gathered on the photon-parity sector
+    entries (:func:`cvbell.bell._packed_kron`): ``(G + 1, sum n^2)``.
+    """
+    squares = tuple(np.tensordot(bernstein_weights(value, len(s) - 1), s, 1) for s in squares)
+    return np.concatenate([_packed_kron(basis, _observable_terms(*_swept_at(factors, value))),
+                           _packed_kron(basis, (squares,))[None]])
+
+
 def _source_threshold(gain: float, applications: int, symmetry: str, eta_d: float,
                       eta_c: float, cutoff: int, tol: float, lam_grid, t_grid) -> float | None:
     """Critical transmission of the source output: the step of both source thresholds.
 
     The output suffers the transmission loss explicitly, on the modes that
-    ``symmetry`` puts it on (:func:`cvbell.bell._scenario_for`), is filtered
-    on both modes (at gain 1 the filter is the identity) and is measured
-    with detector efficiency ``eta_d``.  ``Tr(F L(rho) F B) =
-    Tr(rho L^dag(F B F))``, and likewise for ``F^2``, the trace of the
-    filtered state: each step pulls the filtered stacks back through its
-    loss onto the photon-parity sector entries of the capped output basis
-    (:func:`cvbell.local_amp._filtered_pullback`), the only entries the
-    forms read (:func:`_pair_forms`).  The forms give CHSH on the whole
-    (delta, lam, t) grid, and the delta grid at the best (lam, t) is the
-    chosen output's.  A step whose grid already violates is decided there
-    (``stop_above`` of :func:`cvbell.bell._search_grid`); a refine reads its
-    slopes from the same forms, contracted with the chosen output
+    ``symmetry`` puts it on (:func:`cvbell.bell._sweep`), is filtered on both
+    modes (at gain 1 the filter is the identity) and is measured with
+    detector efficiency ``eta_d``.  ``Tr(F L(rho) F B) = Tr(rho L^dag(F B
+    F))``, and likewise for ``F^2``, the trace of the filtered state.  The
+    filtered factors and squares are expanded through the loss once per
+    solve (:func:`cvbell.bell._swept_observables`,
+    :func:`cvbell.local_amp._swept_squares`), after the filter check at
+    ``cutoff`` (:func:`cvbell.local_amp._mode_filter`); each step reads them
+    at its transmission onto the photon-parity sector entries of the capped
+    output basis (:func:`_filtered_at`), the only entries the forms read
+    (:func:`_pair_forms`).  The forms give CHSH on the whole (delta, lam, t)
+    grid, and the delta grid at the best (lam, t) is the chosen output's.  A
+    step whose grid already violates is decided there (``stop_above`` of
+    :func:`cvbell.bell._search_grid`); a refine reads its slopes at the
+    step's loss, contracted with the chosen output
     (:func:`cvbell.local_amp._filtered_slopes`), which is built only then.
     """
     lam_grid, t_grid = _sweep_grid(lam_grid, "lam_grid"), _sweep_grid(t_grid, "t_grid")
     basis, packed, _ = _source_stack(eta_c, cutoff)
-    party = PartyConditions(eta_d=eta_d)
+    f = _mode_filter(basis, gain, applications, cutoff)
+    scenario, base, sweeps = _sweep("eta_t", symmetry, 1.0, eta_d, 1.0)
     deltas = delta_grid(61)
-    pullback = _filtered_pullback(basis, gain, applications, cutoff)
-    grid_forms = pullback(_mode_observables(basis, party, party, deltas))
+    factors = _swept_observables(basis, base.alice, base.bob, sweeps, deltas, f)
+    squares = _swept_squares(basis, f, sweeps)
 
     def max_chsh(eta_t):
-        scenario = _scenario_for(symmetry, eta_t=eta_t, eta_d=eta_d, eta_h=1.0)
-        etas = scenario.alice.eta_t, scenario.bob.eta_t
-        bells, trace = grid_forms(*etas)
-        hankels = _pair_forms(packed, np.concatenate([bells, trace[None]]))
+        hankels = _pair_forms(packed, _filtered_at(basis, factors, squares, eta_t))
         values = _grid_chsh(hankels[:-1], hankels[-1], lam_grid, t_grid)
         _, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
 
@@ -1076,7 +1096,8 @@ def _source_threshold(gain: float, applications: int, symmetry: str, eta_d: floa
             # The packed, unnormalized output at (lam, t): raveled transposes,
             # which the symmetric forms read as they are.
             rho = _image_weights(lam_grid[i], t_grid[j], len(packed) // 4 - 1) @ packed
-            return _filtered_slopes(pullback, basis, party, etas, rho)
+            scen = scenario(eta_t)
+            return _filtered_slopes(basis, base.alice, f, (scen.alice.eta_t, scen.bob.eta_t), rho)
 
         return _search_grid(deltas, values[:, i, j], slope_objective, tol=1e-5,
                             stop_above=VIOLATION_BOUND).value

@@ -216,6 +216,16 @@ def test_unwritable_output_exits_cleanly(command, target, reason, tmp_path, caps
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["file", "out.json", "taken"]
 
 
+@pytest.mark.parametrize("name", ["x.json", "sub/x.json"])
+def test_an_output_that_is_its_own_sidecar_is_refused(name, tmp_path, capsys, monkeypatch):
+    record_solver(monkeypatch, "critical_efficiency")
+    out = tmp_path / name
+    assert main(["threshold", "--eta-d", "0.9", "--output", str(out)]) == 1
+    assert_one_error_line(capsys.readouterr().err,
+                          f"--output {out} would be overwritten by its sidecar")
+    assert list(tmp_path.rglob("*")) == []  # nothing written, not even a directory
+
+
 class TestThresholdCommand:
     def test_symmetric_transmission_threshold(self, tmp_path):
         code, out = run_cli(["threshold", "--symmetric", "--eta-d", "1"], tmp_path)

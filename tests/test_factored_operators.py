@@ -3,25 +3,26 @@
 ``bell._packed_kron`` gathers the entries of ``sum a (x) b`` in the
 photon-parity sectors of a capped basis, and ``bell._projected_kron`` builds
 the whole matrix densely; ``np.kron`` followed by the capped-index
-projection is the reference for both, entry for entry.  The
-filtered solvers pull their
-filtered Bell operators and ``F^2`` back through the transmission loss one
-mode at a time (``local_amp._filtered_pullback``); the two-mode Kraus
-operators of ``fock.embed_single_mode`` and ``fock.loss_kraus`` are the
-reference.
+projection is the reference for both, entry for entry.  The filtered-source
+threshold expands its filtered factors and ``F^2`` through the transmission
+loss one mode at a time (``bell._swept_observables``,
+``local_amp._swept_squares``) and reads them at a step's transmission
+(``source_amp._filtered_at``); the two-mode Kraus operators of
+``fock.embed_single_mode`` and ``fock.loss_kraus`` are the reference.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvbell.local_amp as la
 import cvbell.source_amp as sa
 from cvbell.bell import (
     PartyConditions,
-    _mode_observables,
     _parity_sectors,
     _packed_kron,
     _projected_kron,
+    _swept_observables,
     _trimmed_cutoffs,
     bell_matrices,
 )
@@ -101,7 +102,7 @@ def assert_relatively_close(got, expected, rtol=1e-12):
 def filter_scale(got, expected):
     """The power of two nearest ``got / expected`` at the largest entry of ``expected``.
 
-    The pullback scales each mode's filter by a power of two, so its
+    The solvers scale each mode's filter by a power of two, so its
     operators are the unscaled ones times one such common factor.
     """
     k = np.argmax(np.abs(expected))
@@ -127,8 +128,11 @@ def test_per_mode_loss_matches_embedded_kraus(eta, gain, applications, cutoff, e
     kraus = embedded_loss(basis, eta)
     F = filter_diagonal(basis, gain, applications)
 
-    terms = _mode_observables(basis, alice, bob, deltas)
-    bells, trace = sa._filtered_pullback(basis, gain, applications, cutoff)(terms)(eta, eta)
+    f = la._mode_filter(basis, gain, applications, cutoff)
+    swept = ((True, True),) * 2
+    factors = _swept_observables(basis, alice, bob, swept, deltas, f)
+    ops = sa._filtered_at(basis, factors, la._swept_squares(basis, f, swept), eta)
+    bells, trace = ops[:-1], ops[-1]
     filtered = F[:, None] * bell_matrices(basis, alice, bob, deltas) * F
     square = sector_entries(basis, through_embedded(np.diag(F * F), kraus)[None])[0]
     scale = filter_scale(trace, square)

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cvbell.local_amp as la
+import cvbell.measurement as measurement
 import cvbell.reproduce
 import cvbell.source_amp as sa
 from cvbell.bell import (
     PartyConditions,
-    _mode_slopes,
     _parity_sectors,
     _state_chsh,
     optimize_delta,
@@ -29,7 +29,7 @@ from cvbell.local_amp import (
     lossy_psi2,
     psi2_state,
 )
-from cvbell.measurement import DELTA_MAX, bernstein_weights
+from cvbell.measurement import DELTA_MAX
 from cvbell.source_amp import amplified_source_threshold_with_filters
 
 
@@ -187,9 +187,9 @@ class TestApplyFilters:
                 one_mode()
         else:
             assert np.isfinite(one_mode()).all()
-        # The pullback checks the two-mode diagonal at the caller's cutoff.
+        # The solvers' mode filter checks the two-mode diagonal at the caller's cutoff.
         with pytest.raises(ValueError, match=message + ".* at cutoff 2$"):
-            la._filtered_pullback(shared_basis((2, 2), 2), gain, applications, cutoff=2)
+            la._mode_filter(shared_basis((2, 2), 2), gain, applications, 2)
 
     def test_positivity_preserved(self):
         rho = apply_filters(lossy_psi2(0.4), 3.0, 2)
@@ -365,19 +365,14 @@ class TestPulledBackForms:
            gain=st.floats(min_value=1.0, max_value=4.0), eta_t=st.floats(0.0, 1.0),
            eta_c=below_one, eta_d=below_one, deltas=delta_arrays)
     def test_local_psi2(self, cutoff, applications, gain, eta_t, eta_c, eta_d, deltas):
-        basis = shared_basis((cutoff, cutoff), 2)
         party = PartyConditions(eta_d=eta_d)
-        pullback = la._filtered_pullback(basis, gain, applications, cutoff)
-        pulled = la._filtered_slopes(pullback, basis, party, (eta_t * eta_c,) * 2,
-                                     packed_psi2(basis))(deltas)
-        # The psi2 refine's value and slope: the forms of B and dB at the loss.
-        forms = la._psi2_forms(gain, applications)
-        bells, dbells, square = forms(*_mode_slopes(shared_basis((2, 2)), party, party, deltas))
-        w = bernstein_weights(eta_t * eta_c, len(bells) - 1)
-        refine = (w @ bells) / (w @ square), (w @ dbells) / (w @ square)
         rho = filtered_state(eta_t, gain, applications, eta_c, cutoff)
         reference = _state_chsh(rho, party, party)[1](deltas)
-        for found in (pulled, refine):
+        # The capped basis at the caller's cutoff, and the psi2 refine's own (2, 2).
+        for basis in (shared_basis((cutoff, cutoff), 2), shared_basis((2, 2))):
+            f = la._mode_filter(basis, gain, applications, cutoff)
+            found = la._filtered_slopes(basis, party, f, (eta_t * eta_c,) * 2,
+                                        packed_psi2(basis))(deltas)
             assert_close_to_reference(found, reference)
 
     @settings(max_examples=30, deadline=None)
@@ -389,27 +384,35 @@ class TestPulledBackForms:
                              deltas):
         basis, packed, _ = sa._source_stack(eta_c, cutoff)
         party = PartyConditions(eta_d=eta_d)
-        pullback = la._filtered_pullback(basis, gain, applications, cutoff)
+        f = la._mode_filter(basis, gain, applications, cutoff)
         rho = sa._image_weights(lam, t, len(packed) // 4 - 1) @ packed
-        found = la._filtered_slopes(pullback, basis, party, (eta, eta), rho)(deltas)
+        found = la._filtered_slopes(basis, party, f, (eta, eta), rho)(deltas)
         state = sa._image_state(basis, packed, lam, t)
         for mode in (0, 1):
             state = apply_channel(state, LossChannel(eta), mode)
         state = apply_filters(state, gain, applications)
         assert_close_to_reference(found, _state_chsh(state, party, party)[1](deltas))
 
-    def test_psi2_solvers_read_no_pullback(self, monkeypatch):
-        # Grid and refine of the filtered psi2 read its forms; only the
-        # filtered-source threshold pulls stacks back through a loss.
-        def pulled(*args, **kwargs):
-            raise AssertionError("a psi2 solver pulled stacks back")
+    def test_psi2_grid_steps_read_only_the_expansion(self, monkeypatch):
+        # After the set-up a grid step applies no loss; only the refine, when
+        # it runs, pulls the factors back through the step's loss.
+        search = la._psi2_search(2.0, 2, 0.8, 1.0, 2)
 
-        for name in ("_filtered_pullback", "_filtered_slopes"):
-            monkeypatch.setattr(la, name, pulled)
-        assert filtered_critical_transmission(2.0) is not None
-        search = la._psi2_search(2.0, 2, 0.8, 1.0, 2)(0.8)
-        assert search.evaluations > 0  # the refine ran
-        assert filtered_chsh(0.8, 2.0, 2, eta_d=0.8) == (search.delta, search.value)
+        def pulled(*args, **kwargs):
+            raise AssertionError("a psi2 grid step applied a loss")
+
+        with monkeypatch.context() as patch:
+            for module, name in ((measurement, "_loss_channel"), (measurement, "_through_loss"),
+                                 (la, "_through_loss"), (la, "_filtered_slopes")):
+                patch.setattr(module, name, pulled)
+            for eta_t in (0.6, 0.8, 1.0):
+                assert not search(eta_t, -math.inf).refined
+        etas, slopes = [], la._filtered_slopes
+        monkeypatch.setattr(la, "_filtered_slopes",
+                            lambda *args: etas.append(args[3]) or slopes(*args))
+        refined = search(0.8)
+        assert refined.evaluations > 0 and etas == [(0.8, 0.8)]
+        assert filtered_chsh(0.8, 2.0, 2, eta_d=0.8) == (refined.delta, refined.value)
 
     @pytest.mark.parametrize("solve", [
         lambda: filtered_chsh(0.8, 2.0, 2, eta_d=0.8),  # with a refine
@@ -433,9 +436,9 @@ class TestPulledBackForms:
 
     def test_source_refines_build_no_filter(self, monkeypatch):
         basis, packed, _ = sa._source_stack(0.9, 4)
-        pullback = la._filtered_pullback(basis, 2.0, 2, 4)
+        f = la._mode_filter(basis, 2.0, 2, 4)
         rho = sa._image_weights(0.1, 0.01, len(packed) // 4 - 1) @ packed
-        slopes = la._filtered_slopes(pullback, basis, PartyConditions(eta_d=0.9), (0.8, 0.7), rho)
+        slopes = la._filtered_slopes(basis, PartyConditions(eta_d=0.9), f, (0.8, 0.7), rho)
         monkeypatch.setattr(la, "filter_diagonal", None)  # any call would fail
         for delta in (0.5, 0.6, 0.7):
             slopes(np.array([delta]))

@@ -3,16 +3,18 @@
 ``measurement._loss_coefficients`` writes the adjoint loss as a polynomial in
 the transmission, ``sum_i eta^i (1 - eta)^(c - i) E_i``.  The threshold
 solves expand every per-mode factor that their swept efficiency enters once
-(``bell._swept_observables``) and read each step from the expansion: a fixed
-state's grid is one polynomial (``bell._swept_state_chsh``), the filtered
-psi2's the ratio of two (``local_amp._psi2_forms``), and the optimal-state
-steps evaluate the factors from their coefficients (``bell._swept_at``).
-A one-value read is the same expansion at one point: the channel matrix
-(``measurement._loss_channel``) is the coefficients contracted with the
-weights of its transmission.  The references are the extended-precision
-Kraus sum, the per-value loss ``_through_loss``, the one-value paths
-``_state_chsh`` and ``_mode_observables``, and the per-value pullback of
-the filtered-source solver, ``_filtered_pullback``.
+(``bell._swept_observables``, which also takes the parties' mode filter)
+and read each step from the expansion: a fixed state's grid is one
+polynomial (``bell._swept_state_chsh``), the filtered psi2's the ratio of
+that polynomial to the squares' (``local_amp._swept_squares``), and the
+optimal-state and source steps evaluate the factors from their
+coefficients (``bell._swept_at``).  A one-value read is the same expansion
+at one point: the channel matrix (``measurement._loss_channel``) is the
+coefficients contracted with the weights of its transmission.  The
+references are the extended-precision Kraus sum, the per-value loss
+``_through_loss``, the one-value paths ``_state_chsh`` and
+``_mode_observables``, and the filtered psi2 sent forward
+(``local_amp.filtered_state``).
 The expansion also makes the monotonicity that bisection assumes cheap to
 check on a fine grid of efficiencies.
 """
@@ -23,13 +25,13 @@ import pytest
 import cvbell.bell as bell
 import cvbell.local_amp as la
 import cvbell.measurement as measurement
+import cvbell.source_amp as sa
 from cvbell.bell import (
     ASYMMETRIC,
     SYMMETRIC,
     PartyConditions,
     _mode_observables,
     _observable_terms,
-    _parity_sectors,
     _same_factors,
     _state_chsh,
     _sweep,
@@ -40,7 +42,7 @@ from cvbell.bell import (
     optimize_delta,
 )
 from cvbell.fock import DensityOperator, ModeBasis, loss_kraus, shared_basis
-from cvbell.local_amp import filtered_critical_transmission, psi2_state
+from cvbell.local_amp import filtered_critical_transmission, filtered_state, psi2_state
 from cvbell.measurement import (
     _expand_loss,
     _loss_channel,
@@ -152,41 +154,33 @@ def test_fixed_state_grids_match_the_one_value_path(cutoff, target, symmetry):
                      _state_chsh(state, scen.alice, scen.bob)[0](GRID))
 
 
-def packed_psi2(basis):
-    """psi2 = (|20> + |02>)/sqrt(2) on the photon-parity sector entries of ``basis``."""
-    v = np.zeros(basis.dimension)
-    v[[basis.index_of((2, 0)), basis.index_of((0, 2))]] = np.sqrt(0.5)
-    return np.outer(v, v).ravel()[_parity_sectors(basis).entries]
-
-
-def psi2_grid_forms(gain, applications, eta_d):
-    """The filtered psi2's numerator and denominator forms on the delta grid."""
-    party = PartyConditions(eta_d=eta_d)
-    terms = _mode_observables(shared_basis((2, 2)), party, party, GRID)
-    return la._psi2_forms(gain, applications)(terms)
+def psi2_grids(monkeypatch, gain, applications, eta_d, etas):
+    """The filtered psi2's delta grid at each transmission, as its search reads it."""
+    search = la._psi2_search(gain, applications, eta_d, 1.0, 2)
+    grids = []
+    with monkeypatch.context() as patch:
+        patch.setattr(la, "_search_grid", lambda grid, values, *args, **kwargs:
+                      grids.append(values))
+        for eta in etas:
+            search(eta)
+    return np.array(grids)
 
 
 @pytest.mark.parametrize("gain, applications", [
     *((g, m) for g in (1.0, 1.5, 2.0, 3.0) for m in (1, 2, 3, 4)), (1e100, 1)])
 @pytest.mark.parametrize("eta_d", [1.0, 0.9])
-def test_filtered_forms_match_the_pullback(gain, applications, eta_d):
-    bells, square = psi2_grid_forms(gain, applications, eta_d)
-    assert bells.shape == (5, len(GRID)) and square.shape == (5, 1)
-    basis = shared_basis((2, 2), 2)
+def test_filtered_grids_match_the_forward_state(monkeypatch, gain, applications, eta_d):
     party = PartyConditions(eta_d=eta_d)
-    at = la._filtered_pullback(basis, gain, applications, 2)(
-        _mode_observables(basis, party, party, GRID))
-    psi2 = packed_psi2(basis)
-    for eta in STEPS:
-        w = bernstein_weights(eta, 4)
-        pulled_bells, pulled_square = at(eta, eta)
-        assert_close(w @ bells, pulled_bells @ psi2)
-        assert_close(w @ square, pulled_square @ psi2)
-        assert_close((w @ bells) / (w @ square), (pulled_bells @ psi2) / (pulled_square @ psi2))
+    grids = psi2_grids(monkeypatch, gain, applications, eta_d, STEPS)
+    for eta, grid in zip(STEPS, grids, strict=True):
+        state = filtered_state(eta, gain, applications)
+        reference = _state_chsh(state, party, party)[0](GRID)
+        assert np.abs(grid - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 def test_an_overflowing_filter_is_named_before_any_expansion(monkeypatch):
-    monkeypatch.setattr(la, "_psi2_forms", None)
+    for module in (bell, la):
+        monkeypatch.setattr(module, "_expand_loss", None)
     with pytest.raises(ValueError, match="overflows the float range at cutoff 6"):
         la._psi2_search(1e100, 2, 1.0, 1.0, 6)
 
@@ -249,10 +243,8 @@ def test_fixed_psi2_grid_maximum_never_falls(target, symmetry, other):
 @pytest.mark.parametrize("gain", [1.0, 1.5, 2.0, 2.5, 3.0])
 @pytest.mark.parametrize("applications", [1, 2, 3, 4])
 @pytest.mark.parametrize("eta_d", [1.0, 0.9])
-def test_filtered_psi2_grid_maximum_never_falls(gain, applications, eta_d):
-    bells, square = psi2_grid_forms(gain, applications, eta_d)
-    w = bernstein_weights(ETA_GRID, len(bells) - 1)
-    maxima = ((w @ bells) / (w @ square)).max(axis=1)
+def test_filtered_psi2_grid_maximum_never_falls(monkeypatch, gain, applications, eta_d):
+    maxima = psi2_grids(monkeypatch, gain, applications, eta_d, ETA_GRID).max(axis=1)
     assert np.diff(maxima).min() >= -FALL
     assert maxima[-1] > maxima[0]
 
@@ -261,7 +253,11 @@ def test_filtered_psi2_grid_maximum_never_falls(gain, applications, eta_d):
     lambda: critical_efficiency("eta_t", state=psi2_state()),
     lambda: critical_efficiency("eta_d", state=psi2_state()),
     lambda: filtered_critical_transmission(2.0),
-], ids=["psi2-eta-t", "psi2-eta-d", "filtered"])
+    lambda: sa.source_critical_transmission(),
+    lambda: sa.source_critical_transmission(eta_c=0.9, symmetry=ASYMMETRIC),
+    lambda: sa.amplified_source_threshold_with_filters(2.0),
+], ids=["psi2-eta-t", "psi2-eta-d", "filtered", "source", "source-asymmetric",
+        "filtered-source"])
 def test_threshold_steps_build_no_loss_channel(monkeypatch, solve):
     # After the set-up, every step reads the expansion: no channel is built
     # and no stack goes through a loss.
@@ -277,7 +273,7 @@ def test_threshold_steps_build_no_loss_channel(monkeypatch, solve):
                          (la, "_through_loss")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     during = []
-    for module in (bell, la):
+    for module in (bell, la, sa):
         def bisect(max_chsh, original=module.bisect_threshold, **kwargs):
             start = len(calls)
             result = original(max_chsh, **kwargs)

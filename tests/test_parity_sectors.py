@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import cvbell.bell as bell
+import cvbell.local_amp as la
 import cvbell.source_amp as sa
 from cvbell.bell import (
     BellScenario,
@@ -27,6 +28,7 @@ from cvbell.bell import (
     _sector_blocks,
     _sector_layout,
     _swap_layout,
+    _swept_observables,
     _top_eigenvalue,
     _top_pairs,
     _top_values,
@@ -135,6 +137,10 @@ def assert_source_forms_match(cutoff, ops, packed_ops):
     assert np.abs(found - dense).max() <= 1e-13 * scale
 
 
+#: A transmission loss on both modes, as the filtered-source threshold sweeps it.
+SWEPT = ((True, True), (True, True))
+
+
 # Caps 4 and 7 are the source's output bases at cutoffs 3 and 6.
 @pytest.mark.parametrize("cap", [2, 3, 4, 5, 6, 7])
 def test_bell_matrices_vanish_between_sectors(cap):
@@ -165,19 +171,20 @@ def test_bell_matrices_vanish_between_sectors(cap):
     for gain in (1.0, 2.0, 3.0):
         for applications in (1, 2, 3):
             F = filter_diagonal(basis, gain, applications)
-            pullback = sa._filtered_pullback(basis, gain, applications, cutoff)(terms)
+            f = la._mode_filter(basis, gain, applications, cutoff)
+            factors = _swept_observables(basis, alice, bob, SWEPT, deltas, f)
+            squares = la._swept_squares(basis, f, SWEPT)
             for eta in (0.3, 0.62, 1.0):
                 ops = embedded_adjoint_loss(
                     basis, np.concatenate([F[:, None] * full * F, np.diag(F * F)[None]]), eta
                 )
                 assert np.all(ops[:, between] == 0.0)
-                bells, square = pullback(eta, eta)
-                # One common power of two: the pullback's filter scale.
+                forms = sa._filtered_at(basis, factors, squares, eta)
+                # One common power of two: the mode filter's scale.
                 k = np.argmax(np.abs(ops[-1]))
                 scale = 2.0 ** np.round(np.log2(
-                    square[_parity_sectors(basis).entries == k][0] / ops[-1].flat[k]))
-                assert_source_forms_match(cutoff, scale * ops,
-                                          np.concatenate([bells, square[None]]))
+                    forms[-1][_parity_sectors(basis).entries == k][0] / ops[-1].flat[k]))
+                assert_source_forms_match(cutoff, scale * ops, forms)
 
 
 def test_sectors_partition_the_basis_in_order():

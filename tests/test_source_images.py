@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cvbell.local_amp as la
 import cvbell.source_amp as sa
 from cvbell.bell import (
     BellScenario,
@@ -31,6 +32,7 @@ from cvbell.bell import (
     _parity_sectors,
     _mode_observables,
     _packed_kron,
+    _swept_observables,
     bell_matrices,
     chsh_value,
 )
@@ -211,6 +213,9 @@ def test_a_cutoff_beyond_the_gram_limit_is_rejected_before_the_circuit(monkeypat
     with pytest.raises(ValueError, match=r"source cutoff 40 has 74046 .* pairs.*10\.2 GiB"
                                          r".*largest source cutoff is 14"):
         sa._source_stack(1.0, 40)
+    # Below a GiB the size is given in MiB: 46.2 MiB at cutoff 15, the first refused.
+    with pytest.raises(ValueError, match=r"source cutoff 15 has 4896 .* pairs.* 46\.2 MiB;"):
+        sa._source_stack(1.0, 15)
     assert sa._STACK_CACHE == {}
     assert sa._gram_side(6) == 504 and sa._gram_side(10) == 1716
     assert sa._gram_side(14) <= sa.MAX_GRAM_SIDE < sa._gram_side(15)
@@ -287,9 +292,10 @@ def test_factored_grid_matches_dense_forms(cutoff, eta_c, lam_points, lam_upper,
     basis, packed, trace = sa._source_stack(eta_c, cutoff)
     deltas = np.linspace(0.0, DELTA_MAX, 81)
     if filtered:  # the operators of the filtered-source threshold
-        terms = _mode_observables(basis, alice, bob, deltas)
-        bells, square = sa._filtered_pullback(basis, gain, 1, cutoff)(terms)(eta, eta)
-        ops = np.concatenate([bells, square[None]])
+        f = la._mode_filter(basis, gain, 1, cutoff)
+        swept = ((True, True),) * 2
+        factors = _swept_observables(basis, alice, bob, swept, deltas, f)
+        ops = sa._filtered_at(basis, factors, la._swept_squares(basis, f, swept), eta)
         hankels = sa._pair_forms(packed, ops)
         hankels, trace = hankels[:-1], hankels[-1]
         ops = unpacked(basis, ops)
