@@ -555,11 +555,21 @@ def _fixed_state(state) -> _FixedState:
     heralds) is rejected.  The basis ends at the largest photon number the
     state occupies in each mode.  That is exact for the reason
     :func:`_trimmed_cutoffs` gives: entries up to a photon number depend
-    only on entries up to it.  A :class:`_FixedState` is returned as it is.
+    only on entries up to it.  A pure state is first moved onto the product
+    basis of the box its nonzero amplitudes occupy, so the padding of a large
+    cutoff is never densified.  A :class:`_FixedState` is returned as it is.
     """
     if isinstance(state, _FixedState):
         return state
-    rho = state.to_density() if isinstance(state, StateVector) else state
+    rho = state
+    if isinstance(state, StateVector):
+        occupations = state.basis.occupations
+        box = occupations[state.amplitudes != 0].max(axis=0, initial=0)
+        inside = (occupations <= box).all(axis=1)
+        basis = shared_basis(tuple(int(n) for n in box))
+        amplitudes = np.zeros(basis.dimension, dtype=complex)
+        amplitudes[np.ravel_multi_index(occupations[inside].T, box + 1)] = state.amplitudes[inside]
+        rho = StateVector(basis, amplitudes).to_density()
     if rho.trace() <= 0.0:
         raise ValueError("state has non-positive trace")
     occupied = (rho.matrix != 0).any(axis=0) | (rho.matrix != 0).any(axis=1)

@@ -262,9 +262,6 @@ def _echo(args: argparse.Namespace) -> dict:
 
 def _emit(args, fieldnames, rows, extra=None) -> str:
     path = target = args.output or f"cvbell-{args.command}.csv"
-    if sidecar_path(path) == path:  # the sidecar would replace the CSV
-        raise ValidationError(f"--output {path} would be overwritten by its sidecar; "
-                              "name the CSV without a .json extension")
     try:
         write_csv(path, fieldnames, rows)
         target = sidecar_path(path)
@@ -431,6 +428,9 @@ def main(argv=None) -> int:
         if args.config:  # file values first, so command-line flags win
             tokens = _config_tokens(parser, args.config, args.command)
             args = parser.parse_args([args.command, *tokens, *argv[1:]])
+        if args.output and sidecar_path(args.output) == args.output:  # before any solve
+            raise ValidationError(f"--output {args.output} would be overwritten by its "
+                                  "sidecar; name the CSV without a .json extension")
         return _RUNNERS[args.command](args)
     except (ValidationError, ValueError) as exc:
         # Solvers reject bad parameters with ValueError.

@@ -52,6 +52,10 @@ class ModeBasis:
         # No mode holds more photons than the cap, so each is enumerated only
         # up to min(cutoff, cap): a capped basis costs nothing for huge cutoffs.
         reach = cutoffs if total_cap is None else tuple(min(c, total_cap) for c in cutoffs)
+        size = math.prod(c + 1 for c in reach)
+        if size > MAX_TENSOR_DIMENSION:
+            raise ValueError(f"a basis with cutoffs {cutoffs} enumerates {size} occupations, "
+                             f"more than the dense-storage guard {MAX_TENSOR_DIMENSION}")
         occupations = [
             occ
             for occ in product(*(range(c + 1) for c in reach))

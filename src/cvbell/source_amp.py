@@ -16,12 +16,17 @@ Circuit (all beam splitters in the convention of :mod:`cvbell.fock`):
    noiseless amplification of gain ``g = sqrt((1 - t)/t)``.
 3. The surviving mode pair is recombined on a 50/50 splitter.
 
-The two herald patterns produce outputs differing only by the sign of the
-one-photon component of the amplified mode; a feed-forward phase plate on
-that mode (applied for the D1 pattern) makes them identical, so the pattern
-"either" accepts both clicks as the same preparation.  A fixed output phase
-plate then casts the leading component into the all-real sign pattern
-``c00 |00> - c2 (|20> + |02>)`` that the measurement convention of
+The two clicks prepare the same state, so the circuit conditions on the D2
+click alone and doubles the result.  That is exact under two conditions:
+the interference splitter is 50/50, and D1 and D2 have one efficiency.
+Then swapping the splitter's two outputs is the parity flip ``(-1)^n`` on
+the ancilla's b mode, and the two detectors weigh the swapped rows alike.
+In each ancilla branch b and c hold a fixed total photon number, so after
+the feed-forward plate ``(-1)^n`` on the amplified mode c, applied for a
+D1 click, each D1 branch is the D2 branch of the mirrored row times one
+sign per ancilla branch: the two clicks' Gram arrays are equal.  A fixed
+output phase plate then casts the leading component into the all-real sign
+pattern ``c00 |00> - c2 (|20> + |02>)`` that the measurement convention of
 :mod:`cvbell.measurement` favours.  With bucket detectors every conditional
 branch stays pure, so the simulation propagates weighted pure branches and
 assembles the conditional density operator only at the end.  A branch is a
@@ -32,15 +37,15 @@ transmission) point without running the circuit again (:func:`_source_stack`).
 Each stage holds its branches as one ``(B, dim, P)`` stack and acts only on
 its own axes of the stack's mode tensor (:func:`_modes`), in order: arm 2's
 loss (:func:`_loss_branches`), the interference splitter (:func:`_split`),
-the detectors, the D1 parity plate on the amplified mode, arm 1's loss and
-the output splitter; the heralds carry one branch per arm 2 Kraus operator.
+the D2 click, arm 1's loss and the output splitter; the heralds carry one
+branch per arm 2 Kraus operator.
 All stages are real, so the stacks are float64 (a complex input runs complex
 through the same code) and the output plate ``i^n`` acts once, on the summed
 Gram array (:func:`_output_gram`).
 No operator over the joint basis is built: each splitter is filled only on
 its input columns from the pair amplitudes (:func:`_cached_bs`) and computes
-only the rows that are read, the herald rows an accepted pattern hears and
-the photon-capped output rows; ``fock.beam_splitter`` and
+only the rows that are read, the herald rows the D2 click hears and the
+photon-capped output rows; ``fock.beam_splitter`` and
 ``fock.embed_single_mode`` over the joint basis are the tests' references.
 The source sweeps build only the photon-parity sector entries of the output,
 one real Gram array per sector (:func:`_source_stack`).  The heralded-PDC
@@ -112,7 +117,6 @@ class SourceConfig:
         down-converter of amplitude ``ancilla_squeezing`` read out by D0).
     herald_efficiency: efficiency of the bucket detectors D0/D1/D2.
     cutoff: per-arm photon cutoff for the down-conversion expansion.
-    herald_pattern: "d1", "d2", or "either".
     """
 
     squeezing: float
@@ -122,7 +126,6 @@ class SourceConfig:
     ancilla_squeezing: float = 0.1
     herald_efficiency: float = 1.0
     cutoff: int = 6
-    herald_pattern: str = "either"
 
     def __post_init__(self):
         if not 0.0 <= self.squeezing < 1.0:
@@ -139,24 +142,21 @@ class SourceConfig:
             raise ValueError("herald_efficiency must lie in [0, 1]")
         if self.cutoff < 1:
             raise ValueError("cutoff must be at least 1")
-        if self.herald_pattern not in ("d1", "d2", "either"):
-            raise ValueError(f"unknown herald pattern {self.herald_pattern!r}")
 
 
 @dataclass
 class HeraldedOutcome:
     """Conditional output of a post-selected circuit.
 
-    The state is normalized; ``success_probability`` is the
-    pre-normalization weight of the accepted herald pattern(s).  When no
-    accepted herald can fire (success probability 0, e.g. dead detectors)
+    The state is normalized; ``success_probability`` is its
+    pre-normalization weight, that of exactly one of D1 and D2 clicking.
+    When no herald can fire (success probability 0, e.g. dead detectors)
     there is nothing to normalize: the state is the zero matrix, which the
     CHSH evaluation rejects (:func:`cvbell.bell.chsh_value`).
     """
 
     state: DensityOperator
     success_probability: float
-    herald_pattern: str
 
 
 def two_mode_squeezed(lam: float, cutoff: int) -> StateVector:
@@ -243,12 +243,6 @@ def _norms2(blocks: np.ndarray) -> np.ndarray:
     """Squared Frobenius norms of the blocks on the last two axes."""
     parts = (blocks.real, blocks.imag) if np.iscomplexobj(blocks) else (blocks,)
     return sum(np.einsum("...ij,...ij->...", part, part) for part in parts)
-
-
-def _phase_plate(stack: np.ndarray, cutoffs, phase) -> np.ndarray:
-    """The stack with its last mode's amplitudes of n photons times ``phase ** n``."""
-    phases = np.array([phase ** n for n in range(cutoffs[-1] + 1)])
-    return (_modes(stack, cutoffs) * phases[:, None]).reshape(stack.shape)
 
 
 def _cached(cache: dict, size: int, key, build):
@@ -388,18 +382,22 @@ def _heralded_gram(config: SourceConfig, inputs, input_cutoffs, scissor_mode: in
 
     Each pass joins one ancilla block ``(d', Q)`` to every input block
     ``(d, P)`` of the ``(B, d, P)`` stack ``inputs`` (column ``p Q + q``),
-    interferes on the 50/50 splitter and conditions on the heralds.  The
-    splitter computes only the herald rows that an accepted pattern hears
+    interferes on the 50/50 splitter and conditions on the D2 click.  The
+    splitter computes only the herald rows that the D2 click hears
     (:func:`_herald_weights`); the others would all be dropped.  ``gram``
     (default :func:`_gram`) maps the pass's heralded branches over the kept
-    modes to an array.  Returns that array summed over all passes.
+    modes to an array.  Returns that array summed over all passes and
+    doubled: the D1 click, after its feed-forward plate, prepares the same
+    branches up to one sign each, so its array equals D2's (module
+    docstring).  Doubling is exact in floating point.
     """
     c_cutoff = _ancilla_cutoff(config)
     small_cutoffs, big_cutoffs, b_mode = _interference_cutoffs(
         input_cutoffs, scissor_mode, c_cutoff
     )
     _, anc, labels = _ancilla_branches(config, c_cutoff, photon)
-    rows, weights = _herald_weights(config, big_cutoffs[scissor_mode], big_cutoffs[b_mode])
+    rows, weights = _herald_weights(config.herald_efficiency, big_cutoffs[scissor_mode],
+                                    big_cutoffs[b_mode])
     gram = gram or _gram
 
     n_in, d, P = inputs.shape
@@ -409,7 +407,7 @@ def _heralded_gram(config: SourceConfig, inputs, input_cutoffs, scissor_mode: in
         joint = inputs[:, :, None, :, None] * block[None, None, :, None, :]
         joint = _split(joint.reshape(n_in, d * len(block), W), small_cutoffs,
                        scissor_mode, 0.5, big_cutoffs, rows)  # b_mode is scissor_mode + 1
-        branches = _condition_on_heralds(config, big_cutoffs, joint, scissor_mode, weights)
+        branches = _condition_on_heralds(big_cutoffs, joint, scissor_mode, weights)
         del joint  # the pass's largest array; free it before the output stage
         part = gram(branches)
         # The first pass's array is the sum: no second Gram-sized array for
@@ -418,13 +416,8 @@ def _heralded_gram(config: SourceConfig, inputs, input_cutoffs, scissor_mode: in
     if total is None:  # no ancilla branch heralded: zeros of the output's shape
         kept = [c + 1 for m, c in enumerate(big_cutoffs) if m not in (scissor_mode, b_mode)]
         total = gram(np.zeros((0, math.prod(kept), W), dtype=inputs.dtype))
+    total *= 2.0  # the D1 click's share
     return total
-
-
-def _herald_patterns(config: SourceConfig):
-    if config.herald_pattern == "either":
-        return ("d1", "d2")
-    return (config.herald_pattern,)
 
 
 def _herald_detectors(eta: float, a_cutoff: int, b_cutoff: int) -> dict:
@@ -439,19 +432,19 @@ def _herald_detectors(eta: float, a_cutoff: int, b_cutoff: int) -> dict:
             "both": (click_a, click_b), "none": (no_click_a, no_click_b)}
 
 
-def _herald_weights(config: SourceConfig, a_cutoff: int, b_cutoff: int):
-    """The herald rows that an accepted pattern hears, and its D1/D2 weights on them.
+def _herald_weights(eta: float, a_cutoff: int, b_cutoff: int):
+    """The herald rows that the D2 click hears, and its D1/D2 weights on them.
 
     Row ``na (b_cutoff + 1) + nb`` holds na photons on mode a and nb on mode
-    b.  Returns the rows where some accepted pattern's weight exceeds
-    ``BRANCH_TOL``, ascending, and the weights of each pattern on them,
-    ``(patterns, 1, R)``.  Every other row is dropped by every pattern
-    (:func:`_detected`): 14 of the 64 rows are heard at source cutoff 6.
+    b; ``eta`` is the detectors' efficiency.  Returns the rows where the
+    weight of D2 clicking with D1 dark exceeds ``BRANCH_TOL``, ascending,
+    and the weights on them, ``(R,)``.  Every other row is dropped
+    (:func:`_detected`): with ideal detectors 7 of the 64 rows are heard at
+    source cutoff 6.
     """
-    detectors = _herald_detectors(config.herald_efficiency, a_cutoff, b_cutoff)
-    weights = np.stack([np.outer(*detectors[p]).ravel() for p in _herald_patterns(config)])
-    rows = np.flatnonzero((weights > BRANCH_TOL).any(axis=0))
-    return rows, weights[:, None, rows]
+    weights = np.outer(*_herald_detectors(eta, a_cutoff, b_cutoff)["d2"]).ravel()
+    rows = np.flatnonzero(weights > BRANCH_TOL)
+    return rows, weights[rows]
 
 
 def _herald_blocks(joint: np.ndarray, cutoffs, a_mode: int, n_rows: int):
@@ -474,53 +467,45 @@ def _herald_blocks(joint: np.ndarray, cutoffs, a_mode: int, n_rows: int):
 def _detected(blocks: np.ndarray, weights: np.ndarray):
     """The branches of a detector outcome of diagonal POVM weights.
 
-    ``blocks`` is ``(..., R, C)``; ``weights`` broadcasts against its leading
+    ``blocks`` is ``(..., R, C)``; ``weights`` broadcasts to its leading
     axes.  Each block is scaled by the square root of its weight.  Blocks
     whose weight and weighted squared norm exceed ``BRANCH_TOL`` are kept,
     in C order of the leading axes; only they are copied.  Returns the
-    ``(K, R, C)`` stack and the boolean mask of kept blocks.
+    ``(K, R, C)`` stack.
     """
     heard = weights > BRANCH_TOL
     weighted = weights * _norms2(blocks)
     keep = heard & (weighted > BRANCH_TOL)
     scale = np.broadcast_to(np.sqrt(np.where(heard, weights, 0.0)), keep.shape)[keep]
-    kept = np.broadcast_to(blocks, keep.shape + blocks.shape[-2:])[keep]
+    kept = blocks[keep]
     kept *= scale[:, None, None]
-    return kept, keep
+    return kept
 
 
-def _condition_on_heralds(config: SourceConfig, cutoffs, joint, a_mode, weights):
-    """Split branches over the D1/D2 outcomes, keeping the other modes.
+def _condition_on_heralds(cutoffs, joint, a_mode, weights):
+    """Condition branches on the D2 click, keeping the other modes.
 
     The herald modes ``(a_mode, a_mode + 1)`` hold the rows of ``weights``,
-    the :func:`_herald_weights` stack; ``joint`` is the splitter's stack on
-    those rows (:func:`_split`).
+    the :func:`_herald_weights` weights; ``joint`` is the splitter's stack
+    on those rows (:func:`_split`).
 
     Returns the heralded branches as one ``(K, dim, P)`` stack over the kept
-    modes.  Every (pattern, branch, row) whose detector weight and
-    weighted squared norm exceed ``BRANCH_TOL`` is a new branch, in that
-    order.  The norms are taken on the view of
-    :func:`_herald_blocks`, and only the kept blocks are copied out of it.
-    The D1 branches get the feed-forward parity plate on the amplified mode
-    (the last kept mode) so both patterns prepare the same state.
+    modes.  Every (branch, row) whose detector weight and weighted squared
+    norm exceed ``BRANCH_TOL`` is a new branch, in that order.  The norms
+    are taken on the view of :func:`_herald_blocks`, and only the kept
+    blocks are copied out of it.
     """
-    kept_cutoffs = tuple(c for m, c in enumerate(cutoffs) if m not in (a_mode, a_mode + 1))
-    T = _herald_blocks(joint, cutoffs, a_mode, weights.shape[-1])
-    branches, keep = _detected(T[None], weights)
-    branches = branches.reshape(len(branches), math.prod(c + 1 for c in kept_cutoffs),
-                                joint.shape[-1])
-    if _herald_patterns(config)[0] == "d1":
-        d1 = int(keep[0].sum())
-        branches[:d1] = _phase_plate(branches[:d1], kept_cutoffs, -1.0)
-    return branches
+    kept = math.prod(c + 1 for m, c in enumerate(cutoffs) if m not in (a_mode, a_mode + 1))
+    branches = _detected(_herald_blocks(joint, cutoffs, a_mode, len(weights)), weights)
+    return branches.reshape(len(branches), kept, joint.shape[-1])
 
 
-def _outcome(basis: ModeBasis, gram: np.ndarray, herald_pattern: str) -> HeraldedOutcome:
+def _outcome(basis: ModeBasis, gram: np.ndarray) -> HeraldedOutcome:
     """The output of one normalized input column from its :func:`_gram` array.
 
     The success probability is the trace of the unnormalized output: the
     heralded branches' squared norms, which neither the output plate nor
-    the photon cap changes.  When no accepted herald fires (a trace at most
+    the photon cap changes.  When no herald fires (a trace at most
     :data:`BRANCH_TOL`) the state is the zero matrix and the success
     probability 0.  A herald that always fires can sum to one ulp above 1
     by rounding; the reported probability is capped at 1.
@@ -530,21 +515,19 @@ def _outcome(basis: ModeBasis, gram: np.ndarray, herald_pattern: str) -> Heralde
         matrix, total = np.zeros((basis.dimension,) * 2), 0.0
     else:
         matrix = gram[:, 0, :, 0] / total
-    return HeraldedOutcome(DensityOperator(basis, matrix), min(total, 1.0), herald_pattern)
+    return HeraldedOutcome(DensityOperator(basis, matrix), min(total, 1.0))
 
 
 def qscissor_amplify(state, t: float, herald_efficiency: float = 1.0,
                      ancilla_model: str = "single-photon",
-                     ancilla_squeezing: float = 0.1,
-                     herald_pattern: str = "either") -> HeraldedOutcome:
+                     ancilla_squeezing: float = 0.1) -> HeraldedOutcome:
     """Run a single-mode state through the heralded amplifier.
 
     On a 0/1-photon input ``c0|0> + c1|1>`` the conditional output is
     proportional to ``sqrt(t) c0 |0> + sqrt(1-t) c1 |1>``; components with
     two or more photons are truncated by the scissor (they can only reach
     the detectors, never the output mode).  Returns the conditional output
-    state, the success probability of the chosen herald pattern(s), and the
-    pattern label.
+    state and the success probability: exactly one of D1 and D2 clicks.
     """
     if isinstance(state, StateVector):
         branches = state.normalize().amplitudes[None, :, None]
@@ -564,10 +547,9 @@ def qscissor_amplify(state, t: float, herald_efficiency: float = 1.0,
         ancilla_squeezing=ancilla_squeezing,
         herald_efficiency=herald_efficiency,
         cutoff=max(cutoffs[0], 1),
-        herald_pattern=herald_pattern,
     )
     gram = _heralded_gram(config, branches, cutoffs, 0)
-    return _outcome(shared_basis((_ancilla_cutoff(config),)), gram, herald_pattern)
+    return _outcome(shared_basis((_ancilla_cutoff(config),)), gram)
 
 
 def _gram(stack: np.ndarray) -> np.ndarray:
@@ -616,11 +598,11 @@ def amplified_source(config: SourceConfig) -> HeraldedOutcome:
 
     The returned state lives on a photon-capped two-mode basis (the kept
     modes' total photon number is conserved downstream of the heralds).
-    The success probability covers the configured herald pattern(s); for
-    the heralded-pdc ancilla it includes the D0 click.
+    The success probability is that of exactly one of D1 and D2 clicking;
+    for the heralded-pdc ancilla it includes the D0 click.
     """
     inputs = _tmsv_column(config.squeezing, config.cutoff)
-    return _outcome(*_output_gram(config, inputs), config.herald_pattern)
+    return _outcome(*_output_gram(config, inputs))
 
 
 def herald_probabilities(config: SourceConfig) -> dict:
@@ -950,7 +932,9 @@ def _grid_chsh(hankels: np.ndarray, trace: np.ndarray, lams, ts) -> np.ndarray:
     def forms(h):
         return powers @ h.reshape(*h.shape[:-2], 4) @ pairs
 
-    return forms(hankels) / forms(trace)
+    values = forms(hankels)
+    values /= forms(trace)  # in place: no second grid-sized array per threshold step
+    return values
 
 
 def _section_objectives(forms: np.ndarray):

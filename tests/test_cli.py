@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import cvbell.cli
+import cvbell.fock
 import cvbell.reproduce
 import cvbell.source_amp
 from cvbell.bell import (
@@ -216,13 +217,20 @@ def test_unwritable_output_exits_cleanly(command, target, reason, tmp_path, caps
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["file", "out.json", "taken"]
 
 
+@pytest.mark.parametrize("command", [["threshold", "--eta-d", "0.9"],
+                                     ["reproduce-all", "--skip-source"]], ids=lambda c: c[0])
 @pytest.mark.parametrize("name", ["x.json", "sub/x.json"])
-def test_an_output_that_is_its_own_sidecar_is_refused(name, tmp_path, capsys, monkeypatch):
-    record_solver(monkeypatch, "critical_efficiency")
+def test_an_output_that_is_its_own_sidecar_is_refused(name, command, tmp_path, capsys,
+                                                       monkeypatch):
+    """Refused before the command runs: no solver call, no report on stdout."""
+    calls = record_solver(monkeypatch, "critical_efficiency")
+    received = fake_reproduce_all(monkeypatch)
     out = tmp_path / name
-    assert main(["threshold", "--eta-d", "0.9", "--output", str(out)]) == 1
-    assert_one_error_line(capsys.readouterr().err,
-                          f"--output {out} would be overwritten by its sidecar")
+    assert main([*command, "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert_one_error_line(captured.err, f"--output {out} would be overwritten by its sidecar")
+    assert calls == [] and received == {}
     assert list(tmp_path.rglob("*")) == []  # nothing written, not even a directory
 
 
@@ -249,6 +257,24 @@ class TestThresholdCommand:
             "delta_refinement": DELTA_REFINE_TOL, "violation_margin": VIOLATION_MARGIN,
         }
         assert sidecar["effective_config"]["state"] == "psi2"
+
+    def test_psi2_at_a_large_cutoff_writes_the_cutoff_two_threshold(self, tmp_path):
+        """The padded psi2 is trimmed to its support before it is densified."""
+        _, small = run_cli(["threshold", "--state", "psi2", "--cutoff", "2"], tmp_path, "a.csv")
+        code, large = run_cli(["threshold", "--state", "psi2", "--cutoff", "300"], tmp_path)
+        assert code == 0
+        (row,) = read_rows(large)
+        assert row["threshold"] == read_rows(small)[0]["threshold"]
+        assert f"{float(row['threshold']):.6f}" == "0.837433"
+
+    def test_a_basis_beyond_the_guard_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        """With the guard at 10^4, psi2's 301 x 301 basis is refused in one line."""
+        monkeypatch.setattr(cvbell.fock, "MAX_TENSOR_DIMENSION", 10_000)
+        cvbell.fock.shared_basis.cache_clear()  # so that the basis is built again
+        code, out = run_cli(["threshold", "--state", "psi2", "--cutoff", "300"], tmp_path)
+        assert code == 1
+        assert_one_error_line(capsys.readouterr().err, "enumerates 90601 occupations")
+        assert not out.exists()
 
     def test_deterministic_output(self, tmp_path):
         _, first = run_cli(["threshold", "--eta-d", "0.9"], tmp_path, "a.csv")

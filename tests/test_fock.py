@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import cvbell.fock
 from cvbell.fock import (
     DensityOperator,
     HermitianOperator,
@@ -54,6 +55,14 @@ class TestBasis:
         assert np.array_equal(huge.occupations, small.occupations)
         for occ in small.occupations:
             assert huge.index_of(occ) == small.index_of(occ)
+
+    def test_a_basis_beyond_the_guard_is_refused_before_it_is_enumerated(self, monkeypatch):
+        """The count is ``prod(min(c, cap) + 1)``: a cap keeps huge cutoffs small."""
+        monkeypatch.setattr(cvbell.fock, "MAX_TENSOR_DIMENSION", 100)
+        assert ModeBasis((9, 9)).dimension == 100
+        assert ModeBasis((10**6, 10**6), total_cap=8).dimension == 45
+        with pytest.raises(ValueError, match=r"cutoffs \(10, 9\) enumerates 110 occupations"):
+            ModeBasis((10, 9))
 
     def test_shared_basis_is_one_read_only_basis_per_key(self):
         basis = shared_basis((3, 3), 2)

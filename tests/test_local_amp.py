@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -15,6 +16,7 @@ from cvbell.bell import (
     PartyConditions,
     _parity_sectors,
     _state_chsh,
+    critical_efficiency,
     optimize_delta,
 )
 from cvbell.fock import LossChannel, apply_channel, shared_basis
@@ -482,3 +484,24 @@ def test_overflow_boundary_is_the_two_mode_diagonal(solve, cutoff):
                f"at cutoff {cutoff}")
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         solve(above, 1, cutoff=cutoff)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda cutoff: critical_efficiency("eta_t", state=psi2_state(cutoff), cutoff=cutoff),
+    lambda cutoff: filtered_critical_transmission(2.0, cutoff=cutoff),
+], ids=["critical_efficiency", "filtered_critical_transmission"])
+def test_psi2_solves_do_not_grow_with_the_cutoff(solve):
+    """psi2 is trimmed to its support before it is densified.
+
+    Densifying the padded state first peaked near 130 MiB at cutoff 40; the
+    trimmed state peaks near 0.5 MiB.
+    """
+    expected = solve(2)  # fills the caches outside the measurement
+    tracemalloc.start()
+    try:
+        value = solve(40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == expected
+    assert peak < 2 * 2**20

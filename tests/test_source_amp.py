@@ -98,22 +98,6 @@ class TestQuantumScissor:
         gain = math.sqrt((1 - t) / t)
         assert abs(ratio / (alpha * gain) - 1.0) < 1e-9
 
-    def test_pattern_probabilities_split_evenly(self):
-        state = single_mode_state([1.0, 0.1])
-        d1 = qscissor_amplify(state, 0.3, herald_pattern="d1")
-        d2 = qscissor_amplify(state, 0.3, herald_pattern="d2")
-        both = qscissor_amplify(state, 0.3, herald_pattern="either")
-        assert d1.success_probability == pytest.approx(d2.success_probability, abs=1e-12)
-        assert both.success_probability == pytest.approx(
-            d1.success_probability + d2.success_probability, abs=1e-12
-        )
-
-    def test_feed_forward_makes_patterns_identical(self):
-        state = single_mode_state([1.0, 0.4, 0.2])
-        d1 = qscissor_amplify(state, 0.25, herald_pattern="d1")
-        d2 = qscissor_amplify(state, 0.25, herald_pattern="d2")
-        assert np.abs(d1.state.matrix - d2.state.matrix).max() < 1e-12
-
     def test_dead_detectors_never_herald(self):
         out = qscissor_amplify(single_mode_state([1.0, 0.3]), 0.2, herald_efficiency=0.0)
         assert out.success_probability == 0.0
@@ -145,15 +129,6 @@ class TestAmplifiedSource:
         assert c20 == pytest.approx(c02, abs=1e-12)
         assert -c20 / c00 == pytest.approx(predicted, rel=1e-6)
         assert weight > 0.98
-
-    def test_herald_patterns_give_equal_states_and_chsh(self):
-        kwargs = dict(squeezing=0.15, amp_transmission=0.2, cutoff=5)
-        d1 = amplified_source(SourceConfig(herald_pattern="d1", **kwargs))
-        d2 = amplified_source(SourceConfig(herald_pattern="d2", **kwargs))
-        assert np.abs(d1.state.matrix - d2.state.matrix).max() < 1e-12
-        _, v1 = optimize_delta(UNIT, UNIT, state=d1.state, grid_points=61)
-        _, v2 = optimize_delta(UNIT, UNIT, state=d2.state, grid_points=61)
-        assert v1 == pytest.approx(v2, abs=1e-12)
 
     def test_success_probability_approaches_t(self):
         t = 0.17

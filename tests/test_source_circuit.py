@@ -2,18 +2,20 @@
 
 The circuit applies each beam splitter as the two-mode unitary contracted
 with an adjacent mode pair of a whole stack of branch blocks
-(``source_amp._split``), each coupling loss as the single-mode Kraus stack
-on one mode's axis (``source_amp._loss_branches``) and the D1 parity plate
-as a vector on the last mode's axis (``source_amp._phase_plate``).
+(``source_amp._split``) and each coupling loss as the single-mode Kraus
+stack on one mode's axis (``source_amp._loss_branches``).
 ``fock.beam_splitter`` and ``fock.embed_single_mode`` over the full joint
-basis, and the plates built over its occupations, are the slow references
-they must reproduce.  Every stage before the output plate ``i^n`` is real,
-so the circuit runs in float64 and applies that plate once, to the summed
-Gram array; the per-branch plate is its reference.  (The source sweeps'
+basis are the slow references they must reproduce.  Every stage before the
+output plate ``i^n`` is real, so the circuit runs in float64 and applies
+that plate once, to the summed Gram array; the plate built over the joint
+basis's occupations, per branch, is its reference.  (The source sweeps'
 stack never applies it as a complex factor: within a photon-parity sector it
-is a real sign, ``tests/test_source_images.py``.)  The interference splitter
-computes only the herald rows an accepted pattern hears; the full split
-followed by the detectors' drop is its bitwise reference.  The pinned
+is a real sign, ``tests/test_source_images.py``.)  The circuit conditions on
+the D2 click alone and doubles its Gram array; the reference conditions the
+full split on both clicks, plating the D1 branches with the feed-forward
+parity (:func:`two_click_gram`).  The interference splitter computes only
+the herald rows the D2 click hears; the full split followed by the
+detectors' drop is its bitwise reference.  The pinned
 outputs guard the wiring of the circuit: which modes each splitter acts on
 and which are heralded.
 The circuit applies arm 1's coupling loss after the heralds; its outputs
@@ -29,6 +31,7 @@ dense squeezed vacuum through the loss Kraus operators and the D0 POVM
 """
 
 import json
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -141,27 +144,8 @@ def test_loss_on_a_mode_axis_equals_the_dense_embedding(case, eta, branches, wid
 
 
 def occupation_plate(cutoffs, phase):
-    """The plate as a vector over the joint basis, one occupation at a time."""
+    """The plate ``phase^n`` on the last mode, over the joint basis one occupation at a time."""
     return np.array([phase ** int(occ[-1]) for occ in ModeBasis(cutoffs).occupations])
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    cutoffs=st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple),
-    phase=st.sampled_from([-1.0, 1j]),
-    branches=st.integers(0, 3),
-    width=st.integers(1, 3),
-    seed=st.integers(0, 2**32 - 1),
-)
-@example(cutoffs=(3, 4), phase=1j, branches=2, width=2, seed=6)  # per-branch output plate
-@example(cutoffs=(5,), phase=-1.0, branches=0, width=1, seed=7)  # no D1 branch
-def test_phase_plates_equal_the_occupation_vectors(cutoffs, phase, branches, width, seed):
-    """The D1 parity ``(-1)^n`` and the output plate ``i^n`` on the last mode, bitwise."""
-    stack = random_stack(seed, (branches, ModeBasis(cutoffs).dimension, width))
-    expected = occupation_plate(cutoffs, phase)[:, None] * stack
-    fast = sa._phase_plate(stack, cutoffs, phase)
-    assert fast.shape == expected.shape
-    assert np.array_equal(fast, expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -191,7 +175,7 @@ def test_output_plate_on_the_gram_equals_the_per_branch_plate(cutoff, ancilla, b
         mp.setattr(sa, "_heralded_gram", heralded_gram)
         basis, gram = sa._output_gram(config, sa._tmsv_column(0.0, cutoff))
     full = (cutoff + kept[1],) * 2
-    plated = sa._phase_plate(sa._split(stack, kept, 0, 0.5, full), full, 1j)
+    plated = occupation_plate(full, 1j)[:, None] * sa._split(stack, kept, 0, 0.5, full)
     reference = sa._gram(plated[:, sa._product_index(basis)])
     assert gram.shape == reference.shape
     assert np.abs(gram - reference).max() <= 1e-14 * np.sum(stack**2)
@@ -415,28 +399,31 @@ def joint_stack_herald_probabilities(config):
     return probs
 
 
-def every_row(config, a_cutoff, b_cutoff):
-    """The herald weights on every row of the interference splitter, heard or not."""
-    detectors = sa._herald_detectors(config.herald_efficiency, a_cutoff, b_cutoff)
-    weights = np.stack([np.outer(*detectors[p]).ravel() for p in sa._herald_patterns(config)])
-    return np.arange(weights.shape[1]), weights[:, None]
+def click_weights(eta, a_cutoff, b_cutoff, click):
+    """The D1/D2 weights of ``click`` ("d1" or "d2") on every row of the interference splitter."""
+    return np.outer(*sa._herald_detectors(eta, a_cutoff, b_cutoff)[click]).ravel()
+
+
+def every_row(eta, a_cutoff, b_cutoff):
+    """The D2 click's weights on every row of the interference splitter, heard or not."""
+    weights = click_weights(eta, a_cutoff, b_cutoff, "d2")
+    return np.arange(len(weights)), weights
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 @pytest.mark.parametrize("eta_h", [1.0, 0.7, 0.0])
-@pytest.mark.parametrize("pattern", ["d1", "d2", "either"])
 @pytest.mark.parametrize("ancilla", ["single-photon", "heralded-pdc"])
 @pytest.mark.parametrize("cutoff", range(1, 7))
-def test_heralded_rows_equal_the_full_split_then_drop(cutoff, ancilla, pattern, eta_h, real):
-    """Bitwise: the rows no accepted pattern hears are dropped by every one of them."""
+def test_heralded_rows_equal_the_full_split_then_drop(cutoff, ancilla, eta_h, real):
+    """Bitwise: the rows the D2 click does not hear are dropped by the detectors."""
     config = sa.SourceConfig(squeezing=0.0, amp_transmission=0.3, ancilla_model=ancilla,
-                             herald_efficiency=eta_h, cutoff=cutoff, herald_pattern=pattern)
+                             herald_efficiency=eta_h, cutoff=cutoff)
     c_anc = sa._ancilla_cutoff(config)
     small, big, _ = sa._interference_cutoffs((cutoff, cutoff), 1, c_anc)
-    rows, weights = sa._herald_weights(config, big[1], big[2])
-    _, full = every_row(config, big[1], big[2])
-    assert np.array_equal(rows, np.flatnonzero((full > sa.BRANCH_TOL).any(axis=(0, 1))))
-    assert np.array_equal(weights, full[..., rows])
+    rows, weights = sa._herald_weights(eta_h, big[1], big[2])
+    _, full = every_row(eta_h, big[1], big[2])
+    assert np.array_equal(rows, np.flatnonzero(full > sa.BRANCH_TOL))
+    assert np.array_equal(weights, full[rows])
 
     inputs = random_stack(cutoff, (2, (cutoff + 1) ** 2, 2))
     if real:
@@ -447,16 +434,17 @@ def test_heralded_rows_equal_the_full_split_then_drop(cutoff, ancilla, pattern, 
             2, -1, 2 * block.shape[1])
         heard = sa._split(joint, small, 1, 0.5, big, rows)
         assert heard.shape[1] == (cutoff + 1) * len(rows) * (c_anc + 1)
-        fast = sa._condition_on_heralds(config, big, heard, 1, weights)
-        slow = sa._condition_on_heralds(config, big, sa._split(joint, small, 1, 0.5, big), 1, full)
+        fast = sa._condition_on_heralds(big, heard, 1, weights)
+        slow = sa._condition_on_heralds(big, sa._split(joint, small, 1, 0.5, big), 1, full)
         assert fast.dtype == inputs.dtype
         assert fast.shape == slow.shape
         assert np.array_equal(fast, slow)
 
 
-def test_ideal_heralds_hear_fourteen_of_sixty_four_rows_at_cutoff_six():
-    rows, weights = sa._herald_weights(sa.SourceConfig(0.0, 0.5), 7, 7)
-    assert len(rows) == 14 and weights.shape == (2, 1, 14)
+def test_ideal_heralds_hear_seven_of_sixty_four_rows_at_cutoff_six():
+    """D1 dark and D2 clicking: no photon on mode a, one to seven on mode b."""
+    rows, weights = sa._herald_weights(1.0, 7, 7)
+    assert np.array_equal(rows, np.arange(1, 8)) and weights.shape == (7,)
 
 
 SCISSOR_INPUT = DensityOperator(ModeBasis((2,)),
@@ -483,6 +471,79 @@ def test_circuit_outputs_equal_the_full_split_bitwise(run, eta_h, monkeypatch):
     assert fast.success_probability == slow.success_probability
 
 
+def click_gram(config, inputs, input_cutoffs, scissor_mode, gram=None, photon=None, *, click):
+    """``sa._heralded_gram`` on the full split, conditioned on ``click`` ("d1" or "d2") alone.
+
+    The D1 click's branches get the feed-forward parity ``(-1)^n`` on the
+    amplified mode (the last kept mode), built over the occupations
+    (:func:`occupation_plate`).  ``gram`` (default ``sa._gram``) maps each
+    ancilla block's branches to an array; the arrays are summed, from the
+    array of no branch so that an ancilla that never clicks gives zeros, and
+    not doubled.
+    """
+    gram = gram or sa._gram
+    c_anc = sa._ancilla_cutoff(config)
+    small, big, b_mode = sa._interference_cutoffs(input_cutoffs, scissor_mode, c_anc)
+    kept = tuple(c for m, c in enumerate(big) if m not in (scissor_mode, b_mode))
+    plate = occupation_plate(kept, -1.0 if click == "d1" else 1.0)[:, None]
+    weights = click_weights(config.herald_efficiency, big[scissor_mode], big[b_mode], click)
+    _, anc, labels = sa._ancilla_branches(config, c_anc, photon)
+    (n_in, d, P), Q = inputs.shape, anc.shape[2]
+    total = gram(np.zeros((0, math.prod(c + 1 for c in kept), P * Q), dtype=inputs.dtype))
+    for block in anc[labels == "click"]:
+        joint = (inputs[:, :, None, :, None] * block[None, None, :, None, :]).reshape(
+            n_in, d * len(block), P * Q)
+        joint = sa._split(joint, small, scissor_mode, 0.5, big)
+        total = total + gram(plate * sa._condition_on_heralds(big, joint, scissor_mode, weights))
+    return total
+
+
+def two_click_gram(*args):
+    """Both clicks of :func:`click_gram` summed: the reference of ``sa._heralded_gram``."""
+    return click_gram(*args, click="d1") + click_gram(*args, click="d2")
+
+
+#: The largest entry difference between the doubled D2 click and both clicks,
+#: relative to the largest entry: the mirrored rows' splitter amplitudes are
+#: equal up to rounding (2.2e-16 measured).
+MIRROR_RTOL = 1e-15
+
+
+def assert_mirrored(value, reference):
+    assert value.shape == reference.shape
+    assert np.abs(value - reference).max() <= MIRROR_RTOL * np.abs(reference).max()
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("eta_h", [1.0, 0.7, 0.0])
+@pytest.mark.parametrize("ancilla", ["single-photon", "heralded-pdc"])
+@pytest.mark.parametrize("cutoff", range(1, 7))
+def test_the_plated_d1_click_mirrors_the_d2_click(cutoff, ancilla, eta_h, real):
+    """Gram(D1, plated) = Gram(D2), and the circuit is their sum.
+
+    The 50/50 splitter maps the D1 rows onto the D2 rows up to the parity of
+    the ancilla's b mode, and the detectors share one efficiency.
+    """
+    config = sa.SourceConfig(squeezing=0.0, amp_transmission=0.3, ancilla_model=ancilla,
+                             herald_efficiency=eta_h, cutoff=cutoff)
+    inputs = random_stack(cutoff, (2, (cutoff + 1) ** 2, 2))
+    args = (config, inputs.real.copy() if real else inputs, (cutoff, cutoff), 1)
+    d1, d2 = (click_gram(*args, click=click) for click in ("d1", "d2"))
+    assert_mirrored(d1, d2)
+    assert_mirrored(sa._heralded_gram(*args), d1 + d2)
+
+
+@pytest.mark.parametrize("ancilla", ["single-photon", "heralded-pdc"])
+def test_scissor_output_is_the_two_click_sum(ancilla, monkeypatch):
+    """``qscissor_amplify`` of the pinned complex mixed input, end to end."""
+    expected = PINS["qscissor_mixed_input"]["outputs"][ancilla]["kwargs"]
+    fast = sa.qscissor_amplify(SCISSOR_INPUT, **expected)
+    monkeypatch.setattr(sa, "_heralded_gram", two_click_gram)
+    slow = sa.qscissor_amplify(SCISSOR_INPUT, **expected)
+    assert_mirrored(fast.state.matrix, slow.state.matrix)
+    assert abs(fast.success_probability - slow.success_probability) <= MIRROR_RTOL
+
+
 @st.composite
 def source_configs(draw):
     return sa.SourceConfig(
@@ -493,7 +554,6 @@ def source_configs(draw):
         ancilla_squeezing=draw(st.floats(0.0, 0.4)),
         herald_efficiency=draw(st.floats(0.0, 1.0)),
         cutoff=draw(st.integers(1, 4)),
-        herald_pattern=draw(st.sampled_from(["either", "d1", "d2"])),
     )
 
 
@@ -511,7 +571,7 @@ def test_herald_probabilities_match_the_joint_stack(config):
         assert -1e-12 <= value <= 1.0 + 1e-12  # rounding: 1 + 2e-16 occurs
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
     accepted = [("click", p) if config.ancilla_model == "heralded-pdc" else p
-                for p in sa._herald_patterns(config)]
+                for p in ("d1", "d2")]
     heralded = sum(probs.get(key, 0.0) for key in accepted)
     assert abs(heralded - sa.amplified_source(config).success_probability) < 1e-12
 
