@@ -146,6 +146,17 @@ class TestAmplifiedSource:
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
         assert set(probs) == {"d1", "d2", "both", "none"}
 
+    @pytest.mark.parametrize("eta_h", [1.0, 0.7])
+    @pytest.mark.parametrize("ancilla", ["single-photon", "heralded-pdc"])
+    def test_pattern_probabilities_split_evenly(self, ancilla, eta_h):
+        """D1 and D2 click alike, and the circuit's doubled D2 click is their sum."""
+        config = SourceConfig(squeezing=0.2, amp_transmission=0.3, coupling=0.9, cutoff=4,
+                              ancilla_model=ancilla, herald_efficiency=eta_h)
+        probs = herald_probabilities(config)
+        d1, d2 = (probs[("click", p) if ancilla == "heralded-pdc" else p] for p in ("d1", "d2"))
+        assert d1 == pytest.approx(d2, rel=1e-12)
+        assert amplified_source(config).success_probability == pytest.approx(2 * d2, rel=1e-12)
+
     def test_herald_probabilities_pdc_ancilla(self):
         config = SourceConfig(
             squeezing=0.2,

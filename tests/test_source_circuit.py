@@ -533,6 +533,47 @@ def test_the_plated_d1_click_mirrors_the_d2_click(cutoff, ancilla, eta_h, real):
     assert_mirrored(sa._heralded_gram(*args), d1 + d2)
 
 
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("eta_h", [1.0, 0.7, 0.0])
+@pytest.mark.parametrize("ancilla", ["single-photon", "heralded-pdc"])
+@pytest.mark.parametrize("cutoff", range(1, 7))
+def test_each_plated_d1_branch_is_a_signed_d2_branch(cutoff, ancilla, eta_h, real):
+    """Branch by branch, before the detectors drop any row.
+
+    On the full split of an ancilla branch of m photons, the D1 click's
+    weighted block on row (na, nb), plated with ``(-1)^n`` on the amplified
+    mode, is ``(-1)^m`` times the D2 click's weighted block on row (nb, na).
+    The two clicks' weights are mirror images, bitwise.  This is the
+    per-branch sign that leaves the Gram arrays equal.
+    """
+    config = sa.SourceConfig(squeezing=0.0, amp_transmission=0.3, ancilla_model=ancilla,
+                             herald_efficiency=eta_h, cutoff=cutoff)
+    c_anc = sa._ancilla_cutoff(config)
+    small, big, b_mode = sa._interference_cutoffs((cutoff, cutoff), 1, c_anc)
+    assert big[1] == big[b_mode]  # the mirrored rows exist
+    n_rows = big[1] + 1
+    d1, d2 = (np.sqrt(click_weights(eta_h, big[1], big[b_mode], click)).reshape(n_rows, n_rows)
+              for click in ("d1", "d2"))
+    assert np.array_equal(d1, d2.T)
+
+    kept = (big[0], big[3])
+    plate = occupation_plate(kept, -1.0).reshape(big[0] + 1, big[3] + 1, 1)
+    inputs = random_stack(cutoff, (2, (cutoff + 1) ** 2, 2))
+    if real:
+        inputs = inputs.real.copy()
+    anc_basis, anc, _ = sa._ancilla_branches(config, c_anc)
+    for block in anc:
+        (photons,) = {sum(occ) for occ, row in zip(anc_basis.occupations, block) if row.any()}
+        joint = (inputs[:, :, None, :, None] * block[None, None, :, None, :]).reshape(
+            2, -1, 2 * block.shape[1])
+        joint = sa._split(joint, small, 1, 0.5, big)
+        rows = sa._herald_blocks(joint, big, 1, n_rows**2).reshape(
+            2, n_rows, n_rows, big[0] + 1, big[3] + 1, -1)
+        d1_click = d1[:, :, None, None, None] * rows * plate
+        d2_click = d2[:, :, None, None, None] * rows
+        assert_mirrored(d1_click, (-1) ** photons * d2_click.transpose(0, 2, 1, 3, 4, 5))
+
+
 @pytest.mark.parametrize("ancilla", ["single-photon", "heralded-pdc"])
 def test_scissor_output_is_the_two_click_sum(ancilla, monkeypatch):
     """``qscissor_amplify`` of the pinned complex mixed input, end to end."""
