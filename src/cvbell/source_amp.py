@@ -36,9 +36,14 @@ over the squeezing powers, from which they evaluate every (squeezing,
 transmission) point without running the circuit again (:func:`_source_stack`).
 Each stage holds its branches as one ``(B, dim, P)`` stack and acts only on
 its own axes of the stack's mode tensor (:func:`_modes`), in order: arm 2's
-loss (:func:`_loss_branches`), the interference splitter (:func:`_split`),
-the D2 click, arm 1's loss and the output splitter; the heralds carry one
-branch per arm 2 Kraus operator.
+loss (:func:`_loss_branches`), the D2 click, arm 1's loss and the output
+splitter (:func:`_split`); the heralds carry one branch per arm 2 Kraus
+operator.  The D2 click is one contraction (:func:`_heralded_gram`): the
+heard rows of the interference splitter, each scaled by the square root of
+its detector weight, are Kraus operators ``K[r, m, n]`` on the scissor arm
+and the ancilla's b mode (:func:`_herald_kraus`; 7 x 7 x 2 at source cutoff
+6 with ideal detectors), contracted with every input branch and then with
+every D0-click ancilla branch, with no joint input x ancilla array.
 All stages are real, so the stacks are float64 (a complex input runs complex
 through the same code) and the output plate ``i^n`` acts once, on the summed
 Gram array (:func:`_output_gram`).
@@ -48,14 +53,15 @@ only the rows that are read, the herald rows the D2 click hears and the
 photon-capped output rows; ``fock.beam_splitter`` and
 ``fock.embed_single_mode`` over the joint basis are the tests' references.
 The source sweeps build only the photon-parity sector entries of the output,
-one real Gram array per sector (:func:`_source_stack`).  The heralded-PDC
-ancilla's coupling loss and D0 detector are diagonal in photon number, so
-its D0-conditioned signal is a photon-number mixture in closed form
-(:func:`_ancilla_distribution`), one branch per (D0 outcome, photon number).
-The circuit runs once per ancilla branch on all input branches and sums the
-outputs' Gram arrays (:func:`_heralded_gram`); the herald distribution needs
-only the photon-number distributions of the two modes that meet on the
-interference splitter, arm 2's in closed form (:func:`herald_probabilities`).
+one real Gram array per sector (:func:`_source_stack`).  Both ancillas are
+one model: a photon-number mixture per D0 outcome in closed form
+(:func:`_ancilla_distribution`), of which the single photon is the point of
+one photon and a D0 click; the heralded-PDC ancilla's coupling loss and D0
+detector are diagonal in photon number.  The circuit's ancilla branches are
+its D0-click photon numbers, split on the ancilla splitter
+(:func:`_ancilla_branches`).  The herald distribution needs only the
+photon-number distributions of the two modes that meet on the interference
+splitter, both in closed form (:func:`herald_probabilities`).
 """
 
 from __future__ import annotations
@@ -245,6 +251,11 @@ def _norms2(blocks: np.ndarray) -> np.ndarray:
     return sum(np.einsum("...ij,...ij->...", part, part) for part in parts)
 
 
+def _kept(stack: np.ndarray) -> np.ndarray:
+    """The blocks of a ``(B, D, W)`` stack whose squared norm exceeds ``BRANCH_TOL``, copied."""
+    return stack[_norms2(stack) > BRANCH_TOL]
+
+
 def _cached(cache: dict, size: int, key, build):
     """``cache[key]``, built on a miss; keeps the ``size`` most recently used.
 
@@ -285,8 +296,8 @@ def _loss_branches(cutoffs, branches: np.ndarray, mode: int, eta: float) -> np.n
 
     kraus = _cached(_CAPPED_LOSS_CACHE, _LOSS_CACHE_SIZE, (float(eta), int(cutoffs[mode])), build)
     T = np.tensordot(kraus, _modes(branches, cutoffs), axes=([2], [mode + 1]))
-    out = np.moveaxis(T, 1, mode + 2).reshape(len(kraus) * len(branches), *branches.shape[1:])
-    return out[_norms2(out) > BRANCH_TOL]
+    return _kept(np.moveaxis(T, 1, mode + 2).reshape(len(kraus) * len(branches),
+                                                     *branches.shape[1:]))
 
 
 def _binomial_loss(eta: float, cutoff: int) -> np.ndarray:
@@ -302,15 +313,16 @@ def _detector_diags(eta: float, cutoff: int):
 
 
 def _ancilla_distribution(config: SourceConfig, c_cutoff: int) -> np.ndarray:
-    """Joint distribution of the D0 outcome and the heralded-PDC ancilla's signal photons.
+    """Joint distribution of the D0 outcome and the ancilla's signal photons.
 
     Returns ``p[o, m]``: o = 0 for a D0 click and 1 for none, m = 0 ...
-    ``c_cutoff`` photons in the signal.  The weak down-converter emits n
-    pairs with probability ``c_n^2``, the truncated and renormalized squeezed
-    vacuum of :func:`_tmsv_column`.  Each arm's coupling loss keeps each
-    photon with probability eta_c, so the signal keeps m of the n photons with
-    probability ``Bin(m; n, eta_c)``, and D0 (efficiency eta_h) misses every
-    idler photon with probability ``(1 - eta_c eta_h)^n``:
+    ``c_cutoff`` photons in the signal.  The single photon is the point
+    ``p[click, 1] = 1``.  The heralded-PDC ancilla's weak down-converter
+    emits n pairs with probability ``c_n^2``, the truncated and renormalized
+    squeezed vacuum of :func:`_tmsv_column`.  Each arm's coupling loss keeps
+    each photon with probability eta_c, so the signal keeps m of the n photons
+    with probability ``Bin(m; n, eta_c)``, and D0 (efficiency eta_h) misses
+    every idler photon with probability ``(1 - eta_c eta_h)^n``:
 
         p[none, m]  = sum_n c_n^2 Bin(m; n, eta_c) (1 - eta_c eta_h)^n
         p[click, m] = sum_n c_n^2 Bin(m; n, eta_c) (1 - (1 - eta_c eta_h)^n)
@@ -318,104 +330,80 @@ def _ancilla_distribution(config: SourceConfig, c_cutoff: int) -> np.ndarray:
     The loss and the bucket detector are diagonal in photon number, so the
     signal of each D0 outcome is the mixture ``sum_m p[o, m] |m><m|``.
     """
+    if config.ancilla_model == "single-photon":
+        p = np.zeros((2, c_cutoff + 1))
+        p[0, 1] = 1.0
+        return p
     pairs = _tmsv_column(config.ancilla_squeezing, c_cutoff)[::c_cutoff + 2, 0] ** 2
     binomial = _binomial_loss(config.coupling, c_cutoff)
     missed = (1.0 - config.coupling * config.herald_efficiency) ** np.arange(c_cutoff + 1)
     return np.stack([(pairs * (1.0 - missed)) @ binomial, (pairs * missed) @ binomial])
 
 
-def _ancilla_branches(config: SourceConfig, c_cutoff: int, photon=None):
-    """Weighted pure branches of the split ancilla on modes (b, c).
+def _ancilla_branches(config: SourceConfig, c_cutoff: int) -> np.ndarray:
+    """The D0-click branches of the split ancilla on modes (b, c), a ``(J, dim, 1)`` stack.
 
     Mode b goes to the interference splitter, mode c is the amplifier
-    output.  Returns the basis, the branches as a ``(B, dim, Q)`` stack and
-    an array of their B labels, the D0 outcome ("click" always, for the
-    ideal model).  The single photon is ``[|10>, |01>] @ photon``;
-    ``photon`` defaults to the column ``(sqrt(t), sqrt(1 - t))``, and the
-    identity keeps both inputs apart.  The heralded-PDC signal is one block
-    ``sqrt(p[o, m]) |m, 0>`` per (D0 outcome, photon number) of
-    :func:`_ancilla_distribution` with ``p[o, m]`` above ``BRANCH_TOL``,
-    clicks first, each split on the ancilla splitter.
+    output.  Each block is ``sqrt(p[click, m]) |m, 0>`` through the ancilla
+    splitter, one per photon number m with ``p[click, m]`` above
+    ``BRANCH_TOL`` (:func:`_ancilla_distribution`), in ascending m.  A D0
+    outcome of no click is never heralded, so it has no branch.
     """
-    t = config.amp_transmission
-    basis = shared_basis((c_cutoff, c_cutoff))
-    if config.ancilla_model == "single-photon":
-        if photon is None:
-            photon = np.array([[math.sqrt(t)], [math.sqrt(1.0 - t)]])
-        block = np.zeros((basis.dimension, 2))
-        block[basis.index_of((1, 0)), 0] = 1.0
-        block[basis.index_of((0, 1)), 1] = 1.0
-        return basis, (block @ photon)[None], np.array(["click"])
-
-    # Weak down-converter: signal feeds the splitter, idler feeds D0.
-    p = _ancilla_distribution(config, c_cutoff)
-    outcome, photons = np.nonzero(p > BRANCH_TOL)
+    p = _ancilla_distribution(config, c_cutoff)[0]
+    photons = np.flatnonzero(p > BRANCH_TOL)
     signal = np.zeros((len(photons), c_cutoff + 1, 1))
-    signal[np.arange(len(photons)), photons, 0] = np.sqrt(p[outcome, photons])
+    signal[np.arange(len(photons)), photons, 0] = np.sqrt(p[photons])
     # The signal enters mode b with mode c empty.
-    out = _split(signal, (c_cutoff, 0), 0, t, basis.cutoffs)
-    return basis, out, np.array(["click", "none"])[outcome]
+    return _split(signal, (c_cutoff, 0), 0, config.amp_transmission, (c_cutoff, c_cutoff))
+
+
+#: The heralded-PDC ancilla's per-mode cutoff: its pair distribution is
+#: truncated here, or at a smaller source cutoff (:func:`_ancilla_cutoff`).
+_PAIR_CUTOFF = 3
+
+#: The single photon's two basis inputs ``|10>`` and ``|01>`` on the ancilla
+#: modes (b, c), rows 2 and 1 of their basis, one column each, as an ancilla
+#: stack of :func:`_heralded_gram`: the source sweeps' stand-in for the split
+#: photon (:func:`_source_stack`).
+_PHOTON_INPUTS = np.eye(4)[None, :, [2, 1]]
+_PHOTON_INPUTS.setflags(write=False)
 
 
 def _ancilla_cutoff(config: SourceConfig) -> int:
     """Per-mode cutoff of the split ancilla's modes (b, c)."""
-    return 1 if config.ancilla_model == "single-photon" else min(3, config.cutoff)
+    return 1 if config.ancilla_model == "single-photon" else min(_PAIR_CUTOFF, config.cutoff)
 
 
-def _interference_cutoffs(input_cutoffs, scissor_mode: int, c_cutoff: int):
-    """Cutoffs before and after the 50/50 interference splitter, and its b mode.
+def _heralded_gram(config: SourceConfig, inputs, input_cutoffs, gram=None, ancilla=None):
+    """The heralded circuit: one contraction of the inputs and the ancilla with the herald.
 
-    The ancilla's modes (b, c) follow the input modes.  The scissor mode and
-    b are enlarged so the splitter conserves photon number exactly.
-    """
-    small_cutoffs = tuple(input_cutoffs) + (c_cutoff, c_cutoff)
-    b_mode = len(small_cutoffs) - 2
-    big_cutoffs = list(small_cutoffs)
-    big_cutoffs[scissor_mode] += c_cutoff  # photons the ancilla can add
-    big_cutoffs[b_mode] += input_cutoffs[scissor_mode]
-    return small_cutoffs, tuple(big_cutoffs), b_mode
-
-
-def _heralded_gram(config: SourceConfig, inputs, input_cutoffs, scissor_mode: int,
-                   gram=None, photon=None):
-    """The heralded circuit, streamed over the ancilla's D0-click branches.
-
-    Each pass joins one ancilla block ``(d', Q)`` to every input block
-    ``(d, P)`` of the ``(B, d, P)`` stack ``inputs`` (column ``p Q + q``),
-    interferes on the 50/50 splitter and conditions on the D2 click.  The
-    splitter computes only the herald rows that the D2 click hears
-    (:func:`_herald_weights`); the others would all be dropped.  ``gram``
-    (default :func:`_gram`) maps the pass's heralded branches over the kept
-    modes to an array.  Returns that array summed over all passes and
-    doubled: the D1 click, after its feed-forward plate, prepares the same
-    branches up to one sign each, so its array equals D2's (module
-    docstring).  Doubling is exact in floating point.
+    ``inputs`` is a ``(B, d, P)`` stack over ``input_cutoffs``, whose last
+    mode a is the scissor arm; ``ancilla`` (default: the D0-click branches of
+    :func:`_ancilla_branches`) is a ``(J, d', Q)`` stack over the ancilla's
+    modes (b, c).  The D2 click's Kraus operators ``K[r, m, n]`` on (a, b)
+    (:func:`_herald_kraus`) are contracted with mode a of every input block
+    and then with mode b of every ancilla block, two ``tensordot`` products
+    and no joint input x ancilla array.  Branch ``(j, k, r)`` holds the kept
+    modes (those before a, then c) in its rows and column ``p Q + q``;
+    branches whose squared norm is at or below ``BRANCH_TOL`` are dropped.
+    ``gram`` (default :func:`_gram`) maps the heralded branches to an array,
+    which is returned doubled: the D1 click, after its feed-forward plate,
+    prepares the same branches up to one sign each, so its array equals D2's
+    (module docstring).  Doubling is exact in floating point.
     """
     c_cutoff = _ancilla_cutoff(config)
-    small_cutoffs, big_cutoffs, b_mode = _interference_cutoffs(
-        input_cutoffs, scissor_mode, c_cutoff
-    )
-    _, anc, labels = _ancilla_branches(config, c_cutoff, photon)
-    rows, weights = _herald_weights(config.herald_efficiency, big_cutoffs[scissor_mode],
-                                    big_cutoffs[b_mode])
-    gram = gram or _gram
-
-    n_in, d, P = inputs.shape
-    W = P * anc.shape[2]
-    total = None
-    for block in anc[labels == "click"]:
-        joint = inputs[:, :, None, :, None] * block[None, None, :, None, :]
-        joint = _split(joint.reshape(n_in, d * len(block), W), small_cutoffs,
-                       scissor_mode, 0.5, big_cutoffs, rows)  # b_mode is scissor_mode + 1
-        branches = _condition_on_heralds(big_cutoffs, joint, scissor_mode, weights)
-        del joint  # the pass's largest array; free it before the output stage
-        part = gram(branches)
-        # The first pass's array is the sum: no second Gram-sized array for
-        # the single photon's one pass.
-        total = part if total is None else np.add(total, part, out=total)
-    if total is None:  # no ancilla branch heralded: zeros of the output's shape
-        kept = [c + 1 for m, c in enumerate(big_cutoffs) if m not in (scissor_mode, b_mode)]
-        total = gram(np.zeros((0, math.prod(kept), W), dtype=inputs.dtype))
+    if ancilla is None:
+        ancilla = _ancilla_branches(config, c_cutoff)
+    kraus = _herald_kraus(config.herald_efficiency, input_cutoffs[-1], c_cutoff)
+    (n_in, d, P), (J, _, Q) = inputs.shape, ancilla.shape
+    a, b = input_cutoffs[-1] + 1, c_cutoff + 1
+    # (k, pre, p, r, n) and then (k, pre, p, r, j, c, q), reordered to the
+    # branches (j, k, r); neither product is named, so both are freed
+    # before the output stage.
+    total = (gram or _gram)(_kept(np.tensordot(
+        np.tensordot(inputs.reshape(n_in, d // a, a, P), kraus, ([2], [1])),
+        ancilla.reshape(J, b, b, Q), ([4], [1]),
+    ).transpose(4, 0, 3, 1, 5, 2, 6).reshape(J * n_in * len(kraus), d // a * b, P * Q)))
     total *= 2.0  # the D1 click's share
     return total
 
@@ -438,66 +426,31 @@ def _herald_weights(eta: float, a_cutoff: int, b_cutoff: int):
     Row ``na (b_cutoff + 1) + nb`` holds na photons on mode a and nb on mode
     b; ``eta`` is the detectors' efficiency.  Returns the rows where the
     weight of D2 clicking with D1 dark exceeds ``BRANCH_TOL``, ascending,
-    and the weights on them, ``(R,)``.  Every other row is dropped
-    (:func:`_detected`): with ideal detectors 7 of the 64 rows are heard at
-    source cutoff 6.
+    and the weights on them, ``(R,)``.  No other row is computed: with ideal
+    detectors 7 of the 64 rows are heard at source cutoff 6.
     """
     weights = np.outer(*_herald_detectors(eta, a_cutoff, b_cutoff)["d2"]).ravel()
     rows = np.flatnonzero(weights > BRANCH_TOL)
     return rows, weights[rows]
 
 
-def _herald_blocks(joint: np.ndarray, cutoffs, a_mode: int, n_rows: int):
-    """The joint stack split by its herald rows.
+@lru_cache(maxsize=64)
+def _herald_kraus(eta: float, a_cutoff: int, b_cutoff: int) -> np.ndarray:
+    """Kraus operators ``K[r, m, n]`` of the D2 click on the input pair (a, b).
 
-    ``joint`` is the ``(B, D, W)`` stack of :func:`_split` on the adjacent
-    herald modes ``(a_mode, a_mode + 1)`` of ``cutoffs``, with ``n_rows``
-    rows of the splitter: the tensor ``(B, pre, R, post W)`` over the modes
-    before the pair, the rows and the modes after it.  Returns it with the
-    row axis moved forward, ``(B, R, pre, post W)``: its ``[k, r]`` block is
-    branch k on herald row r, whose rows run over the modes before the pair
-    and whose columns over the modes after it and the W columns.  A view:
-    nothing is copied.
+    The 50/50 interference splitter from modes a (cutoff ``a_cutoff``) and b
+    (``b_cutoff``) onto the pair enlarged to ``a_cutoff + b_cutoff`` photons
+    each, so that it conserves photon number, read on its heard rows r
+    (:func:`_herald_weights`), each scaled by the square root of its detector
+    weight: ``(R, a_cutoff + 1, b_cutoff + 1)``, read-only, 7 x 7 x 2 at
+    source cutoff 6 with ideal detectors.
     """
-    B, _, W = joint.shape
-    pre, post = (math.prod(c + 1 for c in cut) for cut in (cutoffs[:a_mode], cutoffs[a_mode + 2:]))
-    return np.moveaxis(joint.reshape(B, pre, n_rows, post * W), 1, 2)
-
-
-def _detected(blocks: np.ndarray, weights: np.ndarray):
-    """The branches of a detector outcome of diagonal POVM weights.
-
-    ``blocks`` is ``(..., R, C)``; ``weights`` broadcasts to its leading
-    axes.  Each block is scaled by the square root of its weight.  Blocks
-    whose weight and weighted squared norm exceed ``BRANCH_TOL`` are kept,
-    in C order of the leading axes; only they are copied.  Returns the
-    ``(K, R, C)`` stack.
-    """
-    heard = weights > BRANCH_TOL
-    weighted = weights * _norms2(blocks)
-    keep = heard & (weighted > BRANCH_TOL)
-    scale = np.broadcast_to(np.sqrt(np.where(heard, weights, 0.0)), keep.shape)[keep]
-    kept = blocks[keep]
-    kept *= scale[:, None, None]
-    return kept
-
-
-def _condition_on_heralds(cutoffs, joint, a_mode, weights):
-    """Condition branches on the D2 click, keeping the other modes.
-
-    The herald modes ``(a_mode, a_mode + 1)`` hold the rows of ``weights``,
-    the :func:`_herald_weights` weights; ``joint`` is the splitter's stack
-    on those rows (:func:`_split`).
-
-    Returns the heralded branches as one ``(K, dim, P)`` stack over the kept
-    modes.  Every (branch, row) whose detector weight and weighted squared
-    norm exceed ``BRANCH_TOL`` is a new branch, in that order.  The norms
-    are taken on the view of :func:`_herald_blocks`, and only the kept
-    blocks are copied out of it.
-    """
-    kept = math.prod(c + 1 for m, c in enumerate(cutoffs) if m not in (a_mode, a_mode + 1))
-    branches = _detected(_herald_blocks(joint, cutoffs, a_mode, len(weights)), weights)
-    return branches.reshape(len(branches), kept, joint.shape[-1])
+    big = a_cutoff + b_cutoff
+    rows, weights = _herald_weights(eta, big, big)
+    U = _cached_bs((big, big), 0.5, (a_cutoff, b_cutoff))[rows]
+    kraus = (np.sqrt(weights)[:, None] * U).reshape(len(rows), a_cutoff + 1, b_cutoff + 1)
+    kraus.setflags(write=False)
+    return kraus
 
 
 def _outcome(basis: ModeBasis, gram: np.ndarray) -> HeraldedOutcome:
@@ -528,6 +481,8 @@ def qscissor_amplify(state, t: float, herald_efficiency: float = 1.0,
     two or more photons are truncated by the scissor (they can only reach
     the detectors, never the output mode).  Returns the conditional output
     state and the success probability: exactly one of D1 and D2 clicks.
+    The heralded-PDC ancilla keeps its own truncation, ``_PAIR_CUTOFF``
+    photons, whatever the input's, so padding the input changes nothing.
     """
     if isinstance(state, StateVector):
         branches = state.normalize().amplitudes[None, :, None]
@@ -546,9 +501,9 @@ def qscissor_amplify(state, t: float, herald_efficiency: float = 1.0,
         ancilla_model=ancilla_model,
         ancilla_squeezing=ancilla_squeezing,
         herald_efficiency=herald_efficiency,
-        cutoff=max(cutoffs[0], 1),
+        cutoff=_PAIR_CUTOFF,  # the ancilla's own truncation, not the input's
     )
-    gram = _heralded_gram(config, branches, cutoffs, 0)
+    gram = _heralded_gram(config, branches, cutoffs)
     return _outcome(shared_basis((_ancilla_cutoff(config),)), gram)
 
 
@@ -562,13 +517,13 @@ def _gram(stack: np.ndarray) -> np.ndarray:
     return (flat.T @ flat.conj()).reshape(stack.shape[1:] * 2)
 
 
-def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
+def _output_gram(config: SourceConfig, inputs: np.ndarray, ancilla=None):
     """The source circuit on a ``(d, P)`` block of inputs on the two arms.
 
     Returns the photon-capped output basis, the :func:`_gram` array of the
     output branches, ``(d_out, P Q, d_out, P Q)`` with Q columns of the
-    ancilla ``photon`` (see :func:`_ancilla_branches`), summed over the
-    ancilla's branches one pass at a time (:func:`_heralded_gram`).  Arm 2's
+    ``ancilla`` stack (default: :func:`_ancilla_branches`), summed over all
+    of its branches (:func:`_heralded_gram`).  Arm 2's
     coupling loss acts on the inputs and arm 1's on the heralded branches.
     The output splitter computes only the photon-capped rows.  The branches stay
     real: the output plate ``ph = i^n`` on the second mode scales the sum
@@ -587,7 +542,7 @@ def _output_gram(config: SourceConfig, inputs: np.ndarray, photon=None):
         return _gram(_split(branches, kept, 0, 0.5, full, cap_idx))
 
     arms = _loss_branches((config.cutoff,) * 2, inputs[None], 1, config.coupling)
-    gram = _heralded_gram(config, arms, (config.cutoff,) * 2, 1, output_gram, photon)
+    gram = _heralded_gram(config, arms, (config.cutoff,) * 2, output_gram, ancilla)
     # Fixes the documented c00 >= 0, c2 <= 0 sign pattern; every factor is ±1 or ±i.
     ph = np.array([1j ** n for n in range(out_cut + 1)])[capped.occupations[:, 1]]
     return capped, gram * np.multiply.outer(ph, ph.conj())[:, None, :, None]
@@ -615,30 +570,29 @@ def herald_probabilities(config: SourceConfig) -> dict:
     D1 and D2 count the photons of the two modes that meet on the 50/50
     splitter U.  Both modes' reduced states are diagonal in photon number:
     the scissor arm's weights are the TMSV's ``c_n^2`` through ``Bin(m; n,
-    eta_c)``, and in each ancilla branch the b mode's photon number fixes
-    the c mode's.  The count distribution of one D0 outcome is then
-    ``|U|^2 (p_1 (x) p_b)``, so no joint state of the whole circuit is built.
+    eta_c)``, and the b mode keeps k of the ancilla's m photons with
+    probability ``Bin(k; m, t)``, so its weights for D0 outcome o are
+    ``p[o] @ Bin(t)`` (:func:`_ancilla_distribution`).  The count
+    distribution of one D0 outcome is then ``|U|^2 (p_1 (x) p_b)``; no
+    branch of the circuit is built.  A D0 outcome is reported when some
+    ``p[o, m]`` exceeds ``BRANCH_TOL``.
     """
     c_cutoff = _ancilla_cutoff(config)
-    arms = (config.cutoff,) * 2
-    a_mode = 1  # the scissor arm
-    small, big, b_mode = _interference_cutoffs(arms, a_mode, c_cutoff)
-    U = _cached_bs((big[a_mode], big[b_mode]), 0.5, (small[a_mode], small[b_mode]))
+    big = config.cutoff + c_cutoff  # both herald modes, enlarged to conserve photon number
+    U = _cached_bs((big, big), 0.5, (config.cutoff, c_cutoff))
     pairs = _tmsv_column(config.squeezing, config.cutoff)[::config.cutoff + 2, 0] ** 2
     p_1 = pairs @ _binomial_loss(config.coupling, config.cutoff)  # arm 2 after its loss
-    anc_basis, anc, labels = _ancilla_branches(config, c_cutoff)
+    p = _ancilla_distribution(config, c_cutoff)
+    p_b = p @ _binomial_loss(config.amp_transmission, c_cutoff)  # b keeps k of the m photons
 
     with_d0 = config.ancilla_model == "heralded-pdc"
-    detectors = _herald_detectors(config.herald_efficiency, big[a_mode], big[b_mode])
+    detectors = _herald_detectors(config.herald_efficiency, big, big)
     probs: dict = {}
-    for d0_label in dict.fromkeys(labels):
-        b = _modes(anc[labels == d0_label], anc_basis.cutoffs)
+    for o in np.flatnonzero((p > BRANCH_TOL).any(axis=1)):  # the D0 outcomes that occur
         # Photon-count distribution on the herald modes for this D0 outcome.
-        counts = (U * U) @ np.kron(p_1, np.einsum("kbcw,kbcw->b", b, b))
-        counts = counts.reshape(big[a_mode] + 1, big[b_mode] + 1)
+        counts = ((U * U) @ np.kron(p_1, p_b[o])).reshape(big + 1, big + 1)
         for name, (d1, d2) in detectors.items():
-            key = (str(d0_label), name) if with_d0 else name
-            probs[key] = float(d1 @ counts @ d2)
+            probs[(("click", "none")[o], name) if with_d0 else name] = float(d1 @ counts @ d2)
     return probs
 
 
@@ -842,7 +796,7 @@ def _source_stack(eta_c: float, cutoff: int):
             return np.concatenate(folded, axis=1)
 
         arms = _loss_branches((cutoff, cutoff), inputs[None], 1, eta_c)
-        packed = _heralded_gram(config, arms, (cutoff, cutoff), 1, packed_rows, np.eye(2))
+        packed = _heralded_gram(config, arms, (cutoff, cutoff), packed_rows, _PHOTON_INPUTS)
         identity = np.eye(basis.dimension).ravel()[sectors.entries]
         trace_form = _pair_forms(packed, identity[None])[0]
         for array in (packed, trace_form):

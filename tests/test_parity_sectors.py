@@ -124,7 +124,7 @@ def whole_output_rows(cutoff):
     inputs = np.zeros((arms.dimension, cutoff + 1))
     for n in range(cutoff + 1):
         inputs[arms.index_of((n, n)), n] = 1.0
-    return sa._fold(sa._output_gram(config, inputs, photon=np.eye(2))[1].real)
+    return sa._fold(sa._output_gram(config, inputs, ancilla=sa._PHOTON_INPUTS)[1].real)
 
 
 def assert_source_forms_match(cutoff, ops, packed_ops):

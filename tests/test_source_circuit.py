@@ -10,21 +10,24 @@ output plate ``i^n`` is real, so the circuit runs in float64 and applies
 that plate once, to the summed Gram array; the plate built over the joint
 basis's occupations, per branch, is its reference.  (The source sweeps'
 stack never applies it as a complex factor: within a photon-parity sector it
-is a real sign, ``tests/test_source_images.py``.)  The circuit conditions on
-the D2 click alone and doubles its Gram array; the reference conditions the
-full split on both clicks, plating the D1 branches with the feed-forward
-parity (:func:`two_click_gram`).  The interference splitter computes only
-the herald rows the D2 click hears; the full split followed by the
-detectors' drop is its bitwise reference.  The pinned
+is a real sign, ``tests/test_source_images.py``.)  The circuit heralds
+through the D2 click's Kraus operators, the heard rows of the interference
+splitter weighted by the detectors (``source_amp._herald_kraus``), in one
+contraction with the inputs and the ancilla, and doubles its Gram array.
+The reference builds the joint input x ancilla array, passes it through the
+whole splitter and conditions it on both clicks with the detectors' own
+weights, plating the D1 branches with the feed-forward parity
+(:func:`two_click_gram`).  The pinned
 outputs guard the wiring of the circuit: which modes each splitter acts on
-and which are heralded.
+and which are heralded; the heralded-PDC scissor's pin is held to the dense
+circuit over the full joint basis (:func:`dense_scissor`).
 The circuit applies arm 1's coupling loss after the heralds; its outputs
 are held to the circuit with both arms' loss before them
 (:func:`loss_before_heralds`).
 The herald distribution, which the circuit takes from the photon-number
 distributions of the two herald modes, is held to the joint stack of every
-input branch, both arms' loss applied, times every ancilla branch
-(:func:`joint_stack_herald_probabilities`).  The
+input branch, both arms' loss applied, times every ancilla branch of both
+D0 outcomes (:func:`joint_stack_herald_probabilities`).  The
 heralded-PDC ancilla's closed-form photon-number distribution is held to the
 dense squeezed vacuum through the loss Kraus operators and the D0 POVM
 (:func:`dense_ancilla_distribution`).
@@ -44,6 +47,7 @@ import cvbell.source_amp as sa
 from cvbell.fock import (
     DensityOperator,
     ModeBasis,
+    StateVector,
     beam_splitter,
     embed_single_mode,
     embedding_indices,
@@ -168,7 +172,7 @@ def test_output_plate_on_the_gram_equals_the_per_branch_plate(cutoff, ancilla, b
     kept = (cutoff, sa._ancilla_cutoff(config))
     stack = random_stack(seed, (branches, ModeBasis(kept).dimension, width)).real.copy()
 
-    def heralded_gram(config, arms, cutoffs, mode, gram, photon):
+    def heralded_gram(config, arms, cutoffs, gram, ancilla):
         return gram(stack)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -232,7 +236,7 @@ class TestPinnedDirectCircuit:
         expected = pins["outputs"][ancilla]
         out = sa.qscissor_amplify(rho, **expected["kwargs"])
         # A complex input runs complex through the same stages.
-        assert np.dtype(complex) in stack_dtypes["_split"] & stack_dtypes["_gram"]
+        assert np.dtype(complex) in stack_dtypes["_kept"] & stack_dtypes["_gram"]
         assert out.success_probability == pytest.approx(expected["success_probability"], abs=1e-12)
         assert np.abs(out.state.matrix - complex_matrix(expected["state"])).max() < 1e-12
 
@@ -241,7 +245,7 @@ class TestPinnedDirectCircuit:
 def stack_dtypes(monkeypatch):
     """The dtypes of the stacks that reach the circuit's stages, by stage name."""
     seen = {}
-    for name in ("_split", "_gram", "_detected"):
+    for name in ("_split", "_kept", "_gram"):
         def spy(stack, *args, _stage=getattr(sa, name), _name=name, **kwargs):
             seen.setdefault(_name, set()).add(stack.dtype)
             return _stage(stack, *args, **kwargs)
@@ -255,11 +259,12 @@ REAL_RUNS = {
     "amplified_source-single-photon": (
         lambda: sa.amplified_source(sa.SourceConfig(squeezing=0.2, amp_transmission=0.3,
                                                     coupling=0.9, cutoff=3)),
-        {"_split", "_gram", "_detected"}),
+        {"_split", "_kept", "_gram"}),
     "amplified_source-heralded-pdc": (lambda: sa.amplified_source(PDC),
-                                      {"_split", "_gram", "_detected"}),
-    "herald_probabilities": (lambda: sa.herald_probabilities(PDC), {"_split"}),
-    "_source_stack": (lambda: sa._source_stack(0.9, 3), {"_split", "_gram", "_detected"}),
+                                      {"_split", "_kept", "_gram"}),
+    # The herald distribution is closed-form: it runs no stack at all.
+    "herald_probabilities": (lambda: sa.herald_probabilities(PDC), set()),
+    "_source_stack": (lambda: sa._source_stack(0.9, 3), {"_split", "_kept", "_gram"}),
 }
 
 
@@ -363,20 +368,36 @@ def test_herald_probabilities_keep_the_loss_before_the_heralds(eta_c, cutoff):
     assert all(abs(value - oracle[key]) <= LOSS_ORDER_TOL for key, value in probs.items())
 
 
+def split_ancilla(config, c_anc):
+    """Every ancilla branch of both D0 outcomes through the dense ancilla splitter.
+
+    One block ``sqrt(p[o, m]) U |m, 0>`` on modes (b, c) per (D0 outcome,
+    photon number) with ``p[o, m]`` above ``BRANCH_TOL``, clicks first, with
+    ``U = fock.beam_splitter`` of transmission t; the single photon is the one
+    click block of m = 1.  Returns the ``(J, dim, 1)`` stack and the D0 labels.
+    """
+    p = sa._ancilla_distribution(config, c_anc)
+    basis = ModeBasis((c_anc, c_anc))
+    U = beam_splitter(basis, config.amp_transmission, (0, 1)).real
+    outcome, photons = np.nonzero(p > sa.BRANCH_TOL)
+    columns = U[:, [basis.index_of((m, 0)) for m in photons]] * np.sqrt(p[outcome, photons])
+    return columns.T[:, :, None], np.array(["click", "none"])[outcome]
+
+
 def joint_stack_herald_probabilities(config):
     """Herald distribution from the full joint stack, the oracle of the photon-number path.
 
     Both arms pass their coupling loss before the heralds
     (:func:`both_arms_lossy`).  Every lossy input branch joins every ancilla
-    branch (both D0 outcomes), the whole stack passes the 50/50 interference
-    splitter, and the photon counts on the herald modes are summed per D0
-    outcome.
+    branch of both D0 outcomes (:func:`split_ancilla`), the whole stack passes
+    the 50/50 interference splitter, and the photon counts on the herald
+    modes are summed per D0 outcome.
     """
     c = config.cutoff
     c_anc = 1 if config.ancilla_model == "single-photon" else min(3, c)
-    anc_basis, anc, labels = sa._ancilla_branches(config, c_anc)
+    anc, labels = split_ancilla(config, c_anc)
     inputs = both_arms_lossy(config, sa._tmsv_column(config.squeezing, config.cutoff))
-    small, big = (c, c) + anc_basis.cutoffs, (c, c + c_anc, c_anc + c, c_anc)
+    small, big = (c, c, c_anc, c_anc), (c, c + c_anc, c_anc + c, c_anc)
     (n_in, d, P), (n_anc, d_anc, Q) = inputs.shape, anc.shape
     joint = inputs[:, None, :, None, :, None] * anc[None, :, None, :, None, :]
     joint = sa._split(joint.reshape(n_in * n_anc, d * d_anc, P * Q), small, 1, 0.5, big)
@@ -384,12 +405,13 @@ def joint_stack_herald_probabilities(config):
 
     detectors = {}
     for mode in (1, 2):
-        click, no_click = sa._detector_diags(config.herald_efficiency, big[mode])
-        detectors[mode] = {"click": click, "none": no_click}
+        no_click, click, _ = photodetection_povm(config.herald_efficiency, big[mode])
+        detectors[mode] = {"click": np.diag(click), "none": np.diag(no_click)}
     names = {("click", "none"): "d1", ("none", "click"): "d2",
              ("click", "click"): "both", ("none", "none"): "none"}
-    d_a, d_b = big[1] + 1, big[2] + 1
-    norms2 = sa._norms2(sa._herald_blocks(joint, big, 1, d_a * d_b)).reshape(-1, d_a, d_b)
+    # The squared norm of every branch on every herald row (n_a, n_b).
+    norms2 = (np.abs(joint.reshape(len(joint), c + 1, big[1] + 1, big[2] + 1, -1)) ** 2).sum(
+        axis=(1, 4))
     probs = {}
     for d0_label in dict.fromkeys(labels):
         counts = norms2[labels == d0_label].sum(axis=0)
@@ -400,8 +422,16 @@ def joint_stack_herald_probabilities(config):
 
 
 def click_weights(eta, a_cutoff, b_cutoff, click):
-    """The D1/D2 weights of ``click`` ("d1" or "d2") on every row of the interference splitter."""
-    return np.outer(*sa._herald_detectors(eta, a_cutoff, b_cutoff)[click]).ravel()
+    """The weights of ``click`` on every row ``(n_a, n_b)`` of the interference splitter.
+
+    "d1" is D1 (mode a, the scissor arm) clicking with D2 (the ancilla's b
+    mode) dark, "d2" the reverse; the weights are read off the detectors'
+    POVMs (``measurement.photodetection_povm``).
+    """
+    no_a, click_a, _ = photodetection_povm(eta, a_cutoff)
+    no_b, click_b, _ = photodetection_povm(eta, b_cutoff)
+    a, b = (click_a, no_b) if click == "d1" else (no_a, click_b)
+    return np.outer(np.diag(a), np.diag(b)).ravel()
 
 
 def every_row(eta, a_cutoff, b_cutoff):
@@ -410,41 +440,98 @@ def every_row(eta, a_cutoff, b_cutoff):
     return np.arange(len(weights)), weights
 
 
+def full_split_branches(config, inputs, input_cutoffs, ancilla, click):
+    """The heralded branches of ``click`` ("d1" or "d2") from the full interference split.
+
+    Every ancilla block of ``ancilla`` joins every input block of ``inputs``
+    (the joint input x ancilla array, column ``p Q + q``).  The whole 50/50
+    splitter (``sa._split`` without ``rows``) acts on the scissor arm, the
+    last input mode, and the ancilla's b mode, both enlarged so that it
+    conserves photon number.  Each (branch, row) block is weighted by the
+    square root of the click's weight (:func:`click_weights`), and blocks at
+    or below ``BRANCH_TOL`` are dropped.  Returns the ``(K, kept, P Q)`` stack
+    over the modes before the scissor arm and the amplified mode c, in
+    (ancilla, input, row) order.
+    """
+    c_anc = sa._ancilla_cutoff(config)
+    *pre, a = input_cutoffs
+    (n_in, d, P), (J, d_anc, Q) = inputs.shape, ancilla.shape
+    joint = inputs[None, :, :, None, :, None] * ancilla[:, None, None, :, None, :]
+    joint = sa._split(joint.reshape(J * n_in, d * d_anc, P * Q), (*input_cutoffs, c_anc, c_anc),
+                      len(pre), 0.5, (*pre, a + c_anc, c_anc + a, c_anc))
+    weights = click_weights(config.herald_efficiency, a + c_anc, c_anc + a, click)
+    # (branch, pre, row, c W) -> (branch, row, pre, c W): one block per (branch, row).
+    pre = math.prod(c + 1 for c in pre)
+    blocks = np.moveaxis(joint.reshape(len(joint), pre, len(weights), (c_anc + 1) * P * Q), 2, 1)
+    blocks = np.sqrt(weights)[:, None, None] * blocks
+    blocks = blocks[sa._norms2(blocks) > sa.BRANCH_TOL]
+    return blocks.reshape(len(blocks), pre * (c_anc + 1), P * Q)
+
+
+#: The largest entry difference between two products of the same factors in
+#: another order, relative to the largest entry (2.2e-16 measured).
+MIRROR_RTOL = 1e-15
+
+
+def assert_mirrored(value, reference):
+    assert value.shape == reference.shape
+    assert np.abs(value - reference).max() <= MIRROR_RTOL * np.abs(reference).max()
+
+
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 @pytest.mark.parametrize("eta_h", [1.0, 0.7, 0.0])
 @pytest.mark.parametrize("ancilla", ["single-photon", "heralded-pdc"])
 @pytest.mark.parametrize("cutoff", range(1, 7))
 def test_heralded_rows_equal_the_full_split_then_drop(cutoff, ancilla, eta_h, real):
-    """Bitwise: the rows the D2 click does not hear are dropped by the detectors."""
+    """The contraction's branches are the full split's D2 branches, in the same order.
+
+    The Kraus operators hold only the rows the D2 click hears; the rows
+    they leave out are those the detectors drop.  Each entry multiplies the
+    same three factors (splitter amplitude, input, ancilla) in another
+    order, so the two agree to rounding.
+    """
     config = sa.SourceConfig(squeezing=0.0, amp_transmission=0.3, ancilla_model=ancilla,
                              herald_efficiency=eta_h, cutoff=cutoff)
-    c_anc = sa._ancilla_cutoff(config)
-    small, big, _ = sa._interference_cutoffs((cutoff, cutoff), 1, c_anc)
-    rows, weights = sa._herald_weights(eta_h, big[1], big[2])
-    _, full = every_row(eta_h, big[1], big[2])
-    assert np.array_equal(rows, np.flatnonzero(full > sa.BRANCH_TOL))
-    assert np.array_equal(weights, full[rows])
-
     inputs = random_stack(cutoff, (2, (cutoff + 1) ** 2, 2))
     if real:
         inputs = inputs.real.copy()
-    _, anc, labels = sa._ancilla_branches(config, c_anc)
-    for block in anc[labels == "click"]:
-        joint = (inputs[:, :, None, :, None] * block[None, None, :, None, :]).reshape(
-            2, -1, 2 * block.shape[1])
-        heard = sa._split(joint, small, 1, 0.5, big, rows)
-        assert heard.shape[1] == (cutoff + 1) * len(rows) * (c_anc + 1)
-        fast = sa._condition_on_heralds(big, heard, 1, weights)
-        slow = sa._condition_on_heralds(big, sa._split(joint, small, 1, 0.5, big), 1, full)
-        assert fast.dtype == inputs.dtype
-        assert fast.shape == slow.shape
-        assert np.array_equal(fast, slow)
+    fast = sa._heralded_gram(config, inputs, (cutoff, cutoff), lambda branches: branches)
+    ancilla_blocks = sa._ancilla_branches(config, sa._ancilla_cutoff(config))
+    slow = full_split_branches(config, inputs, (cutoff, cutoff), ancilla_blocks, "d2")
+    assert fast.dtype == inputs.dtype
+    if len(slow):
+        assert_mirrored(fast, 2.0 * slow)  # the D1 click's share
+    else:
+        assert fast.shape == slow.shape  # nothing heralded: an empty stack
+
+
+@pytest.mark.parametrize("eta_h", [1.0, 0.7, 0.0])
+@pytest.mark.parametrize("ancilla", ["single-photon", "heralded-pdc"])
+@pytest.mark.parametrize("cutoff", range(1, 7))
+def test_herald_kraus_are_the_weighted_heard_rows_of_the_dense_splitter(cutoff, ancilla, eta_h):
+    """Bitwise: ``K[r, m, n] = sqrt(w_r) <r| U |m, n>`` on the heard rows r, ascending.
+
+    U is ``fock.beam_splitter`` on the pair (scissor arm, ancilla b mode),
+    enlarged to hold every photon of both inputs.
+    """
+    a, b = cutoff, (1 if ancilla == "single-photon" else min(3, cutoff))
+    big = a + b
+    weights = click_weights(eta_h, big, big, "d2")
+    rows = np.flatnonzero(weights > sa.BRANCH_TOL)
+    U = beam_splitter(ModeBasis((big, big)), 0.5, (0, 1)).real.reshape((big + 1) ** 2, big + 1,
+                                                                      big + 1)
+    expected = np.sqrt(weights[rows])[:, None, None] * U[rows, :a + 1, :b + 1]
+    kraus = sa._herald_kraus(eta_h, a, b)
+    assert not kraus.flags.writeable
+    assert kraus.shape == expected.shape
+    assert np.array_equal(kraus, expected)
 
 
 def test_ideal_heralds_hear_seven_of_sixty_four_rows_at_cutoff_six():
     """D1 dark and D2 clicking: no photon on mode a, one to seven on mode b."""
     rows, weights = sa._herald_weights(1.0, 7, 7)
     assert np.array_equal(rows, np.arange(1, 8)) and weights.shape == (7,)
+    assert sa._herald_kraus(1.0, 6, 1).shape == (7, 7, 2)
 
 
 SCISSOR_INPUT = DensityOperator(ModeBasis((2,)),
@@ -464,54 +551,39 @@ END_TO_END = {
 @pytest.mark.parametrize("eta_h", [1.0, 0.7])
 @pytest.mark.parametrize("run", list(END_TO_END.values()), ids=list(END_TO_END))
 def test_circuit_outputs_equal_the_full_split_bitwise(run, eta_h, monkeypatch):
+    """The Kraus operators on every row, heard or not, give the same outputs bit for bit.
+
+    A row the D2 click does not hear weighs 0, so its branches are zero and dropped.
+    """
     fast = run(eta_h)
     monkeypatch.setattr(sa, "_herald_weights", every_row)
+    monkeypatch.setattr(sa, "_herald_kraus", sa._herald_kraus.__wrapped__)  # uncached
+    assert len(sa._herald_kraus(eta_h, 2, 1)) == 16
     slow = run(eta_h)
     assert np.array_equal(fast.state.matrix, slow.state.matrix)
     assert fast.success_probability == slow.success_probability
 
 
-def click_gram(config, inputs, input_cutoffs, scissor_mode, gram=None, photon=None, *, click):
+def click_gram(config, inputs, input_cutoffs, gram=None, ancilla=None, *, click):
     """``sa._heralded_gram`` on the full split, conditioned on ``click`` ("d1" or "d2") alone.
 
-    The D1 click's branches get the feed-forward parity ``(-1)^n`` on the
-    amplified mode (the last kept mode), built over the occupations
-    (:func:`occupation_plate`).  ``gram`` (default ``sa._gram``) maps each
-    ancilla block's branches to an array; the arrays are summed, from the
-    array of no branch so that an ancilla that never clicks gives zeros, and
-    not doubled.
+    The branches are those of :func:`full_split_branches` (``ancilla``
+    defaults to ``sa._ancilla_branches``); the D1 click's get the
+    feed-forward parity ``(-1)^n`` on the amplified mode (the last kept
+    mode), built over the occupations (:func:`occupation_plate`).  ``gram``
+    (default ``sa._gram``) maps them to an array, which is not doubled.
     """
-    gram = gram or sa._gram
     c_anc = sa._ancilla_cutoff(config)
-    small, big, b_mode = sa._interference_cutoffs(input_cutoffs, scissor_mode, c_anc)
-    kept = tuple(c for m, c in enumerate(big) if m not in (scissor_mode, b_mode))
-    plate = occupation_plate(kept, -1.0 if click == "d1" else 1.0)[:, None]
-    weights = click_weights(config.herald_efficiency, big[scissor_mode], big[b_mode], click)
-    _, anc, labels = sa._ancilla_branches(config, c_anc, photon)
-    (n_in, d, P), Q = inputs.shape, anc.shape[2]
-    total = gram(np.zeros((0, math.prod(c + 1 for c in kept), P * Q), dtype=inputs.dtype))
-    for block in anc[labels == "click"]:
-        joint = (inputs[:, :, None, :, None] * block[None, None, :, None, :]).reshape(
-            n_in, d * len(block), P * Q)
-        joint = sa._split(joint, small, scissor_mode, 0.5, big)
-        total = total + gram(plate * sa._condition_on_heralds(big, joint, scissor_mode, weights))
-    return total
+    if ancilla is None:
+        ancilla = sa._ancilla_branches(config, c_anc)
+    plate = occupation_plate((*input_cutoffs[:-1], c_anc), -1.0 if click == "d1" else 1.0)
+    branches = full_split_branches(config, inputs, input_cutoffs, ancilla, click)
+    return (gram or sa._gram)(plate[:, None] * branches)
 
 
 def two_click_gram(*args):
     """Both clicks of :func:`click_gram` summed: the reference of ``sa._heralded_gram``."""
     return click_gram(*args, click="d1") + click_gram(*args, click="d2")
-
-
-#: The largest entry difference between the doubled D2 click and both clicks,
-#: relative to the largest entry: the mirrored rows' splitter amplitudes are
-#: equal up to rounding (2.2e-16 measured).
-MIRROR_RTOL = 1e-15
-
-
-def assert_mirrored(value, reference):
-    assert value.shape == reference.shape
-    assert np.abs(value - reference).max() <= MIRROR_RTOL * np.abs(reference).max()
 
 
 @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
@@ -527,7 +599,7 @@ def test_the_plated_d1_click_mirrors_the_d2_click(cutoff, ancilla, eta_h, real):
     config = sa.SourceConfig(squeezing=0.0, amp_transmission=0.3, ancilla_model=ancilla,
                              herald_efficiency=eta_h, cutoff=cutoff)
     inputs = random_stack(cutoff, (2, (cutoff + 1) ** 2, 2))
-    args = (config, inputs.real.copy() if real else inputs, (cutoff, cutoff), 1)
+    args = (config, inputs.real.copy() if real else inputs, (cutoff, cutoff))
     d1, d2 = (click_gram(*args, click=click) for click in ("d1", "d2"))
     assert_mirrored(d1, d2)
     assert_mirrored(sa._heralded_gram(*args), d1 + d2)
@@ -549,26 +621,24 @@ def test_each_plated_d1_branch_is_a_signed_d2_branch(cutoff, ancilla, eta_h, rea
     config = sa.SourceConfig(squeezing=0.0, amp_transmission=0.3, ancilla_model=ancilla,
                              herald_efficiency=eta_h, cutoff=cutoff)
     c_anc = sa._ancilla_cutoff(config)
-    small, big, b_mode = sa._interference_cutoffs((cutoff, cutoff), 1, c_anc)
-    assert big[1] == big[b_mode]  # the mirrored rows exist
+    small, big = (cutoff, cutoff, c_anc, c_anc), (cutoff, cutoff + c_anc, c_anc + cutoff, c_anc)
     n_rows = big[1] + 1
-    d1, d2 = (np.sqrt(click_weights(eta_h, big[1], big[b_mode], click)).reshape(n_rows, n_rows)
+    d1, d2 = (np.sqrt(click_weights(eta_h, big[1], big[2], click)).reshape(n_rows, n_rows)
               for click in ("d1", "d2"))
     assert np.array_equal(d1, d2.T)
 
-    kept = (big[0], big[3])
-    plate = occupation_plate(kept, -1.0).reshape(big[0] + 1, big[3] + 1, 1)
+    plate = occupation_plate((big[0], big[3]), -1.0).reshape(big[0] + 1, big[3] + 1, 1)
     inputs = random_stack(cutoff, (2, (cutoff + 1) ** 2, 2))
     if real:
         inputs = inputs.real.copy()
-    anc_basis, anc, _ = sa._ancilla_branches(config, c_anc)
-    for block in anc:
+    anc_basis = ModeBasis((c_anc, c_anc))
+    for block in sa._ancilla_branches(config, c_anc):
         (photons,) = {sum(occ) for occ, row in zip(anc_basis.occupations, block) if row.any()}
         joint = (inputs[:, :, None, :, None] * block[None, None, :, None, :]).reshape(
             2, -1, 2 * block.shape[1])
-        joint = sa._split(joint, small, 1, 0.5, big)
-        rows = sa._herald_blocks(joint, big, 1, n_rows**2).reshape(
-            2, n_rows, n_rows, big[0] + 1, big[3] + 1, -1)
+        # (branch, arm 1, n_a, n_b, c, column) -> (branch, n_a, n_b, arm 1, c, column)
+        rows = sa._split(joint, small, 1, 0.5, big).reshape(
+            2, big[0] + 1, n_rows, n_rows, big[3] + 1, -1).transpose(0, 2, 3, 1, 4, 5)
         d1_click = d1[:, :, None, None, None] * rows * plate
         d2_click = d2[:, :, None, None, None] * rows
         assert_mirrored(d1_click, (-1) ** photons * d2_click.transpose(0, 2, 1, 3, 4, 5))
@@ -623,7 +693,9 @@ def test_heralded_pdc_circuit_stays_small(run):
     """No joint stack of every input branch times every ancilla branch is built.
 
     That stack held 63 MiB (herald probabilities) and 42 MiB (source) at
-    cutoff 5; the streamed circuit peaks near 0.02 and 0.2 MiB.
+    cutoff 5.  The closed-form herald distribution peaks at 0.02 MiB; the
+    source's one contraction over all clicked photon numbers at 0.28 MiB
+    (0.16 MiB with one pass per photon number).
     """
     config = sa.SourceConfig(squeezing=0.2, amp_transmission=0.3, coupling=0.95,
                              ancilla_model="heralded-pdc", ancilla_squeezing=0.2, cutoff=5)
@@ -680,31 +752,106 @@ def test_ancilla_distribution_matches_the_dense_state(lam, eta_c, eta_h, c_cutof
 
 
 def test_ancilla_branches_are_one_block_per_kept_photon_number():
-    """Each block is sqrt(p[o, m]) |m, 0> through the ancilla splitter, clicks first."""
+    """Each block is sqrt(p[click, m]) |m, 0> through the dense ancilla splitter, ascending m."""
     config = sa.SourceConfig(**{**PINS["heralded_pdc"]["config"], "coupling": 0.9})
     c_cutoff = sa._ancilla_cutoff(config)
-    p = sa._ancilla_distribution(config, c_cutoff)
-    basis, anc, labels = sa._ancilla_branches(config, c_cutoff)
-    outcome, photons = np.nonzero(p > sa.BRANCH_TOL)
-    assert list(labels) == [("click", "none")[o] for o in outcome]
-    assert list(labels).index("none") == int((outcome == 0).sum())
+    p = sa._ancilla_distribution(config, c_cutoff)[0]
+    anc = sa._ancilla_branches(config, c_cutoff)
+    photons = np.flatnonzero(p > sa.BRANCH_TOL)
+    basis = ModeBasis((c_cutoff, c_cutoff))
+    assert anc.shape == (len(photons), basis.dimension, 1)
     U = beam_splitter(basis, config.amp_transmission, (0, 1))
-    for block, o, m in zip(anc, outcome, photons):
-        expected = np.sqrt(p[o, m]) * U[:, basis.index_of((m, 0))]
+    for block, m in zip(anc, photons):
+        expected = np.sqrt(p[m]) * U[:, basis.index_of((m, 0))]
         assert np.abs(block[:, 0] - expected).max() < 1e-15
 
 
-def test_heralded_pdc_source_runs_one_pass_per_clicked_photon_number(monkeypatch):
-    """At cutoff 5 the ancilla carries 0 ... 3 photons: four passes, not one per Kraus branch."""
+def test_heralded_pdc_ancilla_has_one_branch_per_clicked_photon_number():
+    """At cutoff 5 the ancilla carries 0 ... 3 photons: one block for each of D0's clicks.
+
+    A D0 outcome of no click occurs, but is never heralded, so it gets no block.
+    """
     config = sa.SourceConfig(squeezing=0.2, amp_transmission=0.3, coupling=0.95,
                              ancilla_model="heralded-pdc", ancilla_squeezing=0.2, cutoff=5)
-    passes = []
+    c_cutoff = sa._ancilla_cutoff(config)
+    p = sa._ancilla_distribution(config, c_cutoff)
+    assert (p[1] > sa.BRANCH_TOL).any()
+    assert len(sa._ancilla_branches(config, c_cutoff)) == int((p[0] > sa.BRANCH_TOL).sum()) <= 4
 
-    def condition(*args, _stage=sa._condition_on_heralds):
-        passes.append(args)
-        return _stage(*args)
 
-    monkeypatch.setattr(sa, "_condition_on_heralds", condition)
-    sa.amplified_source(config)
-    p = sa._ancilla_distribution(config, sa._ancilla_cutoff(config))
-    assert len(passes) == int((p[0] > sa.BRANCH_TOL).sum()) <= 4
+def test_the_single_photon_is_the_one_photon_click_of_the_ancilla_distribution():
+    config = sa.SourceConfig(squeezing=0.0, amp_transmission=0.3)
+    assert np.array_equal(sa._ancilla_distribution(config, 1), [[0.0, 1.0], [0.0, 0.0]])
+    anc = sa._ancilla_branches(config, 1)
+    assert anc.shape == (1, 4, 1)
+    assert np.abs(anc[0, :, 0] - [0.0, math.sqrt(0.7), math.sqrt(0.3), 0.0]).max() <= 1e-16
+
+
+def dense_scissor(rho, t, herald_efficiency=1.0, ancilla_model="single-photon",
+                  ancilla_squeezing=0.1):
+    """``qscissor_amplify`` over the full joint basis, density matrices throughout.
+
+    The input ``rho`` is on the scissor arm a (cutoff n), the ancilla's
+    D0-click signal ``sum_m p[click, m] |m><m|`` on mode b with mode c empty:
+    the single photon m = 1, or the heralded-PDC pair at its own cutoff 3
+    (:func:`dense_ancilla_distribution`).  The ancilla splitter on (b, c) and
+    the 50/50 splitter on (a, b) are ``fock.beam_splitter`` on the basis
+    with a and b enlarged to n + 3 photons.  Both clicks of the detectors'
+    POVMs are kept, D1's with the feed-forward parity ``(-1)^n`` on c, and a
+    and b are traced out.  Returns the normalized output on c and the success
+    probability.
+    """
+    config = sa.SourceConfig(squeezing=0.0, amp_transmission=t, ancilla_model=ancilla_model,
+                             ancilla_squeezing=ancilla_squeezing,
+                             herald_efficiency=herald_efficiency)
+    if ancilla_model == "single-photon":
+        c_anc, p = 1, np.array([0.0, 1.0])
+    else:
+        c_anc = 3
+        p = dense_ancilla_distribution(config, c_anc)[0]
+    (n,) = rho.basis.cutoffs
+    big = ModeBasis((n + c_anc, c_anc + n, c_anc))
+    small = embedding_indices(ModeBasis((n, c_anc, c_anc)), big)
+    signal = np.zeros((c_anc + 1) ** 2)
+    signal[::c_anc + 1] = p  # |m, 0> on (b, c)
+    state = np.zeros((big.dimension,) * 2, dtype=complex)
+    state[np.ix_(small, small)] = np.kron(rho.matrix, np.diag(signal))
+    U = beam_splitter(big, 0.5, (0, 1)) @ beam_splitter(big, t, (1, 2))
+    state = U @ state @ U.conj().T
+
+    no_a, click_a, _ = photodetection_povm(herald_efficiency, n + c_anc)
+    no_b, click_b, _ = photodetection_povm(herald_efficiency, c_anc + n)
+    parity = np.diag((-1.0) ** np.arange(c_anc + 1))
+    d_c = c_anc + 1
+    out = np.zeros((d_c, d_c), dtype=complex)
+    for povm, plate in ((np.kron(click_a, no_b), parity), (np.kron(no_a, click_b), np.eye(d_c))):
+        heard = (np.kron(povm, np.eye(d_c)) @ state).reshape(-1, d_c, len(povm), d_c)
+        out += plate @ np.einsum("icid->cd", heard) @ plate
+    success = float(np.trace(out).real)
+    return out / success, success
+
+
+@pytest.mark.parametrize("ancilla", ["single-photon", "heralded-pdc"])
+def test_scissor_pins_are_the_dense_circuit(ancilla):
+    """The mixed-input pins equal the dense circuit, which the test builds itself."""
+    expected = PINS["qscissor_mixed_input"]["outputs"][ancilla]
+    state, success = dense_scissor(SCISSOR_INPUT.normalize(), **expected["kwargs"])
+    assert success == pytest.approx(expected["success_probability"], abs=1e-12)
+    assert np.abs(state - complex_matrix(expected["state"])).max() < 1e-12
+
+
+@pytest.mark.parametrize("ancilla", ["single-photon", "heralded-pdc"])
+def test_scissor_output_does_not_depend_on_the_input_padding(ancilla):
+    """(|0> + |1>)/sqrt(2) padded to cutoffs 1, 2, 3 and 5 gives one output, bit for bit.
+
+    The heralded-PDC ancilla keeps its own truncation whatever the input's.
+    """
+    outs = []
+    for cutoff in (1, 2, 3, 5):
+        amplitudes = np.zeros(cutoff + 1)
+        amplitudes[:2] = math.sqrt(0.5)
+        outs.append(sa.qscissor_amplify(StateVector(ModeBasis((cutoff,)), amplitudes), 0.3,
+                                        ancilla_model=ancilla, ancilla_squeezing=0.3))
+    for out in outs[1:]:
+        assert np.array_equal(out.state.matrix, outs[0].state.matrix)
+        assert out.success_probability == outs[0].success_probability
