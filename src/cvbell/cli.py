@@ -17,26 +17,34 @@ region, source-amp and multi-filter sweep theirs, one value after another in
 this process.
 
 Configuration may be given as ``--config file.ini`` with one section per
-command (``key = value``); keys under ``[DEFAULT]`` apply to every command
-that takes them and are skipped by the others.  The keys are turned into
-flags and parsed by the same parser: ``eta_d = 0.9`` is ``--eta-d=0.9``,
+command; keys under ``[DEFAULT]`` apply to every command that takes them
+and are skipped by the others, and the command's own section wins.  The
+file is UTF-8 text of ``[section]`` headers, ``key = value`` (or
+``key: value``) lines, blank lines and comment lines that start with ``#``
+or ``;``.  Keys are read in lower case with ``-`` as ``_``; a value is the
+rest of its line, stripped, so ``%``, ``#`` and ``;`` inside it are
+ordinary characters.  There is no interpolation, and an indented line
+(a continuation line) is refused.  The keys are turned into flags and
+parsed by the same parser: ``eta_d = 0.9`` is ``--eta-d=0.9``,
 ``symmetry = asymmetric`` is ``--asymmetric`` and ``skip_source = yes|no``
-sets or omits ``--skip-source``.  Flags on the command line win over the
-file, and an unknown key in the command's section or a bad value is
-reported with its ``file:line``.  Every run writes a CSV result table and a
-JSON sidecar describing the effective configuration (whose ``tol`` the
-solvers got), the conventions and the delta-refinement and violation
-tolerances.  Exit codes: 0 success, 1 invalid configuration, 2
-reproduction-gate failure.
+(or ``on|off``, ``true|false``, ``1|0``) sets or omits ``--skip-source``.
+Flags on the command line win over the file.  A line outside the grammar
+or not valid UTF-8, a key before any header or repeated in its section, an
+unknown key in the command's section and a bad value each end the run with
+one ``cvbell: error: file:line: ...`` line; a file that cannot be read, with
+one ``cvbell: error: file: ...`` line.
+
+Every run writes a CSV result table and a JSON sidecar describing the
+effective configuration (whose ``tol`` the solvers got), the conventions
+and the delta-refinement and violation tolerances.  Exit codes: 0 success,
+1 invalid configuration, 2 reproduction-gate failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import configparser
 import math
 import os
-import re
 import sys
 from functools import lru_cache
 
@@ -106,35 +114,52 @@ def _efficiency_grid(text: str) -> str:
     return text
 
 
-def load_config(path: str, command: str) -> dict:
-    """The keys of ``[command]`` and ``[DEFAULT]`` in ``path``; the section's win."""
-    parser = configparser.ConfigParser()
+#: The on/off words of a flag's key (configparser's).
+_BOOLEANS = {**dict.fromkeys(("1", "yes", "true", "on"), True),
+             **dict.fromkeys(("0", "no", "false", "off"), False)}
+
+
+def read_config(path: str, command: str) -> dict:
+    """The keys of ``[command]`` and ``[DEFAULT]`` in ``path``, read in one pass.
+
+    Each key maps to ``(value, section, line)``; the command's section wins.
+    The grammar is the module docstring's.  A file that breaks it, or that
+    cannot be read as UTF-8 text, raises :class:`ValidationError` naming the
+    file and, where there is one, the line.
+    """
     try:
-        read = parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    if not read:
-        raise ValidationError(f"config file {path!r} not found")
-    section = parser[command if parser.has_section(command) else "DEFAULT"]
-    return {key.replace("-", "_"): value for key, value in section.items()}
-
-
-def _config_origin(path: str, command: str, key: str) -> tuple[str, int | None]:
-    """Section and line of ``key``: in ``[command]``, else in ``[DEFAULT]``."""
-    found, section = {}, None
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if text.startswith("["):
-                section = text[1:text.find("]")]
-            elif section in (command, "DEFAULT"):
-                name = re.split("[=:]", text)[0].strip().lower().replace("-", "_")
-                if name == key:
-                    found.setdefault(section, lineno)
-    for origin in (command, "DEFAULT"):
-        if origin in found:
-            return origin, found[origin]
-    return command, None
+        with open(path, "rb") as handle:
+            lines = handle.readlines()
+    except OSError as exc:
+        raise ValidationError(f"{path}: cannot read: {exc.strerror}") from None
+    found, name = {}, None  # (section, key) -> (value, section, line)
+    for number, raw in enumerate(lines, start=1):
+        where = f"{path}:{number}:"
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ValidationError(f"{where} not UTF-8 text") from None
+        text = line.strip()
+        if not text or text[0] in "#;":
+            continue
+        if line[0].isspace():
+            raise ValidationError(f"{where} continuation lines are not supported")
+        if text[0] == "[" and text[-1] == "]":
+            name = text[1:-1]
+            continue
+        key = text.split("=", 1)[0].split(":", 1)[0]  # up to the first separator
+        entry = (name, key.strip().lower().replace("-", "_"))
+        if key in (text, ""):
+            raise ValidationError(f"{where} expected [section], key = value or a "
+                                  f"comment, got {text!r}")
+        if name is None:
+            raise ValidationError(f"{where} key before any [section] header")
+        if entry in found:
+            raise ValidationError(f"{where} {entry[1]!r} repeated in [{name}] "
+                                  f"(first at line {found[entry][2]})")
+        found[entry] = (text[len(key) + 1:].strip(), name, number)
+    return {key: value for want in ("DEFAULT", command)
+            for (section, key), value in found.items() if section == want}
 
 
 @lru_cache(maxsize=1)
@@ -214,7 +239,7 @@ def _config_tokens(parser: _Parser, path: str, command: str) -> list[str]:
 
     A valued option becomes ``--opt=value``; a shared-destination flag is the
     one whose constant the value names (``symmetry = asymmetric`` gives
-    ``--asymmetric``); an on/off flag takes a configparser boolean
+    ``--asymmetric``); an on/off flag takes one of :data:`_BOOLEANS`
     (``skip_source = yes`` gives ``--skip-source``, ``no`` gives nothing).
     A ``[DEFAULT]`` key that the command does not take is skipped; one in
     ``[command]`` is an error.  Each key's tokens are parsed on their own,
@@ -222,9 +247,8 @@ def _config_tokens(parser: _Parser, path: str, command: str) -> list[str]:
     """
     command_parser = parser.commands[command]
     tokens = []
-    for key, value in load_config(path, command).items():
-        section, line = _config_origin(path, command, key)
-        location = f"{path}:{line}: " if line else f"{path}: "
+    for key, (value, section, line) in read_config(path, command).items():
+        location = f"{path}:{line}: "
         actions = [a for a in command_parser._actions
                    if a.dest == key and a.dest != "help"]
         if not actions:
@@ -234,7 +258,7 @@ def _config_tokens(parser: _Parser, path: str, command: str) -> list[str]:
         if actions[0].nargs != 0:
             given = [f"{actions[0].option_strings[0]}={value}"]
         elif actions[0].const is True:
-            on = configparser.ConfigParser.BOOLEAN_STATES.get(value.lower())
+            on = _BOOLEANS.get(value.lower())
             if on is None:
                 raise ValidationError(f"{location}{key} must be yes or no, not {value!r}")
             given = [actions[0].option_strings[0]] if on else []
@@ -254,10 +278,7 @@ def _config_tokens(parser: _Parser, path: str, command: str) -> list[str]:
 
 
 def _echo(args: argparse.Namespace) -> dict:
-    skip = {"config", "command"}
-    return {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip
-    }
+    return {k: v for k, v in sorted(vars(args).items()) if k not in ("config", "command")}
 
 
 def _emit(args, fieldnames, rows, extra=None) -> str:
@@ -394,18 +415,9 @@ def _run_reproduce_all(args) -> int:
     )
     for line in report.lines():
         print(line)
-    rows = [
-        {
-            "name": r.name,
-            "target": r.target,
-            "computed": r.computed,
-            "passed": r.passed,
-            "detail": r.detail,
-        }
-        for r in report.rows
-    ]
     # No timing column: result files must be bitwise stable across runs.
     fields = ["name", "target", "computed", "passed", "detail"]
+    rows = [{name: getattr(row, name) for name in fields} for row in report.rows]
     _emit(args, fields, rows, extra={"all_passed": report.all_passed})
     return 0 if report.all_passed else 2
 

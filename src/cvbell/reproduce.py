@@ -71,9 +71,9 @@ class ReproductionReport:
 
 
 def _timed(fn):
-    t0 = time.time()
+    t0 = time.perf_counter()
     value = fn()
-    return value, time.time() - t0
+    return value, time.perf_counter() - t0
 
 
 def _coefficients(scenario_builder, threshold, cutoff=2):
@@ -134,7 +134,7 @@ def reproduce_all(include_source: bool = True, source_cutoff: int = 6) -> Reprod
     medians of 9 fresh processes, the call timed after the import) the whole
     battery takes about 0.043 s, and about 0.017 s without those checks.
     """
-    t_start = time.time()
+    t_start = time.perf_counter()
     rows: list[ReportRow] = []
 
     # --- critical efficiencies of the optimized hybrid scheme -------------
@@ -274,5 +274,5 @@ def reproduce_all(include_source: bool = True, source_cutoff: int = 6) -> Reprod
         )
         rows[-1].passed = rows[-1].passed and thr_c09 > thr_c1
 
-    report = ReproductionReport(rows=rows, total_seconds=time.time() - t_start)
+    report = ReproductionReport(rows=rows, total_seconds=time.perf_counter() - t_start)
     return report

@@ -8,6 +8,7 @@ line per criterion.
 """
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -126,6 +127,12 @@ class TestCriterion10SourceRegion:
 class TestReportBudget:
     def test_total_runtime_under_ten_minutes(self, report):
         assert report.total_seconds < 600.0
+
+    def test_timings_read_the_monotonic_clock(self, monkeypatch):
+        """A wall-clock step (NTP, a suspended VM) cannot make a timing negative."""
+        monkeypatch.setattr(time, "time", lambda: pytest.fail("read the wall clock"))
+        report = reproduce_all(include_source=False)
+        assert report.total_seconds >= 0 and all(row.seconds >= 0 for row in report.rows)
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import ast
+import builtins
 import json
 import os
 import subprocess
@@ -612,6 +614,72 @@ class TestConfigFile:
         code, out = run_cli(["source-amp", "--config", str(cfg)], tmp_path)
         assert code == 0
         assert calls[0]["tol"] == -1e-3
+
+    def test_grammar(self, tmp_path, monkeypatch):
+        calls = record_solver(monkeypatch, "critical_efficiency")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("; leading comment\n[DEFAULT]\nCutoff: 3\neta_t = 0.5\n\n[threshold]\n"
+                       "    # indented comment\nTARGET: eta-d\neta-t=0.9\n")
+        code, _ = run_cli(["threshold", "--config", str(cfg)], tmp_path)
+        assert code == 0
+        assert [(c["target"], c["eta_t"], c["cutoff"]) for c in calls] == [("eta_d", 0.9, 3)]
+
+    def test_percent_hash_and_semicolon_are_ordinary_in_a_value(self, tmp_path, monkeypatch):
+        record_solver(monkeypatch, "critical_efficiency")
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[threshold]\noutput = 100%(x)s;#.csv\n")
+        assert main(["threshold", "--config", str(cfg)]) == 0
+        assert (tmp_path / "100%(x)s;#.csv").exists()
+
+    @pytest.mark.parametrize("text, where, says", [
+        (b"[threshold]\neta_d = 0.9%\n", ":2: ", "invalid float value: '0.9%'"),
+        (b"[threshold]\neta_d = %(x)s\n", ":2: ", "invalid float value: '%(x)s'"),
+        (b"# no header\neta_d = 0.9\n", ":2: ", "before any [section] header"),
+        (b"[threshold]\nstate\n", ":2: ", "expected [section], key = value"),
+        (b"[threshold]\neta_d = 0.9\n\neta_d = 0.8\n", ":4: ", "first at line 2"),
+        (b"[threshold]\neta_d = 0.9\neta-d = 0.8\n", ":3: ", "'eta_d' repeated"),
+        (b"[threshold]\neta_d = 0.9\n  0.8\n", ":3: ", "continuation lines"),
+        (b"[threshold]\neta_d = 0.9\nstate = psi\xb2\n", ":3: ", "not UTF-8"),
+        (None, ": ", "Is a directory"),
+    ], ids=["percent", "interpolation", "no-header", "bare-key", "duplicate-key",
+            "duplicate-spelling", "continuation", "non-utf8", "directory"])
+    def test_malformed_config_is_one_error_line(self, text, where, says, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        if text is None:
+            cfg.mkdir()
+        else:
+            cfg.write_bytes(text)
+        out = tmp_path / "out.csv"
+        assert main(["threshold", "--config", str(cfg), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert_one_error_line(err, f"{cfg}{where}")
+        assert says in err
+        assert os.listdir(tmp_path) == ["run.ini"]  # no CSV, no sidecar
+
+    def test_the_config_file_is_opened_once(self, tmp_path, monkeypatch):
+        record_solver(monkeypatch, "critical_efficiency")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[DEFAULT]\ncutoff = 3\n\n[threshold]\neta_d = 0.9\ntarget = eta-d\n")
+        opened, real_open = [], builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, _ = run_cli(["threshold", "--config", str(cfg)], tmp_path)
+        assert code == 0
+        assert opened.count(str(cfg)) == 1
+
+
+def test_cli_imports_neither_configparser_nor_re():
+    tree = ast.parse(Path(cvbell.cli.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0}
+    assert not imported & {"configparser", "re"}
 
 
 @pytest.mark.parametrize("name, args", [
