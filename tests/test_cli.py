@@ -641,7 +641,7 @@ class TestConfigFile:
         (b"[threshold]\neta_d = 0.9\neta-d = 0.8\n", ":3: ", "'eta_d' repeated"),
         (b"[threshold]\neta_d = 0.9\n  0.8\n", ":3: ", "continuation lines"),
         (b"[threshold]\neta_d = 0.9\nstate = psi\xb2\n", ":3: ", "not UTF-8"),
-        (None, ": ", "Is a directory"),
+        (None, ": ", "cannot read: "),
     ], ids=["percent", "interpolation", "no-header", "bare-key", "duplicate-key",
             "duplicate-spelling", "continuation", "non-utf8", "directory"])
     def test_malformed_config_is_one_error_line(self, text, where, says, tmp_path, capsys):
