@@ -20,8 +20,11 @@ and swap-odd halves (:func:`_swap_layout`).  Every two-mode operator of a
 solver is gathered in the packed sector layout (:func:`_packed_kron`);
 :func:`bell_matrices` is the dense reference.
 
-Every loss threshold of the package is :func:`bisect_threshold` applied to
-a max-CHSH function; :func:`critical_efficiency` is this scenario's.  A
+Every loss threshold of the package is :func:`_threshold`: one
+:func:`bisect_threshold` over a solver's delta search, stopped at the
+violation bound, that answers the local end (no photon arrives, or no
+detector clicks) with 2 and runs no search there.
+:func:`critical_efficiency` is this scenario's.  A
 violation-region boundary is such a solver mapped over detection
 efficiencies, one solve per value (as :mod:`cvbell.cli` does).
 """
@@ -997,6 +1000,24 @@ def bisect_threshold(max_chsh, lo: float = 0.0, hi: float = 1.0, tol: float = 1e
     return 0.5 * (lo + hi)
 
 
+def _threshold(search, tol: float) -> float | None:
+    """The threshold of a swept efficiency: the one bisection of every solver.
+
+    ``search(value, stop_above)`` is a step's delta search (a
+    :class:`DeltaSearch` of :func:`_search_grid`) at the swept efficiency
+    ``value``; it is stopped above :data:`VIOLATION_BOUND`, and
+    :func:`bisect_threshold` reads its value.  At the local end, value 0, no
+    photon arrives or no detector clicks: a party measures the vacuum, or
+    each party's photodetection has one outcome, and both admit a local
+    model, so max CHSH is at most 2.  That end is answered with 2.0 and no
+    search.  A point that does not violate never enters the bisection's
+    crossing estimate, so the walk and the threshold are those of a search
+    there.
+    """
+    return bisect_threshold(
+        lambda value: 2.0 if value == 0.0 else search(value, VIOLATION_BOUND).value, tol=tol)
+
+
 def critical_efficiency(
     target: str,
     symmetry: str = SYMMETRIC,
@@ -1012,8 +1033,9 @@ def critical_efficiency(
 
     ``target`` is ``"eta_t"`` or ``"eta_d"``; the other efficiency is held at
     the supplied value.  The bin half-width (and, when ``state`` is None, the
-    subspace state) is re-optimized at every bisection step; a step whose
-    delta grid already violates is decided there (``stop_above``).
+    subspace state) is re-optimized at every bisection step of
+    :func:`_threshold`, except at the local end, where it runs no search; a
+    step whose delta grid already violates is decided there (``stop_above``).
 
     Every per-mode factor that the swept efficiency enters is expanded once
     per solve as a polynomial in it (:func:`_swept_observables`).  A fixed
@@ -1042,8 +1064,7 @@ def critical_efficiency(
             return (_block_tops(basis, terms, _layout(basis, scen.alice, scen.bob)),
                     lambda: _top_eigenvalue(basis, scen.alice, scen.bob)[1])
 
-    def max_chsh(value):
-        values, slope_objective = step(value, scenario(value))
-        return _search_grid(grid, values, slope_objective, stop_above=VIOLATION_BOUND).value
+    def search(value, stop_above):
+        return _search_grid(grid, *step(value, scenario(value)), stop_above=stop_above)
 
-    return bisect_threshold(max_chsh, tol=tol)
+    return _threshold(search, tol)

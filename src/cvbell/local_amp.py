@@ -32,7 +32,6 @@ from .fock import (
 )
 from .bell import (
     SYMMETRIC,
-    VIOLATION_BOUND,
     PartyConditions,
     _bilinear_coefficients,
     _fixed_state,
@@ -42,8 +41,8 @@ from .bell import (
     _search_grid,
     _sweep,
     _swept_state_chsh,
+    _threshold,
     _trimmed_cutoffs,
-    bisect_threshold,
 )
 from .measurement import _expand_loss, _through_loss, bernstein_weights, delta_grid
 
@@ -263,13 +262,13 @@ def filtered_critical_transmission(
 ) -> float | None:
     """Critical transmission for a CHSH violation with local filters.
 
-    Bisection on eta_t with the bin half-width re-optimized at every step
+    Bisection on eta_t (:func:`cvbell.bell._threshold`) with the bin
+    half-width re-optimized at every step but the local end
     (:func:`_psi2_search`); ``None`` when even unit transmission shows no
     violation.  A step whose grid maximum already violates is decided there
     (``stop_above``).
     """
-    search = _psi2_search(gain, applications, eta_d, eta_c, cutoff)
-    return bisect_threshold(lambda eta_t: search(eta_t, VIOLATION_BOUND).value, tol=tol)
+    return _threshold(_psi2_search(gain, applications, eta_d, eta_c, cutoff), tol)
 
 
 def log_linear_fit(curve) -> tuple[float, float, float]:

@@ -84,7 +84,6 @@ from .fock import (
 )
 from .measurement import bernstein_weights, delta_grid, photodetection_povm
 from .bell import (
-    VIOLATION_BOUND,
     PartyConditions,
     _mode_observables,
     _observable_terms,
@@ -94,7 +93,7 @@ from .bell import (
     _sweep,
     _swept_at,
     _swept_observables,
-    bisect_threshold,
+    _threshold,
     golden_section_max,
     optimize_delta,
 )
@@ -1011,10 +1010,11 @@ def _source_threshold(gain: float, applications: int, symmetry: str, eta_d: floa
     at its transmission onto the photon-parity sector entries of the capped
     output basis (:func:`_filtered_at`), the only entries the forms read
     (:func:`_pair_forms`).  The forms give CHSH on the whole (delta, lam, t)
-    grid, and the delta grid at the best (lam, t) is the chosen output's.  A
-    step whose grid already violates is decided there (``stop_above`` of
-    :func:`cvbell.bell._search_grid`); a refine reads its slopes at the
-    step's loss, contracted with the chosen output
+    grid, and the delta grid at the best (lam, t) is the chosen output's.
+    The bisection is :func:`cvbell.bell._threshold`, which runs no step at
+    zero transmission.  A step whose grid already violates is decided there
+    (``stop_above`` of :func:`cvbell.bell._search_grid`); a refine reads its
+    slopes at the step's loss, contracted with the chosen output
     (:func:`cvbell.local_amp._filtered_slopes`), which is built only then.
     """
     lam_grid, t_grid = _sweep_grid(lam_grid, "lam_grid"), _sweep_grid(t_grid, "t_grid")
@@ -1025,7 +1025,7 @@ def _source_threshold(gain: float, applications: int, symmetry: str, eta_d: floa
     factors = _swept_observables(basis, base.alice, base.bob, sweeps, deltas, f)
     squares = _swept_squares(basis, f, sweeps)
 
-    def max_chsh(eta_t):
+    def search(eta_t, stop_above):
         hankels = _pair_forms(packed, _filtered_at(basis, factors, squares, eta_t))
         values = _grid_chsh(hankels[:-1], hankels[-1], lam_grid, t_grid)
         _, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
@@ -1038,9 +1038,9 @@ def _source_threshold(gain: float, applications: int, symmetry: str, eta_d: floa
             return _filtered_slopes(basis, base.alice, f, (scen.alice.eta_t, scen.bob.eta_t), rho)
 
         return _search_grid(deltas, values[:, i, j], slope_objective, tol=1e-5,
-                            stop_above=VIOLATION_BOUND).value
+                            stop_above=stop_above)
 
-    return bisect_threshold(max_chsh, tol=tol)
+    return _threshold(search, tol)
 
 
 def source_critical_transmission(

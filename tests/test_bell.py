@@ -253,3 +253,15 @@ class TestScenario:
             PartyConditions(eta_t=1.4)
         with pytest.raises(ValueError):
             BellScenario.symmetric(delta=-0.1)
+
+
+#: ``critical_efficiency(target, cutoff=c, total_cap=c)``, symmetric, optimal
+#: state, tol 1e-4: the photon-cap ladder's first rungs (ROADMAP direction 4).
+CAP_LADDER = {"eta_d": {2: 0.648040771484375, 4: 0.447601318359375, 6: 0.342315673828125},
+              "eta_t": {2: 0.804901123046875, 4: 0.797698974609375, 6: 0.762481689453125}}
+
+
+@pytest.mark.parametrize("cap", [2, 4, 6])
+@pytest.mark.parametrize("target", ["eta_d", "eta_t"])
+def test_cap_ladder(target, cap):
+    assert critical_efficiency(target, cutoff=cap, total_cap=cap) == CAP_LADDER[target][cap]

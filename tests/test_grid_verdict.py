@@ -3,9 +3,10 @@
 A step is decided on the delta grid: a delta search never returns less
 than its grid maximum, so once that exceeds the violation bound the refine
 cannot change the step's verdict.  The threshold steps pass the bound as
-the ``stop_above`` of ``bell._search_grid``.  And ``bisect_threshold``
-evaluates only the midpoints whose verdicts its earlier evaluations do not
-imply.  The reference for both is
+the ``stop_above`` of ``bell._search_grid``, and the local end (zero
+efficiency) runs no search at all (``bell._threshold``).  And
+``bisect_threshold`` evaluates only the midpoints whose verdicts its
+earlier evaluations do not imply.  The reference for both is
 plain bisection, written out below, over the full, refined ``optimize_delta``
 values: the thresholds must agree bit for bit, and ``bisect_threshold`` may
 take at most twice the reference's evaluations.
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import cvbell.bell as bell
 import cvbell.local_amp as la
 import cvbell.source_amp as sa
 from cvbell.bell import (
@@ -182,6 +184,20 @@ def test_filtered_transmission_matches_full_search_bisection(gain, applications,
     assert found == reference
 
 
+def recorded_steps(monkeypatch):
+    """Every value at which the threshold solves' bisection reads max CHSH, in order."""
+    steps = []
+    monkeypatch.setattr(bell, "bisect_threshold", lambda max_chsh, **kwargs: bisect_threshold(
+        lambda value: steps.append(value) or max_chsh(value), **kwargs))
+    return steps
+
+
+def searched_steps(steps):
+    """The steps that run a delta search: all but the local end, which is read once."""
+    assert steps.count(0.0) == 1
+    return [value for value in steps if value != 0.0]
+
+
 def recorded_searches(monkeypatch, module):
     """Every ``(grid, values, slope_objective)`` that ``module``'s solvers search, in order."""
     searches = []
@@ -200,11 +216,10 @@ def recorded_searches(monkeypatch, module):
 @pytest.mark.parametrize("cutoff", [2, 6])
 def test_filtered_steps_read_the_filtered_states_grid(monkeypatch, cutoff, applications, eta_c):
     # Each step's grid of pulled-back forms is the filtered state's CHSH.
-    steps = []
-    monkeypatch.setattr(la, "bisect_threshold", lambda max_chsh, **kwargs: bisect_threshold(
-        lambda eta_t: steps.append(eta_t) or max_chsh(eta_t), **kwargs))
+    steps = recorded_steps(monkeypatch)
     searches = recorded_searches(monkeypatch, la)
     filtered_critical_transmission(2.0, applications, eta_d=0.95, eta_c=eta_c, cutoff=cutoff)
+    steps = searched_steps(steps)
     assert len(searches) == len(steps) > 0
     party = PartyConditions(eta_d=0.95)
     for eta_t, (grid, values, slope_objective) in zip(steps, searches):
@@ -233,14 +248,13 @@ def test_filtered_source_steps_read_the_chosen_states_grid(monkeypatch, cutoff, 
     # filtered lossy output state, which the refine builds (its slope objective).
     # Unfiltered, it is the CHSH of the chosen output state itself, measured
     # in the step's scenario, with the loss in the measurements.
-    steps, chosen = [], []
-    monkeypatch.setattr(sa, "bisect_threshold", lambda max_chsh, **kwargs: bisect_threshold(
-        lambda eta_t: steps.append(eta_t) or max_chsh(eta_t), **kwargs))
+    steps, chosen = recorded_steps(monkeypatch), []
     weights = sa._image_weights
     monkeypatch.setattr(sa, "_image_weights",
                         lambda lam, t, degree: chosen.append((lam, t)) or weights(lam, t, degree))
     searches = recorded_searches(monkeypatch, sa)
     solve(eta_d=0.95, eta_c=eta_c, cutoff=cutoff)
+    steps = searched_steps(steps)
     assert len(searches) == len(steps) > 0
     basis, packed, _ = sa._source_stack(eta_c, cutoff)
     for eta_t, (grid, values, slope_objective) in zip(steps, searches):
@@ -259,7 +273,7 @@ def test_filtered_source_steps_read_the_chosen_states_grid(monkeypatch, cutoff, 
 ], ids=["source", "filtered-source"])
 def test_source_threshold_matches_plain_bisection(monkeypatch, solve):
     found = solve()
-    monkeypatch.setattr(sa, "bisect_threshold", plain_bisection)
+    monkeypatch.setattr(bell, "bisect_threshold", plain_bisection)
     assert found is not None and solve() == found
 
 
@@ -316,3 +330,86 @@ def test_benchmark_checks_use_the_solvers_bound(monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
     checks = importlib.import_module("perfbench.checks")
     assert checks.VIOLATION_BOUND == VIOLATION_BOUND
+
+
+#: Every threshold solver of the package, through its public entry point.
+THRESHOLD_SOLVES = [
+    *(pytest.param(partial(critical_efficiency, target, symmetry=symmetry, state=state),
+                   id=f"{target}-{symmetry}-{name}")
+      for target in ("eta_t", "eta_d") for symmetry in (SYMMETRIC, ASYMMETRIC)
+      for name, state in (("optimal", None), ("psi2", psi2_state()))),
+    pytest.param(partial(filtered_critical_transmission, 2.0), id="filtered"),
+    pytest.param(sa.source_critical_transmission, id="source"),
+    pytest.param(partial(sa.amplified_source_threshold_with_filters, 2.0), id="filtered-source"),
+]
+
+
+@pytest.mark.parametrize("solve", THRESHOLD_SOLVES)
+def test_no_delta_search_at_the_local_end(monkeypatch, solve):
+    # At zero efficiency no photon arrives or no detector clicks, so max CHSH
+    # is at most 2: the bisection reads that end without a delta search, and
+    # every other step runs one.
+    searches, per_step = [], {}
+
+    def search(*args, original=bell._search_grid, **kwargs):
+        searches.append(args)
+        return original(*args, **kwargs)
+
+    for module in (bell, la, sa):
+        monkeypatch.setattr(module, "_search_grid", search)
+
+    def bisect(max_chsh, **kwargs):
+        def step(value):
+            start = len(searches)
+            chsh = max_chsh(value)
+            per_step[value] = len(searches) - start
+            return chsh
+
+        return bisect_threshold(step, **kwargs)
+
+    monkeypatch.setattr(bell, "bisect_threshold", bisect)
+    assert solve() is not None
+    assert per_step.pop(0.0) == 0
+    assert per_step and set(per_step.values()) == {1}
+
+
+@pytest.mark.parametrize("solve", THRESHOLD_SOLVES)
+def test_the_skipped_search_reads_two(monkeypatch, solve):
+    # The search the local end skips reads the delta = 0 corner's 2, up to
+    # rounding, and never a violation.
+    skipped = []
+
+    def threshold(search, tol, original=bell._threshold):
+        skipped.append(search(0.0, VIOLATION_BOUND))
+        return original(search, tol)
+
+    for module in (bell, la, sa):
+        monkeypatch.setattr(module, "_threshold", threshold)
+    solve()
+    (search,) = skipped
+    assert abs(search.value - 2.0) <= 1e-15
+    assert not search.value > VIOLATION_BOUND
+
+
+def fine_grid(monkeypatch):
+    """Every threshold step searches a 4801-point delta grid instead of 241."""
+    grid = delta_grid(4801)
+    for module in (bell, la):
+        monkeypatch.setattr(module, "delta_grid", lambda points: grid)
+
+
+@pytest.mark.xfail(strict=True, reason="δ-grid bias, ROADMAP direction 2")
+@pytest.mark.parametrize("solve", [
+    pytest.param(partial(critical_efficiency, "eta_t"), id="1"),
+    pytest.param(partial(critical_efficiency, "eta_d"), id="2a"),
+    pytest.param(partial(critical_efficiency, "eta_t", state=psi2_state()), id="5a"),
+    pytest.param(partial(critical_efficiency, "eta_d", state=psi2_state()), id="5b"),
+    pytest.param(partial(filtered_critical_transmission, 2.0), id="6a"),
+])
+def test_threshold_is_the_fine_grids(monkeypatch, solve):
+    # Near a threshold the violating delta window closes to a point, so the
+    # 241-point grid reads the delta = 0 corner there and the threshold lies
+    # above the one the delta search would find on a far finer grid.
+    found = solve(tol=1e-6)
+    fine_grid(monkeypatch)
+    assert abs(found - solve(tol=1e-6)) <= 1e-6

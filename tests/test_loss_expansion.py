@@ -273,14 +273,14 @@ def test_threshold_steps_build_no_loss_channel(monkeypatch, solve):
                          (la, "_through_loss")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     during = []
-    for module in (bell, la, sa):
-        def bisect(max_chsh, original=module.bisect_threshold, **kwargs):
-            start = len(calls)
-            result = original(max_chsh, **kwargs)
-            during.append(calls[start:])
-            return result
 
-        monkeypatch.setattr(module, "bisect_threshold", bisect)
+    def bisect(max_chsh, original=bell.bisect_threshold, **kwargs):
+        start = len(calls)
+        result = original(max_chsh, **kwargs)
+        during.append(calls[start:])
+        return result
+
+    monkeypatch.setattr(bell, "bisect_threshold", bisect)
     assert solve() is not None
     assert during == [[]]
     # The counters see a one-value search.
