@@ -1032,10 +1032,11 @@ def critical_efficiency(
     """Critical transmission or detection efficiency for a CHSH violation.
 
     ``target`` is ``"eta_t"`` or ``"eta_d"``; the other efficiency is held at
-    the supplied value.  The bin half-width (and, when ``state`` is None, the
-    subspace state) is re-optimized at every bisection step of
-    :func:`_threshold`, except at the local end, where it runs no search; a
-    step whose delta grid already violates is decided there (``stop_above``).
+    the supplied value, and the swept one must be left at 1.  The bin
+    half-width (and, when ``state`` is None, the subspace state) is
+    re-optimized at every bisection step of :func:`_threshold`, except at the
+    local end, where it runs no search; a step whose delta grid already
+    violates is decided there (``stop_above``).
 
     Every per-mode factor that the swept efficiency enters is expanded once
     per solve as a polynomial in it (:func:`_swept_observables`).  A fixed
@@ -1046,6 +1047,10 @@ def critical_efficiency(
     """
     if target not in ("eta_t", "eta_d"):
         raise ValueError("target must be 'eta_t' or 'eta_d'")
+    swept = eta_t if target == "eta_t" else eta_d
+    if swept != 1.0:
+        raise ValueError(f"{target} is the efficiency the threshold sweeps; "
+                         f"it cannot be held at {swept:g}")
     scenario, base, sweeps = _sweep(target, symmetry, eta_t, eta_d, eta_h)
     grid = delta_grid(241)
     if state is not None:

@@ -1037,8 +1037,7 @@ def _source_threshold(gain: float, applications: int, symmetry: str, eta_d: floa
             scen = scenario(eta_t)
             return _filtered_slopes(basis, base.alice, f, (scen.alice.eta_t, scen.bob.eta_t), rho)
 
-        return _search_grid(deltas, values[:, i, j], slope_objective, tol=1e-5,
-                            stop_above=stop_above)
+        return _search_grid(deltas, values[:, i, j], slope_objective, stop_above=stop_above)
 
     return _threshold(search, tol)
 

@@ -217,6 +217,13 @@ class TestThresholds:
         with pytest.raises(ValueError):
             critical_efficiency("eta_h", SYMMETRIC)
 
+    @pytest.mark.parametrize("target, held", [("eta_t", {"eta_t": 0.5}),
+                                              ("eta_d", {"eta_d": 0.3})])
+    def test_rejects_a_value_for_the_swept_efficiency(self, target, held):
+        """The swept efficiency has no held value; a solve would ignore one."""
+        with pytest.raises(ValueError, match=f"{target} is the efficiency the threshold sweeps"):
+            critical_efficiency(target, SYMMETRIC, **held)
+
 
 class TestRegionBoundary:
     """The boundary eta_t*(eta_d): one transmission threshold per eta_d."""

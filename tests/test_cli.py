@@ -1,5 +1,6 @@
 import ast
 import builtins
+import csv
 import json
 import os
 import subprocess
@@ -277,6 +278,15 @@ class TestThresholdCommand:
         assert code == 1
         assert_one_error_line(capsys.readouterr().err, "enumerates 90601 occupations")
         assert not out.exists()
+
+    @pytest.mark.parametrize("target, flags", [("eta_t", ["--eta-t", "0.5"]),
+                                               ("eta_d", ["--target", "eta-d", "--eta-d", "0.3"])])
+    def test_a_value_for_the_swept_efficiency_is_refused(self, target, flags, tmp_path, capsys):
+        code, out = run_cli(["threshold", *flags], tmp_path)
+        assert code == 1
+        assert_one_error_line(capsys.readouterr().err, f"{target} is the efficiency the "
+                              "threshold sweeps; it cannot be held at")
+        assert not out.exists() and not (tmp_path / "out.json").exists()
 
     def test_deterministic_output(self, tmp_path):
         _, first = run_cli(["threshold", "--eta-d", "0.9"], tmp_path, "a.csv")
@@ -696,6 +706,17 @@ def test_csv_is_unchanged(name, args, tmp_path, capsys):
     code, out = run_cli(args, tmp_path, f"{name}.csv")
     assert code in (0, 2)  # reproduce-all exits 2 on its standing misses
     assert out.read_bytes() == (PARENT_CSVS / f"{name}.csv").read_bytes()
+
+
+def test_readme_lists_the_misses_of_the_pinned_report():
+    """README's battery table is the header and the failing rows of reproduce-all.csv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Reference battery status\n", 1)[1]
+    block = section.split("\n```csv\n", 1)[1].split("\n```\n", 1)[0]
+    lines = (PARENT_CSVS / "reproduce-all.csv").read_text(encoding="utf-8").splitlines()
+    misses = [line for line, row in zip(lines[1:], csv.DictReader(lines))
+              if row["passed"] == "false"]
+    assert block.splitlines() == [lines[0], *misses]
 
 
 @pytest.mark.parametrize("args", [
