@@ -295,10 +295,14 @@ def _emit(args, fieldnames, rows, extra=None) -> str:
 
 
 def _two_photon_cutoff(args) -> None:
-    """Run at a per-mode cutoff of at least 2; the sidecar records the cutoff used.
+    """Raise ``--cutoff`` to 2: the optimal state, psi2 and the filtered states hold two photons.
 
-    The optimal state, psi2 and the filtered states hold up to two photons
-    per mode, so a smaller basis cannot hold them.
+    Above 2 the value moves no number.  threshold and region trim the
+    optimal state to a total of two photons and psi2 to its own box
+    (:func:`cvbell.bell._trimmed_cutoffs`, :func:`cvbell.bell._fixed_state`);
+    local-amp and multi-filter read it only to bound the ``--g``/``--m``
+    overflow check (:func:`cvbell.local_amp._mode_filter`).  The CSV and the
+    sidecar echo the flag's (raised) value, not the size of a basis.
     """
     if args.cutoff < 0:
         raise ValidationError(f"--cutoff must be >= 0, got {args.cutoff}")
@@ -325,7 +329,7 @@ def _threshold_rows(args, fields, solver, fixed, key, values, column=None,
 
 def _run_threshold(args) -> int:
     _two_photon_cutoff(args)
-    state = None if args.state == "optimal" else psi2_state(args.cutoff)
+    state = None if args.state == "optimal" else psi2_state()
     fixed = {"target": args.target.replace("-", "_"), "symmetry": args.symmetry,
              "eta_t": args.eta_t, "state": state}
     fields = ["symmetry", "target", "eta_d", "eta_t", "state", "cutoff", "threshold",
@@ -342,7 +346,7 @@ def _run_threshold(args) -> int:
 
 def _run_region(args) -> int:
     _two_photon_cutoff(args)
-    state = None if args.state == "optimal" else psi2_state(args.cutoff)
+    state = None if args.state == "optimal" else psi2_state()
     fixed = {"target": "eta_t", "symmetry": args.symmetry, "state": state}
     fields = ["symmetry", "state", "cutoff", "eta_d", "eta_t_star",
               "no_violation", "bisection_tol"]

@@ -63,25 +63,34 @@ def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.
     with np.errstate(over="ignore"):
         diag = np.prod(((gain - 1.0) * basis.occupations + 1.0) ** applications, axis=1)
     if not np.isfinite(diag).all():
-        raise ValueError(f"the filter of gain {gain} applied {applications} times overflows "
-                         f"the float range at cutoff {max(basis.cutoffs)}")
+        raise _overflow(gain, applications, max(basis.cutoffs))
     return diag
+
+
+def _overflow(gain: float, applications: int, cutoff: int) -> ValueError:
+    """The error of a filter whose diagonal overflows the float range at ``cutoff``."""
+    return ValueError(f"the filter of gain {gain} applied {applications} times overflows "
+                      f"the float range at cutoff {cutoff}")
 
 
 def _mode_filter(basis: ModeBasis, gain: float, applications: int, cutoff: int) -> np.ndarray:
     """One mode's filter for the per-mode factors on ``basis``, scaled.
 
-    The filter is checked once, on the two-mode basis at the caller's
-    ``cutoff``: invalid arguments and an overflow there raise the
-    :func:`filter_diagonal` error.  Then one mode's filter is built up to
-    the largest cutoff of ``basis``, shared by both modes and by every step
-    and refine of a solve.  Its entries, from 1 to its largest, M, are
+    The filter is checked once at the caller's ``cutoff``, on one mode: the
+    largest entry of the two-mode diagonal there is the square of one mode's
+    largest, so invalid arguments and an overflow of that diagonal raise the
+    :func:`filter_diagonal` error without the ``(cutoff + 1)^2`` basis being
+    built.  Then one mode's filter is built up to the largest cutoff of
+    ``basis``, shared by both modes and by every step and refine of a solve.
+    Its entries, from 1 to its largest, M, are
     scaled by a power of two near ``1/sqrt(M)``, so a product of four
     entries lies between about ``1/M^2`` and ``M^2``: it neither overflows
     nor underflows where the two-mode diagonal is finite, and the common
     factor cancels exactly in every ratio to ``L^dag(F^2)``.
     """
-    filter_diagonal(shared_basis((cutoff, cutoff)), gain, applications)
+    top = float(filter_diagonal(shared_basis((cutoff,)), gain, applications)[-1])
+    if not math.isfinite(top * top):  # a float product overflows to inf, unwarned
+        raise _overflow(gain, applications, cutoff)
     f = filter_diagonal(shared_basis((max(basis.cutoffs),)), gain, applications)
     return np.ldexp(f, -(np.frexp(f.max())[1] // 2))
 
@@ -214,16 +223,19 @@ def _psi2_search(gain: float, applications: int, eta_d: float, eta_c: float, cut
     psi2 lives, after the filter check at ``cutoff`` (:func:`_mode_filter`).
     The refine, when it runs, reads :func:`_filtered_slopes` at the step's
     loss.  The measurements carry only the detector efficiencies.  psi2
-    holds two photons in a mode, so a per-mode cutoff below 2 is rejected.
+    holds two photons in a mode, so a per-mode cutoff below 2 is rejected;
+    above 2 the cutoff bounds only the filter check, and psi2 is built once,
+    on its own 3 x 3 box.
     """
-    psi2 = _fixed_state(psi2_state(cutoff))
+    state = psi2_state(min(cutoff, 2))
+    psi2 = _fixed_state(state)
     basis = psi2.basis
     f = _mode_filter(basis, gain, applications, cutoff)
     _, base, sweeps = _sweep("eta_t", SYMMETRIC, 1.0, eta_d, 1.0)
     grid = delta_grid(241)
     bells = _swept_state_chsh(psi2, base.alice, base.bob, sweeps, grid, f)
     square = _bilinear_coefficients(psi2.Q, [_swept_squares(basis, f, sweeps)])
-    rho = psi2_state().to_density().matrix.real.ravel()[_parity_sectors(basis).entries]
+    rho = state.to_density().matrix.real.ravel()[_parity_sectors(basis).entries]
 
     def search(eta_t: float, stop_above: float | None = None):
         eta = eta_t * eta_c

@@ -24,11 +24,9 @@ from cvbell.cli import ValidationError, main, parse_grid
 from cvbell.source_amp import SourceConfig, amplified_source, max_source_chsh
 
 #: The commands' CSVs as written at commit 65f91db, before they called the
-#: threshold solvers directly.
+#: threshold solvers directly; source-amp-eta-c.csv's three optimum columns
+#: (squeezing, amp_transmission, delta) were re-pinned after their fix.
 PARENT_CSVS = Path(__file__).resolve().parent / "data" / "cli"
-
-#: The three optimum columns of ``source-amp``, mended since those CSVs.
-SOURCE_OPTIMUM = ("squeezing", "amp_transmission", "delta")
 
 
 def run_cli(args, tmp_path, name="out.csv"):
@@ -262,7 +260,7 @@ class TestThresholdCommand:
         assert sidecar["effective_config"]["state"] == "psi2"
 
     def test_psi2_at_a_large_cutoff_writes_the_cutoff_two_threshold(self, tmp_path):
-        """The padded psi2 is trimmed to its support before it is densified."""
+        """psi2 is built on its own box, whatever the cutoff."""
         _, small = run_cli(["threshold", "--state", "psi2", "--cutoff", "2"], tmp_path, "a.csv")
         code, large = run_cli(["threshold", "--state", "psi2", "--cutoff", "300"], tmp_path)
         assert code == 0
@@ -271,12 +269,15 @@ class TestThresholdCommand:
         assert f"{float(row['threshold']):.6f}" == "0.837433"
 
     def test_a_basis_beyond_the_guard_exits_cleanly(self, tmp_path, capsys, monkeypatch):
-        """With the guard at 10^4, psi2's 301 x 301 basis is refused in one line."""
-        monkeypatch.setattr(cvbell.fock, "MAX_TENSOR_DIMENSION", 10_000)
+        """With the guard at 20, source-amp's 5 x 5 basis at cutoff 4 is refused in one line.
+
+        source-amp is the one command whose joint basis grows with --cutoff.
+        """
+        monkeypatch.setattr(cvbell.fock, "MAX_TENSOR_DIMENSION", 20)
         cvbell.fock.shared_basis.cache_clear()  # so that the basis is built again
-        code, out = run_cli(["threshold", "--state", "psi2", "--cutoff", "300"], tmp_path)
+        code, out = run_cli(["source-amp", "--cutoff", "4", "--eta-d-grid", "1.0"], tmp_path)
         assert code == 1
-        assert_one_error_line(capsys.readouterr().err, "enumerates 90601 occupations")
+        assert_one_error_line(capsys.readouterr().err, "enumerates 25 occupations")
         assert not out.exists()
 
     @pytest.mark.parametrize("target, flags", [("eta_t", ["--eta-t", "0.5"]),
@@ -700,6 +701,7 @@ def test_cli_imports_neither_configparser_nor_re():
     ("local-amp", ["local-amp", "--g", "3", "--m", "2"]),
     ("multi-filter", ["multi-filter"]),
     ("multi-filter-small", ["multi-filter", "--m-max", "3", "--eta-d", "0.9"]),
+    ("source-amp-eta-c", ["source-amp", "--eta-c", "0.9", "--eta-d-grid", "0.9,1.0"]),
     ("reproduce-all", ["reproduce-all"]),
 ])
 def test_csv_is_unchanged(name, args, tmp_path, capsys):
@@ -717,6 +719,26 @@ def test_readme_lists_the_misses_of_the_pinned_report():
     misses = [line for line, row in zip(lines[1:], csv.DictReader(lines))
               if row["passed"] == "false"]
     assert block.splitlines() == [lines[0], *misses]
+
+
+@pytest.mark.parametrize("args", [
+    ["threshold", "--state", "psi2", "--target", "eta-t"],
+    ["threshold", "--state", "psi2", "--target", "eta-d"],
+    ["region", "--state", "psi2"],
+    ["local-amp"],
+    ["multi-filter"],
+], ids=["threshold-eta-t", "threshold-eta-d", "region", "local-amp", "multi-filter"])
+def test_a_two_photon_solve_builds_nothing_at_the_cutoff(args, tmp_path, monkeypatch):
+    """With the guard at 10^4, --cutoff 300 writes the rows of --cutoff 2 but the cutoff."""
+    monkeypatch.setattr(cvbell.fock, "MAX_TENSOR_DIMENSION", 10_000)
+    cvbell.fock.shared_basis.cache_clear()  # so that no basis built earlier is reused
+    tables = []
+    for cutoff in ("2", "300"):
+        code, out = run_cli([*args, "--cutoff", cutoff], tmp_path, f"c{cutoff}.csv")
+        assert code == 0
+        tables.append([{k: v for k, v in row.items() if k != "cutoff"}
+                       for row in read_rows(out)])
+    assert tables[0] == tables[1]
 
 
 @pytest.mark.parametrize("args", [
@@ -744,16 +766,16 @@ def test_reproduce_all_sidecar_claims_no_tol(tmp_path, monkeypatch):
     assert set(effective) == {"cutoff", "output", "skip_source"}
 
 
-def test_source_amp_csv_is_unchanged_but_its_optimum(tmp_path):
-    args = ["source-amp", "--eta-c", "0.9", "--eta-d-grid", "0.9,1.0"]
-    code, out = run_cli(args, tmp_path)
-    assert code == 0
-    rows, parent = read_rows(out), read_rows(PARENT_CSVS / "source-amp-eta-c.csv")
-    assert list(rows[0]) == list(parent[0])
-    for row, old in zip(rows, parent, strict=True):
-        kept = [column for column in old if column not in SOURCE_OPTIMUM]
-        assert [row[c] for c in kept] == [old[c] for c in kept]
-        assert float(row["delta"]) > 0.0
+def test_source_amp_optimum_violates():
+    """Each pinned source-amp optimum violates where it is reported: at eta_t* + tol (1e-4)."""
+    for row in read_rows(PARENT_CSVS / "source-amp-eta-c.csv"):
+        basis, packed, _ = cvbell.source_amp._source_stack(float(row["eta_c"]),
+                                                           int(row["cutoff"]))
+        state = cvbell.source_amp._image_state(basis, packed, float(row["squeezing"]),
+                                               float(row["amp_transmission"]))
+        scenario = BellScenario.symmetric(eta_t=min(1.0, float(row["eta_t_star"]) + 1e-4),
+                                          eta_d=float(row["eta_d"]), delta=float(row["delta"]))
+        assert chsh_value(state, scenario) > VIOLATION_BOUND
 
 
 @pytest.mark.parametrize("command, solver, flags", [

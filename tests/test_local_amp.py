@@ -424,8 +424,8 @@ class TestPulledBackForms:
     ], ids=["filtered_chsh", "filtered_critical_transmission",
             "amplified_source_threshold_with_filters", "source_critical_transmission"])
     def test_a_solve_builds_the_filter_once(self, monkeypatch, solve):
-        # One check of the two-mode diagonal at the caller's cutoff, then one
-        # mode filter for both modes, however many steps and refines follow.
+        # One one-mode check at the caller's cutoff, then one mode filter for
+        # both modes, however many steps and refines follow.
         calls = []
 
         def counted(basis, *args):
@@ -434,7 +434,7 @@ class TestPulledBackForms:
 
         monkeypatch.setattr(la, "filter_diagonal", counted)
         solve()
-        assert calls == [2, 1]
+        assert calls == [1, 1]
 
     def test_source_refines_build_no_filter(self, monkeypatch):
         basis, packed, _ = sa._source_stack(0.9, 4)
@@ -504,4 +504,20 @@ def test_psi2_solves_do_not_grow_with_the_cutoff(solve):
     finally:
         tracemalloc.stop()
     assert value == expected
+    assert peak < 2 * 2**20
+
+
+def test_a_filtered_sweep_over_cutoffs_holds_no_cutoff_sized_basis():
+    """The cutoff reaches only the one-mode filter check, so a sweep over it stays small.
+
+    Checking on the two-mode basis held about 88 MiB of bases at these cutoffs.
+    """
+    expected = filtered_critical_transmission(2.0)  # fills the caches outside the measurement
+    tracemalloc.start()
+    try:
+        values = [filtered_critical_transmission(2.0, cutoff=c) for c in (100, 400, 700)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values == [expected] * 3
     assert peak < 2 * 2**20
