@@ -19,15 +19,16 @@ this process.
 Configuration may be given as ``--config file.ini`` with one section per
 command; keys under ``[DEFAULT]`` apply to every command that takes them
 and are skipped by the others, and the command's own section wins.  The
-file is UTF-8 text of ``[section]`` headers, ``key = value`` (or
-``key: value``) lines, blank lines and comment lines that start with ``#``
-or ``;``.  Keys are read in lower case with ``-`` as ``_``; a value is the
-rest of its line, stripped, so ``%``, ``#`` and ``;`` inside it are
-ordinary characters.  There is no interpolation, and an indented line
-(a continuation line) is refused.  The keys are turned into flags and
-parsed by the same parser: ``eta_d = 0.9`` is ``--eta-d=0.9``,
-``symmetry = asymmetric`` is ``--asymmetric`` and ``skip_source = yes|no``
-(or ``on|off``, ``true|false``, ``1|0``) sets or omits ``--skip-source``.
+file is UTF-8 text (a leading byte-order mark is skipped) of ``[section]``
+headers, ``key = value`` (or ``key: value``) lines, blank lines and comment
+lines that start with ``#`` or ``;``.  Keys are read in lower case with
+``-`` as ``_``; a value is the rest of its line, stripped, so ``%``, ``#``
+and ``;`` inside it are ordinary characters.  There is no interpolation,
+and an indented line (a continuation line) is refused.  The keys are
+turned into flags and parsed by the same parser: ``eta_d = 0.9`` is
+``--eta-d=0.9``, ``symmetry = asymmetric`` is ``--asymmetric`` and
+``skip_source = yes|no`` (or ``on|off``, ``true|false``, ``1|0``) sets or
+omits ``--skip-source``.
 Flags on the command line win over the file.  A line outside the grammar
 or not valid UTF-8, a key before any header or repeated in its section, an
 unknown key in the command's section and a bad value each end the run with
@@ -136,7 +137,7 @@ def read_config(path: str, command: str) -> dict:
     for number, raw in enumerate(lines, start=1):
         where = f"{path}:{number}:"
         try:
-            line = raw.decode("utf-8")
+            line = raw.decode("utf-8-sig" if number == 1 else "utf-8")  # skip a BOM
         except UnicodeDecodeError:
             raise ValidationError(f"{where} not UTF-8 text") from None
         text = line.strip()

@@ -20,6 +20,7 @@ input state through a loss of eta_t * eta_c per mode.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -51,46 +52,53 @@ def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.
     """Diagonal of the filter on every mode of ``basis``, applied m times.
 
     Each mode contributes ``((g - 1) n + 1)^m`` for its photon number n.
-    Every filter path of the package goes through here, so the arguments
-    are checked here: the gain must be finite and at least 1, and the filter
-    applied at least once.  Raises ``ValueError`` naming the gain, the
-    applications and the cutoff when an entry overflows the float range.
+    Every filter path of the package goes through here or through
+    :func:`_filter_entries`, which checks the arguments: the gain must be
+    finite and at least 1, and the filter applied at least once.  Raises
+    ``ValueError`` naming the gain, the applications and the cutoff when an
+    entry overflows the float range.
+    """
+    return _filter_entries(basis.occupations, gain, applications, max(basis.cutoffs))
+
+
+def _filter_entries(occupations: np.ndarray, gain: float, applications: int,
+                    cutoff: int) -> np.ndarray:
+    """The :func:`filter_diagonal` entries of the rows of ``occupations``.
+
+    An overflow error names ``cutoff``.
     """
     if not 1.0 <= gain < math.inf:  # also rejects NaN
         raise ValueError(f"filter gain must be finite and at least 1, got {gain}")
     if not applications >= 1:
         raise ValueError(f"filter applications must be at least 1, got {applications}")
     with np.errstate(over="ignore"):
-        diag = np.prod(((gain - 1.0) * basis.occupations + 1.0) ** applications, axis=1)
+        diag = np.prod(((gain - 1.0) * occupations + 1.0) ** applications, axis=1)
     if not np.isfinite(diag).all():
-        raise _overflow(gain, applications, max(basis.cutoffs))
+        raise ValueError(f"the filter of gain {gain} applied {applications} times overflows "
+                         f"the float range at cutoff {cutoff}")
     return diag
-
-
-def _overflow(gain: float, applications: int, cutoff: int) -> ValueError:
-    """The error of a filter whose diagonal overflows the float range at ``cutoff``."""
-    return ValueError(f"the filter of gain {gain} applied {applications} times overflows "
-                      f"the float range at cutoff {cutoff}")
 
 
 def _mode_filter(basis: ModeBasis, gain: float, applications: int, cutoff: int) -> np.ndarray:
     """One mode's filter for the per-mode factors on ``basis``, scaled.
 
-    The filter is checked once at the caller's ``cutoff``, on one mode: the
-    largest entry of the two-mode diagonal there is the square of one mode's
-    largest, so invalid arguments and an overflow of that diagonal raise the
-    :func:`filter_diagonal` error without the ``(cutoff + 1)^2`` basis being
-    built.  Then one mode's filter is built up to the largest cutoff of
-    ``basis``, shared by both modes and by every step and refine of a solve.
+    The filter is checked once at the caller's ``cutoff``, in closed form:
+    the largest entry of the two-mode diagonal there is the entry of the one
+    occupation ``(cutoff, cutoff)``, ``((g - 1) cutoff + 1)^(2m)``, so
+    :func:`_filter_entries` on that one row raises the
+    :func:`filter_diagonal` error for invalid arguments and for an overflow
+    of that diagonal, bit for bit, and no basis is sized by ``cutoff``.  A
+    cutoff past the float range is checked as the largest float.  Then one
+    mode's filter is built up to the largest cutoff of ``basis``, shared by
+    both modes and by every step and refine of a solve.
     Its entries, from 1 to its largest, M, are
     scaled by a power of two near ``1/sqrt(M)``, so a product of four
     entries lies between about ``1/M^2`` and ``M^2``: it neither overflows
     nor underflows where the two-mode diagonal is finite, and the common
     factor cancels exactly in every ratio to ``L^dag(F^2)``.
     """
-    top = float(filter_diagonal(shared_basis((cutoff,)), gain, applications)[-1])
-    if not math.isfinite(top * top):  # a float product overflows to inf, unwarned
-        raise _overflow(gain, applications, cutoff)
+    corner = np.full((1, 2), min(cutoff, sys.float_info.max), dtype=float)
+    _filter_entries(corner, gain, applications, cutoff)
     f = filter_diagonal(shared_basis((max(basis.cutoffs),)), gain, applications)
     return np.ldexp(f, -(np.frexp(f.max())[1] // 2))
 

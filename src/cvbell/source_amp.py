@@ -709,12 +709,14 @@ def _fold(blocks: np.ndarray) -> np.ndarray:
 
 #: The largest number ``d P`` of (output state, basis input) pairs of
 #: :func:`_source_stack`, with ``d = (c + 2)(c + 3) / 2`` output states and
-#: ``P = 2 (c + 1)`` basis inputs at cutoff c: 504 at c = 6, 4080 at c = 14,
-#: the largest cutoff admitted.  The Gram arrays are built per parity sector,
-#: about a quarter of ``(d P)^2`` entries in all (:func:`_gram_bytes`): at
-#: c = 14 a fresh build took 0.30 s and its process peaked at 111 MiB RSS on
-#: a 2-core Xeon VM, one BLAS thread (1.22 s and 429 MiB with the whole Gram
-#: array).  Cutoff 40 would need 10.2 GiB of them.
+#: ``P = 2 (c + 1)`` basis inputs at cutoff c, so ``d P = (c + 1)(c + 2)(c + 3)``
+#: (:func:`_gram_side`): 504 at c = 6, 4080 at c = 14, the largest cutoff
+#: admitted, which the refusal takes from this bound alone.  The Gram arrays
+#: are built per parity sector, about a quarter of ``(d P)^2`` entries in all
+#: (:func:`_gram_bytes`, in closed form): at c = 14 a fresh build took 0.30 s
+#: and its process peaked at 111 MiB RSS on a 2-core Xeon VM, one BLAS thread
+#: (1.22 s and 429 MiB with the whole Gram array).  Cutoff 40 would need
+#: 10.2 GiB of them.
 MAX_GRAM_SIDE = 4096
 
 
@@ -724,11 +726,18 @@ def _gram_side(cutoff: int) -> int:
 
 
 def _gram_bytes(cutoff: int) -> int:
-    """The bytes of the parity-sector Gram arrays of :func:`_source_stack` at a cutoff."""
+    """The bytes of the parity-sector Gram arrays of :func:`_source_stack` at a cutoff.
+
+    The output basis holds the ``(a, b)`` with ``a + b <= c + 1``.  Its
+    sector of photon parities ``(p_a, p_b)`` holds the ``a = p_a + 2i``,
+    ``b = p_b + 2j`` with ``i + j <= M = (c + 1 - p_a - p_b) // 2``, which
+    are ``(M + 1)(M + 2) / 2``; each sector's Gram array is the square of
+    that times ``2 (c + 1)`` basis inputs, in float64.  Python integers, so
+    no cutoff overflows the count and nothing is enumerated.
+    """
     cap = cutoff + 1
-    occupations = np.array([(a, b) for a in range(cap + 1) for b in range(cap + 1 - a)])
-    sizes = np.bincount(occupations[:, 0] % 2 * 2 + occupations[:, 1] % 2)
-    return int(((sizes * 2 * (cutoff + 1)) ** 2).sum()) * 8
+    tops = [(cap - p) // 2 for p in (0, 1, 1, 2)]  # M of the sectors, by p_a + p_b
+    return sum(((m + 1) * (m + 2) // 2 * 2 * cap) ** 2 for m in tops) * 8
 
 
 def _source_stack(eta_c: float, cutoff: int):
@@ -757,16 +766,19 @@ def _source_stack(eta_c: float, cutoff: int):
     part is one product of the weights ``lam^s phi_j phi_k`` with the packed
     rows (:func:`_image_state`); the sums of ``Tr(M_pq O)`` for a whole stack
     of operators are one product with them (:func:`_pair_forms`).  A cutoff
-    above :data:`MAX_GRAM_SIDE` is rejected before any allocation.
+    whose pair count exceeds :data:`MAX_GRAM_SIDE` is rejected before any
+    allocation: the count, the bytes and the largest admitted cutoff are
+    closed forms, so the refusal costs the same at every cutoff.
     """
     side = _gram_side(cutoff)
     if side > MAX_GRAM_SIDE:
-        largest = max(c for c in range(cutoff) if _gram_side(c) <= MAX_GRAM_SIDE)
+        largest = next(c for c in range(MAX_GRAM_SIDE) if _gram_side(c + 1) > MAX_GRAM_SIDE)
         size = _gram_bytes(cutoff)
-        size = f"{size / 2**30:.1f} GiB" if size >= 2**30 else f"{size / 2**20:.1f} MiB"
+        unit, name = (2**30, "GiB") if size >= 2**30 else (2**20, "MiB")
+        tenths = (20 * size // unit + 1) // 2  # in integers: a float overflows past 1e308
         raise ValueError(
             f"source cutoff {cutoff} has {side} (output state, basis input) pairs, whose "
-            f"parity-sector Gram arrays need {size}; the "
+            f"parity-sector Gram arrays need {tenths // 10}.{tenths % 10} {name}; the "
             f"largest source cutoff is {largest} (MAX_GRAM_SIDE = {MAX_GRAM_SIDE})"
         )
 

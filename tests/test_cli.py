@@ -3,6 +3,7 @@ import builtins
 import csv
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -68,6 +69,24 @@ def assert_one_error_line(err: str, location: str):
     assert err.startswith("cvbell: error: ")
     assert err.count("\n") == 1  # one line, no traceback
     assert location in err
+
+
+def run_child(args):
+    """Run ``python -m cvbell.cli`` in a child process; returns the completed run.
+
+    BLAS runs on one thread, and the child alone gets 2 GiB of address space
+    and 20 s, so a run that allocates or scans what it should refuse fails
+    the test (``MemoryError`` or ``TimeoutExpired``), not the machine.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "cvbell.cli", *args], env=env, capture_output=True,
+        text=True, timeout=20,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30,) * 2),
+    )
 
 
 class TestParsing:
@@ -150,6 +169,7 @@ class TestParsing:
     ["region", "--eta-d-grid", "0.9:1:0x"],
     ["local-amp", "--m", "0"],
     ["threshold", "--cutoff", "-1"],
+    ["local-amp", "--cutoff", str(10**400)],  # past the float range: the filter overflows
     ["region", "--eta-d-grid", "0.9,1.5"],
     ["region", "--eta-d-grid", "0.6:1.0:1000000000000"],  # numpy refuses the allocation
     ["region", "--eta-d-grid", ""],
@@ -177,6 +197,21 @@ def test_a_source_cutoff_beyond_the_gram_limit_exits_cleanly(command, tmp_path, 
     out = tmp_path / "out.csv"
     assert main(args + ["--output", str(out)]) == 1
     assert_one_error_line(capsys.readouterr().err, "source cutoff 40")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cutoff", ["3000", "100000", "1000000000", str(10**100)],
+                         ids=["3e3", "1e5", "1e9", "1e100"])
+@pytest.mark.parametrize("command", [["source-amp", "--eta-d-grid", "1.0"], ["reproduce-all"]],
+                         ids=lambda c: c[0])
+def test_a_source_cutoff_far_beyond_the_gram_limit_is_refused_at_once(command, cutoff,
+                                                                      tmp_path):
+    """The refusal enumerates nothing: within 2 GiB of address space and 20 s."""
+    out = tmp_path / "out.csv"
+    run = run_child([*command, "--cutoff", cutoff, "--output", str(out)])
+    assert run.returncode == 1
+    assert_one_error_line(run.stderr, "largest source cutoff is 14")
+    assert f"source cutoff {cutoff} has " in run.stderr and " need -" not in run.stderr
     assert not out.exists()
 
 
@@ -274,7 +309,10 @@ class TestThresholdCommand:
         source-amp is the one command whose joint basis grows with --cutoff.
         """
         monkeypatch.setattr(cvbell.fock, "MAX_TENSOR_DIMENSION", 20)
-        cvbell.fock.shared_basis.cache_clear()  # so that the basis is built again
+        # So that the basis is built again: a cached stack at (1.0, 4) would
+        # skip it and leave the refusal to the 6 x 6 basis of the optimum.
+        monkeypatch.setattr(cvbell.source_amp, "_STACK_CACHE", {})
+        cvbell.fock.shared_basis.cache_clear()
         code, out = run_cli(["source-amp", "--cutoff", "4", "--eta-d-grid", "1.0"], tmp_path)
         assert code == 1
         assert_one_error_line(capsys.readouterr().err, "enumerates 25 occupations")
@@ -397,15 +435,8 @@ class TestBadNumbers:
     def test_bisection_tol_is_rejected(self, tol, tmp_path):
         # In a child with a timeout: a tolerance the bisection can never reach
         # must end the run, not hang the suite.
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         out = tmp_path / "x.csv"
-        run = subprocess.run(
-            [sys.executable, "-m", "cvbell.cli", "threshold", f"--tol={tol}",
-             "--output", str(out)],
-            env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
-            timeout=60,
-        )
+        run = run_child(["threshold", f"--tol={tol}", "--output", str(out)])
         assert run.returncode == 1
         assert_one_error_line(run.stderr, "tol must be finite and positive")
         assert not out.exists()
@@ -668,6 +699,18 @@ class TestConfigFile:
         assert says in err
         assert os.listdir(tmp_path) == ["run.ini"]  # no CSV, no sidecar
 
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        text = "[threshold]\ntarget = eta-d\nstate = psi2\n"
+        outputs = []
+        for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+            cfg = tmp_path / f"{name}.ini"
+            cfg.write_text(text, encoding=encoding)
+            code, out = run_cli(["threshold", "--config", str(cfg)], tmp_path, f"{name}.csv")
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert (tmp_path / "bom.ini").read_bytes().startswith(b"\xef\xbb\xbf[threshold]")
+        assert outputs[0] == outputs[1]
+
     def test_the_config_file_is_opened_once(self, tmp_path, monkeypatch):
         record_solver(monkeypatch, "critical_efficiency")
         cfg = tmp_path / "run.ini"
@@ -729,16 +772,16 @@ def test_readme_lists_the_misses_of_the_pinned_report():
     ["multi-filter"],
 ], ids=["threshold-eta-t", "threshold-eta-d", "region", "local-amp", "multi-filter"])
 def test_a_two_photon_solve_builds_nothing_at_the_cutoff(args, tmp_path, monkeypatch):
-    """With the guard at 10^4, --cutoff 300 writes the rows of --cutoff 2 but the cutoff."""
+    """With the guard at 10^4, a larger --cutoff writes the rows of --cutoff 2 but the cutoff."""
     monkeypatch.setattr(cvbell.fock, "MAX_TENSOR_DIMENSION", 10_000)
     cvbell.fock.shared_basis.cache_clear()  # so that no basis built earlier is reused
     tables = []
-    for cutoff in ("2", "300"):
+    for cutoff in ("2", "300", "20000", "1000000000"):
         code, out = run_cli([*args, "--cutoff", cutoff], tmp_path, f"c{cutoff}.csv")
         assert code == 0
         tables.append([{k: v for k, v in row.items() if k != "cutoff"}
                        for row in read_rows(out)])
-    assert tables[0] == tables[1]
+    assert all(table == tables[0] for table in tables)
 
 
 @pytest.mark.parametrize("args", [

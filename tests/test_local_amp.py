@@ -424,17 +424,17 @@ class TestPulledBackForms:
     ], ids=["filtered_chsh", "filtered_critical_transmission",
             "amplified_source_threshold_with_filters", "source_critical_transmission"])
     def test_a_solve_builds_the_filter_once(self, monkeypatch, solve):
-        # One one-mode check at the caller's cutoff, then one mode filter for
-        # both modes, however many steps and refines follow.
-        calls = []
+        # One check of the one occupation (cutoff, cutoff), then one mode
+        # filter for both modes, however many steps and refines follow.
+        calls, entries = [], la._filter_entries
 
-        def counted(basis, *args):
-            calls.append(basis.mode_count)
-            return filter_diagonal(basis, *args)
+        def counted(occupations, *args):
+            calls.append(occupations.shape)
+            return entries(occupations, *args)
 
-        monkeypatch.setattr(la, "filter_diagonal", counted)
+        monkeypatch.setattr(la, "_filter_entries", counted)
         solve()
-        assert calls == [1, 1]
+        assert len(calls) == 2 and calls[0] == (1, 2) and calls[1][1] == 1
 
     def test_source_refines_build_no_filter(self, monkeypatch):
         basis, packed, _ = sa._source_stack(0.9, 4)
@@ -508,16 +508,52 @@ def test_psi2_solves_do_not_grow_with_the_cutoff(solve):
 
 
 def test_a_filtered_sweep_over_cutoffs_holds_no_cutoff_sized_basis():
-    """The cutoff reaches only the one-mode filter check, so a sweep over it stays small.
+    """The cutoff reaches only the closed-form filter check, so a sweep over it stays small.
 
-    Checking on the two-mode basis held about 88 MiB of bases at these cutoffs.
+    Checking on the two-mode basis held about 88 MiB of bases at the first
+    three cutoffs; checking on the one-mode basis peaked at 80 MiB RSS at
+    300 000 and refused 10^9 at the dense-storage guard.
     """
     expected = filtered_critical_transmission(2.0)  # fills the caches outside the measurement
+    cutoffs = (100, 400, 700, 300_000, 10**9)
     tracemalloc.start()
     try:
-        values = [filtered_critical_transmission(2.0, cutoff=c) for c in (100, 400, 700)]
+        values = [filtered_critical_transmission(2.0, cutoff=c) for c in cutoffs]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert values == [expected] * 3
+    assert values == [expected] * len(cutoffs)
     assert peak < 2 * 2**20
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("cutoff", [0, 1, 2, 3, 6, 17, 100, 641, 999, 2048, 9999, 10_000])
+def test_the_filter_check_reads_the_enumerated_corner(cutoff, monkeypatch):
+    """The check's one entry is the two-mode diagonal's largest, bit for bit.
+
+    That entry is the square of the last entry of the one-mode diagonal
+    enumerated at the cutoff; where that square overflows, the check raises
+    the :func:`filter_diagonal` error naming the cutoff.
+    """
+    checked, entries = [], la._filter_entries
+    monkeypatch.setattr(la, "_filter_entries",
+                        lambda *args: checked.append(entries(*args)) or checked[-1])
+    basis = shared_basis((0, 0))  # a mode filter of ones after the check
+    for gain in (1.0, 1.0 + 2.0**-40, 1.1, 1.5, 2.0, 3.0, 7.3, 1e3, 1e50, 1e150):
+        for applications in (1, 2, 3, 5, 8, 40):
+            try:
+                top = float(filter_diagonal(shared_basis((cutoff,)), gain, applications)[-1])
+            except ValueError:
+                top = math.inf
+            checked.clear()
+            if math.isfinite(top * top):
+                la._mode_filter(basis, gain, applications, cutoff)
+                assert checked[0].tolist() == [top * top]
+            else:
+                message = (f"the filter of gain {gain} applied {applications} times overflows "
+                           f"the float range at cutoff {cutoff}")
+                with pytest.raises(ValueError, match=re.escape(message) + "$"):
+                    la._mode_filter(basis, gain, applications, cutoff)
+    if cutoff <= 100:
+        assert entries(np.full((1, 2), cutoff, dtype=float), 3.0, 2, cutoff)[0] == (
+            filter_diagonal(shared_basis((cutoff, cutoff)), 3.0, 2)[-1])

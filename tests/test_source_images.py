@@ -15,9 +15,10 @@ the sums; ``tests/test_parity_sectors.py`` checks that the entries between
 sectors are zero.
 """
 
-from functools import lru_cache
-
+import math
 import tracemalloc
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -221,13 +222,40 @@ def test_a_cutoff_beyond_the_gram_limit_is_rejected_before_the_circuit(monkeypat
     assert sa._gram_side(14) <= sa.MAX_GRAM_SIDE < sa._gram_side(15)
 
 
-@pytest.mark.parametrize("cutoff", [1, 2, 6, 14])
+@pytest.mark.parametrize("cutoff", [1, 2, 6, 14, 40])
 def test_gram_bytes_count_the_sector_grams_of_the_output_basis(cutoff):
     basis = ModeBasis((cutoff + 1,) * 2, cutoff + 1)
     side = 2 * (cutoff + 1)
     sizes = [p.size for p in _parity_sectors(basis).positions]
     assert sa._gram_bytes(cutoff) == sum((n * side) ** 2 for n in sizes) * 8
     assert sum(sizes) * side == sa._gram_side(cutoff)
+
+
+def gram_bytes_by_rows(cutoff: int) -> int:
+    """The sector Gram bytes counted row by row: for each a, the b of each parity."""
+    cap, sizes = cutoff + 1, [0] * 4
+    for a in range(cap + 1):
+        for pb in (0, 1):
+            sizes[a % 2 * 2 + pb] += (cap - a - pb) // 2 + 1 if cap - a >= pb else 0
+    return sum((n * 2 * cap) ** 2 for n in sizes) * 8
+
+
+def test_gram_bytes_stay_exact_far_beyond_the_limit():
+    """The closed form holds in Python integers where int64 overflowed (from cutoff 1823).
+
+    At 300 and 3000 it is checked row by row (the sectors' packed entries at
+    300 would take gigabytes).  Within a parity of the cutoff the bytes are
+    a polynomial of degree 6 in it, so seven row-by-row counts of even
+    cutoffs fix it at 10^100, by exact Lagrange interpolation.
+    """
+    for cutoff in (300, 3000):
+        assert sa._gram_bytes(cutoff) == gram_bytes_by_rows(cutoff)
+    assert sa._gram_bytes(3000) // 2**30 == 1_363_308_998_525
+    far, nodes = 10**100, range(2, 16, 2)
+    value = sum(Fraction(gram_bytes_by_rows(x)) * math.prod(Fraction(far - y, x - y)
+                                                          for y in nodes if y != x)
+                for x in nodes)
+    assert sa._gram_bytes(far) == value
 
 
 def test_fresh_stack_stays_small(monkeypatch):
