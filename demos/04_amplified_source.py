@@ -15,6 +15,7 @@ from cvbell import (
     SourceConfig,
     StateVector,
     amplified_source,
+    fidelity,
     herald_probabilities,
     qscissor_amplify,
     solve_source_params,
@@ -56,10 +57,20 @@ target = StateVector(ModeBasis((2, 2)), np.zeros(9, complex))
 target.amplitudes[target.basis.index_of((0, 0))] = 0.22
 target.amplitudes[target.basis.index_of((2, 0))] = -0.69
 target.amplitudes[target.basis.index_of((0, 2))] = -0.69
-params = solve_source_params(target.normalize())
+target = target.normalize()
+params = solve_source_params(target)
 print(f"\ninverting the source for a balanced target state:")
-print(f"  squeezing {params.squeezing}, t = {params.amp_transmission:.2e},"
-      f" full-circuit fidelity {params.fidelity:.6f}")
+print(f"  high-gain limit r = lam^2/t = {params.r:.4f}")
+# The limit is reached as t -> 0 along lam^2 = r t; check one finite point.
+lam = 0.02
+t = lam**2 / params.r
+outcome = amplified_source(SourceConfig(squeezing=lam, amp_transmission=t))
+b = outcome.state.basis
+vec = np.zeros(b.dimension, complex)
+for occ in ((0, 0), (2, 0), (0, 2)):
+    vec[b.index_of(occ)] = target.amplitudes[target.basis.index_of(occ)]
+print(f"  squeezing {lam}, t = {t:.2e},"
+      f" full-circuit fidelity {fidelity(outcome.state, StateVector(b, vec)):.6f}")
 
 imbalanced = StateVector(ModeBasis((2, 2)), np.zeros(9, complex))
 imbalanced.amplitudes[imbalanced.basis.index_of((0, 0))] = 0.13

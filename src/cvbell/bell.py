@@ -560,10 +560,13 @@ def _fixed_state(state) -> _FixedState:
     :func:`_trimmed_cutoffs` gives: entries up to a photon number depend
     only on entries up to it.  A pure state is first moved onto the product
     basis of the box its nonzero amplitudes occupy, so the padding of a large
-    cutoff is never densified.  A :class:`_FixedState` is returned as it is.
+    cutoff is never densified.  A :class:`_FixedState` is returned as it is;
+    a state of any other mode count than two is rejected.
     """
     if isinstance(state, _FixedState):
         return state
+    if state.basis.mode_count != 2:
+        raise ValueError(f"expected a two-mode state, got mode count {state.basis.mode_count}")
     rho = state
     if isinstance(state, StateVector):
         occupations = state.basis.occupations

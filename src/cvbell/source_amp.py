@@ -597,63 +597,48 @@ def herald_probabilities(config: SourceConfig) -> dict:
 
 @dataclass
 class SourceParams:
-    """Result of inverting the source map onto a target state."""
+    """Result of inverting the source onto a target state.
+
+    ``r`` is the ratio ``lam^2 / t`` of the source in its high-gain limit
+    t -> 0 that prepares the target; ``reason`` says why an unreachable
+    target is not prepared.
+    """
 
     reachable: bool
-    squeezing: float | None = None
-    amp_transmission: float | None = None
-    fidelity: float | None = None
+    r: float | None = None
     reason: str | None = None
 
 
-def solve_source_params(target: StateVector, lam: float = 0.02,
-                        cutoff: int = 6) -> SourceParams:
-    """Squeezing and splitter transmission that produce a target state.
+def solve_source_params(target: StateVector) -> SourceParams:
+    """The ratio ``r = lam^2 / t`` at which the source prepares a target, in closed form.
 
-    Only targets supported on {|00>, |20>, |02>} with equal-magnitude
-    two-photon coefficients are reachable; the leading-order output has
-    vacuum amplitude sqrt(t) against two-photon amplitudes
-    lam sqrt(1-t)/sqrt(2), so for a given small ``lam`` the coefficient
-    ratio fixes ``t``.  The fidelity of the full circuit output against the
-    target (in the output sign convention c00 >= 0, c2 <= 0) is returned.
+    As t -> 0 at fixed ``r``, the unit-coupling output tends to
+    ``c00 |00> - c (|20> + |02>)`` with ``c / c00 = sqrt(r / 2)``: the sums
+    ``H[0, 1, 1]`` and ``H[1, 1, 1]`` of :func:`_source_stack` vanish, so to
+    leading order in t the output is ``H[0, 0, 0] + sqrt(r) (H[1, 0, 1] +
+    H[1, 1, 0]) + r H[2, 1, 1]`` (``tests/test_source_images.py``).  A
+    target is reached if and only if its support lies in {00, 20, 02}, its
+    ``|20>`` and ``|02>`` amplitudes are equal and their ratio to the vacuum
+    amplitude is real and not positive (the squeezing is non-negative);
+    then ``r = 2 (c20 / c00)^2``.  No circuit is run: at ``lam^2 = r t`` the
+    circuit's fidelity to the target is ``1 - O(t)``.
     """
-    basis = target.basis
     amps = target.normalize().amplitudes
-    support = {}
-    for idx, a in enumerate(amps):
-        if abs(a) > 1e-9:
-            support[basis.occupation_of(idx)] = complex(a)
+    support = {target.basis.occupation_of(i): complex(amps[i])
+               for i in np.flatnonzero(abs(amps) > 1e-9)}
     if not set(support) <= {(0, 0), (2, 0), (0, 2)}:
         return SourceParams(reachable=False, reason="support outside {00, 20, 02}")
-    c20 = abs(support.get((2, 0), 0.0))
-    c02 = abs(support.get((0, 2), 0.0))
-    c00 = abs(support.get((0, 0), 0.0))
+    c00, c20, c02 = (support.get(occ, 0.0) for occ in ((0, 0), (2, 0), (0, 2)))
     if abs(c20 - c02) > 1e-6:
-        return SourceParams(
-            reachable=False, reason="unequal |20> and |02> weights are not producible"
-        )
-    if c20 < 1e-12:
-        return SourceParams(
-            reachable=True, squeezing=0.0, amp_transmission=1.0, fidelity=None
-        )
-    if c00 < 1e-12:
-        return SourceParams(
-            reachable=False, reason="vanishing vacuum weight requires t -> 0"
-        )
+        return SourceParams(reachable=False,
+                            reason="unequal |20> and |02> amplitudes are not producible")
+    if c00 == 0.0:
+        return SourceParams(reachable=False, reason="vanishing vacuum weight requires r -> inf")
     ratio = c20 / c00
-    t = lam**2 / (lam**2 + 2.0 * ratio**2)
-    config = SourceConfig(squeezing=lam, amp_transmission=t, cutoff=cutoff)
-    outcome = amplified_source(config)
-    out_basis = outcome.state.basis
-    vec = np.zeros(out_basis.dimension, dtype=complex)
-    gauge = support.get((0, 0), 1.0)
-    gauge = gauge / abs(gauge)  # rotate target so c00 is real positive
-    for occ, a in support.items():
-        vec[out_basis.index_of(occ)] = a / gauge
-    fid = float((vec.conj() @ outcome.state.matrix @ vec).real)
-    return SourceParams(
-        reachable=True, squeezing=lam, amp_transmission=t, fidelity=fid
-    )
+    if abs(ratio.imag) > 1e-6 or ratio.real > 0.0:
+        return SourceParams(reachable=False,
+                            reason="the two-photon to vacuum ratio must be real and <= 0")
+    return SourceParams(reachable=True, r=2.0 * ratio.real ** 2)
 
 
 def dominant_component(rho: DensityOperator) -> tuple[StateVector, float]:
@@ -965,6 +950,15 @@ def max_source_chsh(
     taken.  The golden sections read row g* of the grid's sums, the Bell
     form at the grid's delta, and contract each section's fixed coordinate
     once (:func:`_section_objectives`).
+
+    The optimum sits at the t grid's lower edge, on a ridge of fixed
+    ``r = lam^2 / t`` (the high-gain limit, :func:`solve_source_params`), and
+    its violation is bought with the herald rate ``(1 + eta_c r) t``.  The
+    two rows of ``tests/data/cli/source-amp-eta-c.csv`` (eta_c = 0.9,
+    eta_d = 0.9 and 1) lie at r = 31.7 and 35.1, where the herald succeeds
+    with probability 8.8e-4 and 9.7e-4 and CHSH reads 2.000428 and 2.000485;
+    on the same ridges at t = 1e-4 they read 1.999582 and 1.999486, no
+    violation.
     """
     lam_grid = _sweep_grid(default_squeezing_grid() if lam_grid is None else lam_grid,
                            "lam_grid")

@@ -17,7 +17,7 @@ from cvbell.bell import (
     optimize_delta,
 )
 from cvbell.cli import main
-from cvbell.fock import ModeBasis, shared_basis
+from cvbell.fock import ModeBasis, fock_state, shared_basis
 from cvbell.local_amp import filtered_critical_transmission, psi2_state
 
 
@@ -82,6 +82,15 @@ class TestOptimizeDelta:
         rho = psi2_state().to_density()
         _, value = optimize_delta(PartyConditions(), PartyConditions(), state=rho)
         assert value == pytest.approx(2.2495, abs=1e-3)
+
+    @pytest.mark.parametrize("cutoffs", [(2,), (2, 2, 2)])
+    def test_rejects_a_state_that_is_not_two_mode(self, cutoffs):
+        state = fock_state(ModeBasis(cutoffs), (0,) * len(cutoffs))
+        match = f"expected a two-mode state, got mode count {len(cutoffs)}"
+        with pytest.raises(ValueError, match=match):
+            chsh_value(state, BellScenario.symmetric(delta=0.5))
+        with pytest.raises(ValueError, match=match):
+            optimize_delta(PartyConditions(), PartyConditions(), state=state.to_density())
 
     def test_golden_section(self):
         x, v = golden_section_max(lambda x: -((x - 0.3) ** 2), 0.0, 1.0, 1e-8)

@@ -34,11 +34,12 @@ from cvbell.bell import (
     _mode_observables,
     _packed_kron,
     _swept_observables,
+    _top_eigenvalue,
     bell_matrices,
     chsh_value,
 )
-from cvbell.fock import ModeBasis
-from cvbell.measurement import DELTA_MAX
+from cvbell.fock import ModeBasis, shared_basis
+from cvbell.measurement import DELTA_MAX, delta_grid
 from cvbell.source_amp import (
     SourceConfig,
     amplified_source,
@@ -407,3 +408,91 @@ def test_grid_array_equals_tuple(solve):
 def test_grid_of_fewer_than_two_points_is_rejected(solve, name, grid):
     with pytest.raises(ValueError, match=name):
         solve(**{name: grid})
+
+
+# The high-gain limit: t -> 0 along lam^2 = r t.  There the image weights
+# lam^s phi_j(t) phi_k(t) are t (1, sqrt(r), sqrt(r), r) on the sums H[0,0,0],
+# H[1,0,1], H[1,1,0] and H[2,1,1], up to a relative O(t); the sums H[0,1,1] and
+# H[1,1,1] vanish, and every other weight is of higher order in t.  So the
+# output tends to rho_inf(r) ~ H[0,0,0] + sqrt(r) (H[1,0,1] + H[1,1,0]) + r H[2,1,1],
+# and each CHSH value to a 2 x 2 pencil in u = (1, sqrt(r)).
+
+LIMIT_ETAS = [1.0, 0.9, 0.5]
+LIMIT_PARTIES = [(1.0, 1.0), (0.9, 0.95), (0.81, 1.0), (1.0, 0.65), (0.7, 0.9)]
+
+
+def limit_forms(sums):
+    """The 2 x 2 forms in ``u = (1, sqrt(r))`` of sums ``F[..., s, j, k]``: ``(..., 2, 2)``."""
+    cross = 0.5 * (sums[..., 1, 0, 1] + sums[..., 1, 1, 0])
+    return np.stack([np.stack([sums[..., 0, 0, 0], cross], axis=-1),
+                     np.stack([cross, sums[..., 2, 1, 1]], axis=-1)], axis=-2)
+
+
+def limit_tops(eta_c, cutoff, party, deltas):
+    """The pencil's top CHSH value on ``deltas`` and its top vectors ``u``, ``(G, 2)``.
+
+    The trace form is diag(1, eta_c) (:func:`test_limit_rows`), so the
+    pencil's top is the ordinary top of ``S A S`` with ``S = T^(-1/2)``.
+    """
+    basis, packed, trace = sa._source_stack(eta_c, cutoff)
+    forms = limit_forms(sa._pair_forms(packed, packed_bells(basis, party, party, deltas)))
+    scale = 1.0 / np.sqrt(np.diag(limit_forms(trace)))
+    values, vectors = np.linalg.eigh(scale[:, None] * forms * scale)
+    return values[:, -1], scale * vectors[:, :, -1]
+
+
+@pytest.mark.parametrize("cutoff", [2, 4, 6])
+@pytest.mark.parametrize("eta_c", LIMIT_ETAS)
+def test_limit_rows(eta_c, cutoff):
+    _, packed, trace = sa._source_stack(eta_c, cutoff)
+    sums = packed.reshape(-1, 2, 2, packed.shape[-1])
+    assert not sums[0, 1, 1].any() and not sums[1, 1, 1].any()
+    T = limit_forms(trace)
+    assert T[0, 1] == 0.0
+    assert T[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert T[1, 1] == pytest.approx(eta_c, abs=1e-15)
+
+
+@pytest.mark.parametrize("eta_c", LIMIT_ETAS)
+@pytest.mark.parametrize("eta_t, eta_d", LIMIT_PARTIES)
+def test_limit_top_does_not_depend_on_the_cutoff(eta_c, eta_t, eta_d):
+    party = PartyConditions(eta_t=eta_t, eta_d=eta_d)
+    deltas = delta_grid(241)
+    found = limit_tops(eta_c, 2, party, deltas)[0]
+    assert np.abs(found - limit_tops(eta_c, 6, party, deltas)[0]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("eta_t, eta_d", LIMIT_PARTIES)
+def test_unit_coupling_limit_prepares_the_best_cap_two_state(eta_t, eta_d):
+    # Measured: at most 8.9e-16 apart on the grid.
+    party = PartyConditions(eta_t=eta_t, eta_d=eta_d)
+    deltas = delta_grid(241)
+    best = _top_eigenvalue(shared_basis((2, 2), 2), party, party)[0](deltas)
+    assert np.abs(limit_tops(1.0, 2, party, deltas)[0] - best).max() <= 1e-13
+
+
+@pytest.mark.parametrize("t", [1e-4, 1e-5, 1e-6])
+@pytest.mark.parametrize("eta_c, eta_t, eta_d", [(0.9, 0.88886, 0.9), (1.0, 0.9, 0.95),
+                                                  (0.9, 0.9, 1.0)])
+def test_circuit_approaches_the_limit_from_below(eta_c, eta_t, eta_d, t):
+    # At the grid's best delta, CHSH_inf - CHSH(t) is 10.8 t, 17.4 t and 22.0 t.
+    party = PartyConditions(eta_t=eta_t, eta_d=eta_d)
+    deltas = delta_grid(241)
+    tops, vectors = limit_tops(eta_c, 2, party, deltas)
+    best = int(np.argmax(tops))
+    root_r = vectors[best, 1] / vectors[best, 0]
+    assert root_r > 0.0  # the best vector needs no squeezing phase
+    lam = math.sqrt(root_r ** 2 * t)
+    out = amplified_source(SourceConfig(squeezing=lam, amp_transmission=t, coupling=eta_c))
+    value = chsh_value(out.state, BellScenario(party, party, float(deltas[best])))
+    assert 0.0 < tops[best] - value <= 30.0 * t
+
+
+@pytest.mark.parametrize("t", [1e-3, 1e-4, 1e-5])
+@pytest.mark.parametrize("r", [5.0, 30.0])
+@pytest.mark.parametrize("eta_c", LIMIT_ETAS)
+def test_limit_heralds_with_probability_one_plus_eta_c_r_times_t(eta_c, r, t):
+    # Measured: a relative gap of at most 15.7 t.
+    out = amplified_source(SourceConfig(squeezing=math.sqrt(r * t), amp_transmission=t,
+                                        coupling=eta_c))
+    assert out.success_probability == pytest.approx((1.0 + eta_c * r) * t, rel=20.0 * t)
