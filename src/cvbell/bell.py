@@ -694,14 +694,25 @@ def optimal_state(
     return StateVector(basis, anchor_phase(amplitudes)), float(tops[best])
 
 
+def _check_tol(tol: float, what: str) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{what} tol must be finite and positive, got {tol}")
+
+
 def golden_section_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Maximize a unimodal scalar function on [lo, hi] to width ``tol``."""
+    """Maximize a unimodal scalar function on [lo, hi] to width ``tol``.
+
+    ``tol`` must be finite and positive, or the section would never end (or
+    end at once on NaN comparisons); below the float spacing of the bracket
+    it stops at adjacent floats.
+    """
+    _check_tol(tol, "golden-section")
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    while b - a > tol and a < 0.5 * (a + b) < b:
         if f1 >= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
@@ -747,17 +758,19 @@ def refine_slope_root(value_and_slope, lo: float, hi: float, tol: float):
     ``value_and_slope(deltas)`` returns the objective and its derivative at an
     array of points.  Regula falsi with the Illinois modification, falling
     back to bisection whenever a step would leave the bracket, until the
-    bracket is narrower than ``tol``.  Returns ``(x, value, evaluations)``,
-    with x the evaluated point of smallest slope magnitude, or
-    ``(None, None, 2)`` when the slope is not positive at ``lo`` and negative
-    at ``hi``.
+    bracket is narrower than ``tol``, which must be finite and positive
+    (below the float spacing of the bracket it stops at adjacent floats).
+    Returns ``(x, value, evaluations)``, with x the evaluated point of
+    smallest slope magnitude, or ``(None, None, 2)`` when the slope is not
+    positive at ``lo`` and negative at ``hi``.
     """
+    _check_tol(tol, "refine")
     (f_a, f_b), (g_a, g_b) = value_and_slope(np.array([lo, hi]))
     if not g_a > 0.0 > g_b:
         return None, None, 2
     a, b, evaluations, side = lo, hi, 2, 0
     best = min((abs(g_a), lo, f_a), (abs(g_b), hi, f_b))
-    while b - a > tol:
+    while b - a > tol and a < 0.5 * (a + b) < b:
         x = (a * g_b - b * g_a) / (g_b - g_a)
         if not a < x < b:
             x = 0.5 * (a + b)
@@ -779,7 +792,8 @@ def refine_slope_root(value_and_slope, lo: float, hi: float, tol: float):
     return float(best[1]), float(best[2]), evaluations
 
 
-#: Width to which :func:`search_delta` refines the best bin half-width by default.
+#: Width to which every delta search (:func:`_search_grid`) refines the best
+#: bin half-width.
 DELTA_REFINE_TOL = 1e-6
 
 #: Grid values that agree to this are a plateau of the delta objective: its
@@ -794,28 +808,29 @@ def search_delta(
     cutoff: int = 2,
     total_cap: int = 2,
     grid_points: int = 241,
-    tol: float = DELTA_REFINE_TOL,
 ) -> DeltaSearch:
     """The delta search of :func:`optimize_delta`, with its record."""
+    if grid_points < 2:
+        raise ValueError(f"delta grid must have at least 2 points, got {grid_points}")
     if state is None:
         basis = shared_basis((cutoff, cutoff), total_cap)
         objective, value_and_slope = _top_eigenvalue(basis, alice, bob)
     else:
         objective, value_and_slope = _state_chsh(state, alice, bob)
     grid = delta_grid(grid_points)
-    return _search_grid(grid, objective(grid), lambda: value_and_slope, tol)
+    return _search_grid(grid, objective(grid), lambda: value_and_slope)
 
 
-def _search_grid(grid, values, slope_objective, tol: float = DELTA_REFINE_TOL,
-                stop_above: float | None = None) -> DeltaSearch:
+def _search_grid(grid, values, slope_objective, stop_above: float | None = None) -> DeltaSearch:
     """The delta search on an evaluated grid: the refine and the record.
 
     ``values`` is the objective on the increasing ``grid`` of bin
     half-widths, and ``slope_objective()`` returns its ``value_and_slope``
-    (:func:`refine_slope_root`); it is called only when the refine runs.  A
-    maximum at delta = 0 is returned as it stands.  There ``X = -1`` exactly,
-    ``dX/d(delta)`` is positive semidefinite (the bin projector grows, and
-    the adjoint loss keeps positivity) and ``N <= 1``, so
+    (:func:`refine_slope_root`); it is called only when the refine runs, to
+    :data:`DELTA_REFINE_TOL`.  A maximum at delta = 0 is returned as it
+    stands.  There ``X = -1`` exactly, ``dX/d(delta)`` is positive
+    semidefinite (the bin projector grows, and the adjoint loss keeps
+    positivity) and ``N <= 1``, so
 
         dB/d(delta) = dXa (x) (Nb - 1) + (Na - 1) (x) dXb <= 0:
 
@@ -833,7 +848,7 @@ def _search_grid(grid, values, slope_objective, tol: float = DELTA_REFINE_TOL,
         return replace(keep_grid, refined=False)
     if k == 0:
         return keep_grid
-    delta_star, best, evaluations = refine_slope_root(slope_objective(), lo, hi, tol)
+    delta_star, best, evaluations = refine_slope_root(slope_objective(), lo, hi, DELTA_REFINE_TOL)
     keep_grid = replace(keep_grid, evaluations=evaluations)
     if delta_star is None:
         # At the right end of the grid the maximum may sit on the edge, and on
@@ -854,7 +869,6 @@ def optimize_delta(
     cutoff: int = 2,
     total_cap: int = 2,
     grid_points: int = 241,
-    tol: float = DELTA_REFINE_TOL,
 ) -> tuple[float, float]:
     """Best bin half-width and the CHSH value it achieves.
 
@@ -863,11 +877,12 @@ def optimize_delta(
     CHSH expectation of the fixed (pure or mixed) state.  The whole grid is
     evaluated in one batched call.  Between the best grid point's neighbours
     a safeguarded root search on the objective's delta-derivative
-    (:func:`refine_slope_root`) refines to ``tol``; where the slope has no
-    root there, the grid maximizer is kept.  :func:`search_delta` returns
-    the same search with its record.
+    (:func:`refine_slope_root`) refines to :data:`DELTA_REFINE_TOL`; where
+    the slope has no root there, the grid maximizer is kept.
+    :func:`search_delta` returns the same search with its record, and
+    refuses a grid of fewer than 2 points.
     """
-    search = search_delta(alice, bob, state, cutoff, total_cap, grid_points, tol)
+    search = search_delta(alice, bob, state, cutoff, total_cap, grid_points)
     return search.delta, search.value
 
 
@@ -949,8 +964,7 @@ def bisect_threshold(max_chsh, lo: float = 0.0, hi: float = 1.0, tol: float = 1e
     bisection levels, so a solve takes fewer than twice plain bisection's
     evaluations.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"bisection tol must be finite and positive, got {tol}")
+    _check_tol(tol, "bisection")
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"bisection bracket must be finite with lo < hi, got [{lo}, {hi}]")
 

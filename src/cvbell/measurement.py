@@ -42,8 +42,8 @@ adjoint loss channel.  Every entry of that channel is one Kraus term, a
 fixed polynomial in the transmission, so the channel is written once per
 cutoff as coefficients in the basis ``eta^i (1 - eta)^(c - i)``
 (:func:`_loss_coefficients`).  A threshold solve expands its stacks through
-them once (:func:`_expand_loss`); one transmission reads the same
-coefficients at that point (:func:`_loss_channel`).
+them once (:func:`_expand_loss`); one transmission reads the same table at
+that point (:func:`_through_loss`).
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ def _ideal_binned_stack(deltas: np.ndarray, cutoff: int, slopes: bool = False):
     return M, (psi[:, :, None] * psi[:, None, :]) * (2.0 * mask)
 
 
-@lru_cache(maxsize=32)
 def _closed_form_constants(cutoff: int):
     """Per-cutoff factors of :func:`_ideal_binned_stack`."""
     n = np.arange(cutoff + 1)
@@ -136,10 +135,7 @@ def _closed_form_constants(cutoff: int):
     gap = n[None, :] - n[:, None]
     off_diagonal = mask / np.where(gap == 0, np.inf, gap)
     up, down = np.sqrt((n[:, None] + 1) / 2.0), np.sqrt(n[1:, None] / 2.0)
-    constants = up, down, off_diagonal, 1.0 / np.sqrt(2.0 * n[1:]), mask
-    for array in constants:
-        array.setflags(write=False)
-    return constants
+    return up, down, off_diagonal, 1.0 / np.sqrt(2.0 * n[1:]), mask
 
 
 @lru_cache(maxsize=16)
@@ -215,24 +211,6 @@ def _loss_coefficients(cutoff: int) -> np.ndarray:
     return E
 
 
-@lru_cache(maxsize=64)
-def _loss_channel(eta: float, cutoff: int) -> np.ndarray:
-    """The adjoint loss at one transmission: a read-only ``(n^2, n^2)`` matrix, n = cutoff + 1.
-
-    :func:`_loss_coefficients` read at ``eta``: its coefficients contracted
-    with ``bernstein_weights(eta, cutoff)``.  On a matrix M that keeps
-    photon parity, raveled into a row, the adjoint ``sum_k A_k^T M A_k``
-    over the Kraus operators of :func:`cvbell.fock.loss_kraus` is
-    ``vec(M) C``.
-    """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError("transmission must lie in [0, 1]")
-    E = _loss_coefficients(int(cutoff))
-    channel = (bernstein_weights(eta, len(E) - 1) @ E.reshape(len(E), -1)).reshape(E.shape[1:])
-    channel.setflags(write=False)
-    return channel
-
-
 def bernstein_weights(eta, degree: int) -> np.ndarray:
     """``eta^i (1 - eta)^(degree - i)`` for i = 0 .. degree, on a last axis.
 
@@ -259,16 +237,20 @@ def _expand_loss(elements: np.ndarray, cutoff: int) -> np.ndarray:
 def _through_loss(eta_h: float, elements: np.ndarray, cutoff: int) -> np.ndarray:
     """Adjoint loss channel on a stack: ``sum_k A_k^dag M A_k``.
 
-    Each matrix is raveled into a row and multiplied by the channel matrix
-    (:func:`_loss_channel`).  The rows stay separate products, so a matrix
-    comes out the same alone or in any stack.  The elements must keep
-    photon parity.
+    The channel matrix C, ``(n^2, n^2)`` with n = cutoff + 1, is
+    :func:`_loss_coefficients` read at ``eta_h``: its coefficients contracted
+    with ``bernstein_weights(eta_h, cutoff)``, built in place, not cached.
+    On a matrix M that keeps photon parity, raveled into a row, the adjoint
+    over the Kraus operators of :func:`cvbell.fock.loss_kraus` is
+    ``vec(M) C``.  The rows stay separate products, so a matrix comes out the
+    same alone or in any stack.  The elements must keep photon parity.
     """
     if not 0.0 <= eta_h <= 1.0:
         raise ValueError("efficiency must lie in [0, 1]")
     if eta_h == 1.0:
         return elements
-    channel = _loss_channel(float(eta_h), int(cutoff))
+    E = _loss_coefficients(int(cutoff))
+    channel = (bernstein_weights(eta_h, len(E) - 1) @ E.reshape(len(E), -1)).reshape(E.shape[1:])
     return (elements.reshape(-1, 1, channel.shape[0]) @ channel).reshape(elements.shape)
 
 

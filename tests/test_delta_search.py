@@ -6,6 +6,11 @@ one delta at a time from the :mod:`cvbell.fock` primitives (``loss_kraus``,
 against a golden section on the same bracket.
 """
 
+import inspect
+import math
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,12 +19,14 @@ from hypothesis import strategies as st
 import cvbell.bell as bell
 import cvbell.source_amp as sa
 from cvbell.bell import (
+    DELTA_REFINE_TOL,
     BellScenario,
     PartyConditions,
     _mode_observables,
     _mode_slopes,
     _packed_kron,
     _projected_kron,
+    _search_grid,
     _state_chsh,
     _top_eigenvalue,
     bell_matrices,
@@ -39,6 +46,7 @@ from cvbell.fock import (
     embedding_indices,
     fock_state,
     loss_kraus,
+    shared_basis,
 )
 from cvbell.local_amp import filtered_critical_transmission, filtered_state, lossy_psi2, psi2_state
 from cvbell.measurement import (
@@ -102,7 +110,7 @@ def reference_bell(basis, alice, bob, delta, slope=False):
     return B[np.ix_(idx, idx)]
 
 
-def reference_optimize_delta(alice, bob, state, grid_points, tol):
+def reference_optimize_delta(alice, bob, state, grid_points):
     """The grid scan and slope refine of ``optimize_delta``, one delta at a time."""
     basis = state.basis
     matrix = state.to_density().matrix if isinstance(state, StateVector) else state.matrix
@@ -117,7 +125,7 @@ def reference_optimize_delta(alice, bob, state, grid_points, tol):
     values = [expectation(d) for d in grid]
     k = int(np.argmax(values))
     lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid_points - 1)]
-    delta_star, best, _ = refine_slope_root(value_and_slope, lo, hi, tol)
+    delta_star, best, _ = refine_slope_root(value_and_slope, lo, hi, DELTA_REFINE_TOL)
     if delta_star is None or best < values[k]:
         return float(grid[k]), float(values[k])
     return float(delta_star), float(best)
@@ -178,17 +186,17 @@ def test_bell_stack_invariant_under_party_swap(alice, bob, ds, cutoffs, cap):
 LOSSY = PartyConditions(eta_t=0.9, eta_d=0.85, eta_h=0.95)
 
 
-@pytest.mark.parametrize("state, grid_points, tol", [
-    (psi2_state(2), 241, 1e-6),
-    (psi2_state(4), 241, 1e-6),
-    (lossy_psi2(0.8), 241, 1e-6),
+@pytest.mark.parametrize("state, grid_points", [
+    (psi2_state(2), 241),
+    (psi2_state(4), 241),
+    (lossy_psi2(0.8), 241),
     (amplified_source(SourceConfig(squeezing=0.15, amp_transmission=0.01,
-                                   coupling=0.9, cutoff=3)).state, 61, 1e-5),
+                                   coupling=0.9, cutoff=3)).state, 61),
 ], ids=["psi2", "psi2-cutoff4", "lossy-psi2", "capped-source-output"])
-def test_optimize_delta_matches_scalar_loop(state, grid_points, tol):
+def test_optimize_delta_matches_scalar_loop(state, grid_points):
     for alice, bob in ((PartyConditions(), PartyConditions()), (LOSSY, PartyConditions())):
-        found = optimize_delta(alice, bob, state=state, grid_points=grid_points, tol=tol)
-        expected = reference_optimize_delta(alice, bob, state, grid_points, tol)
+        found = optimize_delta(alice, bob, state=state, grid_points=grid_points)
+        expected = reference_optimize_delta(alice, bob, state, grid_points)
         assert found == pytest.approx(expected, abs=1e-12)
 
 
@@ -390,6 +398,64 @@ def test_refine_bisects_when_the_secant_leaves_the_bracket():
 
     x, _, evaluations = refine_slope_root(value_and_slope, 0.0, 1.0, 1e-6)
     assert abs(x - 0.3) <= 1e-6 and evaluations == len(calls) < 60
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with ``TimeoutError`` instead of stalling the suite on a loop that never ends."""
+    def expire(signum, frame):
+        raise TimeoutError(f"did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+TILTED = PartyConditions(eta_t=0.9)
+
+
+def tilted_slopes():
+    """The optimal-state ``value_and_slope`` at eta_t = 0.9, whose optimum is interior."""
+    return _top_eigenvalue(shared_basis((2, 2), 2), TILTED, TILTED)[1]
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_a_tol_that_is_not_finite_and_positive_is_refused(tol):
+    # A tol <= 0 never ended the loops; NaN and inf ended them at once.
+    with time_limit(5):
+        with pytest.raises(ValueError, match="refine tol must be finite and positive"):
+            refine_slope_root(tilted_slopes(), 0.675, 0.725, tol)
+        with pytest.raises(ValueError, match="golden-section tol must be finite and positive"):
+            golden_section_max(lambda x: -(x - 1.0) ** 2, 0.0, 2.0, tol)
+
+
+def test_a_tol_below_the_float_spacing_stops_at_adjacent_floats():
+    with time_limit(5):
+        x, value, _ = refine_slope_root(tilted_slopes(), 0.675, 0.725, 1e-300)
+        assert golden_section_max(lambda x: -(x - 1.0) ** 2, 0.0, 2.0, 5e-324) == (1.0, 0.0)
+    assert abs(x - 0.6971520623983694) <= 1e-6
+    assert value == pytest.approx(2.1748201553222115, abs=1e-12)
+
+
+@pytest.mark.parametrize("grid_points", [0, 1])
+def test_a_delta_grid_of_fewer_than_two_points_is_refused(grid_points):
+    with time_limit(5):
+        with pytest.raises(ValueError, match="delta grid must have at least 2 points"):
+            optimize_delta(TILTED, TILTED, grid_points=grid_points)
+
+
+def test_every_delta_search_refines_to_the_one_width():
+    # No search takes a tol: the refine runs to DELTA_REFINE_TOL, the width
+    # the JSON sidecar reports (the grid point alone reads 2.174811414612007).
+    for function in (search_delta, optimize_delta, _search_grid):
+        assert "tol" not in inspect.signature(function).parameters
+    assert refine_slope_root(tilted_slopes(), 0.675, 0.725, DELTA_REFINE_TOL) == (
+        0.6971520623983694, 2.1748201553222115, 5)
+    assert optimize_delta(TILTED, TILTED) == (0.6971520623983694, 2.1748201553222115)
 
 
 SMALL_GRIDS = dict(cutoff=3, lam_grid=default_squeezing_grid(4),

@@ -404,8 +404,8 @@ class TestPulledBackForms:
             raise AssertionError("a psi2 grid step applied a loss")
 
         with monkeypatch.context() as patch:
-            for module, name in ((measurement, "_loss_channel"), (measurement, "_through_loss"),
-                                 (la, "_through_loss"), (la, "_filtered_slopes")):
+            for module, name in ((measurement, "_through_loss"), (la, "_through_loss"),
+                                 (la, "_filtered_slopes")):
                 patch.setattr(module, name, pulled)
             for eta_t in (0.6, 0.8, 1.0):
                 assert not search(eta_t, -math.inf).refined

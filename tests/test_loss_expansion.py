@@ -9,12 +9,11 @@ polynomial (``bell._swept_state_chsh``), the filtered psi2's the ratio of
 that polynomial to the squares' (``local_amp._swept_squares``), and the
 optimal-state and source steps evaluate the factors from their
 coefficients (``bell._swept_at``).  A one-value read is the same expansion
-at one point: the channel matrix (``measurement._loss_channel``) is the
-coefficients contracted with the weights of its transmission.  The
-references are the extended-precision Kraus sum, the per-value loss
-``_through_loss``, the one-value paths ``_state_chsh`` and
-``_mode_observables``, and the filtered psi2 sent forward
-(``local_amp.filtered_state``).
+at one point: ``measurement._through_loss`` contracts the coefficients with
+the weights of its transmission.  The references are the extended-precision
+Kraus sum, the per-value loss ``_through_loss``, the one-value paths
+``_state_chsh`` and ``_mode_observables``, and the filtered psi2 sent
+forward (``local_amp.filtered_state``).
 The expansion also makes the monotonicity that bisection assumes cheap to
 check on a fine grid of efficiencies.
 """
@@ -45,7 +44,6 @@ from cvbell.fock import DensityOperator, ModeBasis, loss_kraus, shared_basis
 from cvbell.local_amp import filtered_critical_transmission, filtered_state, psi2_state
 from cvbell.measurement import (
     _expand_loss,
-    _loss_channel,
     _loss_coefficients,
     _through_loss,
     bernstein_weights,
@@ -88,14 +86,19 @@ def test_coefficients_expand_the_channel_and_the_kraus_sum(cutoff):
     assert not E.flags.writeable and (E >= 0.0).all()
     even = even_entries(cutoff)
     assert not E[:, ~even].any()
+    # The parity-keeping unit matrices |m><m'|: their images are the rows of
+    # the channel matrix with m + m' even.
+    rows = even[:, 0]
+    n = cutoff + 1
+    units = np.eye(n * n)[rows].reshape(-1, n, n)
     for eta in ETAS:
-        found = _loss_channel(float(eta), cutoff)
-        assert np.array_equal(found, np.tensordot(bernstein_weights(eta, cutoff), E, 1))
-        assert not found.flags.writeable and not found[~even].any()
+        found = _through_loss(float(eta), units, cutoff).reshape(-1, n * n)
+        assert np.array_equal(found, np.tensordot(bernstein_weights(eta, cutoff), E, 1)[rows])
+        assert not np.shares_memory(found, E) and not E.flags.writeable
         kraus = sum(np.kron(A, A) for A in (A.astype(np.longdouble)
-                                            for A in loss_kraus(float(eta), cutoff)))
-        error = np.abs(found - kraus)[even].astype(float)
-        assert (error <= ULPS * EPS * np.abs(kraus)[even].astype(float)).all()
+                                            for A in loss_kraus(float(eta), cutoff)))[rows]
+        error = np.abs(found - kraus).astype(float)
+        assert (error <= ULPS * EPS * np.abs(kraus).astype(float)).all()
 
 
 @pytest.mark.parametrize("cutoff", range(9))
@@ -269,8 +272,7 @@ def test_threshold_steps_build_no_loss_channel(monkeypatch, solve):
             return function(*args, **kwargs)
         return wrapper
 
-    for module, name in ((measurement, "_loss_channel"), (measurement, "_through_loss"),
-                         (la, "_through_loss")):
+    for module, name in ((measurement, "_through_loss"), (la, "_through_loss")):
         monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     during = []
 
@@ -286,4 +288,4 @@ def test_threshold_steps_build_no_loss_channel(monkeypatch, solve):
     # The counters see a one-value search.
     party = PartyConditions(eta_t=0.9)
     optimize_delta(party, party, state=psi2_state())
-    assert "_loss_channel" in calls
+    assert "_through_loss" in calls

@@ -7,10 +7,10 @@ hold them to these primitives: ``source_amp._cached_bs`` fills only a
 splitter's input columns from the pair amplitudes, and
 ``tests/test_source_circuit.py`` holds it to ``beam_splitter`` bitwise.
 
-The loss channel matrix ``measurement._loss_channel`` has a layout (the
-raveled ``(n, n')`` pairs of ``C = sum_k A_k (x) A_k``) that only
-``measurement.py`` knows: the other modules apply loss through
-``_through_loss``.
+The adjoint loss table ``measurement._loss_coefficients`` has a layout (the
+raveled ``(n, n')`` pairs of ``C = sum_k A_k (x) A_k``, one matrix per
+Bernstein coefficient) that only ``measurement.py`` knows: the other modules
+apply loss through ``_through_loss`` and ``_expand_loss``.
 
 ``bell.bell_matrices`` and ``bell.bell_matrix`` build whole Bell matrices
 densely (``bell._projected_kron``); the solvers gather only the
@@ -79,14 +79,15 @@ def names_read(tree: ast.AST) -> set:
                                         if p.name != "measurement.py"),
                          ids=lambda p: p.name)
 def test_only_measurement_reads_the_loss_channel_matrix(path):
-    assert "_loss_channel" not in names_read(ast.parse(path.read_text(encoding="utf-8")))
+    assert "_loss_coefficients" not in names_read(ast.parse(path.read_text(encoding="utf-8")))
 
 
 def test_the_walk_finds_the_loss_channel():
-    assert "_loss_channel" in names_read(ast.parse((PACKAGE / "measurement.py").read_text()))
-    for source in ("from .measurement import _loss_channel\n",
-                   "measurement._loss_channel(0.5, 2)\n"):
-        assert "_loss_channel" in names_read(ast.parse(source))
+    assert "_loss_coefficients" in names_read(
+        ast.parse((PACKAGE / "measurement.py").read_text()))
+    for source in ("from .measurement import _loss_coefficients\n",
+                   "measurement._loss_coefficients(2)\n"):
+        assert "_loss_coefficients" in names_read(ast.parse(source))
 
 
 DENSE_REFERENCE = {"bell_matrices", "bell_matrix", "_projected_kron"}

@@ -33,10 +33,13 @@ from cvbell.bell import (
     _parity_sectors,
     _mode_observables,
     _packed_kron,
+    _search_grid,
     _swept_observables,
+    _threshold,
     _top_eigenvalue,
     bell_matrices,
     chsh_value,
+    critical_efficiency,
 )
 from cvbell.fock import ModeBasis, shared_basis
 from cvbell.measurement import DELTA_MAX, delta_grid
@@ -48,6 +51,7 @@ from cvbell.source_amp import (
     default_transmission_grid,
     max_source_chsh,
 )
+from perfbench.workloads import REFERENCES
 
 
 @lru_cache(maxsize=None)
@@ -496,3 +500,36 @@ def test_limit_heralds_with_probability_one_plus_eta_c_r_times_t(eta_c, r, t):
     out = amplified_source(SourceConfig(squeezing=math.sqrt(r * t), amp_transmission=t,
                                         coupling=eta_c))
     assert out.success_probability == pytest.approx((1.0 + eta_c * r) * t, rel=20.0 * t)
+
+
+def limit_threshold(eta_c, eta_d, grid_points, tol):
+    """The symmetric eta_t threshold of the limit pencil, through ``bell._threshold``."""
+    grid = delta_grid(grid_points)
+
+    def no_refine():
+        raise AssertionError("a limit threshold step refined delta")
+
+    def search(eta_t, stop_above):
+        tops = limit_tops(eta_c, 2, PartyConditions(eta_t=eta_t, eta_d=eta_d), grid)[0]
+        return _search_grid(grid, tops, no_refine, stop_above=stop_above)
+
+    return _threshold(search, tol)
+
+
+@pytest.mark.parametrize("eta_d, expected", [
+    (1.0, 0.804901123046875), (0.95, 0.824371337890625), (0.9, 0.846038818359375),
+    (0.85, 0.870147705078125)])
+def test_unit_coupling_limit_threshold_is_the_best_cap_two_states(eta_d, expected):
+    # Every step violates on the grid or peaks at delta = 0, so none refines,
+    # and the bisection walks the optimal-state solve's path bit for bit.
+    found = limit_threshold(1.0, eta_d, 241, 1e-4)
+    assert found == critical_efficiency("eta_t", eta_d=eta_d) == expected
+
+
+@pytest.mark.parametrize("eta_c, expected", [
+    (0.9, REFERENCES["source-lossy"]["source-threshold"][0]),  # 0.84521484375
+    (1.0, 0.80517578125),  # row 10a, 0.8052
+])
+def test_limit_threshold_at_the_source_workload_settings(eta_c, expected):
+    # 61 delta points and tol 1e-3, the (lam, t) grid solve's settings.
+    assert limit_threshold(eta_c, 1.0, 61, 1e-3) == expected
