@@ -54,9 +54,9 @@ def filter_diagonal(basis: ModeBasis, gain: float, applications: int = 1) -> np.
     Each mode contributes ``((g - 1) n + 1)^m`` for its photon number n.
     Every filter path of the package goes through here or through
     :func:`_filter_entries`, which checks the arguments: the gain must be
-    finite and at least 1, and the filter applied at least once.  Raises
-    ``ValueError`` naming the gain, the applications and the cutoff when an
-    entry overflows the float range.
+    finite and at least 1, and the filter applied a whole number of times,
+    at least once.  Raises ``ValueError`` naming the gain, the applications
+    and the cutoff when an entry overflows the float range.
     """
     return _filter_entries(basis.occupations, gain, applications, max(basis.cutoffs))
 
@@ -71,6 +71,8 @@ def _filter_entries(occupations: np.ndarray, gain: float, applications: int,
         raise ValueError(f"filter gain must be finite and at least 1, got {gain}")
     if not applications >= 1:
         raise ValueError(f"filter applications must be at least 1, got {applications}")
+    if not float(applications).is_integer():
+        raise ValueError(f"filter applications must be a whole number, got {applications}")
     with np.errstate(over="ignore"):
         diag = np.prod(((gain - 1.0) * occupations + 1.0) ** applications, axis=1)
     if not np.isfinite(diag).all():

@@ -433,7 +433,6 @@ def _herald_weights(eta: float, a_cutoff: int, b_cutoff: int):
     return rows, weights[rows]
 
 
-@lru_cache(maxsize=64)
 def _herald_kraus(eta: float, a_cutoff: int, b_cutoff: int) -> np.ndarray:
     """Kraus operators ``K[r, m, n]`` of the D2 click on the input pair (a, b).
 
@@ -441,15 +440,14 @@ def _herald_kraus(eta: float, a_cutoff: int, b_cutoff: int) -> np.ndarray:
     (``b_cutoff``) onto the pair enlarged to ``a_cutoff + b_cutoff`` photons
     each, so that it conserves photon number, read on its heard rows r
     (:func:`_herald_weights`), each scaled by the square root of its detector
-    weight: ``(R, a_cutoff + 1, b_cutoff + 1)``, read-only, 7 x 7 x 2 at
-    source cutoff 6 with ideal detectors.
+    weight: ``(R, a_cutoff + 1, b_cutoff + 1)``, 7 x 7 x 2 at source cutoff 6
+    with ideal detectors.  Not cached: each heralded contraction
+    (:func:`_heralded_gram`) builds the stack it reads once.
     """
     big = a_cutoff + b_cutoff
     rows, weights = _herald_weights(eta, big, big)
     U = _cached_bs((big, big), 0.5, (a_cutoff, b_cutoff))[rows]
-    kraus = (np.sqrt(weights)[:, None] * U).reshape(len(rows), a_cutoff + 1, b_cutoff + 1)
-    kraus.setflags(write=False)
-    return kraus
+    return (np.sqrt(weights)[:, None] * U).reshape(len(rows), a_cutoff + 1, b_cutoff + 1)
 
 
 def _outcome(basis: ModeBasis, gram: np.ndarray) -> HeraldedOutcome:
@@ -875,7 +873,9 @@ def _grid_chsh(hankels: np.ndarray, trace: np.ndarray, lams, ts) -> np.ndarray:
     powers times the sums, then times the pairs, ``O(G L (S + T))`` work
     against ``O(G L T P^2)`` for the dense forms over the P image weights.
     The two contractions factor only over the full product of ``lams`` and
-    ``ts``.  Returns ``(G, L, T)``, in row-major (g, lam, t) order.
+    ``ts``.  Returns ``(G, L, T)``, in row-major (g, lam, t) order.  The one
+    evaluator of the forms: the grid scans call it on their grids, and the
+    golden sections of :func:`max_source_chsh` on one row and one point.
     """
     powers, pairs = _weight_factors(lams, ts, trace.shape[0] - 1)
 
@@ -885,38 +885,6 @@ def _grid_chsh(hankels: np.ndarray, trace: np.ndarray, lams, ts) -> np.ndarray:
     values = forms(hankels)
     values /= forms(trace)  # in place: no second grid-sized array per threshold step
     return values
-
-
-def _section_objectives(forms: np.ndarray):
-    """The CHSH value along lam at a fixed t, and along log t at a fixed lam.
-
-    ``forms`` stacks the sums of one Bell operator and of the identity,
-    ``(2, S, 2, 2)``.  Each value contracts them with the lam powers into two
-    2 x 2 forms in the photon pair, then with the pair ``phi_j(t) phi_k(t)``.
-    Returns ``along_lam(t)`` and ``along_log_t(lam)``, which contract their
-    fixed half once and return the objective of the other coordinate.  Equal
-    to :func:`_grid_chsh` on a 1 x 1 grid up to rounding.
-    """
-    coefs = forms.reshape(2, -1, 4)
-    exponents = np.arange(coefs.shape[1])
-
-    def pair(t):
-        root = (math.sqrt(t), math.sqrt(1.0 - t))
-        return np.array([a * b for a in root for b in root])
-
-    def ratio(value_and_norm):
-        value, norm = value_and_norm
-        return float(value / norm)
-
-    def along_lam(t):
-        fixed = pair(t)
-        return lambda lam: ratio((lam ** exponents @ coefs) @ fixed)
-
-    def along_log_t(lam):
-        fixed = lam ** exponents @ coefs
-        return lambda log_t: ratio(fixed @ pair(math.exp(log_t)))
-
-    return along_lam, along_log_t
 
 
 @dataclass
@@ -948,8 +916,7 @@ def max_source_chsh(
     The grid scan evaluates the forms factored (:func:`_grid_chsh`) at 81
     deltas; of equal grid values the first in (delta, lam, t) order is
     taken.  The golden sections read row g* of the grid's sums, the Bell
-    form at the grid's delta, and contract each section's fixed coordinate
-    once (:func:`_section_objectives`).
+    form at the grid's delta, through the same evaluator on a 1 x 1 grid.
 
     The optimum sits at the t grid's lower edge, on a ridge of fixed
     ``r = lam^2 / t`` (the high-gain limit, :func:`solve_source_params`), and
@@ -973,12 +940,14 @@ def max_source_chsh(
     g, i, j = np.unravel_index(int(np.argmax(values)), values.shape)
     lam, t = float(lam_grid[i]), float(t_grid[j])
 
-    along_lam, along_log_t = _section_objectives(np.stack([hankels[g], trace]))
+    def chsh(lam, t):
+        return _grid_chsh(hankels[g:g + 1], trace, [lam], [t])[0, 0, 0]
+
     lam_step = lam_grid[1] - lam_grid[0]
-    lam, _ = golden_section_max(along_lam(t), max(0.0, lam - lam_step),
+    lam, _ = golden_section_max(lambda x: chsh(x, t), max(0.0, lam - lam_step),
                                 min(lam_grid[-1], lam + lam_step), 1e-4)
     log_step = math.log(t_grid[1] / t_grid[0])
-    logt, _ = golden_section_max(along_log_t(lam), math.log(t) - log_step,
+    logt, _ = golden_section_max(lambda x: chsh(lam, math.exp(x)), math.log(t) - log_step,
                                  min(math.log(t_grid[-1]), math.log(t) + log_step), 1e-4)
     t = math.exp(logt)
     delta, value = optimize_delta(alice, bob, state=_image_state(basis, packed, lam, t),

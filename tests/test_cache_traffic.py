@@ -3,7 +3,9 @@
 Its list of ``lru_cache``s is found at run time; here it is held to an
 ``ast`` scan of the sources for module-level ``lru_cache``s, decorated or
 assigned.  An ``lru_cache`` made inside a function lives for one call and
-is no module state (``bell._party_factors`` makes two).
+is no module state (``bell._party_factors`` makes two).  The last test
+holds the package to one policy: every such cache is read again on some
+workload.
 """
 
 import ast
@@ -61,3 +63,17 @@ def test_the_report_has_a_line_per_cache():
     lines = cache_traffic.report("now")
     assert len(lines) == 2 + len(cache_traffic.caches()) + len(cache_traffic.DICT_CACHES)
     assert all(isinstance(cache, dict) for cache in cache_traffic.dict_caches().values())
+
+
+def test_every_cache_is_read_again_on_some_workload():
+    """Each module-level ``lru_cache`` has a hit in some workload's seed-0 run.
+
+    A cache that no run of the benchmark reads twice only keeps state; its
+    function should build afresh on every call.
+    """
+    hits = dict.fromkeys(cache_traffic.caches(), 0)
+    for name in cache_traffic.WORKLOADS:
+        cache_traffic.run(name)
+        for key, cached in cache_traffic.caches().items():
+            hits[key] += cached.cache_info().hits
+    assert [key for key, count in hits.items() if not count] == []

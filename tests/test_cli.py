@@ -27,6 +27,7 @@ from cvbell.source_amp import SourceConfig, amplified_source, max_source_chsh
 #: The commands' CSVs as written at commit 65f91db, before they called the
 #: threshold solvers directly; source-amp-eta-c.csv's three optimum columns
 #: (squeezing, amp_transmission, delta) were re-pinned after their fix.
+#: source-amp-asym.csv was written at commit 2d04454.
 PARENT_CSVS = Path(__file__).resolve().parent / "data" / "cli"
 
 
@@ -745,6 +746,8 @@ def test_cli_imports_neither_configparser_nor_re():
     ("multi-filter", ["multi-filter"]),
     ("multi-filter-small", ["multi-filter", "--m-max", "3", "--eta-d", "0.9"]),
     ("source-amp-eta-c", ["source-amp", "--eta-c", "0.9", "--eta-d-grid", "0.9,1.0"]),
+    ("source-amp-asym",
+     ["source-amp", "--asymmetric", "--eta-c", "0.9", "--eta-d-grid", "0.9,1.0"]),
     ("reproduce-all", ["reproduce-all"]),
 ])
 def test_csv_is_unchanged(name, args, tmp_path, capsys):

@@ -77,6 +77,22 @@ class TestFilterArguments:
         with pytest.raises(ValueError, match=message):
             FILTER_ENTRY_POINTS[entry](2.0, applications)
 
+    @pytest.mark.parametrize("entry", [name for name in FILTER_ENTRY_POINTS
+                                       if name != "filter_operator"])
+    @pytest.mark.parametrize("applications", [1.5, 2.5, np.float64(1.5), float("inf")],
+                             ids=["1.5", "2.5", "numpy-1.5", "inf"])
+    def test_a_fractional_application_is_named(self, entry, applications):
+        message = re.escape(f"filter applications must be a whole number, got {applications}")
+        with pytest.raises(ValueError, match=message):
+            FILTER_ENTRY_POINTS[entry](2.0, applications)
+
+    @pytest.mark.parametrize("applications", [np.int64(2), np.int32(3), 2.0])
+    def test_integral_counts_of_any_type_agree_with_python_integers(self, applications):
+        basis = shared_basis((2, 2))
+        assert np.array_equal(filter_diagonal(basis, 2.0, applications),
+                              filter_diagonal(basis, 2.0, int(applications)))
+        assert filtered_chsh(0.8, 2.0, applications) == filtered_chsh(0.8, 2.0, int(applications))
+
 
 class TestLossyPsi2:
     def test_unit_transmission(self):

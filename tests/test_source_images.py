@@ -369,25 +369,6 @@ def test_factored_grid_matches_dense_forms(cutoff, eta_c, lam_points, lam_upper,
         assert np.argmax(values) == np.argmax(expected)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    lam=st.floats(min_value=0.0, max_value=0.95),
-    t=st.floats(min_value=1e-6, max_value=1.0),
-    delta=st.floats(min_value=0.0, max_value=DELTA_MAX),
-    cutoff=st.integers(min_value=1, max_value=6),
-    eta_c=st.sampled_from([1.0, 0.9]),
-    alice=parties,
-    bob=parties,
-)
-def test_golden_section_objectives_match_grid(lam, t, delta, cutoff, eta_c, alice, bob):
-    basis, packed, trace = sa._source_stack(eta_c, cutoff)
-    form = sa._pair_forms(packed, packed_bells(basis, alice, bob, [delta]))
-    expected = sa._grid_chsh(form, trace, [lam], [t])[0, 0, 0]
-    along_lam, along_log_t = sa._section_objectives(np.stack([form[0], trace]))
-    assert abs(along_lam(t)(lam) - expected) <= 1e-13
-    assert abs(along_log_t(lam)(np.log(t)) - along_lam(t)(lam)) <= 1e-13
-
-
 SMALL = dict(cutoff=2, lam_grid=default_squeezing_grid(4), t_grid=default_transmission_grid(5))
 
 
