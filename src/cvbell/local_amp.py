@@ -212,22 +212,13 @@ def apply_filters(rho: DensityOperator, gain: float, applications: int = 1) -> D
     return DensityOperator(basis, filtered / trace)
 
 
-def filtered_state(
-    eta_t: float,
-    gain: float,
-    applications: int = 1,
-    eta_c: float = 1.0,
-    cutoff: int = 2,
-) -> DensityOperator:
-    """Lossy two-photon state after both parties' filters: the forward reference."""
-    return apply_filters(lossy_psi2(eta_t * eta_c, cutoff), gain, applications)
-
-
 def _psi2_search(gain: float, applications: int, eta_d: float, eta_c: float, cutoff: int):
     """The delta search of the filtered psi2 at a transmission: ``search(eta_t, stop_above)``.
 
     The 241-point grid reads ``Tr(psi2 L^dag(F B F)) / Tr(psi2 L^dag(F^2))``
-    through the loss ``eta_t * eta_c``: one evaluation of the filtered CHSH
+    through the loss of the step's scenario (:func:`cvbell.bell._sweep`) at
+    ``eta_t * eta_c``, which refuses a loss outside [0, 1]; ``eta_c`` is
+    checked once, here.  A step is one evaluation of the filtered CHSH
     polynomial (:func:`cvbell.bell._swept_state_chsh`) and of the squares'
     (:func:`_swept_squares`), both built once, on the cutoff-2 factors where
     psi2 lives, after the filter check at ``cutoff`` (:func:`_mode_filter`).
@@ -237,18 +228,20 @@ def _psi2_search(gain: float, applications: int, eta_d: float, eta_c: float, cut
     above 2 the cutoff bounds only the filter check, and psi2 is built once,
     on its own 3 x 3 box.
     """
+    if not 0.0 <= eta_c <= 1.0:  # also rejects NaN
+        raise ValueError(f"eta_c must lie in [0, 1], got {eta_c}")
     state = psi2_state(min(cutoff, 2))
     psi2 = _fixed_state(state)
     basis = psi2.basis
     f = _mode_filter(basis, gain, applications, cutoff)
-    _, base, sweeps = _sweep("eta_t", SYMMETRIC, 1.0, eta_d, 1.0)
+    scenario, base, sweeps = _sweep("eta_t", SYMMETRIC, 1.0, eta_d, 1.0)
     grid = delta_grid(241)
     bells = _swept_state_chsh(psi2, base.alice, base.bob, sweeps, grid, f)
     square = _bilinear_coefficients(psi2.Q, [_swept_squares(basis, f, sweeps)])
     rho = state.to_density().matrix.real.ravel()[_parity_sectors(basis).entries]
 
     def search(eta_t: float, stop_above: float | None = None):
-        eta = eta_t * eta_c
+        eta = scenario(eta_t * eta_c).alice.eta_t
         w = bernstein_weights(eta, len(bells) - 1)
         return _search_grid(grid, (w @ bells) / (w @ square),
                             lambda: _filtered_slopes(basis, base.alice, f, (eta, eta), rho),
@@ -262,15 +255,15 @@ def filtered_chsh(
     gain: float,
     applications: int = 1,
     eta_d: float = 1.0,
-    eta_c: float = 1.0,
     cutoff: int = 2,
 ) -> tuple[float, float]:
-    """Best (delta, CHSH) for the filtered lossy state (:func:`filtered_state`).
+    """Best (delta, CHSH) for the filtered lossy state.
 
-    The full delta search of :func:`_psi2_search`, refined to
-    :data:`cvbell.bell.DELTA_REFINE_TOL`.
+    The state is ``apply_filters(lossy_psi2(eta_t, cutoff), gain,
+    applications)``; the full delta search of :func:`_psi2_search`, refined
+    to :data:`cvbell.bell.DELTA_REFINE_TOL`.
     """
-    search = _psi2_search(gain, applications, eta_d, eta_c, cutoff)(eta_t)
+    search = _psi2_search(gain, applications, eta_d, 1.0, cutoff)(eta_t)
     return search.delta, search.value
 
 

@@ -4,8 +4,8 @@ Its list of ``lru_cache``s is found at run time; here it is held to an
 ``ast`` scan of the sources for module-level ``lru_cache``s, decorated or
 assigned.  An ``lru_cache`` made inside a function lives for one call and
 is no module state (``bell._party_factors`` makes two).  The last test
-holds the package to one policy: every such cache is read again on some
-workload.
+holds the package to one policy: every such cache, and every hand-kept
+cache of ``source_amp``, is read again on some workload.
 """
 
 import ast
@@ -13,6 +13,7 @@ import importlib.util
 from pathlib import Path
 
 import cvbell
+import cvbell.source_amp as sa
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path(cvbell.__file__).parent
@@ -60,20 +61,26 @@ def test_the_probe_lists_the_caches_of_the_scan():
 
 
 def test_the_report_has_a_line_per_cache():
-    lines = cache_traffic.report("now")
+    lines = cache_traffic.report("now", dict.fromkeys(cache_traffic.dict_caches(), (0, 0)))
     assert len(lines) == 2 + len(cache_traffic.caches()) + len(cache_traffic.DICT_CACHES)
     assert all(isinstance(cache, dict) for cache in cache_traffic.dict_caches().values())
 
 
 def test_every_cache_is_read_again_on_some_workload():
-    """Each module-level ``lru_cache`` has a hit in some workload's seed-0 run.
+    """Each module-level ``lru_cache`` and hand-kept cache has a hit in some workload's seed-0 run.
 
     A cache that no run of the benchmark reads twice only keeps state; its
-    function should build afresh on every call.
+    function should build afresh on every call.  The hand-kept caches'
+    lookups are counted through ``source_amp._cached``, which the probe
+    puts back after each run.
     """
-    hits = dict.fromkeys(cache_traffic.caches(), 0)
+    lookup = sa._cached
+    hits = dict.fromkeys([*cache_traffic.caches(), *cache_traffic.dict_caches()], 0)
     for name in cache_traffic.WORKLOADS:
-        cache_traffic.run(name)
+        traffic = cache_traffic.run(name)
+        assert sa._cached is lookup
         for key, cached in cache_traffic.caches().items():
             hits[key] += cached.cache_info().hits
+        for key, (count, _) in traffic.items():
+            hits[key] += count
     assert [key for key, count in hits.items() if not count] == []

@@ -48,7 +48,12 @@ from cvbell.fock import (
     loss_kraus,
     shared_basis,
 )
-from cvbell.local_amp import filtered_critical_transmission, filtered_state, lossy_psi2, psi2_state
+from cvbell.local_amp import (
+    apply_filters,
+    filtered_critical_transmission,
+    lossy_psi2,
+    psi2_state,
+)
 from cvbell.measurement import (
     DELTA_MAX,
     binned_homodyne_povms,
@@ -313,7 +318,7 @@ def test_the_slope_at_zero_delta_is_never_positive(alice, other, symmetric, cap,
     slope = _projected_kron(basis, _mode_slopes(basis, alice, bob, [0.0])[1])[0]
     w = np.linalg.eigvalsh(slope)
     assert w[-1] <= 1e-12 * np.abs(w).max()
-    states = [psi2_state(cap), filtered_state(eta, gain, applications, cutoff=cap),
+    states = [psi2_state(cap), apply_filters(lossy_psi2(eta, cap), gain, applications),
               optimal_state(BellScenario(alice, bob, delta), cap, cap)[0]]
     for state in states:
         (_,), (state_slope,) = _state_chsh(state, alice, bob)[1](np.array([0.0]))

@@ -41,9 +41,9 @@ from cvbell.bell import (
 )
 from cvbell.fock import shared_basis
 from cvbell.local_amp import (
+    apply_filters,
     filtered_chsh,
     filtered_critical_transmission,
-    filtered_state,
     lossy_psi2,
     psi2_state,
 )
@@ -178,7 +178,7 @@ def test_filtered_transmission_matches_full_search_bisection(gain, applications,
     found = filtered_critical_transmission(gain, applications, eta_d=eta_d, eta_c=eta_c,
                                            cutoff=cutoff, tol=TOL)
     reference = plain_bisection(
-        lambda eta_t: filtered_chsh(eta_t, gain, applications, eta_d, eta_c, cutoff)[1],
+        lambda eta_t: filtered_chsh(eta_t * eta_c, gain, applications, eta_d, cutoff)[1],
         tol=TOL,
     )
     assert found == reference
@@ -223,7 +223,7 @@ def test_filtered_steps_read_the_filtered_states_grid(monkeypatch, cutoff, appli
     assert len(searches) == len(steps) > 0
     party = PartyConditions(eta_d=0.95)
     for eta_t, (grid, values, slope_objective) in zip(steps, searches):
-        rho = filtered_state(eta_t, 2.0, applications, eta_c, cutoff)
+        rho = apply_filters(lossy_psi2(eta_t * eta_c, cutoff), 2.0, applications)
         assert len(grid) == 241
         assert np.abs(values - _state_chsh(rho, party, party)[0](grid)).max() <= 1e-14
         assert np.abs(values - slope_objective()(grid)[0]).max() <= 1e-14

@@ -26,7 +26,6 @@ from cvbell.local_amp import (
     filter_operator,
     filtered_chsh,
     filtered_critical_transmission,
-    filtered_state,
     log_linear_fit,
     lossy_psi2,
     psi2_state,
@@ -51,7 +50,6 @@ FILTER_ENTRY_POINTS = {
     "filter_diagonal": lambda g, m: filter_diagonal(shared_basis((2, 2)), g, m),
     "filter_operator": lambda g, m: filter_operator(g, 4),
     "apply_filters": lambda g, m: apply_filters(lossy_psi2(0.8), g, m),
-    "filtered_state": lambda g, m: filtered_state(0.8, g, m),
     "filtered_chsh": lambda g, m: filtered_chsh(0.8, g, m),
     "filtered_critical_transmission": lambda g, m: filtered_critical_transmission(g, m),
     "amplified_source_threshold_with_filters":
@@ -60,7 +58,11 @@ FILTER_ENTRY_POINTS = {
 
 
 class TestFilterArguments:
-    """The filter's gain and applications are checked once, in ``filter_diagonal``."""
+    """The filter's gain and applications are checked once, in ``filter_diagonal``.
+
+    The filtered psi2 solves check a transmission as every solver does, in
+    :class:`cvbell.bell.PartyConditions`, and the coupling once.
+    """
 
     @pytest.mark.parametrize("entry", FILTER_ENTRY_POINTS)
     @pytest.mark.parametrize("gain", [float("nan"), float("inf"), -1.0, 0.5])
@@ -92,6 +94,20 @@ class TestFilterArguments:
         assert np.array_equal(filter_diagonal(basis, 2.0, applications),
                               filter_diagonal(basis, 2.0, int(applications)))
         assert filtered_chsh(0.8, 2.0, applications) == filtered_chsh(0.8, 2.0, int(applications))
+
+    @pytest.mark.parametrize("eta_c", [-0.5, 1.2, float("nan")])
+    def test_a_coupling_outside_the_unit_interval_is_named(self, eta_c):
+        with pytest.raises(ValueError, match=re.escape(f"eta_c must lie in [0, 1], got {eta_c}")):
+            filtered_critical_transmission(2.0, eta_c=eta_c)
+
+    @pytest.mark.parametrize("eta_t", [-0.1, float("nan")])
+    def test_a_transmission_outside_the_unit_interval_is_named(self, eta_t):
+        with pytest.raises(ValueError, match=re.escape(f"eta_t must lie in [0, 1], got {eta_t}")):
+            filtered_chsh(eta_t, 2.0)
+
+    def test_coupling_enters_only_through_the_product(self):
+        coupled = la._psi2_search(2.0, 1, 1.0, 0.9, 2)(0.8)
+        assert coupled == la._psi2_search(2.0, 1, 1.0, 1.0, 2)(0.8 * 0.9)
 
 
 class TestLossyPsi2:
@@ -297,7 +313,7 @@ class TestCombinedScheme:
         from cvbell.bell import PartyConditions, optimize_delta
         from cvbell.fock import DensityOperator
 
-        rho = filtered_state(0.7, 2.0)
+        rho = apply_filters(lossy_psi2(0.7), 2.0)
         b = rho.basis
         perm = [b.index_of(tuple(reversed(occ))) for occ in b.occupations]
         swapped = DensityOperator(b, rho.matrix[np.ix_(perm, perm)])
@@ -320,9 +336,7 @@ class TestFilteredChsh:
         lambda cutoff: filtered_critical_transmission(2.0, cutoff=cutoff),
         psi2_state,
         lambda cutoff: lossy_psi2(0.8, cutoff),
-        lambda cutoff: filtered_state(0.8, 2.0, cutoff=cutoff),
-    ], ids=["filtered_chsh", "filtered_critical_transmission", "psi2_state", "lossy_psi2",
-            "filtered_state"])
+    ], ids=["filtered_chsh", "filtered_critical_transmission", "psi2_state", "lossy_psi2"])
     def test_a_cutoff_below_two_is_rejected(self, solve, cutoff):
         # psi2 holds two photons in a mode.
         with pytest.raises(ValueError, match=f"cutoff of at least 2, got {cutoff}$"):
@@ -334,14 +348,14 @@ class TestFilteredChsh:
         assert v2 == pytest.approx(v6, abs=1e-9)
 
     def test_filtered_state_hermitian(self):
-        rho = filtered_state(0.5, 2.0, 2)
+        rho = apply_filters(lossy_psi2(0.5), 2.0, 2)
         assert np.abs(rho.matrix - rho.matrix.conj().T).max() < 1e-12
 
     def test_refine_matches_the_forward_state(self):
         # An interior optimum off the grid: the refine runs on the pulled-back slopes.
         delta, value = filtered_chsh(0.8, 2.0, 2, eta_d=0.8)
         party = PartyConditions(eta_d=0.8)
-        reference = optimize_delta(party, party, state=filtered_state(0.8, 2.0, 2))
+        reference = optimize_delta(party, party, state=apply_filters(lossy_psi2(0.8), 2.0, 2))
         assert delta == pytest.approx(0.7935, abs=1e-4)
         assert abs(delta - reference[0]) <= 1e-9
         assert abs(value - reference[1]) <= 1e-12
@@ -384,7 +398,7 @@ class TestPulledBackForms:
            eta_c=below_one, eta_d=below_one, deltas=delta_arrays)
     def test_local_psi2(self, cutoff, applications, gain, eta_t, eta_c, eta_d, deltas):
         party = PartyConditions(eta_d=eta_d)
-        rho = filtered_state(eta_t, gain, applications, eta_c, cutoff)
+        rho = apply_filters(lossy_psi2(eta_t * eta_c, cutoff), gain, applications)
         reference = _state_chsh(rho, party, party)[1](deltas)
         # The capped basis at the caller's cutoff, and the psi2 refine's own (2, 2).
         for basis in (shared_basis((cutoff, cutoff), 2), shared_basis((2, 2))):
@@ -465,7 +479,7 @@ class TestPulledBackForms:
         def forward(*args, **kwargs):
             raise AssertionError("a solver built a filtered state")
 
-        for name in ("filtered_state", "apply_filters", "lossy_psi2"):
+        for name in ("apply_filters", "lossy_psi2"):
             monkeypatch.setattr(la, name, forward)
         assert filtered_critical_transmission(2.0) is not None
         assert filtered_chsh(0.8, 2.0, 2, eta_d=0.8)[1] > 2.0

@@ -13,7 +13,7 @@ at one point: ``measurement._through_loss`` contracts the coefficients with
 the weights of its transmission.  The references are the extended-precision
 Kraus sum, the per-value loss ``_through_loss``, the one-value paths
 ``_state_chsh`` and ``_mode_observables``, and the filtered psi2 sent
-forward (``local_amp.filtered_state``).
+forward (``local_amp.apply_filters`` of ``local_amp.lossy_psi2``).
 The expansion also makes the monotonicity that bisection assumes cheap to
 check on a fine grid of efficiencies.
 """
@@ -41,7 +41,7 @@ from cvbell.bell import (
     optimize_delta,
 )
 from cvbell.fock import DensityOperator, ModeBasis, loss_kraus, shared_basis
-from cvbell.local_amp import filtered_critical_transmission, filtered_state, psi2_state
+from cvbell.local_amp import apply_filters, filtered_critical_transmission, lossy_psi2, psi2_state
 from cvbell.measurement import (
     _expand_loss,
     _loss_coefficients,
@@ -176,7 +176,7 @@ def test_filtered_grids_match_the_forward_state(monkeypatch, gain, applications,
     party = PartyConditions(eta_d=eta_d)
     grids = psi2_grids(monkeypatch, gain, applications, eta_d, STEPS)
     for eta, grid in zip(STEPS, grids, strict=True):
-        state = filtered_state(eta, gain, applications)
+        state = apply_filters(lossy_psi2(eta), gain, applications)
         reference = _state_chsh(state, party, party)[0](GRID)
         assert np.abs(grid - reference).max() <= 1e-13 * np.abs(reference).max()
 

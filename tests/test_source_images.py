@@ -15,10 +15,12 @@ the sums; ``tests/test_parity_sectors.py`` checks that the entries between
 sectors are zero.
 """
 
+import csv
 import math
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,11 +30,14 @@ from hypothesis import strategies as st
 import cvbell.local_amp as la
 import cvbell.source_amp as sa
 from cvbell.bell import (
+    ASYMMETRIC,
+    SYMMETRIC,
     BellScenario,
     PartyConditions,
     _parity_sectors,
     _mode_observables,
     _packed_kron,
+    _scenario_for,
     _search_grid,
     _swept_observables,
     _threshold,
@@ -413,14 +418,14 @@ def limit_forms(sums):
                      np.stack([cross, sums[..., 2, 1, 1]], axis=-1)], axis=-2)
 
 
-def limit_tops(eta_c, cutoff, party, deltas):
+def limit_tops(eta_c, cutoff, alice, bob, deltas):
     """The pencil's top CHSH value on ``deltas`` and its top vectors ``u``, ``(G, 2)``.
 
     The trace form is diag(1, eta_c) (:func:`test_limit_rows`), so the
     pencil's top is the ordinary top of ``S A S`` with ``S = T^(-1/2)``.
     """
     basis, packed, trace = sa._source_stack(eta_c, cutoff)
-    forms = limit_forms(sa._pair_forms(packed, packed_bells(basis, party, party, deltas)))
+    forms = limit_forms(sa._pair_forms(packed, packed_bells(basis, alice, bob, deltas)))
     scale = 1.0 / np.sqrt(np.diag(limit_forms(trace)))
     values, vectors = np.linalg.eigh(scale[:, None] * forms * scale)
     return values[:, -1], scale * vectors[:, :, -1]
@@ -443,8 +448,8 @@ def test_limit_rows(eta_c, cutoff):
 def test_limit_top_does_not_depend_on_the_cutoff(eta_c, eta_t, eta_d):
     party = PartyConditions(eta_t=eta_t, eta_d=eta_d)
     deltas = delta_grid(241)
-    found = limit_tops(eta_c, 2, party, deltas)[0]
-    assert np.abs(found - limit_tops(eta_c, 6, party, deltas)[0]).max() <= 1e-13
+    found = limit_tops(eta_c, 2, party, party, deltas)[0]
+    assert np.abs(found - limit_tops(eta_c, 6, party, party, deltas)[0]).max() <= 1e-13
 
 
 @pytest.mark.parametrize("eta_t, eta_d", LIMIT_PARTIES)
@@ -453,7 +458,7 @@ def test_unit_coupling_limit_prepares_the_best_cap_two_state(eta_t, eta_d):
     party = PartyConditions(eta_t=eta_t, eta_d=eta_d)
     deltas = delta_grid(241)
     best = _top_eigenvalue(shared_basis((2, 2), 2), party, party)[0](deltas)
-    assert np.abs(limit_tops(1.0, 2, party, deltas)[0] - best).max() <= 1e-13
+    assert np.abs(limit_tops(1.0, 2, party, party, deltas)[0] - best).max() <= 1e-13
 
 
 @pytest.mark.parametrize("t", [1e-4, 1e-5, 1e-6])
@@ -463,7 +468,7 @@ def test_circuit_approaches_the_limit_from_below(eta_c, eta_t, eta_d, t):
     # At the grid's best delta, CHSH_inf - CHSH(t) is 10.8 t, 17.4 t and 22.0 t.
     party = PartyConditions(eta_t=eta_t, eta_d=eta_d)
     deltas = delta_grid(241)
-    tops, vectors = limit_tops(eta_c, 2, party, deltas)
+    tops, vectors = limit_tops(eta_c, 2, party, party, deltas)
     best = int(np.argmax(tops))
     root_r = vectors[best, 1] / vectors[best, 0]
     assert root_r > 0.0  # the best vector needs no squeezing phase
@@ -483,15 +488,20 @@ def test_limit_heralds_with_probability_one_plus_eta_c_r_times_t(eta_c, r, t):
     assert out.success_probability == pytest.approx((1.0 + eta_c * r) * t, rel=20.0 * t)
 
 
-def limit_threshold(eta_c, eta_d, grid_points, tol):
-    """The symmetric eta_t threshold of the limit pencil, through ``bell._threshold``."""
+def limit_threshold(eta_c, eta_d, grid_points, tol, symmetry=SYMMETRIC):
+    """The eta_t threshold of the limit pencil, through ``bell._threshold``.
+
+    ``symmetry`` puts the transmission loss on the modes as the source
+    thresholds do (:func:`cvbell.bell._sweep`).
+    """
     grid = delta_grid(grid_points)
 
     def no_refine():
         raise AssertionError("a limit threshold step refined delta")
 
     def search(eta_t, stop_above):
-        tops = limit_tops(eta_c, 2, PartyConditions(eta_t=eta_t, eta_d=eta_d), grid)[0]
+        scenario = _scenario_for(symmetry, eta_t, eta_d, 1.0)
+        tops = limit_tops(eta_c, 2, scenario.alice, scenario.bob, grid)[0]
         return _search_grid(grid, tops, no_refine, stop_above=stop_above)
 
     return _threshold(search, tol)
@@ -514,3 +524,35 @@ def test_unit_coupling_limit_threshold_is_the_best_cap_two_states(eta_d, expecte
 def test_limit_threshold_at_the_source_workload_settings(eta_c, expected):
     # 61 delta points and tol 1e-3, the (lam, t) grid solve's settings.
     assert limit_threshold(eta_c, 1.0, 61, 1e-3) == expected
+
+
+@pytest.mark.parametrize("symmetry, eta_d, limit, cells", [
+    (SYMMETRIC, 0.9, 0.888580322265625, 3), (SYMMETRIC, 1.0, 0.844818115234375, 6),
+    (ASYMMETRIC, 0.9, 0.804901123046875, 5), (ASYMMETRIC, 1.0, 0.746185302734375, 6)])
+def test_source_amp_fixtures_lie_above_the_limit(symmetry, eta_d, limit, cells):
+    # The finite-t bias of the (lam, t) grid solve, in bisection cells of
+    # 2^-14 (tol 1e-4, 61 delta points, the fixtures' settings): routing the
+    # source thresholds through the limit re-pins these CSVs.
+    name = {SYMMETRIC: "source-amp-eta-c", ASYMMETRIC: "source-amp-asym"}[symmetry]
+    with open(Path(__file__).parent / "data" / "cli" / f"{name}.csv", newline="") as handle:
+        [row] = [row for row in csv.DictReader(handle) if float(row["eta_d"]) == eta_d]
+    assert (row["symmetry"], float(row["eta_c"])) == (symmetry, 0.9)
+    assert limit_threshold(0.9, eta_d, 61, 1e-4, symmetry) == limit
+    assert float(row["eta_t_star"]) == limit + cells * 2.0**-14
+
+
+@pytest.mark.parametrize("eta_c, eta_d, grid_threshold, cells", [
+    (0.895, 1.0, 0.84716796875, 0), (0.9, 1.0, 0.84521484375, 0),
+    (0.905, 1.0, 0.84326171875, 0), (0.895, 0.985, 0.85400390625, 1),
+    (0.9, 0.985, 0.85205078125, 1), (0.905, 0.985, 0.85009765625, 1),
+    (0.895, 0.97, 0.85986328125, 1), (0.9, 0.97, 0.85791015625, 1),
+    (0.905, 0.97, 0.85595703125, 1)])
+def test_source_workload_threshold_against_the_limit(eta_c, eta_d, grid_threshold, cells):
+    # The source-lossy op's settings (20 x 30 grid, 61 delta points, tol
+    # 1e-3) over its drawn ranges: the grid solve equals the limit at unit
+    # detection and sits one 2^-10 cell above it at eta_d < 1.
+    found = sa.source_critical_transmission(eta_d=eta_d, eta_c=eta_c,
+                                            lam_grid=default_squeezing_grid(20),
+                                            t_grid=default_transmission_grid(30))
+    assert found == grid_threshold
+    assert limit_threshold(eta_c, eta_d, 61, 1e-3) == grid_threshold - cells * 2.0**-10

@@ -4,8 +4,9 @@ Each run starts with every cache empty and runs in process: the seed-0 ops
 of one perfbench workload (built by ``perfbench.workloads.build``, which is
 only read), or ``cvbell.reproduce.reproduce_all()``.  After the run the tool
 prints the hits, misses and size of every module-level
-``functools.lru_cache`` in ``cvbell``, and the entry counts of
-``source_amp._STACK_CACHE`` and ``source_amp._CAPPED_LOSS_CACHE``.  A cache
+``functools.lru_cache`` in ``cvbell`` and of the hand-kept
+``source_amp._STACK_CACHE`` and ``source_amp._CAPPED_LOSS_CACHE``, whose
+lookups it counts by wrapping ``source_amp._cached`` for the run.  A cache
 with no hits kept state that no call of the run read again.
 
 Usage::
@@ -56,30 +57,49 @@ def clear() -> None:
         cache.clear()
 
 
-def run(name: str) -> None:
+def run(name: str) -> dict:
     """Run ``name`` from empty caches: a workload's seed-0 ops, or the report.
 
-    What the commands print is dropped.
+    Returns ``[hits, misses]`` of each hand-kept cache over the run, counted
+    at every ``source_amp._cached`` lookup.  What the commands print is
+    dropped.
     """
     clear()
-    with contextlib.redirect_stdout(io.StringIO()):
-        if name == "reproduce-all":
-            importlib.import_module("cvbell.reproduce").reproduce_all()
-            return
-        from perfbench.workloads import build
+    source_amp = importlib.import_module("cvbell.source_amp")
+    held = dict_caches()
+    traffic = {key: [0, 0] for key in held}
+    names = {id(cache): key for key, cache in held.items()}
+    cached = source_amp._cached
 
-        with tempfile.TemporaryDirectory() as workdir:
-            for op in build(name, 0, workdir):
-                op.run()
+    def counted(cache, size, key, build):
+        traffic[names[id(cache)]][0 if key in cache else 1] += 1
+        return cached(cache, size, key, build)
+
+    source_amp._cached = counted
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            if name == "reproduce-all":
+                importlib.import_module("cvbell.reproduce").reproduce_all()
+            else:
+                from perfbench.workloads import build
+
+                with tempfile.TemporaryDirectory() as workdir:
+                    for op in build(name, 0, workdir):
+                        op.run()
+    finally:
+        source_amp._cached = cached
+    return traffic
 
 
-def report(name: str) -> list:
+def report(name: str, traffic: dict) -> list:
+    """The traffic of every cache after ``run(name)`` returned ``traffic``."""
     lines = [f"{name}:", f"  {'cache':34s} {'hits':>6s} {'misses':>6s} {'size':>6s}"]
     for key, cached in sorted(caches().items()):
         info = cached.cache_info()
         lines.append(f"  {key:34s} {info.hits:6d} {info.misses:6d} {info.currsize:6d}")
     for key, cache in dict_caches().items():
-        lines.append(f"  {key:34s} {'':6s} {'':6s} {len(cache):6d}")
+        hits, misses = traffic[key]
+        lines.append(f"  {key:34s} {hits:6d} {misses:6d} {len(cache):6d}")
     return lines
 
 
@@ -89,8 +109,7 @@ def main(argv: list[str]) -> int:
         if name not in (*WORKLOADS, "reproduce-all"):
             print(f"cache_traffic: unknown run {name!r}", file=sys.stderr)
             return 2
-        run(name)
-        print("\n".join(report(name)))
+        print("\n".join(report(name, run(name))))
     return 0
 
 
